@@ -365,14 +365,11 @@ class _ShadowMemory:
     def dram_read_many(self, addrs, gids) -> List[int]:
         mem = self.memory
         dram = mem._dram
-        bytes_at = mem._element_bytes_at
         writes = self.writes
+        addrs = [int(addr) for addr in addrs]
         out: List[int] = []
-        total_bytes = 0
         for addr, gid in zip(addrs, gids):
-            addr = int(addr)
             key = ("d", addr)
-            total_bytes += bytes_at(addr)
             w = writes.get(key)
             if w is not None:
                 if w[1] != gid:
@@ -383,18 +380,15 @@ class _ShadowMemory:
             self._note_read(key, gid)
         self.stats.dram_reads += len(out)
         self.stats.dram_random_reads += len(out)
-        self.stats.dram_read_bytes += total_bytes
+        self.stats.dram_read_bytes += mem._dram_bytes(addrs[:len(out)])
         return out
 
     def dram_write_many(self, addrs, values, gids) -> None:
-        bytes_at = self.memory._element_bytes_at
         writes, readers = self.writes, self.readers
-        total_bytes = 0
+        addrs = [int(addr) for addr in addrs]
         n = 0
         for addr, value, gid in zip(addrs, values, gids):
-            addr = int(addr)
             key = ("d", addr)
-            total_bytes += bytes_at(addr)
             r = readers.get(key)
             if r is not None and r != gid:
                 raise _VectorAbort
@@ -405,7 +399,7 @@ class _ShadowMemory:
             n += 1
         self.stats.dram_writes += n
         self.stats.dram_random_writes += n
-        self.stats.dram_write_bytes += total_bytes
+        self.stats.dram_write_bytes += self.memory._dram_bytes(addrs[:n])
 
     # -- tile transfers -------------------------------------------------------
 
@@ -419,7 +413,7 @@ class _ShadowMemory:
             db, sb = int(db), int(sb)
             stats.bulk_loads += 1
             stats.dram_reads += size
-            stats.dram_read_bytes += size * mem._element_bytes_at(db)
+            stats.dram_read_bytes += size * mem._dram_bytes((db,))
             for i in range(size):
                 dkey = ("d", db + i)
                 w = writes.get(dkey)
@@ -458,7 +452,7 @@ class _ShadowMemory:
         stats = self.stats
         stats.bulk_stores += 1
         stats.dram_writes += size
-        stats.dram_write_bytes += size * mem._element_bytes_at(db)
+        stats.dram_write_bytes += size * mem._dram_bytes((db,))
         for i in range(size):
             skey = ("s", site_name, sb + i)
             w = writes.get(skey)
@@ -575,20 +569,30 @@ def _vec_div(cols):
     a, b = cols
     if (b.lo <= 0 <= b.hi) and bool((b.values == 0).any()):
         return None  # exact ZeroDivisionError comes from the fallback
-    m = max(abs(a.lo), abs(a.hi))
-    if m > _INT64_MAX:
+    if b.lo > 0:
+        # Floor division by a positive: no larger in magnitude, same sign.
+        lo, hi = min(a.lo, 0), max(a.hi, 0)
+    elif b.hi < 0:
+        lo, hi = min(-a.hi, 0), max(-a.lo, 0)
+    else:
+        m = max(abs(a.lo), abs(a.hi))
+        lo, hi = -m, m
+    if not _fits(lo, hi):
         return None
-    return np.floor_divide(a.values, b.values), -m, m
+    return np.floor_divide(a.values, b.values), lo, hi
 
 
 def _vec_rem(cols):
     a, b = cols
     if (b.lo <= 0 <= b.hi) and bool((b.values == 0).any()):
         return None
-    m = max(abs(b.lo), abs(b.hi))
-    if m > _INT64_MAX:
-        return None
-    return np.remainder(a.values, b.values), -m, m
+    # Python's remainder takes the divisor's sign and is smaller than it in
+    # magnitude; a non-negative dividend is never exceeded either.
+    lo = b.lo + 1 if b.lo < 0 else 0
+    hi = b.hi - 1 if b.hi > 0 else 0
+    if a.lo >= 0:
+        hi = min(hi, a.hi)
+    return np.remainder(a.values, b.values), lo, hi
 
 
 def _vec_bit(npop):

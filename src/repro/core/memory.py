@@ -15,6 +15,7 @@ used for Table V.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence
@@ -50,9 +51,13 @@ class MemoryStats:
             setattr(self, name, 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DRAMSegment:
-    """A named region of the flat DRAM address space (word-addressed)."""
+    """A named region of the flat DRAM address space (word-addressed).
+
+    Immutable: :class:`MemorySystem` indexes bases and element widths at
+    allocation for its byte accounting.
+    """
 
     name: str
     base: int
@@ -118,6 +123,12 @@ class MemorySystem:
         self._dram: Dict[int, int] = {}
         self._segments: Dict[str, DRAMSegment] = {}
         self._next_base = 0
+        #: Segment bases in allocation (= ascending) order with each
+        #: segment's element width, for byte accounting; segment ``i`` owns
+        #: every address from its base up to the next base.
+        self._bases: List[int] = []
+        self._widths: List[int] = []
+        self._uniform_width = True
         self._sites: Dict[str, AllocationSite] = {}
         self._default_element_bytes = dram_element_bytes
         self.stats = MemoryStats()
@@ -145,6 +156,10 @@ class MemorySystem:
             element_bytes=element_bytes or self._default_element_bytes,
         )
         self._segments[name] = seg
+        self._bases.append(seg.base)
+        self._widths.append(seg.element_bytes)
+        if seg.element_bytes != self._default_element_bytes:
+            self._uniform_width = False
         self._next_base += max(size, 1)
         if data is not None:
             for i, v in enumerate(data):
@@ -161,22 +176,35 @@ class MemorySystem:
         seg = self.segment(name)
         return [self._dram.get(seg.base + i, 0) for i in range(seg.size)]
 
-    def _element_bytes_at(self, addr: int) -> int:
-        for seg in self._segments.values():
-            if seg.base <= addr < seg.base + max(seg.size, 1):
-                return seg.element_bytes
-        return self._default_element_bytes
+    def _dram_bytes(self, addrs: Sequence[int]) -> int:
+        """Bytes moved by one element access at each of ``addrs`` (ints).
+
+        While every segment has the default width (all int-only programs)
+        this is a multiplication; otherwise each address is looked up by
+        bisection.  Addresses outside every segment count the default width.
+        """
+        default = self._default_element_bytes
+        if self._uniform_width:
+            return default * len(addrs)
+        bases, widths, end = self._bases, self._widths, self._next_base
+        total = 0
+        for addr in addrs:
+            if 0 <= addr < end:
+                total += widths[bisect_right(bases, addr) - 1]
+            else:
+                total += default
+        return total
 
     def dram_read(self, addr: int) -> int:
         self.stats.dram_reads += 1
         self.stats.dram_random_reads += 1
-        self.stats.dram_read_bytes += self._element_bytes_at(int(addr))
+        self.stats.dram_read_bytes += self._dram_bytes((int(addr),))
         return self._dram.get(int(addr), 0)
 
     def dram_write(self, addr: int, value: int) -> None:
         self.stats.dram_writes += 1
         self.stats.dram_random_writes += 1
-        self.stats.dram_write_bytes += self._element_bytes_at(int(addr))
+        self.stats.dram_write_bytes += self._dram_bytes((int(addr),))
         self._dram[int(addr)] = int(value)
 
     def dram_peek(self, addr: int) -> int:
@@ -219,33 +247,36 @@ class MemorySystem:
 
     def dram_read_many(self, addrs: Sequence[int]) -> List[int]:
         """Batched :meth:`dram_read`: same per-access traffic accounting."""
+        begun = 0
+        located: List[int] = []
+        try:
+            for addr in addrs:
+                begun += 1
+                located.append(int(addr))
+        finally:
+            # A scalar loop counts an access before it converts the address
+            # and the bytes after, so a bad address costs a read but no bytes.
+            self.stats.dram_reads += begun
+            self.stats.dram_random_reads += begun
+            self.stats.dram_read_bytes += self._dram_bytes(located)
         dram = self._dram
-        bytes_at = self._element_bytes_at
-        total_bytes = 0
-        out: List[int] = []
-        append = out.append
-        for addr in addrs:
-            addr = int(addr)
-            total_bytes += bytes_at(addr)
-            append(dram.get(addr, 0))
-        self.stats.dram_reads += len(out)
-        self.stats.dram_random_reads += len(out)
-        self.stats.dram_read_bytes += total_bytes
-        return out
+        return [dram.get(addr, 0) for addr in located]
 
     def dram_write_many(self, addrs: Sequence[int], values: Sequence[int]) -> None:
         """Batched :meth:`dram_write`: same per-access traffic accounting."""
         dram = self._dram
-        bytes_at = self._element_bytes_at
-        total_bytes = 0
-        for addr, value in zip(addrs, values):
-            addr = int(addr)
-            total_bytes += bytes_at(addr)
-            dram[addr] = int(value)
-        n = min(len(addrs), len(values))
-        self.stats.dram_writes += n
-        self.stats.dram_random_writes += n
-        self.stats.dram_write_bytes += total_bytes
+        begun = 0
+        located: List[int] = []
+        try:
+            for addr, value in zip(addrs, values):
+                begun += 1
+                addr = int(addr)
+                located.append(addr)
+                dram[addr] = int(value)
+        finally:
+            self.stats.dram_writes += begun
+            self.stats.dram_random_writes += begun
+            self.stats.dram_write_bytes += self._dram_bytes(located)
 
     def sram_alloc_many(
         self, site_name: str, buffer_words: int, max_buffers: int, count: int
@@ -270,8 +301,14 @@ class MemorySystem:
     def sram_read_many(self, site_name: str, addrs: Sequence[int]) -> List[int]:
         """Batched :meth:`sram_read`."""
         storage = self.site(site_name).storage
-        out = [storage.get(int(addr), 0) for addr in addrs]
-        self.stats.sram_reads += len(out)
+        begun = 0
+        out: List[int] = []
+        try:
+            for addr in addrs:
+                begun += 1
+                out.append(storage.get(int(addr), 0))
+        finally:
+            self.stats.sram_reads += begun
         return out
 
     def sram_write_many(
@@ -279,11 +316,13 @@ class MemorySystem:
     ) -> None:
         """Batched :meth:`sram_write`."""
         storage = self.site(site_name).storage
-        n = 0
-        for addr, value in zip(addrs, values):
-            storage[int(addr)] = int(value)
-            n += 1
-        self.stats.sram_writes += n
+        begun = 0
+        try:
+            for addr, value in zip(addrs, values):
+                begun += 1
+                storage[int(addr)] = int(value)
+        finally:
+            self.stats.sram_writes += begun
 
     def bulk_load_many(
         self,
@@ -324,7 +363,7 @@ class MemorySystem:
         """DRAM -> SRAM tile transfer (an AG-driven burst)."""
         self.stats.bulk_loads += 1
         site = self.site(site_name)
-        elem = self._element_bytes_at(int(dram_base))
+        elem = self._dram_bytes((int(dram_base),))
         self.stats.dram_reads += size
         self.stats.dram_read_bytes += size * elem
         for i in range(size):
@@ -334,7 +373,7 @@ class MemorySystem:
         """SRAM -> DRAM tile transfer."""
         self.stats.bulk_stores += 1
         site = self.site(site_name)
-        elem = self._element_bytes_at(int(dram_base))
+        elem = self._dram_bytes((int(dram_base),))
         self.stats.dram_writes += size
         self.stats.dram_write_bytes += size * elem
         for i in range(size):

@@ -17,12 +17,26 @@ This stage converts the optimized structured IR (``scf`` + ``arith`` +
 Values defined outside a region but used inside it are passed explicitly as
 region inputs (the flattening stage later turns them into scalar-network
 broadcasts), so the resulting graph is closed under each region.
+
+Live values
+-----------
+
+``if``, ``while``, ``fork``, the exit filter and ``replicate`` reorder, drop
+or duplicate the rows of every link they touch (a forward merge emits the
+taken rows before the others), so a link that does not cross such an op is no
+longer aligned with the ones that did.  Every value read later must therefore
+cross it, and each crossing costs a partition and a merge per loop turn, so
+nothing else may.  :meth:`DataflowLowering._lower_block` records, in one
+reverse scan of the block, the last op that reads each scope key; a
+reordering op carries exactly the keys read after it (plus what its regions
+capture) and *removes* every other binding, so a stale link cannot be read: a
+later lookup is a :class:`LoweringError` at compile time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.columnar import make_executor
 from repro.core.graph import DFGraph, DFValue
@@ -45,15 +59,35 @@ class MemRefInfo:
     ptr: DFValue
 
 
+def _distinct(links: Iterable[DFValue]) -> List[DFValue]:
+    """``links`` without repeats, in first-occurrence order."""
+    seen: Set[int] = set()
+    unique: List[DFValue] = []
+    for df in links:
+        if df.uid not in seen:
+            seen.add(df.uid)
+            unique.append(df)
+    return unique
+
+
 class _Scope:
-    """Per-region lowering state: the IR-value to DF-link mapping."""
+    """Lowering state of one IR block: the IR-value to DF-link mapping.
+
+    Keys are ``id()``s of IR values; a region additionally binds its
+    pass-through inputs (the ones it must hand back) under negative keys.
+    """
 
     def __init__(self, graph: DFGraph, struct_ref: DFValue):
         self.graph = graph
         self.values: Dict[int, DFValue] = {}
         self.memrefs: Dict[int, MemRefInfo] = {}
-        #: Any live link at this nesting level, used to align constants.
+        #: Any link that is current at this nesting level, used to align
+        #: constants.
         self.struct_ref = struct_ref
+        #: Key -> index of the last op of the block that reads it, and the
+        #: index of the op being lowered (see ``_lower_block``).
+        self.last_use: Dict[int, int] = {}
+        self.position = -1
 
     def bind(self, ir_value: Value, df_value: DFValue) -> None:
         self.values[id(ir_value)] = df_value
@@ -66,7 +100,8 @@ class _Scope:
         df = self.values.get(id(ir_value))
         if df is None:
             raise LoweringError(
-                f"IR value %{ir_value.name} has no dataflow mapping (missing capture?)"
+                f"IR value %{ir_value.name} has no dataflow mapping here "
+                f"(not captured, or not live across an earlier region op)"
             )
         return df
 
@@ -77,6 +112,36 @@ class _Scope:
                 f"IR value %{ir_value.name} is not a lowered memref in this scope"
             )
         return info
+
+    def live_links(self) -> Tuple[List[int], List[DFValue]]:
+        """The bound keys read after the op being lowered, in binding order,
+        and the distinct links that must cross it for them.
+
+        Pass-through keys are the enclosing region's outputs and stay live to
+        the end of the block.  When nothing is live the alignment link
+        crosses alone, so that something always does.
+        """
+        position, last_use = self.position, self.last_use
+        keys = [key for key in self.values
+                if key < 0 or last_use.get(key, -1) > position]
+        links = _distinct(self.values[key] for key in keys)
+        return keys, links or [self.struct_ref]
+
+    def rebind(self, keys: Sequence[int], originals: Sequence[DFValue],
+               replacements: Sequence[DFValue]) -> None:
+        """Keep only ``keys``, each on the replacement of its link.
+
+        Every other binding is dropped: its link did not cross the op, so its
+        rows no longer line up with the ones that did.  Constants align to
+        any link that crossed.
+        """
+        crossed = {o.uid: r for o, r in zip(originals, replacements)}
+        self.values = {key: crossed[self.values[key].uid] for key in keys}
+        self.memrefs = {key: info for key, info in self.memrefs.items()
+                        if key in self.values}
+        for key, info in self.memrefs.items():
+            info.ptr = self.values[key]
+        self.struct_ref = crossed.get(self.struct_ref.uid, replacements[0])
 
 
 @dataclass
@@ -131,6 +196,9 @@ class DataflowLowering:
     def __init__(self, module: Module):
         self.module = module
         self._site_counter = 0
+        #: id(region op) -> outside values its regions read, filled by the
+        #: liveness scan of the op's block and reused when the op is lowered.
+        self._captured: Dict[int, List[Value]] = {}
 
     # -- public API ---------------------------------------------------------------
 
@@ -222,8 +290,29 @@ class DataflowLowering:
 
     # -- block lowering ------------------------------------------------------------------
 
+    def _reads(self, op: Operation) -> Sequence[Value]:
+        """Every value lowering ``op`` looks up in the enclosing scope."""
+        if op.name == "scf.condition":
+            return op.operands[:1]  # the forwarded arguments are positional
+        if not op.regions:
+            return op.operands
+        captured = self._captured[id(op)] = self._external_uses(op)
+        return list(op.operands) + captured
+
     def _lower_block(self, block, graph: DFGraph, scope: _Scope) -> None:
-        for op in list(block.operations):
+        """Lower ``block``'s ops in order into ``scope`` (one scope per block).
+
+        A single reverse scan first records where each scope key is last
+        read, which is all ``scope.live_links()`` needs to tell, at any
+        reordering op, which bindings have to cross it.
+        """
+        ops = list(block.operations)
+        last_use = scope.last_use
+        for index in range(len(ops) - 1, -1, -1):
+            for value in self._reads(ops[index]):
+                last_use.setdefault(id(value), index)
+        for index, op in enumerate(ops):
+            scope.position = index
             self._lower_op(op, graph, scope)
 
     def _lower_op(self, op: Operation, graph: DFGraph, scope: _Scope) -> None:
@@ -343,23 +432,10 @@ class DataflowLowering:
 
     def _filter_scope(self, graph: DFGraph, scope: _Scope, keep: DFValue) -> None:
         """Filter every live link in the current scope by ``keep``."""
-        live_ids = list(scope.values.keys())
-        live_vals = []
-        seen: Set[int] = set()
-        for vid in live_ids:
-            df = scope.values[vid]
-            if df.uid not in seen:
-                seen.add(df.uid)
-                live_vals.append((vid, df))
-        unique_dfs = [df for _, df in live_vals]
-        node = graph.add_node("filter", unique_dfs + [keep],
-                              num_outputs=len(unique_dfs), name="alive")
-        replacement = {df.uid: out for df, out in zip(unique_dfs, node.outputs)}
-        for vid in live_ids:
-            scope.values[vid] = replacement[scope.values[vid].uid]
-        for info in scope.memrefs.values():
-            info.ptr = replacement.get(info.ptr.uid, info.ptr)
-        scope.struct_ref = replacement.get(scope.struct_ref.uid, node.outputs[0])
+        keys, live = scope.live_links()
+        node = graph.add_node("filter", live + [keep], num_outputs=len(live),
+                              name="alive")
+        scope.rebind(keys, live, node.outputs)
 
     def _lower_exit_guard(self, op: Operation, graph: DFGraph, scope: _Scope) -> None:
         cond = scope.lookup(op.operand(0))
@@ -368,24 +444,12 @@ class DataflowLowering:
 
     def _lower_fork(self, op: Operation, graph: DFGraph, scope: _Scope) -> None:
         count = scope.lookup(op.operand(0))
-        live_ids = list(scope.values.keys())
-        unique: List[DFValue] = []
-        seen: Set[int] = set()
-        for vid in live_ids:
-            df = scope.values[vid]
-            if df.uid not in seen:
-                seen.add(df.uid)
-                unique.append(df)
-        node = graph.add_node("fork", [count] + unique, num_outputs=1 + len(unique),
+        keys, live = scope.live_links()
+        node = graph.add_node("fork", [count] + live, num_outputs=1 + len(live),
                               name="fork")
-        index = node.outputs[0]
-        replacement = {df.uid: out for df, out in zip(unique, node.outputs[1:])}
-        for vid in live_ids:
-            scope.values[vid] = replacement[scope.values[vid].uid]
-        for info in scope.memrefs.values():
-            info.ptr = replacement.get(info.ptr.uid, info.ptr)
-        scope.struct_ref = index
-        scope.bind(op.result(), index)
+        scope.rebind(keys, live, node.outputs[1:])
+        scope.struct_ref = node.outputs[0]
+        scope.bind(op.result(), node.outputs[0])
 
     # -- structured control flow -------------------------------------------------------------
 
@@ -404,124 +468,127 @@ class DataflowLowering:
                                                      ptr=df_val))
         return scope
 
-    def _unique_live(self, scope: _Scope) -> List[DFValue]:
-        """All distinct live links in a scope, in first-binding order."""
-        unique: List[DFValue] = []
-        seen: Set[int] = set()
-        for df in scope.values.values():
-            if df.uid not in seen:
-                seen.add(df.uid)
-                unique.append(df)
-        return unique
-
-    def _rebind_scope(self, scope: _Scope, originals: Sequence[DFValue],
-                      replacements: Sequence[DFValue]) -> None:
-        """Replace every binding of ``originals[i]`` with ``replacements[i]``."""
-        mapping = {o.uid: r for o, r in zip(originals, replacements)}
-        for key, df in list(scope.values.items()):
-            scope.values[key] = mapping.get(df.uid, df)
-        for info in scope.memrefs.values():
-            info.ptr = mapping.get(info.ptr.uid, info.ptr)
-        scope.struct_ref = mapping.get(scope.struct_ref.uid, scope.struct_ref)
-
     def _outline_region(self, region_block, name: str, scope: _Scope,
                         node_inputs: Sequence[DFValue], captured: Sequence[Value],
-                        arg_bindings: Sequence[Tuple[Value, int]]):
+                        arg_bindings: Sequence[Tuple[Value, int]],
+                        passthrough: range) -> Tuple[DFGraph, _Scope]:
         """Outline an IR block into a region graph taking ``node_inputs``.
 
         ``arg_bindings`` maps IR block arguments to node-input positions;
         ``captured`` IR values are bound to the input holding their current
-        link.  Every input is also tracked under a synthetic key so that
-        forks/filters inside the region keep passthrough streams aligned.
+        link (the last such input: a ``while`` may also carry that link as a
+        loop variable, which changes).  The inputs at ``passthrough``
+        positions are what the region hands back unchanged; they are tracked
+        under synthetic keys so that forks/filters inside the region keep
+        them aligned.
         """
         sub = DFGraph(name)
         inputs = [sub.add_input(df.name or f"live{i}")
                   for i, df in enumerate(node_inputs)]
         sub_scope = _Scope(sub, inputs[0])
-        pos_by_uid: Dict[int, int] = {}
-        for i, df in enumerate(node_inputs):
-            pos_by_uid.setdefault(df.uid, i)
+        pos_by_uid = {df.uid: i for i, df in enumerate(node_inputs)}
         for ir_val, pos in arg_bindings:
             sub_scope.bind(ir_val, inputs[pos])
         for ir_val in captured:
-            df = scope.lookup(ir_val)
-            input_df = inputs[pos_by_uid[df.uid]]
+            input_df = inputs[pos_by_uid[scope.lookup(ir_val).uid]]
             sub_scope.bind(ir_val, input_df)
             if id(ir_val) in scope.memrefs:
                 info = scope.memrefs[id(ir_val)]
                 sub_scope.bind_memref(ir_val, MemRefInfo(site=info.site, size=info.size,
                                                          ptr=input_df))
-        for i, df in enumerate(inputs):
-            sub_scope.values[-(i + 1)] = df
+        for i in passthrough:
+            sub_scope.values[-(i + 1)] = inputs[i]
         self._lower_block(region_block, sub, sub_scope)
-        return sub, sub_scope, inputs
+        return sub, sub_scope
 
-    def _passthrough(self, sub_scope: _Scope, start: int, count: int) -> List[DFValue]:
-        """Current links for node-input positions ``start .. count-1``."""
-        return [sub_scope.values[-(i + 1)] for i in range(start, count)]
+    @staticmethod
+    def _passthrough(sub_scope: _Scope, passthrough: range) -> List[DFValue]:
+        """Current links of a region's pass-through inputs."""
+        return [sub_scope.values[-(i + 1)] for i in passthrough]
 
-    def _lower_if(self, op: Operation, graph: DFGraph, scope: _Scope) -> None:
-        cond = scope.lookup(op.operand(0))
-        live = self._unique_live(scope)
-        captured = self._external_uses(op)
+    def _lower_crossing(self, op: Operation, kind: str, suffixes: Sequence[str],
+                        graph: DFGraph, scope: _Scope,
+                        leading: Sequence[DFValue] = (),
+                        params: Optional[Dict[str, Any]] = None) -> None:
+        """Lower ``scf.if`` / ``revet.replicate``: every region takes what is
+        live after ``op`` plus what the regions capture, and yields ``op``'s
+        results plus the former."""
+        captured = self._captured[id(op)]
+        keys, after = scope.live_links()
+        live = _distinct(after + [scope.lookup(v) for v in captured])
+        passthrough = range(len(after))
 
         regions = []
-        for idx, region in enumerate(op.regions):
-            name = f"{graph.name}.if{op.uid}.{'then' if idx == 0 else 'else'}"
-            sub, sub_scope, _ = self._outline_region(region.entry, name, scope, live,
-                                                     captured, [])
+        for region, suffix in zip(op.regions, suffixes):
+            sub, sub_scope = self._outline_region(
+                region.entry, f"{graph.name}.{kind}{op.uid}{suffix}", scope, live,
+                captured, [], passthrough)
             terminator = region.entry.terminator
             yields = (terminator.operands if terminator is not None
-                      and terminator.name == "scf.yield" else [])
+                      and terminator.name in ("scf.yield", "revet.yield") else [])
             sub.set_outputs([sub_scope.lookup(v) for v in yields]
-                            + self._passthrough(sub_scope, 0, len(live)))
+                            + self._passthrough(sub_scope, passthrough))
             regions.append(sub)
 
-        node = graph.add_node("if", [cond] + live,
-                              num_outputs=len(op.results) + len(live),
-                              regions=regions, name=f"if{op.uid}")
+        node = graph.add_node(kind, list(leading) + live,
+                              num_outputs=len(op.results) + len(after),
+                              regions=regions, params=params,
+                              name=f"{kind}{op.uid}")
+        # Results are bound last: the rebind keeps only what crossed the op.
+        scope.rebind(keys, after, node.outputs[len(op.results):])
         for result, out in zip(op.results, node.outputs):
             scope.bind(result, out)
-        self._rebind_scope(scope, live, node.outputs[len(op.results):])
+
+    def _lower_if(self, op: Operation, graph: DFGraph, scope: _Scope) -> None:
+        self._lower_crossing(op, "if", (".then", ".else"), graph, scope,
+                             leading=[scope.lookup(op.operand(0))])
+
+    def _lower_replicate(self, op: Operation, graph: DFGraph, scope: _Scope) -> None:
+        self._lower_crossing(op, "replicate", ("",), graph, scope,
+                             params={"factor": op.attrs.get("factor", 1)})
 
     def _lower_while(self, op: Operation, graph: DFGraph, scope: _Scope) -> None:
         inits = [scope.lookup(v) for v in op.operands]
-        init_uids = {df.uid for df in inits}
-        rest = [df for df in self._unique_live(scope) if df.uid not in init_uids]
+        captured = self._captured[id(op)]
+        # Loop variables first; then, unchanged by the loop, what is live
+        # after it and what its regions capture.  A link that is both (an
+        # initial value that is also read as itself) gets a port of each kind.
+        keys, after = scope.live_links()
+        rest = _distinct(after + [scope.lookup(v) for v in captured])
         node_inputs = inits + rest
-        captured = self._external_uses(op)
-        before, after = op.region(0).entry, op.region(1).entry
+        passthrough = range(len(inits), len(node_inputs))
+        before, after_block = op.region(0).entry, op.region(1).entry
 
         cond_term = before.terminator
         if cond_term is None or cond_term.name != "scf.condition":
             raise LoweringError("scf.while before-region must end in scf.condition")
 
         # Condition region: computes the loop predicate from the live values.
-        cond_graph, cond_scope, _ = self._outline_region(
+        cond_graph, cond_scope = self._outline_region(
             before, f"{graph.name}.while{op.uid}.cond", scope, node_inputs, captured,
-            [(arg, i) for i, arg in enumerate(before.args)])
+            [(arg, i) for i, arg in enumerate(before.args)], range(0))
         cond_graph.set_outputs([cond_scope.lookup(cond_term.operand(0))])
 
         # Body region: computes the next carried values; the rest pass through.
-        body_graph, body_scope, _ = self._outline_region(
-            after, f"{graph.name}.while{op.uid}.body", scope, node_inputs, captured,
-            [(arg, i) for i, arg in enumerate(after.args)])
-        yields = [body_scope.lookup(v) for v in after.terminator.operands]
-        body_graph.set_outputs(yields + self._passthrough(body_scope, len(inits),
-                                                          len(node_inputs)))
+        body_graph, body_scope = self._outline_region(
+            after_block, f"{graph.name}.while{op.uid}.body", scope, node_inputs,
+            captured, [(arg, i) for i, arg in enumerate(after_block.args)],
+            passthrough)
+        yields = [body_scope.lookup(v) for v in after_block.terminator.operands]
+        body_graph.set_outputs(yields + self._passthrough(body_scope, passthrough))
 
         node = graph.add_node("while", node_inputs, num_outputs=len(node_inputs),
                               regions=[cond_graph, body_graph], name=f"while{op.uid}",
                               params={"label": f"while{op.uid}"})
-        for result, out in zip(op.results, node.outputs[: len(op.operands)]):
+        scope.rebind(keys, rest, node.outputs[len(inits):])
+        for result, out in zip(op.results, node.outputs):
             scope.bind(result, out)
-        self._rebind_scope(scope, node_inputs, node.outputs)
 
     def _lower_foreach(self, op: Operation, graph: DFGraph, scope: _Scope) -> None:
         count = scope.lookup(op.operand(0))
         step = scope.lookup(op.operand(1))
         zero = self._const(graph, scope, 0, name="zero")
-        captured = self._external_uses(op)
+        captured = self._captured[id(op)]
         cap_dfs = [scope.lookup(v) for v in captured]
 
         body = op.region(0).entry
@@ -546,28 +613,6 @@ class DataflowLowering:
                               params=params, name=f"foreach{op.uid}")
         for result, out in zip(op.results, node.outputs):
             scope.bind(result, out)
-
-    def _lower_replicate(self, op: Operation, graph: DFGraph, scope: _Scope) -> None:
-        live = self._unique_live(scope)
-        captured = self._external_uses(op)
-        body = op.region(0).entry
-
-        body_graph, body_scope, _ = self._outline_region(
-            body, f"{graph.name}.replicate{op.uid}", scope, live, captured, [])
-        terminator = body.terminator
-        yields = (terminator.operands if terminator is not None
-                  and terminator.name == "revet.yield" else [])
-        body_graph.set_outputs([body_scope.lookup(v) for v in yields]
-                               + self._passthrough(body_scope, 0, len(live)))
-
-        node = graph.add_node("replicate", live,
-                              num_outputs=len(op.results) + len(live),
-                              regions=[body_graph],
-                              params={"factor": op.attrs.get("factor", 1)},
-                              name=f"replicate{op.uid}")
-        for result, out in zip(op.results, node.outputs):
-            scope.bind(result, out)
-        self._rebind_scope(scope, live, node.outputs[len(op.results):])
 
 
 def lower_to_dataflow(module: Module, function: str = "main") -> CompiledProgram:

@@ -122,6 +122,9 @@ def test_outputs_are_plain_python_ints():
 # -- property-style fuzz over random straight-line bodies -------------------
 
 _DIVISORS = (1, 2, 3, 5, 7, 16, 255)
+#: DRAM columns of strictly positive, strictly negative and mixed-sign
+#: non-zero divisors.
+_DIVISOR_COLUMNS = ("dpos", "dneg", "dmix")
 _SHIFTS = (0, 1, 3, 7, 13, 31)
 
 
@@ -149,10 +152,20 @@ def _random_straight_line_source(rng: random.Random, n_stmts: int) -> str:
         lines.append(f"    int t{n_temps} = {expr};")
         n_temps += 1
     lines.append(f"    out[i] = t{n_temps - 1};")
+    # Division and remainder by whole columns of each sign class (the
+    # sign-aware bounds of _vec_div/_vec_rem), each result kept live.
+    slot = 0
+    for divisor in _DIVISOR_COLUMNS:
+        for op in ("/", "%"):
+            lhs = f"t{rng.choice([0, 1, rng.randrange(n_temps)])}"
+            lines.append(f"    quot[i * {2 * len(_DIVISOR_COLUMNS)} + {slot}] = "
+                         f"{lhs} {op} {divisor}[i];")
+            slot += 1
     body = "\n".join(lines)
+    globals_ = "".join(f"DRAM<int> {name};\n"
+                       for name in ("a", "b", "out", "quot") + _DIVISOR_COLUMNS)
     return (
-        "DRAM<int> a;\nDRAM<int> b;\nDRAM<int> out;\n\n"
-        "void main(int n) {\n  foreach (n) { int i =>\n"
+        globals_ + "\nvoid main(int n) {\n  foreach (n) { int i =>\n"
         + body + "\n  };\n}\n"
     )
 
@@ -185,6 +198,16 @@ def test_fuzz_straight_line_parity(seed):
         memory.dram_alloc("a", data=[pick() for _ in range(n)])
         memory.dram_alloc("b", data=[pick() for _ in range(n)])
         memory.dram_alloc("out", size=n)
+        memory.dram_alloc("quot", size=n * 2 * len(_DIVISOR_COLUMNS))
+
+        def magnitude():
+            return data_rng.choice(
+                [1, 2, data_rng.randint(1, 40), data_rng.randint(1, 2**40)])
+
+        memory.dram_alloc("dpos", data=[magnitude() for _ in range(n)])
+        memory.dram_alloc("dneg", data=[-magnitude() for _ in range(n)])
+        memory.dram_alloc("dmix", data=[data_rng.choice([-1, 1]) * magnitude()
+                                        for _ in range(n)])
 
         class _Instance:
             pass
@@ -196,3 +219,38 @@ def test_fuzz_straight_line_parity(seed):
 
     states = _run_both(program, make_instance)
     assert states["columnar"] == states["token"]
+
+
+@requires_numpy
+@pytest.mark.parametrize("seed", range(6))
+def test_div_rem_bounds_contain_exact_results(seed):
+    """The vector kernels equal Python's ``//`` and ``%`` row by row and
+    their proven bounds contain every result, for each divisor sign class."""
+    import numpy as np
+    from repro.core.columnar import Column, _vec_div, _vec_rem
+
+    rng = random.Random(seed)
+
+    def column(values):
+        tags = np.zeros(len(values), np.uint8)
+        return Column(tags, np.array(values, np.int64), min(values), max(values))
+
+    span = rng.choice([5, 40, 2**31, 2**62])
+    dividends = {"mixed": [rng.randint(-span, span) for _ in range(64)],
+                 "non-negative": [rng.randint(0, span) for _ in range(64)]}
+    magnitudes = [rng.choice([1, 2, 32, rng.randint(1, span)]) for _ in range(64)]
+    divisors = {"positive": magnitudes,
+                "negative": [-m for m in magnitudes],
+                "mixed": [rng.choice([-1, 1]) * m for m in magnitudes]}
+    for a in dividends.values():
+        for b in divisors.values():
+            for kernel, exact in ((_vec_div, lambda x, y: x // y),
+                                  (_vec_rem, lambda x, y: x % y)):
+                values, lo, hi = kernel([column(a), column(b)])
+                expected = [exact(x, y) for x, y in zip(a, b)]
+                assert values.tolist() == expected
+                assert lo <= min(expected) and max(expected) <= hi
+    # What huff-dec's inner loop needs: word >> (31 - bitpos % 32) is a
+    # provably legal shift.
+    _, lo, hi = _vec_rem([column(dividends["non-negative"]), column([32] * 64)])
+    assert (lo, hi) == (0, min(31, max(dividends["non-negative"])))

@@ -146,3 +146,170 @@ class TestMemorySystem:
         mem.dram_read(0)
         mem.stats.reset()
         assert mem.stats.dram_reads == 0
+
+
+# -- batched accessors against their scalar loops -------------------------------
+
+
+def _mixed_memory():
+    """Char, int, zero-size and wide segments side by side.
+
+    Returns the memory and addresses that cover every segment, the word a
+    zero-size segment owns, the gap past the last segment, and negatives.
+    """
+    mem = MemorySystem()
+    ints = mem.dram_alloc("ints", data=[10, 11, 12, 13])
+    text = mem.load_bytes("text", b"hello!")
+    empty = mem.dram_alloc("empty", size=0)
+    wide = mem.dram_alloc("wide", data=[7, 8], element_bytes=8)
+    tail = mem.dram_alloc("tail", size=3)
+    addrs = [ints.base, ints.base + 3, text.base, text.base + 5, empty.base,
+             wide.base, wide.base + 1, tail.base + 2, tail.base + 3,
+             tail.base + 40, -1, -17, text.base + 2, ints.base + 1]
+    for site in ("s", "tile"):
+        mem.site(site, buffer_words=8, max_buffers=4)
+    return mem, addrs
+
+
+def _observed(mem):
+    return {
+        "dram": dict(mem._dram),
+        "stats": dict(vars(mem.stats)),
+        "sites": {name: (dict(site.storage), set(site.live), site.high_water)
+                  for name, site in mem.sites().items()},
+    }
+
+
+def _outcome(call):
+    """The value a call returns, or the exception it raises (by type and text)."""
+    try:
+        return ("ok", call())
+    except Exception as error:  # noqa: BLE001 - compared, not handled
+        return (type(error).__name__, str(error))
+
+
+def _each(call, *columns):
+    for row in zip(*columns):
+        call(*row)
+
+
+def _scalar_loops(mem):
+    """The same signatures as the ``*_many`` helpers, one access at a time."""
+    return {
+        "dram_read_many": lambda addrs: [mem.dram_read(a) for a in addrs],
+        "dram_write_many": lambda addrs, values: _each(
+            mem.dram_write, addrs, values),
+        "sram_alloc_many": lambda site, words, buffers, count: [
+            mem.sram_alloc(site, words, buffers) for _ in range(count)],
+        "sram_free_many": lambda site, ptrs: _each(
+            lambda p: mem.sram_free(site, p), ptrs),
+        "sram_read_many": lambda site, addrs: [
+            mem.sram_read(site, a) for a in addrs],
+        "sram_write_many": lambda site, addrs, values: _each(
+            lambda a, v: mem.sram_write(site, a, v), addrs, values),
+        "bulk_load_many": lambda site, dram, sram, size: _each(
+            lambda d, s: mem.bulk_load(site, d, s, size), dram, sram),
+        "bulk_store_many": lambda site, dram, sram, size: _each(
+            lambda d, s: mem.bulk_store(site, d, s, size), dram, sram),
+        "bulk_store_counted_many": lambda site, dram, sram, sizes: _each(
+            lambda d, s, n: mem.bulk_store(site, d, s, n), dram, sram, sizes),
+    }
+
+
+def _script(addrs):
+    """Calls that touch every helper, every kind of address, then fail
+    mid-batch in every way a batch can."""
+    values = list(range(100, 100 + len(addrs)))
+    return [
+        ("dram_read_many", (addrs,)),
+        ("dram_write_many", (addrs, values)),
+        ("dram_read_many", (list(reversed(addrs)),)),
+        ("dram_read_many", ([],)),
+        ("sram_alloc_many", ("s", 8, 4, 3)),
+        ("sram_write_many", ("s", [0, 9, 17], [5, 6, 7])),
+        ("sram_read_many", ("s", [17, 0, 3, 9])),
+        ("bulk_load_many", ("tile", addrs[:6], [0, 8, 16, 24, 32, 40], 4)),
+        ("bulk_store_many", ("tile", [addrs[7], addrs[2]], [8, 0], 3)),
+        ("bulk_store_counted_many", ("tile", [addrs[5], addrs[9], -3],
+                                     [16, 24, 0], [2, 0, 1])),
+        ("sram_free_many", ("s", [1, 0])),
+        # Mid-batch failures: the accesses before the bad one took effect.
+        ("dram_read_many", ([addrs[0], addrs[2], None, addrs[5]],)),
+        ("dram_write_many", ([addrs[2], "nope", addrs[5]], [1, 2, 3])),
+        ("dram_write_many", ([addrs[5], addrs[2], addrs[0]], [1, "nope", 3])),
+        ("sram_read_many", ("s", [0, None, 9])),
+        ("sram_write_many", ("s", [1, 2, 3], [4, None, 6])),
+        ("sram_free_many", ("s", [2, 2, 0])),
+        ("sram_alloc_many", ("s", 8, 4, 6)),
+        ("bulk_load_many", ("tile", [addrs[2], None, addrs[5]], [0, 8, 16], 2)),
+        ("bulk_store_many", ("tile", [addrs[5], addrs[2]], [0, None], 2)),
+    ]
+
+
+class TestBatchedAccessors:
+    def test_every_many_helper_equals_its_scalar_loop(self):
+        batched_mem, addrs = _mixed_memory()
+        scalar_mem, _ = _mixed_memory()
+        scalar = _scalar_loops(scalar_mem)
+        assert set(scalar) == {name for name in dir(MemorySystem)
+                               if name.endswith("_many")}
+        for name, args in _script(addrs):
+            batched = _outcome(lambda: getattr(batched_mem, name)(*args))
+            looped = _outcome(lambda: scalar[name](*args))
+            assert batched == looped, (name, args)
+            assert _observed(batched_mem) == _observed(scalar_mem), (name, args)
+        # The script did take the failing branches.
+        assert _outcome(lambda: batched_mem.dram_read_many([None]))[0] == "TypeError"
+
+    def test_widths_by_segment_gap_and_sign(self):
+        mem, addrs = _mixed_memory()
+        per_address = []
+        for addr in addrs:
+            before = mem.stats.dram_read_bytes
+            mem.dram_read(addr)
+            per_address.append(mem.stats.dram_read_bytes - before)
+        #      ints  ints text text empty wide wide tail gap gap neg neg text ints
+        assert per_address == [4, 4, 1, 1, 4, 8, 8, 4, 4, 4, 4, 4, 1, 4]
+        mem.stats.reset()
+        mem.dram_read_many(addrs)
+        assert mem.stats.dram_read_bytes == sum(per_address)
+
+    def test_uniform_memory_counts_without_looking_addresses_up(self):
+        mem = MemorySystem()
+        seg = mem.dram_alloc("a", data=[1, 2, 3])
+        assert mem._uniform_width
+        mem.dram_read_many([seg.base, seg.base + 2, 99, -5])
+        assert mem.stats.dram_read_bytes == 16
+        mem.load_bytes("text", b"x")
+        assert not mem._uniform_width
+
+    def test_shadow_commit_equals_sequential_execution(self):
+        from repro.core.columnar import _ShadowMemory
+
+        shadowed, addrs = _mixed_memory()
+        sequential, _ = _mixed_memory()
+        for mem in (shadowed, sequential):
+            mem.sram_write_many("tile", [0, 1, 2, 3], [40, 41, 42, 43])
+        before = _observed(shadowed)
+        shadow = _ShadowMemory(shadowed)
+        values = list(range(200, 200 + len(addrs)))
+        calls = [
+            ("dram_read_many", (addrs,)),
+            ("dram_write_many", (addrs, values)),
+            ("dram_read_many", (list(reversed(addrs)),)),
+            ("sram_write_many", ("s", [0, 9, 17], [5, 6, 7])),
+            ("sram_read_many", ("s", [17, 0, 3, 9])),
+            ("sram_read_many", ("fresh", [1])),
+            ("bulk_load_many", ("tile", addrs[:6], [8, 16, 24, 32, 40, 48], 4)),
+            ("bulk_store_many", ("tile", [addrs[7], addrs[2]], [0, 8], 3)),
+            ("bulk_store_counted_many", ("tile", [addrs[5], addrs[9], -3],
+                                         [16, 24, 0], [2, 0, 1])),
+            ("dram_read_many", (addrs,)),
+        ]
+        for name, args in calls:
+            gids = [0] * len(args[0] if name.startswith("dram") else args[1])
+            assert (getattr(shadow, name)(*args, gids)
+                    == getattr(sequential, name)(*args)), (name, args)
+        assert _observed(shadowed) == before  # nothing real touched yet
+        shadow.commit()
+        assert _observed(shadowed) == _observed(sequential)

@@ -1,0 +1,269 @@
+"""Control-flow to dataflow lowering: what crosses a region op, and why.
+
+``if``/``while``/``fork``/exit filters/``replicate`` reorder, drop or
+duplicate rows, so every value read later has to cross them and nothing else
+should (each crossing is a partition and a merge per loop turn).  See the
+"Live values" section of ``repro/dataflow/lowering.py``.
+"""
+
+import pytest
+
+from repro.apps import REGISTRY
+from repro.compiler import CompileOptions, compile_source
+from repro.core.columnar import HAVE_NUMPY
+from repro.core.graph import DFGraph
+from repro.core.memory import MemorySystem
+from repro.dataflow.lowering import _Scope
+from repro.errors import LoweringError
+from repro.ir import I32, Value
+
+OPTIONS = {"default": CompileOptions(), "none": CompileOptions.none()}
+EXECUTORS = ["token"] + (["columnar"] if HAVE_NUMPY else [])
+CROSSING_OPS = ("if", "while", "filter", "fork", "replicate")
+
+
+# -- (a) every port of every crossing op is needed --------------------------
+
+
+def _unneeded_ports(graph):
+    """Ports of crossing ops that carry a link nobody uses.
+
+    A region input is needed when a node of some region consumes it, or when
+    a region hands it back unchanged and the parent reads that output; a
+    filter/fork port is needed when the parent reads its output.
+    """
+    unneeded = []
+    for parent, node in graph.walk():
+        if node.op not in CROSSING_OPS:
+            continue
+        read = ({v.uid for n in parent.nodes for v in n.inputs}
+                | {v.uid for v in parent.outputs})
+        if not node.regions:
+            carried = node.outputs[1:] if node.op == "fork" else node.outputs
+            idle = [out.name for out in carried if out.uid not in read]
+        else:
+            needed = set()
+            for region in node.regions:
+                consumed = {v.uid for n in region.nodes for v in n.inputs}
+                needed.update(p for p, v in enumerate(region.inputs)
+                              if v.uid in consumed)
+            # Only a while's body hands its inputs back (cond yields a flag).
+            for region in node.regions[-1:] if node.op == "while" else node.regions:
+                needed.update(region.inputs.index(v)
+                              for v, out in zip(region.outputs, node.outputs)
+                              if v in region.inputs and out.uid in read)
+            idle = [v.name for p, v in enumerate(node.regions[0].inputs)
+                    if p not in needed]
+        unneeded += [(node.op, name) for name in idle]
+    return unneeded
+
+
+@pytest.mark.parametrize("options", sorted(OPTIONS))
+@pytest.mark.parametrize("app", sorted(REGISTRY.names()))
+def test_every_crossing_port_is_needed(app, options):
+    program = REGISTRY.get(app).compile(OPTIONS[options])
+    assert _unneeded_ports(program.graph) == []
+
+
+def test_huff_dec_inner_if_carries_only_live_values():
+    """41 ports when everything in scope crossed; 15 values are live."""
+    program = REGISTRY.get("huff-dec").compile()
+    (inner_if,) = [node for _, node in program.graph.walk() if node.op == "if"]
+    assert len(inner_if.inputs) <= 17
+    assert len(inner_if.outputs) <= len(inner_if.inputs)
+
+
+# -- (b), (c) values that die across a region op -----------------------------
+
+
+def _run(source, options, executor, segments, **args):
+    memory = MemorySystem()
+    for name, data in segments.items():
+        memory.dram_alloc(name, data=list(data))
+    compile_source(source, options=OPTIONS[options]).run(
+        memory, executor=executor, **args)
+    return memory
+
+
+DATA = [0, 1, 2, 3, 4, 5, 6, 7, 9, 12, 3, 8]
+
+EXIT_IN_ARM = """
+DRAM<int> a;
+DRAM<int> out;
+void main(int n) {
+  foreach (n) { int i =>
+    int x = a[i];
+    int scale = x * 3;
+    int y = x + 1;
+    if (x > 2) {
+      if (x > 5) { exit(); }
+      y = y + scale;
+    }
+    out[i] = y;
+  };
+}
+"""
+
+WHILE_IN_ARM = """
+DRAM<int> a;
+DRAM<int> out;
+void main(int n) {
+  foreach (n) { int i =>
+    int x = a[i];
+    int trips = x & 3;
+    int acc = 0;
+    if (x > 4) {
+      int j = 0;
+      while (j < trips) {
+        acc = acc + x;
+        j = j + 1;
+      };
+    } else {
+      acc = 0 - x;
+    }
+    out[i] = acc + 1;
+  };
+}
+"""
+
+FORK_IN_ARM = """
+DRAM<int> a;
+DRAM<int> out;
+void main(int n) {
+  foreach (n) { int i =>
+    int x = a[i];
+    int copies = (x & 1) + 1;
+    int base = i * 2;
+    int slot = base;
+    if (x > 3) {
+      int child = fork(copies);
+      slot = base + child;
+    }
+    out[slot] = x;
+  };
+}
+"""
+
+IF_RESULT_INTO_WHILE_YIELD = """
+DRAM<int> a;
+DRAM<int> hits;
+DRAM<int> out;
+void main(int n) {
+  foreach (n) { int i =>
+    int x = a[i];
+    int j = 0;
+    int found = 0;
+    while (j < 4) {
+      if (x > j * 3) {
+        hits[i * 4 + j] = x;
+        found = found + x;
+      }
+      j = j + 1;
+    };
+    out[i] = found;
+  };
+}
+"""
+
+INIT_ALSO_READ_AS_ITSELF = """
+DRAM<int> a;
+DRAM<int> out;
+void main(int n) {
+  foreach (n) { int i =>
+    int limit = a[i];
+    int j = limit;
+    int sum = 0;
+    while (j > 0) {
+      sum = sum + limit;
+      j = j - 1;
+    };
+    out[i] = sum + limit;
+  };
+}
+"""
+
+
+def _exit_in_arm(data):
+    out = [0] * len(data)
+    for i, x in enumerate(data):
+        if x > 5:
+            continue  # the thread exited before its store
+        out[i] = x + 1 + (3 * x if x > 2 else 0)
+    return {"out": out}
+
+
+def _while_in_arm(data):
+    return {"out": [((x & 3) * x if x > 4 else -x) + 1 for x in data]}
+
+
+def _fork_in_arm(data):
+    out = [0] * (2 * len(data))
+    for i, x in enumerate(data):
+        for child in range((x & 1) + 1 if x > 3 else 1):
+            out[2 * i + child] = x
+    return {"out": out}
+
+
+def _if_result_into_while_yield(data):
+    hits = [0] * (4 * len(data))
+    out = []
+    for i, x in enumerate(data):
+        taken = [j for j in range(4) if x > j * 3]
+        for j in taken:
+            hits[4 * i + j] = x
+        out.append(x * len(taken))
+    return {"hits": hits, "out": out}
+
+
+def _init_also_read_as_itself(data):
+    return {"out": [x * x + x for x in data]}
+
+
+CASES = {
+    "exit-in-arm": (EXIT_IN_ARM, _exit_in_arm),
+    "while-in-arm": (WHILE_IN_ARM, _while_in_arm),
+    "fork-in-arm": (FORK_IN_ARM, _fork_in_arm),
+    "if-result-into-while-yield": (IF_RESULT_INTO_WHILE_YIELD,
+                                   _if_result_into_while_yield),
+    "init-also-read-as-itself": (INIT_ALSO_READ_AS_ITSELF,
+                                 _init_also_read_as_itself),
+}
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("options", sorted(OPTIONS))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_values_dying_across_region_ops(case, options, executor):
+    source, reference = CASES[case]
+    expected = reference(DATA)
+    segments = {"a": DATA}
+    segments.update({name: [0] * len(values)
+                     for name, values in expected.items()})
+    memory = _run(source, options, executor, segments, n=len(DATA))
+    assert {name: memory.segment_data(name) for name in expected} == expected
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_small_programs_carry_nothing_unneeded(case):
+    program = compile_source(CASES[case][0], options=CompileOptions.none())
+    assert _unneeded_ports(program.graph) == []
+
+
+# -- a pruned value is an error, not a stale read ----------------------------
+
+
+def test_value_that_did_not_cross_cannot_be_read():
+    graph = DFGraph("g")
+    kept_link, dropped_link = graph.add_input("kept"), graph.add_input("dropped")
+    kept, dropped = Value(I32, name="kept"), Value(I32, name="dropped")
+    scope = _Scope(graph, kept_link)
+    scope.bind(kept, kept_link)
+    scope.bind(dropped, dropped_link)
+    node = graph.add_node("filter", [kept_link, kept_link], num_outputs=1)
+
+    scope.rebind([id(kept)], [kept_link], node.outputs)
+
+    assert scope.lookup(kept) is node.outputs[0]
+    assert scope.struct_ref is node.outputs[0]
+    with pytest.raises(LoweringError, match="not live across"):
+        scope.lookup(dropped)

@@ -10,6 +10,7 @@ from repro.runtime.gateway.admission import (
     PoolService,
     overload_envelope,
 )
+from repro.runtime.engine import Request
 from repro.runtime.pool import WorkerPool
 from repro.sim.policies import pool_drain_rps
 
@@ -189,6 +190,11 @@ class TestOverloadIntegration:
             workers=2, mode="inline", service_delays=[delay, delay]
         )
         with pool:
+            # Pay numpy import and compile of the two keys before anything is
+            # measured: a drain rate taken over a cold first flush is under
+            # 80 rps, whose budget (x 0.05 s = 3) sheds the warm-up batches.
+            pool.process([Request(app="search", n_threads=2, seed=s)
+                          for s in range(2)])
             service = PoolService(pool, controller)
             # Warm up so the budget comes from measured drain, not defaults.
             # Batches of 4 fit even the cold default budget (100 rps x 0.05s).
