@@ -17,21 +17,14 @@ Parallel live-value streams of one thread bundle share the *same* ``tags``
 array object, so alignment checks are identity comparisons on the happy
 path.  Straight-line (non-``while``) regions run as whole-array numpy ops.
 
-``while`` regions have two drain strategies.  The default mirrors the
-token executor's per-barrier-group drain loop (condition → boolean-mask
-partition → emit exiting rows → body → recirculate) but runs each turn's
-condition/body columnar over the group's still-live rows.  When several
-groups carry rows and the loop's regions contain only provably
-group-independent ops (compute/const/memory traffic/if/while — see
-``_WHILE_VECTOR_OPS``), the drain instead runs all groups in *lockstep*:
-one condition/body evaluation per global turn over every live row at once.
-Lockstep turns are transactional: memory traffic is buffered in a
-``_ShadowMemory`` overlay that tracks the owning group of every read and
-write, and any cross-group hazard (or any error at all) aborts the attempt
-— nothing real was touched — and the drain silently re-runs per-group,
-reproducing token behaviour exactly, including partial state on error.
-On success the overlay commits and per-node firing counts are compensated
-so the profile is indistinguishable from the sequential drain.
+``while`` regions drain one barrier group at a time, turn for turn like
+the token executor (condition → boolean-mask partition → emit exiting rows
+→ body → recirculate), with each turn's condition and body run columnar
+over the group's still-live rows.  A program compiled without hierarchy
+elimination therefore drains one narrow group per outer thread (``strlen``
+at 128 threads: about 125 ms against 14 ms flattened).  The remedy is the
+compiler pass, which hands the loop every thread in one group; the
+executor does not re-derive that at run time.
 
 Bit-identity contract
 ---------------------
@@ -61,7 +54,6 @@ except ImportError:  # pragma: no cover - the toolchain ships numpy
 
 from repro.core import primitives as prim
 from repro.core.executor import (
-    ExecutionProfile,
     Executor,
     LinkProfile,
     _as_stream,
@@ -71,7 +63,7 @@ from repro.core.executor import (
     unzip_stream,
 )
 from repro.core.graph import DFGraph, DFNode
-from repro.core.memory import MemoryStats, MemorySystem
+from repro.core.memory import MemorySystem
 from repro.core.sltf import MAX_BARRIER_LEVEL, Barrier, Data, Stream
 from repro.errors import GraphError, PrimitiveError
 
@@ -258,269 +250,6 @@ def _token_at(col: "Column", j: int):
     k = int(np.count_nonzero(col.tags[:j] == 0))
     v = col.values[k]
     return Data(v if col.values.dtype == object else int(v))
-
-
-# ---------------------------------------------------------------------------
-# Shadow memory for the cross-group vectorized while drain
-# ---------------------------------------------------------------------------
-
-
-class _VectorAbort(Exception):
-    """Internal: the lockstep while drain cannot preserve token semantics.
-
-    Raised on any cross-group memory conflict (or structural surprise) while
-    draining every barrier group of a ``while`` in lockstep.  Never escapes
-    :meth:`ColumnarExecutor._try_while_vectorized`: the attempt is discarded
-    and the per-group reference drain reruns from untouched real state.
-    """
-
-
-#: ``readers[key]`` sentinel: more than one group has read this location.
-_FOREIGN = -1
-
-
-class _ShadowMemory:
-    """Write-buffering overlay that makes the lockstep drain transactional.
-
-    The token executor drains ``while`` barrier groups *sequentially*, so
-    group ``g`` observes every memory write groups ``0..g-1`` made.  The
-    lockstep drain runs all groups together, which is only equivalent when
-    no location is shared across groups.  This overlay proves that as it
-    goes: all writes are buffered here (real memory is never touched), every
-    access is attributed to its owning group, and any cross-group overlap
-    that could change an observed value raises :class:`_VectorAbort`:
-
-    * read of another group's buffered write (stale-value hazard),
-    * write to a location some other group has read (ordering hazard),
-    * write to a location another group has written (lost-write hazard).
-
-    Traffic counters accumulate into a scratch :class:`MemoryStats` —
-    they are pure sums, so lockstep order cannot change the totals.  On
-    success :meth:`commit` applies the buffered writes and counter deltas
-    to the real memory system; on abort the overlay is simply dropped.
-    """
-
-    __slots__ = ("memory", "stats", "writes", "readers", "touched_sites",
-                 "current_groups")
-
-    def __init__(self, memory: MemorySystem):
-        self.memory = memory
-        self.stats = MemoryStats()
-        #: ("s", site, addr) | ("d", addr) -> (value, owning group id)
-        self.writes: Dict[tuple, tuple] = {}
-        #: same keys -> sole reading group id, or _FOREIGN once shared
-        self.readers: Dict[tuple, int] = {}
-        #: sites touched (insertion-ordered), created for real on commit
-        self.touched_sites: Dict[str, bool] = {}
-        #: maps local barrier-group index (within the bundle the regions
-        #: currently see) to a global group id; maintained per lockstep turn
-        self.current_groups: List[int] = []
-
-    def _note_read(self, key: tuple, gid: int) -> None:
-        r = self.readers.get(key)
-        if r is None:
-            self.readers[key] = gid
-        elif r != gid:
-            self.readers[key] = _FOREIGN
-
-    # -- SRAM ----------------------------------------------------------------
-
-    def sram_read_many(self, site_name, addrs, gids) -> List[int]:
-        self.touched_sites[site_name] = True
-        site = self.memory._sites.get(site_name)
-        storage = site.storage if site is not None else {}
-        writes = self.writes
-        out: List[int] = []
-        for addr, gid in zip(addrs, gids):
-            key = ("s", site_name, int(addr))
-            w = writes.get(key)
-            if w is not None:
-                if w[1] != gid:
-                    raise _VectorAbort
-                out.append(w[0])
-            else:
-                out.append(storage.get(key[2], 0))
-            self._note_read(key, gid)
-        self.stats.sram_reads += len(out)
-        return out
-
-    def sram_write_many(self, site_name, addrs, values, gids) -> None:
-        self.touched_sites[site_name] = True
-        writes, readers = self.writes, self.readers
-        n = 0
-        for addr, value, gid in zip(addrs, values, gids):
-            key = ("s", site_name, int(addr))
-            r = readers.get(key)
-            if r is not None and r != gid:
-                raise _VectorAbort
-            w = writes.get(key)
-            if w is not None and w[1] != gid:
-                raise _VectorAbort
-            writes[key] = (int(value), gid)
-            n += 1
-        self.stats.sram_writes += n
-
-    # -- DRAM ----------------------------------------------------------------
-
-    def dram_read_many(self, addrs, gids) -> List[int]:
-        mem = self.memory
-        dram = mem._dram
-        writes = self.writes
-        addrs = [int(addr) for addr in addrs]
-        out: List[int] = []
-        for addr, gid in zip(addrs, gids):
-            key = ("d", addr)
-            w = writes.get(key)
-            if w is not None:
-                if w[1] != gid:
-                    raise _VectorAbort
-                out.append(w[0])
-            else:
-                out.append(dram.get(addr, 0))
-            self._note_read(key, gid)
-        self.stats.dram_reads += len(out)
-        self.stats.dram_random_reads += len(out)
-        self.stats.dram_read_bytes += mem._dram_bytes(addrs[:len(out)])
-        return out
-
-    def dram_write_many(self, addrs, values, gids) -> None:
-        writes, readers = self.writes, self.readers
-        addrs = [int(addr) for addr in addrs]
-        n = 0
-        for addr, value, gid in zip(addrs, values, gids):
-            key = ("d", addr)
-            r = readers.get(key)
-            if r is not None and r != gid:
-                raise _VectorAbort
-            w = writes.get(key)
-            if w is not None and w[1] != gid:
-                raise _VectorAbort
-            writes[key] = (int(value), gid)
-            n += 1
-        self.stats.dram_writes += n
-        self.stats.dram_random_writes += n
-        self.stats.dram_write_bytes += self.memory._dram_bytes(addrs[:n])
-
-    # -- tile transfers -------------------------------------------------------
-
-    def bulk_load_many(self, site_name, dram_bases, sram_bases, size, gids):
-        self.touched_sites[site_name] = True
-        mem = self.memory
-        dram = mem._dram
-        writes, readers = self.writes, self.readers
-        stats = self.stats
-        for db, sb, gid in zip(dram_bases, sram_bases, gids):
-            db, sb = int(db), int(sb)
-            stats.bulk_loads += 1
-            stats.dram_reads += size
-            stats.dram_read_bytes += size * mem._dram_bytes((db,))
-            for i in range(size):
-                dkey = ("d", db + i)
-                w = writes.get(dkey)
-                if w is not None:
-                    if w[1] != gid:
-                        raise _VectorAbort
-                    v = w[0]
-                else:
-                    v = dram.get(db + i, 0)
-                self._note_read(dkey, gid)
-                skey = ("s", site_name, sb + i)
-                r = readers.get(skey)
-                if r is not None and r != gid:
-                    raise _VectorAbort
-                sw = writes.get(skey)
-                if sw is not None and sw[1] != gid:
-                    raise _VectorAbort
-                writes[skey] = (v, gid)
-
-    def bulk_store_many(self, site_name, dram_bases, sram_bases, size, gids):
-        for db, sb, gid in zip(dram_bases, sram_bases, gids):
-            self._bulk_store_one(site_name, int(db), int(sb), size, gid)
-
-    def bulk_store_counted_many(
-        self, site_name, dram_bases, sram_bases, sizes, gids
-    ):
-        for db, sb, n, gid in zip(dram_bases, sram_bases, sizes, gids):
-            self._bulk_store_one(site_name, int(db), int(sb), n, gid)
-
-    def _bulk_store_one(self, site_name, db, sb, size, gid) -> None:
-        self.touched_sites[site_name] = True
-        mem = self.memory
-        site = mem._sites.get(site_name)
-        storage = site.storage if site is not None else {}
-        writes, readers = self.writes, self.readers
-        stats = self.stats
-        stats.bulk_stores += 1
-        stats.dram_writes += size
-        stats.dram_write_bytes += size * mem._dram_bytes((db,))
-        for i in range(size):
-            skey = ("s", site_name, sb + i)
-            w = writes.get(skey)
-            if w is not None:
-                if w[1] != gid:
-                    raise _VectorAbort
-                v = w[0]
-            else:
-                v = storage.get(sb + i, 0)
-            self._note_read(skey, gid)
-            dkey = ("d", db + i)
-            r = readers.get(dkey)
-            if r is not None and r != gid:
-                raise _VectorAbort
-            dw = writes.get(dkey)
-            if dw is not None and dw[1] != gid:
-                raise _VectorAbort
-            writes[dkey] = (v, gid)
-
-    # -- outcome --------------------------------------------------------------
-
-    def commit(self) -> None:
-        """Apply buffered writes and counter deltas to the real memory.
-
-        Only called after the whole drain succeeded; insertion order of
-        ``writes``/``touched_sites`` reproduces first-touch order, so the
-        resulting memory state (including which sites exist) is identical
-        to the sequential per-group drain.
-        """
-        mem = self.memory
-        for name in self.touched_sites:
-            mem.site(name)
-        dram = mem._dram
-        sites = mem._sites
-        for key, (value, _gid) in self.writes.items():
-            if key[0] == "d":
-                dram[key[1]] = value
-            else:
-                sites[key[1]].storage[key[2]] = value
-        stats = mem.stats
-        for name, add in vars(self.stats).items():
-            if add:
-                setattr(stats, name, getattr(stats, name) + add)
-
-
-def _group_tags(rowcounts) -> Any:
-    """Tags array for ``rowcounts[i]`` data rows + one level-1 barrier each."""
-    total = int(rowcounts.sum()) + len(rowcounts)
-    tags = np.zeros(total, np.uint8)
-    if len(rowcounts):
-        tags[np.cumsum(rowcounts + 1) - 1] = 1
-    return tags
-
-
-def _group_data_counts(tags) -> Any:
-    """Data rows per barrier group (rows after the last barrier excluded)."""
-    bpos = np.nonzero(tags)[0]
-    if not bpos.size:
-        return np.zeros(0, np.int64)
-    return _counts_at((tags == 0).cumsum(), bpos)
-
-
-def _counts_at(dcum, bpos) -> Any:
-    """Per-group data counts from a data-cumsum and barrier positions."""
-    d = dcum[bpos]
-    counts = d.copy()
-    counts[1:] -= d[:-1]
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -724,20 +453,6 @@ if HAVE_NUMPY:
         }
     )
 
-#: Reductions with a matching ufunc (``void`` is handled separately).
-_REDUCE_UFUNCS: Dict[str, Any] = {}
-if HAVE_NUMPY:
-    _REDUCE_UFUNCS.update(
-        {
-            "add": np.add,
-            "mul": np.multiply,
-            "min": np.minimum,
-            "max": np.maximum,
-            "and": np.bitwise_and,
-            "or": np.bitwise_or,
-        }
-    )
-
 
 # ---------------------------------------------------------------------------
 # The executor
@@ -771,11 +486,6 @@ class ColumnarExecutor(Executor):
             link_stats=link_stats,
             schedule=schedule,
         )
-        #: Active :class:`_ShadowMemory` while attempting a lockstep while
-        #: drain; every memory handler must route through it (or abort).
-        self._shadow: Optional[_ShadowMemory] = None
-        self._while_gate_cache: Dict[int, bool] = {}
-        self._while_static_cache: Dict[int, Dict[str, int]] = {}
         #: id(tags) -> (tags, barrier count): loop turns reuse one shared
         #: tags object across every column of the bundle, so link stats
         #: can skip recounting.  Entries hold a strong reference, so a
@@ -971,86 +681,18 @@ class ColumnarExecutor(Executor):
     def _reduce_column(
         self, node: DFNode, col: Column, op_name: Any, init: Any, level: int
     ) -> Column:
-        if level < 1:
-            raise PrimitiveError("reduce level must be >= 1")
+        """Reduce through the token primitive.
 
-        def fallback() -> Column:
-            op = self._schedule.fn(node)
-            if op is None:
-                op = _resolve_reduce(op_name)
-            return from_stream(
-                prim.reduce_stream(op, init, to_stream(col), level=level)
-            )
-
-        named = isinstance(op_name, str)
-        if not named or not (op_name in _REDUCE_UFUNCS or op_name == "void"):
-            return fallback()
-        if col.values.dtype == object or type(init) is not int:
-            return fallback()
-        if not _fits(init, init):
-            return fallback()
-
-        tags = col.tags
-        values = col.values
-        bpos = np.nonzero(tags)[0]
-        if not bpos.size:
-            return Column(np.zeros(0, np.uint8), np.empty(0, np.int64), 0, 0)
-        levels_arr = tags[bpos].astype(np.int64)
-        dcum = (tags == 0).cumsum()
-        d = dcum[bpos]
-        prev_d = np.concatenate([np.zeros(1, np.int64), d[:-1]])
-        low = levels_arr <= level
-        high = ~low
-        emit = low | (d > prev_d)
-        starts = prev_d[emit]
-        ends_seg = d[emit]
-        n_emit = int(emit.sum())
-
-        # Overflow-safety per reduction op.
-        max_len = int((ends_seg - starts).max()) if n_emit else 0
-        m = max(abs(col.lo), abs(col.hi))
-        iv = abs(init)
-        if op_name == "add":
-            cap = max_len * m + iv
-            if cap > _INT64_MAX:
-                return fallback()
-            lo_r, hi_r = -cap, cap
-        elif op_name == "mul":
-            bits = max_len * max(m.bit_length(), 1) + iv.bit_length()
-            if bits > 62:
-                return fallback()
-            cap = 1 << bits
-            lo_r, hi_r = -cap, cap
-        elif op_name in ("min", "max"):
-            lo_r = min(col.lo, init)
-            hi_r = max(col.hi, init)
-        elif op_name in ("and", "or"):
-            lo_r, hi_r = _bit_bounds(col.lo, col.hi, init)
-        else:  # void
-            lo_r, hi_r = min(0, init), max(0, init)
-
-        if n_emit == 0:
-            red = np.empty(0, np.int64)
-        elif op_name == "void":
-            red = np.where(starts == ends_seg, init, 0).astype(np.int64)
-        else:
-            ufunc = _REDUCE_UFUNCS[op_name]
-            tsize = int(ends_seg[-1])
-            empty = starts == ends_seg
-            if tsize == 0:
-                red = np.full(n_emit, init, dtype=np.int64)
-            else:
-                s_idx = np.minimum(starts, tsize - 1)
-                red = ufunc.reduceat(values[:tsize], s_idx)
-                red = ufunc(red, np.int64(init))
-                red[empty] = init
-
-        reps = emit.astype(np.int64) + high.astype(np.int64)
-        total = int(reps.sum())
-        out_tags = np.zeros(total, np.uint8)
-        pos_end = np.cumsum(reps)
-        out_tags[pos_end[high] - 1] = (levels_arr[high] - level).astype(np.uint8)
-        return Column(out_tags, red, lo_r, hi_r)
+        No Revet source lowers to a reduction (the frontend never sets
+        ``reduce=`` on ``foreach``), so only hand-built graphs get here and
+        a second, vector implementation has nothing to pay for.
+        """
+        op = self._schedule.fn(node)
+        if op is None:
+            op = _resolve_reduce(op_name)
+        return from_stream(
+            prim.reduce_stream(op, init, to_stream(col), level=level)
+        )
 
     def _op_flatten(self, node: DFNode, ins: List[Column]) -> List[Column]:
         return [self._flatten_column(ins[0], node.params.get("levels", 1))]
@@ -1246,23 +888,8 @@ class ColumnarExecutor(Executor):
         return outs
 
     # -- memory ops -----------------------------------------------------------
-    #
-    # Each handler has two routes: the real MemorySystem, or — while a
-    # lockstep while drain is attempting — the _ShadowMemory overlay, which
-    # needs the owning barrier group of every data row (_row_gids).  Under
-    # the shadow a handler must never touch real memory, so structural
-    # surprises raise _VectorAbort instead of taking the token fallback.
-
-    def _row_gids(self, col: Column) -> List[int]:
-        """Owning *global* barrier-group id for each data row of ``col``."""
-        tags = col.tags
-        local = np.cumsum(tags != 0)[tags == 0]
-        groups = np.asarray(self._shadow.current_groups, dtype=np.int64)
-        return groups[local].tolist()
 
     def _op_sram_alloc(self, node: DFNode, ins: List[Column]) -> List[Column]:
-        if self._shadow is not None:  # pointer order is group-interleaved
-            raise _VectorAbort
         site = node.params.get("site", "default")
         words = node.params.get("buffer_words", 64)
         max_buffers = node.params.get("max_buffers", 4096)
@@ -1276,8 +903,6 @@ class ColumnarExecutor(Executor):
         return [Column(tags, values, lo, hi)]
 
     def _op_sram_free(self, node: DFNode, ins: List[Column]) -> List[Column]:
-        if self._shadow is not None:  # free-list order is group-interleaved
-            raise _VectorAbort
         site = node.params.get("site", "default")
         col = ins[0]
         self.memory.sram_free_many(site, col.values.tolist())
@@ -1286,81 +911,44 @@ class ColumnarExecutor(Executor):
     def _op_sram_read(self, node: DFNode, ins: List[Column]) -> List[Column]:
         site = node.params.get("site", "default")
         col = ins[0]
-        shadow = self._shadow
-        if shadow is None:
-            vals = self.memory.sram_read_many(site, col.values.tolist())
-        else:
-            vals = shadow.sram_read_many(
-                site, col.values.tolist(), self._row_gids(col))
+        vals = self.memory.sram_read_many(site, col.values.tolist())
         values, lo, hi = _values_from_ints(vals)
         return [Column(col.tags, values, lo, hi)]
 
     def _op_sram_write(self, node: DFNode, ins: List[Column]) -> List[Column]:
-        shadow = self._shadow
         if not _align(ins):
-            if shadow is not None:
-                raise _VectorAbort
             return self._fallback_node(node, ins)
         site = node.params.get("site", "default")
         a, v = ins
-        if shadow is None:
-            self.memory.sram_write_many(
-                site, a.values.tolist(), v.values.tolist())
-        else:
-            shadow.sram_write_many(
-                site, a.values.tolist(), v.values.tolist(),
-                self._row_gids(a))
+        self.memory.sram_write_many(site, a.values.tolist(), v.values.tolist())
         return [Column(a.tags, np.zeros(a.n_data, np.int64), 0, 0)]
 
     def _op_dram_read(self, node: DFNode, ins: List[Column]) -> List[Column]:
         col = ins[0]
-        shadow = self._shadow
-        if shadow is None:
-            vals = self.memory.dram_read_many(col.values.tolist())
-        else:
-            vals = shadow.dram_read_many(
-                col.values.tolist(), self._row_gids(col))
+        vals = self.memory.dram_read_many(col.values.tolist())
         values, lo, hi = _values_from_ints(vals)
         return [Column(col.tags, values, lo, hi)]
 
     def _op_dram_write(self, node: DFNode, ins: List[Column]) -> List[Column]:
-        shadow = self._shadow
         if not _align(ins):
-            if shadow is not None:
-                raise _VectorAbort
             return self._fallback_node(node, ins)
         a, v = ins
-        if shadow is None:
-            self.memory.dram_write_many(a.values.tolist(), v.values.tolist())
-        else:
-            shadow.dram_write_many(
-                a.values.tolist(), v.values.tolist(), self._row_gids(a))
+        self.memory.dram_write_many(a.values.tolist(), v.values.tolist())
         return [Column(a.tags, np.zeros(a.n_data, np.int64), 0, 0)]
 
     def _op_bulk_load(self, node: DFNode, ins: List[Column]) -> List[Column]:
-        shadow = self._shadow
         if not _align(ins):
-            if shadow is not None:
-                raise _VectorAbort
             return self._fallback_node(node, ins)
         site = node.params.get("site", "default")
         size = node.params["size"]
         d, s = ins
-        if shadow is None:
-            self.memory.bulk_load_many(
-                site, d.values.tolist(), s.values.tolist(), size
-            )
-        else:
-            shadow.bulk_load_many(
-                site, d.values.tolist(), s.values.tolist(), size,
-                self._row_gids(d))
+        self.memory.bulk_load_many(
+            site, d.values.tolist(), s.values.tolist(), size
+        )
         return [Column(d.tags, np.zeros(d.n_data, np.int64), 0, 0)]
 
     def _op_bulk_store(self, node: DFNode, ins: List[Column]) -> List[Column]:
-        shadow = self._shadow
         if not _align(ins):
-            if shadow is not None:
-                raise _VectorAbort
             return self._fallback_node(node, ins)
         site = node.params.get("site", "default")
         size = node.params["size"]
@@ -1369,22 +957,13 @@ class ColumnarExecutor(Executor):
             counts = [
                 max(0, min(size, c)) for c in ins[2].values.tolist()
             ]
-            if shadow is None:
-                self.memory.bulk_store_counted_many(
-                    site, d.values.tolist(), s.values.tolist(), counts
-                )
-            else:
-                shadow.bulk_store_counted_many(
-                    site, d.values.tolist(), s.values.tolist(), counts,
-                    self._row_gids(d))
-        elif shadow is None:
+            self.memory.bulk_store_counted_many(
+                site, d.values.tolist(), s.values.tolist(), counts
+            )
+        else:
             self.memory.bulk_store_many(
                 site, d.values.tolist(), s.values.tolist(), size
             )
-        else:
-            shadow.bulk_store_many(
-                site, d.values.tolist(), s.values.tolist(), size,
-                self._row_gids(d))
         return [Column(d.tags, np.zeros(d.n_data, np.int64), 0, 0)]
 
     # -- region ops -------------------------------------------------------------
@@ -1392,11 +971,9 @@ class ColumnarExecutor(Executor):
     def _op_while(self, node: DFNode, ins: List[Column]) -> List[Column]:
         """Drain a forward-backward loop (see :meth:`Executor._op_while`).
 
-        Preferred route: drain *every* barrier group in lockstep
-        (:meth:`_while_drain_vectorized`) under a :class:`_ShadowMemory`
-        transaction; on any cross-group hazard the attempt is discarded and
-        this falls back to the sequential per-group drain below, which
-        matches the token executor turn for turn.
+        One barrier group at a time, turn for turn the token executor's
+        drain; each turn's condition and body run columnar over the group's
+        still-live rows.
         """
         cond_region, body_region = node.regions
         width = len(ins)
@@ -1412,22 +989,6 @@ class ColumnarExecutor(Executor):
 
         bpos = np.nonzero(tags0)[0]
         dcum = (tags0 == 0).cumsum()
-
-        if self._shadow is not None:
-            # Nested inside an outer lockstep drain: the outer gate already
-            # proved this loop's regions safe, so run inline on the shared
-            # shadow; any hazard here aborts the outermost attempt.
-            return self._while_drain_vectorized(node, ins, tags0, bpos, dcum)
-        if len(bpos) > 1 and self._while_vector_safe(node):
-            # Lockstep only pays when several groups actually carry rows:
-            # with zero or one non-empty group the sequential drain below
-            # is already whole-bundle vectorized, and the shadow overlay
-            # would be pure per-access overhead.
-            counts0 = _counts_at(dcum, bpos)
-            if int(np.count_nonzero(counts0)) > 1:
-                out = self._try_while_vectorized(node, ins, tags0, bpos, dcum)
-                if out is not None:
-                    return out
 
         record_loop = self.profile.record_loop
         max_iterations = self.max_loop_iterations
@@ -1489,242 +1050,6 @@ class ColumnarExecutor(Executor):
         outs: List[Column] = []
         for i in range(width):
             chunks = out_chunks[i]
-            if not chunks:
-                outs.append(Column(out_tags, np.empty(0, np.int64), 0, 0))
-                continue
-            if any(c.dtype == object for c in chunks):
-                values = np.empty(sum(len(c) for c in chunks), dtype=object)
-                pos = 0
-                for c in chunks:
-                    items = c.tolist()
-                    values[pos:pos + len(items)] = items
-                    pos += len(items)
-                lo = hi = None
-            else:
-                values = np.concatenate(chunks)
-                lo, hi = _bounds_of(values)
-            outs.append(Column(out_tags, values, lo, hi))
-        return outs
-
-    #: Ops allowed inside a lockstep-drained while: each is *group-local*
-    #: (rows of one barrier group never influence another group's rows) and
-    #: count-preserving, and its memory effects go through the shadow.
-    #: ``sram_alloc``/``sram_free`` are excluded — the FIFO free list makes
-    #: pointer values depend on cross-group allocation order — as is every
-    #: structural op (fork/filter/merge/foreach/...), conservatively.
-    _WHILE_VECTOR_OPS = frozenset({
-        "compute", "const", "sram_read", "sram_write", "dram_read",
-        "dram_write", "bulk_load", "bulk_store", "if", "while",
-    })
-
-    def _while_vector_safe(self, node: DFNode) -> bool:
-        """Whether ``node``'s regions qualify for the lockstep drain."""
-        cached = self._while_gate_cache.get(node.uid)
-        if cached is None:
-            cached = all(self._region_vector_safe(r) for r in node.regions)
-            self._while_gate_cache[node.uid] = cached
-        return cached
-
-    def _region_vector_safe(self, graph: DFGraph) -> bool:
-        safe = self._WHILE_VECTOR_OPS
-        for n in graph.nodes:
-            if n.op not in safe:
-                return False
-            for r in getattr(n, "regions", ()) or ():
-                if not self._region_vector_safe(r):
-                    return False
-        return True
-
-    def _static_op_counts(self, node: DFNode) -> Dict[str, int]:
-        """Op histogram of the while's regions, not descending into nested
-        whiles (which compensate their own firings) but counting the nested
-        while node itself.  Every such node fires exactly once per region
-        run, which is what the firing compensation in the lockstep drain
-        relies on."""
-        cached = self._while_static_cache.get(node.uid)
-        if cached is None:
-            cached = {}
-
-            def walk(graph: DFGraph) -> None:
-                for n in graph.nodes:
-                    cached[n.op] = cached.get(n.op, 0) + 1
-                    if n.op == "while":
-                        continue
-                    for r in getattr(n, "regions", ()) or ():
-                        walk(r)
-
-            for r in node.regions:
-                walk(r)
-            self._while_static_cache[node.uid] = cached
-        return cached
-
-    def _try_while_vectorized(
-        self, node: DFNode, ins: List[Column], tags0, bpos, dcum
-    ) -> Optional[List[Column]]:
-        """Attempt the lockstep drain as a transaction; None on abort.
-
-        All memory effects go to a fresh shadow overlay and all profile
-        counts to a scratch profile, so *any* exception — a cross-group
-        hazard, a malformed program, a genuine executor error — leaves real
-        state untouched and the sequential per-group drain reruns from
-        scratch, reproducing token behaviour exactly (including the error
-        itself and any partial side effects preceding it).
-        """
-        scratch = ExecutionProfile()
-        shadow = _ShadowMemory(self.memory)
-        shadow.current_groups = list(range(len(bpos)))
-        saved = self.profile
-        self.profile = scratch
-        self._shadow = shadow
-        try:
-            outs = self._while_drain_vectorized(node, ins, tags0, bpos, dcum)
-        except Exception:
-            return None
-        finally:
-            self.profile = saved
-            self._shadow = None
-        shadow.commit()
-        self._merge_profile(scratch)
-        return outs
-
-    def _merge_profile(self, scratch: ExecutionProfile) -> None:
-        profile = self.profile
-        links = profile.link_stats
-        for name, lp in scratch.link_stats.items():
-            t = links.get(name)
-            if t is None:
-                t = links[name] = LinkProfile()
-            t.elements += lp.elements
-            t.barriers += lp.barriers
-        firings = profile.node_firings
-        for op, n in scratch.node_firings.items():
-            firings[op] = firings.get(op, 0) + n
-        loops = profile.loop_iterations
-        for lbl, n in scratch.loop_iterations.items():
-            loops[lbl] = loops.get(lbl, 0) + n
-
-    def _while_drain_vectorized(
-        self, node: DFNode, ins: List[Column], tags0, bpos, dcum
-    ) -> List[Column]:
-        """Drain every barrier group of one while in lockstep.
-
-        Each global turn runs the condition and body *once* over the
-        still-live rows of all groups together; groups whose body
-        recirculates nothing drop out, so the turn count is ``max`` rather
-        than ``sum`` of per-group turn counts.  Per-group turn counts,
-        exit order, link totals, and loop/firing profile counts all equal
-        the sequential drain (firings are compensated below: region nodes
-        fire once per global turn here versus once per group-turn there).
-
-        Must run with ``self._shadow`` set; at the outermost level
-        ``self.profile`` is a scratch swapped in by
-        :meth:`_try_while_vectorized`.
-        """
-        cond_region, body_region = node.regions
-        width = len(ins)
-        label = node.params.get("label", f"while#{node.uid}")
-        record_loop = self.profile.record_loop
-        max_iterations = self.max_loop_iterations
-        shadow = self._shadow
-
-        G = len(bpos)
-        counts0 = _counts_at(dcum, bpos)
-        n_live = int(counts0.sum())
-        live_vals = [c.values[:n_live] for c in ins]
-        live_bounds = [(c.lo, c.hi) for c in ins]
-        present = np.arange(G, dtype=np.int64)  # local group ids still live
-        rowcounts = counts0
-        out_chunks: List[List[List[Any]]] = [
-            [[] for _ in range(G)] for _ in range(width)
-        ]
-        exited = np.zeros(G, np.int64)
-        parent = list(shadow.current_groups)
-        group_turns = 0
-        turns = 0
-        iterations = 0
-        try:
-            while present.size:
-                shadow.current_groups = [parent[g] for g in present.tolist()]
-                turns += 1
-                group_turns += len(present)
-                record_loop(label, len(present))
-                turn_tags = _group_tags(rowcounts)
-                live = [Column(turn_tags, v, lo, hi)
-                        for v, (lo, hi) in zip(live_vals, live_bounds)]
-                cond = self._run_subgraph(cond_region, live)[0]
-                if cond.tags is not turn_tags and not np.array_equal(
-                        cond.tags, turn_tags):
-                    raise _VectorAbort  # ragged condition: rerun per group
-                continuing, exiting = self._partition_bundle(live, cond)
-                ex_counts = _group_data_counts(exiting[0].tags)
-                if len(ex_counts) != len(present):
-                    raise _VectorAbort
-                if exiting[0].n_data:
-                    offs = np.cumsum(ex_counts)
-                    nz = np.nonzero(ex_counts)[0]
-                    for k in nz.tolist():
-                        g = int(present[k])
-                        o1 = int(offs[k])
-                        o0 = o1 - int(ex_counts[k])
-                        for i in range(width):
-                            out_chunks[i][g].append(exiting[i].values[o0:o1])
-                    np.add.at(exited, present[nz], ex_counts[nz])
-                body_out = self._run_subgraph(body_region, continuing)
-                if len(body_out) != width:
-                    raise _VectorAbort
-                b_counts = _group_data_counts(body_out[0].tags)
-                # The gated ops are all count-preserving, so the body must
-                # recirculate exactly the continuing rows of each group;
-                # anything else is a malformed program whose exact error the
-                # per-group rerun will reproduce.
-                if (len(b_counts) != len(present)
-                        or not np.array_equal(b_counts,
-                                              rowcounts - ex_counts)):
-                    raise _VectorAbort
-                t0b = body_out[0].tags
-                for c in body_out[1:]:
-                    t = c.tags
-                    if t is not t0b and not np.array_equal(
-                            _group_data_counts(t), b_counts):
-                        raise _VectorAbort
-                alive = b_counts > 0
-                present = present[alive]
-                rowcounts = b_counts[alive]
-                live_vals = [c.values for c in body_out]
-                live_bounds = [(c.lo, c.hi) for c in body_out]
-                if present.size:
-                    iterations += 1
-                    if iterations > max_iterations:
-                        raise PrimitiveError(
-                            "forward-backward loop exceeded max_iterations; "
-                            "possible livelock in loop body"
-                        )
-        finally:
-            shadow.current_groups = parent
-
-        total_data = int(dcum[-1]) if len(tags0) else 0
-        if total_data > n_live:
-            raise PrimitiveError(
-                "forward-backward loop input missing final barrier")
-
-        # Firing compensation: the sequential drain runs each region node
-        # once per (group, turn); the lockstep drain ran them once per
-        # global turn.  The difference is the same for every static node.
-        delta = group_turns - turns
-        if delta:
-            firings = self.profile.node_firings
-            for op, n in self._static_op_counts(node).items():
-                firings[op] = firings.get(op, 0) + n * delta
-
-        counts_arr = exited
-        out_total = int(counts_arr.sum()) + G
-        out_tags = np.zeros(out_total, np.uint8)
-        if G:
-            bar_pos = np.cumsum(counts_arr + 1) - 1
-            out_tags[bar_pos] = tags0[bpos]
-        outs: List[Column] = []
-        for i in range(width):
-            chunks = [ch for per_group in out_chunks[i] for ch in per_group]
             if not chunks:
                 outs.append(Column(out_tags, np.empty(0, np.int64), 0, 0))
                 continue

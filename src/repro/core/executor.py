@@ -129,27 +129,35 @@ class NodeSchedule:
     automatically when any of them has changed.  In-place *node* mutations
     (e.g. rewriting ``params['fn']`` on an existing node) are not tracked —
     graphs are append-only after construction everywhere in this codebase.
+
+    A schedule never references its root graph: it is the *value* under
+    that graph's weak key in the :func:`schedule_for` cache, and a value
+    that kept its own key alive could never be freed.  Whoever runs a
+    schedule holds the root, which is what keeps its ``id()`` key in
+    ``_steps`` unambiguous.
     """
 
-    __slots__ = ("version", "ops", "_steps", "_fns", "_graphs")
+    __slots__ = ("version", "ops", "_steps", "_fns", "_regions")
 
     def __init__(self, graph: DFGraph):
+        #: Structural version of the root graph at build time.
         self.version = graph.version
         self.ops: set = set()
         self._steps: Dict[int, List[tuple]] = {}
         self._fns: Dict[int, Callable[..., Any]] = {}
-        #: Strong references keyed by id(): versions for staleness checks,
-        #: and liveness so a dead graph's id can never alias a new graph.
-        self._graphs: Dict[int, tuple] = {}
+        #: ``(graph, version at build time)`` for every graph below the
+        #: root; strong references, so a dead region's id can never alias
+        #: a new graph.
+        self._regions: List[tuple] = []
         self._add_graph(graph)
 
-    def stale(self) -> bool:
-        """True when any graph in the hierarchy mutated after scheduling."""
-        return any(graph.version != version
-                   for graph, version in self._graphs.values())
+    def stale(self, root: DFGraph) -> bool:
+        """True when ``root`` or any region under it mutated after scheduling."""
+        return root.version != self.version or any(
+            graph.version != version for graph, version in self._regions
+        )
 
     def _add_graph(self, graph: DFGraph) -> None:
-        self._graphs[id(graph)] = (graph, graph.version)
         self._steps[id(graph)] = self._prepare(graph)
         for node in graph.topo_order():
             self.ops.add(node.op)
@@ -160,6 +168,7 @@ class NodeSchedule:
             elif node.op == "foreach" and node.params.get("reduce_op") is not None:
                 self._fns[node.uid] = _resolve_reduce(node.params["reduce_op"])
             for region in node.regions:
+                self._regions.append((region, region.version))
                 self._add_graph(region)
 
     @staticmethod
@@ -178,7 +187,7 @@ class NodeSchedule:
             # A graph outside the scheduled hierarchy (defensive fallback);
             # retaining the graph keeps the id() key unambiguous.
             steps = self._prepare(graph)
-            self._graphs[id(graph)] = (graph, graph.version)
+            self._regions.append((graph, graph.version))
             self._steps[id(graph)] = steps
         return steps
 
@@ -199,7 +208,7 @@ def schedule_for(graph: DFGraph) -> NodeSchedule:
     (or rebuilding it after a structural mutation anywhere in the graph's
     region hierarchy) if needed."""
     schedule = _SCHEDULES.get(graph)
-    if schedule is None or schedule.stale():
+    if schedule is None or schedule.stale(graph):
         schedule = NodeSchedule(graph)
         _SCHEDULES[graph] = schedule
     return schedule

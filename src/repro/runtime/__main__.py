@@ -71,11 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pool-mode", type=str, default="inline",
                         choices=POOL_MODES,
                         help="pool execution mode (default inline)")
-    parser.add_argument("--intra-batch-workers", type=int, default=1,
-                        help="threads executing one batch's entries "
-                             "concurrently after its shared compile "
-                             "(default 1 = sequential; responses are "
-                             "bit-identical at any setting)")
     parser.add_argument("--executor", type=str, default="auto",
                         choices=EXECUTOR_CHOICES,
                         help="functional interpreter for the vrda backend: "
@@ -113,7 +108,6 @@ def _run_pooled(args: argparse.Namespace, requests: List) -> int:
         cache_capacity=args.cache_capacity,
         result_cache_capacity=0 if args.no_result_cache else 512,
         max_batch_size=args.max_batch,
-        intra_batch_workers=args.intra_batch_workers,
         rate_dispatch=args.rate_dispatch,
         disk_cache_dir=args.disk_cache,
         executor=args.executor,
@@ -131,7 +125,6 @@ def _run_pooled(args: argparse.Namespace, requests: List) -> int:
     print(f"trace           : {len(requests)} requests, "
           f"pool={args.pool_workers}x{args.pool_mode}, "
           f"policy={report.policy}, "
-          f"intra-batch={args.intra_batch_workers}, "
           f"executor={pool.stats_row()['executor']}, "
           f"rate-dispatch={'on' if args.rate_dispatch else 'off'}")
     print(f"served          : {served} ok, {len(responses) - served} errors, "
@@ -191,7 +184,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                    disk_dir=args.disk_cache),
         max_batch_size=args.max_batch,
         result_cache_capacity=0 if args.no_result_cache else 512,
-        intra_batch_workers=args.intra_batch_workers,
         executor=args.executor,
     )
     scheduler = ShardScheduler(workers=args.workers, policy=args.policy)
@@ -208,7 +200,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     print(f"trace           : {len(requests)} requests over {len(apps)} apps "
           f"({', '.join(apps)}), "
-          f"intra-batch={args.intra_batch_workers}, "
           f"executor={engine.executor}")
     print(f"served          : {served} ok, {len(responses) - served} errors, "
           f"{wrong} incorrect results")

@@ -22,7 +22,6 @@ re-executing, which is what makes a warm serving tier fast.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -189,7 +188,6 @@ class Engine:
                  max_batch_size: int = 16,
                  result_cache_capacity: int = 512,
                  init_latency_s: float = 1e-4,
-                 intra_batch_workers: int = 1,
                  executor: Optional[str] = None,
                  metrics: Optional[MetricsRegistry] = None):
         """Build a serving engine.
@@ -206,8 +204,6 @@ class Engine:
             result_cache_capacity: LRU entries in the response memo tier;
                 0 disables result caching.
             init_latency_s: per-request init term of the modeled latency.
-            intra_batch_workers: >1 runs a batch's cache-miss entries on a
-                bounded thread pool (deterministic responses regardless).
             executor: functional interpreter for the ``vrda`` backend —
                 ``"columnar"``, ``"token"``, or ``None``/``"auto"``
                 (columnar when numpy is available).  Raises ``ValueError``
@@ -218,8 +214,7 @@ class Engine:
                 its own back with every flush reply).  Pass
                 ``MetricsRegistry(enabled=False)`` to null out telemetry.
 
-        Thread-safety: one engine may be driven from one thread;
-        ``intra_batch_workers`` only parallelizes internally.
+        Thread-safety: one engine may be driven from one thread.
         """
         self.program_cache = (program_cache if program_cache is not None
                               else ProgramCache())
@@ -230,7 +225,6 @@ class Engine:
                          else BackendRegistry(machine, init_latency_s,
                                               executor=executor))
         self.max_batch_size = max(1, max_batch_size)
-        self.intra_batch_workers = max(1, intra_batch_workers)
         self.result_cache = LRUCache(result_cache_capacity)
         self._queue: List[Tuple[int, Request]] = []
         self._failed: List[Response] = []
@@ -329,21 +323,12 @@ class Engine:
         Public because pool workers execute batches formed by a remote
         dispatcher; responses come back in batch-entry order.
 
-        With ``intra_batch_workers > 1`` the entries that actually need
-        execution run concurrently on a bounded thread pool.  Responses and
-        cache behaviour stay deterministic regardless of the worker count:
-
-        1. an *admission scan* in entry order decides each entry's fate —
-           replay a result-cache hit, execute a miss, or defer a duplicate
-           of an earlier miss in the same batch (sequential execution would
-           have served it from the cache),
-        2. the misses execute — generated-instance requests concurrently
-           (state is private: each has its own instance, memory image, and
-           executor; the compiled program is shared read-only), requests
-           with client-staged memory serially (entries may share one
-           mutable ``MemorySystem``), and
-        3. an *accounting scan* in entry order does every cache write and
-           counter update, and replays the deferred duplicates.
+        Entries are served one after another in entry order: replay a
+        result-cache hit, otherwise execute and cache the result.  A
+        duplicate of an earlier miss in the same batch is therefore a hit,
+        and a duplicate of an entry that *failed* (and cached nothing)
+        executes for real.  Entries may share one client-staged
+        ``MemorySystem``; entry order is what makes that well defined.
         """
         batch_started = time.perf_counter()
         backend = self.backends.get(batch.backend)
@@ -365,71 +350,18 @@ class Engine:
                         for request_id, request in batch.entries]
             if program_hit is False:
                 self._m_compile_s.observe(compile_s)
-        entries = batch.entries
-        # Phase 1: admission scan (sequential, entry order).
-        plans: List[Tuple[str, Any]] = []
-        pending: set = set()
-        run_positions: List[int] = []
-        for position, (request_id, request) in enumerate(entries):
-            fingerprint = self._result_fingerprint(request, batch)
-            if fingerprint is not None:
-                if fingerprint in pending:
-                    plans.append(("await", fingerprint))
-                    continue
-                cached = self.result_cache.get(fingerprint)
-                if cached is not None:
-                    plans.append(("replay", self._replay(
-                        cached, request_id, request, batch, program_hit,
-                        compile_s)))
-                    continue
-                pending.add(fingerprint)
-            plans.append(("run", fingerprint))
-            run_positions.append(position)
-        # Phase 2: execute the misses (concurrently when configured).
-        # Requests with staged memory images may share one mutable
-        # MemorySystem between entries, so only engine-generated instances
-        # (private memory per request) are eligible for the thread pool.
-        executed: Dict[int, Response] = {}
-        fanned = [p for p in run_positions if entries[p][1].memory is None]
-        serial = [p for p in run_positions if entries[p][1].memory is not None]
-        fan_out = min(self.intra_batch_workers, len(fanned))
-        if fan_out > 1:
-            with ThreadPoolExecutor(max_workers=fan_out) as pool:
-                futures = {
-                    position: pool.submit(
-                        self._execute_request, entries[position][0],
-                        entries[position][1], batch, program, program_hit,
-                        compile_s)
-                    for position in fanned
-                }
-                for position, future in futures.items():
-                    executed[position] = future.result()
-        else:
-            serial = run_positions
-        for position in serial:
-            request_id, request = entries[position]
-            executed[position] = self._execute_request(
-                request_id, request, batch, program, program_hit, compile_s)
-        # Phase 3: accounting scan (sequential, entry order).
         responses: List[Response] = []
-        for position, (kind, fingerprint) in enumerate(plans):
-            request_id, request = entries[position]
-            if kind == "replay":
-                responses.append(fingerprint)  # the pre-built replay Response
+        for request_id, request in batch.entries:
+            fingerprint = self._result_fingerprint(request, batch)
+            cached = (self.result_cache.get(fingerprint)
+                      if fingerprint is not None else None)
+            if cached is not None:
+                responses.append(self._replay(
+                    cached, request_id, request, batch, program_hit,
+                    compile_s))
                 continue
-            if kind == "await":
-                cached = self.result_cache.get(fingerprint)
-                if cached is not None:
-                    responses.append(self._replay(
-                        cached, request_id, request, batch, program_hit,
-                        compile_s))
-                    continue
-                # The first occurrence failed and cached nothing; serve this
-                # duplicate for real (what sequential execution would do).
-                executed[position] = self._execute_request(
-                    request_id, request, batch, program, program_hit,
-                    compile_s)
-            response = executed[position]
+            response = self._execute_request(
+                request_id, request, batch, program, program_hit, compile_s)
             if response.error is None:
                 self.backend_counts[request.backend] = (
                     self.backend_counts.get(request.backend, 0) + 1)
@@ -485,7 +417,7 @@ class Engine:
     def _execute_request(self, request_id: int, request: Request, batch: Batch,
                          program, program_hit: Optional[bool],
                          compile_s: float = 0.0) -> Response:
-        """Run one request on its backend; thread-safe (no engine state)."""
+        """Run one request on its backend (touches no engine state)."""
         started = time.perf_counter() if request.trace else 0.0
         try:
             spec, _ = request.resolve()
@@ -581,7 +513,6 @@ class Engine:
             "program_cache": self.program_cache_stats.as_dict(),
             "result_cache": self.result_cache_stats.as_dict(),
             "backend_counts": dict(self.backend_counts),
-            "intra_batch_workers": self.intra_batch_workers,
             "executor": self.executor,
         }
 

@@ -97,8 +97,6 @@ class WorkerConfig:
     result_cache_capacity: int = 512
     max_batch_size: int = 16
     init_latency_s: float = 1e-4
-    #: Concurrent execution *inside* one batch (the engine's thread fan-out).
-    intra_batch_workers: int = 1
     #: Root of the on-disk program-cache tier; each worker pickles into its
     #: own subdirectory so concurrent processes never race on one file.
     disk_cache_dir: Optional[str] = None
@@ -126,7 +124,6 @@ class WorkerConfig:
             result_cache_capacity=self.result_cache_capacity,
             max_batch_size=self.max_batch_size,
             init_latency_s=self.init_latency_s,
-            intra_batch_workers=self.intra_batch_workers,
             executor=self.executor,
             metrics=MetricsRegistry(enabled=self.telemetry),
         )
@@ -544,7 +541,6 @@ class WorkerPool:
         max_batch_size: int = 16,
         buffers_per_worker: int = 8,
         init_latency_s: float = 1e-4,
-        intra_batch_workers: int = 1,
         rate_dispatch: bool = False,
         service_delays: Optional[Sequence[float]] = None,
         disk_cache_dir: Optional[str] = None,
@@ -612,7 +608,6 @@ class WorkerPool:
             result_cache_capacity=result_cache_capacity,
             max_batch_size=max_batch_size,
             init_latency_s=init_latency_s,
-            intra_batch_workers=intra_batch_workers,
             disk_cache_dir=disk_cache_dir,
             executor=executor,
             fault_plan=fault_plan,
@@ -979,7 +974,6 @@ class WorkerPool:
         return {
             "mode": self.mode,
             "policy": getattr(self._policy, "name", str(self._policy)),
-            "intra_batch_workers": self.config.intra_batch_workers,
             "executor": resolve_executor(self.config.executor),
             "rate_dispatch": self.rate_dispatch,
             "worker_scales": [round(s, 4) for s in self._scheduler.worker_scales],

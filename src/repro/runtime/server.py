@@ -288,15 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         "response on the wire per flush)",
     )
     parser.add_argument(
-        "--intra-batch-workers",
-        type=int,
-        default=1,
-        help="threads executing one batch's entries concurrently inside "
-        "each pool worker (default 1 = sequential; responses are "
-        "bit-identical at any setting, and the value is surfaced in "
-        "the 'stats' op)",
-    )
-    parser.add_argument(
         "--rate-dispatch",
         action="store_true",
         help="dispatch batches on measured per-worker service rates "
@@ -383,7 +374,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache_capacity=args.cache_capacity,
         result_cache_capacity=args.result_cache,
         max_batch_size=args.max_batch,
-        intra_batch_workers=args.intra_batch_workers,
         rate_dispatch=args.rate_dispatch,
         disk_cache_dir=args.disk_cache,
         mp_context=args.mp_context,

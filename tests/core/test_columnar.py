@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.apps import REGISTRY
+from repro.compiler import CompileOptions
 from repro.core.columnar import (
     EXECUTOR_CHOICES,
     HAVE_NUMPY,
@@ -21,6 +22,7 @@ from repro.core.columnar import (
 )
 from repro.core.executor import Executor
 from repro.core.graph import DFGraph
+from repro.core.sltf import data_values
 
 requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
@@ -96,16 +98,43 @@ def _run_both(program, make_instance):
     return states
 
 
+def _assert_app_bit_identity(app, options, n_threads):
+    spec = REGISTRY.get(app)
+    program = spec.compile(options)
+    states = _run_both(program, lambda: spec.make_instance(n_threads, 0))
+    token_state, columnar_state = states["token"], states["columnar"]
+    assert columnar_state[0] == token_state[0]  # memory + traffic counters
+    assert columnar_state[1] == token_state[1]  # execution profile
+
+
 @requires_numpy
 @pytest.mark.parametrize("app", sorted(REGISTRY.names()))
 def test_app_bit_identity(app):
     """Every registered app: identical memory, stats, and profile."""
-    spec = REGISTRY.get(app)
-    program = spec.compile()
-    states = _run_both(program, lambda: spec.make_instance(8, 0))
-    token_state, columnar_state = states["token"], states["columnar"]
-    assert columnar_state[0] == token_state[0]  # memory + traffic counters
-    assert columnar_state[1] == token_state[1]  # execution profile
+    _assert_app_bit_identity(app, CompileOptions(), 8)
+
+
+_OPTION_SETS = {
+    "default": CompileOptions(),
+    "none": CompileOptions.none(),
+    "unflattened": CompileOptions().disabled("hierarchy_elimination"),
+}
+
+
+@requires_numpy
+@pytest.mark.parametrize("app", sorted(REGISTRY.names()))
+@pytest.mark.parametrize("options,n_threads", [
+    (name, width) for name in _OPTION_SETS for width in (8, 32)
+    if (name, width) != ("default", 8)  # that one is test_app_bit_identity
+])
+def test_app_bit_identity_by_options_and_width(app, options, n_threads):
+    """The same contract wider and without the optional passes.
+
+    Without hierarchy elimination a ``while`` under a ``foreach`` arrives
+    as one barrier group per outer thread, so these are the cases that
+    drain several non-empty groups in one ``while`` firing.
+    """
+    _assert_app_bit_identity(app, _OPTION_SETS[options], n_threads)
 
 
 @requires_numpy
@@ -117,6 +146,40 @@ def test_outputs_are_plain_python_ints():
     program.run(instance.memory, executor="columnar", **instance.args)
     for value in instance.memory.segment_data(spec.output_segment):
         assert type(value) is int
+
+
+@requires_numpy
+def test_opcodes_no_revet_source_reaches():
+    """``ashr``/``min``/``max``/``neg``/``copy``/``land``/``lor`` kernels.
+
+    The frontend lowers to none of them, so a hand-built graph is the only
+    way in.  Columns mix small, negative, int64-edge and beyond-int64 values:
+    the vector kernel, its overflow bail-out and the object-dtype fallback
+    must all equal the token executor.
+    """
+    graph = DFGraph("opcodes")
+    a, b, shift = (graph.add_input(name) for name in ("a", "b", "shift"))
+    operands = {"ashr": [a, shift], "min": [a, b], "max": [a, b], "neg": [a],
+                "copy": [a], "land": [a, b], "lor": [a, b]}
+    graph.set_outputs([
+        graph.add_node("compute", ins, params={"fn": op}, name=op).outputs[0]
+        for op, ins in operands.items()
+    ])
+    columns = {
+        "small": ([3, 0, 7, 1], [0, 0, 2, 9]),
+        "negative": ([-5, -1, 0, 6], [-7, 2, 0, -6]),
+        "int64 edge": ([-2**63, 2**63 - 1, 2**62, -1], [1, -2**63, 0, 2**62]),
+        "beyond int64": ([2**70, -2**65, 1, 0], [0, 2**64, -2**80, 5]),
+    }
+    for label, (a_values, b_values) in columns.items():
+        inputs = {"a": a_values, "b": b_values, "shift": [0, 1, 5, 63]}
+        runs = {}
+        for executor in ("token", "columnar"):
+            ex = make_executor(graph, executor=executor)
+            runs[executor] = (ex.run(inputs), _profile_state(ex.profile))
+        assert runs["columnar"] == runs["token"], label
+        for stream in runs["columnar"][0].values():
+            assert all(type(v) is int for v in data_values(stream)), label
 
 
 # -- property-style fuzz over random straight-line bodies -------------------

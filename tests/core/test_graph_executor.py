@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.columnar import HAVE_NUMPY, make_executor
 from repro.core.executor import Executor, run_graph, zip_streams, unzip_stream
 from repro.core.graph import DFGraph, DFNode, OPCODES
 from repro.core.memory import MemorySystem
@@ -72,20 +73,32 @@ class TestGraphConstruction:
         assert len(list(g.walk())) == 2
 
 
-class TestExecutorBasics:
+class _HandBuiltGraphs:
+    """Hand-built graphs reach ops no Revet source lowers to (``counter``,
+    ``reduce``, ``forward_merge``, ``fork``, a reducing ``foreach``).  The
+    ``*Columnar`` subclasses below rerun every case under the other executor.
+    """
+
+    executor = "token"
+
+    def run_graph(self, graph, inputs=None, memory=None):
+        return make_executor(graph, executor=self.executor, memory=memory).run(inputs)
+
+
+class TestExecutorBasics(_HandBuiltGraphs):
     def test_elementwise_pipeline(self):
-        out = run_graph(build_add_one_graph(), {"x": [1, 2, 3]})
+        out = self.run_graph(build_add_one_graph(), {"x": [1, 2, 3]})
         assert data_values(out["y"]) == [2, 3, 4]
 
     def test_missing_input_raises(self):
         with pytest.raises(GraphError):
-            run_graph(build_add_one_graph(), {})
+            self.run_graph(build_add_one_graph(), {})
 
     def test_accepts_token_streams_and_nested_lists(self):
         g = build_add_one_graph()
-        out = run_graph(g, {"x": encode([5], 1)})
+        out = self.run_graph(g, {"x": encode([5], 1)})
         assert data_values(out["y"]) == [6]
-        out = run_graph(g, {"x": [[1, 2], [3]]})
+        out = self.run_graph(g, {"x": [[1, 2], [3]]})
         assert decode(out["y"], 2) == [[2, 3], [4]]
 
     def test_zip_unzip_roundtrip(self):
@@ -101,7 +114,7 @@ class TestExecutorBasics:
         p = g.add_input("p")
         f = g.add_node("filter", [x, p], name="kept")
         g.set_outputs([f.outputs[0]])
-        out = run_graph(g, {"x": [1, 2, 3, 4], "p": [1, 0, 1, 0]})
+        out = self.run_graph(g, {"x": [1, 2, 3, 4], "p": [1, 0, 1, 0]})
         assert data_values(out["kept"]) == [1, 3]
 
     def test_counter_reduce_pipeline(self):
@@ -114,7 +127,7 @@ class TestExecutorBasics:
             "reduce", [cnt.outputs[0]], params={"op": "add", "init": 0}, name="sum"
         )
         g.set_outputs([red.outputs[0]])
-        out = run_graph(g, {"lo": [0, 0], "hi": [4, 3], "step": [1, 1]})
+        out = self.run_graph(g, {"lo": [0, 0], "hi": [4, 3], "step": [1, 1]})
         assert data_values(out["sum"]) == [6, 3]
 
     def test_forward_merge_node_keeps_threads_together(self):
@@ -125,7 +138,7 @@ class TestExecutorBasics:
             "forward_merge", [a0, a1, b0, b1], num_outputs=2, params={"width": 2}
         )
         g.set_outputs(list(m.outputs))
-        out = run_graph(
+        out = self.run_graph(
             g,
             {"a0": [1, 2], "a1": [10, 20], "b0": [3], "b1": [30]},
         )
@@ -140,19 +153,19 @@ class TestExecutorBasics:
         f = g.add_node("fork", [n, v], num_outputs=2, name="forked")
         g.set_outputs(list(f.outputs))
         g.verify()
-        out = run_graph(g, {"n": [2, 1], "v": [7, 9]})
+        out = self.run_graph(g, {"n": [2, 1], "v": [7, 9]})
         assert data_values(out[f.outputs[0].name]) == [0, 1, 0]
         assert data_values(out[f.outputs[1].name]) == [7, 7, 9]
 
     def test_profile_records_links_and_firings(self):
         g = build_add_one_graph()
-        ex = Executor(g)
+        ex = make_executor(g, executor=self.executor)
         ex.run({"x": [1, 2, 3]})
         assert ex.profile.node_firings["compute"] == 1
         assert any(p.elements == 3 for p in ex.profile.link_stats.values())
 
 
-class TestMemoryNodes:
+class TestMemoryNodes(_HandBuiltGraphs):
     def test_sram_alloc_read_write_free(self):
         g = DFGraph()
         trig = g.add_input("trig")
@@ -173,7 +186,7 @@ class TestMemoryNodes:
         g.add_node("sram_free", [alloc.outputs[0]], params={"site": "buf"})
         g.set_outputs([load.outputs[0]])
         mem = MemorySystem()
-        out = run_graph(g, {"trig": [0, 0], "val": [11, 22]}, memory=mem)
+        out = self.run_graph(g, {"trig": [0, 0], "val": [11, 22]}, memory=mem)
         # NOTE: reads observe the writes because nodes execute in topo order.
         assert data_values(out["ld"]) == [11, 22]
         assert mem.stats.allocations == 2
@@ -195,7 +208,7 @@ class TestMemoryNodes:
         g.add_node("dram_write", [out_addr.outputs[0], wr_val.outputs[0]], name="wr")
         g.set_outputs([rd.outputs[0]])
         mem.dram_alloc("out", size=16)
-        out = run_graph(g, {"addr": [seg.base, seg.base + 2]}, memory=mem)
+        out = self.run_graph(g, {"addr": [seg.base, seg.base + 2]}, memory=mem)
         assert data_values(out["rd"]) == [5, 7]
         assert mem.stats.dram_reads == 2
         assert mem.stats.dram_writes == 2
@@ -218,11 +231,11 @@ class TestMemoryNodes:
             name="st",
         )
         g.set_outputs([store.outputs[0]])
-        run_graph(g, {"base": [src.base], "sram": [0]}, memory=mem)
+        self.run_graph(g, {"base": [src.base], "sram": [0]}, memory=mem)
         assert mem.segment_data("dst") == list(range(8))
 
 
-class TestRegionNodes:
+class TestRegionNodes(_HandBuiltGraphs):
     def test_while_region_collatz_steps(self):
         # Count the 3n+1 steps for each input value.
         g = DFGraph("collatz")
@@ -258,7 +271,7 @@ class TestRegionNodes:
         g.set_outputs([loop.outputs[1]])
         g.verify()
 
-        out = run_graph(g, {"n": [6, 1, 7], "steps": [0, 0, 0]})
+        out = self.run_graph(g, {"n": [6, 1, 7], "steps": [0, 0, 0]})
 
         def collatz_steps(v):
             c = 0
@@ -291,7 +304,7 @@ class TestRegionNodes:
         )
         g.set_outputs([fe.outputs[0]])
         g.verify()
-        out = run_graph(g, {"n": [3, 5, 0]})
+        out = self.run_graph(g, {"n": [3, 5, 0]})
         assert data_values(out["total"]) == [5, 30, 0]
 
     def test_foreach_broadcasts_parent_values(self):
@@ -315,7 +328,7 @@ class TestRegionNodes:
             name="total",
         )
         g.set_outputs([fe.outputs[0]])
-        out = run_graph(g, {"n": [3, 2], "scale": [10, 100]})
+        out = self.run_graph(g, {"n": [3, 2], "scale": [10, 100]})
         assert data_values(out["total"]) == [30, 100]
 
     def test_replicate_region_is_functionally_transparent(self):
@@ -327,7 +340,7 @@ class TestRegionNodes:
         body.set_outputs([doubled.outputs[0]])
         rep = g.add_node("replicate", [x], params={"factor": 4}, regions=[body], name="y")
         g.set_outputs([rep.outputs[0]])
-        out = run_graph(g, {"x": [1, 2, 3]})
+        out = self.run_graph(g, {"x": [1, 2, 3]})
         assert data_values(out["y"]) == [2, 4, 6]
 
     def test_nested_while_inside_foreach(self):
@@ -370,8 +383,26 @@ class TestRegionNodes:
             name="total",
         )
         g.set_outputs([fe.outputs[0]])
-        out = run_graph(g, {"n": [4, 1, 6]})
+        out = self.run_graph(g, {"n": [4, 1, 6]})
         assert data_values(out["total"]) == [6, 0, 15]
+
+
+requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+
+
+@requires_numpy
+class TestExecutorBasicsColumnar(TestExecutorBasics):
+    executor = "columnar"
+
+
+@requires_numpy
+class TestMemoryNodesColumnar(TestMemoryNodes):
+    executor = "columnar"
+
+
+@requires_numpy
+class TestRegionNodesColumnar(TestRegionNodes):
+    executor = "columnar"
 
 
 class TestExecutorFastPath:
@@ -405,6 +436,37 @@ class TestExecutorFastPath:
         assert rebuilt is not first
         assert rebuilt.version == g.version
 
+    def test_schedule_does_not_keep_its_program_alive(self):
+        """The cache is weak-keyed by the root graph; a schedule that held
+        its own root would pin every program ever compiled."""
+        import gc
+
+        from repro.apps import REGISTRY
+        from repro.core.executor import schedule_for
+
+        spec = REGISTRY.get("strlen")
+
+        def live_graphs_after(compiles):
+            for _ in range(compiles):
+                graph = spec.compile().graph
+                assert schedule_for(graph).version == graph.version
+            del graph
+            gc.collect()  # frees the dead roots, whose schedules go with them
+            gc.collect()  # frees the regions only those schedules still held
+            return sum(isinstance(o, DFGraph) for o in gc.get_objects())
+
+        assert live_graphs_after(10) == live_graphs_after(10)
+
+    def test_schedule_rebuilt_when_a_region_mutates(self):
+        from repro.apps import REGISTRY
+        from repro.core.executor import schedule_for
+
+        g = REGISTRY.get("strlen").compile().graph
+        region = next(n for _, n in g.walk() if n.regions).regions[0]
+        first = schedule_for(g)
+        region.add_node("const", [region.inputs[0]], params={"value": 0})
+        assert schedule_for(g) is not first
+
     def test_schedule_preresolves_compute_opcodes(self):
         from repro.core.executor import schedule_for
 
@@ -427,6 +489,7 @@ class TestExecutorFastPath:
         a, b = Executor(g), Executor(g)
         assert a._schedule is b._schedule
         assert a.run({"x": [1, 2]}) == b.run({"x": [1, 2]})
+        assert run_graph(g, {"x": [1, 2]}) == a.run({"x": [1, 2]})
 
     def test_topo_order_memoized(self):
         g = build_add_one_graph()

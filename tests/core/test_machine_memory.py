@@ -282,34 +282,3 @@ class TestBatchedAccessors:
         assert mem.stats.dram_read_bytes == 16
         mem.load_bytes("text", b"x")
         assert not mem._uniform_width
-
-    def test_shadow_commit_equals_sequential_execution(self):
-        from repro.core.columnar import _ShadowMemory
-
-        shadowed, addrs = _mixed_memory()
-        sequential, _ = _mixed_memory()
-        for mem in (shadowed, sequential):
-            mem.sram_write_many("tile", [0, 1, 2, 3], [40, 41, 42, 43])
-        before = _observed(shadowed)
-        shadow = _ShadowMemory(shadowed)
-        values = list(range(200, 200 + len(addrs)))
-        calls = [
-            ("dram_read_many", (addrs,)),
-            ("dram_write_many", (addrs, values)),
-            ("dram_read_many", (list(reversed(addrs)),)),
-            ("sram_write_many", ("s", [0, 9, 17], [5, 6, 7])),
-            ("sram_read_many", ("s", [17, 0, 3, 9])),
-            ("sram_read_many", ("fresh", [1])),
-            ("bulk_load_many", ("tile", addrs[:6], [8, 16, 24, 32, 40, 48], 4)),
-            ("bulk_store_many", ("tile", [addrs[7], addrs[2]], [0, 8], 3)),
-            ("bulk_store_counted_many", ("tile", [addrs[5], addrs[9], -3],
-                                         [16, 24, 0], [2, 0, 1])),
-            ("dram_read_many", (addrs,)),
-        ]
-        for name, args in calls:
-            gids = [0] * len(args[0] if name.startswith("dram") else args[1])
-            assert (getattr(shadow, name)(*args, gids)
-                    == getattr(sequential, name)(*args)), (name, args)
-        assert _observed(shadowed) == before  # nothing real touched yet
-        shadow.commit()
-        assert _observed(shadowed) == _observed(sequential)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps import REGISTRY
 from repro.core.memory import MemorySystem
+from repro.runtime.backends import BackendError, CPUBaselineBackend
 from repro.runtime.engine import Engine, EngineError, Request
 
 SQUARE = """
@@ -208,68 +209,61 @@ class TestServableRegistry:
 
 
 class TestIntraBatchFanOut:
-    """Thread fan-out inside a batch must be invisible to clients."""
+    """Entries of one batch are served in entry order, one after another.
 
-    def _trace(self):
-        from repro.runtime.trace import TraceConfig, synthetic_trace
-
-        return synthetic_trace(TraceConfig(
-            size=60,
-            apps=["hash-table", "search", "murmur3"],
-            backend_mix={"vrda": 0.8, "cpu": 0.1, "gpu": 0.05, "aurochs": 0.05},
-            distinct_shapes=3,
-            n_threads=2,
-            seed=11,
-        ))
-
-    def test_fanout_is_deterministic(self):
-        """workers=1 and workers=4 give byte-identical ordered responses and
-        identical cache stats (the wire forms compare whole trees)."""
-        results = {}
-        for workers in (1, 4):
-            engine = Engine(intra_batch_workers=workers)
-            responses = engine.process(self._trace())
-            results[workers] = (
-                [r.to_dict() for r in responses],
-                engine.program_cache_stats.to_dict(),
-                engine.result_cache_stats.to_dict(),
-                dict(engine.backend_counts),
-            )
-        assert results[1] == results[4]
+    (The thread fan-out these cases once guarded is gone; the class and test
+    names are kept so the test ids stay stable.)
+    """
 
     def test_duplicate_requests_share_one_execution(self):
-        """Duplicates of one request inside a batch replay the first result
-        at any fan-out, exactly like sequential execution."""
-        for workers in (1, 4):
-            engine = Engine(intra_batch_workers=workers)
-            responses = engine.process(
-                [app_request("hash-table", seed=5) for _ in range(6)])
-            assert [r.result_cache_hit for r in responses] == (
-                [False] + [True] * 5)
-            assert len({tuple(r.outputs) for r in responses}) == 1
-            stats = engine.result_cache_stats
-            assert (stats.hits, stats.misses) == (5, 1)
+        """Duplicates of one request inside a batch replay the first result."""
+        engine = Engine()
+        responses = engine.process(
+            [app_request("hash-table", seed=5) for _ in range(6)])
+        assert [r.result_cache_hit for r in responses] == [False] + [True] * 5
+        assert len({tuple(r.outputs) for r in responses}) == 1
+        stats = engine.result_cache_stats
+        assert (stats.hits, stats.misses) == (5, 1)
+
+    def test_duplicate_of_a_failed_request_executes_for_real(self):
+        """A failure caches nothing, so its in-batch duplicate runs."""
+
+        class FailsOnce(CPUBaselineBackend):
+            calls = 0
+
+            def execute(self, ctx):
+                self.calls += 1
+                if self.calls == 1:
+                    raise BackendError("transient")
+                return super().execute(ctx)
+
+        engine = Engine()
+        flaky = engine.backends.register(FailsOnce())
+        responses = engine.process(
+            [app_request("hash-table", backend="cpu") for _ in range(3)])
+        assert [r.ok for r in responses] == [False, True, True]
+        assert responses[0].error == "transient"
+        assert [r.result_cache_hit for r in responses] == [False, False, True]
+        assert flaky.calls == 2
+        stats = engine.result_cache_stats
+        assert (stats.hits, stats.misses) == (1, 2)
+        assert engine.backend_counts == {"cpu": 2}
 
     def test_fanout_preserves_error_responses(self):
-        engine = Engine(intra_batch_workers=4)
+        """An unknown app errors alone; its batch neighbours are served."""
+        engine = Engine()
         requests = [app_request("hash-table"), Request(app="no-such-app"),
                     app_request("search")]
         responses = engine.process(requests)
         assert [r.ok for r in responses] == [True, False, True]
         assert "no-such-app" in responses[1].error
 
-    def test_stats_row_surfaces_fanout(self):
-        assert Engine(intra_batch_workers=3).stats_row()[
-            "intra_batch_workers"] == 3
-        assert Engine().stats_row()["intra_batch_workers"] == 1
-
     def test_staged_memory_requests_stay_serial(self):
-        """Entries sharing one client-staged MemorySystem never race: they
-        are excluded from the thread fan-out."""
+        """Entries sharing one client-staged MemorySystem run in entry order."""
         memory = MemorySystem()
         memory.dram_alloc("data", data=[1, 2, 3])
         memory.dram_alloc("out", size=3)
-        engine = Engine(intra_batch_workers=4)
+        engine = Engine()
         responses = engine.process(
             [Request(source=SQUARE, memory=memory, args={"n": 3})
              for _ in range(4)])

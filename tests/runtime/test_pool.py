@@ -216,19 +216,3 @@ class TestMeasuredRateDispatch:
             stats = pool.stats_row()
         assert stats["rate_dispatch"] is False
         assert stats["worker_scales"] == [1.0, 1.0]
-        assert stats["intra_batch_workers"] == 1
-
-
-class TestPoolIntraBatchFanOut:
-    def test_pool_fanout_matches_sequential(self):
-        trace = TraceConfig(size=40, apps=["hash-table", "search"],
-                            backend_mix={"vrda": 1.0}, distinct_shapes=2,
-                            n_threads=2, seed=9)
-        results = []
-        for workers in (1, 4):
-            with WorkerPool(workers=2, mode="inline",
-                            intra_batch_workers=workers) as pool:
-                report = pool.process(synthetic_trace(trace))
-                results.append([payload(r) for r in report.responses])
-                assert pool.stats_row()["intra_batch_workers"] == workers
-        assert results[0] == results[1]

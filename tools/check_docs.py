@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation checker for CI: links resolve, snippets import.
+"""Documentation checker for CI: links resolve, snippets import, flags exist.
 
-Three checks over README.md and everything under docs/:
+Four checks over README.md and everything under docs/:
 
 1. **Intra-repo markdown links** — every relative ``[text](target)``
    must point at a file or directory that exists (external ``http(s)``,
@@ -12,6 +12,10 @@ Three checks over README.md and everything under docs/:
    symbols that do not exist.
 3. **``python -m`` module references** — every ``python -m some.module``
    in a fenced code block must be an importable module.
+4. **Command-line flags** — every ``--long-flag`` named anywhere in the
+   text must appear in the ``--help`` of one of this repo's ``python -m``
+   modules found by check 3, or of a script in :data:`FLAG_SCRIPTS`, so
+   a removed option cannot linger in the docs.
 
 Exit code 0 when everything passes, 1 otherwise (with one line per
 failure). Run it locally with::
@@ -21,6 +25,7 @@ failure). Run it locally with::
 
 from __future__ import annotations
 
+import os
 import re
 import subprocess
 import sys
@@ -33,6 +38,10 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^```")
 IMPORT_RE = re.compile(r"^\s*(?:import\s+[\w.]+|from\s+[\w.]+\s+import\s+\S)")
 PYTHON_M_RE = re.compile(r"python(?:3)?\s+(?:-u\s+)?-m\s+([\w.]+)")
+FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]+")
+
+#: Scripts outside ``src/`` whose flags the docs may name.
+FLAG_SCRIPTS = ("bench/run.py",)
 
 
 def doc_files() -> List[Path]:
@@ -100,6 +109,17 @@ def collect_python_m_modules(files: List[Tuple[Path, str]]) -> List[str]:
     return seen
 
 
+def run_python(args: List[str]) -> subprocess.CompletedProcess:
+    """``python <args>`` from the repo root with ``src/`` on the path."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+
+
 def run_snippet_imports(imports: List[str], modules: List[str]) -> List[str]:
     """Execute the import lines + module lookups in one subprocess."""
     if not imports and not modules:
@@ -115,18 +135,39 @@ def run_snippet_imports(imports: List[str], modules: List[str]) -> List[str]:
             for module in modules
         ]
     )
-    env_path = str(REPO_ROOT / "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", program],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-        env={**__import__("os").environ, "PYTHONPATH": env_path},
-    )
+    proc = run_python(["-c", program])
     if proc.returncode != 0:
         tail = proc.stderr.strip().splitlines()[-1] if proc.stderr else "?"
         return [f"snippet imports failed: {tail}"]
     return []
+
+
+def accepted_flags(modules: List[str]) -> set:
+    """Flags in the ``--help`` of this repo's modules and FLAG_SCRIPTS.
+
+    An entry point without a ``--help`` (``repro.eval`` takes experiment
+    names only) prints none and so accepts none.
+    """
+    commands = [
+        ["-m", module]
+        for module in modules
+        if (REPO_ROOT / "src" / module.split(".")[0]).is_dir()
+    ]
+    commands += [[script] for script in FLAG_SCRIPTS]
+    flags: set = set()
+    for command in commands:
+        flags.update(FLAG_RE.findall(run_python([*command, "--help"]).stdout))
+    return flags
+
+
+def check_flags(files: List[Tuple[Path, str]], modules: List[str]) -> List[str]:
+    """Flags the docs name that no command-line entry point accepts."""
+    accepted = accepted_flags(modules)
+    return [
+        f"{path.relative_to(REPO_ROOT)}: no entry point accepts {flag}"
+        for path, text in files
+        for flag in sorted(set(FLAG_RE.findall(text)) - accepted)
+    ]
 
 
 def main() -> int:
@@ -138,6 +179,7 @@ def main() -> int:
     imports = collect_import_lines(files)
     modules = collect_python_m_modules(files)
     failures += run_snippet_imports(imports, modules)
+    failures += check_flags(files, modules)
     for failure in failures:
         print(f"FAIL {failure}")
     print(
