@@ -1,16 +1,12 @@
 """Shared pytest-benchmark configuration for the experiment harness.
 
-Every benchmark regenerates one of the paper's tables or figures.  The
+Every benchmark regenerates one of the paper's tables or figures and asserts
+modeled numbers only, so the results repeat exactly on any machine.  The
 underlying experiments compile and execute real applications, so each is run
 once per benchmark invocation (``rounds=1``) rather than in a tight timing
-loop.
-
-Serving-layer benchmarks additionally publish their headline numbers to
-``BENCH_runtime.json`` at the repo root via :func:`record_bench`; CI uploads
-that file as a per-PR artifact so the performance trajectory is tracked.
+loop.  Wall-clock measurements live in ``bench/`` (see ``BENCHMARK.json``).
 """
 
-import json
 import sys
 from pathlib import Path
 
@@ -19,22 +15,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-#: One merged JSON document; each benchmark owns a top-level section.
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
-
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def record_bench(section, payload):
-    """Merge one benchmark's headline numbers into ``BENCH_runtime.json``."""
-    document = {}
-    if BENCH_PATH.exists():
-        try:
-            document = json.loads(BENCH_PATH.read_text())
-        except json.JSONDecodeError:
-            document = {}
-    document[section] = payload
-    BENCH_PATH.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")

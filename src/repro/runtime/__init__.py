@@ -21,7 +21,7 @@ serving layer:
   only once a circuit breaker trips).
 * :mod:`repro.runtime.faults` — injectable fault plans (kill/hang a
   worker, delay/drop a pipe reply, corrupt a disk-cache entry) for chaos
-  tests and the recovery benchmark, threaded through ``--fault-plan``.
+  tests and smokes, threaded through ``--fault-plan``.
 * :mod:`repro.runtime.server` / :mod:`repro.runtime.client` — persistent
   NDJSON-over-TCP service front-end and its client (plus the CI smoke
   drivers, ``python -m repro.runtime.client --smoke`` / ``--smoke-http``).

@@ -78,10 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(per-token reference), or 'auto' (columnar "
                              "when numpy is available; default). Both "
                              "produce bit-identical responses.")
-    parser.add_argument("--rate-dispatch", action="store_true",
-                        help="dispatch pool batches on measured per-worker "
-                             "service rates (EWMA of flush wall-clock) "
-                             "instead of assuming unit worker scales")
     parser.add_argument("--fault-plan", type=str, default=None,
                         help="DEV ONLY: inject faults into pool workers — "
                              "inline JSON or @path to a file, e.g. "
@@ -108,7 +104,6 @@ def _run_pooled(args: argparse.Namespace, requests: List) -> int:
         cache_capacity=args.cache_capacity,
         result_cache_capacity=0 if args.no_result_cache else 512,
         max_batch_size=args.max_batch,
-        rate_dispatch=args.rate_dispatch,
         disk_cache_dir=args.disk_cache,
         executor=args.executor,
         fault_plan=load_fault_plan(args.fault_plan),
@@ -125,8 +120,7 @@ def _run_pooled(args: argparse.Namespace, requests: List) -> int:
     print(f"trace           : {len(requests)} requests, "
           f"pool={args.pool_workers}x{args.pool_mode}, "
           f"policy={report.policy}, "
-          f"executor={pool.stats_row()['executor']}, "
-          f"rate-dispatch={'on' if args.rate_dispatch else 'off'}")
+          f"executor={pool.stats_row()['executor']}")
     print(f"served          : {served} ok, {len(responses) - served} errors, "
           f"{wrong} incorrect results")
     if pool.worker_restarts or args.fault_plan:

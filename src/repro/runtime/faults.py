@@ -1,7 +1,7 @@
 """Fault-injection harness for the self-healing worker pool.
 
-A :class:`FaultPlan` is a picklable description of the faults a test,
-benchmark, or chaos run wants injected into pool workers: kill a worker
+A :class:`FaultPlan` is a picklable description of the faults a test or
+chaos run wants injected into pool workers: kill a worker
 after its n-th batch, hang it mid-flush, delay or drop one pipe reply, or
 corrupt an on-disk program-cache entry.  The plan travels inside
 :class:`~repro.runtime.pool.WorkerConfig`, so process workers inherit it

@@ -64,7 +64,6 @@ from repro.sim.policies import (
     CacheAffinityPolicy,
     ServiceRateEstimator,
     make_policy,
-    scales_from_rates,
 )
 
 POOL_MODES = ("inline", "process")
@@ -100,19 +99,20 @@ class WorkerConfig:
     #: Root of the on-disk program-cache tier; each worker pickles into its
     #: own subdirectory so concurrent processes never race on one file.
     disk_cache_dir: Optional[str] = None
-    #: Artificial per-request service delay (seconds); a test/benchmark knob
-    #: for skewed-worker experiments, never set in production configs.
+    #: Artificial per-request service delay (seconds): the slow-worker
+    #: fixture of the overload and streaming tests (it makes a pool's drain
+    #: rate small and stable); on no command line.
     service_delay_s: float = 0.0
     #: Functional interpreter for the vrda backend: "columnar", "token", or
     #: None/"auto" (columnar when numpy is available).  Picklable, so process
     #: workers inherit the choice across the spawn boundary.
     executor: Optional[str] = None
-    #: Injected faults for chaos tests and the recovery benchmark; picklable
+    #: Injected faults for chaos tests and chaos smokes; picklable
     #: like every other field, so process workers arm their share after the
     #: spawn.  ``None`` (production) injects nothing.
     fault_plan: Optional[FaultPlan] = None
     #: ``False`` nulls out the worker engine's metrics registry entirely —
-    #: the telemetry-off baseline of the overhead benchmark.
+    #: the telemetry-off side of the byte-transparency test.
     telemetry: bool = True
 
     def build_engine(self, index: int = 0) -> Engine:
@@ -214,7 +214,7 @@ def _run_batches(
     Unexpected errors become responses; returns ``(responses, served,
     elapsed_s)`` so the caller can fold the measurement into its service-rate
     estimate.  ``service_delay_s`` sleeps per served request — the
-    skewed-worker knob, charged inside the measured window on purpose.
+    slow-worker test fixture, charged inside the measured window on purpose.
     ``injector`` is consulted at batch boundaries; an injected crash
     propagates (it must look like worker death, not an error response).
     """
@@ -541,7 +541,6 @@ class WorkerPool:
         max_batch_size: int = 16,
         buffers_per_worker: int = 8,
         init_latency_s: float = 1e-4,
-        rate_dispatch: bool = False,
         service_delays: Optional[Sequence[float]] = None,
         disk_cache_dir: Optional[str] = None,
         mp_context: str = "spawn",
@@ -575,10 +574,6 @@ class WorkerPool:
         resolve_executor(executor)
         self.workers = workers
         self.mode = mode
-        #: Dispatch on measured per-worker service rates: before each flush
-        #: the workers' EWMA rates (from their snapshots) are converted to
-        #: relative scales and installed in the shard scheduler.
-        self.rate_dispatch = rate_dispatch
         self.max_worker_restarts = max_worker_restarts
         self.restart_window_s = restart_window_s
         self.max_batch_replays = max(0, max_batch_replays)
@@ -708,9 +703,6 @@ class WorkerPool:
         failed = self._front.drain_failed()
         if isinstance(self._policy, CacheAffinityPolicy) and self._residency:
             self._policy.seed(self._residency)
-        if self.rate_dispatch:
-            rates = [s.service_rate_rps for s in self.last_snapshots]
-            self._scheduler.set_worker_scales(scales_from_rates(rates))
         schedule = self._scheduler.dispatch(
             [float(len(batch)) for batch in batches],
             keys=[batch.program_key for batch in batches],
@@ -975,8 +967,6 @@ class WorkerPool:
             "mode": self.mode,
             "policy": getattr(self._policy, "name", str(self._policy)),
             "executor": resolve_executor(self.config.executor),
-            "rate_dispatch": self.rate_dispatch,
-            "worker_scales": [round(s, 4) for s in self._scheduler.worker_scales],
             "faults": {
                 "worker_restarts": self.worker_restarts,
                 "replayed_batches": self.replayed_batches,

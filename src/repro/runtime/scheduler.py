@@ -95,21 +95,11 @@ class ShardScheduler:
         self.workers = workers
         self.buffers_per_worker = max(1, buffers_per_worker)
         self.policy = policy
+        #: Relative service time per unit cost.  The pool dispatches its
+        #: workers as identical and never sets it; it is here so that this
+        #: scheduler reproduces the Figure 14 simulator, whose regions differ.
         self.worker_scales = (list(worker_scales) if worker_scales is not None
                               else [1.0] * workers)
-
-    def set_worker_scales(self, scales: Sequence[float]) -> None:
-        """Replace the per-worker scales before the next dispatch.
-
-        This is how measured-rate dispatch closes the loop: the pool turns
-        each worker's EWMA service rate (reported in its snapshot) into a
-        relative scale via :func:`repro.sim.policies.scales_from_rates` and
-        installs them here, so slower workers accrue proportionally more
-        pending service time and are admitted less work.
-        """
-        if len(scales) != self.workers:
-            raise ValueError("worker_scales must have one entry per worker")
-        self.worker_scales = [float(s) for s in scales]
 
     def dispatch(self, costs: Sequence[float],
                  keys: Optional[Sequence[Hashable]] = None) -> ScheduleReport:

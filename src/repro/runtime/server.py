@@ -288,12 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         "response on the wire per flush)",
     )
     parser.add_argument(
-        "--rate-dispatch",
-        action="store_true",
-        help="dispatch batches on measured per-worker service rates "
-        "(EWMA of flush wall-clock) instead of unit worker scales",
-    )
-    parser.add_argument(
         "--disk-cache",
         type=str,
         default=None,
@@ -374,7 +368,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache_capacity=args.cache_capacity,
         result_cache_capacity=args.result_cache,
         max_batch_size=args.max_batch,
-        rate_dispatch=args.rate_dispatch,
         disk_cache_dir=args.disk_cache,
         mp_context=args.mp_context,
         executor=args.executor,

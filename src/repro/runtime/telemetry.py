@@ -13,7 +13,7 @@ this module.  Three pillars, all stdlib-only:
   back to the pool parent with each flush reply (alongside the existing
   :class:`~repro.runtime.pool.WorkerSnapshot`).  ``MetricsRegistry(
   enabled=False)`` is a true null registry — every observation is a no-op —
-  used by the overhead benchmark as the telemetry-off baseline.
+  the telemetry-off side of the byte-transparency test.
 
 * **Request tracing** — :func:`new_trace_id` mints ids (clients may mint
   their own); ``trace_id``/``trace`` ride the

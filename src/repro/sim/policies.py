@@ -229,8 +229,9 @@ class ServiceRateEstimator:
     cluster evaluations make the same observation one level down), so each
     serving worker times its own flushes and folds ``tasks / elapsed``
     samples into an exponentially-weighted moving average.  ``rate == 0``
-    means "not measured yet"; :func:`scales_from_rates` maps that to the
-    unit scale.
+    means "not measured yet".  Two readers: the admission budget
+    (:func:`pool_drain_rps` over every worker's rate) and the pool's hang
+    deadline; dispatch itself assumes identical workers.
     """
 
     alpha: float = 0.5
@@ -259,22 +260,6 @@ def pool_drain_rps(rates: Sequence[float], default: float = 0.0) -> float:
     """
     total = sum(r for r in rates if r > 0.0)
     return total if total > 0.0 else default
-
-
-def scales_from_rates(rates: Sequence[float],
-                      default_scale: float = 1.0) -> List[float]:
-    """Convert measured service rates into relative worker scales.
-
-    A scale is *relative service time per unit cost* (the convention of
-    :func:`run_admission` and the Figure 14 simulator): the fastest measured
-    worker gets scale 1.0 and a worker at half its rate gets scale 2.0.
-    Unmeasured workers (rate <= 0) get ``default_scale`` so a fresh pool
-    degrades to unit-scale dispatch.
-    """
-    fastest = max((r for r in rates if r > 0.0), default=0.0)
-    if fastest <= 0.0:
-        return [default_scale] * len(rates)
-    return [fastest / r if r > 0.0 else default_scale for r in rates]
 
 
 #: Registry of policy classes by name (for CLI flags and config strings).

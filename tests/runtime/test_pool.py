@@ -172,7 +172,7 @@ class TestProcessPool:
 
 
 class TestMeasuredRateDispatch:
-    """Workers time their flushes; the dispatcher can act on the rates."""
+    """Workers time their flushes; the admission budget reads the rates."""
 
     def _trace(self, size=24):
         return synthetic_trace(TraceConfig(
@@ -191,28 +191,6 @@ class TestMeasuredRateDispatch:
             assert row["busy_s"] > 0.0
             assert row["service_rate_rps"] > 0.0
 
-    def test_rate_dispatch_starves_slow_worker(self):
-        pool = WorkerPool(workers=2, mode="inline", policy="hoisted-buffer",
-                          buffers_per_worker=1, max_batch_size=1,
-                          result_cache_capacity=0, rate_dispatch=True,
-                          service_delays=[0.0, 0.02])
-        with pool:
-            pool.process(self._trace(8))   # measure the rates
-            pool.process(self._trace(30))  # dispatch on them
-            snapshots = pool.last_snapshots
-            stats = pool.stats_row()
-        assert snapshots[1].service_rate_rps < snapshots[0].service_rate_rps
-        assert stats["rate_dispatch"] is True
-        assert stats["worker_scales"][1] > 1.0
-        assert snapshots[1].requests < snapshots[0].requests
-
     def test_service_delays_validated(self):
         with pytest.raises(PoolError):
             WorkerPool(workers=2, service_delays=[0.1])
-
-    def test_unit_scales_by_default(self):
-        with WorkerPool(workers=2, mode="inline") as pool:
-            pool.process(self._trace(8))
-            stats = pool.stats_row()
-        assert stats["rate_dispatch"] is False
-        assert stats["worker_scales"] == [1.0, 1.0]

@@ -165,6 +165,23 @@ class TestTracePropagation:
             baseline, sort_keys=True
         )
 
+    def test_telemetry_off_stack_serves_identical_bytes(self):
+        """Null registries from front door to workers change no response."""
+        plain = _payloads(size=12)
+        with WorkerPool(workers=2, mode="inline", telemetry=False) as pool_off:
+            off = PoolService(pool_off, metrics=MetricsRegistry(enabled=False))
+            baseline = off.serve_payloads(plain).results
+            assert "engine_requests_total" not in off.metrics_text()
+        with WorkerPool(workers=2, mode="inline") as pool_on:
+            service = PoolService(pool_on)
+            instrumented = service.serve_payloads(plain).results
+            scrape = service.metrics_text()
+        # The instrumented stack really did measure itself.
+        assert 'engine_requests_total{backend="vrda"} 12' in scrape
+        assert json.dumps(instrumented, sort_keys=True) == json.dumps(
+            baseline, sort_keys=True
+        )
+
     @pytest.mark.parametrize("mode", ["inline", "process"])
     def test_client_minted_trace_id_round_trips(self, mode):
         payloads = _payloads(size=4)

@@ -1,0 +1,35 @@
+"""The documentation checker's repo-path check, on planted text."""
+
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+sys.path.insert(0, str(TOOLS))
+
+import check_docs  # noqa: E402
+
+README = check_docs.REPO_ROOT / "README.md"
+
+
+def test_dead_paths_are_reported_by_name():
+    text = (
+        "Recorded in `BENCH_old.json` by `benchmarks/test_runtime_gone.py`, "
+        "see `tests/runtime/test_nothing.py::test_x` and `tests/no_such_*.py`."
+    )
+    failures = check_docs.check_paths(README, text)
+    assert len(failures) == 4
+    for dead in ("BENCH_old.json", "benchmarks/test_runtime_gone.py",
+                 "tests/runtime/test_nothing.py::test_x", "tests/no_such_*.py"):
+        assert any(f.endswith(f"-> {dead}") for f in failures), dead
+    assert all(f.startswith("README.md: no such path") for f in failures)
+
+
+def test_live_paths_and_non_paths_pass():
+    text = (
+        "`BENCHMARK.json`, `bench/run.py`, `benchmarks/`, `lexer.py`, "
+        "`benchmarks/test_fig*.py`, "
+        "`tests/runtime/test_faults.py::test_kill_mid_flush`; not paths: "
+        "`/v1/stats`, `DIR/worker-N`, `repro.runtime.server`, "
+        "`python3 bench/run.py --workload serve-warm`."
+    )
+    assert check_docs.check_paths(README, text) == []

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation checker for CI: links resolve, snippets import, flags exist.
+"""Documentation checker for CI: links, repo paths, snippet imports and flags.
 
-Four checks over README.md and everything under docs/:
+Five checks over README.md and everything under docs/:
 
 1. **Intra-repo markdown links** — every relative ``[text](target)``
    must point at a file or directory that exists (external ``http(s)``,
@@ -16,6 +16,9 @@ Four checks over README.md and everything under docs/:
    text must appear in the ``--help`` of one of this repo's ``python -m``
    modules found by check 3, or of a script in :data:`FLAG_SCRIPTS`, so
    a removed option cannot linger in the docs.
+5. **Repo paths** — every inline code span that reads as a path into this
+   repo (``tests/runtime/test_pool.py``, a bare ``lexer.py``) must exist, so
+   a deleted file cannot linger either.
 
 Exit code 0 when everything passes, 1 otherwise (with one line per
 failure). Run it locally with::
@@ -39,6 +42,11 @@ FENCE_RE = re.compile(r"^```")
 IMPORT_RE = re.compile(r"^\s*(?:import\s+[\w.]+|from\s+[\w.]+\s+import\s+\S)")
 PYTHON_M_RE = re.compile(r"python(?:3)?\s+(?:-u\s+)?-m\s+([\w.]+)")
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]+")
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+PATH_RE = re.compile(r"[\w.*/-]+")
+
+#: A bare name with one of these suffixes is taken for a file of the repo.
+FILE_SUFFIXES = (".py", ".json", ".md", ".yml", ".toml")
 
 #: Scripts outside ``src/`` whose flags the docs may name.
 FLAG_SCRIPTS = ("bench/run.py",)
@@ -84,6 +92,32 @@ def check_links(path: Path, text: str) -> List[str]:
         if not resolved.exists():
             failures.append(f"{path.relative_to(REPO_ROOT)}: broken link "
                             f"-> {target}")
+    return failures
+
+
+def check_paths(path: Path, text: str) -> List[str]:
+    """Inline code spans that read as repo paths and match no file.
+
+    ``top-level-entry/...`` is looked up from the repo root (``*`` globs, a
+    ``::test`` suffix is dropped); a bare file name may sit in any directory.
+    URL routes, placeholders such as ``DIR/worker-N`` and dotted module
+    names are not paths and are skipped.
+    """
+    failures = []
+    for span in sorted(set(CODE_SPAN_RE.findall(text))):
+        target = span.split("::", 1)[0].rstrip("/")
+        if not PATH_RE.fullmatch(target):
+            continue
+        head, slash, _ = target.partition("/")
+        if slash and head and (REPO_ROOT / head).exists():
+            found = REPO_ROOT.glob(target)
+        elif not slash and target.endswith(FILE_SUFFIXES):
+            found = REPO_ROOT.rglob(target)
+        else:
+            continue
+        if not any(found):
+            failures.append(f"{path.relative_to(REPO_ROOT)}: no such path "
+                            f"-> {span}")
     return failures
 
 
@@ -176,6 +210,7 @@ def main() -> int:
     failures: List[str] = []
     for path, text in files:
         failures += check_links(path, text)
+        failures += check_paths(path, text)
     imports = collect_import_lines(files)
     modules = collect_python_m_modules(files)
     failures += run_snippet_imports(imports, modules)
