@@ -22,13 +22,18 @@ serving layer:
 * :mod:`repro.runtime.faults` — injectable fault plans (kill/hang a
   worker, delay/drop a pipe reply, corrupt a disk-cache entry) for chaos
   tests and smokes, threaded through ``--fault-plan``.
-* :mod:`repro.runtime.server` / :mod:`repro.runtime.client` — persistent
-  NDJSON-over-TCP service front-end and its client (plus the CI smoke
-  drivers, ``python -m repro.runtime.client --smoke`` / ``--smoke-http``).
-* :mod:`repro.runtime.gateway` — asyncio HTTP/1.1 + chunked-streaming
-  front door with rate-aware admission control (429 + ``Retry-After``
-  beyond the measured token budget) and slow-reader/idle handling, shared
-  with the NDJSON server through one :class:`PoolService`.
+* :mod:`repro.runtime.server` / :mod:`repro.runtime.client` — the
+  persistent service: one threaded listener class framing the front
+  door's operations as NDJSON-over-TCP (and, on a second port, HTTP/1.1),
+  and its client (plus the CI smoke drivers, ``python -m
+  repro.runtime.client --smoke`` / ``--smoke-http``).  Both are ``python
+  -m`` entry points, so import them by module path, not from this package.
+* :mod:`repro.runtime.gateway` — the front door itself: rate-aware
+  admission control (429 + ``Retry-After`` beyond the measured token
+  budget), the :class:`PoolService` table of operations, which does not
+  know which framing calls it, and the HTTP framing (a blocking handler
+  on the same threaded listener) with chunked streaming and
+  slow-reader/idle handling.
 * :mod:`repro.runtime.trace` — synthetic repeated-app request traces.
 * :mod:`repro.runtime.telemetry` / :mod:`repro.runtime.logs` — the
   observability plane: a snapshot-mergeable metrics registry (counters,
@@ -53,12 +58,10 @@ from repro.runtime.backends import (
     FunctionalVRDABackend,
     GPUBaselineBackend,
 )
-import importlib
-from typing import TYPE_CHECKING
-
 from repro.runtime.cache import CacheStats, LRUCache, ProgramCache, program_key
 from repro.runtime.engine import Batch, Engine, EngineError, Request, Response
 from repro.runtime.faults import Fault, FaultInjector, FaultPlan, load_fault_plan
+from repro.runtime.gateway.admission import AdmissionController, PoolService
 from repro.runtime.pool import (
     PoolError,
     PoolReport,
@@ -80,35 +83,6 @@ from repro.runtime.telemetry import (
 )
 from repro.runtime.trace import DEFAULT_TRACE_APPS, TraceConfig, synthetic_trace
 
-if TYPE_CHECKING:
-    from repro.runtime.client import ClientError, RuntimeClient, spawn_server
-    from repro.runtime.server import PROTOCOL_VERSION, RuntimeServer
-
-# client/server double as `python -m` entry points; importing them eagerly
-# here would make runpy warn about (and re-execute) the module it is about
-# to run as __main__, so they resolve lazily instead.  The gateway exports
-# resolve lazily for the same reason (its http module imports server).
-_LAZY_EXPORTS = {
-    "ClientError": "repro.runtime.client",
-    "ConnectionLostError": "repro.runtime.client",
-    "OverloadedError": "repro.runtime.client",
-    "RuntimeClient": "repro.runtime.client",
-    "spawn_server": "repro.runtime.client",
-    "PROTOCOL_VERSION": "repro.runtime.server",
-    "RuntimeServer": "repro.runtime.server",
-    "AdmissionController": "repro.runtime.gateway.admission",
-    "PoolService": "repro.runtime.gateway.admission",
-    "HttpGateway": "repro.runtime.gateway.http",
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY_EXPORTS:
-        value = getattr(importlib.import_module(_LAZY_EXPORTS[name]), name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "AdmissionController",
     "AurochsBaselineBackend",
@@ -119,8 +93,6 @@ __all__ = [
     "Batch",
     "CPUBaselineBackend",
     "CacheStats",
-    "ClientError",
-    "ConnectionLostError",
     "Counter",
     "DEFAULT_TRACE_APPS",
     "Engine",
@@ -132,20 +104,15 @@ __all__ = [
     "GPUBaselineBackend",
     "Gauge",
     "Histogram",
-    "HttpGateway",
     "JsonFormatter",
     "LRUCache",
     "MetricsRegistry",
-    "OverloadedError",
-    "PROTOCOL_VERSION",
     "PoolError",
     "PoolReport",
     "PoolService",
     "ProgramCache",
     "Request",
     "Response",
-    "RuntimeClient",
-    "RuntimeServer",
     "ScheduleReport",
     "ShardScheduler",
     "SlowRing",
@@ -160,6 +127,5 @@ __all__ = [
     "new_trace_id",
     "program_key",
     "render_prometheus",
-    "spawn_server",
     "synthetic_trace",
 ]

@@ -170,9 +170,6 @@ class ProgramCache:
     def __len__(self) -> int:
         return len(self._memory)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._memory
-
     def resident_keys(self) -> List[str]:
         """Memory-tier content keys, LRU order (oldest first).
 

@@ -11,7 +11,7 @@ door sheds load with a 429 envelope.
 runs on every Python version: it spawns a server subprocess on a free
 port, drives a synthetic trace through ``batch`` round-trips, checks every
 response, and asserts the server shuts down cleanly (exit code 0) on the
-``shutdown`` op.  ``--smoke-http`` does the same through the HTTP gateway:
+``shutdown`` op.  ``--smoke-http`` does the same through the HTTP door:
 plain requests, a chunked ``/v1/stream`` (asserting the first response
 arrives before the last), and a deterministic 429 + ``Retry-After``
 exercise against the admission budget.  ``--smoke-metrics`` is the
@@ -27,13 +27,15 @@ round-trip via :meth:`RuntimeClient.local_stats` (and folded into
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import socket
 import subprocess
 import sys
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.runtime.telemetry import Histogram
@@ -327,9 +329,16 @@ def spawn_server(
     process = subprocess.Popen(
         command,
         stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
         text=True,
     )
+    # Only the tail of the child's stderr is kept, and it is drained for the
+    # child's whole life so a chatty server never blocks on a full pipe.
+    stderr_tail: "deque[str]" = deque(maxlen=20)
+    drain = threading.Thread(
+        target=stderr_tail.extend, args=(process.stderr,), daemon=True
+    )
+    drain.start()
     # readline() has no timeout of its own; a reader thread bounds the wait
     # so a server that hangs before announcing its endpoint fails fast.
     expected = [LISTENING_PREFIX] + ([HTTP_LISTENING_PREFIX] if expect_http else [])
@@ -347,8 +356,14 @@ def spawn_server(
         line = box.get(index)
         if line is None or not line.startswith(prefix):
             process.kill()
+            process.wait()
+            drain.join(5.0)
             what = "timed out" if line is None else f"got {line!r}"
-            raise ClientError(f"server failed to start ({what})")
+            said = "".join(stderr_tail).strip()
+            raise ClientError(
+                f"server failed to start ({what})"
+                + (f"; its last stderr lines:\n{said}" if said else "")
+            )
         host, _, port = line.removeprefix(prefix).strip().rpartition(":")
         return host, int(port)
 
@@ -359,8 +374,21 @@ def spawn_server(
     return process, host, port, http_host, http_port
 
 
-def _smoke(args: argparse.Namespace) -> int:
-    """Spawn a server, drive a trace through it, assert a clean shutdown."""
+@contextlib.contextmanager
+def _smoke_server(
+    args: argparse.Namespace,
+    label: str,
+    seed: int,
+    extra_args: Sequence[str] = (),
+    expect_http: bool = False,
+) -> Iterator[tuple]:
+    """Spawn a server for one smoke; yields ``(payloads, *endpoints)``.
+
+    ``payloads`` is the smoke's synthetic trace and ``endpoints`` what
+    :func:`spawn_server` returned after the process.  Leaving the block
+    drives the ``shutdown`` op and requires exit code 0; a smoke that bails
+    out early leaves behind a server that is killed instead.
+    """
     from repro.runtime.trace import TraceConfig, synthetic_trace
 
     trace = TraceConfig(
@@ -369,18 +397,31 @@ def _smoke(args: argparse.Namespace) -> int:
         backend_mix={"vrda": 1.0},
         distinct_shapes=2,
         n_threads=2,
-        seed=11,
+        seed=seed,
     )
     payloads = [request.to_dict() for request in synthetic_trace(trace)]
-    server_args = ["--workers", str(args.workers)]
-    server_args += ["--pool-mode", args.pool_mode]
-    server_args += ["--policy", args.policy]
-    if args.fault_plan:
-        # Chaos smoke: the server's pool must mask the injected faults —
-        # every response below still has to come back ok.
-        server_args += ["--fault-plan", args.fault_plan]
-    process, host, port = spawn_server(server_args)
+    server_args = ["--workers", str(args.workers), "--pool-mode", args.pool_mode]
+    server_args += ["--policy", args.policy, *extra_args]
+    process, *endpoints = spawn_server(server_args, expect_http=expect_http)
     try:
+        yield (payloads, *endpoints)
+        with RuntimeClient(endpoints[0], endpoints[1], connect_retries=3) as client:
+            client.shutdown()
+        returncode = process.wait(timeout=60)
+    finally:
+        if process.poll() is None:
+            process.kill()
+    if returncode != 0:
+        # Exit status 1 with the message on stderr.
+        raise SystemExit(f"{label} FAILED: server exited {returncode}")
+
+
+def _smoke(args: argparse.Namespace) -> int:
+    """Spawn a server, drive a trace through it, assert a clean shutdown."""
+    # Chaos smoke: the server's pool must mask the injected faults — every
+    # response below still has to come back ok.
+    fault_args = ["--fault-plan", args.fault_plan] if args.fault_plan else []
+    with _smoke_server(args, "smoke", 11, fault_args) as (payloads, host, port):
         with RuntimeClient(host, port, connect_retries=3) as client:
             assert client.ping().get("ok"), "ping failed"
             served: List[Dict[str, Any]] = []
@@ -396,14 +437,6 @@ def _smoke(args: argparse.Namespace) -> int:
                 return 1
             stats = client.stats()
             hit_rate = stats["pool"]["program_cache"]["hit_rate"]
-            client.shutdown()
-        returncode = process.wait(timeout=60)
-    finally:
-        if process.poll() is None:
-            process.kill()
-    if returncode != 0:
-        print(f"smoke FAILED: server exited {returncode}", file=sys.stderr)
-        return 1
     print(
         f"smoke ok: {len(served)} requests over {args.pool_mode} pool "
         f"({args.workers} workers, policy {args.policy}, "
@@ -427,37 +460,13 @@ def _http_json(
 
 
 def _smoke_http(args: argparse.Namespace) -> int:
-    """Spawn a gateway server and run a mixed request/stream/429 exercise."""
+    """Spawn a server with both doors; mixed request/stream/429 exercise."""
     import http.client
 
-    from repro.runtime.trace import TraceConfig, synthetic_trace
-
     budget = 16
-    server_args = [
-        "--workers",
-        str(args.workers),
-        "--pool-mode",
-        args.pool_mode,
-        "--policy",
-        args.policy,
-        "--http-port",
-        "0",
-        "--max-inflight",
-        str(budget),
-    ]
-    trace = TraceConfig(
-        size=args.requests,
-        apps=[name.strip() for name in args.apps.split(",") if name.strip()],
-        backend_mix={"vrda": 1.0},
-        distinct_shapes=2,
-        n_threads=2,
-        seed=13,
-    )
-    payloads = [request.to_dict() for request in synthetic_trace(trace)]
-    process, host, port, http_host, http_port = spawn_server(
-        server_args, expect_http=True
-    )
-    try:
+    door_args = ["--http-port", "0", "--max-inflight", str(budget)]
+    with _smoke_server(args, "http smoke", 13, door_args, expect_http=True) as run:
+        payloads, _, _, http_host, http_port = run
         connection = http.client.HTTPConnection(http_host, http_port, timeout=60)
         status, _, health = _http_json(connection, "GET", "/healthz")
         assert status == 200 and health["ok"], f"healthz failed: {health}"
@@ -509,15 +518,6 @@ def _smoke_http(args: argparse.Namespace) -> int:
         assert status == 200 and stats["admission"]["rejected"] >= budget + 8
         assert stats["gateway"]["streamed_responses"] >= stream_n
         connection.close()
-        with RuntimeClient(host, port, connect_retries=3) as client:
-            client.shutdown()
-        returncode = process.wait(timeout=60)
-    finally:
-        if process.poll() is None:
-            process.kill()
-    if returncode != 0:
-        print(f"http smoke FAILED: server exited {returncode}", file=sys.stderr)
-        return 1
     print(
         f"http smoke ok: {served} batched + {stream_n} streamed requests over "
         f"{args.pool_mode} pool ({args.workers} workers), 429 shed at "
@@ -563,47 +563,22 @@ _REQUIRED_FAMILIES = (
 def _smoke_metrics(args: argparse.Namespace) -> int:
     """Telemetry smoke: mixed + faulted traffic, then scrape and cross-check.
 
-    Spawns a gateway server with one injected worker kill, drives traced
-    and untraced traffic plus a deliberate shed, then asserts (a) every
-    required metric family is present on ``GET /metrics``, (b) counter
+    Spawns a server with both doors and one injected worker kill, drives
+    traced and untraced traffic plus a deliberate shed, then asserts (a)
+    every required metric family is present on ``GET /metrics``, (b) counter
     values are consistent with ``/v1/stats``, (c) the NDJSON ``metrics``
     op renders the same families, and (d) ``/v1/slow`` retained spans.
     """
     import http.client
 
-    from repro.runtime.trace import TraceConfig, synthetic_trace
-
     budget = 16
     fault_plan = args.fault_plan or (
         '[{"kind": "kill", "worker": 0, "after_batches": 1}]'
     )
-    server_args = [
-        "--workers",
-        str(args.workers),
-        "--pool-mode",
-        args.pool_mode,
-        "--policy",
-        args.policy,
-        "--http-port",
-        "0",
-        "--max-inflight",
-        str(budget),
-        "--fault-plan",
-        fault_plan,
-    ]
-    trace = TraceConfig(
-        size=args.requests,
-        apps=[name.strip() for name in args.apps.split(",") if name.strip()],
-        backend_mix={"vrda": 1.0},
-        distinct_shapes=2,
-        n_threads=2,
-        seed=17,
-    )
-    payloads = [request.to_dict() for request in synthetic_trace(trace)]
-    process, host, port, http_host, http_port = spawn_server(
-        server_args, expect_http=True
-    )
-    try:
+    door_args = ["--http-port", "0", "--max-inflight", str(budget)]
+    door_args += ["--fault-plan", fault_plan]
+    with _smoke_server(args, "metrics smoke", 17, door_args, expect_http=True) as run:
+        payloads, host, port, http_host, http_port = run
         with RuntimeClient(host, port, connect_retries=3) as client:
             # Mixed traffic: every odd request opts into tracing.  The
             # injected kill fires mid-run and the pool must mask it.
@@ -656,14 +631,6 @@ def _smoke_metrics(args: argparse.Namespace) -> int:
             local = client.local_stats()
             assert local["roundtrips"] >= len(payloads) // chunk
             assert local["latency"]["count"] == local["roundtrips"]
-            client.shutdown()
-        returncode = process.wait(timeout=60)
-    finally:
-        if process.poll() is None:
-            process.kill()
-    if returncode != 0:
-        print(f"metrics smoke FAILED: server exited {returncode}", file=sys.stderr)
-        return 1
     print(
         f"metrics smoke ok: {len(served)} requests ({len(traced)} traced) over "
         f"{args.pool_mode} pool ({args.workers} workers), "
@@ -690,13 +657,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--smoke-http",
         action="store_true",
-        help="spawn a server with the HTTP gateway and run the mixed "
+        help="spawn a server with the HTTP door open and run the mixed "
         "request/stream/429 self-test",
     )
     parser.add_argument(
         "--smoke-metrics",
         action="store_true",
-        help="spawn a gateway server with one injected worker fault, drive "
+        help="spawn a two-door server with one injected worker fault, drive "
         "traced traffic, scrape /metrics, and cross-check it against "
         "/v1/stats",
     )

@@ -485,11 +485,6 @@ class Engine:
     # -- stats --------------------------------------------------------------
 
     @property
-    def pending(self) -> int:
-        """Requests submitted but not yet coalesced into batches."""
-        return len(self._queue)
-
-    @property
     def program_cache_stats(self) -> CacheStats:
         """Counters for the content-addressed compilation tier."""
         return self.program_cache.stats
@@ -506,15 +501,6 @@ class Engine:
             return getattr(self.backends.get("vrda"), "executor", "token")
         except ReproError:
             return "token"  # registry without a functional backend
-
-    def stats_row(self) -> Dict[str, object]:
-        """One flat dict of cache/backend counters (for logs and tests)."""
-        return {
-            "program_cache": self.program_cache_stats.as_dict(),
-            "result_cache": self.result_cache_stats.as_dict(),
-            "backend_counts": dict(self.backend_counts),
-            "executor": self.executor,
-        }
 
     def _collect_metrics(self, registry: MetricsRegistry) -> None:
         """Fold existing engine counters into metric families (at snapshot).

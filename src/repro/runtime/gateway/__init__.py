@@ -1,48 +1,16 @@
-"""``repro.runtime.gateway`` — the HTTP/streaming front door on the pool.
-
-Three modules, one subsystem:
+"""``repro.runtime.gateway`` — what the front door does, and its HTTP framing.
 
 * :mod:`repro.runtime.gateway.admission` — the rate-aware
   :class:`AdmissionController` (token budget from measured drain rates)
-  and the :class:`PoolService` front door both servers share.
-* :mod:`repro.runtime.gateway.http` — the asyncio HTTP/1.1 server
-  (``/v1/request``, ``/v1/batch``, ``/v1/stream``, ``/v1/stats``,
-  ``/healthz``) with idle reaping and write deadlines.
-* :mod:`repro.runtime.gateway.streaming` — chunked-transfer encoding with
-  bounded buffers and slow-reader drop.
-
-``http`` imports :mod:`repro.runtime.server` (for nothing today, but the
-NDJSON server imports ``gateway.admission`` at module level), so the
-package exports resolve lazily — importing ``repro.runtime.gateway``
-must never force ``http`` while ``server`` is mid-import.
+  and :class:`PoolService`: the one pool, lock, counter set and table of
+  operations every listener shares.  The table takes decoded arguments
+  and an endpoint label and does not know which framing is calling.
+* :mod:`repro.runtime.gateway.http` — the HTTP/1.1 framing of that table
+  (``/v1/request``, ``/v1/batch``, chunked ``/v1/stream``, ``/v1/stats``,
+  ``/v1/slow``, ``/healthz``, ``/metrics``): the blocking connection
+  handler the one threaded listener,
+  :class:`~repro.runtime.server.RuntimeServer`, runs when opened with
+  ``handler=HttpHandler``.  It owns its route map, body shapes, refusal
+  wording and envelope keys; the NDJSON framing, which owns its own, lives
+  beside the listener in :mod:`repro.runtime.server`.
 """
-
-import importlib
-
-_LAZY_EXPORTS = {
-    "AdmissionController": "repro.runtime.gateway.admission",
-    "AdmissionDecision": "repro.runtime.gateway.admission",
-    "AdmissionSnapshot": "repro.runtime.gateway.admission",
-    "PoolService": "repro.runtime.gateway.admission",
-    "ServeResult": "repro.runtime.gateway.admission",
-    "overload_envelope": "repro.runtime.gateway.admission",
-    "GATEWAY_VERSION": "repro.runtime.gateway.http",
-    "HttpError": "repro.runtime.gateway.http",
-    "HttpGateway": "repro.runtime.gateway.http",
-    "ChunkedWriter": "repro.runtime.gateway.streaming",
-    "SlowReaderError": "repro.runtime.gateway.streaming",
-    "encode_chunk": "repro.runtime.gateway.streaming",
-    "iter_subbatches": "repro.runtime.gateway.streaming",
-    "ndjson_line": "repro.runtime.gateway.streaming",
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY_EXPORTS:
-        value = getattr(importlib.import_module(_LAZY_EXPORTS[name]), name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = sorted(_LAZY_EXPORTS)

@@ -10,13 +10,18 @@ requests in flight (``headroom`` is literally "seconds of queued work") —
 and sheds everything beyond it with a computed retry hint instead of
 queueing it.
 
-:class:`PoolService` is the front door both servers share: one
+:class:`PoolService` is the front door: one
 :class:`~repro.runtime.pool.WorkerPool`, one lock serializing flushes, one
-admission controller, and one set of counters.  The NDJSON TCP server
-(:mod:`repro.runtime.server`) and the HTTP gateway
-(:mod:`repro.runtime.gateway.http`) each wrap the same ``PoolService``
-instance, so both front-ends shed load identically — a 429 envelope on one
-wire is a 429 status on the other, backed by the same token bucket.
+admission controller, one set of counters, and the one table of what the
+service can do (``request``, ``batch``, ``stream``, ``stats``, ``metrics``,
+``slow``, ``health``).  The table does not know who calls it: every entry
+takes already-decoded, already-shaped arguments plus the caller's own
+endpoint label, and answers a door-neutral :class:`Reply`.  The listener
+(:class:`~repro.runtime.server.RuntimeServer`) only frames: its NDJSON line
+handler and its HTTP handler (:mod:`repro.runtime.gateway.http`) each own
+their op/route map, the body shapes they accept, their refusal wording and
+their envelope keys, so both doors shed load identically — a 429 envelope
+on one wire is a 429 status on the other, backed by the same token bucket.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.runtime.engine import Request
@@ -42,6 +47,24 @@ from repro.runtime.telemetry import (
 from repro.sim.policies import ServiceRateEstimator, pool_drain_rps
 
 _LOG = get_logger(__name__)
+
+#: Bumped when a wire-visible field changes meaning; every framing stamps it.
+PROTOCOL_VERSION = 1
+
+
+class Reply(NamedTuple):
+    """What a table entry answers, before a framing encodes it.
+
+    ``status`` is 200, 429 (the whole call was shed; ``payload`` is the one
+    envelope that says so and ``retry_after_s`` the unrounded hint) or 400
+    (``payload`` is an ``{"ok": false, "error": ...}`` envelope).  On 200
+    ``payload`` is the entry's own: one result object, a list of them, or
+    an iterator of per-flush :class:`ServeResult`.
+    """
+
+    status: int
+    payload: Any
+    retry_after_s: float = 0.0
 
 
 @dataclass
@@ -95,8 +118,8 @@ class AdmissionController:
     needs to clear the excess — the ``Retry-After`` the gateway puts on the
     wire — clamped to ``[min_retry_s, max_retry_s]``.
 
-    Thread-safe: both servers' handler threads and the gateway's executor
-    threads share one controller.
+    Thread-safe: the handler threads of both listeners share one
+    controller.
     """
 
     def __init__(
@@ -143,11 +166,6 @@ class AdmissionController:
         if self.max_inflight is not None:
             return self.max_inflight
         return max(self.min_limit, math.ceil(self.drain_rps * self.headroom))
-
-    @property
-    def inflight(self) -> int:
-        """Requests currently holding tokens (admitted, not yet released)."""
-        return self._inflight
 
     def observe_drain(self, served: int, elapsed_s: float) -> None:
         """Fold one flush measurement (requests served / wall seconds)."""
@@ -214,8 +232,6 @@ class ServeResult:
     results: List[Dict[str, Any]]
     shed: bool = False
     retry_after_s: float = 0.0
-    #: Seconds this call waited for the pool lock (0.0 when shed/failed).
-    queue_wait_s: float = 0.0
 
 
 def overload_envelope(decision: AdmissionDecision) -> Dict[str, Any]:
@@ -239,13 +255,33 @@ def overload_envelope(decision: AdmissionDecision) -> Dict[str, Any]:
     }
 
 
+def iter_subbatches(items: Sequence[Any], chunk: int) -> Iterator[List[Any]]:
+    """Split a request list into flush-sized sub-batches, order-preserving."""
+    step = max(1, int(chunk))
+    for start in range(0, len(items), step):
+        yield list(items[start : start + step])
+
+
+def _shed_reply(result: ServeResult) -> Reply:
+    """One 429 envelope for a whole shed call.
+
+    Every request of a shed call carries the same envelope; the whole-call
+    form is the first of them with the retry hint left unrounded.
+    """
+    envelope = dict(result.results[0], retry_after_s=result.retry_after_s)
+    return Reply(429, envelope, result.retry_after_s)
+
+
 class PoolService:
     """The shared front door: one pool, one lock, one admission controller.
 
-    ``admission=None`` disables shedding entirely (the pre-gateway
-    behaviour, kept for comparisons and for tests).  All serving goes
-    through :meth:`serve_payloads`; the NDJSON server and the HTTP gateway
-    only differ in how they frame its :class:`ServeResult`.
+    ``admission=None`` disables shedding entirely (kept for tests).  What
+    the service can do is the table below — :meth:`request`, :meth:`batch`
+    and :meth:`stream` answer a :class:`Reply` (they can be shed or
+    refused); :meth:`stats_payload`, :meth:`metrics_text`,
+    :meth:`slow_payload` and :meth:`health_payload` always succeed and
+    return their payload directly.  Everything that serves requests goes
+    through :meth:`serve_payloads`.
     """
 
     def __init__(
@@ -286,8 +322,51 @@ class PoolService:
         self.metrics.add_collector(self._collect_metrics)
 
     def on_failure(self, callback: Callable[[], None]) -> None:
-        """Register a callback for a fatal pool failure (server shutdown)."""
+        """Register a listener's stop callback (pool failure, ``shutdown``)."""
         self._failure_callbacks.append(callback)
+
+    def stop_listeners(self) -> None:
+        """Ask every registered listener to stop accepting."""
+        for callback in self._failure_callbacks:
+            callback()
+
+    # -- the op table -------------------------------------------------------
+    #
+    # Arguments arrive decoded and shaped (a request object, a list of
+    # them, a list plus ``chunk``) with the caller's own ``endpoint`` label
+    # for metrics and spans; nothing here knows which framing is calling.
+
+    def request(self, payload: Dict[str, Any], endpoint: str) -> Reply:
+        """Serve one request object; the payload is its result."""
+        result = self.serve_payloads([payload], endpoint)
+        return _shed_reply(result) if result.shed else Reply(200, result.results[0])
+
+    def batch(self, requests: List[Any], endpoint: str) -> Reply:
+        """Serve a list through one pool flush; the payload is the results.
+
+        Order-preserving; malformed entries become per-request error
+        envelopes without poisoning the rest.
+        """
+        result = self.serve_payloads(requests, endpoint)
+        return _shed_reply(result) if result.shed else Reply(200, result.results)
+
+    def stream(self, requests: List[Any], chunk: Any, endpoint: str) -> Reply:
+        """Serve a list ``chunk`` requests per flush, lazily.
+
+        The payload iterates one :class:`ServeResult` per pool flush, each
+        produced only when asked for, so the first results can be on the
+        wire while later sub-batches execute.  A shed sub-batch comes back
+        as its per-request 429 envelopes without ending the iteration: a
+        partially overloaded stream still delivers what was admitted.
+        """
+        if not isinstance(chunk, int) or chunk < 1:
+            error = "'chunk' must be a positive integer"
+            return Reply(400, {"ok": False, "error": error})
+        flushes = (
+            self.serve_payloads(sub, endpoint)
+            for sub in iter_subbatches(requests, chunk)
+        )
+        return Reply(200, flushes)
 
     # -- serving ------------------------------------------------------------
 
@@ -382,8 +461,7 @@ class PoolService:
             # servers to exit (cleanly) so a supervisor restarts them, not
             # linger as listening zombies.  Clients still get an error
             # envelope per request.
-            for callback in self._failure_callbacks:
-                callback()
+            self.stop_listeners()
             self._m_requests.inc(n, endpoint=endpoint, status="error")
             message = f"worker pool failed: {error}; server shutting down"
             return ServeResult(
@@ -401,7 +479,7 @@ class PoolService:
                 results.append({"ok": False, "error": value})
         total_s = time.perf_counter() - started
         self._finish_telemetry(results, endpoint, wait, flush_elapsed, total_s)
-        return ServeResult(results=results, queue_wait_s=wait)
+        return ServeResult(results=results)
 
     def _finish_telemetry(
         self,

@@ -1,123 +1,115 @@
-"""Asyncio HTTP/1.1 front door over the shared :class:`PoolService`.
+"""The HTTP/1.1 framing of the front door.
 
-Like the NDJSON server, the gateway hand-rolls its wire protocol on the
-stdlib: an ``asyncio.start_server`` accept loop, a bounded request parser,
-and keep-alive connections.  Endpoints:
+:class:`HttpHandler` is the connection handler a
+:class:`~repro.runtime.server.RuntimeServer` runs when opened with
+``handler=HttpHandler``: one thread per connection, a bounded parser,
+keep-alive.  It owns what is HTTP-specific — the route map
+(:data:`ROUTES`), the body shapes accepted, the refusal wording, the keys
+only this door carries (``version``, ``gateway``, a shed batch's
+``requests``, ``Retry-After``) and its event counters; what an operation
+*means* is :class:`~repro.runtime.gateway.admission.PoolService`'s table.
 
-* ``GET /healthz`` — liveness + degraded state (recent worker respawns),
-  from lock-free pool counters — never waits on the pool lock.
-* ``GET /v1/stats`` — served/shed counters, queue-wait percentiles, the
-  admission snapshot, and the pool's per-worker cache stats.
-* ``GET /metrics`` — Prometheus text exposition across the whole stack
-  (front door, admission, pool, per-worker engines), rendered by the same
-  :meth:`PoolService.metrics_text` the NDJSON ``metrics`` op uses.
-* ``GET /v1/slow`` — the top-K slowest front-door calls with their span
-  breakdowns (the server-side trace retention ring).
+* ``GET /healthz`` — liveness + degraded state, from lock-free pool
+  counters: never waits on the pool lock.
+* ``GET /v1/stats``, ``GET /v1/slow`` — the ``stats`` and ``slow`` payloads
+  (plus this door's event counts under ``gateway``).
+* ``GET /metrics`` — the Prometheus text the NDJSON ``metrics`` op wraps.
 * ``POST /v1/request`` — one JSON request object, one JSON response.
 * ``POST /v1/batch`` — ``{"requests": [...]}`` (or a bare list) through
-  one pool flush; order-preserving, malformed entries become per-request
-  error envelopes.
-* ``POST /v1/stream`` — same input, chunked-transfer NDJSON output: the
-  request list is served ``chunk`` requests per flush and each flush's
-  responses are written as they complete, so the first response leaves the
-  server while later ones are still executing.
+  one pool flush; order-preserving, bad entries answered per request.
+* ``POST /v1/stream`` — same input, chunked-transfer NDJSON output, served
+  ``chunk`` requests per flush and written as each flush completes, so the
+  first response leaves while later ones are still executing.
 
-Backpressure is enforced at both ends of a connection.  On the way in, the
-shared :class:`~repro.runtime.gateway.admission.AdmissionController` sheds
-work beyond the measured token budget with ``429`` + ``Retry-After`` (the
-same budget the NDJSON server enforces).  On the way out, write buffers
-are bounded and every write carries a deadline, so a slow reader is
-dropped instead of pinning results in memory; idle connections are reaped
-by a read deadline.  Pool flushes are blocking, so they run on the event
-loop's default thread-pool executor — the asyncio side never blocks on the
-pool lock.
+Backpressure holds at both ends of a connection.  On the way in, the shared
+admission controller sheds work beyond the measured token budget with
+``429`` + ``Retry-After``.  On the way out, the socket is blocking and
+nothing is buffered in user space: every write carries a deadline (the
+socket timeout bounds the whole ``sendall``), so a reader that stops
+draining is dropped — and counted — instead of pinning its handler thread;
+idle connections are reaped by the read timeout.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
-import logging
-import threading
-from typing import Any, Dict, List, Optional, Tuple
+import socketserver
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.runtime.gateway.admission import PoolService
-from repro.runtime.logs import event, get_logger
-from repro.runtime.telemetry import MetricsRegistry
-from repro.runtime.gateway.streaming import (
-    ChunkedWriter,
-    SlowReaderError,
-    drain_write,
-    iter_subbatches,
-    ndjson_line,
-)
-
-#: Wire-visible protocol version, shared with the NDJSON front-end.
-GATEWAY_VERSION = 1
+from repro.errors import ReproError
+from repro.runtime.gateway.admission import PROTOCOL_VERSION, Reply, ServeResult
 
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
-    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
 }
 
-#: Routes and the methods they answer (for 405 vs 404 discrimination).
-_ROUTES = {
-    "/healthz": ("GET",),
-    "/v1/stats": ("GET",),
-    "/v1/slow": ("GET",),
-    "/metrics": ("GET",),
-    "/v1/request": ("POST",),
-    "/v1/batch": ("POST",),
-    "/v1/stream": ("POST",),
-}
+#: What this door counts in ``gateway_events_total{kind=}``.
+GATEWAY_EVENTS = (
+    "connections",
+    "requests",
+    "streamed_responses",
+    "shed",
+    "idle_reaped",
+    "slow_readers_dropped",
+    "bad_requests",
+    "internal_errors",
+)
 
-_LOG = get_logger(__name__)
+#: Requests per pool flush on ``/v1/stream`` when the body names no ``chunk``.
+_DEFAULT_CHUNK = 1
+
+#: Longest request or header line accepted, bytes.
+_MAX_LINE = 64 * 1024
+
+_PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
+#: Terminal chunk of a chunked-transfer body.
+LAST_CHUNK = b"0\r\n\r\n"
 
 
-class HttpError(Exception):
-    """A request this server refuses, as an HTTP status + JSON detail."""
+class SlowReaderError(ReproError):
+    """A client stopped draining its socket past the write deadline."""
+
+
+class HttpError(ReproError):
+    """A request this door refuses, as an HTTP status + JSON detail."""
 
     def __init__(self, status: int, detail: str):
         super().__init__(detail)
         self.status = status
-        self.detail = detail
 
 
-class _IdleTimeout(Exception):
-    """The read deadline elapsed between or inside requests."""
+def encode_chunk(data: bytes) -> bytes:
+    """One chunked-transfer frame: hex size line, payload, CRLF."""
+    return f"{len(data):x}".encode("ascii") + b"\r\n" + data + b"\r\n"
 
 
-class ParsedRequest:
-    """One parsed HTTP request (method, path, headers, body)."""
+def ndjson_line(payload: Dict[str, Any]) -> bytes:
+    """One response as an NDJSON line (the stream's chunk payload)."""
+    return json.dumps(payload).encode("utf-8") + b"\n"
 
-    __slots__ = ("method", "path", "headers", "body", "keep_alive")
 
-    def __init__(
-        self,
-        method: str,
-        path: str,
-        headers: Dict[str, str],
-        body: bytes,
-        keep_alive: bool,
-    ):
-        self.method = method
-        self.path = path
-        self.headers = headers
-        self.body = body
-        self.keep_alive = keep_alive
-
-    def json_body(self) -> Any:
-        """Parse the body as JSON; raises a 400 :class:`HttpError` if invalid."""
-        try:
-            return json.loads(self.body or b"null")
-        except json.JSONDecodeError as error:
-            raise HttpError(400, f"request body is not valid JSON: {error}")
+def _head_bytes(
+    status: int,
+    content_type: str,
+    length: Optional[int],
+    keep_alive: bool,
+    extra_headers: Optional[Dict[str, str]] = None,
+) -> bytes:
+    """Status line and headers; ``length=None`` announces a chunked body."""
+    lines = [
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+        f"Content-Type: {content_type}",
+        "Transfer-Encoding: chunked" if length is None else f"Content-Length: {length}",
+        f"Connection: {'keep-alive' if keep_alive else 'close'}",
+    ]
+    lines += [f"{name}: {value}" for name, value in (extra_headers or {}).items()]
+    return "\r\n".join(lines).encode("ascii") + b"\r\n\r\n"
 
 
 def _response_bytes(
@@ -127,263 +119,95 @@ def _response_bytes(
     extra_headers: Optional[Dict[str, str]] = None,
 ) -> bytes:
     body = json.dumps(payload).encode("utf-8") + b"\n"
-    lines = [
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-        "Content-Type: application/json",
-        f"Content-Length: {len(body)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    for name, value in (extra_headers or {}).items():
-        lines.append(f"{name}: {value}")
-    return "\r\n".join(lines).encode("ascii") + b"\r\n\r\n" + body
+    head = _head_bytes(status, "application/json", len(body), keep_alive, extra_headers)
+    return head + body
 
 
-def _text_response_bytes(status: int, text: str, keep_alive: bool) -> bytes:
-    """A plain-text response (the Prometheus exposition content type)."""
-    body = text.encode("utf-8")
-    lines = [
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-        "Content-Type: text/plain; version=0.0.4; charset=utf-8",
-        f"Content-Length: {len(body)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    return "\r\n".join(lines).encode("ascii") + b"\r\n\r\n" + body
+def _request_list(body: Any) -> Tuple[List[Any], Dict[str, Any]]:
+    """Accept ``{"requests": [...], ...}`` or a bare JSON list."""
+    if isinstance(body, list):
+        return body, {}
+    if isinstance(body, dict) and isinstance(body.get("requests"), list):
+        return body["requests"], body
+    raise HttpError(
+        400, "body must be a JSON list or an object with a 'requests' list"
+    )
 
 
-def _stream_header_bytes(keep_alive: bool) -> bytes:
-    lines = [
-        "HTTP/1.1 200 OK",
-        "Content-Type: application/x-ndjson",
-        "Transfer-Encoding: chunked",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    return "\r\n".join(lines).encode("ascii") + b"\r\n\r\n"
+def _versioned(payload: Dict[str, Any]) -> Reply:
+    payload["version"] = PROTOCOL_VERSION
+    return Reply(200, payload)
 
 
-class HttpGateway:
-    """The asyncio HTTP front-end; runs its own event loop in a thread.
+class HttpHandler(socketserver.StreamRequestHandler):
+    """One HTTP connection: parse, look the route up, frame the reply.
 
-    Construction binds nothing — :meth:`start` (or :meth:`__enter__`)
-    spawns the loop thread, binds the socket, and publishes the bound
-    address as :attr:`http_host` / :attr:`http_port`.  One gateway serves
-    exactly one :class:`PoolService`, usually the same instance a
-    :class:`~repro.runtime.server.RuntimeServer` wraps.
+    The listener has already put its connection (read) timeout on the
+    socket; ``self.server`` supplies ``service``, ``write_timeout``,
+    ``max_body_bytes`` and the ``gateway_events`` counter that
+    :meth:`listener_opened` registered.
     """
 
-    def __init__(
-        self,
-        service: PoolService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        idle_timeout_s: Optional[float] = 60.0,
-        write_timeout_s: float = 10.0,
-        max_body_bytes: int = 4 * 1024 * 1024,
-        write_buffer_limit: int = 256 * 1024,
-        stream_chunk: int = 1,
-    ):
-        self.service = service
-        self.host = host
-        self.port = port
-        self.idle_timeout_s = idle_timeout_s
-        self.write_timeout_s = write_timeout_s
-        self.max_body_bytes = max_body_bytes
-        self.write_buffer_limit = write_buffer_limit
-        self.stream_chunk = max(1, stream_chunk)
-        self.http_host: Optional[str] = None
-        self.http_port: Optional[int] = None
-        #: Monotonic counters, mutated only on the loop thread; reads from
-        #: other threads see whole int values (stats are best-effort).
-        self.counters: Dict[str, int] = {
-            "connections": 0,
-            "requests": 0,
-            "streamed_responses": 0,
-            "shed": 0,
-            "idle_reaped": 0,
-            "slow_readers_dropped": 0,
-            "bad_requests": 0,
-            "internal_errors": 0,
-        }
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Future] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        # Gateway counters surface in /metrics via the shared service
-        # registry; folded in at scrape time, never on the request path.
-        self.service.metrics.add_collector(self._collect_metrics)
-
-    def _collect_metrics(self, registry: MetricsRegistry) -> None:
-        """Fold the gateway's connection counters into ``gateway_*``."""
-        events = registry.counter(
+    @classmethod
+    def listener_opened(cls, listener: Any) -> None:
+        """Register this door's event kinds at zero, so a scrape shows all
+        eight before any connection (an NDJSON-only server never grows them).
+        """
+        listener.gateway_events = listener.service.metrics.counter(
             "gateway_events_total",
             "HTTP gateway connection/request events, by kind.",
             ("kind",),
         )
-        for kind, count in self.counters.items():
-            events.set_total(count, kind=kind)
+        for kind in GATEWAY_EVENTS:
+            listener.gateway_events.inc(0, kind=kind)
 
-    # -- lifecycle ----------------------------------------------------------
-
-    @property
-    def endpoint(self) -> str:
-        """``host:port`` the gateway is (or will be) listening on."""
-        return f"{self.http_host}:{self.http_port}"
-
-    def start(self, timeout_s: float = 30.0) -> "HttpGateway":
-        """Bind and serve on a daemon thread; returns once listening."""
-        self._thread = threading.Thread(
-            target=self._run_loop, name="http-gateway", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout_s):
-            raise RuntimeError("HTTP gateway failed to start in time")
-        if self._startup_error is not None:
-            raise RuntimeError(
-                f"HTTP gateway failed to bind: {self._startup_error}"
-            )
-        return self
-
-    def close(self, timeout_s: float = 10.0) -> None:
-        """Stop the event loop and join the serving thread; idempotent."""
-        loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None:
-            def _finish() -> None:
-                if not stop.done():
-                    stop.set_result(None)
-
-            try:
-                loop.call_soon_threadsafe(_finish)
-            except RuntimeError:
-                pass  # loop already closed
-        if self._thread is not None:
-            self._thread.join(timeout_s)
-
-    def __enter__(self) -> "HttpGateway":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _run_loop(self) -> None:
+    def handle(self) -> None:
+        """Serve requests until close, EOF, idle timeout or a slow reader."""
+        self._count = count = self.server.gateway_events.inc
+        count(kind="connections")
         try:
-            asyncio.run(self._serve())
-        except BaseException as error:  # noqa: BLE001 - surfaced via start()
-            if self._started.is_set():
-                # Past startup, nothing reads _startup_error: a dying loop
-                # would silently take the HTTP endpoint dark while the rest
-                # of the process looks healthy.  Say so.
-                event(
-                    _LOG,
-                    logging.ERROR,
-                    "http-gateway event loop died",
-                    error=repr(error),
-                    endpoint=self.endpoint,
-                )
-            self._startup_error = error
-        finally:
-            self._started.set()
-
-    async def _serve(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = self._loop.create_future()
-        server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        address = server.sockets[0].getsockname()
-        self.http_host, self.http_port = address[0], address[1]
-        self._started.set()
-        async with server:
-            await self._stop
-
-    # -- connection handling ------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.counters["connections"] += 1
-        transport = writer.transport
-        if transport is not None:
-            transport.set_write_buffer_limits(high=self.write_buffer_limit)
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except _IdleTimeout:
-                    self.counters["idle_reaped"] += 1
-                    break
-                except HttpError as error:
-                    self.counters["bad_requests"] += 1
-                    await self._write(
-                        writer,
-                        _response_bytes(
-                            error.status,
-                            {"ok": False, "error": error.detail},
-                            keep_alive=False,
-                        ),
-                    )
-                    break
-                if request is None:
-                    break  # clean EOF between requests
-                self.counters["requests"] += 1
-                try:
-                    keep_alive = await self._dispatch(request, writer)
-                except HttpError as error:
-                    await self._write(
-                        writer,
-                        _response_bytes(
-                            error.status,
-                            {"ok": False, "error": error.detail},
-                            keep_alive=False,
-                        ),
-                    )
-                    break
-                except (SlowReaderError, ConnectionError):
-                    raise
-                except Exception as error:  # noqa: BLE001 - answer, don't drop
-                    # An unexpected internal failure still owes the client a
-                    # response; 500 then close (the connection state may be
-                    # torn mid-stream, so keep-alive is off the table).
-                    self.counters["internal_errors"] += 1
-                    await self._write(
-                        writer,
-                        _response_bytes(
-                            500,
-                            {"ok": False, "error": f"internal error: {error}"},
-                            keep_alive=False,
-                        ),
-                    )
-                    break
-                if not keep_alive:
-                    break
-        except SlowReaderError:
-            # A graceful close would flush the bounded write buffer first,
-            # which is exactly what a stalled client never drains: abort the
-            # transport so the buffered results are freed immediately.
-            self.counters["slow_readers_dropped"] += 1
-            if writer.transport is not None:
-                writer.transport.abort()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-exchange
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
+            while self._serve_one():
                 pass
+        except SlowReaderError:
+            # Closing frees what the kernel still buffers for a client that
+            # never drains it; no user-space buffer holds results.
+            count(kind="slow_readers_dropped")
+        except TimeoutError:
+            count(kind="idle_reaped")
+        except OSError:
+            pass  # client went away mid-exchange
 
-    async def _read_line(self, reader: asyncio.StreamReader) -> bytes:
+    def _serve_one(self) -> bool:
+        """One request/response exchange; False ends the connection."""
         try:
-            return await asyncio.wait_for(reader.readline(), self.idle_timeout_s)
-        except asyncio.TimeoutError:
-            raise _IdleTimeout()
-        except ValueError:
-            raise HttpError(400, "header line too long")
+            parsed = self._read_request()
+        except HttpError as error:
+            self._count(kind="bad_requests")
+            self._write_error(error.status, str(error))
+            return False
+        if parsed is None:
+            return False  # clean EOF between requests
+        self._count(kind="requests")
+        try:
+            return self._respond(*parsed)
+        except HttpError as error:
+            self._write_error(error.status, str(error))
+        except (SlowReaderError, OSError):
+            raise
+        except Exception as error:  # noqa: BLE001 - answer 500, don't drop
+            self._count(kind="internal_errors")
+            self._write_error(500, f"internal error: {error}")
+        return False
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[ParsedRequest]:
-        line = await self._read_line(reader)
+    def _read_line(self) -> bytes:
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise HttpError(400, "header line too long")
+        return line
+
+    def _read_request(self) -> Optional[Tuple[str, str, bytes, bool]]:
+        """Parse one request: ``(method, path, body, keep_alive)`` or EOF."""
+        line = self._read_line()
         if not line:
             return None
         try:
@@ -394,17 +218,14 @@ class HttpGateway:
             raise HttpError(400, f"unsupported protocol {version}")
         headers: Dict[str, str] = {}
         while True:
-            raw = await self._read_line(reader)
+            raw = self._read_line()
             if raw in (b"\r\n", b"\n"):
                 break
             if not raw:
                 raise HttpError(400, "connection closed inside headers")
             if len(headers) >= 100:
                 raise HttpError(400, "too many headers")
-            try:
-                name, _, value = raw.decode("latin-1").partition(":")
-            except UnicodeDecodeError:
-                raise HttpError(400, "undecodable header")
+            name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         if "transfer-encoding" in headers:
             raise HttpError(400, "chunked request bodies are not supported")
@@ -416,20 +237,15 @@ class HttpGateway:
             raise HttpError(400, f"bad Content-Length {length_header!r}")
         if length < 0:
             raise HttpError(400, "negative Content-Length")
-        if length > self.max_body_bytes:
+        limit = self.server.max_body_bytes
+        if length > limit:
             raise HttpError(
                 413,
-                f"request body of {length} bytes exceeds the "
-                f"{self.max_body_bytes}-byte limit",
+                f"request body of {length} bytes exceeds the {limit}-byte limit",
             )
         if length:
-            try:
-                body = await asyncio.wait_for(
-                    reader.readexactly(length), self.idle_timeout_s
-                )
-            except asyncio.TimeoutError:
-                raise _IdleTimeout()
-            except asyncio.IncompleteReadError:
+            body = self.rfile.read(length)
+            if len(body) < length:
                 raise HttpError(400, "connection closed inside request body")
         connection = headers.get("connection", "").lower()
         if version == "HTTP/1.0":
@@ -438,175 +254,127 @@ class HttpGateway:
             keep_alive = connection == "keep-alive"
         else:
             keep_alive = connection != "close"
-        path = target.split("?", 1)[0]
-        return ParsedRequest(method.upper(), path, headers, body, keep_alive)
+        return method.upper(), target.split("?", 1)[0], body, keep_alive
 
-    async def _write(self, writer: asyncio.StreamWriter, data: bytes) -> None:
-        await drain_write(writer, data, self.write_timeout_s)
+    def _respond(self, method: str, path: str, body: bytes, keep_alive: bool) -> bool:
+        route = ROUTES.get(path)
+        if route is None:
+            raise HttpError(404, f"no such endpoint {path!r}")
+        allowed, answer = route
+        if method != allowed:
+            raise HttpError(405, f"{path} answers {allowed} only")
+        decoded = None
+        if allowed == "POST":
+            try:
+                decoded = json.loads(body or b"null")
+            except json.JSONDecodeError as error:
+                raise HttpError(400, f"request body is not valid JSON: {error}")
+        reply = answer(self, decoded)
+        if reply.status == 429:
+            self._count(reply.payload["requested"], kind="shed")
+            retry = {"Retry-After": str(max(1, round(reply.retry_after_s)))}
+            self._write(_response_bytes(429, reply.payload, keep_alive, retry))
+        elif isinstance(reply.payload, dict):
+            self._write(_response_bytes(200, reply.payload, keep_alive))
+        elif isinstance(reply.payload, str):
+            # Plain text: the Prometheus exposition.
+            text = reply.payload.encode("utf-8")
+            self._write(_head_bytes(200, _PROMETHEUS, len(text), keep_alive) + text)
+        elif not self._write_stream(reply.payload, keep_alive):
+            return False
+        return keep_alive
 
-    # -- request dispatch ---------------------------------------------------
+    # -- routes: shape the body, call the table, add this door's keys -------
 
-    async def _dispatch(
-        self, request: ParsedRequest, writer: asyncio.StreamWriter
-    ) -> bool:
-        methods = _ROUTES.get(request.path)
-        if methods is None:
-            raise HttpError(404, f"no such endpoint {request.path!r}")
-        if request.method not in methods:
-            raise HttpError(
-                405, f"{request.path} answers {'/'.join(methods)} only"
-            )
-        if request.path == "/healthz":
-            # Lock-free pool counters only: health probes must answer even
-            # while a long flush holds the pool lock.
-            payload = self.service.health_payload()
-            payload["version"] = GATEWAY_VERSION
-            await self._write(
-                writer, _response_bytes(200, payload, request.keep_alive)
-            )
-            return request.keep_alive
-        if request.path == "/v1/stats":
-            stats = await self._in_executor(self.service.stats_payload)
-            stats["gateway"] = dict(self.counters)
-            stats["version"] = GATEWAY_VERSION
-            await self._write(
-                writer, _response_bytes(200, stats, request.keep_alive)
-            )
-            return request.keep_alive
-        if request.path == "/metrics":
-            # One renderer for both front doors: the NDJSON 'metrics' op
-            # wraps the identical text in a JSON envelope.
-            text = await self._in_executor(self.service.metrics_text)
-            await self._write(
-                writer, _text_response_bytes(200, text, request.keep_alive)
-            )
-            return request.keep_alive
-        if request.path == "/v1/slow":
-            payload = self.service.slow_payload()
-            payload["version"] = GATEWAY_VERSION
-            await self._write(
-                writer, _response_bytes(200, payload, request.keep_alive)
-            )
-            return request.keep_alive
-        if request.path == "/v1/request":
-            return await self._serve_single(request, writer)
-        if request.path == "/v1/batch":
-            return await self._serve_batch(request, writer)
-        return await self._serve_stream(request, writer)
+    def _health(self, body: Any) -> Reply:
+        # Lock-free counters only: answers while a flush holds the pool lock.
+        return _versioned(self.server.service.health_payload())
 
-    async def _in_executor(self, fn, *args):
-        return await asyncio.get_running_loop().run_in_executor(None, fn, *args)
+    def _stats(self, body: Any) -> Reply:
+        stats = self.server.service.stats_payload()
+        events = self.server.gateway_events
+        stats["gateway"] = {k: int(events.value(kind=k)) for k in GATEWAY_EVENTS}
+        return _versioned(stats)
 
-    @staticmethod
-    def _request_list(body: Any) -> Tuple[List[Any], Dict[str, Any]]:
-        """Accept ``{"requests": [...], ...}`` or a bare JSON list."""
-        if isinstance(body, list):
-            return body, {}
-        if isinstance(body, dict):
-            requests = body.get("requests")
-            if isinstance(requests, list):
-                return requests, body
-        raise HttpError(
-            400, "body must be a JSON list or an object with a 'requests' list"
-        )
+    def _metrics(self, body: Any) -> Reply:
+        return Reply(200, self.server.service.metrics_text())
 
-    def _overload_response(
-        self, result, keep_alive: bool, extra: Optional[Dict[str, Any]] = None
-    ) -> bytes:
-        self.counters["shed"] += len(result.results)
-        envelope = result.results[0]
-        payload = {
-            "ok": False,
-            "error": envelope["error"],
-            "code": 429,
-            "retry_after_s": result.retry_after_s,
-            "requested": envelope.get("requested"),
-            "limit": envelope.get("limit"),
-        }
-        payload.update(extra or {})
-        return _response_bytes(
-            429,
-            payload,
-            keep_alive,
-            extra_headers={"Retry-After": str(max(1, round(result.retry_after_s)))},
-        )
+    def _slow(self, body: Any) -> Reply:
+        return _versioned(self.server.service.slow_payload())
 
-    async def _serve_single(
-        self, request: ParsedRequest, writer: asyncio.StreamWriter
-    ) -> bool:
-        payload = request.json_body()
-        if not isinstance(payload, dict):
+    def _request(self, body: Any) -> Reply:
+        if not isinstance(body, dict):
             raise HttpError(400, "body must be one JSON request object")
-        result = await self._in_executor(
-            self.service.serve_payloads, [payload], "/v1/request"
-        )
-        if result.shed:
-            await self._write(
-                writer, self._overload_response(result, request.keep_alive)
-            )
-            return request.keep_alive
-        await self._write(
-            writer,
-            _response_bytes(200, result.results[0], request.keep_alive),
-        )
-        return request.keep_alive
+        return self.server.service.request(body, "/v1/request")
 
-    async def _serve_batch(
-        self, request: ParsedRequest, writer: asyncio.StreamWriter
-    ) -> bool:
-        requests, _ = self._request_list(request.json_body())
-        result = await self._in_executor(
-            self.service.serve_payloads, requests, "/v1/batch"
-        )
-        if result.shed:
-            await self._write(
-                writer,
-                self._overload_response(
-                    result, request.keep_alive, {"requests": len(requests)}
-                ),
-            )
-            return request.keep_alive
-        payload = {"ok": True, "responses": result.results}
-        await self._write(
-            writer, _response_bytes(200, payload, request.keep_alive)
-        )
-        return request.keep_alive
+    def _batch(self, body: Any) -> Reply:
+        requests, _ = _request_list(body)
+        reply = self.server.service.batch(requests, "/v1/batch")
+        if reply.status == 429:
+            return reply._replace(payload=dict(reply.payload, requests=len(requests)))
+        return Reply(200, {"ok": True, "responses": reply.payload})
 
-    async def _serve_stream(
-        self, request: ParsedRequest, writer: asyncio.StreamWriter
-    ) -> bool:
-        requests, envelope = self._request_list(request.json_body())
-        chunk = envelope.get("chunk", self.stream_chunk)
-        if not isinstance(chunk, int) or chunk < 1:
-            raise HttpError(400, "'chunk' must be a positive integer")
-        stream = ChunkedWriter(
-            writer,
-            write_timeout_s=self.write_timeout_s,
-            buffer_limit=self.write_buffer_limit,
-        )
-        await self._write(writer, _stream_header_bytes(request.keep_alive))
-        # Each sub-batch is one pool flush; its responses go on the wire
-        # before the next sub-batch executes.  Shed sub-batches stream 429
-        # envelopes (with retry hints) without ending the response, so a
-        # partially-overloaded stream still delivers what was admitted.
+    def _stream(self, body: Any) -> Reply:
+        requests, envelope = _request_list(body)
+        chunk = envelope.get("chunk", _DEFAULT_CHUNK)
+        reply = self.server.service.stream(requests, chunk, "/v1/stream")
+        if reply.status != 200:
+            raise HttpError(reply.status, reply.payload["error"])
+        return reply
+
+    # -- writing ------------------------------------------------------------
+
+    def _write_stream(self, flushes: Iterator[ServeResult], keep_alive: bool) -> bool:
+        """Chunk each flush's results onto the wire as it completes."""
+        self._write(_head_bytes(200, "application/x-ndjson", None, keep_alive))
         try:
-            for sub in iter_subbatches(requests, chunk):
-                result = await self._in_executor(
-                    self.service.serve_payloads, sub, "/v1/stream"
+            for flush in flushes:
+                if flush.shed:
+                    self._count(len(flush.results), kind="shed")
+                self._write(
+                    b"".join(encode_chunk(ndjson_line(r)) for r in flush.results)
                 )
-                if result.shed:
-                    self.counters["shed"] += len(result.results)
-                for line in result.results:
-                    await stream.write_chunk(ndjson_line(line))
-                    self.counters["streamed_responses"] += 1
-            await stream.finish()
-        except (SlowReaderError, ConnectionError):
+                self._count(len(flush.results), kind="streamed_responses")
+            self._write(LAST_CHUNK)
+        except (SlowReaderError, OSError):
             raise
         except Exception:  # noqa: BLE001 - headers are already on the wire
             # A 500 response here would be parsed as a chunk-size line by the
-            # client's chunked decoder; abort so it sees a clean truncation.
-            self.counters["internal_errors"] += 1
-            if writer.transport is not None:
-                writer.transport.abort()
+            # client's chunked decoder; close so it sees a clean truncation.
+            self._count(kind="internal_errors")
             return False
-        return request.keep_alive
+        return True
+
+    def _write_error(self, status: int, detail: str) -> None:
+        self._write(_response_bytes(status, {"ok": False, "error": detail}, False))
+
+    def _write(self, data: bytes) -> None:
+        """Send ``data`` under the write deadline (the one write primitive).
+
+        The socket timeout bounds the whole ``sendall``: a client that does
+        not drain its socket in time raises :class:`SlowReaderError` and the
+        connection is dropped instead of blocking this thread on it.
+        """
+        deadline = self.server.write_timeout
+        self.request.settimeout(deadline)
+        try:
+            self.wfile.write(data)
+        except TimeoutError as error:
+            raise SlowReaderError(
+                f"client did not drain its socket within {deadline:.1f}s; "
+                f"dropping the connection"
+            ) from error
+        finally:
+            self.request.settimeout(self.server.conn_timeout)
+
+
+#: Route → (the method it answers, how it is answered).
+ROUTES = {
+    "/healthz": ("GET", HttpHandler._health),
+    "/v1/stats": ("GET", HttpHandler._stats),
+    "/v1/slow": ("GET", HttpHandler._slow),
+    "/metrics": ("GET", HttpHandler._metrics),
+    "/v1/request": ("POST", HttpHandler._request),
+    "/v1/batch": ("POST", HttpHandler._batch),
+    "/v1/stream": ("POST", HttpHandler._stream),
+}

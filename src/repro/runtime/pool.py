@@ -908,13 +908,6 @@ class WorkerPool:
             1 for t in self._restart_times if now - t < self.restart_window_s
         )
 
-    def fault_counters(self) -> Dict[str, int]:
-        """Cumulative fault counters (lock-free reads for health checks)."""
-        return {
-            "worker_restarts": self.worker_restarts,
-            "replayed_batches": self.replayed_batches,
-        }
-
     # -- telemetry ----------------------------------------------------------
 
     def _collect_metrics(self, registry: MetricsRegistry) -> None:
@@ -946,11 +939,6 @@ class WorkerPool:
         return snapshots
 
     # -- stats --------------------------------------------------------------
-
-    @property
-    def pending(self) -> int:
-        """Requests submitted but not yet flushed (the front engine queue)."""
-        return self._front.pending
 
     def measured_rates(self) -> List[float]:
         """Per-worker EWMA service rates from the latest snapshots.

@@ -21,47 +21,56 @@ Request lines (client → server)::
 requests through one pool flush — that is the high-throughput path, since
 the pool coalesces and cache-affinity-routes the whole set at once.
 
-The server accepts concurrent connections (one thread each); all pool
-access goes through one shared
-:class:`~repro.runtime.gateway.admission.PoolService`, so requests from
-different clients still batch through one dispatcher, and — when the
-service carries an :class:`~repro.runtime.gateway.admission.\
-AdmissionController` — load beyond the measured token budget is shed with
-``{"ok": false, "code": 429, "retry_after_s": ...}`` envelopes instead of
-queueing unboundedly.  The same service object can back an
-:class:`~repro.runtime.gateway.http.HttpGateway` (``--http-port``), in
-which case both front-ends shed identically.  Per-connection socket
-timeouts (``--conn-timeout``) reap hung clients so a stalled connection
-cannot pin a handler thread forever.  ``shutdown`` stops the accept loop,
-closes the pool's workers, and lets the process exit cleanly — CI drives
-50 requests through this path and asserts exactly that.
+Connections are served one thread each.  What an operation does is an entry
+of the one table in :class:`~repro.runtime.gateway.admission.PoolService`,
+so all clients batch through one dispatcher and load beyond the admission
+budget is shed with ``{"ok": false, "code": 429, "retry_after_s": ...}``
+envelopes instead of queueing.  :class:`RuntimeServer` is the one listener
+class, opened once per port with a framing: this module's NDJSON line
+handler, or (``--http-port``) :mod:`repro.runtime.gateway.http` on the same
+service.  A framing owns what is specific to its wire: its op map
+(:data:`OPS` here), the shapes it accepts, its refusal wording, its envelope
+keys.  ``--conn-timeout`` reaps hung clients, and a line longer than the
+HTTP body limit is refused rather than buffered.  ``shutdown`` stops every
+accept loop, closes the pool's workers and lets the process exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import socketserver
 import sys
 import threading
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Type
 
 from repro.core.columnar import EXECUTOR_CHOICES
 from repro.runtime.faults import load_fault_plan
-from repro.runtime.gateway.admission import AdmissionController, PoolService
+from repro.runtime.gateway.admission import (
+    PROTOCOL_VERSION,
+    AdmissionController,
+    PoolService,
+)
+from repro.runtime.gateway.http import HttpHandler
 from repro.runtime.logs import configure_logging
 from repro.runtime.pool import POOL_MODES, WorkerPool
 from repro.sim.policies import POLICIES
 
-#: Bumped when a wire-visible field changes meaning.
-PROTOCOL_VERSION = 1
-
 
 class RuntimeServer(socketserver.ThreadingTCPServer):
-    """Threaded NDJSON front door over one shared :class:`PoolService`."""
+    """The threaded listener: one port, one framing, a shared service.
+
+    ``handler`` is the framing — the NDJSON line handler unless given
+    :class:`~repro.runtime.gateway.http.HttpHandler`.  Listeners built on
+    the same ``service`` share its pool, admission budget and counters, and
+    a ``shutdown`` op or a tripped circuit breaker stops all of them.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
+    #: Largest HTTP body, and longest NDJSON line, a listener accepts.
+    max_body_bytes = 4 * 1024 * 1024
 
     def __init__(
         self,
@@ -69,43 +78,37 @@ class RuntimeServer(socketserver.ThreadingTCPServer):
         pool: Optional[WorkerPool] = None,
         *,
         service: Optional[PoolService] = None,
+        handler: Optional[Type[socketserver.BaseRequestHandler]] = None,
         conn_timeout: Optional[float] = None,
+        write_timeout: Optional[float] = 10.0,
     ):
         if (pool is None) == (service is None):
             raise ValueError("pass exactly one of 'pool' or 'service'")
-        super().__init__(address, _LineHandler)
+        super().__init__(address, handler or _LineHandler)
         self.service = service if service is not None else PoolService(pool)
-        #: Per-connection socket timeout, seconds (None = never time out).
-        #: Applies to both reads and writes, so a hung *or* unreadably slow
+        #: Socket timeout of each connection, seconds (None = never): a hung
         #: client is reaped instead of pinning its handler thread.
         self.conn_timeout = conn_timeout
+        #: Deadline of one HTTP response write (NDJSON writes under the above).
+        self.write_timeout = write_timeout
+        # A framing with per-listener state (the HTTP door's event
+        # counters) sets it up here, before the first connection.
+        opened = getattr(self.RequestHandlerClass, "listener_opened", None)
+        if opened is not None:
+            opened(self)
         self.service.on_failure(self.request_shutdown)
 
-    @property
-    def pool(self) -> WorkerPool:
-        """The worker pool behind the shared front door."""
-        return self.service.pool
-
-    @property
-    def served(self) -> int:
-        """Requests served (admitted and flushed) since startup."""
-        return self.service.served
+    def get_request(self):
+        """Accept one connection with the connection timeout applied."""
+        connection, address = super().get_request()
+        connection.settimeout(self.conn_timeout)
+        return connection, address
 
     @property
     def endpoint(self) -> str:
-        """``host:port`` the NDJSON listener is bound to."""
+        """``host:port`` the listener is bound to."""
         host, port = self.server_address[:2]
         return f"{host}:{port}"
-
-    def serve_payloads(self, payloads: Sequence[Any]) -> List[Dict[str, Any]]:
-        """Serve one client batch of JSON payloads (compat wrapper)."""
-        return self.service.serve_payloads(payloads).results
-
-    def stats_payload(self) -> Dict[str, Any]:
-        """The ``stats`` reply envelope, protocol version attached."""
-        payload = self.service.stats_payload()
-        payload["version"] = PROTOCOL_VERSION
-        return payload
 
     def request_shutdown(self) -> None:
         """Stop serve_forever() from any thread (used on pool failure)."""
@@ -115,32 +118,29 @@ class RuntimeServer(socketserver.ThreadingTCPServer):
 
 
 class _LineHandler(socketserver.StreamRequestHandler):
-    """One connection: read JSON lines until EOF, timeout, or shutdown."""
-
-    server: RuntimeServer
-
-    def setup(self) -> None:
-        """Apply the connection timeout before the stream is wrapped."""
-        if self.server.conn_timeout is not None:
-            self.request.settimeout(self.server.conn_timeout)
-        super().setup()
+    """One NDJSON connection: JSON lines until EOF, timeout, or shutdown."""
 
     def _reply(self, payload: Dict[str, Any]) -> None:
         self.wfile.write(json.dumps(payload).encode("utf-8") + b"\n")
-        self.wfile.flush()
 
     def handle(self) -> None:
         """Serve JSON lines until EOF; timeouts drop the connection."""
-        try:
+        # An idle/hung client hit the connection timeout (or vanished):
+        # dropping the connection frees this handler thread.  Clients with
+        # half-written lines get a closed socket, not a reply.
+        with contextlib.suppress(OSError):
             self._serve_lines()
-        except (TimeoutError, OSError):
-            # An idle/hung client hit the connection timeout (or vanished);
-            # dropping the connection frees this handler thread.  Clients
-            # with half-written lines get a closed socket, not a reply.
-            return
 
     def _serve_lines(self) -> None:
-        for raw in self.rfile:
+        limit = self.server.max_body_bytes
+        while raw := self.rfile.readline(limit + 1):
+            if len(raw) > limit:
+                # Refuse rather than buffer a line of any size; what follows
+                # is the rest of that line, so the connection ends here.
+                self._reply(
+                    {"ok": False, "error": f"line exceeds the {limit}-byte limit"}
+                )
+                return
             line = raw.strip()
             if not line:
                 continue
@@ -153,57 +153,72 @@ class _LineHandler(socketserver.StreamRequestHandler):
                 self._reply({"ok": False, "error": "each line must be a JSON object"})
                 continue
             op = payload.pop("op", "request")
-            if op == "ping":
-                self._reply({"ok": True, "op": "ping", "version": PROTOCOL_VERSION})
-            elif op == "stats":
-                self._reply(self.server.stats_payload())
-            elif op == "metrics":
-                # Same renderer as the gateway's GET /metrics, framed as a
-                # JSON envelope so the NDJSON protocol stays line-oriented.
-                self._reply(
-                    {
-                        "ok": True,
-                        "op": "metrics",
-                        "content_type": "text/plain; version=0.0.4",
-                        "text": self.server.service.metrics_text(),
-                    }
-                )
-            elif op == "slow":
-                self._reply(self.server.service.slow_payload())
-            elif op == "request":
-                result = self.server.service.serve_payloads(
-                    [payload], endpoint="request"
-                )
-                self._reply(result.results[0])
-            elif op == "batch":
-                requests = payload.get("requests")
-                if not isinstance(requests, list):
-                    self._reply(
-                        {"ok": False, "error": "'batch' needs a 'requests' list"}
-                    )
-                    continue
-                result = self.server.service.serve_payloads(requests, endpoint="batch")
-                if result.shed:
-                    # One top-level envelope, exactly as the HTTP gateway
-                    # answers 429 for the whole batch.
-                    self._reply(
-                        {
-                            "ok": False,
-                            "error": result.results[0]["error"],
-                            "code": 429,
-                            "retry_after_s": result.retry_after_s,
-                            "requested": result.results[0].get("requested"),
-                            "limit": result.results[0].get("limit"),
-                        }
-                    )
-                    continue
-                self._reply({"ok": True, "op": "batch", "responses": result.results})
-            elif op == "shutdown":
-                self._reply({"ok": True, "op": "shutdown"})
-                self.server.request_shutdown()
-                return
-            else:
+            # `op` is client JSON: only a string can be (or name) a key.
+            answer = OPS.get(op) if isinstance(op, str) else None
+            if answer is None:
                 self._reply({"ok": False, "error": f"unknown op '{op}'"})
+                continue
+            envelope = answer(self, payload)
+            if envelope is None:
+                return
+            self._reply(envelope)
+
+    # -- ops: shape the line (minus ``op``), call the table, add this door's
+    # keys; each returns the one envelope to write back.
+
+    def _ping(self, line: Dict[str, Any]) -> Dict[str, Any]:
+        return {"ok": True, "op": "ping", "version": PROTOCOL_VERSION}
+
+    def _shutdown(self, line: Dict[str, Any]) -> None:
+        # Connection-level: acknowledge first, then stop every listener; no
+        # envelope is left to write, which ends this connection.
+        self._reply({"ok": True, "op": "shutdown"})
+        self.server.service.stop_listeners()
+
+    def _request(self, line: Dict[str, Any]) -> Dict[str, Any]:
+        reply = self.server.service.request(line, "request")
+        if reply.status == 429:
+            # A shed request is answered as any entry of a shed batch would
+            # be: its own envelope, the hint rounded to the millisecond.
+            return dict(reply.payload, retry_after_s=round(reply.retry_after_s, 3))
+        return reply.payload
+
+    def _batch(self, line: Dict[str, Any]) -> Dict[str, Any]:
+        requests = line.get("requests")
+        if not isinstance(requests, list):
+            return {"ok": False, "error": "'batch' needs a 'requests' list"}
+        reply = self.server.service.batch(requests, "batch")
+        if reply.status == 429:
+            return reply.payload
+        return {"ok": True, "op": "batch", "responses": reply.payload}
+
+    def _stats(self, line: Dict[str, Any]) -> Dict[str, Any]:
+        return dict(self.server.service.stats_payload(), version=PROTOCOL_VERSION)
+
+    def _metrics(self, line: Dict[str, Any]) -> Dict[str, Any]:
+        # The exposition GET /metrics serves as text, in a JSON envelope so
+        # the protocol stays line-oriented.
+        return {
+            "ok": True,
+            "op": "metrics",
+            "content_type": "text/plain; version=0.0.4",
+            "text": self.server.service.metrics_text(),
+        }
+
+    def _slow(self, line: Dict[str, Any]) -> Dict[str, Any]:
+        return self.server.service.slow_payload()
+
+
+#: Op → how a line naming it is answered.
+OPS = {
+    "request": _LineHandler._request,
+    "batch": _LineHandler._batch,
+    "ping": _LineHandler._ping,
+    "stats": _LineHandler._stats,
+    "metrics": _LineHandler._metrics,
+    "slow": _LineHandler._slow,
+    "shutdown": _LineHandler._shutdown,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,29 +237,24 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="also serve HTTP on this port (0 picks a free one; omit to "
-        "serve NDJSON/TCP only).  The HTTP gateway shares the TCP "
-        "server's pool and admission controller",
+        "serve NDJSON/TCP only), over the same pool and admission controller",
     )
     parser.add_argument(
         "--workers", type=int, default=4, help="pool workers (default 4)"
     )
     parser.add_argument(
         "--pool-mode",
-        type=str,
         default="inline",
         choices=POOL_MODES,
         help="inline (deterministic, in-process) or process (parallel)",
     )
     parser.add_argument(
         "--policy",
-        type=str,
         default="cache-affinity",
         choices=sorted(POLICIES),
         help="batch admission policy (default cache-affinity)",
     )
     parser.add_argument("--cache-capacity", type=int, default=64)
-    parser.add_argument("--result-cache", type=int, default=512)
-    parser.add_argument("--max-batch", type=int, default=16)
     parser.add_argument(
         "--max-inflight",
         type=int,
@@ -261,12 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-inflight)",
     )
     parser.add_argument(
-        "--no-admission",
-        action="store_true",
-        help="disable load shedding entirely (accept and queue unboundedly; "
-        "the pre-gateway behaviour, kept for comparisons)",
-    )
-    parser.add_argument(
         "--conn-timeout",
         type=float,
         default=120.0,
@@ -277,37 +281,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--write-timeout",
         type=float,
         default=10.0,
-        help="HTTP gateway per-write drain deadline (slow readers are "
+        help="deadline of one HTTP response write (slow readers are "
         "dropped past it; default 10)",
     )
     parser.add_argument(
-        "--stream-chunk",
-        type=int,
-        default=1,
-        help="requests per pool flush on /v1/stream (default 1 = one "
-        "response on the wire per flush)",
-    )
-    parser.add_argument(
         "--disk-cache",
-        type=str,
         default=None,
         help="root directory for per-worker on-disk program caches",
     )
     parser.add_argument(
-        "--mp-context",
-        type=str,
-        default="spawn",
-        help="multiprocessing start method for process mode",
-    )
-    parser.add_argument(
         "--executor",
-        type=str,
         default="auto",
         choices=EXECUTOR_CHOICES,
         help="functional interpreter for the vrda backend: 'columnar' "
-             "(vectorized numpy), 'token' (per-token reference), or 'auto' "
-             "(columnar when numpy is available; default); responses are "
-             "bit-identical either way",
+        "(vectorized numpy), 'token' (per-token reference), or 'auto' "
+        "(columnar when numpy is available; default); responses are "
+        "bit-identical either way",
     )
     parser.add_argument(
         "--max-worker-restarts",
@@ -326,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--fault-plan",
-        type=str,
         default=None,
         help="DEV ONLY: inject faults into pool workers — inline JSON or "
         "@path to a JSON file, e.g. "
@@ -335,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--log-level",
-        type=str,
         default="info",
         choices=("debug", "info", "warning", "error"),
         help="structured-log threshold for the repro.* loggers (default "
@@ -366,59 +353,49 @@ def main(argv: Optional[List[str]] = None) -> int:
         mode=args.pool_mode,
         policy=args.policy,
         cache_capacity=args.cache_capacity,
-        result_cache_capacity=args.result_cache,
-        max_batch_size=args.max_batch,
         disk_cache_dir=args.disk_cache,
-        mp_context=args.mp_context,
         executor=args.executor,
         fault_plan=load_fault_plan(args.fault_plan),
         max_worker_restarts=args.max_worker_restarts,
         restart_window_s=args.restart_window,
     )
-    admission = None
-    if not args.no_admission:
-        admission = AdmissionController(
-            max_inflight=args.max_inflight, headroom=args.headroom
-        )
+    admission = AdmissionController(
+        max_inflight=args.max_inflight, headroom=args.headroom
+    )
+    # None (from --conn-timeout <= 0) disables idle reaping on both doors.
     conn_timeout = args.conn_timeout if args.conn_timeout > 0 else None
-    gateway = None
-    with pool:
+    with pool, contextlib.ExitStack() as listeners:
         service = PoolService(pool, admission, slow_ring_size=args.slow_ring)
-        server = RuntimeServer(
-            (args.host, args.port), service=service, conn_timeout=conn_timeout
+        server = listeners.enter_context(
+            RuntimeServer(
+                (args.host, args.port), service=service, conn_timeout=conn_timeout
+            )
         )
-        with server:
-            # The one line launchers parse: host:port on stdout, flushed.
-            print(f"runtime-server listening on {server.endpoint}", flush=True)
-            if args.http_port is not None:
-                from repro.runtime.gateway.http import HttpGateway
-
-                gateway = HttpGateway(
-                    service,
-                    host=args.host,
-                    port=args.http_port,
-                    # None (from --conn-timeout <= 0) disables idle reaping
-                    # on the HTTP side too, matching the NDJSON socket.
-                    idle_timeout_s=conn_timeout,
-                    write_timeout_s=args.write_timeout,
-                    stream_chunk=args.stream_chunk,
-                ).start()
-                print(
-                    f"runtime-server http listening on {gateway.endpoint}",
-                    flush=True,
+        # The lines launchers parse: host:port on stdout, flushed.
+        print(f"runtime-server listening on {server.endpoint}", flush=True)
+        if args.http_port is not None:
+            http = listeners.enter_context(
+                RuntimeServer(
+                    (args.host, args.http_port),
+                    service=service,
+                    handler=HttpHandler,
+                    conn_timeout=conn_timeout,
+                    write_timeout=args.write_timeout,
                 )
-            try:
-                server.serve_forever()
-            except KeyboardInterrupt:
-                pass
-            finally:
-                if gateway is not None:
-                    gateway.close()
-        print(
-            f"runtime-server stopped after {server.served} requests",
-            file=sys.stderr,
-            flush=True,
-        )
+            )
+            print(f"runtime-server http listening on {http.endpoint}", flush=True)
+            threading.Thread(target=http.serve_forever, daemon=True).start()
+            # Whatever ends the NDJSON accept loop ends the HTTP one too.
+            listeners.callback(http.shutdown)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
+    print(
+        f"runtime-server stopped after {service.served} requests",
+        file=sys.stderr,
+        flush=True,
+    )
     return 0
 
 

@@ -184,18 +184,6 @@ class Gauge(_Metric):
         with self._lock:
             self._child(labels)[0] = float(value)
 
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        """Adjust the gauge by ``amount`` (may be negative)."""
-        with self._lock:
-            self._child(labels)[0] += amount
-
-    def value(self, **labels: str) -> float:
-        """Current value for one label set (0.0 if never set)."""
-        with self._lock:
-            key = _label_key(self.labelnames, labels)
-            child = self._children.get(key)
-            return child[0] if child else 0.0
-
     def snapshot_values(self) -> Dict[Tuple[str, ...], float]:
         """Picklable copy of every child's value."""
         with self._lock:
@@ -346,9 +334,8 @@ class MetricsRegistry:
         """Register a callback run at snapshot time to set derived metrics.
 
         Collectors keep the hot path free: counters the stack already
-        maintains (cache stats, admission totals, gateway connection
-        counters) are folded into the registry only when someone actually
-        scrapes or snapshots it.
+        maintains (cache stats, admission totals) are folded into the
+        registry only when someone actually scrapes or snapshots it.
         """
         self._collectors.append(collector)
 

@@ -180,6 +180,62 @@ class TestPoolService:
         assert controller._worker_rates  # worker EWMA rates installed too
 
 
+class TestOpTable:
+    """The table takes decoded arguments and an opaque endpoint label."""
+
+    REQUEST = {"app": "search", "n_threads": 2}
+
+    def test_request_and_batch_reply_with_their_results(self):
+        with WorkerPool(workers=2, mode="inline") as pool:
+            service = PoolService(pool)
+            one = service.request(dict(self.REQUEST), "door-a")
+            many = service.batch([dict(self.REQUEST), {"app": "nope"}], "door-b")
+            text = service.metrics_text()
+        assert one.status == 200 and one.payload["ok"]
+        assert many.status == 200
+        assert [r["ok"] for r in many.payload] == [True, False]
+        # The label is the caller's, passed through to the metrics untouched.
+        assert 'frontdoor_requests_total{endpoint="door-a",status="ok"} 1' in text
+        assert 'frontdoor_requests_total{endpoint="door-b",status="error"} 1' in text
+
+    def test_a_shed_call_is_one_429_envelope_with_the_unrounded_hint(self):
+        controller = AdmissionController(max_inflight=0, min_retry_s=0.12345678)
+        with WorkerPool(workers=1, mode="inline") as pool:
+            service = PoolService(pool, controller)
+            replies = [
+                service.request(dict(self.REQUEST), "x"),
+                service.batch([dict(self.REQUEST)] * 3, "x"),
+            ]
+        for reply, requested in zip(replies, (1, 3)):
+            assert reply.status == 429 and reply.retry_after_s == 0.12345678
+            assert list(reply.payload) == [
+                "ok", "error", "code", "retry_after_s", "requested", "limit"
+            ]
+            assert reply.payload["retry_after_s"] == 0.12345678
+            assert reply.payload["requested"] == requested
+        assert service.shed == 4
+
+    def test_stream_flushes_lazily_in_chunks(self):
+        with WorkerPool(workers=1, mode="inline") as pool:
+            service = PoolService(pool)
+            reply = service.stream([dict(self.REQUEST)] * 5, 2, "x")
+            assert reply.status == 200 and service.served == 0  # nothing ran yet
+            sizes = []
+            for flush in reply.payload:
+                sizes.append(len(flush.results))
+                assert service.served == sum(sizes)
+        assert sizes == [2, 2, 1]
+
+    @pytest.mark.parametrize("chunk", [0, -1, 1.5, "2", None])
+    def test_stream_refuses_a_bad_chunk(self, chunk):
+        with WorkerPool(workers=1, mode="inline") as pool:
+            reply = PoolService(pool).stream([dict(self.REQUEST)], chunk, "x")
+        assert reply.status == 400
+        assert reply.payload == {
+            "ok": False, "error": "'chunk' must be a positive integer"
+        }
+
+
 class TestOverloadIntegration:
     """Saturate a 2-worker inline pool at ~2x its measured rate."""
 

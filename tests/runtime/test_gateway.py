@@ -1,39 +1,75 @@
-"""HTTP gateway: protocol, streaming incrementality, backpressure parity."""
+"""HTTP framing: protocol, streaming incrementality, backpressure parity."""
 
-import asyncio
+import contextlib
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.runtime.gateway.admission import AdmissionController, PoolService
-from repro.runtime.gateway.http import GATEWAY_VERSION, HttpGateway
-from repro.runtime.gateway.streaming import (
-    ChunkedWriter,
-    SlowReaderError,
-    encode_chunk,
+from repro.runtime.client import RuntimeClient
+from repro.runtime.gateway.admission import (
+    PROTOCOL_VERSION,
+    AdmissionController,
+    PoolService,
     iter_subbatches,
+)
+from repro.runtime.gateway.http import (
+    GATEWAY_EVENTS,
+    HttpHandler,
+    encode_chunk,
     ndjson_line,
 )
 from repro.runtime.pool import WorkerPool
 from repro.runtime.server import RuntimeServer
+from repro.runtime.telemetry import MetricsRegistry
+
+
+@contextlib.contextmanager
+def listening(service, handler=HttpHandler, **options):
+    """A listener over ``service``, accepting on a daemon thread."""
+    server = RuntimeServer(
+        ("127.0.0.1", 0), service=service, handler=handler, **options
+    )
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+    )
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def gateway_count(server, kind):
+    """One ``gateway_events_total{kind=}`` value of an HTTP listener."""
+    return server.gateway_events.value(kind=kind)
+
+
+def wait_for(condition, timeout=5.0):
+    deadline = time.time() + timeout
+    while not condition() and time.time() < deadline:
+        time.sleep(0.01)
+    return condition()
 
 
 @pytest.fixture()
 def gateway():
-    """A gateway over a fresh 2-worker inline pool, no admission."""
+    """An HTTP listener over a fresh 2-worker inline pool, no admission."""
     with WorkerPool(workers=2, mode="inline") as pool:
-        instance = HttpGateway(PoolService(pool), idle_timeout_s=30.0)
-        with instance:
+        with listening(PoolService(pool), conn_timeout=30.0) as instance:
             yield instance
 
 
 def http_json(gateway, method, path, payload=None, timeout=30.0):
     connection = http.client.HTTPConnection(
-        gateway.http_host, gateway.http_port, timeout=timeout
+        *gateway.server_address[:2], timeout=timeout
     )
     try:
         body = None if payload is None else json.dumps(payload)
@@ -62,49 +98,12 @@ class TestStreamingHelpers:
         assert list(iter_subbatches([], 3)) == []
         assert list(iter_subbatches([1, 2], 0)) == [[1], [2]]  # clamped to 1
 
-    def test_chunked_writer_drops_slow_readers(self):
-        class StalledWriter:
-            transport = None
-
-            def write(self, data):
-                pass
-
-            async def drain(self):
-                await asyncio.sleep(10)
-
-        async def scenario():
-            writer = ChunkedWriter(StalledWriter(), write_timeout_s=0.05)
-            await writer.write_chunk(b"data")
-
-        with pytest.raises(SlowReaderError):
-            asyncio.run(scenario())
-
-    def test_chunked_writer_writes_frames_then_terminator(self):
-        frames = []
-
-        class CollectingWriter:
-            transport = None
-
-            def write(self, data):
-                frames.append(data)
-
-            async def drain(self):
-                pass
-
-        async def scenario():
-            writer = ChunkedWriter(CollectingWriter(), write_timeout_s=1.0)
-            await writer.write_chunk(b"abc")
-            await writer.finish()
-
-        asyncio.run(scenario())
-        assert frames == [b"3\r\nabc\r\n", b"0\r\n\r\n"]
-
 
 class TestEndpoints:
     def test_healthz(self, gateway):
         status, _, payload = http_json(gateway, "GET", "/healthz")
         assert status == 200
-        assert payload == {"ok": True, "version": GATEWAY_VERSION,
+        assert payload == {"ok": True, "version": PROTOCOL_VERSION,
                            "degraded": False, "recent_restarts": 0,
                            "worker_restarts": 0, "replayed_batches": 0}
 
@@ -148,16 +147,26 @@ class TestEndpoints:
         status, _, stats = http_json(gateway, "GET", "/v1/stats")
         assert status == 200 and stats["ok"]
         assert stats["served"] == 4
-        assert stats["version"] == GATEWAY_VERSION
+        assert stats["version"] == PROTOCOL_VERSION
         assert len(stats["pool"]["workers"]) == 2
         assert stats["gateway"]["requests"] >= 2
         assert "queue_wait_p99_s" in stats
+
+    def test_gateway_counts_read_zero_under_a_disabled_registry(self):
+        """The registry is the counts' one source (docs/observability.md)."""
+        with WorkerPool(workers=1, mode="inline") as pool:
+            service = PoolService(pool, metrics=MetricsRegistry(enabled=False))
+            with listening(service) as gw:
+                http_json(gw, "POST", "/v1/request", {"app": "search", "n_threads": 2})
+                status, _, stats = http_json(gw, "GET", "/v1/stats")
+        assert status == 200 and stats["served"] == 1
+        assert stats["gateway"] == dict.fromkeys(GATEWAY_EVENTS, 0)
 
     def test_metrics_endpoint_serves_prometheus_text(self, gateway):
         http_json(gateway, "POST", "/v1/batch",
                   {"requests": [{"app": "search", "n_threads": 2}] * 3})
         connection = http.client.HTTPConnection(
-            gateway.http_host, gateway.http_port, timeout=30.0
+            *gateway.server_address[:2], timeout=30.0
         )
         try:
             connection.request("GET", "/metrics")
@@ -203,7 +212,7 @@ class TestEndpoints:
 
     def test_bad_json_body_is_400(self, gateway):
         connection = http.client.HTTPConnection(
-            gateway.http_host, gateway.http_port, timeout=30.0
+            *gateway.server_address[:2], timeout=30.0
         )
         try:
             connection.request("POST", "/v1/request", body="{not json",
@@ -217,7 +226,8 @@ class TestEndpoints:
 
     def test_oversized_body_is_413(self):
         with WorkerPool(workers=1, mode="inline") as pool:
-            with HttpGateway(PoolService(pool), max_body_bytes=1024) as gw:
+            with listening(PoolService(pool)) as gw:
+                gw.max_body_bytes = 1024
                 status, _, payload = http_json(
                     gw, "POST", "/v1/batch",
                     {"requests": [{"app": "search", "pad": "x" * 4096}]},
@@ -227,7 +237,7 @@ class TestEndpoints:
 
     def test_keep_alive_serves_many_requests_on_one_connection(self, gateway):
         connection = http.client.HTTPConnection(
-            gateway.http_host, gateway.http_port, timeout=30.0
+            *gateway.server_address[:2], timeout=30.0
         )
         try:
             for seed in range(3):
@@ -243,7 +253,7 @@ class TestEndpoints:
                 assert json.loads(response.read())["ok"]
         finally:
             connection.close()
-        assert gateway.counters["connections"] == 1
+        assert gateway_count(gateway, "connections") == 1
 
 
 def read_chunked_ndjson(sock_file):
@@ -283,6 +293,14 @@ def raw_http_post(host, port, path, payload, timeout=30.0):
     return sock, handle, status, headers
 
 
+def raw_exchange(address, request):
+    """Send raw request bytes, half-close, read the raw response to EOF."""
+    with socket.create_connection(address, timeout=30.0) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        return sock.makefile("rb").read()
+
+
 class TestStreaming:
     def test_responses_arrive_incrementally(self):
         """First streamed response lands before the batch completes."""
@@ -292,9 +310,9 @@ class TestStreaming:
         pool = WorkerPool(workers=2, mode="inline",
                           service_delays=[delay, delay])
         with pool:
-            with HttpGateway(PoolService(pool)) as gw:
+            with listening(PoolService(pool)) as gw:
                 sock, handle, status, headers = raw_http_post(
-                    gw.http_host, gw.http_port, "/v1/stream",
+                    *gw.server_address[:2], "/v1/stream",
                     {"requests": requests, "chunk": 1},
                 )
                 try:
@@ -317,9 +335,9 @@ class TestStreaming:
         requests = [{"app": "search", "n_threads": 2} for _ in range(4)]
         with WorkerPool(workers=2, mode="inline") as pool:
             service = PoolService(pool, AdmissionController(max_inflight=1))
-            with HttpGateway(service) as gw:
+            with listening(service) as gw:
                 sock, handle, status, _ = raw_http_post(
-                    gw.http_host, gw.http_port, "/v1/stream",
+                    *gw.server_address[:2], "/v1/stream",
                     {"requests": requests, "chunk": 2},
                 )
                 try:
@@ -334,6 +352,77 @@ class TestStreaming:
         assert all(r["code"] == 429 for r in replies)
         assert all(r["retry_after_s"] > 0 for r in replies)
 
+    def test_slow_reader_is_dropped_at_the_write_deadline(self):
+        """A client that never reads must not pin its handler thread."""
+        requests = [{"app": "search", "n_threads": 2}] * 600
+        with WorkerPool(workers=1, mode="inline") as pool:
+            with listening(PoolService(pool), write_timeout=0.3) as gw:
+                # Accepted sockets inherit this, so a few dozen rows fill
+                # the kernel's buffers instead of a few thousand.
+                gw.socket.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                baseline = threading.active_count()
+                stalled = socket.socket()
+                stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                stalled.connect(gw.server_address[:2])
+                try:
+                    body = json.dumps({"requests": requests, "chunk": 64})
+                    started = time.perf_counter()
+                    stalled.sendall(
+                        f"POST /v1/stream HTTP/1.1\r\nContent-Length: {len(body)}"
+                        f"\r\n\r\n{body}".encode("ascii")
+                    )
+                    assert wait_for(
+                        lambda: gateway_count(gw, "slow_readers_dropped") == 1
+                    )
+                    # Served a little, blocked, waited one deadline, dropped.
+                    assert time.perf_counter() - started < 3.0
+                    assert wait_for(lambda: threading.active_count() <= baseline)
+                    assert gateway_count(gw, "streamed_responses") < len(requests)
+                    # What the kernel had buffered arrives; the terminal chunk
+                    # never does.
+                    stalled.settimeout(5.0)
+                    received = b""
+                    try:
+                        while data := stalled.recv(65536):
+                            received += data
+                    except ConnectionResetError:
+                        pass
+                    assert received.startswith(b"HTTP/1.1 200 OK\r\n")
+                    assert not received.endswith(b"0\r\n\r\n")
+                finally:
+                    stalled.close()
+                status, _, payload = http_json(gw, "GET", "/healthz")
+                assert status == 200 and payload["ok"]
+
+    def test_failure_after_the_headers_truncates_the_stream(self):
+        """No 500 inside a chunked body: the client sees a clean truncation."""
+        with WorkerPool(workers=1, mode="inline") as pool:
+            service = PoolService(pool)
+            serve, calls = service.serve_payloads, []
+
+            def fail_on_second_flush(payloads, endpoint):
+                calls.append(endpoint)
+                if len(calls) == 2:
+                    raise RuntimeError("flush blew up")
+                return serve(payloads, endpoint)
+
+            service.serve_payloads = fail_on_second_flush
+            with listening(service) as gw:
+                sock, handle, status, _ = raw_http_post(
+                    *gw.server_address[:2], "/v1/stream",
+                    {"requests": [{"app": "search", "n_threads": 2}] * 3},
+                )
+                try:
+                    assert status == 200
+                    rest = handle.read()  # EOF: the server closed on us
+                finally:
+                    handle.close()
+                    sock.close()
+                assert gateway_count(gw, "internal_errors") == 1
+        first, _, tail = rest.partition(b"\r\n")
+        assert json.loads(tail[: int(first, 16)])["ok"]  # one whole chunk...
+        assert tail[int(first, 16):] == b"\r\n"  # ...then nothing, no "0" chunk
+
     def test_bad_chunk_value_is_400(self, gateway):
         status, _, payload = http_json(
             gateway, "POST", "/v1/stream",
@@ -345,9 +434,9 @@ class TestStreaming:
 class TestConnectionHygiene:
     def test_idle_connections_are_reaped(self):
         with WorkerPool(workers=1, mode="inline") as pool:
-            with HttpGateway(PoolService(pool), idle_timeout_s=0.3) as gw:
+            with listening(PoolService(pool), conn_timeout=0.3) as gw:
                 sock = socket.create_connection(
-                    (gw.http_host, gw.http_port), timeout=10.0
+                    gw.server_address[:2], timeout=10.0
                 )
                 try:
                     sock.settimeout(5.0)
@@ -355,16 +444,13 @@ class TestConnectionHygiene:
                     assert sock.recv(1) == b""
                 finally:
                     sock.close()
-                deadline = time.time() + 2.0
-                while gw.counters["idle_reaped"] == 0 and time.time() < deadline:
-                    time.sleep(0.01)
-                assert gw.counters["idle_reaped"] >= 1
+                assert wait_for(lambda: gateway_count(gw, "idle_reaped") >= 1)
 
     def test_http10_defaults_to_connection_close(self):
         with WorkerPool(workers=1, mode="inline") as pool:
-            with HttpGateway(PoolService(pool)) as gw:
+            with listening(PoolService(pool)) as gw:
                 sock = socket.create_connection(
-                    (gw.http_host, gw.http_port), timeout=10.0
+                    gw.server_address[:2], timeout=10.0
                 )
                 try:
                     sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
@@ -379,7 +465,7 @@ class TestConnectionHygiene:
     def test_internal_errors_answer_500_instead_of_dropping(self):
         with WorkerPool(workers=1, mode="inline") as pool:
             service = PoolService(pool)
-            with HttpGateway(service) as gw:
+            with listening(service) as gw:
                 def explode():
                     raise RuntimeError("stats blew up")
 
@@ -387,16 +473,76 @@ class TestConnectionHygiene:
                 status, _, payload = http_json(gw, "GET", "/v1/stats")
                 assert status == 500
                 assert "internal error" in payload["error"]
-                assert gw.counters["internal_errors"] == 1
+                assert gateway_count(gw, "internal_errors") == 1
                 # The gateway survives: the next connection still serves.
                 status, _, payload = http_json(gw, "GET", "/healthz")
                 assert status == 200 and payload["ok"]
 
+    @pytest.mark.parametrize("raw, detail", [
+        (b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n", "header line too long"),
+        (b"GET /healthz HTTP/1.1\r\n"
+         + b"".join(b"X-%d: 1\r\n" % i for i in range(101)) + b"\r\n",
+         "too many headers"),
+        (b"POST /v1/request HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+         "chunked request bodies"),
+        (b"POST /v1/request HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+         "bad Content-Length"),
+        (b"POST /v1/request HTTP/1.1\r\nContent-Length: 9\r\n\r\n{",
+         "closed inside request body"),
+    ], ids=["long-line", "many-headers", "chunked-body", "bad-length", "short-body"])
+    def test_parser_bounds_are_400_and_close(self, gateway, raw, detail):
+        response = raw_exchange(gateway.server_address[:2], raw)
+        assert response.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"Connection: close" in response
+        assert detail.encode("ascii") in response
+        assert gateway_count(gateway, "bad_requests") == 1
+
+    def test_concurrent_connections_lose_no_counts(self, gateway):
+        """Handler threads share the event counters; none may drop an update."""
+        clients, rounds = 8, 40
+        failures = []
+
+        def hammer():
+            connection = http.client.HTTPConnection(
+                *gateway.server_address[:2], timeout=30.0
+            )
+            try:
+                for _ in range(rounds):
+                    connection.request("GET", "/healthz")
+                    response = connection.getresponse()
+                    response.read()
+                    if response.status != 200:
+                        failures.append(response.status)
+            except OSError as error:
+                failures.append(error)
+            finally:
+                connection.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+        assert gateway_count(gateway, "connections") == clients
+        assert gateway_count(gateway, "requests") == clients * rounds
+
+    def test_healthz_answers_while_a_flush_holds_the_pool_lock(self, gateway):
+        with gateway.service.pool_lock:
+            status, _, payload = http_json(gateway, "GET", "/healthz", timeout=5.0)
+        assert status == 200 and payload["ok"]
+
     def test_malformed_request_line_is_400_and_closes(self):
         with WorkerPool(workers=1, mode="inline") as pool:
-            with HttpGateway(PoolService(pool)) as gw:
+            with listening(PoolService(pool)) as gw:
                 sock = socket.create_connection(
-                    (gw.http_host, gw.http_port), timeout=10.0
+                    gw.server_address[:2], timeout=10.0
                 )
                 try:
                     sock.sendall(b"NOT-HTTP\r\n\r\n")
@@ -409,32 +555,169 @@ class TestConnectionHygiene:
                     sock.close()
 
 
+class TestFraming:
+    """The exact header blocks, so framing cannot drift."""
+
+    def test_200_header_block(self, gateway):
+        response = raw_exchange(
+            gateway.server_address[:2], b"GET /healthz HTTP/1.1\r\n\r\n"
+        )
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head == (
+            b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\n"
+            b"Connection: keep-alive" % len(body)
+        )
+        assert body.endswith(b"\n") and json.loads(body)["ok"]
+
+    def test_429_header_block(self):
+        with WorkerPool(workers=1, mode="inline") as pool:
+            service = PoolService(pool, AdmissionController(max_inflight=0))
+            with listening(service) as gw:
+                response = raw_exchange(
+                    gw.server_address[:2],
+                    b"POST /v1/request HTTP/1.1\r\nContent-Length: 17\r\n\r\n"
+                    b'{"app": "search"}',
+                )
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head == (
+            b"HTTP/1.1 429 Too Many Requests\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\n"
+            b"Connection: keep-alive\r\n"
+            b"Retry-After: 1" % len(body)
+        )
+        assert json.loads(body)["code"] == 429
+
+    def test_stream_preamble(self, gateway):
+        response = raw_exchange(
+            gateway.server_address[:2],
+            b"POST /v1/stream HTTP/1.1\r\nConnection: close\r\n"
+            b"Content-Length: 2\r\n\r\n[]",
+        )
+        assert response == (
+            b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: application/x-ndjson\r\n"
+            b"Transfer-Encoding: chunked\r\n"
+            b"Connection: close\r\n\r\n"
+            b"0\r\n\r\n"
+        )
+
+
+#: Keys one door carries and the other does not (README, "Gateway").
+PER_DOOR_KEYS = ("op", "version", "gateway", "requests")
+
+
+class TestOpTableParity:
+    """Both framings answer from PoolService's one table."""
+
+    @pytest.mark.parametrize("op, path, payload", [
+        ("request", "/v1/request", {"app": "search", "n_threads": 2}),
+        ("batch", "/v1/batch",
+         {"requests": [{"app": "search", "n_threads": 2}, {"app": "nope"}]}),
+        ("stats", "/v1/stats", None),
+        ("metrics", "/metrics", None),
+        ("slow", "/v1/slow", None),
+    ])
+    def test_ndjson_and_http_decode_to_the_same_payload(self, op, path, payload):
+        warm = {"app": "murmur3", "n_threads": 2}
+        replies = {}
+        # A fresh stack per door, driven identically: one warm-up request,
+        # then the op under test.
+        for door in ("ndjson", "http"):
+            with WorkerPool(workers=2, mode="inline") as pool:
+                service = PoolService(pool, AdmissionController(max_inflight=8))
+                handler = HttpHandler if door == "http" else None
+                with listening(service, handler) as server:
+                    address = server.server_address[:2]
+                    if door == "ndjson":
+                        with RuntimeClient(*address, timeout=30.0) as client:
+                            assert client.request(**warm)["ok"]
+                            reply = client.roundtrip(dict(payload or {}, op=op))
+                        if op == "metrics":
+                            assert reply["content_type"] == "text/plain; version=0.0.4"
+                            reply = reply["text"]
+                    else:
+                        assert http_json(server, "POST", "/v1/request", warm)[0] == 200
+                        connection = http.client.HTTPConnection(*address, timeout=30.0)
+                        try:
+                            connection.request(
+                                "POST" if payload else "GET", path,
+                                body=json.dumps(payload) if payload else None,
+                            )
+                            reply = connection.getresponse().read().decode("utf-8")
+                        finally:
+                            connection.close()
+                        if op != "metrics":
+                            reply = json.loads(reply)
+            replies[door] = reply
+        if op == "metrics":
+            assert self.families(replies["ndjson"]) == self.families(replies["http"])
+        else:
+            assert self.neutral(replies["ndjson"]) == self.neutral(replies["http"])
+
+    @staticmethod
+    def neutral(value):
+        """Drop the per-door keys and the measured durations, recursively."""
+        if isinstance(value, list):
+            return [TestOpTableParity.neutral(item) for item in value]
+        if not isinstance(value, dict):
+            return value
+        return {
+            key: TestOpTableParity.neutral(item)
+            for key, item in value.items()
+            if key not in PER_DOOR_KEYS
+            and key != "endpoint"  # the door's own name for the op, by design
+            and not key.endswith(("_s", "_rps"))
+        }
+
+    @staticmethod
+    def families(text):
+        """The exposition's sample names and label sets, values dropped."""
+        return [
+            line.rsplit(" ", 1)[0]
+            for line in text.splitlines()
+            # `endpoint` is the door's own name for the op; only an HTTP
+            # listener registers the gateway family.
+            if "endpoint=" not in line and "gateway_events_total" not in line
+        ]
+
+
 class TestBackpressureParity:
     """Both front-ends share one controller and shed identically."""
 
     def test_ndjson_and_http_shed_from_one_budget(self):
-        from repro.runtime.client import RuntimeClient
-
         controller = AdmissionController(max_inflight=0)
-        pool = WorkerPool(workers=2, mode="inline")
-        with pool:
+        with WorkerPool(workers=2, mode="inline") as pool:
             service = PoolService(pool, controller)
-            server = RuntimeServer(("127.0.0.1", 0), service=service)
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
-            thread.start()
+            doors = [
+                RuntimeServer(("127.0.0.1", 0), service=service, handler=handler)
+                for handler in (None, HttpHandler)
+            ]
+            threads = [
+                threading.Thread(target=door.serve_forever, daemon=True)
+                for door in doors
+            ]
+            for thread in threads:
+                thread.start()
             try:
-                with HttpGateway(service) as gw:
-                    status, headers, http_reply = http_json(
-                        gw, "POST", "/v1/request",
-                        {"app": "search", "n_threads": 2},
-                    )
-                    host, port = server.server_address[:2]
-                    with RuntimeClient(host, port, timeout=30.0) as client:
-                        tcp_reply = client.request(app="search", n_threads=2)
+                status, headers, http_reply = http_json(
+                    doors[1], "POST", "/v1/request",
+                    {"app": "search", "n_threads": 2},
+                )
+                host, port = doors[0].server_address[:2]
+                with RuntimeClient(host, port, timeout=30.0) as client:
+                    tcp_reply = client.request(app="search", n_threads=2)
+                    # One `shutdown` op stops both accept loops.
+                    assert client.shutdown() == {"ok": True, "op": "shutdown"}
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
             finally:
-                server.shutdown()
-                server.server_close()
-                thread.join(timeout=10)
+                for door in doors:
+                    door.shutdown()
+                    door.server_close()
         assert status == 429
         assert "retry-after" in headers
         assert http_reply["code"] == 429

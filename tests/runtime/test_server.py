@@ -9,8 +9,10 @@ import pytest
 
 from repro.runtime.client import ClientError, RuntimeClient
 from repro.runtime.engine import EngineError, Request
+from repro.runtime.gateway.admission import PROTOCOL_VERSION, PoolService
+from repro.runtime.gateway.http import HttpHandler
 from repro.runtime.pool import WorkerPool
-from repro.runtime.server import PROTOCOL_VERSION, RuntimeServer
+from repro.runtime.server import RuntimeServer
 
 
 @pytest.fixture()
@@ -139,6 +141,16 @@ class TestProtocol:
             reply = client.roundtrip({"op": "dance"})
         assert not reply["ok"] and "unknown op" in reply["error"]
 
+    @pytest.mark.parametrize("op", [[], {"a": 1}, None, 7])
+    def test_non_string_op_is_unknown_and_the_connection_keeps_serving(
+        self, server, op
+    ):
+        """`op` becomes a dictionary key; what cannot be one is just unknown."""
+        with connect(server) as client:
+            reply = client.roundtrip({"op": op})
+            assert reply == {"ok": False, "error": f"unknown op '{op}'"}
+            assert client.ping()["ok"]
+
     def test_two_connections_share_one_pool(self, server):
         with connect(server) as first, connect(server) as second:
             first.batch([{"app": "search", "n_threads": 2}] * 2)
@@ -151,9 +163,17 @@ class TestProtocol:
         # is an unrecoverable pool death — the shutdown path under test.
         pool = WorkerPool(workers=2, mode="process", max_worker_restarts=0)
         with pool:
-            instance = RuntimeServer(("127.0.0.1", 0), pool)
-            thread = threading.Thread(target=instance.serve_forever, daemon=True)
-            thread.start()
+            service = PoolService(pool)
+            instance = RuntimeServer(("127.0.0.1", 0), service=service)
+            http = RuntimeServer(
+                ("127.0.0.1", 0), service=service, handler=HttpHandler
+            )
+            threads = [
+                threading.Thread(target=door.serve_forever, daemon=True)
+                for door in (instance, http)
+            ]
+            for thread in threads:
+                thread.start()
             try:
                 with connect(instance) as client:
                     assert client.request(app="search", n_threads=2)["ok"]
@@ -164,15 +184,16 @@ class TestProtocol:
                         for s in range(2)
                     ]
                 # Every request of the failing flush is answered, not dropped,
-                # and the accept loop exits so a supervisor can restart us.
+                # and both accept loops exit so a supervisor can restart us.
                 assert any("worker pool failed" in (r.get("error") or "")
                            for r in replies)
-                thread.join(timeout=10)
-                assert not thread.is_alive()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
             finally:
-                instance.shutdown()
-                instance.server_close()
-                thread.join(timeout=10)
+                for door in (instance, http):
+                    door.shutdown()
+                    door.server_close()
 
     def test_client_error_on_closed_server(self, server):
         host, port = server.server_address[:2]
@@ -180,6 +201,16 @@ class TestProtocol:
         server.server_close()
         with pytest.raises(ClientError):
             RuntimeClient(host, port, timeout=5.0, connect_timeout=5.0).ping()
+
+
+class TestSpawn:
+    def test_failed_start_reports_the_childs_stderr(self):
+        from repro.runtime.client import spawn_server
+
+        with pytest.raises(ClientError) as excinfo:
+            spawn_server(["--pool-mode", "no-such-mode"], startup_timeout=30.0)
+        assert "server failed to start" in str(excinfo.value)
+        assert "invalid choice: 'no-such-mode'" in str(excinfo.value)
 
 
 class TestConnectionTimeouts:
@@ -233,10 +264,49 @@ class TestConnectionTimeouts:
                 thread.join(timeout=10)
 
 
+    def test_oversized_line_is_refused_not_buffered(self):
+        """A newline-less line past the body limit: one envelope, then close."""
+        pool = WorkerPool(workers=1, mode="inline")
+        with pool:
+            instance = RuntimeServer(("127.0.0.1", 0), pool, conn_timeout=10.0)
+            thread = threading.Thread(target=instance.serve_forever, daemon=True)
+            thread.start()
+            try:
+                host, port = instance.server_address[:2]
+                baseline = threading.active_count()
+                flood = socket.create_connection((host, port), timeout=10.0)
+                try:
+                    try:
+                        flood.sendall(b"x" * (5 * 1024 * 1024))
+                    except OSError:
+                        pass  # the server may close before the last byte lands
+                    handle = flood.makefile("rb")
+                    reply = json.loads(handle.readline())
+                    limit = RuntimeServer.max_body_bytes
+                    assert reply == {
+                        "ok": False,
+                        "error": f"line exceeds the {limit}-byte limit",
+                    }
+                    try:
+                        assert handle.read() == b""  # closed, nothing more
+                    except OSError:
+                        pass  # reset: the unread tail of the line was dropped
+                finally:
+                    flood.close()
+                deadline = time.time() + 5.0
+                while threading.active_count() > baseline and time.time() < deadline:
+                    time.sleep(0.02)
+                assert threading.active_count() <= baseline
+                with RuntimeClient(host, port, timeout=30.0) as client:
+                    assert client.ping()["ok"]
+            finally:
+                instance.shutdown()
+                instance.server_close()
+                thread.join(timeout=10)
+
+
 class TestBackpressure:
     def make_server(self, controller):
-        from repro.runtime.gateway.admission import PoolService
-
         pool = WorkerPool(workers=2, mode="inline")
         service = PoolService(pool, controller)
         instance = RuntimeServer(("127.0.0.1", 0), service=service)

@@ -33,3 +33,19 @@ def test_live_paths_and_non_paths_pass():
         "`python3 bench/run.py --workload serve-warm`."
     )
     assert check_docs.check_paths(README, text) == []
+
+
+def test_stale_routes_and_ops_are_reported_by_name():
+    routes, ops = check_docs.served_names()
+    assert "/v1/stream" in routes and "shutdown" in ops
+    text = (
+        "`GET /v1/gone`, `curl localhost:8080/v1/request`, `/healthz`, "
+        "`curl -s localhost:8080/metrics`, `/readyz` is no route of ours; "
+        '`{"op": "dance"}` beside `{"op": "batch", "requests": []}`; '
+        "`docs/metrics` is a path, not a route."
+    )
+    failures = check_docs.check_routes(README, text, routes, ops)
+    assert failures == [
+        "README.md: the server has no route /v1/gone",
+        "README.md: the server has no op 'dance'",
+    ]

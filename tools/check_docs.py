@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation checker for CI: links, repo paths, snippet imports and flags.
+"""Documentation checker for CI: links, paths, imports, flags and routes.
 
-Five checks over README.md and everything under docs/:
+Six checks over README.md and everything under docs/:
 
 1. **Intra-repo markdown links** — every relative ``[text](target)``
    must point at a file or directory that exists (external ``http(s)``,
@@ -19,6 +19,10 @@ Five checks over README.md and everything under docs/:
 5. **Repo paths** — every inline code span that reads as a path into this
    repo (``tests/runtime/test_pool.py``, a bare ``lexer.py``) must exist, so
    a deleted file cannot linger either.
+6. **Routes and ops** — every HTTP route (``/v1/...``, ``/healthz``,
+   ``/metrics``) and every NDJSON ``"op": "name"`` named anywhere in the
+   text must be one the server serves, read from the framings' own maps
+   (``repro.runtime.gateway.http.ROUTES``, ``repro.runtime.server.OPS``).
 
 Exit code 0 when everything passes, 1 otherwise (with one line per
 failure). Run it locally with::
@@ -28,12 +32,13 @@ failure). Run it locally with::
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,6 +49,10 @@ PYTHON_M_RE = re.compile(r"python(?:3)?\s+(?:-u\s+)?-m\s+([\w.]+)")
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]+")
 CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
 PATH_RE = re.compile(r"[\w.*/-]+")
+#: ``/v1/name`` anywhere; ``/healthz`` and ``/metrics`` on their own or after
+#: a ``host:port``, not as the tail of a file path.
+ROUTE_RE = re.compile(r"/v1/[\w-]+|(?:(?<![\w./-])|(?<=\d))/(?:healthz|metrics)\b")
+OP_RE = re.compile(r'"op":\s*"([\w-]+)"')
 
 #: A bare name with one of these suffixes is taken for a file of the repo.
 FILE_SUFFIXES = (".py", ".json", ".md", ".yml", ".toml")
@@ -204,13 +213,41 @@ def check_flags(files: List[Tuple[Path, str]], modules: List[str]) -> List[str]:
     ]
 
 
+def served_names() -> Tuple[Set[str], Set[str]]:
+    """The HTTP routes and NDJSON ops, read from the framings' own maps."""
+    program = (
+        "import json\n"
+        "from repro.runtime.gateway.http import ROUTES\n"
+        "from repro.runtime.server import OPS\n"
+        "print(json.dumps([sorted(ROUTES), sorted(OPS)]))"
+    )
+    routes, ops = json.loads(run_python(["-c", program]).stdout)
+    return set(routes), set(ops)
+
+
+def check_routes(path: Path, text: str, routes: Set[str], ops: Set[str]) -> List[str]:
+    """Routes and ops the text names that no framing serves."""
+    where = path.relative_to(REPO_ROOT)
+    failures = [
+        f"{where}: the server has no route {route}"
+        for route in sorted(set(ROUTE_RE.findall(text)) - routes)
+    ]
+    failures += [
+        f"{where}: the server has no op '{op}'"
+        for op in sorted(set(OP_RE.findall(text)) - ops)
+    ]
+    return failures
+
+
 def main() -> int:
     """Run every check; print failures; return a process exit code."""
     files = [(path, path.read_text(encoding="utf-8")) for path in doc_files()]
     failures: List[str] = []
+    routes, ops = served_names()
     for path, text in files:
         failures += check_links(path, text)
         failures += check_paths(path, text)
+        failures += check_routes(path, text, routes, ops)
     imports = collect_import_lines(files)
     modules = collect_python_m_modules(files)
     failures += run_snippet_imports(imports, modules)
