@@ -114,7 +114,7 @@ class DFValue:
     kind: LinkKind = LinkKind.VECTOR
     producer: Optional["DFNode"] = None
     index: int = 0  # output index on the producer
-    uid: int = field(default_factory=lambda: next(_value_counter))
+    uid: int = field(default_factory=_value_counter.__next__)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"%{self.name}"
@@ -129,7 +129,7 @@ class DFNode:
     outputs: List[DFValue] = field(default_factory=list)
     params: Dict[str, Any] = field(default_factory=dict)
     regions: List["DFGraph"] = field(default_factory=list)
-    uid: int = field(default_factory=lambda: next(_node_counter))
+    uid: int = field(default_factory=_node_counter.__next__)
 
     def __post_init__(self) -> None:
         if self.op not in ALL_OPS:
@@ -161,27 +161,24 @@ class DFNode:
 class DFGraph:
     """A structured dataflow graph: a DAG of nodes over SLTF links."""
 
+    #: Bumped on every structural mutation; memoized derived state (the topo
+    #: order here, node schedules in the executor) is keyed on it.  Class-level
+    #: defaults, because graphs unpickled from old caches predate the fields.
+    _version = 0
+    _topo_cache: Optional[List[DFNode]] = None
+    _topo_version = -1
+
     def __init__(self, name: str = "graph"):
         self.name = name
         self.nodes: List[DFNode] = []
         self.inputs: List[DFValue] = []
         self.outputs: List[DFValue] = []
         self._names: Set[str] = set()
-        #: Bumped on every structural mutation; memoized derived state (the
-        #: topo order here, node schedules in the executor) is keyed on it.
-        self._version = 0
-        self._topo_cache: Optional[List[DFNode]] = None
-        self._topo_version = -1
 
     @property
     def version(self) -> int:
-        """Monotonic structural version (graphs unpickled from old caches
-        may predate the counter, hence the ``getattr`` default)."""
-        return getattr(self, "_version", 0)
-
-    def _mutated(self) -> None:
-        self._version = self.version + 1
-        self._topo_cache = None
+        """Monotonic structural version."""
+        return self._version
 
     # -- construction -----------------------------------------------------
 
@@ -198,9 +195,9 @@ class DFGraph:
 
     def add_input(self, name: str, kind: LinkKind = LinkKind.VECTOR) -> DFValue:
         """Declare a graph input stream."""
-        value = DFValue(self._fresh_name(name), kind=kind)
+        value = DFValue(self._fresh_name(name), kind)
         self.inputs.append(value)
-        self._mutated()
+        self._version += 1
         return value
 
     def add_node(
@@ -214,23 +211,23 @@ class DFGraph:
         output_kinds: Optional[Sequence[LinkKind]] = None,
     ) -> DFNode:
         """Create a node, its output values, and append it to the graph."""
-        node = DFNode(op=op, inputs=list(inputs), params=dict(params or {}),
-                      regions=list(regions or []))
+        node = DFNode(op, list(inputs), [], dict(params) if params else {},
+                      list(regions) if regions else [])
         base = name or op
-        kinds = list(output_kinds or [])
+        kinds = output_kinds or ()
         for i in range(num_outputs):
             kind = kinds[i] if i < len(kinds) else LinkKind.VECTOR
             value = DFValue(self._fresh_name(f"{base}.{i}" if num_outputs > 1 else base),
-                            kind=kind, producer=node, index=i)
+                            kind, node, i)
             node.outputs.append(value)
         self.nodes.append(node)
-        self._mutated()
+        self._version += 1
         return node
 
     def set_outputs(self, values: Sequence[DFValue]) -> None:
         """Declare the graph's output streams."""
         self.outputs = list(values)
-        self._mutated()
+        self._version += 1
 
     # -- queries ----------------------------------------------------------
 
@@ -259,13 +256,10 @@ class DFGraph:
         are re-executed once per loop iteration, so the serving hot path
         would otherwise re-derive the same order thousands of times.
         """
-        cached = getattr(self, "_topo_cache", None)
-        if cached is not None and self._topo_version == self.version:
-            return cached
-        order = self._topo_order_uncached()
-        self._topo_cache = order
-        self._topo_version = self.version
-        return order
+        if self._topo_cache is None or self._topo_version != self._version:
+            self._topo_cache = self._topo_order_uncached()
+            self._topo_version = self._version
+        return self._topo_cache
 
     def _topo_order_uncached(self) -> List[DFNode]:
         defined: Set[int] = {v.uid for v in self.inputs}

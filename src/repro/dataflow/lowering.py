@@ -196,8 +196,7 @@ class DataflowLowering:
     def __init__(self, module: Module):
         self.module = module
         self._site_counter = 0
-        #: id(region op) -> outside values its regions read, filled by the
-        #: liveness scan of the op's block and reused when the op is lowered.
+        #: id(region op) -> outside values its regions read (``_scan``).
         self._captured: Dict[int, List[Value]] = {}
 
     # -- public API ---------------------------------------------------------------
@@ -209,8 +208,11 @@ class DataflowLowering:
 
         arg_names = [arg.name for arg in entry.args]
         dram_names = [g.attrs["sym_name"] for g in self.module.globals()]
-        pragmas = [op.attrs["name"] for op in self.module.walk()
-                   if op.name == "revet.pragma"]
+        pragmas: List[str] = []  # module-wide, like the DRAM globals
+        for op in self.module.operations:
+            for region in op.regions:
+                for block in region.blocks:
+                    self._scan(block, pragmas)
 
         scope = _Scope(graph, struct_ref=None)
         for arg in entry.args:
@@ -245,37 +247,36 @@ class DataflowLowering:
 
     def _compute(self, graph: DFGraph, opcode: str, inputs: Sequence[DFValue],
                  name: str = "t") -> DFValue:
-        node = graph.add_node("compute", list(inputs), params={"fn": opcode}, name=name)
+        node = graph.add_node("compute", inputs, params={"fn": opcode}, name=name)
         return node.outputs[0]
 
-    @staticmethod
-    def _external_uses(op: Operation) -> List[Value]:
-        """IR values used inside ``op``'s regions but defined outside them."""
-        inside_defs: Set[int] = set()
-        for nested in op.walk():
-            if nested is op:
-                continue
-            for result in nested.results:
-                inside_defs.add(id(result))
-            for region in nested.regions:
-                for block in region.blocks:
-                    for arg in block.args:
-                        inside_defs.add(id(arg))
-        for region in op.regions:
-            for block in region.blocks:
-                for arg in block.args:
-                    inside_defs.add(id(arg))
-        external: List[Value] = []
-        seen: Set[int] = set()
-        for nested in op.walk():
-            if nested is op:
-                continue
-            for operand in nested.operands:
-                if id(operand) in inside_defs or id(operand) in seen:
-                    continue
-                seen.add(id(operand))
-                external.append(operand)
-        return external
+    def _scan(self, block, pragmas: List[str]) -> List[Value]:
+        """The values ``block`` reads but does not define, in first-use order.
+
+        One bottom-up scan: a region op reads what its blocks read and do not
+        define, which is recorded in ``_captured`` on the way up, so an op
+        nested ``d`` deep is looked at once, not once per enclosing region.
+        ``revet.pragma`` names are collected into ``pragmas`` in passing.
+        """
+        reads: Dict[int, Value] = {}
+        defined = {id(arg) for arg in block.args}
+        for op in block.operations:
+            for value in op.operands:
+                reads.setdefault(id(value), value)
+            if op.regions:
+                captured: Dict[int, Value] = {}
+                for region in op.regions:
+                    for inner in region.blocks:
+                        for value in self._scan(inner, pragmas):
+                            captured.setdefault(id(value), value)
+                self._captured[id(op)] = list(captured.values())
+                for key, value in captured.items():
+                    reads.setdefault(key, value)
+            elif op.name == "revet.pragma":
+                pragmas.append(op.attrs["name"])
+            for result in op.results:
+                defined.add(id(result))
+        return [value for key, value in reads.items() if key not in defined]
 
     def _is_exit_guard(self, op: Operation) -> bool:
         """Recognize the ``if (cond) { exit(); }`` thread-termination idiom."""
@@ -296,8 +297,7 @@ class DataflowLowering:
             return op.operands[:1]  # the forwarded arguments are positional
         if not op.regions:
             return op.operands
-        captured = self._captured[id(op)] = self._external_uses(op)
-        return list(op.operands) + captured
+        return op.operands + self._captured[id(op)]
 
     def _lower_block(self, block, graph: DFGraph, scope: _Scope) -> None:
         """Lower ``block``'s ops in order into ``scope`` (one scope per block).

@@ -220,6 +220,13 @@ class Operation:
             if self in old.uses:
                 old.uses.remove(self)
 
+    def update_attrs(self, attrs: Dict[str, Any]) -> bool:
+        """Write ``attrs``; True if that changed a value (what a pass reports)."""
+        changed = any(key not in self.attrs or self.attrs[key] != value
+                      for key, value in attrs.items())
+        self.attrs.update(attrs)
+        return changed
+
     def add_region(self) -> "Region":
         region = Region()
         region.parent_op = self
@@ -231,11 +238,7 @@ class Operation:
 
     def walk(self) -> Iterator["Operation"]:
         """Yield this op and all ops nested in its regions (pre-order)."""
-        yield self
-        for region in self.regions:
-            for block in region.blocks:
-                for op in list(block.operations):
-                    yield from op.walk()
+        return _walk((self,))
 
     def erase(self) -> None:
         """Remove this op from its block and drop operand uses."""
@@ -348,9 +351,7 @@ class Region:
         return self.blocks[0]
 
     def walk(self) -> Iterator[Operation]:
-        for block in self.blocks:
-            for op in list(block.operations):
-                yield from op.walk()
+        return _walk(_block_ops(self.blocks))
 
     def __iter__(self) -> Iterator[Block]:
         return iter(self.blocks)
@@ -372,7 +373,7 @@ class Module:
         return self.body.entry.append(op)
 
     def walk(self) -> Iterator[Operation]:
-        yield from self.body.walk()
+        return self.body.walk()
 
     def functions(self) -> List[Operation]:
         return [op for op in self.operations if op.name == "func.func"]
@@ -395,25 +396,36 @@ class Module:
 # ---------------------------------------------------------------------------
 
 
+def _block_ops(blocks: Iterable[Block]) -> Iterator[Operation]:
+    """The ops of ``blocks`` in order; each block's op list is copied when the
+    block is reached, so a consumer may erase the op it is looking at."""
+    return itertools.chain.from_iterable(list(b.operations) for b in blocks)
+
+
+def _walk(ops: Iterable[Operation]) -> Iterator[Operation]:
+    """Pre-order walk of ``ops`` and everything nested in them, from a stack
+    of per-op iterators (one resumption per op, however deep it sits)."""
+    stack = [iter(ops)]
+    while stack:
+        for op in stack[-1]:
+            yield op
+            if op.regions:
+                stack.append(_block_ops(b for r in op.regions for b in r.blocks))
+                break
+        else:
+            stack.pop()
+
+
 def walk_ops(
     container: Union[Module, Operation, Region, Block],
     predicate: Optional[Callable[[Operation], bool]] = None,
 ) -> List[Operation]:
     """Collect (a snapshot of) ops in ``container`` matching ``predicate``."""
-    if isinstance(container, Module):
-        ops: Iterable[Operation] = container.walk()
-    elif isinstance(container, Operation):
+    if isinstance(container, Block):
+        ops = _walk(_block_ops((container,)))
+    else:
         ops = container.walk()
-    elif isinstance(container, Region):
-        ops = container.walk()
-    elif isinstance(container, Block):
-        ops = (o for op in list(container.operations) for o in op.walk())
-    else:  # pragma: no cover - defensive
-        raise IRError(f"cannot walk {container!r}")
-    result = list(ops)
-    if predicate is not None:
-        result = [op for op in result if predicate(op)]
-    return result
+    return list(ops if predicate is None else filter(predicate, ops))
 
 
 def ops_named(container: Union[Module, Operation, Region, Block], name: str) -> List[Operation]:

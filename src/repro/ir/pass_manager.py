@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.errors import PassError
+from repro.errors import IRError, PassError
 from repro.ir.core import Module
 from repro.ir.verifier import verify
 
@@ -18,7 +18,12 @@ class Pass:
     name: str = "pass"
 
     def run(self, module: Module) -> bool:
-        """Transform ``module`` in place; return True if anything changed."""
+        """Transform ``module`` in place; return True if anything changed.
+
+        Anything :func:`~repro.ir.printer.print_module` would show counts,
+        attribute writes included: :class:`PassManager` re-verifies the module
+        only after a pass that reports a change.
+        """
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -49,7 +54,12 @@ class PassTiming:
 
 @dataclass
 class PassManager:
-    """Runs a sequence of passes, optionally verifying after each one."""
+    """Runs a sequence of passes.
+
+    Under ``verify_each`` the module is verified on entry and again after
+    every pass that reports a change, so the module that leaves :meth:`run`
+    is the very object the verifier last accepted.
+    """
 
     passes: List[Pass] = field(default_factory=list)
     verify_each: bool = True
@@ -60,6 +70,8 @@ class PassManager:
         return self
 
     def run(self, module: Module) -> Module:
+        if self.verify_each:
+            _verify(module, "frontend output")
         for p in self.passes:
             start = time.perf_counter()
             try:
@@ -69,10 +81,18 @@ class PassManager:
             except Exception as exc:  # pragma: no cover - defensive
                 raise PassError(f"pass '{p.name}' failed: {exc}") from exc
             self.timings.append(PassTiming(p.name, time.perf_counter() - start, changed))
-            if self.verify_each:
-                verify(module)
+            if self.verify_each and changed:
+                _verify(module, f"after pass '{p.name}'")
         return module
 
     def describe(self) -> str:
         """A printable pipeline description."""
         return " -> ".join(p.name for p in self.passes)
+
+
+def _verify(module: Module, where: str) -> None:
+    """Verify ``module``; a failure says at which point of the pipeline."""
+    try:
+        verify(module)
+    except IRError as exc:
+        raise IRError(f"{where}: {exc}") from exc

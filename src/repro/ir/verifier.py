@@ -1,4 +1,4 @@
-"""IR verifier: structural and dominance-style checks.
+"""IR verifier: structural and dominance-style checks, in one pre-order pass.
 
 The verifier checks:
 
@@ -16,91 +16,77 @@ from __future__ import annotations
 from typing import Set
 
 from repro.errors import IRError
-from repro.ir.core import Block, Module, Operation
-from repro.ir.dialects.registry import op_info
+from repro.ir.core import Module, Operation
+from repro.ir.dialects.registry import OP_INFO
 from repro.ir.dialects.scf import verify_while
 
 
 def verify(module: Module) -> None:
     """Verify a whole module; raises :class:`IRError` on the first problem."""
     for op in module.operations:
-        _verify_op(op)
-        _verify_visibility(op, set())
-    for op in module.walk():
-        _verify_op(op)
+        _verify_tree(op, set())
 
 
-def verify_op_tree(op: Operation) -> None:
-    """Verify one operation and everything nested inside it."""
-    for nested in op.walk():
-        _verify_op(nested)
-    _verify_visibility(op, set())
+def _verify_tree(op: Operation, visible: Set[int]) -> None:
+    """Check ``op`` and then, in order, everything nested in its regions.
+
+    ``visible`` holds the ``id()`` of every value defined so far in the
+    enclosing blocks (lexical scoping).  A block adds its arguments and its
+    ops' results as it goes and takes them out again when it ends, so one set
+    serves the whole tree and a value never outlives its block.
+    """
+    _verify_op(op)
+    for operand in op.operands:
+        if id(operand) not in visible and not operand.is_block_arg:
+            raise IRError(f"operand {operand!r} of '{op.name}' used before definition")
+    for region in op.regions:
+        for block in region.blocks:
+            scoped = [id(arg) for arg in block.args if id(arg) not in visible]
+            visible.update(scoped)
+            for nested in block.operations:
+                _verify_tree(nested, visible)
+                for result in nested.results:
+                    if id(result) not in visible:
+                        visible.add(id(result))
+                        scoped.append(id(result))
+            visible.difference_update(scoped)
 
 
 def _verify_op(op: Operation) -> None:
-    info = op_info(op.name)
+    name = op.name
+    info = OP_INFO.get(name)
     if info is None:
-        raise IRError(f"unregistered operation '{op.name}'")
+        raise IRError(f"unregistered operation '{name}'")
     n_operands = len(op.operands)
     if n_operands < info.min_operands:
         raise IRError(
-            f"'{op.name}' expects at least {info.min_operands} operands, "
-            f"got {n_operands}"
+            f"'{name}' expects at least {info.min_operands} operands, got {n_operands}"
         )
     if info.max_operands is not None and n_operands > info.max_operands:
         raise IRError(
-            f"'{op.name}' expects at most {info.max_operands} operands, "
-            f"got {n_operands}"
+            f"'{name}' expects at most {info.max_operands} operands, got {n_operands}"
         )
     if info.num_results is not None and len(op.results) != info.num_results:
         raise IRError(
-            f"'{op.name}' expects {info.num_results} results, got {len(op.results)}"
+            f"'{name}' expects {info.num_results} results, got {len(op.results)}"
         )
     if info.num_regions and len(op.regions) != info.num_regions:
         raise IRError(
-            f"'{op.name}' expects {info.num_regions} regions, got {len(op.regions)}"
+            f"'{name}' expects {info.num_regions} regions, got {len(op.regions)}"
         )
     for attr in info.required_attrs:
         if attr not in op.attrs:
-            raise IRError(f"'{op.name}' is missing required attribute '{attr}'")
-    if op.name == "scf.while":
+            raise IRError(f"'{name}' is missing required attribute '{attr}'")
+    if name == "scf.while":
         verify_while(op)
-    if op.name == "scf.if":
+    elif name == "scf.if":
         for region in op.regions:
             term = region.entry.terminator
             if op.results and (term is None or term.name != "scf.yield"):
                 raise IRError("scf.if with results needs scf.yield terminators")
-    if op.name == "func.func":
+    elif name == "func.func":
         body = op.region(0).entry
         if body.terminator is None or body.terminator.name != "func.return":
             raise IRError(
                 f"function '{op.attrs.get('sym_name')}' must end with func.return"
             )
-
-
-def _verify_visibility(op: Operation, visible: Set[int]) -> None:
-    """Check def-before-use with lexical (nested-region) scoping."""
-    for operand in op.operands:
-        if id(operand) not in visible and not operand.is_block_arg:
-            # Block arguments are checked when entering their block below;
-            # operands defined by ops must already be visible.
-            raise IRError(
-                f"operand {operand!r} of '{op.name}' used before definition"
-            )
-    for region in op.regions:
-        for block in region.blocks:
-            inner: Set[int] = set(visible)
-            inner.update(id(a) for a in block.args)
-            for nested in block.operations:
-                _verify_visibility(nested, inner)
-                inner.update(id(r) for r in nested.results)
-    for result in op.results:
-        visible.add(id(result))
-
-
-def _verify_visibility_entry(container: Block, visible: Set[int]) -> None:
-    inner = set(visible)
-    inner.update(id(a) for a in container.args)
-    for op in container.operations:
-        _verify_visibility(op, inner)
-        inner.update(id(r) for r in op.results)

@@ -1,9 +1,17 @@
-"""Lexer for the Revet language (paper Section IV, Figure 7 syntax)."""
+"""Lexer for the Revet language (paper Section IV, Figure 7 syntax).
+
+The lexical grammar is ASCII and is stated once, as :data:`_TOKEN`: optional
+trivia (spaces, tabs, CR, LF, ``// ...`` and ``/* ... */``), then a hex or
+decimal literal over ``[0-9]``, an identifier ``[A-Za-z_][A-Za-z0-9_]*``, an
+operator (longest first), a character or a string literal.  Characters outside
+ASCII are legal only inside comments and literals; anywhere else (``²``,
+``٣``, ``é``) they are an ``unexpected character``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+import re
+from typing import List, NamedTuple
 
 from repro.errors import LexError
 
@@ -63,151 +71,96 @@ MULTI_CHAR_OPS = [
 
 SINGLE_CHAR_OPS = set("+-*/%<>=!&|^~(){}[],;:?.")
 
+#: Escapes of both literal kinds; a literal's own quote is its third.
+ESCAPES = {"n": "\n", "t": "\t", "0": "\0", "\\": "\\"}
 
-@dataclass(frozen=True)
-class Token:
+_MULTI = "|".join(map(re.escape, MULTI_CHAR_OPS))
+_SINGLE = re.escape("".join(sorted(SINGLE_CHAR_OPS)))
+#: One token with the trivia before it.  Every position matches: the last two
+#: alternatives are end of input and "anything else", which is the error case.
+#: ``open_comment`` sits before ``op`` so an unterminated ``/*`` (which the
+#: trivia prefix cannot consume) is not read as ``/`` ``*``.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*(?:"
+    r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<hex>0[xX][0-9a-fA-F]*)"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<open_comment>/\*)"
+    rf"|(?P<op>{_MULTI}|[{_SINGLE}])"
+    r"|(?P<char>'(?:[^\\]|\\.)')"
+    r'|(?P<string>"(?:[^"\\]|\\.)*")'
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>.))",
+    re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+class Token(NamedTuple):
     """One lexical token with its source position."""
 
-    kind: str  # 'int', 'char', 'string', 'ident', 'keyword', 'op', 'eof'
+    kind: str  # 'int', 'string', 'ident', 'keyword', 'op', 'eof'
     value: object
     line: int
     column: int
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.kind}, {self.value!r}, {self.line}:{self.column})"
-
-
-class Lexer:
-    """Converts Revet source text into a token list."""
-
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def tokenize(self) -> List[Token]:
-        tokens: List[Token] = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind == "eof":
-                return tokens
-
-    # -- internals ----------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.source[idx] if idx < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos : self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return text
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.source) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self.pos >= len(self.source):
-                    raise LexError("unterminated block comment", self.line, self.column)
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        line, column = self.line, self.column
-        if self.pos >= len(self.source):
-            return Token("eof", None, line, column)
-        ch = self._peek()
-
-        if ch.isdigit():
-            return self._lex_number(line, column)
-        if ch.isalpha() or ch == "_":
-            return self._lex_ident(line, column)
-        if ch == "'":
-            return self._lex_char(line, column)
-        if ch == '"':
-            return self._lex_string(line, column)
-
-        for op in MULTI_CHAR_OPS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token("op", op, line, column)
-        if ch in SINGLE_CHAR_OPS:
-            self._advance()
-            return Token("op", ch, line, column)
-        raise LexError(f"unexpected character {ch!r}", line, column)
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-            return Token("int", int(self.source[start : self.pos], 16), line, column)
-        while self._peek().isdigit():
-            self._advance()
-        return Token("int", int(self.source[start : self.pos]), line, column)
-
-    def _lex_ident(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = "keyword" if text in KEYWORDS else "ident"
-        return Token(kind, text, line, column)
-
-    def _lex_char(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        ch = self._peek()
-        if ch == "\\":
-            self._advance()
-            escapes = {"n": "\n", "t": "\t", "0": "\0", "'": "'", "\\": "\\"}
-            ch = escapes.get(self._peek())
-            if ch is None:
-                raise LexError(f"unknown escape \\{self._peek()}", line, column)
-        self._advance()
-        if self._peek() != "'":
-            raise LexError("unterminated character literal", line, column)
-        self._advance()
-        return Token("int", ord(ch), line, column)
-
-    def _lex_string(self, line: int, column: int) -> Token:
-        self._advance()
-        chars: List[str] = []
-        while self._peek() != '"':
-            if not self._peek():
-                raise LexError("unterminated string literal", line, column)
-            ch = self._advance()
-            if ch == "\\":
-                escapes = {"n": "\n", "t": "\t", "0": "\0", '"': '"', "\\": "\\"}
-                nxt = self._advance()
-                if nxt not in escapes:
-                    raise LexError(f"unknown escape \\{nxt}", line, column)
-                ch = escapes[nxt]
-            chars.append(ch)
-        self._advance()
-        return Token("string", "".join(chars), line, column)
-
 
 def tokenize(source: str) -> List[Token]:
-    """Tokenize Revet source text."""
-    return Lexer(source).tokenize()
+    """Tokenize Revet source text; the last token is always ``eof``."""
+    tokens: List[Token] = []
+    append = tokens.append
+    keywords = KEYWORDS
+    # ``line_start`` is the offset of the current line's first character; it
+    # moves only when a matched span (trivia or literal) holds a newline.
+    pos, line, line_start = 0, 1, 0
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        start, end = match.span(kind)
+        if start != pos and "\n" in (trivia := source[pos:start]):
+            line += trivia.count("\n")
+            line_start = pos + trivia.rindex("\n") + 1
+        pos = end
+        column = start - line_start + 1
+        text = source[start:end]
+        if kind == "op":
+            append(Token("op", text, line, column))
+        elif kind == "word":
+            word_kind = "keyword" if text in keywords else "ident"
+            append(Token(word_kind, text, line, column))
+        elif kind == "int":
+            append(Token("int", int(text), line, column))
+        elif kind == "hex":
+            if end - start == 2:
+                raise LexError("malformed hex literal", line, column)
+            append(Token("int", int(text, 16), line, column))
+        elif kind == "eof":
+            append(Token("eof", None, line, column))
+            break
+        elif kind == "char" or kind == "string":
+            body = _ESCAPE.sub(lambda m: _unescape(m, text, line, column), text[1:-1])
+            if kind == "char":
+                append(Token("int", ord(body), line, column))
+            else:
+                append(Token("string", body, line, column))
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
+        elif kind == "open_comment":
+            raise LexError("unterminated block comment", line, column)
+        elif text == '"':
+            raise LexError("unterminated string literal", line, column)
+        elif text == "'":
+            raise LexError("unterminated character literal", line, column)
+        else:
+            raise LexError(f"unexpected character {text!r}", line, column)
+    return tokens
+
+
+def _unescape(match: "re.Match[str]", literal: str, line: int, column: int) -> str:
+    """The character one escape inside ``literal`` stands for."""
+    char = match.group(1)
+    if char == literal[0]:
+        return char
+    if char not in ESCAPES:
+        raise LexError(f"unknown escape \\{char}", line, column)
+    return ESCAPES[char]

@@ -33,6 +33,13 @@ PRECEDENCE = {
 
 ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^="}
 
+#: Deepest nesting of blocks, ``else if`` links, sub-expressions and unary
+#: operators the parser accepts.  Text at the limit takes the recursive stages
+#: (this parser, the checker, the lowerings) about 730 Python frames at most,
+#: inside the interpreter's default limit of 1000, so deeper input is a
+#: ``ParseError`` and never a ``RecursionError``.
+MAX_NESTING = 120
+
 
 class Parser:
     """Parses a token stream into a :class:`repro.lang.ast_nodes.Program`."""
@@ -40,12 +47,14 @@ class Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     # -- token helpers --------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+    def _peek(self) -> Token:
+        # Never past the end: the stream ends with ``eof``, which ``_advance``
+        # does not step over.
+        return self.tokens[self.pos]
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -54,7 +63,7 @@ class Parser:
         return token
 
     def _check(self, kind: str, value=None) -> bool:
-        token = self._peek()
+        token = self.tokens[self.pos]
         return token.kind == kind and (value is None or token.value == value)
 
     def _accept(self, kind: str, value=None) -> Optional[Token]:
@@ -74,6 +83,13 @@ class Parser:
     def _error(self, message: str) -> ParseError:
         token = self._peek()
         return ParseError(message, token.line, token.column)
+
+    def _nest(self) -> None:
+        """Enter one nesting level; the caller leaves it with ``depth -= 1``
+        (not on an error: a parser that raised is not used again)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self._error("statement or expression nested too deeply")
 
     # -- top level ---------------------------------------------------------------
 
@@ -132,12 +148,14 @@ class Parser:
 
     def _parse_block(self) -> ast.Block:
         start = self._expect("op", "{")
+        self._nest()
         statements: List[ast.Stmt] = []
         while not self._check("op", "}"):
             if self._check("eof"):
                 raise self._error("unterminated block")
             statements.append(self._parse_statement())
         self._expect("op", "}")
+        self.depth -= 1
         return ast.Block(line=start.line, statements=statements)
 
     def _parse_statement(self) -> ast.Stmt:
@@ -231,7 +249,9 @@ class Parser:
         else_block = None
         if self._accept("keyword", "else"):
             if self._check("keyword", "if"):
+                self._nest()
                 nested = self._parse_if()
+                self.depth -= 1
                 else_block = ast.Block(line=nested.line, statements=[nested])
             else:
                 else_block = self._parse_block()
@@ -260,12 +280,14 @@ class Parser:
         index_type = self._parse_type()
         index_name = self._expect("ident").value
         self._expect("op", "=>")
+        self._nest()
         statements: List[ast.Stmt] = []
         while not self._check("op", "}"):
             if self._check("eof"):
                 raise self._error("unterminated foreach body")
             statements.append(self._parse_statement())
         self._expect("op", "}")
+        self.depth -= 1
         self._accept("op", ";")
         body = ast.Block(line=start.line, statements=statements)
         return ast.ForeachStmt(
@@ -331,17 +353,16 @@ class Parser:
     # -- expressions -------------------------------------------------------------------
 
     def _parse_expression(self) -> ast.Expr:
-        return self._parse_ternary()
-
-    def _parse_ternary(self) -> ast.Expr:
-        cond = self._parse_binary(0)
+        self._nest()
+        expr = self._parse_binary(0)
         if self._accept("op", "?"):
             then_value = self._parse_expression()
             self._expect("op", ":")
             else_value = self._parse_expression()
-            return ast.TernaryExpr(line=cond.line, cond=cond, then_value=then_value,
+            expr = ast.TernaryExpr(line=expr.line, cond=expr, then_value=then_value,
                                    else_value=else_value)
-        return cond
+        self.depth -= 1
+        return expr
 
     def _parse_binary(self, min_prec: int) -> ast.Expr:
         lhs = self._parse_unary()
@@ -360,7 +381,9 @@ class Parser:
         token = self._peek()
         if token.kind == "op" and token.value in ("-", "!", "~", "*"):
             self._advance()
+            self._nest()
             operand = self._parse_unary()
+            self.depth -= 1
             return ast.UnaryOp(line=token.line, op=token.value, operand=operand)
         return self._parse_postfix()
 

@@ -44,8 +44,9 @@ class AllocatorFusionPass(Pass):
             # group (the smallest maximum pointer, paper Section V-B(a)).
             max_words = max(a.result().type.size for a in allocs)
             for alloc in allocs:
-                alloc.attrs["alloc_group"] = group_name
-                alloc.attrs["group_buffer_words"] = max_words
-                alloc.attrs["group_size"] = len(allocs)
-            changed = changed or len(allocs) > 1
+                changed |= alloc.update_attrs({
+                    "alloc_group": group_name,
+                    "group_buffer_words": max_words,
+                    "group_size": len(allocs),
+                })
         return changed

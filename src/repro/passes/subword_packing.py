@@ -33,9 +33,10 @@ class SubwordPackingPass(Pass):
                     subword_bits += value.type.width
                     subword_count += 1
             packed_lanes = (subword_bits + 31) // 32
-            loop.attrs["subword_live_values"] = subword_count
-            loop.attrs["packed_lanes"] = packed_lanes
-            loop.attrs["packed_savings"] = max(0, subword_count - packed_lanes)
+            changed |= loop.update_attrs({
+                "subword_live_values": subword_count,
+                "packed_lanes": packed_lanes,
+                "packed_savings": max(0, subword_count - packed_lanes),
+            })
             self.packed_values += subword_count
-            changed = changed or subword_count > 0
         return changed

@@ -1,7 +1,11 @@
 """Unit tests for the individual compiler passes (Figure 8 middle stages)."""
 
+import pytest
+
+from repro.apps import REGISTRY
+from repro.compiler import CompileOptions, build_pass_pipeline
 from repro.frontend import compile_source_to_ir
-from repro.ir import PassManager, ops_named, verify
+from repro.ir import PassManager, ops_named, print_module, verify
 from repro.passes import (
     AllocatorFusionPass,
     AllocatorHoistingPass,
@@ -185,3 +189,25 @@ class TestAnnotationPasses:
         assert loops
         assert all("subword_live_values" in loop.attrs for loop in loops)
         assert all("packed_lanes" in loop.attrs for loop in loops)
+
+
+class TestChangedIsTruthful:
+    """``Pass.run`` returns True iff the printed module differs afterwards:
+    ``PassManager`` re-verifies only after a pass that reports a change.  The
+    pipeline is asked for its passes, so a new one is covered unlisted."""
+
+    @pytest.mark.parametrize("options", [CompileOptions(), CompileOptions.none()],
+                             ids=["default", "none"])
+    @pytest.mark.parametrize("app", sorted(REGISTRY.servable_names()))
+    def test_every_pass_of_the_pipeline_on_every_app(self, app, options):
+        module = compile_source_to_ir(REGISTRY.get(app).source)
+        for each in build_pass_pipeline(options).passes:
+            before = print_module(module)
+            reported = each.run(module)
+            assert bool(reported) == (print_module(module) != before), each.name
+
+    def test_rerunning_an_annotating_pass_reports_no_change(self):
+        module = compile_source_to_ir(REGISTRY.get("kD-tree").source)
+        for each in (AllocatorFusionPass(), SubwordPackingPass()):
+            assert each.run(module) is True
+            assert each.run(module) is False
