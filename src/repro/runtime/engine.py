@@ -22,6 +22,7 @@ re-executing, which is what makes a warm serving tier fast.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -87,10 +88,11 @@ class Request:
 
     # -- wire form (the server/client NDJSON protocol) ----------------------
 
-    #: Fields a JSON request payload may carry.  ``memory`` deliberately
-    #: isn't one of them: staged memory images don't cross the wire.
-    WIRE_FIELDS = ("app", "source", "function", "args", "n_threads", "seed",
-                   "backend", "options", "trace", "trace_id")
+    #: Fields a JSON request payload may carry, each with its exact type.
+    #: ``memory`` isn't one of them: staged memory images don't cross the wire.
+    WIRE_FIELDS = {"app": str, "source": str, "function": str, "args": dict,
+                   "n_threads": int, "seed": int, "backend": str,
+                   "options": dict, "trace": bool, "trace_id": str}
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form; raises for requests with staged memory."""
@@ -110,14 +112,24 @@ class Request:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Request":
-        """Build a request from a JSON payload, rejecting unknown fields."""
+        """Build a request from JSON; unknown or wrong-typed fields raise."""
         if not isinstance(payload, dict):
             raise EngineError("request payload must be a JSON object")
         unknown = sorted(set(payload) - set(cls.WIRE_FIELDS))
         if unknown:
             raise EngineError(f"unknown request fields {unknown}; "
                               f"expected a subset of {list(cls.WIRE_FIELDS)}")
-        fields = dict(payload)
+        # Null is "not given".  Not in validate(): in-process callers skip it.
+        fields = {k: v for k, v in payload.items() if v is not None}
+        for name, value in fields.items():
+            if type(value) is not cls.WIRE_FIELDS[name]:
+                raise EngineError(f"'{name}' must be of type "
+                                  f"{cls.WIRE_FIELDS[name].__name__}")
+        if fields.get("n_threads", 1) < 1:
+            raise EngineError("'n_threads' must be an integer >= 1")
+        for key, kind in (("args", int), ("options", bool)):
+            if key in fields and set(map(type, fields[key].values())) - {kind}:
+                raise EngineError(f"'{key}' values must be {kind.__name__}")
         options = fields.pop("options", None)
         if options is not None:
             try:
@@ -159,7 +171,7 @@ class Response:
         The ``trace`` key appears only for traced requests, keeping untraced
         responses byte-identical to a stack without telemetry.
         """
-        payload = asdict(self)
+        payload = dict(vars(self))  # the fields, in declaration order
         payload["report"] = self.report.as_row() if self.report else None
         if self.trace is None:
             del payload["trace"]
@@ -177,6 +189,67 @@ class Batch:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def _trace_span(request: Request, compile_s: float, execute_s: float,
+                replayed: bool) -> Optional[Dict[str, Any]]:
+    """Engine-side spans for a traced request; None when not tracing."""
+    if not request.trace:
+        return None
+    return {
+        "trace_id": request.trace_id,
+        "compile_s": round(compile_s, 6),
+        "execute_s": round(execute_s, 6),
+        "result_cache_hit": replayed,
+    }
+
+
+def _error_response(request_id: int, request: Request, batch_id: int,
+                    message: str) -> Response:
+    return Response(request_id=request_id, app=request.app, ok=False,
+                    backend=request.backend, error=message, batch_id=batch_id,
+                    trace=_trace_span(request, 0.0, 0.0, False))
+
+
+def result_fingerprint(tier: LRUCache, request: Request,
+                       program_key: Optional[str]):
+    """Memoization key for deterministic requests; None if uncacheable."""
+    if (tier.capacity <= 0 or request.memory is not None
+            or request.app is None):
+        return None  # tier off, or externally staged state: not replayable
+    return (program_key, request.app, request.backend, request.n_threads,
+            request.seed, tuple(sorted(request.args.items())))
+
+
+def _detached(response: Response, **changes: Any) -> Response:
+    """A changed copy sharing no mutable state with ``response``."""
+    return replace(response,
+                   outputs=(list(response.outputs)
+                            if response.outputs is not None else None),
+                   report=(replace(response.report)
+                           if response.report is not None else None),
+                   **changes)
+
+
+def memoize(tier: LRUCache, fingerprint, response: Response) -> None:
+    """Keep an error-free response for replay — never its trace: an untraced
+    replay must be byte-identical to an uncached untraced serve."""
+    if fingerprint is not None and response.error is None:
+        tier.put(fingerprint, _detached(response, trace=None))
+
+
+def replay(cached: Response, request_id: int, request: Request, batch_id: int,
+           program_hit: Optional[bool], compile_s: float = 0.0) -> Response:
+    """An earlier response as this request's own: what a hit looks like, for
+    an :class:`Engine` and for a pool's dispatcher alike.  The trace is
+    rebuilt from the *current* request, so span data never leaks between
+    requests.  Only an error-free response is a hit; the dispatcher also
+    repeats a failure to a same-flush duplicate of the request that failed.
+    """
+    hit = cached.error is None
+    return _detached(cached, request_id=request_id, batch_id=batch_id,
+                     result_cache_hit=hit, program_cache_hit=program_hit,
+                     trace=_trace_span(request, compile_s, 0.0, hit))
 
 
 class Engine:
@@ -230,7 +303,7 @@ class Engine:
         self._failed: List[Response] = []
         self._next_request_id = 0
         self._next_batch_id = 0
-        self.backend_counts: Dict[str, int] = {}
+        self.backend_counts: Dict[str, int] = Counter()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Hot-path cost discipline: the engine only *times at batch level*
         # (two perf_counter calls per batch); every per-request counter is
@@ -270,22 +343,22 @@ class Engine:
         """
         batches: List[Batch] = []
         open_batches: Dict[Tuple[Optional[str], str], Batch] = {}
-        for request_id, request in self._queue:
+        # The queue is taken before it is walked and *any* failure to place an
+        # entry is that entry's error: nothing stays queued to fail again.
+        queue, self._queue = self._queue, []
+        for request_id, request in queue:
             try:
                 _, source = request.resolve()
-                backend = self.backends.get(request.backend)
-            except ReproError as error:
-                self._failed.append(self._error_response(
-                    request_id, request,
-                    Batch(batch_id=-1, program_key=None,
-                          backend=request.backend),
-                    str(error)))
+                key = (self.program_cache.key(source, request.function,
+                                              request.options)
+                       if self.backends.get(request.backend).needs_program
+                       else None)
+                slot = (key, request.backend)
+                batch = open_batches.get(slot)
+            except Exception as error:  # noqa: BLE001 - see above
+                self._failed.append(_error_response(
+                    request_id, request, -1, str(error)))
                 continue
-            key = (self.program_cache.key(source, request.function,
-                                          request.options)
-                   if backend.needs_program else None)
-            slot = (key, request.backend)
-            batch = open_batches.get(slot)
             if batch is None or len(batch) >= self.max_batch_size:
                 batch = Batch(batch_id=self._next_batch_id, program_key=key,
                               backend=request.backend)
@@ -293,7 +366,6 @@ class Engine:
                 batches.append(batch)
                 open_batches[slot] = batch
             batch.entries.append((request_id, request))
-        self._queue = []
         return batches
 
     def drain_failed(self) -> List[Response]:
@@ -345,74 +417,31 @@ class Engine:
                 compile_s = time.perf_counter() - compile_started
                 self.program_cache.record_amortized_hits(len(batch.entries) - 1)
             except ReproError as error:
-                return [self._error_response(request_id, request, batch,
-                                             f"compile failed: {error}")
+                return [_error_response(request_id, request, batch.batch_id,
+                                        f"compile failed: {error}")
                         for request_id, request in batch.entries]
             if program_hit is False:
                 self._m_compile_s.observe(compile_s)
         responses: List[Response] = []
         for request_id, request in batch.entries:
-            fingerprint = self._result_fingerprint(request, batch)
+            fingerprint = result_fingerprint(self.result_cache, request,
+                                             batch.program_key)
             cached = (self.result_cache.get(fingerprint)
                       if fingerprint is not None else None)
             if cached is not None:
-                responses.append(self._replay(
-                    cached, request_id, request, batch, program_hit,
-                    compile_s))
-                continue
-            response = self._execute_request(
-                request_id, request, batch, program, program_hit, compile_s)
+                response = replay(cached, request_id, request, batch.batch_id,
+                                  program_hit, compile_s)
+            else:
+                response = self._execute_request(
+                    request_id, request, batch, program, program_hit,
+                    compile_s)
+                memoize(self.result_cache, fingerprint, response)
             if response.error is None:
-                self.backend_counts[request.backend] = (
-                    self.backend_counts.get(request.backend, 0) + 1)
-                if fingerprint is not None:
-                    # Cached entries never retain a trace: a later untraced
-                    # request replaying this fingerprint must get a response
-                    # byte-identical to an uncached untraced serve.
-                    self.result_cache.put(fingerprint, replace(
-                        response,
-                        trace=None,
-                        outputs=(list(response.outputs)
-                                 if response.outputs is not None else None),
-                        report=(replace(response.report)
-                                if response.report is not None else None)))
+                self.backend_counts[request.backend] += 1
             responses.append(response)
         self._m_batches.inc()
         self._m_batch_s.observe(time.perf_counter() - batch_started)
         return responses
-
-    def _replay(self, cached: Response, request_id: int, request: Request,
-                batch: Batch, program_hit: Optional[bool],
-                compile_s: float = 0.0) -> Response:
-        """A result-cache hit as a fresh Response (no shared mutable state).
-
-        The trace is rebuilt from the *current* request (cached entries
-        store ``trace=None``), so cache sharing between traced and untraced
-        requests never leaks span data across them.
-        """
-        self.backend_counts[request.backend] = (
-            self.backend_counts.get(request.backend, 0) + 1)
-        return replace(cached, request_id=request_id,
-                       batch_id=batch.batch_id, result_cache_hit=True,
-                       program_cache_hit=program_hit,
-                       trace=self._trace_span(request, compile_s, 0.0, True),
-                       outputs=(list(cached.outputs)
-                                if cached.outputs is not None else None),
-                       report=(replace(cached.report)
-                               if cached.report is not None else None))
-
-    @staticmethod
-    def _trace_span(request: Request, compile_s: float, execute_s: float,
-                    replayed: bool) -> Optional[Dict[str, Any]]:
-        """Engine-side spans for a traced request; None when not tracing."""
-        if not request.trace:
-            return None
-        return {
-            "trace_id": request.trace_id,
-            "compile_s": round(compile_s, 6),
-            "execute_s": round(execute_s, 6),
-            "result_cache_hit": replayed,
-        }
 
     def _execute_request(self, request_id: int, request: Request, batch: Batch,
                          program, program_hit: Optional[bool],
@@ -432,7 +461,8 @@ class Engine:
             )
             result = self.backends.get(request.backend).execute(ctx)
         except ReproError as error:
-            return self._error_response(request_id, request, batch, str(error))
+            return _error_response(request_id, request, batch.batch_id,
+                                   str(error))
         execute_s = time.perf_counter() - started if request.trace else 0.0
         return Response(
             request_id=request_id,
@@ -447,7 +477,7 @@ class Engine:
             program_cache_hit=program_hit,
             result_cache_hit=False,
             batch_id=batch.batch_id,
-            trace=self._trace_span(request, compile_s, execute_s, False),
+            trace=_trace_span(request, compile_s, execute_s, False),
         )
 
     def _instance_for(self, request: Request,
@@ -464,23 +494,6 @@ class Engine:
                 raise EngineError(str(error)) from error
         raise EngineError(
             "raw-source requests must provide a pre-staged 'memory'")
-
-    def _result_fingerprint(self, request: Request, batch: Batch):
-        """Memoization key for deterministic requests; None if uncacheable."""
-        if self.result_cache.capacity <= 0:
-            return None
-        if request.memory is not None or request.app is None:
-            return None  # externally staged state is not replayable
-        return (batch.program_key, request.app, request.backend,
-                request.n_threads, request.seed,
-                tuple(sorted(request.args.items())))
-
-    def _error_response(self, request_id: int, request: Request, batch: Batch,
-                        message: str) -> Response:
-        return Response(request_id=request_id, app=request.app,
-                        backend=request.backend, ok=False, error=message,
-                        batch_id=batch.batch_id,
-                        trace=self._trace_span(request, 0.0, 0.0, False))
 
     # -- stats --------------------------------------------------------------
 
@@ -512,7 +525,7 @@ class Engine:
         requests = registry.counter(
             "engine_requests_total", "Requests served, by backend.",
             ("backend",))
-        for backend, count in self.backend_counts.items():
+        for backend, count in list(self.backend_counts.items()):
             requests.set_total(count, backend=backend)
         executors = registry.counter(
             "engine_executor_requests_total",

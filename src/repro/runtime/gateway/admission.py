@@ -1,27 +1,26 @@
 """Rate-aware admission control and the shared pool front door.
 
 The serving stack measures how fast it drains work (per-worker EWMA service
-rates from PR 3, plus the front door's own flush measurements) but, until
-this module, accepted and queued work unboundedly: a client could park an
-arbitrary backlog behind the pool lock and every later request would wait
-behind it.  :class:`AdmissionController` turns the measured drain rate into
-a *token budget* — the pool may hold at most ``drain_rps × headroom``
-requests in flight (``headroom`` is literally "seconds of queued work") —
-and sheds everything beyond it with a computed retry hint instead of
-queueing it.
+rates plus the front door's own flush measurements).
+:class:`AdmissionController` turns that drain rate into a *token budget* —
+the pool may hold at most ``drain_rps × headroom`` requests in flight
+(``headroom`` is literally "seconds of queued work") — and sheds everything
+beyond it with a computed retry hint instead of queueing it.
 
 :class:`PoolService` is the front door: one
-:class:`~repro.runtime.pool.WorkerPool`, one lock serializing flushes, one
-admission controller, one set of counters, and the one table of what the
-service can do (``request``, ``batch``, ``stream``, ``stats``, ``metrics``,
-``slow``, ``health``).  The table does not know who calls it: every entry
-takes already-decoded, already-shaped arguments plus the caller's own
-endpoint label, and answers a door-neutral :class:`Reply`.  The listener
-(:class:`~repro.runtime.server.RuntimeServer`) only frames: its NDJSON line
-handler and its HTTP handler (:mod:`repro.runtime.gateway.http`) each own
-their op/route map, the body shapes they accept, their refusal wording and
-their envelope keys, so both doors shed load identically — a 429 envelope
-on one wire is a 429 status on the other, backed by the same token bucket.
+:class:`~repro.runtime.pool.WorkerPool`, its short front lock (submit,
+coalesce, result-tier lookup) and one ``pool_lock`` serializing only the
+flushes that reach a worker, one admission controller, one set of counters,
+and the one table of what the service can do (``request``, ``batch``,
+``stream``, ``stats``, ``metrics``, ``slow``, ``health``).  The table does
+not know who calls it: every entry takes already-decoded, already-shaped
+arguments plus the caller's own endpoint label, and answers a door-neutral
+:class:`Reply`.  The listener (:class:`~repro.runtime.server.RuntimeServer`)
+only frames: its NDJSON line handler and its HTTP handler
+(:mod:`repro.runtime.gateway.http`) each own their op/route map, the body
+shapes they accept, their refusal wording and their envelope keys, so both
+doors shed load identically — a 429 envelope on one wire is a 429 status on
+the other, backed by the same token bucket.
 """
 
 from __future__ import annotations
@@ -273,7 +272,7 @@ def _shed_reply(result: ServeResult) -> Reply:
 
 
 class PoolService:
-    """The shared front door: one pool, one lock, one admission controller.
+    """The shared front door: one pool, its locks, one admission controller.
 
     ``admission=None`` disables shedding entirely (kept for tests).  What
     the service can do is the table below — :meth:`request`, :meth:`batch`
@@ -378,9 +377,9 @@ class PoolService:
         Admission is all-or-nothing per call: either every payload gets a
         token (and malformed ones become error envelopes without poisoning
         the rest), or the whole call is shed with one retry hint.  Tokens
-        are held from admission until the flush completes, so work waiting
-        on the pool lock counts against the in-flight budget — that is the
-        wire-level backpressure.
+        are held from admission until the flush completes (a replay's too),
+        so work waiting on the pool lock counts against the in-flight budget
+        — that is the wire-level backpressure.
 
         ``endpoint`` labels this call's metrics (and trace spans) with the
         front door it came through — the NDJSON op or the HTTP route.
@@ -423,7 +422,7 @@ class PoolService:
         slots: List[tuple] = []
         queued_at = time.perf_counter()
         try:
-            with self.pool_lock:
+            with self.pool.front_lock:
                 wait = time.perf_counter() - queued_at
                 for payload in payloads:
                     try:
@@ -441,18 +440,21 @@ class PoolService:
                         )
                     except (ReproError, TypeError, ValueError) as error:
                         slots.append(("error", str(error)))
-                submitted = sum(1 for kind, _ in slots if kind == "id")
-                flush_started = time.perf_counter()
-                report = self.pool.flush()
-                flush_elapsed = time.perf_counter() - flush_started
-                if self.admission is not None:
-                    # Only requests the pool actually served may feed the
-                    # drain estimate: counting malformed payloads against a
-                    # near-instant empty flush would inject absurd rps
-                    # samples and inflate the admission budget.
-                    if submitted > 0:
-                        self.admission.observe_drain(submitted, flush_elapsed)
-                    self.admission.update_rates(self.pool.measured_rates())
+                flush = self.pool.lookup()
+            if not flush.batches:
+                # All replays (or malformed): no worker, so no pool lock — a
+                # hit never queues behind another connection's miss.
+                report = self.pool.dispatch(flush)
+            else:
+                queued_at = time.perf_counter()
+                with self.pool_lock:
+                    wait += time.perf_counter() - queued_at
+                    report = self.pool.dispatch(flush)
+                    if self.admission is not None:
+                        # Only what workers served feeds the drain estimate:
+                        # a replay takes microseconds and would inflate it.
+                        self.admission.observe_drain(report.dispatched, report.flush_s)
+                        self.admission.update_rates(self.pool.measured_rates())
         except PoolError as error:
             # Transient worker loss never lands here — the pool masks it by
             # respawning and replaying.  A PoolError means the circuit
@@ -478,7 +480,7 @@ class PoolService:
             else:
                 results.append({"ok": False, "error": value})
         total_s = time.perf_counter() - started
-        self._finish_telemetry(results, endpoint, wait, flush_elapsed, total_s)
+        self._finish_telemetry(results, endpoint, wait, report.flush_s, total_s)
         return ServeResult(results=results)
 
     def _finish_telemetry(
@@ -491,7 +493,7 @@ class PoolService:
     ) -> None:
         """Per-call accounting: counters, latency, span enrichment, ring.
 
-        Runs after the pool lock is released.  Traced results gain the
+        Runs after the locks are released.  Traced results gain the
         front-door spans (queue-wait, flush, total) next to the engine's
         compile/execute spans; untraced results are untouched, preserving
         byte transparency.
@@ -540,14 +542,13 @@ class PoolService:
         that tripped the breaker shut the server down, so probes then fail
         at the connection level, not here.
         """
-        pool = self.pool
-        recent = getattr(pool, "recent_restarts", lambda: 0)()
+        recent = self.pool.recent_restarts()
         return {
             "ok": True,
             "degraded": recent > 0,
             "recent_restarts": recent,
-            "worker_restarts": getattr(pool, "worker_restarts", 0),
-            "replayed_batches": getattr(pool, "replayed_batches", 0),
+            "worker_restarts": self.pool.worker_restarts,
+            "replayed_batches": self.pool.replayed_batches,
         }
 
     def queue_wait_quantile(self, q: float) -> float:
@@ -561,8 +562,6 @@ class PoolService:
 
     def stats_payload(self) -> Dict[str, Any]:
         """The ``stats`` wire envelope: counters, queue waits, pool view."""
-        with self.pool_lock:
-            pool_stats = self.pool.stats_row()
         payload: Dict[str, Any] = {
             "ok": True,
             "op": "stats",
@@ -571,7 +570,7 @@ class PoolService:
             "queue_wait_p50_s": round(self.queue_wait_quantile(0.50), 6),
             "queue_wait_p99_s": round(self.queue_wait_quantile(0.99), 6),
             "health": self.health_payload(),
-            "pool": pool_stats,
+            "pool": self.pool.stats_row(),  # lock-free: never behind a flush
         }
         if self.admission is not None:
             payload["admission"] = self.admission.snapshot().to_dict()
@@ -608,10 +607,7 @@ class PoolService:
         engine snapshots, so one scrape covers admission, engine cache
         tiers, pool flush/restart, and per-endpoint latency.
         """
-        snapshots = [self.metrics.snapshot()]
-        pool_snapshots = getattr(self.pool, "metrics_snapshots", None)
-        if pool_snapshots is not None:
-            snapshots.extend(pool_snapshots())
+        snapshots = [self.metrics.snapshot(), *self.pool.metrics_snapshots()]
         return render_prometheus(snapshots)
 
     def slow_payload(self) -> Dict[str, Any]:

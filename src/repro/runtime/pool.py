@@ -3,9 +3,9 @@
 :class:`WorkerPool` is the layer between the engine's batch former and its
 batch executor.  A front :class:`~repro.runtime.engine.Engine` coalesces
 queued requests into per-program batches exactly as a single-process engine
-would; the pool then *dispatches* whole batches across ``N`` workers, each
-of which owns a private :class:`~repro.runtime.engine.Engine` with its own
-:class:`~repro.runtime.cache.ProgramCache` and memoized-response tier.
+would; the dispatcher answers what its one memoized-response tier holds and
+*dispatches* the misses across ``N`` workers, each with a private
+:class:`~repro.runtime.engine.Engine` and its own program cache (no result tier).
 
 Two execution modes share one dispatch path:
 
@@ -30,11 +30,11 @@ crash.  A dead worker (EOF or broken pipe) or a hung one (no flush reply
 inside a deadline derived from its measured EWMA service rate) is respawned
 in place with its same :class:`WorkerConfig`, and the batches it was
 holding are requeued onto the surviving workers *within the same flush* —
-responses are deterministic and the memoized-response tier is per-worker,
-so replaying a batch reproduces the exact responses a fault-free run would
-have produced.  Cache-affinity residency is re-seeded from the lost
-worker's last snapshot, so routing stays stable while the respawned child
-rewarms (its disk tier, when configured, survives the crash).  Repeated
+responses are deterministic and the memoized-response tier sees only a
+flush's final responses, so replaying a batch reproduces the exact responses
+a fault-free run would have produced.  Cache-affinity residency is re-seeded
+from the lost worker's last snapshot, so routing stays stable while the
+respawned child rewarms (its disk tier, when configured, survives).  Repeated
 failure trips a circuit breaker — more than ``max_worker_restarts``
 respawns inside ``restart_window_s`` closes the pool and raises
 :class:`PoolError`, the unrecoverable-death signal the serving layer turns
@@ -46,15 +46,17 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.columnar import resolve_executor
 from repro.errors import ReproError
 from repro.runtime.cache import CacheStats, ProgramCache
 from repro.runtime.engine import Batch, Engine, Request, Response
+from repro.runtime.engine import memoize, replay, result_fingerprint
 from repro.runtime.faults import FaultInjector, FaultPlan, InjectedFault
 from repro.runtime.logs import event, get_logger
 from repro.runtime.scheduler import ScheduleReport, ShardScheduler
@@ -93,7 +95,6 @@ class WorkerConfig:
     """Everything one pool worker needs to build its private engine."""
 
     cache_capacity: int = 64
-    result_cache_capacity: int = 512
     max_batch_size: int = 16
     init_latency_s: float = 1e-4
     #: Root of the on-disk program-cache tier; each worker pickles into its
@@ -121,7 +122,7 @@ class WorkerConfig:
             program_cache=ProgramCache(
                 capacity=self.cache_capacity, disk_dir=self.disk_dir(index)
             ),
-            result_cache_capacity=self.result_cache_capacity,
+            result_cache_capacity=0,  # the one result tier is the dispatcher's
             max_batch_size=self.max_batch_size,
             init_latency_s=self.init_latency_s,
             executor=self.executor,
@@ -162,7 +163,7 @@ class WorkerSnapshot:
     batches: int
     requests: int
     program_cache: CacheStats
-    result_cache: CacheStats
+    result_cache: CacheStats = field(default_factory=CacheStats)  # always zero
     resident_keys: List[str] = field(default_factory=list)
     #: Cumulative wall-clock seconds this worker spent executing batches.
     busy_s: float = 0.0
@@ -251,7 +252,6 @@ def _snapshot(
         batches=batches,
         requests=requests,
         program_cache=engine.program_cache_stats.snapshot(),
-        result_cache=engine.result_cache_stats.snapshot(),
         resident_keys=engine.program_cache.resident_keys(),
         busy_s=busy_s,
         service_rate_rps=service_rate_rps,
@@ -453,6 +453,16 @@ class _ProcessWorker:
         self.connection.close()
 
 
+class _Flush(NamedTuple):
+    """What :meth:`WorkerPool.lookup` hands to ``dispatch``."""
+
+    responses: List[Response]  # answered already: coalesce errors and replays
+    batches: List[Batch]  # what missed, with its ids and batch ids
+    first: Dict[Any, int]  # fingerprint -> id of its first miss
+    held: List[Tuple[int, Request, int, Any]]  # repeats of those, held back
+    lookup_s: float
+
+
 @dataclass
 class PoolReport:
     """Everything one flush produced: responses plus dispatch evidence."""
@@ -465,6 +475,11 @@ class PoolReport:
     worker_restarts: int = 0
     #: Batches replayed onto survivors after a worker loss, this flush.
     replayed_batches: int = 0
+    #: Requests sent to workers (the tier's misses), the seconds lookup and
+    #: dispatch took, and the pool's one result tier after it (cumulative).
+    dispatched: int = 0
+    flush_s: float = 0.0
+    result_cache: CacheStats = field(default_factory=CacheStats)
 
     @property
     def policy(self) -> str:
@@ -476,8 +491,8 @@ class PoolReport:
         return CacheStats.merged(w.program_cache for w in self.workers)
 
     def aggregate_result_stats(self) -> CacheStats:
-        """Result-cache counters summed across every worker."""
-        return CacheStats.merged(w.result_cache for w in self.workers)
+        """Counters of the pool's one result tier (workers keep none)."""
+        return self.result_cache
 
     def program_hit_rate(self) -> float:
         """Pool-wide program-cache hit rate (the affinity headline metric)."""
@@ -600,7 +615,6 @@ class WorkerPool:
         self.metrics.add_collector(self._collect_metrics)
         self.config = WorkerConfig(
             cache_capacity=cache_capacity,
-            result_cache_capacity=result_cache_capacity,
             max_batch_size=max_batch_size,
             init_latency_s=init_latency_s,
             disk_cache_dir=disk_cache_dir,
@@ -625,13 +639,17 @@ class WorkerPool:
             buffers_per_worker=buffers_per_worker,
             policy=self._policy,
         )
-        # The front engine only queues and coalesces; capacity-0 caches keep
-        # it from ever compiling or memoizing anything itself.
+        # The front engine queues, coalesces and keeps the pool's one result
+        # tier (counted into the pool's registry); it never compiles or runs.
+        # ``front_lock`` guards it from a caller's first submit() to its lookup().
         self._front = Engine(
             program_cache=ProgramCache(capacity=0),
-            result_cache_capacity=0,
+            result_cache_capacity=result_cache_capacity,
             max_batch_size=max_batch_size,
+            executor=executor,
+            metrics=self.metrics,
         )
+        self.front_lock = threading.Lock()
         if mode == "process":
             context = multiprocessing.get_context(mp_context)
             self._workers = [
@@ -651,7 +669,6 @@ class WorkerPool:
                 batches=0,
                 requests=0,
                 program_cache=CacheStats(),
-                result_cache=CacheStats(),
             )
             for i in range(workers)
         ]
@@ -686,21 +703,81 @@ class WorkerPool:
         return self.flush()
 
     def flush(self) -> PoolReport:
-        """Dispatch everything queued across the pool and gather responses.
+        """Serve everything queued: :meth:`lookup`, then :meth:`dispatch`."""
+        with self.front_lock:
+            flush = self.lookup()
+        return self.dispatch(flush)
 
-        Worker loss during the flush is masked: the lost worker is
-        respawned and its batches are redispatched onto the pool within
-        this same call, so the returned responses match a fault-free run
-        (deterministic replay).  Only a tripped circuit breaker, a failed
-        respawn, or an exhausted poison batch surfaces — the first two as
-        :class:`PoolError` after closing the pool, the last as per-request
-        error responses.
+    def lookup(self) -> _Flush:
+        """Coalesce the queue and answer what the result tier already holds.
+
+        The coalesce assigns ids and batch ids first, so a hit changes
+        nobody's.  A hit is replayed right here — no worker, pipe or pickle,
+        and nothing compiled.  A repeat of an earlier miss of this flush is
+        held back for that one's response, so it still executes once.  The
+        caller holds ``front_lock``.
         """
         if self._closed:
             raise PoolError("pool is closed")
-        flush_started = time.perf_counter()
-        batches = self._front.coalesce()
-        failed = self._front.drain_failed()
+        started = time.perf_counter()
+        tier = self._front.result_cache
+        responses, batches, first, held = [], [], {}, []
+        for batch in self._front.coalesce():
+            misses = []
+            for request_id, request in batch.entries:
+                key = result_fingerprint(tier, request, batch.program_key)
+                if key in first:
+                    held.append((request_id, request, batch.batch_id, key))
+                elif key is None or (cached := tier.get(key)) is None:
+                    if key is not None:
+                        first[key] = request_id
+                    misses.append((request_id, request))
+                else:
+                    self._front.backend_counts[request.backend] += 1
+                    compiled = True if batch.program_key is not None else None
+                    hit = replay(cached, request_id, request, batch.batch_id, compiled)
+                    responses.append(hit)
+            if misses:
+                batches.append(replace(batch, entries=misses))
+        responses.extend(self._front.drain_failed())
+        return _Flush(responses, batches, first, held, time.perf_counter() - started)
+
+    def dispatch(self, flush: _Flush) -> PoolReport:
+        """Send what missed to the workers, gather, and fill the tier.
+
+        Callers serialize dispatches that carry batches; one that carries
+        none touches no worker state.  Worker loss is masked as the class
+        docstring describes, so the tier sees only a flush's final responses.
+        """
+        started = time.perf_counter()
+        if not flush.batches:
+            idle = ScheduleReport(self._policy.name, [])
+            report = PoolReport(self.mode, [], self.last_snapshots, idle)
+        else:
+            report = self._gather(flush.batches)
+            by_id = {response.request_id: response for response in report.responses}
+            report.dispatched = len(by_id)
+            with self.front_lock:
+                for key, request_id in flush.first.items():
+                    memoize(self._front.result_cache, key, by_id[request_id])
+                for request_id, request, batch_id, key in flush.held:
+                    # A hit now — unless the first one failed: then its error.
+                    was = self._front.result_cache.get(key) or by_id[flush.first[key]]
+                    self._front.backend_counts[request.backend] += was.error is None
+                    again = (request_id, request, batch_id, was.program_cache_hit)
+                    flush.responses.append(replay(was, *again))
+        report.responses.extend(flush.responses)
+        report.responses.sort(key=lambda r: r.request_id)
+        report.result_cache = self._front.result_cache_stats.snapshot()
+        report.flush_s = flush.lookup_s + time.perf_counter() - started
+        self._m_flushes.inc()
+        self._m_flush_s.observe(report.flush_s)
+        return report
+
+    def _gather(self, batches: List[Batch]) -> PoolReport:
+        """One scatter/gather round over the workers, losses masked."""
+        if self._closed:
+            raise PoolError("pool is closed")
         if isinstance(self._policy, CacheAffinityPolicy) and self._residency:
             self._policy.seed(self._residency)
         schedule = self._scheduler.dispatch(
@@ -713,7 +790,7 @@ class WorkerPool:
         pending: Dict[int, List[Batch]] = {}
         for batch, worker in zip(batches, schedule.assignments):
             pending.setdefault(worker, []).append(batch)
-        responses: List[Response] = list(failed)
+        responses: List[Response] = []
         snapshots = list(self.last_snapshots)
         flush_restarts = 0
         flush_replays = 0
@@ -790,7 +867,6 @@ class WorkerPool:
                 )
                 for batch, worker in zip(retry, redispatch.assignments):
                     pending.setdefault(worker, []).append(batch)
-        responses.sort(key=lambda r: r.request_id)
         # Snapshots of respawned workers that served no retry batch are
         # deliberately left at their pre-crash value: the residency seed
         # keeps routing their programs to the same index while the fresh
@@ -798,10 +874,7 @@ class WorkerPool:
         self._residency = [list(s.resident_keys) for s in snapshots]
         self.last_snapshots = snapshots
         self.replayed_batches += flush_replays
-        self._m_flushes.inc()
-        self._m_flush_s.observe(time.perf_counter() - flush_started)
-        if batches:
-            self._m_imbalance.set(schedule.imbalance())
+        self._m_imbalance.set(schedule.imbalance())
         return PoolReport(
             mode=self.mode,
             responses=responses,
@@ -953,7 +1026,7 @@ class WorkerPool:
         """Cumulative pool stats from the most recent flush's snapshots."""
         return {
             "mode": self.mode,
-            "policy": getattr(self._policy, "name", str(self._policy)),
+            "policy": self._policy.name,
             "executor": resolve_executor(self.config.executor),
             "faults": {
                 "worker_restarts": self.worker_restarts,
@@ -966,7 +1039,5 @@ class WorkerPool:
             "program_cache": CacheStats.merged(
                 s.program_cache for s in self.last_snapshots
             ).to_dict(),
-            "result_cache": CacheStats.merged(
-                s.result_cache for s in self.last_snapshots
-            ).to_dict(),
+            "result_cache": self._front.result_cache_stats.to_dict(),
         }

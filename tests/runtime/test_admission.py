@@ -1,5 +1,7 @@
 """Rate-aware admission control: token budget, shedding, and overload."""
 
+import itertools
+import sys
 import threading
 import time
 
@@ -236,6 +238,144 @@ class TestOpTable:
         }
 
 
+class TestTwoLockFlush:
+    """A hit is answered under the front lock; only a miss takes pool_lock."""
+
+    HIT = {"app": "search", "n_threads": 2, "seed": 0}
+    MISS = {"app": "search", "n_threads": 2, "seed": 1}
+
+    @staticmethod
+    def in_thread(call):
+        """Run ``call`` on a thread; its result lands in the returned list."""
+        box = []
+        thread = threading.Thread(target=lambda: box.append(call()), daemon=True)
+        thread.start()
+        return thread, box
+
+    def test_a_hit_returns_while_a_miss_is_parked_inside_a_worker(self):
+        entered, release = threading.Event(), threading.Event()
+        with WorkerPool(workers=1, mode="inline") as pool:
+            service = PoolService(pool, AdmissionController(max_inflight=8))
+            assert service.serve_payloads([self.HIT]).results[0]["ok"]
+            engine = pool._workers[0].engine
+            execute = engine.execute_batch
+
+            def parked(batch):
+                entered.set()
+                assert release.wait(timeout=30)
+                return execute(batch)
+
+            engine.execute_batch = parked
+            miss_thread, miss = self.in_thread(
+                lambda: service.serve_payloads([self.MISS, self.HIT]))
+            assert entered.wait(timeout=30)
+            assert service.pool_lock.locked()       # the miss holds the pool
+            hit_thread, hit = self.in_thread(
+                lambda: service.serve_payloads([self.HIT]))
+            hit_thread.join(timeout=30)
+            assert not hit_thread.is_alive(), "the hit queued behind the miss"
+            assert miss_thread.is_alive() and not miss
+            # Reads do not queue behind it either.
+            assert service.stats_payload()["admission"]["inflight"] == 2
+            release.set()
+            miss_thread.join(timeout=30)
+            assert not miss_thread.is_alive()
+        [reply] = hit[0].results
+        assert reply["ok"] and reply["result_cache_hit"]
+        parked_miss, rode_along = miss[0].results
+        assert parked_miss["ok"] and not parked_miss["result_cache_hit"]
+        assert rode_along["ok"] and rode_along["result_cache_hit"]
+        assert parked_miss["request_id"] + 1 == rode_along["request_id"]
+
+    def test_pool_lock_is_taken_only_for_worker_dispatch(self):
+        with WorkerPool(workers=1, mode="inline") as pool:
+            service = PoolService(pool)
+            service.serve_payloads([self.HIT])
+            with service.pool_lock:
+                # Hits, malformed payloads and stats never ask for it ...
+                thread, box = self.in_thread(lambda: [
+                    service.serve_payloads([self.HIT, {"app": ["x"]}]),
+                    service.stats_payload(),
+                ])
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+                # ... a miss does, and waits.
+                blocked, miss = self.in_thread(
+                    lambda: service.serve_payloads([self.MISS]))
+                blocked.join(timeout=0.2)
+                assert blocked.is_alive() and not miss
+            blocked.join(timeout=30)
+        assert [r["ok"] for r in box[0][0].results] == [True, False]
+        assert miss[0].results[0]["ok"]
+        assert service.queue_wait_quantile(1.0) >= 0.2
+
+    def test_concurrent_callers_lose_no_update(self):
+        """Eight threads on two locks: ids, tier and counters stay exact."""
+        callers, calls = 8, 40
+
+        def client(index, service):
+            return [
+                service.serve_payloads([
+                    self.HIT,
+                    {"app": "hash-table", "n_threads": 1,
+                     "seed": (index + call) % 4},
+                    {"app": ["search"]},
+                ]).results
+                for call in range(calls)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WorkerPool(workers=2, mode="inline") as pool:
+                service = PoolService(pool)
+                running = [
+                    self.in_thread(lambda index=index: client(index, service))
+                    for index in range(callers)
+                ]
+                for thread, _ in running:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+                stats = service.stats_payload()
+        finally:
+            sys.setswitchinterval(interval)
+        replies = [r for _, box in running for call in box[0] for r in call]
+        good = [r for r in replies if r["ok"]]
+        assert len(replies) == stats["served"] == callers * calls * 3
+        assert len(good) == callers * calls * 2
+        ids = [r["request_id"] for r in good]
+        assert len(set(ids)) == len(ids)
+        # One lookup per cacheable request; every miss reached one worker
+        # (two callers may both miss a key before either has filled it).
+        tier = stats["pool"]["result_cache"]
+        assert tier["hits"] + tier["misses"] == len(good)
+        assert tier["hits"] == sum(r["result_cache_hit"] for r in good)
+        assert tier["misses"] >= 5
+        assert sum(w["requests"] for w in stats["pool"]["workers"]) == \
+            tier["misses"]
+
+    def test_replays_hold_tokens_but_do_not_feed_the_drain_estimate(self):
+        controller = AdmissionController(headroom=0.05)
+        with WorkerPool(workers=1, mode="inline") as pool:
+            service = PoolService(pool, controller)
+            service.serve_payloads([self.HIT])          # a miss: measured
+            drain = controller.drain_rps
+            assert 0.0 < drain < 10_000
+            for _ in range(50):
+                assert service.serve_payloads([self.HIT]).results[0]["ok"]
+            stats = service.stats_payload()
+            scrape = service.metrics_text()
+        # Fifty replays in ~20 us each would read as tens of thousands of rps.
+        assert controller.drain_rps == drain
+        assert stats["admission"]["admitted"] == 51
+        assert stats["admission"]["inflight"] == 0
+        assert stats["pool"]["result_cache"]["hits"] == 50
+        assert stats["pool"]["workers"][0]["requests"] == 1
+        assert stats["pool"]["workers"][0]["result_cache"]["hits"] == 0
+        assert 'engine_cache_lookups_total{tier="result",outcome="hit"} 50' in scrape
+        assert 'engine_requests_total{backend="vrda"} 51' in scrape
+
+
 class TestOverloadIntegration:
     """Saturate a 2-worker inline pool at ~2x its measured rate."""
 
@@ -245,20 +385,26 @@ class TestOverloadIntegration:
         pool = WorkerPool(
             workers=2, mode="inline", service_delays=[delay, delay]
         )
+        # Every request gets a seed of its own: a repeat would be replayed by
+        # the dispatcher, and only work that reaches a (slow) worker
+        # saturates the pool or feeds the drain estimate.  `next` on a
+        # `count` is atomic, so the client threads can share it.
+        seeds = itertools.count()
+
+        def fresh(n):
+            return [{"app": "hash-table", "n_threads": 2, "seed": next(seeds)}
+                    for _ in range(n)]
+
         with pool:
-            # Pay numpy import and compile of the two keys before anything is
-            # measured: a drain rate taken over a cold first flush is under
-            # 80 rps, whose budget (x 0.05 s = 3) sheds the warm-up batches.
-            pool.process([Request(app="search", n_threads=2, seed=s)
-                          for s in range(2)])
+            # Pay numpy import and the compile before anything is measured:
+            # a drain rate taken over a cold first flush is under 80 rps,
+            # whose budget (x 0.05 s = 3) sheds the warm-up batches.
+            pool.process([Request.from_dict(p) for p in fresh(2)])
             service = PoolService(pool, controller)
             # Warm up so the budget comes from measured drain, not defaults.
             # Batches of 4 fit even the cold default budget (100 rps x 0.05s).
             for round_ in range(5):
-                warm = service.serve_payloads(
-                    [{"app": "search", "n_threads": 2, "seed": s % 2}
-                     for s in range(4 * round_, 4 * round_ + 4)]
-                )
+                warm = service.serve_payloads(fresh(4))
                 assert not warm.shed
                 assert all(r["ok"] for r in warm.results)
             drain = controller.drain_rps
@@ -271,10 +417,7 @@ class TestOverloadIntegration:
 
             def client():
                 for _ in range(6):
-                    result = service.serve_payloads(
-                        [{"app": "search", "n_threads": 2, "seed": s % 2}
-                         for s in range(8)]
-                    )
+                    result = service.serve_payloads(fresh(8))
                     with results_lock:
                         results.append(result)
 

@@ -110,8 +110,10 @@ class TestEndToEndHitRate:
         rates = {}
         snapshots = {}
         for policy in ("round-robin", "cache-affinity"):
+            # No result tier, or only the 14 distinct requests would reach
+            # a worker and every program would be compiled exactly once.
             with WorkerPool(workers=4, mode="inline", policy=policy,
-                            cache_capacity=2) as pool:
+                            cache_capacity=2, result_cache_capacity=0) as pool:
                 report = pool.process(synthetic_trace(MIXED_TRACE))
             assert len(report.responses) == MIXED_TRACE.size
             assert all(r.ok for r in report.responses)

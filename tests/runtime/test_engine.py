@@ -39,6 +39,50 @@ class TestValidation:
         assert not responses[0].ok
         assert "no-such-app" in responses[0].error
 
+    @pytest.mark.parametrize("poison", [
+        dict(app=["search"]), dict(app={"name": "search"}),
+        dict(app="search", backend=["vrda"]), dict(source=["x"]),
+    ])
+    def test_an_unplaceable_request_never_stays_queued(self, poison):
+        """Any failure to place an entry is that entry's error, once."""
+        engine = Engine()
+        bad, good = engine.process([Request(**poison),
+                                    app_request("hash-table")])
+        assert not bad.ok and bad.error and bad.batch_id == -1
+        assert good.ok
+        assert engine.coalesce() == [] and engine.drain_failed() == []
+        [later] = engine.process([app_request("hash-table")])
+        assert later.ok and later.request_id == 2
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"app": ["search"]}, "app"),
+        ({"app": {"name": "search"}}, "app"),
+        ({"source": ["x"]}, "source"),
+        ({"app": "search", "function": 1}, "function"),
+        ({"app": "search", "backend": ["vrda"]}, "backend"),
+        ({"app": "search", "backend": {"name": "vrda"}}, "backend"),
+        ({"app": "search", "trace_id": 7}, "trace_id"),
+        ({"app": "search", "n_threads": 0}, "n_threads"),
+        ({"app": "search", "n_threads": "8"}, "n_threads"),
+        ({"app": "search", "n_threads": True}, "n_threads"),
+        ({"app": "search", "n_threads": 2.0}, "n_threads"),
+        ({"app": "search", "seed": "1"}, "seed"),
+        ({"app": "search", "args": [1]}, "args"),
+        ({"app": "search", "args": {"n": "1"}}, "args"),
+        ({"app": "search", "options": [1]}, "options"),
+        ({"app": "search", "options": {"verify_each": [1]}}, "options"),
+        ({"app": "search", "options": {"verify_each": 1}}, "options"),
+    ])
+    def test_wire_fields_are_type_checked(self, payload, field):
+        with pytest.raises(EngineError, match=f"'{field}'"):
+            Request.from_dict(payload)
+
+    def test_wire_null_means_not_given_and_in_process_callers_pay_nothing(self):
+        request = Request.from_dict(
+            {"app": "search", "seed": None, "options": None, "trace_id": None})
+        assert request == Request(app="search")
+        Request(app="search", n_threads="8").validate()   # not from_dict's job
+
     def test_raw_source_without_memory_is_an_error(self):
         engine = Engine()
         [response] = engine.process([Request(source=SQUARE)])

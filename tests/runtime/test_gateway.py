@@ -305,7 +305,9 @@ class TestStreaming:
     def test_responses_arrive_incrementally(self):
         """First streamed response lands before the batch completes."""
         delay = 0.03
-        requests = [{"app": "search", "n_threads": 2, "seed": s % 2}
+        # Distinct seeds: a repeat would be answered by the dispatcher's
+        # result tier without reaching a (slow) worker.
+        requests = [{"app": "search", "n_threads": 2, "seed": s}
                     for s in range(5)]
         pool = WorkerPool(workers=2, mode="inline",
                           service_delays=[delay, delay])

@@ -123,10 +123,12 @@ class TestProcessPool:
         trace = TraceConfig(size=4, apps=["search"],
                             backend_mix={"vrda": 1.0}, distinct_shapes=1,
                             n_threads=2, seed=1)
-        with WorkerPool(workers=2, mode="process") as control:
+        # No result tier: the repeated trace has to reach a worker.
+        with WorkerPool(workers=2, mode="process",
+                        result_cache_capacity=0) as control:
             control.process(synthetic_trace(trace))
             fault_free = control.process(synthetic_trace(trace))
-        pool = WorkerPool(workers=2, mode="process")
+        pool = WorkerPool(workers=2, mode="process", result_cache_capacity=0)
         try:
             pool.process(synthetic_trace(trace))
             pool._workers[0].process.kill()
@@ -146,7 +148,8 @@ class TestProcessPool:
         trace = TraceConfig(size=4, apps=["search"],
                             backend_mix={"vrda": 1.0}, distinct_shapes=1,
                             n_threads=2, seed=1)
-        pool = WorkerPool(workers=2, mode="process", max_worker_restarts=0)
+        pool = WorkerPool(workers=2, mode="process", max_worker_restarts=0,
+                          result_cache_capacity=0)
         try:
             pool.process(synthetic_trace(trace))
             pool._workers[0].process.kill()
@@ -164,7 +167,9 @@ class TestProcessPool:
         trace = TraceConfig(size=8, apps=["search"],
                             backend_mix={"vrda": 1.0}, distinct_shapes=1,
                             n_threads=2, seed=1)
-        with WorkerPool(workers=2, mode="process") as pool:
+        # One shape repeated: without the tier all eight reach a worker.
+        with WorkerPool(workers=2, mode="process",
+                        result_cache_capacity=0) as pool:
             report = pool.process(synthetic_trace(trace))
         assert sum(s.requests for s in report.workers) == trace.size
         assert sum(len(s.resident_keys) for s in report.workers) >= 1
@@ -194,3 +199,121 @@ class TestMeasuredRateDispatch:
     def test_service_delays_validated(self):
         with pytest.raises(PoolError):
             WorkerPool(workers=2, service_delays=[0.1])
+
+
+class TestResultTier:
+    """The pool's one result tier lives in the dispatcher, not in workers."""
+
+    SEARCH = dict(app="search", n_threads=2)
+
+    @staticmethod
+    def wire(report):
+        return [(r.request_id, r.batch_id, r.ok, r.error, r.outputs)
+                for r in report.responses]
+
+    def test_ids_and_batch_ids_equal_a_pool_without_the_tier(self):
+        first = [Request(seed=0, **self.SEARCH),
+                 Request(app="murmur3", n_threads=2)]
+        mixed = [Request(seed=0, **self.SEARCH),        # hit
+                 Request(app="no-such-app"),            # bad
+                 Request(seed=1, **self.SEARCH),        # miss
+                 Request(app="murmur3", n_threads=2),   # hit
+                 Request(seed=1, **self.SEARCH),        # repeat of the miss
+                 Request(app=["search"])]               # wrong-typed
+        reports = {}
+        for capacity in (512, 0):
+            with WorkerPool(workers=2, mode="inline",
+                            result_cache_capacity=capacity) as pool:
+                reports[capacity] = [pool.process(list(first)),
+                                     pool.process(list(mixed))]
+        for with_tier, without in zip(reports[512], reports[0]):
+            assert self.wire(with_tier) == self.wire(without)
+        hits = [r.result_cache_hit for r in reports[512][1].responses]
+        assert hits == [True, False, False, True, True, False]
+        assert not any(r.result_cache_hit for r in reports[0][1].responses)
+        assert reports[512][1].dispatched == 1
+        assert reports[0][1].dispatched == 4
+
+    def test_intra_flush_duplicate_executes_once(self):
+        with WorkerPool(workers=2, mode="inline") as pool:
+            report = pool.process([Request(seed=3, **self.SEARCH)
+                                   for _ in range(3)])
+        assert [r.result_cache_hit for r in report.responses] == \
+            [False, True, True]
+        assert [r.outputs for r in report.responses] == \
+            [report.responses[0].outputs] * 3
+        # The repeats carry the first one's program-cache verdict, as a
+        # worker-side replay inside one batch always did.
+        assert [r.program_cache_hit for r in report.responses] == [False] * 3
+        assert sum(s.requests for s in report.workers) == 1
+        tier = report.aggregate_result_stats()
+        assert (tier.hits, tier.misses) == (2, 1)
+        assert all(s.result_cache.lookups == 0 for s in report.workers)
+
+    def test_failed_request_caches_nothing_and_fails_its_duplicate_alike(self):
+        failing = dict(app="search", n_threads=0)   # divides by zero
+        with WorkerPool(workers=1, mode="inline") as pool:
+            report = pool.process([Request(**failing), Request(**failing)])
+            again = pool.process([Request(**failing)])
+        errors = [r.error for r in report.responses]
+        assert errors[0] and errors[0] == errors[1]
+        assert [r.request_id for r in report.responses] == [0, 1]
+        assert not any(r.result_cache_hit for r in report.responses)
+        assert report.workers[0].requests == 1
+        # Nothing was cached: the same request reaches the worker again.
+        assert again.workers[0].requests == 2
+        assert again.responses[0].error == errors[0]
+        assert again.aggregate_result_stats().hits == 0
+
+    def test_tier_is_bounded_and_counts_evictions(self):
+        keys = [Request(app="hash-table", n_threads=1, seed=s)
+                for s in range(513)]
+        with WorkerPool(workers=1, mode="inline") as pool:
+            filled = pool.process(list(keys[:512]))
+            assert filled.aggregate_result_stats().evictions == 0
+            over = pool.process([keys[512]])
+            assert over.aggregate_result_stats().evictions == 1
+            # The oldest key went: it misses, every younger one still hits.
+            oldest = pool.process([keys[0]]).responses[0]
+            youngest = pool.process([keys[512]]).responses[0]
+            stats = pool.stats_row()
+        assert not oldest.result_cache_hit and youngest.result_cache_hit
+        assert stats["result_cache"]["evictions"] == 2
+        assert all(w["result_cache"]["hits"] == 0 for w in stats["workers"])
+
+    def test_traced_hit_carries_a_fresh_span_and_never_anothers(self):
+        with WorkerPool(workers=1, mode="inline") as pool:
+            miss, = pool.process([Request(trace=True, trace_id="first",
+                                          **self.SEARCH)]).responses
+            hit, = pool.process([Request(trace=True, trace_id="second",
+                                         **self.SEARCH)]).responses
+            plain, = pool.process([Request(**self.SEARCH)]).responses
+        assert miss.trace["trace_id"] == "first" and miss.trace["worker"] == 0
+        assert hit.trace == {"trace_id": "second", "compile_s": 0.0,
+                             "execute_s": 0.0, "result_cache_hit": True}
+        assert hit.program_cache_hit is True
+        assert plain.trace is None and plain.result_cache_hit
+        assert "trace" not in plain.to_dict()
+
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    def test_killed_worker_leaves_no_crash_response_in_the_tier(self, mode):
+        from repro.runtime.faults import FaultPlan
+
+        plan = FaultPlan.from_spec(
+            [{"kind": "kill", "worker": 0, "after_batches": 1}])
+        requests = [Request(app=app, n_threads=2, seed=seed)
+                    for app in ("search", "hash-table", "murmur3")
+                    for seed in range(2)]
+        with WorkerPool(workers=2, mode=mode, fault_plan=plan) as pool:
+            report = pool.process(list(requests))
+            served = sum(s.requests for s in pool.last_snapshots)
+            again = pool.process(list(requests))
+            assert sum(s.requests for s in pool.last_snapshots) == served
+        assert report.worker_restarts == 1 and report.replayed_batches >= 1
+        assert all(r.ok and r.error is None for r in report.responses)
+        # Only final responses entered the tier, each once.
+        assert all(r.result_cache_hit for r in again.responses)
+        assert [r.outputs for r in again.responses] == \
+            [r.outputs for r in report.responses]
+        tier = again.aggregate_result_stats()
+        assert (tier.hits, tier.misses, tier.evictions) == (6, 6, 0)

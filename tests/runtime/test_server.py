@@ -4,6 +4,7 @@ import json
 import socket
 import threading
 import time
+from http.client import HTTPConnection
 
 import pytest
 
@@ -201,6 +202,86 @@ class TestProtocol:
         server.server_close()
         with pytest.raises(ClientError):
             RuntimeClient(host, port, timeout=5.0, connect_timeout=5.0).ping()
+
+
+#: Wrong-typed wire fields.  Each once raised inside the dispatcher's
+#: coalesce, stayed queued, and closed every later client's connection.
+POISON = [
+    {"app": ["search"]},
+    {"app": {"name": "search"}},
+    {"app": "search", "backend": ["vrda"]},
+    {"app": "search", "backend": {"name": "vrda"}},
+    {"app": "search", "options": {"verify_each": [1]}},
+    {"source": ["x"]},
+    {"app": "search", "n_threads": 0},
+    {"app": "search", "n_threads": "8"},
+]
+
+
+class TestPoisonPayloads:
+    """One malformed request is one error envelope, on either door."""
+
+    GOOD = {"app": "search", "n_threads": 2}
+
+    @pytest.fixture()
+    def doors(self):
+        with WorkerPool(workers=2, mode="inline") as pool:
+            service = PoolService(pool)
+            ndjson = RuntimeServer(("127.0.0.1", 0), service=service)
+            http = RuntimeServer(
+                ("127.0.0.1", 0), service=service, handler=HttpHandler
+            )
+            threads = [
+                threading.Thread(target=door.serve_forever, daemon=True)
+                for door in (ndjson, http)
+            ]
+            for thread in threads:
+                thread.start()
+            try:
+                yield ndjson, http
+            finally:
+                for door, thread in zip((ndjson, http), threads):
+                    door.shutdown()
+                    door.server_close()
+                    thread.join(timeout=10)
+
+    @staticmethod
+    def post(http, path, body):
+        connection = HTTPConnection(*http.server_address[:2], timeout=30.0)
+        try:
+            connection.request("POST", path, body=json.dumps(body))
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("poison", POISON, ids=json.dumps)
+    def test_ndjson_answers_an_envelope_and_keeps_serving(self, doors, poison):
+        ndjson, http = doors
+        with connect(ndjson) as client:
+            reply = client.roundtrip(dict(poison, op="request"))
+            assert reply["ok"] is False and "must be" in reply["error"]
+            mixed = client.roundtrip(
+                {"op": "batch", "requests": [self.GOOD, poison]}
+            )["responses"]
+            assert [r["ok"] for r in mixed] == [True, False]
+        # A new connection, and the other door, are answered as well.
+        with connect(ndjson) as client:
+            assert client.request(**self.GOOD)["ok"]
+        assert self.post(http, "/v1/request", self.GOOD)[1]["ok"]
+
+    @pytest.mark.parametrize("poison", POISON, ids=json.dumps)
+    def test_http_answers_an_envelope_and_keeps_serving(self, doors, poison):
+        ndjson, http = doors
+        status, reply = self.post(http, "/v1/request", poison)
+        assert status == 200
+        assert reply["ok"] is False and "must be" in reply["error"]
+        status, body = self.post(http, "/v1/batch", [poison, self.GOOD])
+        assert status == 200
+        assert [r["ok"] for r in body["responses"]] == [False, True]
+        assert self.post(http, "/v1/request", self.GOOD)[1]["ok"]
+        with connect(ndjson) as client:
+            assert client.request(**self.GOOD)["ok"]
 
 
 class TestSpawn:

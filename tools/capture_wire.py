@@ -30,6 +30,18 @@ from typing import Any, Dict, List, Tuple
 REQUEST = {"app": "search", "n_threads": 2, "seed": 1}
 OTHER = {"app": "murmur3", "n_threads": 2, "seed": 0}
 BAD = {"app": "no-such-app"}
+#: Wrong-typed fields.  Each once left its entry queued in the dispatcher and
+#: wedged ``request``/``batch`` on both doors for every later client.
+POISON = [
+    {"app": ["search"]},
+    {"app": {"name": "search"}},
+    {"app": "search", "backend": ["vrda"]},
+    {"app": "search", "backend": {"name": "vrda"}},
+    {"app": "search", "options": {"verify_each": [1]}},
+    {"source": ["x"]},
+    {"app": "search", "n_threads": 0},
+    {"app": "search", "n_threads": "8"},
+]
 
 
 def _line(payload: Any) -> bytes:
@@ -92,6 +104,12 @@ SERVING_CASES: List[Tuple[str, str, bytes]] = [
      _http("POST", "/v1/batch", headers=("Content-Length: 5000000",))),
     # Bytes that are not UTF-8 fail past the JSON-syntax check: a 500.
     ("http 500", "http", _http("POST", "/v1/request", b'{"app": "\xff"}')),
+    # Last, so the ids of the cases above compare against older captures.
+    ("ndjson wrong-typed fields then a good request", "ndjson",
+     b"".join(_line(payload) for payload in POISON) + _line(REQUEST)),
+    ("http wrong-typed fields then a good request", "http",
+     _http("POST", "/v1/batch", POISON + [REQUEST])
+     + _http("POST", "/v1/request", REQUEST)),
 ]
 
 #: Telemetry cases: decoded and masked (see :func:`_mask`), not hashed raw.
