@@ -1,15 +1,17 @@
 #!/usr/bin/env python
-"""Serving-engine tour: cached, batched, multi-backend request serving.
+"""Serving-engine tour: cached, batched request serving on the vRDA executor.
 
-Builds a small mixed trace by hand (registered apps on several backends,
-plus one raw-source request with pre-staged memory), serves it through the
-:class:`repro.runtime.Engine`, and shards the modeled costs across four
-simulated vRDA workers.  Run it twice mentally: every repeated request
-after the first is served from the program and result caches.
+Builds a small mixed trace by hand (registered apps plus one raw-source
+request with pre-staged memory) and serves it through the
+:class:`repro.runtime.Engine`.  Run it twice mentally: every repeated
+request after the first is served from the program and result caches.
+
+The engine executes programs for real; the CPU, V100 and Aurochs columns the
+paper compares against are printed by ``python -m repro.eval table5``.
 """
 
 from repro.core.memory import MemorySystem
-from repro.runtime import Engine, Request, ShardScheduler
+from repro.runtime import Engine, Request
 
 SQUARE = """
 DRAM<int> data;
@@ -27,14 +29,13 @@ void main(int n) {
 def main() -> None:
     engine = Engine()
 
-    # Registered Table III apps, across functional and analytic backends.
+    # Registered Table III apps.
     requests = [
         Request(app="hash-table", n_threads=2, seed=0),
         Request(app="hash-table", n_threads=2, seed=0),   # result-cache hit
         Request(app="search", n_threads=2, seed=1),
-        Request(app="search", n_threads=2, seed=1, backend="cpu"),
-        Request(app="search", n_threads=2, seed=1, backend="gpu"),
-        Request(app="kD-tree", n_threads=2, seed=0, backend="aurochs"),
+        Request(app="search", n_threads=2, seed=2),       # same program, one compile
+        Request(app="kD-tree", n_threads=2, seed=0),
     ]
 
     # A raw-source request brings its own staged memory and arguments.
@@ -45,8 +46,7 @@ def main() -> None:
 
     responses = engine.process(requests)
     for response in responses:
-        line = (f"#{response.request_id} {response.app or '<raw source>':12s} "
-                f"on {response.backend:7s}")
+        line = f"#{response.request_id} {response.app or '<raw source>':12s}"
         if response.error:
             print(f"{line} ERROR: {response.error}")
             continue
@@ -62,12 +62,7 @@ def main() -> None:
     print("\nraw-source output:", memory.segment_data("out"))
     print("program cache    :", engine.program_cache_stats.as_dict())
     print("result cache     :", engine.result_cache_stats.as_dict())
-
-    report = ShardScheduler(workers=4, policy="least-loaded")\
-        .dispatch_responses(responses)
-    print(f"sharded over {len(report.workers)} workers "
-          f"({report.policy}): makespan {report.makespan_s * 1e6:.1f} us, "
-          f"imbalance {report.imbalance():.2f}x")
+    print("requests served  :", engine.served)
 
 
 if __name__ == "__main__":

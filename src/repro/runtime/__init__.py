@@ -8,10 +8,10 @@ serving layer:
   tier + optional on-disk pickles) keyed on source hash and
   :meth:`repro.compiler.CompileOptions.cache_key`.
 * :mod:`repro.runtime.engine` — request/response engine that coalesces
-  requests into per-program batches, executes them, memoizes deterministic
-  results, and attaches the paper's modeled latency.
-* :mod:`repro.runtime.backends` — one dispatch interface over the
-  functional vRDA executor and the analytic CPU / GPU / Aurochs baselines.
+  requests into per-program batches, executes them on the functional vRDA
+  executor, memoizes deterministic results, and attaches the paper's
+  modeled latency.  (The CPU / GPU / Aurochs comparison columns are
+  evaluation tables: ``python -m repro.eval table5``.)
 * :mod:`repro.runtime.scheduler` — shards batch costs across N simulated
   workers using the admission policies shared with the Figure 14 simulator.
 * :mod:`repro.runtime.pool` — real multi-worker execution: N inline or
@@ -43,21 +43,11 @@ serving layer:
   JSON) logging for restarts, breaker trips, and sheds.
 
 ``python -m repro.runtime`` replays a trace end to end and reports
-throughput, per-backend counts, cache hit rates, and worker shares;
+throughput, cache hit rates, and the per-worker table;
 ``python -m repro.runtime.server`` serves the same engine as a long-lived
 socket process.
 """
 
-from repro.runtime.backends import (
-    AurochsBaselineBackend,
-    Backend,
-    BackendError,
-    BackendRegistry,
-    BackendResult,
-    CPUBaselineBackend,
-    FunctionalVRDABackend,
-    GPUBaselineBackend,
-)
 from repro.runtime.cache import CacheStats, LRUCache, ProgramCache, program_key
 from repro.runtime.engine import Batch, Engine, EngineError, Request, Response
 from repro.runtime.faults import Fault, FaultInjector, FaultPlan, load_fault_plan
@@ -85,13 +75,7 @@ from repro.runtime.trace import DEFAULT_TRACE_APPS, TraceConfig, synthetic_trace
 
 __all__ = [
     "AdmissionController",
-    "AurochsBaselineBackend",
-    "Backend",
-    "BackendError",
-    "BackendRegistry",
-    "BackendResult",
     "Batch",
-    "CPUBaselineBackend",
     "CacheStats",
     "Counter",
     "DEFAULT_TRACE_APPS",
@@ -100,8 +84,6 @@ __all__ = [
     "Fault",
     "FaultInjector",
     "FaultPlan",
-    "FunctionalVRDABackend",
-    "GPUBaselineBackend",
     "Gauge",
     "Histogram",
     "JsonFormatter",

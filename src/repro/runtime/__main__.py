@@ -1,18 +1,16 @@
 """Command-line trace replay: ``python -m repro.runtime``.
 
-Replays a synthetic repeated-app request trace through the serving engine
-and the shard scheduler, then prints the serving report: wall-clock
-requests/sec, per-backend counts, cache hit rates, and per-worker shares.
-With ``--pool-workers N`` the trace executes through the real
-:class:`~repro.runtime.pool.WorkerPool` (per-worker program caches,
-cache-affinity dispatch, optional process parallelism) instead of the
-single in-process engine.
+Replays a synthetic repeated-app request trace through a
+:class:`~repro.runtime.pool.WorkerPool` of ``--workers`` cache-owning
+workers (per-worker program caches, policy-driven dispatch, optional
+process parallelism), then prints the serving report: wall-clock
+requests/sec, cache hit rates, and the per-worker table.
 
 Example::
 
     python -m repro.runtime --trace-size 100 --workers 4
     python -m repro.runtime --apps strlen,search --policy hoisted-buffer
-    python -m repro.runtime --pool-workers 4 --policy cache-affinity
+    python -m repro.runtime --workers 4 --policy cache-affinity
 """
 
 from __future__ import annotations
@@ -24,12 +22,9 @@ from typing import List, Optional
 
 from repro.core.columnar import EXECUTOR_CHOICES
 from repro.eval.tables import format_rows
-from repro.runtime.cache import ProgramCache
-from repro.runtime.engine import Engine
 from repro.runtime.faults import load_fault_plan
 from repro.runtime.logs import configure_logging
 from repro.runtime.pool import POOL_MODES, WorkerPool
-from repro.runtime.scheduler import ShardScheduler
 from repro.runtime.trace import DEFAULT_TRACE_APPS, TraceConfig, synthetic_trace
 from repro.sim.policies import POLICIES
 
@@ -42,12 +37,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace-size", type=int, default=100,
                         help="number of requests in the trace (default 100)")
     parser.add_argument("--workers", type=int, default=4,
-                        help="simulated vRDA worker shards (default 4)")
+                        help="cache-owning pool workers (default 4)")
     parser.add_argument("--apps", type=str, default=",".join(DEFAULT_TRACE_APPS),
                         help="comma-separated app names to cycle through")
     parser.add_argument("--policy", type=str, default="least-loaded",
                         choices=sorted(POLICIES),
-                        help="shard admission policy (default least-loaded)")
+                        help="batch dispatch policy (default least-loaded)")
     parser.add_argument("--n-threads", type=int, default=4,
                         help="threads per generated instance (default 4)")
     parser.add_argument("--distinct-shapes", type=int, default=2,
@@ -62,18 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for the on-disk program-cache tier")
     parser.add_argument("--no-result-cache", action="store_true",
                         help="disable the memoized-response tier")
-    parser.add_argument("--vrda-share", type=float, default=0.85,
-                        help="fraction of requests served functionally "
-                             "(rest split over cpu/gpu/aurochs)")
-    parser.add_argument("--pool-workers", type=int, default=0,
-                        help="execute through a WorkerPool of this many "
-                             "cache-owning workers (0 = single engine)")
     parser.add_argument("--pool-mode", type=str, default="inline",
                         choices=POOL_MODES,
                         help="pool execution mode (default inline)")
     parser.add_argument("--executor", type=str, default="auto",
                         choices=EXECUTOR_CHOICES,
-                        help="functional interpreter for the vrda backend: "
+                        help="functional interpreter: "
                              "'columnar' (vectorized numpy), 'token' "
                              "(per-token reference), or 'auto' (columnar "
                              "when numpy is available; default). Both "
@@ -83,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "inline JSON or @path to a file, e.g. "
                              "'[{\"kind\": \"kill\", \"worker\": 0, "
                              "\"after_batches\": 1}]'; the pool must mask "
-                             "them (pool mode only)")
+                             "them")
     parser.add_argument("--log-level", type=str, default="warning",
                         choices=("debug", "info", "warning", "error"),
                         help="structured-log threshold for repro.* loggers "
@@ -95,10 +84,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_pooled(args: argparse.Namespace, requests: List) -> int:
-    """Serve the trace through a real worker pool and print its report."""
+def main(argv: Optional[List[str]] = None) -> int:
+    """Entry point for the trace-replay CLI; returns a process exit code."""
+    args = build_parser().parse_args(argv)
+    configure_logging(level=args.log_level, json_lines=args.log_json)
+    config = TraceConfig(
+        size=args.trace_size,
+        apps=[name.strip() for name in args.apps.split(",") if name.strip()],
+        distinct_shapes=args.distinct_shapes,
+        n_threads=args.n_threads,
+        seed=args.seed,
+    )
+    try:
+        requests = synthetic_trace(config)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+
     pool = WorkerPool(
-        workers=args.pool_workers,
+        workers=args.workers,
         mode=args.pool_mode,
         policy=args.policy,
         cache_capacity=args.cache_capacity,
@@ -118,7 +122,7 @@ def _run_pooled(args: argparse.Namespace, requests: List) -> int:
     program = report.aggregate_program_stats()
     result = report.aggregate_result_stats()
     print(f"trace           : {len(requests)} requests, "
-          f"pool={args.pool_workers}x{args.pool_mode}, "
+          f"pool={args.workers}x{args.pool_mode}, "
           f"policy={report.policy}, "
           f"executor={pool.stats_row()['executor']}")
     print(f"served          : {served} ok, {len(responses) - served} errors, "
@@ -147,72 +151,6 @@ def _run_pooled(args: argparse.Namespace, requests: List) -> int:
     # Nonzero when anything failed, so fault-injected smoke runs in CI can
     # assert recovery ("all responses ok") from the exit code alone.
     return 0 if served == len(responses) else 1
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for the trace-replay CLI; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    configure_logging(level=args.log_level, json_lines=args.log_json)
-    apps = [name.strip() for name in args.apps.split(",") if name.strip()]
-    rest = max(0.0, 1.0 - args.vrda_share) / 3.0
-    config = TraceConfig(
-        size=args.trace_size,
-        apps=apps,
-        backend_mix={"vrda": args.vrda_share, "cpu": rest, "gpu": rest,
-                     "aurochs": rest},
-        distinct_shapes=args.distinct_shapes,
-        n_threads=args.n_threads,
-        seed=args.seed,
-    )
-    try:
-        requests = synthetic_trace(config)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-    if args.pool_workers > 0:
-        return _run_pooled(args, requests)
-
-    engine = Engine(
-        program_cache=ProgramCache(capacity=args.cache_capacity,
-                                   disk_dir=args.disk_cache),
-        max_batch_size=args.max_batch,
-        result_cache_capacity=0 if args.no_result_cache else 512,
-        executor=args.executor,
-    )
-    scheduler = ShardScheduler(workers=args.workers, policy=args.policy)
-
-    started = time.perf_counter()
-    responses = engine.process(requests)
-    elapsed = time.perf_counter() - started
-    report = scheduler.dispatch_responses(responses)
-
-    served = sum(1 for r in responses if r.error is None)
-    wrong = sum(1 for r in responses if r.correct is False)
-    program_stats = engine.program_cache_stats
-    result_stats = engine.result_cache_stats
-
-    print(f"trace           : {len(requests)} requests over {len(apps)} apps "
-          f"({', '.join(apps)}), "
-          f"executor={engine.executor}")
-    print(f"served          : {served} ok, {len(responses) - served} errors, "
-          f"{wrong} incorrect results")
-    print(f"wall time       : {elapsed:.3f} s  "
-          f"({len(requests) / max(elapsed, 1e-9):.1f} requests/s)")
-    print(f"batches         : {max((r.batch_id for r in responses), default=-1) + 1}")
-    print(f"program cache   : {program_stats.hits} hits / "
-          f"{program_stats.lookups} lookups "
-          f"(hit rate {100 * program_stats.hit_rate:.1f}%, "
-          f"{program_stats.evictions} evictions)")
-    print(f"result cache    : {result_stats.hits} hits / "
-          f"{result_stats.lookups} lookups "
-          f"(hit rate {100 * result_stats.hit_rate:.1f}%)")
-    print(f"backend counts  : {dict(sorted(engine.backend_counts.items()))}")
-    print(f"sharding        : {args.workers} workers, policy={report.policy}, "
-          f"simulated makespan {report.makespan_s * 1e3:.3f} ms, "
-          f"imbalance {report.imbalance():.3f}x")
-    print(format_rows(report.as_rows()))
-    return 0
 
 
 if __name__ == "__main__":

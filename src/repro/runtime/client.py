@@ -394,7 +394,6 @@ def _smoke_server(
     trace = TraceConfig(
         size=args.requests,
         apps=[name.strip() for name in args.apps.split(",") if name.strip()],
-        backend_mix={"vrda": 1.0},
         distinct_shapes=2,
         n_threads=2,
         seed=seed,
@@ -686,7 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--n-threads", type=int, default=4)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--backend", type=str, default="vrda")
     parser.add_argument(
         "--retries-429",
         type=int,
@@ -727,7 +725,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             app=args.app,
             n_threads=args.n_threads,
             seed=args.seed,
-            backend=args.backend,
         )
     print(json.dumps(response, indent=2))
     return 0 if response.get("ok") else 1

@@ -5,16 +5,20 @@
 raw Revet source; the engine
 
 1. **coalesces** queued requests into :class:`Batch` es that share one
-   compilation (same content-addressed program key) and one backend,
+   compilation (same content-addressed program key),
 2. **compiles once per batch** through the :class:`ProgramCache` (so a warm
    server never re-runs the Figure-8 pipeline for a known program),
-3. **executes** each request on its backend (functional executor or an
-   analytic baseline model, see :mod:`repro.runtime.backends`), and
+3. **executes** each request on the functional executor (:func:`execute`:
+   run the program, check the reference oracle), and
 4. attaches the paper's modeled latency (``size / throughput + init``) to
-   every :class:`Response` so the scheduler can shard work by cost.
+   every :class:`Response`.
+
+The engine serves the vRDA only.  The CPU, V100 and Aurochs columns the
+paper compares against are evaluation tables, not serving targets:
+``python -m repro.eval table5`` prints them from :mod:`repro.baselines`.
 
 Deterministic requests (a registered app with an engine-generated instance)
-are additionally memoized in a response tier: identical ``(program, backend,
+are additionally memoized in a response tier: identical ``(program,
 n_threads, seed, args)`` requests are served straight from the LRU without
 re-executing, which is what makes a warm serving tier fast.
 """
@@ -22,19 +26,27 @@ re-executing, which is what makes a warm serving tier fast.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.apps.base import AppInstance, AppSpec, REGISTRY
 from repro.compiler import CompileOptions
-from repro.core.machine import DEFAULT_MACHINE, MachineConfig
+from repro.core.columnar import resolve_executor
+from repro.core.machine import DEFAULT_MACHINE
 from repro.core.memory import MemorySystem
+from repro.dataflow.lowering import CompiledProgram
+from repro.dataflow.resources import estimate_resources
 from repro.errors import ReproError
-from repro.runtime.backends import BackendRegistry, BackendRequestContext
 from repro.runtime.cache import CacheStats, LRUCache, ProgramCache
 from repro.runtime.telemetry import MetricsRegistry
-from repro.sim.perf_model import ThroughputReport
+from repro.sim.perf_model import (
+    ThroughputReport,
+    VRDAPerformanceModel,
+    WorkloadProfile,
+)
+
+#: Per-request init term of the modeled latency ``size / throughput + init``.
+INIT_LATENCY_S = 1e-4
 
 
 class EngineError(ReproError):
@@ -59,7 +71,6 @@ class Request:
     memory: Optional[MemorySystem] = None
     n_threads: int = 8
     seed: int = 0
-    backend: str = "vrda"
     options: Optional[CompileOptions] = None
     #: Opt into a span breakdown on the response (byte-transparent when off).
     trace: bool = False
@@ -91,8 +102,8 @@ class Request:
     #: Fields a JSON request payload may carry, each with its exact type.
     #: ``memory`` isn't one of them: staged memory images don't cross the wire.
     WIRE_FIELDS = {"app": str, "source": str, "function": str, "args": dict,
-                   "n_threads": int, "seed": int, "backend": str,
-                   "options": dict, "trace": bool, "trace_id": str}
+                   "n_threads": int, "seed": int, "options": dict,
+                   "trace": bool, "trace_id": str}
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form; raises for requests with staged memory."""
@@ -147,10 +158,9 @@ class Response:
 
     request_id: int
     app: Optional[str]
-    backend: str
     ok: bool
     error: Optional[str] = None
-    #: Output-segment contents (functional backends on app requests).
+    #: Output-segment contents (app requests).
     outputs: Optional[List[int]] = None
     #: Reference-oracle verdict when one was available.
     correct: Optional[bool] = None
@@ -180,11 +190,10 @@ class Response:
 
 @dataclass
 class Batch:
-    """Requests that share one compiled program and one backend."""
+    """Requests that share one compiled program."""
 
     batch_id: int
-    program_key: Optional[str]
-    backend: str
+    program_key: str
     entries: List[Tuple[int, Request]] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -207,18 +216,17 @@ def _trace_span(request: Request, compile_s: float, execute_s: float,
 def _error_response(request_id: int, request: Request, batch_id: int,
                     message: str) -> Response:
     return Response(request_id=request_id, app=request.app, ok=False,
-                    backend=request.backend, error=message, batch_id=batch_id,
+                    error=message, batch_id=batch_id,
                     trace=_trace_span(request, 0.0, 0.0, False))
 
 
-def result_fingerprint(tier: LRUCache, request: Request,
-                       program_key: Optional[str]):
+def result_fingerprint(tier: LRUCache, request: Request, program_key: str):
     """Memoization key for deterministic requests; None if uncacheable."""
     if (tier.capacity <= 0 or request.memory is not None
             or request.app is None):
         return None  # tier off, or externally staged state: not replayable
-    return (program_key, request.app, request.backend, request.n_threads,
-            request.seed, tuple(sorted(request.args.items())))
+    return (program_key, request.app, request.n_threads, request.seed,
+            tuple(sorted(request.args.items())))
 
 
 def _detached(response: Response, **changes: Any) -> Response:
@@ -252,15 +260,80 @@ def replay(cached: Response, request_id: int, request: Request, batch_id: int,
                      trace=_trace_span(request, compile_s, 0.0, hit))
 
 
+def execute(program: CompiledProgram, request: Request,
+            executor: str) -> Dict[str, Any]:
+    """Run one request's compiled program for real and model its throughput.
+
+    Returns the payload fields of its :class:`Response` (``outputs``,
+    ``correct``, ``modeled_gbs``, ``modeled_runtime_s``, ``report``).  Raises
+    :class:`EngineError` for a raw-source request without staged memory;
+    executor errors (e.g. livelock guards) propagate as ``ReproError``.
+    ``executor`` is a resolved name: ``"columnar"`` and ``"token"`` produce
+    bit-identical results, see ``docs/executor.md``.
+    """
+    spec, _ = request.resolve()
+    if request.memory is not None:
+        instance = AppInstance(memory=request.memory, args=dict(request.args))
+    elif spec is not None:
+        try:
+            instance = spec.make_instance(request.n_threads, request.seed)
+        except KeyError as error:
+            raise EngineError(str(error)) from error
+    else:
+        raise EngineError(
+            "raw-source requests must provide a pre-staged 'memory'")
+    # The serving path only consumes loop trip counts from the profile;
+    # per-link histograms are skipped (the executor's cold fast path).
+    run = program.run(instance.memory, profile=True, link_stats=False,
+                      executor=executor, **instance.args)
+
+    outputs: Optional[List[int]] = None
+    correct: Optional[bool] = None
+    report: Optional[ThroughputReport] = None
+    if spec is not None:
+        try:
+            outputs = list(instance.memory.segment_data(spec.output_segment))
+        except ReproError:
+            pass  # program declared no such output segment
+        # Only an engine-generated instance carries the context the
+        # reference oracle needs.
+        if spec.reference is not None and request.memory is None:
+            expected = spec.reference(instance)
+            correct = outputs is not None and outputs[:len(expected)] == expected
+        iterations = sum(run.profile.loop_iterations.values()) or 1
+        profile = WorkloadProfile.from_run(
+            instance.memory.stats,
+            threads=request.n_threads,
+            app_bytes_per_thread=spec.bytes_per_thread,
+            iterations=max(1.0, iterations / max(1, request.n_threads)),
+        )
+        resources = estimate_resources(
+            program, app_name=spec.name,
+            replicate_factor=spec.replicate_factor, machine=DEFAULT_MACHINE)
+        report = VRDAPerformanceModel(DEFAULT_MACHINE).throughput(
+            spec.name, profile, resources)
+    gbs = report.throughput_gbs if report else 1.0
+    if instance.total_bytes:
+        size = float(instance.total_bytes)
+    elif spec is not None:
+        size = float(spec.bytes_per_thread * request.n_threads)
+    else:
+        size = float(request.n_threads)
+    return {
+        "outputs": outputs,
+        "correct": correct,
+        "modeled_gbs": gbs,
+        "modeled_runtime_s": size / (max(gbs, 1e-9) * 1e9) + INIT_LATENCY_S,
+        "report": report,
+    }
+
+
 class Engine:
     """Cached, batched request execution over the Revet compiler."""
 
     def __init__(self, program_cache: Optional[ProgramCache] = None,
-                 backends: Optional[BackendRegistry] = None,
-                 machine: MachineConfig = DEFAULT_MACHINE,
                  max_batch_size: int = 16,
                  result_cache_capacity: int = 512,
-                 init_latency_s: float = 1e-4,
                  executor: Optional[str] = None,
                  metrics: Optional[MetricsRegistry] = None):
         """Build a serving engine.
@@ -268,20 +341,14 @@ class Engine:
         Args:
             program_cache: content-addressed compiled-program tier; pass
                 ``ProgramCache(capacity=0)`` to force a compile per batch.
-            backends: dispatch table of serving targets; defaults to the
-                four standard backends (``vrda``/``cpu``/``gpu``/``aurochs``).
-                When provided, ``executor`` must be left unset — the registry
-                already fixed its functional backend's interpreter.
-            machine: hardware model handed to backends and the perf model.
             max_batch_size: cap on requests coalesced into one batch.
             result_cache_capacity: LRU entries in the response memo tier;
                 0 disables result caching.
-            init_latency_s: per-request init term of the modeled latency.
-            executor: functional interpreter for the ``vrda`` backend —
-                ``"columnar"``, ``"token"``, or ``None``/``"auto"``
-                (columnar when numpy is available).  Raises ``ValueError``
-                for unknown names and ``RuntimeError`` for ``"columnar"``
-                without numpy.
+            executor: functional interpreter — ``"columnar"``, ``"token"``,
+                or ``None``/``"auto"`` (columnar when numpy is available).
+                Raises ``ValueError`` for unknown names and
+                ``RuntimeError`` for ``"columnar"`` without numpy, here and
+                not on the first request.
             metrics: telemetry registry to instrument into; defaults to a
                 private per-engine registry (each pool worker child ships
                 its own back with every flush reply).  Pass
@@ -291,19 +358,16 @@ class Engine:
         """
         self.program_cache = (program_cache if program_cache is not None
                               else ProgramCache())
-        if backends is not None and executor is not None:
-            raise EngineError(
-                "pass 'executor' or a prebuilt 'backends' registry, not both")
-        self.backends = (backends if backends is not None
-                         else BackendRegistry(machine, init_latency_s,
-                                              executor=executor))
+        #: Resolved functional-interpreter name ("columnar" or "token").
+        self.executor = resolve_executor(executor)
         self.max_batch_size = max(1, max_batch_size)
         self.result_cache = LRUCache(result_cache_capacity)
         self._queue: List[Tuple[int, Request]] = []
         self._failed: List[Response] = []
         self._next_request_id = 0
         self._next_batch_id = 0
-        self.backend_counts: Dict[str, int] = Counter()
+        #: Requests answered without an error (executed or replayed).
+        self.served = 0
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Hot-path cost discipline: the engine only *times at batch level*
         # (two perf_counter calls per batch); every per-request counter is
@@ -327,7 +391,13 @@ class Engine:
         return request_id
 
     def process(self, requests: List[Request]) -> List[Response]:
-        """Submit and serve a whole trace; responses in submission order."""
+        """Submit and serve a whole trace; responses in submission order.
+
+        Queues either all of ``requests`` or none: a request that fails
+        :meth:`Request.validate` raises before the first one is queued.
+        """
+        for request in requests:
+            request.validate()
         for request in requests:
             self.submit(request)
         return self.flush()
@@ -335,36 +405,32 @@ class Engine:
     # -- batching -----------------------------------------------------------
 
     def coalesce(self) -> List[Batch]:
-        """Group the queue into program/backend batches of bounded size.
+        """Group the queue into per-program batches of bounded size.
 
         Grouping preserves arrival order within a batch; response order is
         restored by request id after execution, so clients never observe
         the coalescing.
         """
         batches: List[Batch] = []
-        open_batches: Dict[Tuple[Optional[str], str], Batch] = {}
+        open_batches: Dict[str, Batch] = {}
         # The queue is taken before it is walked and *any* failure to place an
         # entry is that entry's error: nothing stays queued to fail again.
         queue, self._queue = self._queue, []
         for request_id, request in queue:
             try:
                 _, source = request.resolve()
-                key = (self.program_cache.key(source, request.function,
-                                              request.options)
-                       if self.backends.get(request.backend).needs_program
-                       else None)
-                slot = (key, request.backend)
-                batch = open_batches.get(slot)
+                key = self.program_cache.key(source, request.function,
+                                             request.options)
+                batch = open_batches.get(key)
             except Exception as error:  # noqa: BLE001 - see above
                 self._failed.append(_error_response(
                     request_id, request, -1, str(error)))
                 continue
             if batch is None or len(batch) >= self.max_batch_size:
-                batch = Batch(batch_id=self._next_batch_id, program_key=key,
-                              backend=request.backend)
+                batch = Batch(batch_id=self._next_batch_id, program_key=key)
                 self._next_batch_id += 1
                 batches.append(batch)
-                open_batches[slot] = batch
+                open_batches[key] = batch
             batch.entries.append((request_id, request))
         return batches
 
@@ -403,25 +469,20 @@ class Engine:
         ``MemorySystem``; entry order is what makes that well defined.
         """
         batch_started = time.perf_counter()
-        backend = self.backends.get(batch.backend)
-        program = None
-        program_hit: Optional[bool] = None
-        compile_s = 0.0
-        if backend.needs_program and batch.entries:
-            _, first = batch.entries[0]
-            _, source = first.resolve()
-            try:
-                compile_started = time.perf_counter()
-                program, program_hit = self.program_cache.get_or_compile(
-                    source, first.function, first.options)
-                compile_s = time.perf_counter() - compile_started
-                self.program_cache.record_amortized_hits(len(batch.entries) - 1)
-            except ReproError as error:
-                return [_error_response(request_id, request, batch.batch_id,
-                                        f"compile failed: {error}")
-                        for request_id, request in batch.entries]
-            if program_hit is False:
-                self._m_compile_s.observe(compile_s)
+        _, first = batch.entries[0]  # coalesce() forms no empty batch
+        _, source = first.resolve()
+        try:
+            compile_started = time.perf_counter()
+            program, program_hit = self.program_cache.get_or_compile(
+                source, first.function, first.options)
+            compile_s = time.perf_counter() - compile_started
+            self.program_cache.record_amortized_hits(len(batch.entries) - 1)
+        except ReproError as error:
+            return [_error_response(request_id, request, batch.batch_id,
+                                    f"compile failed: {error}")
+                    for request_id, request in batch.entries]
+        if program_hit is False:
+            self._m_compile_s.observe(compile_s)
         responses: List[Response] = []
         for request_id, request in batch.entries:
             fingerprint = result_fingerprint(self.result_cache, request,
@@ -437,29 +498,19 @@ class Engine:
                     compile_s)
                 memoize(self.result_cache, fingerprint, response)
             if response.error is None:
-                self.backend_counts[request.backend] += 1
+                self.served += 1
             responses.append(response)
         self._m_batches.inc()
         self._m_batch_s.observe(time.perf_counter() - batch_started)
         return responses
 
     def _execute_request(self, request_id: int, request: Request, batch: Batch,
-                         program, program_hit: Optional[bool],
+                         program: CompiledProgram, program_hit: bool,
                          compile_s: float = 0.0) -> Response:
-        """Run one request on its backend (touches no engine state)."""
+        """Run one request through :func:`execute` (touches no engine state)."""
         started = time.perf_counter() if request.trace else 0.0
         try:
-            spec, _ = request.resolve()
-            instance = self._instance_for(request, spec)
-            ctx = BackendRequestContext(
-                spec=spec,
-                instance=instance,
-                program=program,
-                args=dict(instance.args) if instance is not None else {},
-                n_threads=request.n_threads,
-                generated=instance is not None and request.memory is None,
-            )
-            result = self.backends.get(request.backend).execute(ctx)
+            payload = execute(program, request, self.executor)
         except ReproError as error:
             return _error_response(request_id, request, batch.batch_id,
                                    str(error))
@@ -467,33 +518,13 @@ class Engine:
         return Response(
             request_id=request_id,
             app=request.app,
-            backend=request.backend,
-            ok=result.correct is not False,
-            outputs=result.outputs,
-            correct=result.correct,
-            modeled_gbs=result.modeled_gbs,
-            modeled_runtime_s=result.modeled_runtime_s,
-            report=result.report,
+            ok=payload["correct"] is not False,
             program_cache_hit=program_hit,
             result_cache_hit=False,
             batch_id=batch.batch_id,
             trace=_trace_span(request, compile_s, execute_s, False),
+            **payload,
         )
-
-    def _instance_for(self, request: Request,
-                      spec: Optional[AppSpec]) -> Optional[AppInstance]:
-        if request.memory is not None:
-            return AppInstance(memory=request.memory, args=dict(request.args))
-        backend = self.backends.get(request.backend)
-        if not backend.needs_program:
-            return None  # analytic models cost by spec metadata alone
-        if spec is not None:
-            try:
-                return spec.make_instance(request.n_threads, request.seed)
-            except KeyError as error:
-                raise EngineError(str(error)) from error
-        raise EngineError(
-            "raw-source requests must provide a pre-staged 'memory'")
 
     # -- stats --------------------------------------------------------------
 
@@ -507,14 +538,6 @@ class Engine:
         """Counters for the memoized-response tier."""
         return self.result_cache.stats
 
-    @property
-    def executor(self) -> str:
-        """Resolved functional-interpreter name ("columnar" or "token")."""
-        try:
-            return getattr(self.backends.get("vrda"), "executor", "token")
-        except ReproError:
-            return "token"  # registry without a functional backend
-
     def _collect_metrics(self, registry: MetricsRegistry) -> None:
         """Fold existing engine counters into metric families (at snapshot).
 
@@ -523,16 +546,9 @@ class Engine:
         per-request counters below.
         """
         requests = registry.counter(
-            "engine_requests_total", "Requests served, by backend.",
-            ("backend",))
-        for backend, count in list(self.backend_counts.items()):
-            requests.set_total(count, backend=backend)
-        executors = registry.counter(
-            "engine_executor_requests_total",
-            "Functional-backend requests, by resolved executor.",
+            "engine_requests_total", "Requests served, by resolved executor.",
             ("executor",))
-        executors.set_total(self.backend_counts.get("vrda", 0),
-                            executor=self.executor)
+        requests.set_total(self.served, executor=self.executor)
         lookups = registry.counter(
             "engine_cache_lookups_total",
             "Cache-tier lookups, by tier and outcome.", ("tier", "outcome"))

@@ -96,7 +96,6 @@ class WorkerConfig:
 
     cache_capacity: int = 64
     max_batch_size: int = 16
-    init_latency_s: float = 1e-4
     #: Root of the on-disk program-cache tier; each worker pickles into its
     #: own subdirectory so concurrent processes never race on one file.
     disk_cache_dir: Optional[str] = None
@@ -104,7 +103,7 @@ class WorkerConfig:
     #: fixture of the overload and streaming tests (it makes a pool's drain
     #: rate small and stable); on no command line.
     service_delay_s: float = 0.0
-    #: Functional interpreter for the vrda backend: "columnar", "token", or
+    #: Functional interpreter: "columnar", "token", or
     #: None/"auto" (columnar when numpy is available).  Picklable, so process
     #: workers inherit the choice across the spawn boundary.
     executor: Optional[str] = None
@@ -124,7 +123,6 @@ class WorkerConfig:
             ),
             result_cache_capacity=0,  # the one result tier is the dispatcher's
             max_batch_size=self.max_batch_size,
-            init_latency_s=self.init_latency_s,
             executor=self.executor,
             metrics=MetricsRegistry(enabled=self.telemetry),
         )
@@ -163,7 +161,6 @@ class WorkerSnapshot:
     batches: int
     requests: int
     program_cache: CacheStats
-    result_cache: CacheStats = field(default_factory=CacheStats)  # always zero
     resident_keys: List[str] = field(default_factory=list)
     #: Cumulative wall-clock seconds this worker spent executing batches.
     busy_s: float = 0.0
@@ -181,7 +178,6 @@ class WorkerSnapshot:
             "batches": self.batches,
             "requests": self.requests,
             "program_cache": self.program_cache.to_dict(),
-            "result_cache": self.result_cache.to_dict(),
             "resident_programs": len(self.resident_keys),
             "busy_s": round(self.busy_s, 6),
             "service_rate_rps": round(self.service_rate_rps, 2),
@@ -194,7 +190,6 @@ def _crash_responses(batch: Batch, error: Exception) -> List[Response]:
         Response(
             request_id=request_id,
             app=request.app,
-            backend=request.backend,
             ok=False,
             error=f"worker failure: {error}",
             batch_id=batch.batch_id,
@@ -555,7 +550,6 @@ class WorkerPool:
         result_cache_capacity: int = 512,
         max_batch_size: int = 16,
         buffers_per_worker: int = 8,
-        init_latency_s: float = 1e-4,
         service_delays: Optional[Sequence[float]] = None,
         disk_cache_dir: Optional[str] = None,
         mp_context: str = "spawn",
@@ -616,7 +610,6 @@ class WorkerPool:
         self.config = WorkerConfig(
             cache_capacity=cache_capacity,
             max_batch_size=max_batch_size,
-            init_latency_s=init_latency_s,
             disk_cache_dir=disk_cache_dir,
             executor=executor,
             fault_plan=fault_plan,
@@ -697,7 +690,13 @@ class WorkerPool:
         return self._front.submit(request)
 
     def process(self, requests: Sequence[Request]) -> PoolReport:
-        """Submit and serve a whole trace; responses in submission order."""
+        """Submit and serve a whole trace; responses in submission order.
+
+        Queues either all of ``requests`` or none: a request that fails
+        :meth:`Request.validate` raises before the first one is queued.
+        """
+        for request in requests:
+            request.validate()
         for request in requests:
             self.submit(request)
         return self.flush()
@@ -733,9 +732,8 @@ class WorkerPool:
                         first[key] = request_id
                     misses.append((request_id, request))
                 else:
-                    self._front.backend_counts[request.backend] += 1
-                    compiled = True if batch.program_key is not None else None
-                    hit = replay(cached, request_id, request, batch.batch_id, compiled)
+                    self._front.served += 1
+                    hit = replay(cached, request_id, request, batch.batch_id, True)
                     responses.append(hit)
             if misses:
                 batches.append(replace(batch, entries=misses))
@@ -763,7 +761,7 @@ class WorkerPool:
                 for request_id, request, batch_id, key in flush.held:
                     # A hit now — unless the first one failed: then its error.
                     was = self._front.result_cache.get(key) or by_id[flush.first[key]]
-                    self._front.backend_counts[request.backend] += was.error is None
+                    self._front.served += was.error is None
                     again = (request_id, request, batch_id, was.program_cache_hit)
                     flush.responses.append(replay(was, *again))
         report.responses.extend(flush.responses)

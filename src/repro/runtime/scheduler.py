@@ -11,9 +11,7 @@ and simulated makespan for a stream of batch costs.
 
 Workers here are *simulated* shards: each admitted task occupies one of the
 worker's buffer slots for ``cost * worker_scale`` seconds of simulated
-time.  Costs normally come from the engine's modeled per-request latency
-(``Response.modeled_runtime_s``), keeping the paper's
-``runtime = size / throughput + init`` model in the loop end to end.
+time.  The pool charges each batch its request count.
 """
 
 from __future__ import annotations
@@ -127,16 +125,3 @@ class ShardScheduler:
                    for w in range(self.workers)]
         return ScheduleReport(policy=policy.name, workers=reports,
                               assignments=result.assignments)
-
-    def dispatch_responses(self, responses: Sequence[object],
-                           keys: Optional[Sequence[Hashable]] = None
-                           ) -> ScheduleReport:
-        """Shard served responses by their modeled latency.
-
-        Accepts any objects with a ``modeled_runtime_s`` attribute (i.e.
-        :class:`repro.runtime.engine.Response`); errored responses with no
-        modeled cost are charged a nominal epsilon so they still count.
-        """
-        costs = [max(getattr(r, "modeled_runtime_s", 0.0), 1e-9)
-                 for r in responses]
-        return self.dispatch(costs, keys=keys)

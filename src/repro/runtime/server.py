@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         default="auto",
         choices=EXECUTOR_CHOICES,
-        help="functional interpreter for the vrda backend: 'columnar' "
+        help="functional interpreter: 'columnar' "
         "(vectorized numpy), 'token' (per-token reference), or 'auto' "
         "(columnar when numpy is available; default); responses are "
         "bit-identical either way",

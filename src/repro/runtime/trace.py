@@ -3,17 +3,16 @@
 A serving workload is dominated by *repeats*: many clients asking for the
 same few programs over a small set of parameter shapes.  The generator here
 models that: a trace of ``size`` requests drawn from a handful of apps,
-each with a bounded pool of distinct ``(n_threads, seed)`` shapes, and an
-optional mix of analytic baseline backends.  Repetition is what gives the
-program cache its >80% hit rate and the result tier its warm speedup, so
-``distinct_shapes`` is the knob benchmarks sweep.
+each with a bounded pool of distinct ``(n_threads, seed)`` shapes.
+Repetition is what gives the program cache its >80% hit rate and the result
+tier its warm speedup, so ``distinct_shapes`` is the knob benchmarks sweep.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.apps.base import REGISTRY
 from repro.runtime.engine import Request
@@ -28,10 +27,6 @@ class TraceConfig:
 
     size: int = 100
     apps: Sequence[str] = field(default_factory=lambda: list(DEFAULT_TRACE_APPS))
-    #: Probability weight per backend name.
-    backend_mix: Dict[str, float] = field(
-        default_factory=lambda: {"vrda": 0.85, "cpu": 0.05, "gpu": 0.05,
-                                 "aurochs": 0.05})
     #: How many distinct (n_threads, seed) shapes each app cycles through.
     distinct_shapes: int = 2
     n_threads: int = 4
@@ -60,17 +55,13 @@ def synthetic_trace(config: Optional[TraceConfig] = None, **overrides
         raise ValueError(f"trace names unknown apps {unknown}")
 
     rng = random.Random(config.seed)
-    backends = sorted(config.backend_mix)
-    weights = [config.backend_mix[b] for b in backends]
     requests: List[Request] = []
     for index in range(config.size):
         app = config.apps[index % len(config.apps)]
         shape = rng.randrange(max(1, config.distinct_shapes))
-        backend = rng.choices(backends, weights=weights)[0]
         requests.append(Request(
             app=app,
             n_threads=config.n_threads,
             seed=shape,
-            backend=backend,
         ))
     return requests

@@ -371,9 +371,11 @@ class TestTwoLockFlush:
         assert stats["admission"]["inflight"] == 0
         assert stats["pool"]["result_cache"]["hits"] == 50
         assert stats["pool"]["workers"][0]["requests"] == 1
-        assert stats["pool"]["workers"][0]["result_cache"]["hits"] == 0
+        assert "result_cache" not in stats["pool"]["workers"][0]
         assert 'engine_cache_lookups_total{tier="result",outcome="hit"} 50' in scrape
-        assert 'engine_requests_total{backend="vrda"} 51' in scrape
+        executor = stats["pool"]["executor"]
+        assert f'engine_requests_total{{executor="{executor}"}} 51' in scrape
+        assert "engine_executor_requests_total" not in scrape
 
 
 class TestOverloadIntegration:

@@ -16,7 +16,6 @@ MIXED_TRACE = TraceConfig(
     size=500,
     apps=["hash-table", "search", "huff-enc", "murmur3", "strlen", "ip2int",
           "isipv4"],
-    backend_mix={"vrda": 1.0},
     distinct_shapes=2,
     n_threads=2,
     seed=42,

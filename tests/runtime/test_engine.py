@@ -1,10 +1,12 @@
 """Engine behaviour: batching, response ordering, memoization, errors."""
 
+import random
+
 import pytest
 
 from repro.apps import REGISTRY
 from repro.core.memory import MemorySystem
-from repro.runtime.backends import BackendError, CPUBaselineBackend
+from repro.runtime import engine as engine_module
 from repro.runtime.engine import Engine, EngineError, Request
 
 SQUARE = """
@@ -40,8 +42,7 @@ class TestValidation:
         assert "no-such-app" in responses[0].error
 
     @pytest.mark.parametrize("poison", [
-        dict(app=["search"]), dict(app={"name": "search"}),
-        dict(app="search", backend=["vrda"]), dict(source=["x"]),
+        dict(app=["search"]), dict(app={"name": "search"}), dict(source=["x"]),
     ])
     def test_an_unplaceable_request_never_stays_queued(self, poison):
         """Any failure to place an entry is that entry's error, once."""
@@ -59,8 +60,6 @@ class TestValidation:
         ({"app": {"name": "search"}}, "app"),
         ({"source": ["x"]}, "source"),
         ({"app": "search", "function": 1}, "function"),
-        ({"app": "search", "backend": ["vrda"]}, "backend"),
-        ({"app": "search", "backend": {"name": "vrda"}}, "backend"),
         ({"app": "search", "trace_id": 7}, "trace_id"),
         ({"app": "search", "n_threads": 0}, "n_threads"),
         ({"app": "search", "n_threads": "8"}, "n_threads"),
@@ -76,6 +75,13 @@ class TestValidation:
     def test_wire_fields_are_type_checked(self, payload, field):
         with pytest.raises(EngineError, match=f"'{field}'"):
             Request.from_dict(payload)
+
+    def test_backend_is_not_a_wire_field(self):
+        """The engine serves one target; naming one is an unknown field."""
+        with pytest.raises(EngineError,
+                           match=r"unknown request fields \['backend'\]"):
+            Request.from_dict({"app": "search", "backend": "vrda"})
+        assert "backend" not in Request(app="search").to_dict()
 
     def test_wire_null_means_not_given_and_in_process_callers_pay_nothing(self):
         request = Request.from_dict(
@@ -99,13 +105,16 @@ class TestBatching:
         assert len(batches) == 1
         assert len(batches[0]) == 4
 
-    def test_batches_split_by_program_and_backend(self):
+    def test_batches_split_by_program_key(self):
         engine = Engine()
         engine.submit(app_request("hash-table"))
         engine.submit(app_request("search"))
-        engine.submit(app_request("hash-table", backend="cpu"))
+        engine.submit(app_request("hash-table", seed=7))
         batches = engine.coalesce()
-        assert len(batches) == 3
+        assert [len(batch) for batch in batches] == [2, 1]
+        keys = [batch.program_key for batch in batches]
+        assert all(isinstance(key, str) for key in keys)
+        assert len(set(keys)) == 2
 
     def test_max_batch_size_splits_batches(self):
         engine = Engine(max_batch_size=2)
@@ -115,19 +124,16 @@ class TestBatching:
         assert sizes == [2, 2, 1]
 
     def test_responses_keep_submission_order(self):
-        # Interleave apps and backends so coalescing reorders execution,
+        # Interleave apps so coalescing reorders execution,
         # then check the engine restores client order.
         engine = Engine()
         pattern = ["hash-table", "search", "hash-table", "search",
                    "hash-table"]
-        backends = ["vrda", "vrda", "cpu", "vrda", "vrda"]
-        requests = [app_request(app, backend=backend, seed=i)
-                    for i, (app, backend) in enumerate(zip(pattern, backends))]
+        requests = [app_request(app, seed=i) for i, app in enumerate(pattern)]
         responses = engine.process(requests)
         assert [r.request_id for r in responses] == [0, 1, 2, 3, 4]
         assert [r.app for r in responses] == pattern
-        assert [r.backend for r in responses] == backends
-        # The interleaved hash-table vrda requests shared one batch.
+        # The interleaved hash-table requests shared one batch.
         assert responses[0].batch_id == responses[4].batch_id
         assert responses[0].batch_id != responses[1].batch_id
 
@@ -208,12 +214,22 @@ class TestExecution:
             assert response.ok
             assert not response.result_cache_hit
 
-    def test_backend_counts_accumulate(self):
+    def test_served_count_accumulates(self):
+        """Executed and replayed requests count; error responses do not."""
         engine = Engine()
-        engine.process([app_request("hash-table"),
-                        app_request("hash-table", backend="cpu"),
-                        app_request("hash-table", backend="gpu")])
-        assert engine.backend_counts == {"vrda": 1, "cpu": 1, "gpu": 1}
+        engine.process([app_request("hash-table"), app_request("search"),
+                        app_request("hash-table"), Request(app="no-such-app")])
+        assert engine.served == 3
+        engine.process([app_request("search")])
+        assert engine.served == 4
+
+    def test_a_raising_process_queues_nothing(self):
+        """process() queues all of its requests or none of them."""
+        engine = Engine()
+        with pytest.raises(EngineError, match="either 'app' or 'source'"):
+            engine.process([app_request("search"), Request()])
+        responses = engine.process([app_request("strlen")])
+        assert [(r.request_id, r.app) for r in responses] == [(0, "strlen")]
 
 
 class TestTraceGeneration:
@@ -225,6 +241,22 @@ class TestTraceGeneration:
         assert len(trace) == 5
         assert config.size == 10
         assert len(synthetic_trace(config)) == 10
+
+    def test_trace_is_deterministic_per_seed_and_cycles_apps_in_order(self):
+        from repro.runtime import TraceConfig, synthetic_trace
+
+        apps = ["search", "murmur3", "strlen"]
+        config = TraceConfig(size=30, apps=apps, distinct_shapes=4,
+                             n_threads=2, seed=11)
+        trace = synthetic_trace(config)
+        assert trace == synthetic_trace(config)
+        assert [r.app for r in trace] == [apps[i % 3] for i in range(30)]
+        assert {r.n_threads for r in trace} == {2}
+        assert {r.seed for r in trace} <= set(range(4))
+        # One RNG draw per request: the shape of request i is draw i.
+        rng = random.Random(11)
+        assert [r.seed for r in trace] == [rng.randrange(4) for _ in trace]
+        assert synthetic_trace(config, seed=12) != trace
 
     def test_unknown_override_rejected(self):
         from repro.runtime import synthetic_trace
@@ -269,29 +301,28 @@ class TestIntraBatchFanOut:
         stats = engine.result_cache_stats
         assert (stats.hits, stats.misses) == (5, 1)
 
-    def test_duplicate_of_a_failed_request_executes_for_real(self):
+    def test_duplicate_of_a_failed_request_executes_for_real(self, monkeypatch):
         """A failure caches nothing, so its in-batch duplicate runs."""
+        real_execute = engine_module.execute
+        calls = []
 
-        class FailsOnce(CPUBaselineBackend):
-            calls = 0
+        def fails_once(program, request, executor):
+            calls.append(request)
+            if len(calls) == 1:
+                raise EngineError("transient")
+            return real_execute(program, request, executor)
 
-            def execute(self, ctx):
-                self.calls += 1
-                if self.calls == 1:
-                    raise BackendError("transient")
-                return super().execute(ctx)
-
+        monkeypatch.setattr(engine_module, "execute", fails_once)
         engine = Engine()
-        flaky = engine.backends.register(FailsOnce())
         responses = engine.process(
-            [app_request("hash-table", backend="cpu") for _ in range(3)])
+            [app_request("hash-table") for _ in range(3)])
         assert [r.ok for r in responses] == [False, True, True]
         assert responses[0].error == "transient"
         assert [r.result_cache_hit for r in responses] == [False, False, True]
-        assert flaky.calls == 2
+        assert len(calls) == 2
         stats = engine.result_cache_stats
         assert (stats.hits, stats.misses) == (1, 2)
-        assert engine.backend_counts == {"cpu": 2}
+        assert engine.served == 2
 
     def test_fanout_preserves_error_responses(self):
         """An unknown app errors alone; its batch neighbours are served."""

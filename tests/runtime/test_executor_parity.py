@@ -31,7 +31,7 @@ def _serve(executor: str, app: str):
     stats = {
         "program": engine.program_cache_stats.as_dict(),
         "result": engine.result_cache_stats.as_dict(),
-        "backends": dict(engine.backend_counts),
+        "served": engine.served,
     }
     return wire, stats
 

@@ -28,12 +28,11 @@ from repro.runtime.trace import TraceConfig, synthetic_trace
 
 #: Mirrors tests/runtime/test_pool.py: the fields that must be bit-identical
 #: however (and through however many respawns) the trace is executed.
-PAYLOAD_FIELDS = ("request_id", "app", "backend", "ok", "error", "outputs",
+PAYLOAD_FIELDS = ("request_id", "app", "ok", "error", "outputs",
                   "correct", "modeled_gbs", "modeled_runtime_s", "batch_id")
 
 TRACE = TraceConfig(size=16, apps=["hash-table", "search"],
-                    backend_mix={"vrda": 1.0}, distinct_shapes=2,
-                    n_threads=2, seed=7)
+                    distinct_shapes=2, n_threads=2, seed=7)
 
 
 def payload(response):

@@ -114,7 +114,7 @@ class TestEndpoints:
         )
         assert status == 200
         assert payload["ok"] and payload["correct"]
-        assert payload["backend"] == "vrda"
+        assert "backend" not in payload
         assert payload["outputs"] is not None
 
     def test_batch_preserves_order_and_isolates_bad_payloads(self, gateway):
@@ -124,12 +124,14 @@ class TestEndpoints:
                 {"app": "search", "n_threads": 2},
                 {"app": "no-such-app"},
                 {"bogus-field": 1},
-                {"app": "murmur3", "n_threads": 2, "backend": "gpu"},
+                {"app": "murmur3", "n_threads": 2},
             ]},
         )
         assert status == 200 and payload["ok"]
         replies = payload["responses"]
         assert [r.get("ok") for r in replies] == [True, False, False, True]
+        # Two programs, two batches.
+        assert replies[0]["batch_id"] != replies[3]["batch_id"]
         assert "no-such-app" in replies[1]["error"]
         assert "bogus-field" in replies[2]["error"]
 

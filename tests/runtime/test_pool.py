@@ -4,14 +4,14 @@ import json
 
 import pytest
 
-from repro.runtime.engine import Engine, Request
+from repro.runtime.engine import Engine, EngineError, Request
 from repro.runtime.pool import PoolError, WorkerPool
+from repro.runtime.telemetry import render_prometheus
 from repro.runtime.trace import TraceConfig, synthetic_trace
 
 SMALL_TRACE = TraceConfig(
     size=24,
     apps=["hash-table", "search", "murmur3"],
-    backend_mix={"vrda": 1.0},
     distinct_shapes=2,
     n_threads=2,
     seed=5,
@@ -20,7 +20,7 @@ SMALL_TRACE = TraceConfig(
 #: The fields that must be bit-identical however the trace is executed.
 #: Cache-hit flags are excluded by design: per-worker caches legitimately
 #: hit/miss differently from one shared cache.
-PAYLOAD_FIELDS = ("request_id", "app", "backend", "ok", "error", "outputs",
+PAYLOAD_FIELDS = ("request_id", "app", "ok", "error", "outputs",
                   "correct", "modeled_gbs", "modeled_runtime_s", "batch_id")
 
 
@@ -66,13 +66,33 @@ class TestInlinePool:
         assert [r.ok for r in report.responses] == [True, False, True]
         assert "no-such-app" in report.responses[1].error
 
-    def test_mixed_backends_flow_through(self):
+    def test_a_raising_process_queues_nothing(self):
+        """process() queues all of its requests or none of them."""
+        with WorkerPool(workers=2, mode="inline") as pool:
+            with pytest.raises(EngineError, match="either 'app' or 'source'"):
+                pool.process([Request(app="search", n_threads=2), Request()])
+            report = pool.process([Request(app="strlen", n_threads=2)])
+        assert [(r.request_id, r.app) for r in report.responses] == \
+            [(0, "strlen")]
+
+    def test_mixed_programs_flow_through(self):
+        """Batches form per program key; every answered request is counted."""
         trace = TraceConfig(size=20, apps=["search", "murmur3"],
                             distinct_shapes=1, n_threads=2, seed=2)
         with WorkerPool(workers=2, mode="inline") as pool:
             report = pool.process(synthetic_trace(trace))
+            scrape = render_prometheus(pool.metrics_snapshots())
         assert all(r.ok for r in report.responses)
-        assert {r.backend for r in report.responses} > {"vrda"}
+        apps_of_batch = {}
+        for response in report.responses:
+            apps_of_batch.setdefault(response.batch_id, set()).add(response.app)
+        assert sorted(map(sorted, apps_of_batch.values())) == [
+            ["murmur3"], ["search"]]
+        # One shape per app: two reach a worker, eighteen are replayed by the
+        # dispatcher, and the one served count holds all twenty.
+        assert report.dispatched == 2
+        assert (f'engine_requests_total{{executor="{pool.stats_row()["executor"]}"}}'
+                " 20") in scrape
 
     def test_residency_feedback_keeps_programs_sticky(self):
         with WorkerPool(workers=2, mode="inline",
@@ -107,8 +127,7 @@ class TestInlinePool:
 class TestProcessPool:
     def test_matches_inline_pool_and_single_engine(self):
         trace = TraceConfig(size=12, apps=["hash-table", "search"],
-                            backend_mix={"vrda": 1.0}, distinct_shapes=2,
-                            n_threads=2, seed=9)
+                            distinct_shapes=2, n_threads=2, seed=9)
         single = Engine().process(synthetic_trace(trace))
         with WorkerPool(workers=2, mode="process") as pool:
             processed = pool.process(synthetic_trace(trace))
@@ -121,8 +140,7 @@ class TestProcessPool:
 
     def test_externally_killed_worker_is_respawned_and_masked(self):
         trace = TraceConfig(size=4, apps=["search"],
-                            backend_mix={"vrda": 1.0}, distinct_shapes=1,
-                            n_threads=2, seed=1)
+                            distinct_shapes=1, n_threads=2, seed=1)
         # No result tier: the repeated trace has to reach a worker.
         with WorkerPool(workers=2, mode="process",
                         result_cache_capacity=0) as control:
@@ -146,8 +164,7 @@ class TestProcessPool:
 
     def test_worker_loss_is_fatal_when_self_healing_is_disabled(self):
         trace = TraceConfig(size=4, apps=["search"],
-                            backend_mix={"vrda": 1.0}, distinct_shapes=1,
-                            n_threads=2, seed=1)
+                            distinct_shapes=1, n_threads=2, seed=1)
         pool = WorkerPool(workers=2, mode="process", max_worker_restarts=0,
                           result_cache_capacity=0)
         try:
@@ -165,8 +182,7 @@ class TestProcessPool:
 
     def test_worker_snapshots_cross_the_process_boundary(self):
         trace = TraceConfig(size=8, apps=["search"],
-                            backend_mix={"vrda": 1.0}, distinct_shapes=1,
-                            n_threads=2, seed=1)
+                            distinct_shapes=1, n_threads=2, seed=1)
         # One shape repeated: without the tier all eight reach a worker.
         with WorkerPool(workers=2, mode="process",
                         result_cache_capacity=0) as pool:
@@ -181,8 +197,8 @@ class TestMeasuredRateDispatch:
 
     def _trace(self, size=24):
         return synthetic_trace(TraceConfig(
-            size=size, apps=["hash-table"], backend_mix={"vrda": 1.0},
-            distinct_shapes=size, n_threads=1, seed=3))
+            size=size, apps=["hash-table"], distinct_shapes=size,
+            n_threads=1, seed=3))
 
     def test_snapshots_report_busy_time_and_rate(self):
         with WorkerPool(workers=2, mode="inline") as pool:
@@ -248,7 +264,7 @@ class TestResultTier:
         assert sum(s.requests for s in report.workers) == 1
         tier = report.aggregate_result_stats()
         assert (tier.hits, tier.misses) == (2, 1)
-        assert all(s.result_cache.lookups == 0 for s in report.workers)
+        assert all("result_cache" not in s.to_dict() for s in report.workers)
 
     def test_failed_request_caches_nothing_and_fails_its_duplicate_alike(self):
         failing = dict(app="search", n_threads=0)   # divides by zero
@@ -279,7 +295,7 @@ class TestResultTier:
             stats = pool.stats_row()
         assert not oldest.result_cache_hit and youngest.result_cache_hit
         assert stats["result_cache"]["evictions"] == 2
-        assert all(w["result_cache"]["hits"] == 0 for w in stats["workers"])
+        assert all("result_cache" not in w for w in stats["workers"])
 
     def test_traced_hit_carries_a_fresh_span_and_never_anothers(self):
         with WorkerPool(workers=1, mode="inline") as pool:

@@ -4,7 +4,6 @@ import tracemalloc
 
 import pytest
 
-from repro.runtime.engine import Response
 from repro.runtime.scheduler import ShardScheduler
 from repro.sim.load_balance import LoadBalanceSimulator
 from repro.sim.policies import (
@@ -108,12 +107,9 @@ class TestSchedulerAPI:
         with pytest.raises(ValueError):
             ShardScheduler(workers=2, worker_scales=[1.0])
 
-    def test_dispatch_responses_uses_modeled_cost(self):
-        responses = [Response(request_id=i, app="x", backend="vrda", ok=True,
-                              modeled_runtime_s=cost)
-                     for i, cost in enumerate([0.5, 0.25, 0.25])]
+    def test_dispatch_charges_each_task_its_cost(self):
         report = ShardScheduler(workers=2, policy="least-loaded")\
-            .dispatch_responses(responses)
+            .dispatch([0.5, 0.25, 0.25])
         assert report.total_tasks == 3
         assert report.makespan_s == pytest.approx(0.5)
         assert len(report.assignments) == 3

@@ -38,7 +38,7 @@ def connect(server):
 
 class TestWireFormat:
     def test_request_round_trips(self):
-        request = Request(app="strlen", n_threads=4, seed=3, backend="cpu")
+        request = Request(app="strlen", n_threads=4, seed=3, function="main2")
         assert Request.from_dict(request.to_dict()) == request
 
     def test_unknown_fields_rejected(self):
@@ -63,7 +63,7 @@ class TestProtocol:
         with connect(server) as client:
             reply = client.request(app="search", n_threads=2, seed=0)
         assert reply["ok"] and reply["correct"]
-        assert reply["backend"] == "vrda"
+        assert "backend" not in reply
         assert reply["outputs"] is not None
 
     def test_bare_request_object_defaults_to_request_op(self, server):
@@ -77,9 +77,11 @@ class TestProtocol:
                 {"app": "search", "n_threads": 2},
                 {"app": "no-such-app"},
                 {"bogus-field": 1},
-                {"app": "murmur3", "n_threads": 2, "backend": "gpu"},
+                {"app": "murmur3", "n_threads": 2},
             ])
         assert [r.get("ok") for r in replies] == [True, False, False, True]
+        # Two programs, two batches.
+        assert replies[0]["batch_id"] != replies[3]["batch_id"]
         assert "no-such-app" in replies[1]["error"]
         assert "bogus-field" in replies[2]["error"]
 
@@ -209,8 +211,6 @@ class TestProtocol:
 POISON = [
     {"app": ["search"]},
     {"app": {"name": "search"}},
-    {"app": "search", "backend": ["vrda"]},
-    {"app": "search", "backend": {"name": "vrda"}},
     {"app": "search", "options": {"verify_each": [1]}},
     {"source": ["x"]},
     {"app": "search", "n_threads": 0},
@@ -282,6 +282,24 @@ class TestPoisonPayloads:
         assert self.post(http, "/v1/request", self.GOOD)[1]["ok"]
         with connect(ndjson) as client:
             assert client.request(**self.GOOD)["ok"]
+
+
+    def test_naming_a_backend_is_refused_on_both_doors(self, doors):
+        """The stack serves one target: 'backend' is an unknown field."""
+        ndjson, http = doors
+        named = {"app": "search", "backend": "vrda"}
+        refusal = "unknown request fields ['backend']"
+        with connect(ndjson) as client:
+            reply = client.roundtrip(dict(named, op="request"))
+            assert reply["ok"] is False and refusal in reply["error"]
+        status, reply = self.post(http, "/v1/request", named)
+        assert status == 200
+        assert reply["ok"] is False and refusal in reply["error"]
+        # A well-formed request on a new connection is then served.
+        with connect(ndjson) as client:
+            served = client.request(**self.GOOD)
+        assert served["ok"] and "backend" not in served
+        assert self.post(http, "/v1/request", self.GOOD)[1]["ok"]
 
 
 class TestSpawn:

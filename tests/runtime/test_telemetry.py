@@ -30,7 +30,6 @@ def _payloads(size=10, seed=21):
     trace = TraceConfig(
         size=size,
         apps=["hash-table", "search"],
-        backend_mix={"vrda": 1.0},
         distinct_shapes=2,
         n_threads=2,
         seed=seed,
@@ -177,7 +176,8 @@ class TestTracePropagation:
             instrumented = service.serve_payloads(plain).results
             scrape = service.metrics_text()
         # The instrumented stack really did measure itself.
-        assert 'engine_requests_total{backend="vrda"} 12' in scrape
+        executor = pool_on.stats_row()["executor"]
+        assert f'engine_requests_total{{executor="{executor}"}} 12' in scrape
         assert json.dumps(instrumented, sort_keys=True) == json.dumps(
             baseline, sort_keys=True
         )

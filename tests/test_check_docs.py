@@ -49,3 +49,25 @@ def test_stale_routes_and_ops_are_reported_by_name():
         "README.md: the server has no route /v1/gone",
         "README.md: the server has no op 'dance'",
     ]
+
+
+def test_stale_and_missing_metric_rows_are_reported_by_name():
+    registered = check_docs.registered_families()
+    assert {"engine_requests_total", "pool_flushes_total",
+            "gateway_events_total"} <= registered
+    assert "engine_executor_requests_total" not in registered
+    text = check_docs.METRICS_DOC.read_text(encoding="utf-8")
+    assert check_docs.check_metric_families(text, registered) == []
+    planted = text + (
+        "| `engine_executor_requests_total` | counter | `executor` | Gone. |\n"
+    )
+    assert check_docs.check_metric_families(planted, registered) == [
+        "docs/observability.md: no metric family "
+        "engine_executor_requests_total is registered"
+    ]
+    assert check_docs.check_metric_families(
+        text, registered | {"engine_new_total"}
+    ) == [
+        "docs/observability.md: metric family engine_new_total is registered "
+        "but has no row"
+    ]

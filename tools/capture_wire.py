@@ -31,16 +31,17 @@ REQUEST = {"app": "search", "n_threads": 2, "seed": 1}
 OTHER = {"app": "murmur3", "n_threads": 2, "seed": 0}
 BAD = {"app": "no-such-app"}
 #: Wrong-typed fields.  Each once left its entry queued in the dispatcher and
-#: wedged ``request``/``batch`` on both doors for every later client.
+#: wedged ``request``/``batch`` on both doors for every later client.  The
+#: last is well typed but names a ``backend``: the stack serves one target, so
+#: it is refused as an unknown field (it was served while there were four).
 POISON = [
     {"app": ["search"]},
     {"app": {"name": "search"}},
-    {"app": "search", "backend": ["vrda"]},
-    {"app": "search", "backend": {"name": "vrda"}},
     {"app": "search", "options": {"verify_each": [1]}},
     {"source": ["x"]},
     {"app": "search", "n_threads": 0},
     {"app": "search", "n_threads": "8"},
+    {"app": "search", "backend": "vrda"},
 ]
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation checker for CI: links, paths, imports, flags and routes.
+"""Documentation checker for CI: links, paths, imports, flags, routes, metrics.
 
-Six checks over README.md and everything under docs/:
+Seven checks over README.md and everything under docs/:
 
 1. **Intra-repo markdown links** — every relative ``[text](target)``
    must point at a file or directory that exists (external ``http(s)``,
@@ -23,6 +23,11 @@ Six checks over README.md and everything under docs/:
    ``/metrics``) and every NDJSON ``"op": "name"`` named anywhere in the
    text must be one the server serves, read from the framings' own maps
    (``repro.runtime.gateway.http.ROUTES``, ``repro.runtime.server.OPS``).
+7. **Metric families** — the rows of the family tables in
+   ``docs/observability.md`` must name exactly the families registered by
+   ``.counter(`` / ``.gauge(`` / ``.histogram(`` calls under
+   ``src/repro/runtime`` (a scan of the source, no server), so a deleted
+   family cannot stay documented nor a new one go undocumented.
 
 Exit code 0 when everything passes, 1 otherwise (with one line per
 failure). Run it locally with::
@@ -53,6 +58,12 @@ PATH_RE = re.compile(r"[\w.*/-]+")
 #: a ``host:port``, not as the tail of a file path.
 ROUTE_RE = re.compile(r"/v1/[\w-]+|(?:(?<![\w./-])|(?<=\d))/(?:healthz|metrics)\b")
 OP_RE = re.compile(r'"op":\s*"([\w-]+)"')
+#: A family registered in the source, and its row in a documentation table.
+METRIC_CALL_RE = re.compile(r'\.(?:counter|gauge|histogram)\(\s*"(\w+)"')
+METRIC_ROW_RE = re.compile(
+    r"^\|\s*`(\w+)`\s*\|\s*(?:counter|gauge|histogram)\s*\|", re.MULTILINE
+)
+METRICS_DOC = REPO_ROOT / "docs" / "observability.md"
 
 #: A bare name with one of these suffixes is taken for a file of the repo.
 FILE_SUFFIXES = (".py", ".json", ".md", ".yml", ".toml")
@@ -239,6 +250,29 @@ def check_routes(path: Path, text: str, routes: Set[str], ops: Set[str]) -> List
     return failures
 
 
+def registered_families() -> Set[str]:
+    """Metric families the runtime's source registers (a static scan)."""
+    families: Set[str] = set()
+    for source in (REPO_ROOT / "src" / "repro" / "runtime").rglob("*.py"):
+        families.update(METRIC_CALL_RE.findall(source.read_text(encoding="utf-8")))
+    return families
+
+
+def check_metric_families(text: str, registered: Set[str]) -> List[str]:
+    """Family-table rows that name no registered family, and the reverse."""
+    where = METRICS_DOC.relative_to(REPO_ROOT)
+    documented = set(METRIC_ROW_RE.findall(text))
+    failures = [
+        f"{where}: no metric family {name} is registered"
+        for name in sorted(documented - registered)
+    ]
+    failures += [
+        f"{where}: metric family {name} is registered but has no row"
+        for name in sorted(registered - documented)
+    ]
+    return failures
+
+
 def main() -> int:
     """Run every check; print failures; return a process exit code."""
     files = [(path, path.read_text(encoding="utf-8")) for path in doc_files()]
@@ -248,6 +282,8 @@ def main() -> int:
         failures += check_links(path, text)
         failures += check_paths(path, text)
         failures += check_routes(path, text, routes, ops)
+        if path == METRICS_DOC:
+            failures += check_metric_families(text, registered_families())
     imports = collect_import_lines(files)
     modules = collect_python_m_modules(files)
     failures += run_snippet_imports(imports, modules)
