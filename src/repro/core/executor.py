@@ -330,11 +330,6 @@ class Executor:
         env = self._run_graph(graph, env)
         return [env[v.uid] for v in graph.outputs]
 
-    def _run_node(self, node: DFNode, ins: List[Stream]) -> List[Stream]:
-        handler = self._handler(node.op)
-        self.profile.record_firing(node.op)
-        return handler(node, ins)
-
     # -- element-wise and structural ops --------------------------------------
 
     def _op_compute(self, node: DFNode, ins: List[Stream]) -> List[Stream]:

@@ -135,23 +135,6 @@ class DFNode:
         if self.op not in ALL_OPS:
             raise GraphError(f"unknown dataflow op '{self.op}'")
 
-    @property
-    def is_region(self) -> bool:
-        return self.op in REGION_OPS
-
-    @property
-    def is_memory(self) -> bool:
-        return self.op in {
-            "sram_alloc",
-            "sram_free",
-            "sram_read",
-            "sram_write",
-            "dram_read",
-            "dram_write",
-            "bulk_load",
-            "bulk_store",
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         ins = ", ".join(v.name for v in self.inputs)
         outs = ", ".join(v.name for v in self.outputs)
@@ -230,14 +213,6 @@ class DFGraph:
         self._version += 1
 
     # -- queries ----------------------------------------------------------
-
-    def value_uses(self) -> Dict[int, List[DFNode]]:
-        """Map value uid -> consuming nodes (within this graph level only)."""
-        uses: Dict[int, List[DFNode]] = {}
-        for node in self.nodes:
-            for val in node.inputs:
-                uses.setdefault(val.uid, []).append(node)
-        return uses
 
     def all_values(self) -> List[DFValue]:
         """Every value defined at this graph level (inputs + node outputs)."""

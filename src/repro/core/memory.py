@@ -207,10 +207,6 @@ class MemorySystem:
         self.stats.dram_write_bytes += self._dram_bytes((int(addr),))
         self._dram[int(addr)] = int(value)
 
-    def dram_peek(self, addr: int) -> int:
-        """Read without counting traffic (for assertions and debugging)."""
-        return self._dram.get(int(addr), 0)
-
     # -- SRAM allocation sites ----------------------------------------------
 
     def site(self, name: str, buffer_words: int = 64, max_buffers: int = 1024) -> AllocationSite:

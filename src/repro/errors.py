@@ -55,11 +55,3 @@ class PassError(ReproError):
 
 class LoweringError(ReproError):
     """Control-flow to dataflow lowering failed."""
-
-
-class PlacementError(ReproError):
-    """The placed graph exceeds machine resources."""
-
-
-class SimulationError(ReproError):
-    """Cycle-level simulation error (deadlock, invalid configuration)."""

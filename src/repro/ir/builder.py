@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Sequence
 
 from repro.errors import IRError
-from repro.ir.core import Block, Operation, Region, Type, Value
+from repro.ir.core import Block, Operation, Type, Value
 
 
 class Builder:
@@ -75,9 +75,3 @@ class Builder:
             region = op.add_region()
             region.add_block()
         return op
-
-    def at_end_of(self, region: Region) -> "Builder":
-        """A new builder appending to the entry block of ``region``."""
-        sub = Builder()
-        sub.set_insertion_point_to_end(region.entry)
-        return sub

@@ -201,24 +201,11 @@ class Operation:
     def dialect(self) -> str:
         return self.name.split(".", 1)[0]
 
-    @property
-    def opname(self) -> str:
-        return self.name.split(".", 1)[1]
-
     def result(self, index: int = 0) -> Value:
         return self.results[index]
 
     def operand(self, index: int = 0) -> Value:
         return self.operands[index]
-
-    def set_operand(self, index: int, value: Value) -> None:
-        old = self.operands[index]
-        self.operands[index] = value
-        if self not in value.uses:
-            value.uses.append(self)
-        if old is not value and all(v is not old for v in self.operands):
-            if self in old.uses:
-                old.uses.remove(self)
 
     def update_attrs(self, attrs: Dict[str, Any]) -> bool:
         """Write ``attrs``; True if that changed a value (what a pass reports)."""

@@ -12,11 +12,9 @@ serving layer:
   executor, memoizes deterministic results, and attaches the paper's
   modeled latency.  (The CPU / GPU / Aurochs comparison columns are
   evaluation tables: ``python -m repro.eval table5``.)
-* :mod:`repro.runtime.scheduler` — shards batch costs across N simulated
-  workers using the admission policies shared with the Figure 14 simulator.
 * :mod:`repro.runtime.pool` — real multi-worker execution: N inline or
-  ``multiprocessing`` workers, each owning its own program cache, fed by
-  cache-affinity batch dispatch with residency feedback; dead or hung
+  ``multiprocessing`` workers, each owning its own program cache; a batch
+  goes to the worker whose cache holds its program; dead or hung
   workers are respawned in place and their batches replayed (fail-fast
   only once a circuit breaker trips).
 * :mod:`repro.runtime.faults` — injectable fault plans (kill/hang a
@@ -60,7 +58,6 @@ from repro.runtime.pool import (
     WorkerSnapshot,
 )
 from repro.runtime.logs import JsonFormatter, configure_logging
-from repro.runtime.scheduler import ScheduleReport, ShardScheduler, WorkerReport
 from repro.runtime.telemetry import (
     Counter,
     Gauge,
@@ -95,13 +92,10 @@ __all__ = [
     "ProgramCache",
     "Request",
     "Response",
-    "ScheduleReport",
-    "ShardScheduler",
     "SlowRing",
     "TraceConfig",
     "WorkerConfig",
     "WorkerPool",
-    "WorkerReport",
     "WorkerSnapshot",
     "configure_logging",
     "load_fault_plan",

@@ -2,15 +2,14 @@
 
 Replays a synthetic repeated-app request trace through a
 :class:`~repro.runtime.pool.WorkerPool` of ``--workers`` cache-owning
-workers (per-worker program caches, policy-driven dispatch, optional
-process parallelism), then prints the serving report: wall-clock
-requests/sec, cache hit rates, and the per-worker table.
+workers (per-worker program caches, batches routed to the worker holding
+their program, optional process parallelism), then prints the serving
+report: wall-clock requests/sec, cache hit rates, and the per-worker table.
 
 Example::
 
     python -m repro.runtime --trace-size 100 --workers 4
-    python -m repro.runtime --apps strlen,search --policy hoisted-buffer
-    python -m repro.runtime --workers 4 --policy cache-affinity
+    python -m repro.runtime --apps strlen,search --no-result-cache
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.runtime.faults import load_fault_plan
 from repro.runtime.logs import configure_logging
 from repro.runtime.pool import POOL_MODES, WorkerPool
 from repro.runtime.trace import DEFAULT_TRACE_APPS, TraceConfig, synthetic_trace
-from repro.sim.policies import POLICIES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,9 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cache-owning pool workers (default 4)")
     parser.add_argument("--apps", type=str, default=",".join(DEFAULT_TRACE_APPS),
                         help="comma-separated app names to cycle through")
-    parser.add_argument("--policy", type=str, default="least-loaded",
-                        choices=sorted(POLICIES),
-                        help="batch dispatch policy (default least-loaded)")
     parser.add_argument("--n-threads", type=int, default=4,
                         help="threads per generated instance (default 4)")
     parser.add_argument("--distinct-shapes", type=int, default=2,
@@ -104,7 +99,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     pool = WorkerPool(
         workers=args.workers,
         mode=args.pool_mode,
-        policy=args.policy,
         cache_capacity=args.cache_capacity,
         result_cache_capacity=0 if args.no_result_cache else 512,
         max_batch_size=args.max_batch,
@@ -123,7 +117,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     result = report.aggregate_result_stats()
     print(f"trace           : {len(requests)} requests, "
           f"pool={args.workers}x{args.pool_mode}, "
-          f"policy={report.policy}, "
           f"executor={pool.stats_row()['executor']}")
     print(f"served          : {served} ok, {len(responses) - served} errors, "
           f"{wrong} incorrect results")
@@ -136,8 +129,6 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"(pool-wide hit rate {100 * program.hit_rate:.1f}%)")
     print(f"result cache    : {result.hits} hits / {result.lookups} lookups "
           f"(hit rate {100 * result.hit_rate:.1f}%)")
-    print(f"dispatch        : makespan {report.schedule.makespan_s:.3f}, "
-          f"imbalance {report.schedule.imbalance():.3f}x")
     rows = [{
         "worker": s.index,
         "batches": s.batches,

@@ -174,8 +174,7 @@ class ProgramCache:
         """Memory-tier content keys, LRU order (oldest first).
 
         This is the residency report a pool worker sends back to the
-        dispatcher so :class:`repro.sim.policies.CacheAffinityPolicy` can
-        route the next round of batches to warm caches.
+        dispatcher, which routes the next round of batches to warm caches.
         """
         return self._memory.keys()
 

@@ -400,7 +400,7 @@ def _smoke_server(
     )
     payloads = [request.to_dict() for request in synthetic_trace(trace)]
     server_args = ["--workers", str(args.workers), "--pool-mode", args.pool_mode]
-    server_args += ["--policy", args.policy, *extra_args]
+    server_args += extra_args
     process, *endpoints = spawn_server(server_args, expect_http=expect_http)
     try:
         yield (payloads, *endpoints)
@@ -438,7 +438,7 @@ def _smoke(args: argparse.Namespace) -> int:
             hit_rate = stats["pool"]["program_cache"]["hit_rate"]
     print(
         f"smoke ok: {len(served)} requests over {args.pool_mode} pool "
-        f"({args.workers} workers, policy {args.policy}, "
+        f"({args.workers} workers, "
         f"program-cache hit rate {100 * hit_rate:.1f}%), clean shutdown"
     )
     return 0
@@ -675,7 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--pool-mode", type=str, default="inline")
-    parser.add_argument("--policy", type=str, default="cache-affinity")
     parser.add_argument("--apps", type=str, default="hash-table,search,murmur3")
     parser.add_argument(
         "--app",

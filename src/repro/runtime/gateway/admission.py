@@ -358,7 +358,8 @@ class PoolService:
         as its per-request 429 envelopes without ending the iteration: a
         partially overloaded stream still delivers what was admitted.
         """
-        if not isinstance(chunk, int) or chunk < 1:
+        # Exactly int, as for request fields: ``true`` is not a chunk size.
+        if type(chunk) is not int or chunk < 1:
             error = "'chunk' must be a positive integer"
             return Reply(400, {"ok": False, "error": error})
         flushes = (

@@ -16,14 +16,14 @@ Two execution modes share one dispatch path:
   dispatch order.  Same batches, same per-worker caches, same responses:
   the deterministic fallback tests and CI rely on.
 
-Dispatch itself runs through :class:`~repro.runtime.scheduler.ShardScheduler`
-with the batch's content-addressed program key as the affinity key.  Under
-``cache-affinity`` (:class:`repro.sim.policies.CacheAffinityPolicy`) a batch
-goes to a free worker whose cache already holds its program; after every
-flush the workers report their actual cache residency back, and the
-dispatcher seeds the policy with those reports before the next round — the
-feedback loop the ROADMAP calls "route requests to the worker that has the
-program resident".
+Dispatch follows one rule (:meth:`WorkerPool._route`): a batch goes to a
+worker whose program cache holds its content-addressed program key — the
+least loaded one in this flush if several do — and a key no worker holds
+goes round-robin.  A worker already sent :data:`SPILL_BATCHES` batches
+(or its even share of a bigger flush) is passed over, so a flush of one
+hot program still runs in parallel.  Residency is what the workers reported
+with their last flush reply (``last_snapshots[i].resident_keys``), so each
+program stays where it was compiled.
 
 The pool is **self-healing**: worker death is a steady-state event, not a
 crash.  A dead worker (EOF or broken pipe) or a hung one (no flush reply
@@ -32,10 +32,10 @@ in place with its same :class:`WorkerConfig`, and the batches it was
 holding are requeued onto the surviving workers *within the same flush* —
 responses are deterministic and the memoized-response tier sees only a
 flush's final responses, so replaying a batch reproduces the exact responses
-a fault-free run would have produced.  Cache-affinity residency is re-seeded
-from the lost worker's last snapshot, so routing stays stable while the
-respawned child rewarms (its disk tier, when configured, survives).  Repeated
-failure trips a circuit breaker — more than ``max_worker_restarts``
+a fault-free run would have produced.  The lost worker's last snapshot stays
+its residency, so routing stays stable while the respawned child rewarms
+(its disk tier, when configured, survives).  Repeated failure trips a
+circuit breaker — more than ``max_worker_restarts``
 respawns inside ``restart_window_s`` closes the pool and raises
 :class:`PoolError`, the unrecoverable-death signal the serving layer turns
 into a clean shutdown.  :class:`~repro.runtime.faults.FaultPlan` injection
@@ -50,7 +50,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.columnar import resolve_executor
 from repro.errors import ReproError
@@ -59,16 +59,17 @@ from repro.runtime.engine import Batch, Engine, Request, Response
 from repro.runtime.engine import memoize, replay, result_fingerprint
 from repro.runtime.faults import FaultInjector, FaultPlan, InjectedFault
 from repro.runtime.logs import event, get_logger
-from repro.runtime.scheduler import ScheduleReport, ShardScheduler
 from repro.runtime.telemetry import MetricsRegistry
-from repro.sim.policies import (
-    AdmissionPolicy,
-    CacheAffinityPolicy,
-    ServiceRateEstimator,
-    make_policy,
-)
+from repro.sim.policies import ServiceRateEstimator
 
 POOL_MODES = ("inline", "process")
+#: How process workers start: a fresh interpreter, never a fork of a parent
+#: that holds locks and listener threads.
+MP_CONTEXT = "spawn"
+#: A worker sent this many batches in one flush (or its even share of a
+#: bigger flush) takes no more, so a flush of one hot program spreads
+#: across the pool instead of queueing on its one holder.
+SPILL_BATCHES = 8
 
 _LOG = get_logger(__name__)
 
@@ -199,69 +200,70 @@ def _crash_responses(batch: Batch, error: Exception) -> List[Response]:
     ]
 
 
-def _run_batches(
-    engine: Engine,
-    batches: Sequence[Batch],
-    service_delay_s: float = 0.0,
-    injector: Optional[FaultInjector] = None,
-) -> Tuple[List[Response], int, float]:
-    """Execute a worker's batch list, timing its wall clock.
+class _WorkerState:
+    """One worker's engine, fault arm and cumulative counters.
 
-    Unexpected errors become responses; returns ``(responses, served,
-    elapsed_s)`` so the caller can fold the measurement into its service-rate
-    estimate.  ``service_delay_s`` sleeps per served request — the
-    slow-worker test fixture, charged inside the measured window on purpose.
-    ``injector`` is consulted at batch boundaries; an injected crash
-    propagates (it must look like worker death, not an error response).
+    Both execution modes run a worker through this: a process child in
+    :func:`_process_worker_main`, an inline worker in the parent.
     """
-    responses: List[Response] = []
-    served = 0
-    started = time.perf_counter()
-    for batch in batches:
-        if injector is not None:
-            injector.on_batch_start()
-        served += len(batch)
-        try:
-            responses.extend(engine.execute_batch(batch))
-        except InjectedFault:
-            raise
-        except Exception as error:  # noqa: BLE001 - a worker must not die
-            responses.extend(_crash_responses(batch, error))
-        if injector is not None:
-            injector.on_batch_done()
-        if service_delay_s > 0.0:
-            time.sleep(service_delay_s * len(batch))
-    return responses, served, time.perf_counter() - started
 
+    def __init__(self, index: int, config: WorkerConfig, inline: bool):
+        self.index = index
+        self.config = config
+        self.engine = config.build_engine(index)
+        self.injector = config.build_injector(index, inline=inline)
+        self.batches = 0
+        self.requests = 0
+        self.busy_s = 0.0
+        self.estimator = ServiceRateEstimator()
 
-def _snapshot(
-    index: int,
-    engine: Engine,
-    batches: int,
-    requests: int,
-    busy_s: float = 0.0,
-    service_rate_rps: float = 0.0,
-) -> WorkerSnapshot:
-    return WorkerSnapshot(
-        index=index,
-        batches=batches,
-        requests=requests,
-        program_cache=engine.program_cache_stats.snapshot(),
-        resident_keys=engine.program_cache.resident_keys(),
-        busy_s=busy_s,
-        service_rate_rps=service_rate_rps,
-        metrics=engine.metrics_snapshot(),
-    )
+    def run(self, batches: Sequence[Batch]) -> Tuple[List[Response], WorkerSnapshot]:
+        """Execute a batch list, timing its wall clock; returns the reply.
+
+        Unexpected errors become responses.  ``service_delay_s`` sleeps per
+        served request — the slow-worker test fixture, charged inside the
+        measured window on purpose.  The injector is consulted at batch
+        boundaries; an injected crash propagates (it must look like worker
+        death, not an error response).
+        """
+        responses: List[Response] = []
+        served = 0
+        delay_s = self.config.service_delay_s
+        started = time.perf_counter()
+        for batch in batches:
+            if self.injector is not None:
+                self.injector.on_batch_start()
+            served += len(batch)
+            try:
+                responses.extend(self.engine.execute_batch(batch))
+            except InjectedFault:
+                raise
+            except Exception as error:  # noqa: BLE001 - a worker must not die
+                responses.extend(_crash_responses(batch, error))
+            if self.injector is not None:
+                self.injector.on_batch_done()
+            if delay_s > 0.0:
+                time.sleep(delay_s * len(batch))
+        elapsed = time.perf_counter() - started
+        self.batches += len(batches)
+        self.requests += served
+        self.busy_s += elapsed
+        self.estimator.observe(served, elapsed)
+        return responses, WorkerSnapshot(
+            index=self.index,
+            batches=self.batches,
+            requests=self.requests,
+            program_cache=self.engine.program_cache_stats.snapshot(),
+            resident_keys=self.engine.program_cache.resident_keys(),
+            busy_s=self.busy_s,
+            service_rate_rps=self.estimator.rate,
+            metrics=self.engine.metrics_snapshot(),
+        )
 
 
 def _process_worker_main(connection, index: int, config: WorkerConfig) -> None:
     """Entry point of one pool child: serve ``run`` messages until ``stop``."""
-    engine = config.build_engine(index)
-    injector = config.build_injector(index, inline=False)
-    batches_done = 0
-    requests_done = 0
-    busy_s = 0.0
-    estimator = ServiceRateEstimator()
+    worker = _WorkerState(index, config, inline=False)
     while True:
         try:
             message = connection.recv()
@@ -269,19 +271,9 @@ def _process_worker_main(connection, index: int, config: WorkerConfig) -> None:
             break
         if message[0] == "stop":
             break
-        batches = message[1]
-        responses, served, elapsed = _run_batches(
-            engine, batches, config.service_delay_s, injector
-        )
-        batches_done += len(batches)
-        requests_done += served
-        busy_s += elapsed
-        estimator.observe(served, elapsed)
-        snapshot = _snapshot(
-            index, engine, batches_done, requests_done, busy_s, estimator.rate
-        )
-        if injector is None or injector.before_reply():
-            connection.send((responses, snapshot))
+        reply = worker.run(message[1])
+        if worker.injector is None or worker.injector.before_reply():
+            connection.send(reply)
     connection.close()
 
 
@@ -294,41 +286,22 @@ class _InlineWorker:
         self._reset()
 
     def _reset(self) -> None:
-        self.engine = self.config.build_engine(self.index)
-        self._injector = self.config.build_injector(self.index, inline=True)
-        self._batches = 0
-        self._requests = 0
-        self._busy_s = 0.0
-        self._estimator = ServiceRateEstimator()
+        self.state = _WorkerState(self.index, self.config, inline=True)
         self._pending: Optional[Tuple[List[Response], WorkerSnapshot]] = None
 
     def submit(self, batches: Sequence[Batch]) -> None:
         """Execute the batches synchronously; results wait for collect()."""
+        injector = self.state.injector
         try:
-            responses, served, elapsed = _run_batches(
-                self.engine, batches, self.config.service_delay_s, self._injector
-            )
-            if self._injector is not None:
+            self._pending = self.state.run(batches)
+            if injector is not None:
                 # Process-worker parity: a kill/hang due right after the
                 # flush's work ("die before the reply") fires here too.
                 # Reply-pipe faults have nothing to act on inline.
-                self._injector.before_reply()
+                injector.before_reply()
         except InjectedFault as fault:
             self._pending = None
             raise _WorkerFailure(str(fault), cause="injected") from fault
-        self._batches += len(batches)
-        self._requests += served
-        self._busy_s += elapsed
-        self._estimator.observe(served, elapsed)
-        snapshot = _snapshot(
-            self.index,
-            self.engine,
-            self._batches,
-            self._requests,
-            self._busy_s,
-            self._estimator.rate,
-        )
-        self._pending = (responses, snapshot)
 
     def collect(
         self, deadline_s: Optional[float] = None
@@ -359,15 +332,15 @@ class _InlineWorker:
 class _ProcessWorker:
     """One multiprocessing child plus the parent-side pipe to drive it."""
 
-    def __init__(self, index: int, config: WorkerConfig, context):
+    def __init__(self, index: int, config: WorkerConfig):
         self.index = index
         self.config = config
-        self.context = context
         self._spawn()
 
     def _spawn(self) -> None:
-        self.connection, child = self.context.Pipe()
-        self.process = self.context.Process(
+        context = multiprocessing.get_context(MP_CONTEXT)
+        self.connection, child = context.Pipe()
+        self.process = context.Process(
             target=_process_worker_main,
             args=(child, self.index, self.config),
             daemon=True,
@@ -465,7 +438,6 @@ class PoolReport:
     mode: str
     responses: List[Response]
     workers: List[WorkerSnapshot]
-    schedule: ScheduleReport
     #: Workers respawned during this flush (0 on the fault-free path).
     worker_restarts: int = 0
     #: Batches replayed onto survivors after a worker loss, this flush.
@@ -475,11 +447,6 @@ class PoolReport:
     dispatched: int = 0
     flush_s: float = 0.0
     result_cache: CacheStats = field(default_factory=CacheStats)
-
-    @property
-    def policy(self) -> str:
-        """Name of the admission policy that dispatched this flush."""
-        return self.schedule.policy
 
     def aggregate_program_stats(self) -> CacheStats:
         """Program-cache counters summed across every worker."""
@@ -498,7 +465,6 @@ class PoolReport:
         ok = sum(1 for r in self.responses if r.error is None)
         return {
             "mode": self.mode,
-            "policy": self.policy,
             "responses": len(self.responses),
             "ok": ok,
             "errors": len(self.responses) - ok,
@@ -507,7 +473,6 @@ class PoolReport:
             "program_cache": self.aggregate_program_stats().to_dict(),
             "result_cache": self.aggregate_result_stats().to_dict(),
             "workers": [w.to_dict() for w in self.workers],
-            "schedule": self.schedule.to_dict(),
         }
 
 
@@ -516,9 +481,8 @@ class WorkerPool:
 
     The pool is long-lived: submit/flush as many rounds as you like (the
     server does exactly that), then :meth:`close` it — or use it as a
-    context manager.  ``policy`` accepts any :data:`repro.sim.policies`
-    name or instance; ``cache-affinity`` (the default) is the one that
-    exploits the per-worker program caches.
+    context manager.  Batches are routed by :meth:`_route`, which keeps
+    each program on the worker whose cache holds it.
 
     Worker loss is masked, not fatal: a dead or hung worker is respawned
     in place and its batches are requeued within the same flush (see the
@@ -545,14 +509,11 @@ class WorkerPool:
         self,
         workers: int = 4,
         mode: str = "inline",
-        policy: Union[str, AdmissionPolicy] = "cache-affinity",
         cache_capacity: int = 64,
         result_cache_capacity: int = 512,
         max_batch_size: int = 16,
-        buffers_per_worker: int = 8,
         service_delays: Optional[Sequence[float]] = None,
         disk_cache_dir: Optional[str] = None,
-        mp_context: str = "spawn",
         executor: Optional[str] = None,
         fault_plan: Optional[FaultPlan] = None,
         max_worker_restarts: int = 5,
@@ -622,16 +583,6 @@ class WorkerPool:
                 replace(self.config, service_delay_s=delay)
                 for delay in service_delays
             ]
-        self._policy = (
-            CacheAffinityPolicy(cache_capacity=cache_capacity)
-            if policy == "cache-affinity"
-            else make_policy(policy)
-        )
-        self._scheduler = ShardScheduler(
-            workers=workers,
-            buffers_per_worker=buffers_per_worker,
-            policy=self._policy,
-        )
         # The front engine queues, coalesces and keeps the pool's one result
         # tier (counted into the pool's registry); it never compiles or runs.
         # ``front_lock`` guards it from a caller's first submit() to its lookup().
@@ -643,17 +594,10 @@ class WorkerPool:
             metrics=self.metrics,
         )
         self.front_lock = threading.Lock()
-        if mode == "process":
-            context = multiprocessing.get_context(mp_context)
-            self._workers = [
-                _ProcessWorker(i, self._worker_configs[i], context)
-                for i in range(workers)
-            ]
-        else:
-            self._workers = [
-                _InlineWorker(i, self._worker_configs[i]) for i in range(workers)
-            ]
-        self._residency: Optional[List[List[str]]] = None
+        worker_class = _ProcessWorker if mode == "process" else _InlineWorker
+        self._workers = [
+            worker_class(i, self._worker_configs[i]) for i in range(workers)
+        ]
         # Idle workers are skipped per flush; their last snapshot (initially
         # an empty one) still describes their caches exactly.
         self.last_snapshots: List[WorkerSnapshot] = [
@@ -749,8 +693,7 @@ class WorkerPool:
         """
         started = time.perf_counter()
         if not flush.batches:
-            idle = ScheduleReport(self._policy.name, [])
-            report = PoolReport(self.mode, [], self.last_snapshots, idle)
+            report = PoolReport(self.mode, [], self.last_snapshots)
         else:
             report = self._gather(flush.batches)
             by_id = {response.request_id: response for response in report.responses}
@@ -776,18 +719,11 @@ class WorkerPool:
         """One scatter/gather round over the workers, losses masked."""
         if self._closed:
             raise PoolError("pool is closed")
-        if isinstance(self._policy, CacheAffinityPolicy) and self._residency:
-            self._policy.seed(self._residency)
-        schedule = self._scheduler.dispatch(
-            [float(len(batch)) for batch in batches],
-            keys=[batch.program_key for batch in batches],
-        )
+        held = [set(s.resident_keys) for s in self.last_snapshots]
         # Idle workers (no batches this flush) are skipped entirely: their
         # caches cannot have changed, so their previous snapshot still holds
         # and the single-request path costs one worker round-trip, not N.
-        pending: Dict[int, List[Batch]] = {}
-        for batch, worker in zip(batches, schedule.assignments):
-            pending.setdefault(worker, []).append(batch)
+        pending, loads = self._route(batches, held)
         responses: List[Response] = []
         snapshots = list(self.last_snapshots)
         flush_restarts = 0
@@ -818,9 +754,6 @@ class WorkerPool:
                     snapshots[index] = snapshot
                 except _WorkerFailure as failure:
                     lost.append((index, assigned, failure))
-            pending = {}
-            if not lost:
-                break
             retry: List[Batch] = []
             for index, assigned, failure in lost:
                 reason = str(failure)
@@ -856,31 +789,60 @@ class WorkerPool:
                     else:
                         retry.append(batch)
                         flush_replays += 1
-            if retry:
-                # Requeue onto the (now fully respawned) pool through the
-                # same affinity-aware scheduler as the original dispatch.
-                redispatch = self._scheduler.dispatch(
-                    [float(len(batch)) for batch in retry],
-                    keys=[batch.program_key for batch in retry],
-                )
-                for batch, worker in zip(retry, redispatch.assignments):
-                    pending.setdefault(worker, []).append(batch)
+            # Requeue onto the (now fully respawned) pool by the same rule,
+            # against the residency the first routing left behind; nothing
+            # lost routes nothing and ends the loop.
+            pending, _ = self._route(retry, held)
         # Snapshots of respawned workers that served no retry batch are
-        # deliberately left at their pre-crash value: the residency seed
-        # keeps routing their programs to the same index while the fresh
-        # child rewarms (its disk tier, if any, survived the crash).
-        self._residency = [list(s.resident_keys) for s in snapshots]
+        # deliberately left at their pre-crash value: the next flush keeps
+        # routing their programs to the same index while the fresh child
+        # rewarms (its disk tier, if any, survived the crash).
         self.last_snapshots = snapshots
         self.replayed_batches += flush_replays
-        self._m_imbalance.set(schedule.imbalance())
+        self._m_imbalance.set(max(loads) * self.workers / sum(loads))
         return PoolReport(
             mode=self.mode,
             responses=responses,
             workers=snapshots,
-            schedule=schedule,
             worker_restarts=flush_restarts,
             replayed_batches=flush_replays,
         )
+
+    def _route(
+        self, batches: Sequence[Batch], held: List[Set[str]]
+    ) -> Tuple[Dict[int, List[Batch]], List[int]]:
+        """Assign batches to workers; returns them and the requests each got.
+
+        A worker is *full* once it has been sent :data:`SPILL_BATCHES`
+        batches in this call, or its even share of the call's batches if
+        that is more.  A batch goes to a non-full worker holding its program
+        key — of several, the one sent the fewest requests, the lowest index
+        on a tie; if none does, round-robin from worker 0 over the non-full
+        workers.  ``held[i]`` gains each key sent to ``i`` and never loses
+        one, so a key a worker evicts within this call still counts as held
+        there.
+        """
+        routed: Dict[int, List[Batch]] = {}
+        load = [0] * self.workers
+        sent = [0] * self.workers
+        cursor = 0
+        cap = max(SPILL_BATCHES, -(-len(batches) // self.workers))
+        for batch in batches:
+            key = batch.program_key
+            holders = [
+                i for i, keys in enumerate(held) if key in keys and sent[i] < cap
+            ]
+            if holders:
+                worker = min(holders, key=load.__getitem__)
+            else:
+                while sent[cursor] >= cap:
+                    cursor = (cursor + 1) % self.workers
+                worker, cursor = cursor, (cursor + 1) % self.workers
+            held[worker].add(key)
+            load[worker] += len(batch)
+            sent[worker] += 1
+            routed.setdefault(worker, []).append(batch)
+        return routed, load
 
     # -- supervision --------------------------------------------------------
 
@@ -1024,7 +986,6 @@ class WorkerPool:
         """Cumulative pool stats from the most recent flush's snapshots."""
         return {
             "mode": self.mode,
-            "policy": self._policy.name,
             "executor": resolve_executor(self.config.executor),
             "faults": {
                 "worker_restarts": self.worker_restarts,

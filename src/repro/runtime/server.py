@@ -19,7 +19,8 @@ Request lines (client → server)::
 :meth:`repro.runtime.engine.Response.to_dict` objects (plus ``{"ok": false,
 "error": ...}`` envelopes for malformed lines).  ``batch`` serves many
 requests through one pool flush — that is the high-throughput path, since
-the pool coalesces and cache-affinity-routes the whole set at once.
+the pool coalesces the whole set and routes each batch to the worker that
+holds its program.
 
 Connections are served one thread each.  What an operation does is an entry
 of the one table in :class:`~repro.runtime.gateway.admission.PoolService`,
@@ -55,7 +56,6 @@ from repro.runtime.gateway.admission import (
 from repro.runtime.gateway.http import HttpHandler
 from repro.runtime.logs import configure_logging
 from repro.runtime.pool import POOL_MODES, WorkerPool
-from repro.sim.policies import POLICIES
 
 
 class RuntimeServer(socketserver.ThreadingTCPServer):
@@ -248,12 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=POOL_MODES,
         help="inline (deterministic, in-process) or process (parallel)",
     )
-    parser.add_argument(
-        "--policy",
-        default="cache-affinity",
-        choices=sorted(POLICIES),
-        help="batch admission policy (default cache-affinity)",
-    )
     parser.add_argument("--cache-capacity", type=int, default=64)
     parser.add_argument(
         "--max-inflight",
@@ -351,7 +345,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     pool = WorkerPool(
         workers=args.workers,
         mode=args.pool_mode,
-        policy=args.policy,
         cache_capacity=args.cache_capacity,
         disk_cache_dir=args.disk_cache,
         executor=args.executor,

@@ -18,7 +18,7 @@ this module.  Three pillars, all stdlib-only:
 * **Request tracing** — :func:`new_trace_id` mints ids (clients may mint
   their own); ``trace_id``/``trace`` ride the
   :class:`~repro.runtime.engine.Request` wire form through the gateway,
-  :class:`PoolService`, scheduler dispatch, and worker execution, and the
+  :class:`PoolService`, pool dispatch, and worker execution, and the
   accumulated span breakdown (queue-wait → dispatch/flush → compile →
   execute → respond) comes back in the opt-in ``trace`` response field.
   Tracing is byte-transparent: a request that does not opt in produces a

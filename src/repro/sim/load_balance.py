@@ -8,9 +8,8 @@ one buffer pool; work is admitted round-robin into free buffers and each
 region's share of the total input is reported — the quantity plotted in
 Figure 14.
 
-The admission loop itself lives in :mod:`repro.sim.policies` (shared with
-the serving-engine scheduler in :mod:`repro.runtime`); this module wires it
-to the Figure 14 experiment: per-region service-time skew, share
+The admission loop itself lives in :mod:`repro.sim.policies`; this module
+wires it to the Figure 14 experiment: per-region service-time skew, share
 percentages, and makespans.
 """
 

@@ -1,12 +1,11 @@
-"""Reusable work-admission policies for buffered multi-worker systems.
+"""Work-admission policies for buffered multi-worker systems (Figure 14).
 
 The hoisted-allocator admission loop of Figure 14 (threads enter whichever
 replicate region frees an allocation buffer) is one instance of a general
 pattern: a stream of tasks is admitted one at a time into ``N`` workers,
 each with a bounded buffer pool, under some admission strategy.  This module
-extracts that pattern so both the :class:`repro.sim.load_balance`
-simulator and the serving-engine scheduler in :mod:`repro.runtime` share
-one implementation:
+states that pattern once, for the :class:`repro.sim.load_balance`
+simulator and the policy comparisons around it:
 
 * :class:`RoundRobinPolicy` — static round-robin, ignoring buffer occupancy
   (Plasticine-style fixed partitioning),
@@ -14,32 +13,24 @@ one implementation:
   outstanding work among those with a free buffer,
 * :class:`HoistedBufferPolicy` — round-robin over workers with a free
   buffer, stalling until a completion frees one (the paper's hoisted
-  allocator, which makes admission throughput-proportional),
-* :class:`CacheAffinityPolicy` — admit to a free worker whose (simulated or
-  seeded) program cache already holds the task's content key, falling back
-  to hoisted-buffer round-robin for unknown keys.  This is the serving-side
-  policy that keeps each worker's :class:`repro.runtime.cache.ProgramCache`
-  hot instead of scattering every program across the whole pool.
+  allocator, which makes admission throughput-proportional).
 
-:func:`run_admission` is the shared discrete-event loop: each admitted task
+:func:`run_admission` is the discrete-event loop: each admitted task
 occupies one buffer for ``cost * worker_scale`` time units and buffers are
 returned in completion order.  The loop runs once per admitted task over
 traces of up to millions of threads (the Figure 14 sweep), so policies see
 the raw per-worker state lists rather than per-call snapshot objects.
-Key-aware policies (``uses_keys``) additionally receive each task's content
-key and observe admissions through :meth:`AdmissionPolicy.record`, which is
-how the affinity policy tracks what each worker's cache will hold.
+
+Two measured-rate helpers used by the serving runtime live here too:
+:class:`ServiceRateEstimator` and :func:`pool_drain_rps`.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import (
-    Dict, Hashable, Iterable, List, Optional, Sequence, Type, Union,
-)
+from typing import Dict, List, Optional, Sequence, Type, Union
 
 
 class AdmissionPolicy:
@@ -58,10 +49,6 @@ class AdmissionPolicy:
     #: policies (static round-robin) skip the event simulation entirely, so
     #: million-task static sweeps stay O(workers) in memory.
     uses_feedback = True
-    #: Whether the policy consumes per-task content keys.  Key-aware
-    #: policies get ``choose(free, pending, key)`` and a :meth:`record`
-    #: callback after every admission.
-    uses_keys = False
 
     def reset(self) -> None:
         pass
@@ -69,12 +56,6 @@ class AdmissionPolicy:
     def choose(self, free: Sequence[int],
                pending: Sequence[float]) -> Optional[int]:
         raise NotImplementedError
-
-    def record(self, worker: int, key: Optional[Hashable]) -> None:
-        """Observe that ``key``'s task was admitted to ``worker``.
-
-        Only called for ``uses_keys`` policies; the default is a no-op.
-        """
 
 
 class RoundRobinPolicy(AdmissionPolicy):
@@ -140,87 +121,6 @@ class HoistedBufferPolicy(AdmissionPolicy):
         return rr
 
 
-class CacheAffinityPolicy(AdmissionPolicy):
-    """Admit to a free worker whose cache holds the task's content key.
-
-    The serving engine compiles programs into per-worker content-addressed
-    caches; routing a program to a worker that has never seen it pays the
-    full Figure-8 pipeline again.  This policy keeps a per-worker residency
-    model — an LRU set of at most ``cache_capacity`` keys, seedable from
-    real :meth:`repro.runtime.cache.ProgramCache.resident_keys` reports —
-    and admits each keyed task to the least-pending free worker already
-    holding its key.  Tasks with no resident worker (or no key at all) fall
-    back to hoisted-buffer round-robin, so cold keys still spread with the
-    pool's throughput feedback; admission waits only when every buffer in
-    the pool is occupied.
-
-    :meth:`reset` clears the round-robin cursor but keeps residency:
-    residency models *worker* state, which survives across dispatch rounds
-    of a long-lived pool.  Call :meth:`seed` (authoritative per-round
-    reports) or :meth:`clear_residency` to replace or drop it.
-    """
-
-    name = "cache-affinity"
-    uses_keys = True
-
-    def __init__(self, cache_capacity: int = 64):
-        self.cache_capacity = max(1, cache_capacity)
-        self._rr = 0
-        self._residency: List["OrderedDict[Hashable, None]"] = []
-
-    def reset(self) -> None:
-        self._rr = 0
-
-    def clear_residency(self) -> None:
-        self._residency = []
-
-    def seed(self, residency: Sequence[Iterable[Hashable]]) -> None:
-        """Replace the residency model with per-worker key reports."""
-        self._residency = [OrderedDict((key, None) for key in keys)
-                           for keys in residency]
-
-    def resident_keys(self) -> List[List[Hashable]]:
-        """The modeled per-worker residency (LRU order, oldest first)."""
-        return [list(cache) for cache in self._residency]
-
-    def _ensure_workers(self, n: int) -> None:
-        while len(self._residency) < n:
-            self._residency.append(OrderedDict())
-
-    def choose(self, free: Sequence[int], pending: Sequence[float],
-               key: Optional[Hashable] = None) -> Optional[int]:
-        n = len(free)
-        self._ensure_workers(n)
-        if key is not None:
-            best = None
-            best_load = 0.0
-            for index in range(n):
-                if free[index] > 0 and key in self._residency[index] and (
-                        best is None or pending[index] < best_load):
-                    best = index
-                    best_load = pending[index]
-            if best is not None:
-                return best
-        if not any(free):
-            return None  # wait for a completion, like hoisted-buffer
-        rr = self._rr % n
-        while free[rr] == 0:
-            rr = (rr + 1) % n
-        self._rr = (rr + 1) % n
-        return rr
-
-    def record(self, worker: int, key: Optional[Hashable]) -> None:
-        if key is None:
-            return
-        self._ensure_workers(worker + 1)
-        cache = self._residency[worker]
-        if key in cache:
-            cache.move_to_end(key)
-        cache[key] = None
-        while len(cache) > self.cache_capacity:
-            cache.popitem(last=False)
-
-
 @dataclass
 class ServiceRateEstimator:
     """EWMA estimate of one worker's measured service rate (tasks/second).
@@ -262,11 +162,10 @@ def pool_drain_rps(rates: Sequence[float], default: float = 0.0) -> float:
     return total if total > 0.0 else default
 
 
-#: Registry of policy classes by name (for CLI flags and config strings).
+#: Registry of policy classes by name (for config strings).
 POLICIES: Dict[str, Type[AdmissionPolicy]] = {
     cls.name: cls
-    for cls in (RoundRobinPolicy, LeastLoadedPolicy, HoistedBufferPolicy,
-                CacheAffinityPolicy)
+    for cls in (RoundRobinPolicy, LeastLoadedPolicy, HoistedBufferPolicy)
 }
 
 
@@ -307,9 +206,7 @@ def run_admission(task_costs: Union[int, Sequence[float]],
                   worker_scales: Sequence[float],
                   buffers: Sequence[int],
                   policy: "str | AdmissionPolicy",
-                  collect_assignments: bool = True,
-                  task_keys: Optional[Sequence[Hashable]] = None
-                  ) -> AdmissionResult:
+                  collect_assignments: bool = True) -> AdmissionResult:
     """Admit ``task_costs`` into workers under ``policy``.
 
     Task ``t`` on worker ``w`` occupies one of ``buffers[w]`` slots for
@@ -324,41 +221,25 @@ def run_admission(task_costs: Union[int, Sequence[float]],
     million-element list).  ``collect_assignments=False`` likewise skips
     the O(tasks) per-task assignment list when only aggregate counts/busy
     time are needed.
-
-    ``task_keys`` optionally aligns one content key (or ``None``) with each
-    task for key-aware policies such as :class:`CacheAffinityPolicy`; the
-    keys are ignored by policies that don't declare ``uses_keys``.
     """
     n = len(worker_scales)
     if len(buffers) != n:
         raise ValueError("buffers and worker_scales must have equal length")
-    n_tasks = task_costs if isinstance(task_costs, int) else len(task_costs)
-    if task_keys is not None and len(task_keys) != n_tasks:
-        raise ValueError("task_keys must align one key with every task")
     if isinstance(task_costs, int):
         task_costs = repeat(1.0, task_costs)
     policy = make_policy(policy)
-    keyed = policy.uses_keys
-    keys = iter(task_keys) if task_keys is not None else repeat(None)
     free = list(buffers)
     counts = [0] * n
     busy = [0.0] * n
     pending = [0.0] * n
     assignments: List[int] = []
 
-    def choose(key):
-        if keyed:
-            return policy.choose(free, pending, key)
-        return policy.choose(free, pending)
-
     if not policy.uses_feedback:
         # Static assignment: no completion feedback, so skip the event heap.
-        for cost, key in zip(task_costs, keys):
-            worker = choose(key)
+        for cost in task_costs:
+            worker = policy.choose(free, pending)
             counts[worker] += 1
             busy[worker] += cost * worker_scales[worker]
-            if keyed:
-                policy.record(worker, key)
             if collect_assignments:
                 assignments.append(worker)
         return AdmissionResult(assignments=assignments, counts=counts,
@@ -367,9 +248,9 @@ def run_admission(task_costs: Union[int, Sequence[float]],
     events: List[tuple] = []  # (completion_time, worker, service_time)
     clock = 0.0
 
-    for cost, key in zip(task_costs, keys):
+    for cost in task_costs:
         while True:
-            worker = choose(key)
+            worker = policy.choose(free, pending)
             if worker is not None:
                 break
             if not events:
@@ -382,8 +263,6 @@ def run_admission(task_costs: Union[int, Sequence[float]],
         counts[worker] += 1
         busy[worker] += service
         pending[worker] += service
-        if keyed:
-            policy.record(worker, key)
         if collect_assignments:
             assignments.append(worker)
         heapq.heappush(events, (clock + service, worker, service))

@@ -228,7 +228,7 @@ class TestOpTable:
                 assert service.served == sum(sizes)
         assert sizes == [2, 2, 1]
 
-    @pytest.mark.parametrize("chunk", [0, -1, 1.5, "2", None])
+    @pytest.mark.parametrize("chunk", [0, -1, 1.5, "2", None, True])
     def test_stream_refuses_a_bad_chunk(self, chunk):
         with WorkerPool(workers=1, mode="inline") as pool:
             reply = PoolService(pool).stream([dict(self.REQUEST)], chunk, "x")
@@ -257,7 +257,7 @@ class TestTwoLockFlush:
         with WorkerPool(workers=1, mode="inline") as pool:
             service = PoolService(pool, AdmissionController(max_inflight=8))
             assert service.serve_payloads([self.HIT]).results[0]["ok"]
-            engine = pool._workers[0].engine
+            engine = pool._workers[0].state.engine
             execute = engine.execute_batch
 
             def parked(batch):

@@ -1,16 +1,12 @@
-"""Cache-affinity admission: policy semantics and the end-to-end hit-rate win."""
+"""Pool routing: a batch goes to the worker whose cache holds its program."""
 
 import pytest
 
+from repro.runtime.engine import Request
+from repro.runtime.faults import FaultPlan
 from repro.runtime.pool import WorkerPool
-from repro.runtime.scheduler import ShardScheduler
+from repro.runtime.telemetry import render_prometheus
 from repro.runtime.trace import TraceConfig, synthetic_trace
-from repro.sim.policies import (
-    POLICIES,
-    CacheAffinityPolicy,
-    make_policy,
-    run_admission,
-)
 
 MIXED_TRACE = TraceConfig(
     size=500,
@@ -22,104 +18,95 @@ MIXED_TRACE = TraceConfig(
 )
 
 
-class TestPolicyUnit:
-    def test_registered(self):
-        assert "cache-affinity" in POLICIES
-        policy = make_policy("cache-affinity")
-        assert isinstance(policy, CacheAffinityPolicy)
-        assert policy.uses_keys and policy.uses_feedback
-
-    def test_prefers_resident_worker(self):
-        policy = CacheAffinityPolicy()
-        policy.seed([["a"], ["b"], []])
-        assert policy.choose([1, 1, 1], [0.0, 0.0, 0.0], "b") == 1
-        assert policy.choose([1, 1, 1], [5.0, 0.0, 0.0], "a") == 0
-
-    def test_resident_but_busy_worker_is_skipped(self):
-        policy = CacheAffinityPolicy()
-        policy.seed([["a"], []])
-        # Worker 0 holds the key but has no free buffer: fall back.
-        assert policy.choose([0, 1], [1.0, 0.0], "a") == 1
-
-    def test_least_pending_breaks_residency_ties(self):
-        policy = CacheAffinityPolicy()
-        policy.seed([["a"], ["a"], ["a"]])
-        assert policy.choose([1, 1, 1], [3.0, 1.0, 2.0], "a") == 1
-
-    def test_unknown_key_falls_back_round_robin(self):
-        policy = CacheAffinityPolicy()
-        picks = [policy.choose([1, 1, 1], [0.0, 0.0, 0.0], f"k{i}")
-                 for i in range(6)]
-        assert picks == [0, 1, 2, 0, 1, 2]
-
-    def test_waits_when_no_buffer_free(self):
-        policy = CacheAffinityPolicy()
-        assert policy.choose([0, 0], [1.0, 1.0], "a") is None
-
-    def test_record_is_lru_bounded(self):
-        policy = CacheAffinityPolicy(cache_capacity=2)
-        for key in ("a", "b", "c"):
-            policy.record(0, key)
-        assert policy.resident_keys()[0] == ["b", "c"]
-        policy.record(0, "b")  # touch refreshes recency
-        policy.record(0, "d")
-        assert policy.resident_keys()[0] == ["b", "d"]
-
-    def test_reset_keeps_residency(self):
-        policy = CacheAffinityPolicy()
-        policy.record(1, "a")
-        policy.reset()
-        assert policy.choose([1, 1], [0.0, 0.0], "a") == 1
-        policy.clear_residency()
-        assert policy.resident_keys() == []
+def traced(app, seed=0):
+    """A small request whose response names the worker that served it."""
+    return Request(app=app, n_threads=1, seed=seed, trace=True)
 
 
-class TestKeyedAdmission:
-    def test_repeated_keys_stick_to_their_worker(self):
-        result = run_admission(
-            [1.0] * 8, [1.0, 1.0], [4, 4], CacheAffinityPolicy(),
-            task_keys=["x", "y", "x", "y", "x", "y", "x", "y"])
-        by_key = {"x": set(), "y": set()}
-        for key, worker in zip("xyxyxyxy", result.assignments):
-            by_key[key].add(worker)
-        assert by_key["x"] == {0} and by_key["y"] == {1}
+def served_by(report):
+    return [r.trace["worker"] for r in report.responses]
 
-    def test_key_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            run_admission([1.0] * 3, [1.0], [4], "cache-affinity",
-                          task_keys=["a"])
 
-    def test_keys_are_ignored_by_key_free_policies(self):
-        result = run_admission([1.0] * 4, [1.0, 1.0], [4, 4], "round-robin",
-                               task_keys=["a", "a", "a", "a"])
-        assert result.assignments == [0, 1, 0, 1]
+def pool(workers, **kwargs):
+    """An inline pool whose every request reaches a worker."""
+    return WorkerPool(workers=workers, mode="inline", result_cache_capacity=0,
+                      **kwargs)
 
-    def test_scheduler_threads_keys_through(self):
-        scheduler = ShardScheduler(workers=2, policy="cache-affinity")
-        report = scheduler.dispatch([1.0] * 6, keys=["p", "q", "p", "q", "p",
-                                                     "q"])
-        assert report.policy == "cache-affinity"
-        assert len(set(report.assignments[0::2])) == 1  # all 'p' together
-        assert len(set(report.assignments[1::2])) == 1  # all 'q' together
+
+class TestRouting:
+    def test_a_resident_key_goes_to_its_holder(self):
+        with pool(3) as p:
+            assert served_by(p.process([traced("search"),
+                                        traced("murmur3")])) == [0, 1]
+            # A cold key would start the cursor at worker 0.
+            assert served_by(p.process([traced("murmur3", 1)])) == [1]
+            assert p.last_snapshots[1].program_cache.misses == 1
+
+    def test_of_two_holders_the_least_loaded_wins(self):
+        with pool(3, max_batch_size=1) as p:
+            p.process([traced("search")])
+            key, = p.last_snapshots[0].resident_keys
+            p.last_snapshots[2].resident_keys.append(key)
+            report = p.process([traced("search", seed) for seed in (1, 2, 3)])
+        # Holders 0 and 2 only; equal load goes to the lower index.
+        assert served_by(report) == [0, 2, 0]
+
+    def test_cold_keys_go_round_robin_from_worker_zero_every_flush(self):
+        with pool(3) as p:
+            first = p.process([traced(app) for app in
+                               ("search", "murmur3", "strlen", "hash-table")])
+            second = p.process([traced("ip2int"), traced("isipv4")])
+        assert served_by(first) == [0, 1, 2, 0]
+        assert served_by(second) == [0, 1]
+
+    @pytest.mark.parametrize("flush, split", [(10, (8, 2)), (20, (10, 10))])
+    def test_a_full_holder_spills_to_the_next_worker(self, flush, split):
+        with pool(2, max_batch_size=1) as p:
+            report = p.process([traced("search", seed) for seed in range(flush)])
+        # Worker 0 is full at 8 batches, or at its even share of a bigger
+        # flush; the spill makes worker 1 a holder, and the least-loaded
+        # holder takes the rest.
+        assert served_by(report) == [0] * split[0] + [1] * split[1]
+        assert [s.program_cache.misses for s in report.workers] == [1, 1]
+
+    def test_a_key_evicted_within_the_flush_still_routes_to_its_worker(self):
+        with pool(2, max_batch_size=1, cache_capacity=2) as p:
+            report = p.process([traced(app) for app in
+                                ("search", "murmur3", "strlen", "hash-table",
+                                 "ip2int")] + [traced("search", 1)])
+        # Worker 0 evicted "search" for "ip2int" but is still its holder in
+        # this flush, so the second "search" batch recompiles there.
+        assert served_by(report) == [0, 1, 0, 1, 0, 0]
+        assert report.workers[0].program_cache.misses == 4
+
+    def test_a_killed_workers_batch_is_replayed_onto_the_respawned_index(self):
+        plan = FaultPlan.from_spec([{"kind": "kill", "worker": 1}])
+        with pool(3, fault_plan=plan) as p:
+            report = p.process([traced(app) for app in
+                                ("search", "murmur3", "strlen")])
+        assert (report.worker_restarts, report.replayed_batches) == (1, 1)
+        assert all(r.ok for r in report.responses)
+        # The retry starts from the first routing's residency, not cold.
+        assert served_by(report) == [0, 1, 2]
+
+    def test_dispatch_imbalance_is_max_over_mean_routed_requests(self):
+        with pool(2) as p:
+            p.process([traced("search", seed) for seed in range(3)]
+                      + [traced("murmur3")])
+            text = render_prometheus(p.metrics_snapshots())
+        # Three requests on worker 0, one on worker 1: 3 / 2.
+        assert "pool_dispatch_imbalance 1.5" in text.splitlines()
 
 
 class TestEndToEndHitRate:
-    def test_affinity_strictly_beats_round_robin_on_mixed_trace(self):
-        """Acceptance: 500-request mixed-app trace, affinity > round-robin."""
-        rates = {}
-        snapshots = {}
-        for policy in ("round-robin", "cache-affinity"):
-            # No result tier, or only the 14 distinct requests would reach
-            # a worker and every program would be compiled exactly once.
-            with WorkerPool(workers=4, mode="inline", policy=policy,
-                            cache_capacity=2, result_cache_capacity=0) as pool:
-                report = pool.process(synthetic_trace(MIXED_TRACE))
-            assert len(report.responses) == MIXED_TRACE.size
-            assert all(r.ok for r in report.responses)
-            rates[policy] = report.program_hit_rate()
-            snapshots[policy] = report.workers
-        assert rates["cache-affinity"] > rates["round-robin"]
-        # The win comes from fewer compiles, i.e. strictly fewer misses.
-        misses = {policy: sum(s.program_cache.misses for s in workers)
-                  for policy, workers in snapshots.items()}
-        assert misses["cache-affinity"] < misses["round-robin"]
+    def test_mixed_trace_spreads_evenly_and_compiles_each_spill_once(self):
+        """500-request mixed-app trace: 35 batches, at most 9 per worker."""
+        # No result tier, or only the 14 distinct requests would reach a
+        # worker; a capacity of 2 leaves no room for a misrouted program.
+        with pool(4, cache_capacity=2) as p:
+            report = p.process(synthetic_trace(MIXED_TRACE))
+        assert len(report.responses) == MIXED_TRACE.size
+        assert all(r.ok for r in report.responses)
+        assert [s.batches for s in report.workers] == [9, 9, 9, 8]
+        # Seven programs, three of them spilled onto worker 3.
+        assert [s.program_cache.misses for s in report.workers] == [2, 2, 2, 4]

@@ -434,6 +434,14 @@ class TestStreaming:
         )
         assert status == 400 and "chunk" in payload["error"]
 
+    def test_boolean_chunk_is_400(self, gateway):
+        # JSON true decodes to a Python bool, which is an int subclass.
+        status, _, payload = http_json(
+            gateway, "POST", "/v1/stream",
+            {"requests": [{"app": "search"}], "chunk": True},
+        )
+        assert status == 400 and "chunk" in payload["error"]
+
 
 class TestConnectionHygiene:
     def test_idle_connections_are_reaped(self):

@@ -95,13 +95,12 @@ class TestInlinePool:
                 " 20") in scrape
 
     def test_residency_feedback_keeps_programs_sticky(self):
-        with WorkerPool(workers=2, mode="inline",
-                        policy="cache-affinity") as pool:
+        with WorkerPool(workers=2, mode="inline") as pool:
             first = pool.process(synthetic_trace(SMALL_TRACE))
             second = pool.process(synthetic_trace(SMALL_TRACE))
-        # Round two is dispatched against seeded residency: every batch of a
-        # program lands on the worker that already compiled it, so the pool
-        # performs zero new compiles.
+        # Round two is routed by the workers' reported residency: every batch
+        # of a program lands on the worker that already compiled it, so the
+        # pool performs zero new compiles.
         new_misses = (second.aggregate_program_stats().misses
                       - first.aggregate_program_stats().misses)
         assert new_misses == 0

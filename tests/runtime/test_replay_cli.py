@@ -8,7 +8,8 @@ from repro.runtime.__main__ import main
 def test_replay_serves_the_trace_through_the_pool(capsys):
     assert main(["--trace-size", "12", "--workers", "2"]) == 0
     report = capsys.readouterr().out
-    assert "12 requests, pool=2xinline, policy=least-loaded" in report
+    assert "12 requests, pool=2xinline, executor=" in report
+    assert "policy" not in report and "makespan" not in report
     assert "served          : 12 ok, 0 errors, 0 incorrect results" in report
     assert "backend" not in report
     # One row per pool worker under the table header.

@@ -1,22 +1,117 @@
-"""Shard scheduler: policy behaviour and equivalence with Figure 14."""
+"""Figure 14 admission policies and the measured service-rate estimate."""
 
 import tracemalloc
 
 import pytest
 
-from repro.runtime.scheduler import ShardScheduler
 from repro.sim.load_balance import LoadBalanceSimulator
 from repro.sim.policies import (
     POLICIES,
+    AdmissionPolicy,
+    HoistedBufferPolicy,
+    LeastLoadedPolicy,
+    RoundRobinPolicy,
     make_policy,
     run_admission,
 )
 
 
+class TestPolicyChoice:
+    """One ``choose`` call at a time, against hand-built worker state."""
+
+    def test_round_robin_cycles_and_reset_restarts_it(self):
+        policy = RoundRobinPolicy()
+        picks = [policy.choose([0, 0, 0], [9.0, 0.0, 0.0]) for _ in range(4)]
+        assert picks == [0, 1, 2, 0]
+        policy.reset()
+        assert policy.choose([1, 1, 1], [0.0, 0.0, 0.0]) == 0
+
+    def test_least_loaded_picks_least_pending_worker_with_a_free_buffer(self):
+        policy = LeastLoadedPolicy()
+        # Worker 1 is idle but has no free buffer.
+        assert policy.choose([1, 0, 1], [3.0, 0.0, 2.0]) == 2
+        # Equal pending work goes to the lower index.
+        assert policy.choose([1, 1, 1], [1.0, 0.5, 0.5]) == 1
+
+    def test_least_loaded_waits_when_no_buffer_is_free(self):
+        assert LeastLoadedPolicy().choose([0, 0], [1.0, 1.0]) is None
+
+    def test_hoisted_buffer_skips_workers_without_a_free_buffer(self):
+        policy = HoistedBufferPolicy()
+        picks = [policy.choose([0, 1, 1], [0.0, 0.0, 0.0]) for _ in range(3)]
+        assert picks == [1, 2, 1]
+
+    def test_hoisted_buffer_waits_when_no_buffer_is_free(self):
+        assert HoistedBufferPolicy().choose([0, 0], [1.0, 1.0]) is None
+
+    def test_make_policy_resets_an_instance_it_is_given(self):
+        policy = RoundRobinPolicy()
+        policy.choose([1, 1], [0.0, 0.0])
+        assert make_policy(policy) is policy
+        assert policy.choose([1, 1], [0.0, 0.0]) == 0
+
+
+class TestAdmissionLoop:
+    def test_buffer_and_scale_lists_must_match(self):
+        with pytest.raises(ValueError):
+            run_admission([1.0] * 3, [1.0, 1.0], [4], "least-loaded")
+
+    def test_empty_trace(self):
+        result = run_admission([], [1.0, 1.0], [2, 2], "hoisted-buffer")
+        assert result.assignments == []
+        assert result.counts == [0, 0]
+        assert result.makespan == 0.0
+        assert result.shares_percent() == [0.0, 0.0]
+
+    def test_each_task_is_charged_cost_times_worker_scale(self):
+        result = run_admission([0.5, 0.25, 0.25], [1.0, 2.0], [4, 4],
+                               "round-robin")
+        assert result.assignments == [0, 1, 0]
+        assert result.busy_time == pytest.approx([0.75, 0.5])
+        assert result.makespan == pytest.approx(0.75)
+        assert result.shares_percent() == pytest.approx([200 / 3, 100 / 3])
+
+    def test_a_policy_that_never_admits_stalls_loudly(self):
+        class Never(AdmissionPolicy):
+            def choose(self, free, pending):
+                return None
+
+        with pytest.raises(RuntimeError, match="stalled"):
+            run_admission([1.0], [1.0], [1], Never())
+
+    def test_least_loaded_beats_round_robin_makespan(self):
+        scales, buffers = [2.0, 1.0, 1.0, 1.0], [8] * 4
+        balanced = run_admission(4000, scales, buffers, "least-loaded")
+        static = run_admission(4000, scales, buffers, "round-robin")
+        assert static.makespan == pytest.approx(2000.0)
+        assert balanced.makespan < static.makespan
+
+
+class TestFigure14Simulator:
+    """:class:`LoadBalanceSimulator` is the admission loop with Figure 14's
+    region skew and buffer split; its shares are the loop's, exactly."""
+
+    def test_hoisted_shares_are_the_admission_loops(self):
+        simulator = LoadBalanceSimulator(regions=8, buffers=64,
+                                         slow_factor=1.3)
+        expected = run_admission(100_000, [1.3] + [1.0] * 7, [8] * 8,
+                                 "hoisted-buffer")
+        shares = [load.share_percent for load in simulator.run(100_000)]
+        assert shares == expected.shares_percent()
+
+    def test_policy_override_replaces_the_hoisted_default(self):
+        simulator = LoadBalanceSimulator(regions=4, slow_factor=2.0)
+        static = simulator.run(1000, hoisted=False)
+        named = simulator.run(1000, policy="round-robin")
+        assert [load.threads for load in static] == [250] * 4
+        assert [load.threads for load in named] == [250] * 4
+        assert simulator.completion_time(static) == pytest.approx(500.0)
+
+
 class TestPolicies:
     def test_registry_names(self):
         assert set(POLICIES) == {"round-robin", "least-loaded",
-                                 "hoisted-buffer", "cache-affinity"}
+                                 "hoisted-buffer"}
         for name in POLICIES:
             assert make_policy(name).name == name
 
@@ -56,69 +151,6 @@ class TestPolicies:
         share_slow = result.counts[0] / sum(result.counts)
         # Twice-as-slow worker converges to ~1/3 of the work.
         assert share_slow == pytest.approx(1 / 3, abs=0.02)
-
-
-class TestSchedulerFairness:
-    def test_hoisted_buffer_matches_load_balance_simulator(self):
-        """The runtime scheduler and the Figure 14 simulator share one
-        admission loop, so their shares agree within 1% (exactly, in fact)."""
-        regions, buffers, total = 8, 64, 100_000
-        slow_factor = 1.3
-        simulator = LoadBalanceSimulator(regions=regions, buffers=buffers,
-                                         slow_factor=slow_factor)
-        expected = simulator.run(total)
-
-        scales = [slow_factor if w == 0 else 1.0 for w in range(regions)]
-        scheduler = ShardScheduler(workers=regions,
-                                   buffers_per_worker=buffers // regions,
-                                   policy="hoisted-buffer",
-                                   worker_scales=scales)
-        report = scheduler.dispatch([1.0] * total)
-
-        assert report.total_tasks == total
-        for load, worker in zip(expected, report.workers):
-            assert worker.share_percent == pytest.approx(
-                load.share_percent, abs=1.0)
-
-    def test_static_round_robin_matches_simulator_static_mode(self):
-        simulator = LoadBalanceSimulator(regions=4, slow_factor=2.0)
-        expected = simulator.run(1000, hoisted=False)
-        scheduler = ShardScheduler(workers=4, policy="round-robin",
-                                   worker_scales=[2.0, 1.0, 1.0, 1.0])
-        report = scheduler.dispatch([1.0] * 1000)
-        for load, worker in zip(expected, report.workers):
-            assert worker.tasks == load.threads
-
-    def test_least_loaded_beats_round_robin_makespan(self):
-        scales = [2.0, 1.0, 1.0, 1.0]
-        costs = [1.0] * 4000
-        balanced = ShardScheduler(workers=4, policy="least-loaded",
-                                  worker_scales=scales).dispatch(costs)
-        static = ShardScheduler(workers=4, policy="round-robin",
-                                worker_scales=scales).dispatch(costs)
-        assert balanced.makespan_s < static.makespan_s
-        assert balanced.imbalance() < static.imbalance()
-
-
-class TestSchedulerAPI:
-    def test_validates_configuration(self):
-        with pytest.raises(ValueError):
-            ShardScheduler(workers=0)
-        with pytest.raises(ValueError):
-            ShardScheduler(workers=2, worker_scales=[1.0])
-
-    def test_dispatch_charges_each_task_its_cost(self):
-        report = ShardScheduler(workers=2, policy="least-loaded")\
-            .dispatch([0.5, 0.25, 0.25])
-        assert report.total_tasks == 3
-        assert report.makespan_s == pytest.approx(0.5)
-        assert len(report.assignments) == 3
-
-    def test_empty_dispatch(self):
-        report = ShardScheduler(workers=2).dispatch([])
-        assert report.total_tasks == 0
-        assert report.makespan_s == 0.0
-        assert report.imbalance() == 1.0
 
 
 class TestMeasuredRates:

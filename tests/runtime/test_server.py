@@ -18,7 +18,7 @@ from repro.runtime.server import RuntimeServer
 
 @pytest.fixture()
 def server():
-    pool = WorkerPool(workers=2, mode="inline", policy="cache-affinity")
+    pool = WorkerPool(workers=2, mode="inline")
     with pool:
         instance = RuntimeServer(("127.0.0.1", 0), pool)
         thread = threading.Thread(target=instance.serve_forever, daemon=True)
@@ -90,7 +90,7 @@ class TestProtocol:
             client.batch([{"app": "search", "n_threads": 2}] * 4)
             stats = client.stats()
         assert stats["ok"] and stats["served"] == 4
-        assert stats["pool"]["policy"] == "cache-affinity"
+        assert stats["pool"]["mode"] == "inline" and "policy" not in stats["pool"]
         assert len(stats["pool"]["workers"]) == 2
 
     def test_metrics_op_returns_prometheus_text(self, server):
