@@ -3,13 +3,7 @@
 from repro.core.sltf import Barrier, Data, Stream, Token, encode, decode, decode_all
 from repro.core.graph import DFGraph, DFNode, DFValue, OPCODES
 from repro.core.executor import Executor, ExecutionProfile, run_graph
-from repro.core.columnar import (
-    EXECUTOR_CHOICES,
-    HAVE_NUMPY,
-    ColumnarExecutor,
-    make_executor,
-    resolve_executor,
-)
+from repro.core.columnar import ColumnarExecutor, make_executor
 from repro.core.memory import MemorySystem, MemoryStats
 from repro.core.machine import (
     DEFAULT_MACHINE,
@@ -35,11 +29,8 @@ __all__ = [
     "Executor",
     "ExecutionProfile",
     "run_graph",
-    "EXECUTOR_CHOICES",
-    "HAVE_NUMPY",
     "ColumnarExecutor",
     "make_executor",
-    "resolve_executor",
     "MemorySystem",
     "MemoryStats",
     "DEFAULT_MACHINE",

@@ -242,20 +242,21 @@ def unzip_stream(stream: Sequence[Token], width: int) -> List[Stream]:
 class Executor:
     """Runs structured dataflow graphs with functional SLTF semantics."""
 
+    #: Livelock guard: turns one ``while`` barrier group may take.  A test
+    #: lowers it on one instance.
+    max_loop_iterations = 1_000_000
+
     def __init__(
         self,
         graph: DFGraph,
         memory: Optional[MemorySystem] = None,
-        max_loop_iterations: int = 1_000_000,
         link_stats: bool = True,
-        schedule: Optional[NodeSchedule] = None,
     ):
         self.graph = graph
         self.memory = memory if memory is not None else MemorySystem()
-        self.max_loop_iterations = max_loop_iterations
         self.profile = ExecutionProfile()
         self.collect_link_stats = link_stats
-        self._schedule = schedule if schedule is not None else schedule_for(graph)
+        self._schedule = schedule_for(graph)
         # Handler table resolved once per executor (bound methods), not once
         # per node firing; ops outside the schedule resolve lazily.
         self._handlers: Dict[str, Callable[[DFNode, List[Stream]], List[Stream]]] = {}

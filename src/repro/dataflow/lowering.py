@@ -164,10 +164,10 @@ class CompiledProgram:
         automatically.  Returns the executor (so callers can inspect the
         profile) when ``profile`` is True, otherwise the output streams.
 
-        ``executor`` selects the execution backend: ``"columnar"`` (the
-        vectorized numpy backend), ``"token"`` (the per-token reference
-        interpreter), or ``"auto"``/``None`` (columnar when numpy is
-        available, token otherwise).  Both backends are bit-identical —
+        ``executor`` selects the execution backend: ``None``/``"columnar"``
+        (the vectorized numpy backend that serves every request) or
+        ``"token"`` (the per-token reference interpreter the parity tests
+        and ``bench/layers.py`` compare against).  Both are bit-identical —
         same outputs, memory contents, traffic counters, and profile.
 
         ``link_stats=False`` skips the per-link element/barrier histograms

@@ -45,8 +45,7 @@ def _profile_for(spec: AppSpec, executor, instance, n_threads: int) -> WorkloadP
         instance.memory.stats,
         threads=n_threads,
         app_bytes_per_thread=spec.bytes_per_thread,
-        iterations=max(1.0, iterations / n_threads) * max(1, spec.replicate_factor) /
-        max(1, spec.replicate_factor),
+        iterations=max(1.0, iterations / n_threads),
     )
 
 

@@ -19,7 +19,6 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.core.columnar import EXECUTOR_CHOICES
 from repro.eval.tables import format_rows
 from repro.runtime.faults import load_fault_plan
 from repro.runtime.logs import configure_logging
@@ -55,13 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pool-mode", type=str, default="inline",
                         choices=POOL_MODES,
                         help="pool execution mode (default inline)")
-    parser.add_argument("--executor", type=str, default="auto",
-                        choices=EXECUTOR_CHOICES,
-                        help="functional interpreter: "
-                             "'columnar' (vectorized numpy), 'token' "
-                             "(per-token reference), or 'auto' (columnar "
-                             "when numpy is available; default). Both "
-                             "produce bit-identical responses.")
     parser.add_argument("--fault-plan", type=str, default=None,
                         help="DEV ONLY: inject faults into pool workers — "
                              "inline JSON or @path to a file, e.g. "
@@ -103,7 +95,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         result_cache_capacity=0 if args.no_result_cache else 512,
         max_batch_size=args.max_batch,
         disk_cache_dir=args.disk_cache,
-        executor=args.executor,
         fault_plan=load_fault_plan(args.fault_plan),
     )
     with pool:
@@ -116,8 +107,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     program = report.aggregate_program_stats()
     result = report.aggregate_result_stats()
     print(f"trace           : {len(requests)} requests, "
-          f"pool={args.workers}x{args.pool_mode}, "
-          f"executor={pool.stats_row()['executor']}")
+          f"pool={args.workers}x{args.pool_mode}")
     print(f"served          : {served} ok, {len(responses) - served} errors, "
           f"{wrong} incorrect results")
     if pool.worker_restarts or args.fault_plan:

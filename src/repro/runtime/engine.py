@@ -31,7 +31,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.apps.base import AppInstance, AppSpec, REGISTRY
 from repro.compiler import CompileOptions
-from repro.core.columnar import resolve_executor
 from repro.core.machine import DEFAULT_MACHINE
 from repro.core.memory import MemorySystem
 from repro.dataflow.lowering import CompiledProgram
@@ -260,16 +259,14 @@ def replay(cached: Response, request_id: int, request: Request, batch_id: int,
                      trace=_trace_span(request, compile_s, 0.0, hit))
 
 
-def execute(program: CompiledProgram, request: Request,
-            executor: str) -> Dict[str, Any]:
+def execute(program: CompiledProgram, request: Request) -> Dict[str, Any]:
     """Run one request's compiled program for real and model its throughput.
 
     Returns the payload fields of its :class:`Response` (``outputs``,
     ``correct``, ``modeled_gbs``, ``modeled_runtime_s``, ``report``).  Raises
     :class:`EngineError` for a raw-source request without staged memory;
     executor errors (e.g. livelock guards) propagate as ``ReproError``.
-    ``executor`` is a resolved name: ``"columnar"`` and ``"token"`` produce
-    bit-identical results, see ``docs/executor.md``.
+    The program runs on the columnar executor, see ``docs/executor.md``.
     """
     spec, _ = request.resolve()
     if request.memory is not None:
@@ -285,7 +282,7 @@ def execute(program: CompiledProgram, request: Request,
     # The serving path only consumes loop trip counts from the profile;
     # per-link histograms are skipped (the executor's cold fast path).
     run = program.run(instance.memory, profile=True, link_stats=False,
-                      executor=executor, **instance.args)
+                      **instance.args)
 
     outputs: Optional[List[int]] = None
     correct: Optional[bool] = None
@@ -334,7 +331,6 @@ class Engine:
     def __init__(self, program_cache: Optional[ProgramCache] = None,
                  max_batch_size: int = 16,
                  result_cache_capacity: int = 512,
-                 executor: Optional[str] = None,
                  metrics: Optional[MetricsRegistry] = None):
         """Build a serving engine.
 
@@ -344,11 +340,6 @@ class Engine:
             max_batch_size: cap on requests coalesced into one batch.
             result_cache_capacity: LRU entries in the response memo tier;
                 0 disables result caching.
-            executor: functional interpreter — ``"columnar"``, ``"token"``,
-                or ``None``/``"auto"`` (columnar when numpy is available).
-                Raises ``ValueError`` for unknown names and
-                ``RuntimeError`` for ``"columnar"`` without numpy, here and
-                not on the first request.
             metrics: telemetry registry to instrument into; defaults to a
                 private per-engine registry (each pool worker child ships
                 its own back with every flush reply).  Pass
@@ -358,8 +349,6 @@ class Engine:
         """
         self.program_cache = (program_cache if program_cache is not None
                               else ProgramCache())
-        #: Resolved functional-interpreter name ("columnar" or "token").
-        self.executor = resolve_executor(executor)
         self.max_batch_size = max(1, max_batch_size)
         self.result_cache = LRUCache(result_cache_capacity)
         self._queue: List[Tuple[int, Request]] = []
@@ -510,7 +499,7 @@ class Engine:
         """Run one request through :func:`execute` (touches no engine state)."""
         started = time.perf_counter() if request.trace else 0.0
         try:
-            payload = execute(program, request, self.executor)
+            payload = execute(program, request)
         except ReproError as error:
             return _error_response(request_id, request, batch.batch_id,
                                    str(error))
@@ -545,10 +534,8 @@ class Engine:
         serve path (tens of microseconds per request) pays nothing for the
         per-request counters below.
         """
-        requests = registry.counter(
-            "engine_requests_total", "Requests served, by resolved executor.",
-            ("executor",))
-        requests.set_total(self.served, executor=self.executor)
+        registry.counter("engine_requests_total",
+                         "Requests served.").set_total(self.served)
         lookups = registry.counter(
             "engine_cache_lookups_total",
             "Cache-tier lookups, by tier and outcome.", ("tier", "outcome"))

@@ -52,7 +52,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.core.columnar import resolve_executor
 from repro.errors import ReproError
 from repro.runtime.cache import CacheStats, ProgramCache
 from repro.runtime.engine import Batch, Engine, Request, Response
@@ -104,10 +103,6 @@ class WorkerConfig:
     #: fixture of the overload and streaming tests (it makes a pool's drain
     #: rate small and stable); on no command line.
     service_delay_s: float = 0.0
-    #: Functional interpreter: "columnar", "token", or
-    #: None/"auto" (columnar when numpy is available).  Picklable, so process
-    #: workers inherit the choice across the spawn boundary.
-    executor: Optional[str] = None
     #: Injected faults for chaos tests and chaos smokes; picklable
     #: like every other field, so process workers arm their share after the
     #: spawn.  ``None`` (production) injects nothing.
@@ -124,7 +119,6 @@ class WorkerConfig:
             ),
             result_cache_capacity=0,  # the one result tier is the dispatcher's
             max_batch_size=self.max_batch_size,
-            executor=self.executor,
             metrics=MetricsRegistry(enabled=self.telemetry),
         )
 
@@ -514,7 +508,6 @@ class WorkerPool:
         max_batch_size: int = 16,
         service_delays: Optional[Sequence[float]] = None,
         disk_cache_dir: Optional[str] = None,
-        executor: Optional[str] = None,
         fault_plan: Optional[FaultPlan] = None,
         max_worker_restarts: int = 5,
         restart_window_s: float = 30.0,
@@ -539,9 +532,6 @@ class WorkerPool:
                         f"fault plan targets worker {fault.worker} but the "
                         f"pool has only {workers} workers"
                     )
-        # Validate eagerly so a bad --executor flag fails here, in the parent
-        # process, instead of inside every spawned worker.
-        resolve_executor(executor)
         self.workers = workers
         self.mode = mode
         self.max_worker_restarts = max_worker_restarts
@@ -572,7 +562,6 @@ class WorkerPool:
             cache_capacity=cache_capacity,
             max_batch_size=max_batch_size,
             disk_cache_dir=disk_cache_dir,
-            executor=executor,
             fault_plan=fault_plan,
             telemetry=telemetry,
         )
@@ -590,7 +579,6 @@ class WorkerPool:
             program_cache=ProgramCache(capacity=0),
             result_cache_capacity=result_cache_capacity,
             max_batch_size=max_batch_size,
-            executor=executor,
             metrics=self.metrics,
         )
         self.front_lock = threading.Lock()
@@ -986,7 +974,6 @@ class WorkerPool:
         """Cumulative pool stats from the most recent flush's snapshots."""
         return {
             "mode": self.mode,
-            "executor": resolve_executor(self.config.executor),
             "faults": {
                 "worker_restarts": self.worker_restarts,
                 "replayed_batches": self.replayed_batches,

@@ -46,7 +46,6 @@ import sys
 import threading
 from typing import Any, Dict, List, Optional, Type
 
-from repro.core.columnar import EXECUTOR_CHOICES
 from repro.runtime.faults import load_fault_plan
 from repro.runtime.gateway.admission import (
     PROTOCOL_VERSION,
@@ -284,15 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="root directory for per-worker on-disk program caches",
     )
     parser.add_argument(
-        "--executor",
-        default="auto",
-        choices=EXECUTOR_CHOICES,
-        help="functional interpreter: 'columnar' "
-        "(vectorized numpy), 'token' (per-token reference), or 'auto' "
-        "(columnar when numpy is available; default); responses are "
-        "bit-identical either way",
-    )
-    parser.add_argument(
         "--max-worker-restarts",
         type=int,
         default=5,
@@ -347,7 +337,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         mode=args.pool_mode,
         cache_capacity=args.cache_capacity,
         disk_cache_dir=args.disk_cache,
-        executor=args.executor,
         fault_plan=load_fault_plan(args.fault_plan),
         max_worker_restarts=args.max_worker_restarts,
         restart_window_s=args.restart_window,

@@ -8,49 +8,29 @@ enforces the same contract on full engine responses.
 """
 
 import random
+from unittest import mock
 
 import pytest
 
 from repro.apps import REGISTRY
 from repro.compiler import CompileOptions
-from repro.core.columnar import (
-    EXECUTOR_CHOICES,
-    HAVE_NUMPY,
-    ColumnarExecutor,
-    make_executor,
-    resolve_executor,
-)
+from repro.core import columnar
+from repro.core.columnar import ColumnarExecutor, make_executor
 from repro.core.executor import Executor
 from repro.core.graph import DFGraph
 from repro.core.sltf import data_values
 
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
 
 class TestExecutorSelection:
-    def test_resolve_auto_and_none(self):
-        expected = "columnar" if HAVE_NUMPY else "token"
-        assert resolve_executor(None) == expected
-        assert resolve_executor("auto") == expected
-
-    def test_resolve_explicit(self):
-        assert resolve_executor("token") == "token"
-        if HAVE_NUMPY:
-            assert resolve_executor("columnar") == "columnar"
-
-    def test_resolve_unknown_name(self):
+    def test_make_executor_unknown_name(self):
         with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor("vectorised")
-
-    def test_choices_cover_resolver(self):
-        for name in EXECUTOR_CHOICES:
-            assert resolve_executor(name) in ("columnar", "token")
+            make_executor(DFGraph(), executor="vectorised")
 
     def test_make_executor_types(self):
         graph = DFGraph()
         assert type(make_executor(graph, executor="token")) is Executor
-        if HAVE_NUMPY:
-            assert isinstance(make_executor(graph, executor="columnar"),
+        for name in (None, "columnar"):
+            assert isinstance(make_executor(graph, executor=name),
                               ColumnarExecutor)
 
 
@@ -85,12 +65,20 @@ def _run_both(program, make_instance):
     The program MUST be compiled once and shared: separate compiles mint
     fresh node uids, so auto-generated labels/link names would differ and
     mask (or fake) real divergence.
+
+    The columnar run must also stay on the vector path: its only
+    ``to_stream`` calls are ``ColumnarExecutor.run``'s output conversion,
+    one per graph output, so no node fell back to a token primitive.
     """
     states = {}
     for executor in ("token", "columnar"):
         instance = make_instance()
-        runner = program.run(instance.memory, profile=True,
-                             executor=executor, **instance.args)
+        with mock.patch.object(columnar, "to_stream",
+                               wraps=columnar.to_stream) as to_stream:
+            runner = program.run(instance.memory, profile=True,
+                                 executor=executor, **instance.args)
+        if executor == "columnar":
+            assert to_stream.call_count == len(program.graph.outputs)
         states[executor] = (
             _memory_state(instance.memory),
             _profile_state(runner.profile),
@@ -107,7 +95,6 @@ def _assert_app_bit_identity(app, options, n_threads):
     assert columnar_state[1] == token_state[1]  # execution profile
 
 
-@requires_numpy
 @pytest.mark.parametrize("app", sorted(REGISTRY.names()))
 def test_app_bit_identity(app):
     """Every registered app: identical memory, stats, and profile."""
@@ -121,7 +108,6 @@ _OPTION_SETS = {
 }
 
 
-@requires_numpy
 @pytest.mark.parametrize("app", sorted(REGISTRY.names()))
 @pytest.mark.parametrize("options,n_threads", [
     (name, width) for name in _OPTION_SETS for width in (8, 32)
@@ -137,7 +123,6 @@ def test_app_bit_identity_by_options_and_width(app, options, n_threads):
     _assert_app_bit_identity(app, _OPTION_SETS[options], n_threads)
 
 
-@requires_numpy
 def test_outputs_are_plain_python_ints():
     """No numpy scalar may leak into memory (it would break JSON later)."""
     spec = REGISTRY.get("murmur3")
@@ -148,7 +133,6 @@ def test_outputs_are_plain_python_ints():
         assert type(value) is int
 
 
-@requires_numpy
 def test_opcodes_no_revet_source_reaches():
     """``ashr``/``min``/``max``/``neg``/``copy``/``land``/``lor`` kernels.
 
@@ -233,7 +217,6 @@ def _random_straight_line_source(rng: random.Random, n_stmts: int) -> str:
     )
 
 
-@requires_numpy
 @pytest.mark.parametrize("seed", range(12))
 def test_fuzz_straight_line_parity(seed):
     """Random straight-line graphs agree bit-for-bit across executors.
@@ -284,7 +267,6 @@ def test_fuzz_straight_line_parity(seed):
     assert states["columnar"] == states["token"]
 
 
-@requires_numpy
 @pytest.mark.parametrize("seed", range(6))
 def test_div_rem_bounds_contain_exact_results(seed):
     """The vector kernels equal Python's ``//`` and ``%`` row by row and

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core.columnar import HAVE_NUMPY, make_executor
+from repro.core.columnar import make_executor
 from repro.core.executor import Executor, run_graph, zip_streams, unzip_stream
 from repro.core.graph import DFGraph, DFNode, OPCODES
 from repro.core.memory import MemorySystem
-from repro.core.sltf import data_values, decode, encode
-from repro.errors import GraphError
+from repro.core.sltf import Barrier as B, Data as D, data_values, decode, encode
+from repro.errors import GraphError, PrimitiveError
 
 
 def build_add_one_graph():
@@ -387,21 +387,129 @@ class TestRegionNodes(_HandBuiltGraphs):
         assert data_values(out["total"]) == [6, 0, 15]
 
 
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+def build_countdown_graph(log_base, step=1):
+    """``while (n > 0) { log[0] = n; n -= step; s += 1; t += 1 }`` over the
+    live values (n, s, t); ``step=0`` never exits."""
+    g = DFGraph("countdown")
+    live = [g.add_input(name) for name in "nst"]
+    cond = DFGraph("cond")
+    cn, _, _ = (cond.add_input(name) for name in "nst")
+    zero = cond.add_node("const", [cn], params={"value": 0})
+    gt = cond.add_node("compute", [cn, zero.outputs[0]], params={"fn": "gt"})
+    cond.set_outputs([gt.outputs[0]])
+    body = DFGraph("body")
+    bn, bs, bt = (body.add_input(name) for name in "nst")
+    log = body.add_node("const", [bn], params={"value": log_base})
+    body.add_node("dram_write", [log.outputs[0], bn])
+    dec = body.add_node("const", [bn], params={"value": step})
+    one = body.add_node("const", [bn], params={"value": 1})
+    body.set_outputs([
+        body.add_node("compute", [v, c.outputs[0]], params={"fn": fn}).outputs[0]
+        for v, c, fn in ((bn, dec, "sub"), (bs, one, "add"), (bt, one, "add"))
+    ])
+    loop = g.add_node("while", live, num_outputs=3, regions=[cond, body],
+                      params={"label": "countdown"})
+    g.set_outputs(list(loop.outputs))
+    return g
 
 
-@requires_numpy
+class TestMalformedGraphs(_HandBuiltGraphs):
+    """Malformed bundles: each case pins the exception type, message, loop
+    turns and memory, so the ``*Columnar`` rerun proves both executors fail
+    the same way after the same work (``docs/executor.md``)."""
+
+    def failure(self, graph, inputs, memory=None, max_loop_iterations=None):
+        memory = memory if memory is not None else MemorySystem()
+        ex = make_executor(graph, executor=self.executor, memory=memory)
+        if max_loop_iterations is not None:
+            ex.max_loop_iterations = max_loop_iterations
+        with pytest.raises(PrimitiveError) as info:
+            ex.run(inputs)
+        return (info.type, str(info.value), ex.profile.loop_iterations,
+                memory._dram, memory.stats.dram_writes)
+
+    def countdown_failure(self, n, s, t, step=1, max_loop_iterations=None):
+        memory = MemorySystem()
+        graph = build_countdown_graph(memory.dram_alloc("log", size=1).base, step)
+        return self.failure(graph, {"n": n, "s": s, "t": t}, memory,
+                            max_loop_iterations)
+
+    def test_filter_predicate_misaligned(self):
+        for width in (1, 2):
+            g = DFGraph()
+            data = [g.add_input(f"x{i}") for i in range(width)]
+            f = g.add_node("filter", data + [g.add_input("p")], num_outputs=width)
+            g.set_outputs(list(f.outputs))
+            inputs = {f"x{i}": [D(1), D(2), B(1)] for i in range(width)}
+            inputs["p"] = [D(1), B(1), D(0)]
+            assert self.failure(g, inputs) == (
+                PrimitiveError, "filter predicate misaligned with data", {}, {}, 0)
+
+    def test_compute_on_misaligned_streams(self):
+        g = DFGraph()
+        add = g.add_node("compute", [g.add_input("x"), g.add_input("y")],
+                         params={"fn": "add"})
+        g.set_outputs([add.outputs[0]])
+        inputs = {"x": [D(1), D(2), B(1)], "y": [D(1), B(1), D(2)]}
+        assert self.failure(g, inputs) == (
+            PrimitiveError, "element-wise inputs misaligned at [D(2), B1]",
+            {}, {}, 0)
+
+    def test_forward_merge_mismatched_barrier_levels(self):
+        for width in (1, 2):
+            g = DFGraph()
+            ins = [g.add_input(f"{side}{i}") for side in "ab" for i in range(width)]
+            m = g.add_node("forward_merge", ins, num_outputs=width,
+                           params={"width": width})
+            g.set_outputs(list(m.outputs))
+            inputs = {f"a{i}": [D(1), B(1), D(2), B(1)] for i in range(width)}
+            inputs.update({f"b{i}": [D(3), B(1), B(2)] for i in range(width)})
+            assert self.failure(g, inputs) == (
+                PrimitiveError, "forward merge barrier mismatch: B1 vs B2",
+                {}, {}, 0)
+
+    def test_while_misaligned_live_streams(self):
+        # The first group drains (four turns, three writes) before the scan
+        # reaches the misaligned position.
+        ok = [D(0), B(1), D(0), B(1)]
+        assert self.countdown_failure(
+            [D(3), B(1), D(1), B(1)], [D(0), B(1), B(1), D(0)], ok) == (
+            PrimitiveError, "while live streams misaligned at B1",
+            {"countdown": 4}, {0: 1}, 3)
+        # The earliest bad position wins, whichever live value it is in.
+        assert self.countdown_failure(
+            [D(3), B(1), D(1), B(1)], [D(0), B(1), B(1), D(0)],
+            [D(0), B(2), D(0), B(1)]) == (
+            PrimitiveError, "while live streams have mismatched barriers at B2",
+            {}, {}, 0)
+
+    def test_while_data_after_last_barrier(self):
+        tail = [D(0), B(1), D(0)]
+        assert self.countdown_failure([D(3), B(1), D(1)], tail, tail) == (
+            PrimitiveError, "forward-backward loop input missing final barrier",
+            {"countdown": 4}, {0: 1}, 3)
+
+    def test_while_that_never_exits(self):
+        live = [D(0), B(1)]
+        assert self.countdown_failure(
+            [D(2), B(1)], live, live, step=0, max_loop_iterations=3) == (
+            PrimitiveError, "forward-backward loop exceeded max_iterations; "
+            "possible livelock in loop body", {"countdown": 4}, {0: 2}, 4)
+
+
 class TestExecutorBasicsColumnar(TestExecutorBasics):
     executor = "columnar"
 
 
-@requires_numpy
 class TestMemoryNodesColumnar(TestMemoryNodes):
     executor = "columnar"
 
 
-@requires_numpy
 class TestRegionNodesColumnar(TestRegionNodes):
+    executor = "columnar"
+
+
+class TestMalformedGraphsColumnar(TestMalformedGraphs):
     executor = "columnar"
 
 

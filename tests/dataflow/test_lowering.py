@@ -10,7 +10,6 @@ import pytest
 
 from repro.apps import REGISTRY
 from repro.compiler import CompileOptions, compile_source
-from repro.core.columnar import HAVE_NUMPY
 from repro.core.graph import DFGraph
 from repro.core.memory import MemorySystem
 from repro.dataflow.lowering import _Scope
@@ -18,7 +17,7 @@ from repro.errors import LoweringError
 from repro.ir import I32, Value
 
 OPTIONS = {"default": CompileOptions(), "none": CompileOptions.none()}
-EXECUTORS = ["token"] + (["columnar"] if HAVE_NUMPY else [])
+EXECUTORS = ["token", "columnar"]
 CROSSING_OPS = ("if", "while", "filter", "fork", "replicate")
 
 

@@ -306,11 +306,11 @@ class TestIntraBatchFanOut:
         real_execute = engine_module.execute
         calls = []
 
-        def fails_once(program, request, executor):
+        def fails_once(program, request):
             calls.append(request)
             if len(calls) == 1:
                 raise EngineError("transient")
-            return real_execute(program, request, executor)
+            return real_execute(program, request)
 
         monkeypatch.setattr(engine_module, "execute", fails_once)
         engine = Engine()

@@ -1,9 +1,12 @@
 """The one execute function: run a compiled program, check it, model it."""
 
+from functools import partialmethod
+
 import pytest
 
 from repro.apps import REGISTRY
 from repro.compiler import compile_source
+from repro.dataflow.lowering import CompiledProgram
 from repro.runtime.engine import (
     INIT_LATENCY_S,
     Engine,
@@ -33,8 +36,7 @@ class TestExecute:
     def test_app_request_is_run_checked_and_modeled(self):
         spec = REGISTRY.get_servable("hash-table")
         payload = execute(program_of(spec),
-                          Request(app="hash-table", n_threads=2, seed=3),
-                          "token")
+                          Request(app="hash-table", n_threads=2, seed=3))
         twin = spec.make_instance(2, 3)
         expected = spec.reference(twin)
         assert payload["outputs"][:len(expected)] == expected
@@ -46,12 +48,13 @@ class TestExecute:
             twin.total_bytes / (payload["modeled_gbs"] * 1e9) + 1e-4)
 
     @pytest.mark.parametrize("app", ["hash-table", "search", "murmur3"])
-    def test_token_and_columnar_give_equal_payloads(self, app):
-        pytest.importorskip("numpy")
+    def test_token_and_columnar_give_equal_payloads(self, app, monkeypatch):
         program = program_of(REGISTRY.get_servable(app))
         request = Request(app=app, n_threads=4, seed=1)
-        assert (execute(program, request, "token")
-                == execute(program, request, "columnar"))
+        columnar = execute(program, request)
+        monkeypatch.setattr(CompiledProgram, "run", partialmethod(
+            CompiledProgram.run, executor="token"))
+        assert execute(program, request) == columnar
 
     def test_staged_memory_is_run_but_not_checked(self):
         """Only an engine-generated instance carries the oracle's context."""
@@ -59,14 +62,13 @@ class TestExecute:
         instance = spec.make_instance(2, seed=3)
         payload = execute(program_of(spec),
                           Request(app="hash-table", memory=instance.memory,
-                                  args=instance.args, n_threads=2),
-                          "token")
+                                  args=instance.args, n_threads=2))
         assert payload["correct"] is None
         assert payload["outputs"][:4] == spec.reference(instance)[:4]
 
     def test_raw_source_without_staged_memory_raises_for_the_engine(self):
         with pytest.raises(EngineError, match="pre-staged 'memory'"):
-            execute(compile_source(SQUARE), Request(source=SQUARE), "token")
+            execute(compile_source(SQUARE), Request(source=SQUARE))
 
     def test_raw_source_without_staged_memory_is_an_error_response(self):
         [response] = Engine().process([Request(source=SQUARE)])
@@ -75,19 +77,11 @@ class TestExecute:
 
 
 class TestThroughTheEngine:
-    @pytest.mark.parametrize("executor", ["token", "columnar"])
-    def test_response_carries_the_payload(self, executor):
-        pytest.importorskip("numpy")
-        engine = Engine(executor=executor)
-        assert engine.executor == executor
+    def test_response_carries_the_payload(self):
         request = Request(app="search", n_threads=2, seed=5)
-        [response] = engine.process([request])
+        [response] = Engine().process([request])
         payload = execute(program_of(REGISTRY.get_servable("search")),
-                          request, executor)
+                          request)
         assert response.ok and response.error is None
         assert {name: getattr(response, name) for name in payload} == payload
         assert "backend" not in response.to_dict()
-
-    def test_unknown_executor_fails_at_construction(self):
-        with pytest.raises(ValueError):
-            Engine(executor="gpu")

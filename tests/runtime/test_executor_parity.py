@@ -1,24 +1,25 @@
 """Engine-level oracle: both executors serve byte-identical responses.
 
-CI's bit-identity gate: every registered servable app is served through two
-engines that differ only in ``executor=``, and the JSON wire form of every
-response — outputs, oracle verdicts, modeled latency, cache flags — must be
-byte-for-byte equal, along with the cache counters.
+CI's bit-identity gate: every registered servable app is served through an
+engine on the columnar executor it always runs, then again with
+``CompiledProgram.run`` defaulting to the per-token reference (patched here,
+in the test: the serving path has no executor switch).  The JSON wire form
+of every response — outputs, oracle verdicts, modeled latency, cache flags —
+must be byte-for-byte equal, along with the cache counters.
 """
 
 import json
+from functools import partialmethod
 
 import pytest
 
 from repro.apps import REGISTRY
-from repro.core.columnar import HAVE_NUMPY
+from repro.dataflow.lowering import CompiledProgram
 from repro.runtime.engine import Engine, Request
 
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
-
-def _serve(executor: str, app: str):
-    engine = Engine(executor=executor)
+def _serve(app: str):
+    engine = Engine()
     # Three requests: two identical (the second must be a result-cache hit,
     # identically on both engines) and one distinct shape.
     requests = [
@@ -36,11 +37,12 @@ def _serve(executor: str, app: str):
     return wire, stats
 
 
-@requires_numpy
 @pytest.mark.parametrize("app", sorted(REGISTRY.servable_names()))
-def test_engine_responses_bit_identical(app):
-    token_wire, token_stats = _serve("token", app)
-    columnar_wire, columnar_stats = _serve("columnar", app)
+def test_engine_responses_bit_identical(app, monkeypatch):
+    columnar_wire, columnar_stats = _serve(app)
+    monkeypatch.setattr(CompiledProgram, "run",
+                        partialmethod(CompiledProgram.run, executor="token"))
+    token_wire, token_stats = _serve(app)
     assert columnar_wire == token_wire
     assert columnar_stats == token_stats
     # The trace really exercised both cache tiers and the oracle.

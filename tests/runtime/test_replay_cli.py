@@ -8,7 +8,8 @@ from repro.runtime.__main__ import main
 def test_replay_serves_the_trace_through_the_pool(capsys):
     assert main(["--trace-size", "12", "--workers", "2"]) == 0
     report = capsys.readouterr().out
-    assert "12 requests, pool=2xinline, executor=" in report
+    assert "12 requests, pool=2xinline\n" in report
+    assert "executor" not in report
     assert "policy" not in report and "makespan" not in report
     assert "served          : 12 ok, 0 errors, 0 incorrect results" in report
     assert "backend" not in report
@@ -28,7 +29,7 @@ def test_replay_masks_an_inline_kill(capsys):
 def test_exit_code_means_every_response_served(capsys, monkeypatch):
     from repro.runtime import engine
 
-    def refuses(program, request, executor):
+    def refuses(program, request):
         raise engine.EngineError("refused")
 
     monkeypatch.setattr(engine, "execute", refuses)

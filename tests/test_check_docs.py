@@ -54,7 +54,7 @@ def test_stale_routes_and_ops_are_reported_by_name():
 def test_stale_and_missing_metric_rows_are_reported_by_name():
     registered = check_docs.registered_families()
     assert {"engine_requests_total", "pool_flushes_total",
-            "gateway_events_total"} <= registered
+            "gateway_events_total"} <= registered.keys()
     assert "engine_executor_requests_total" not in registered
     text = check_docs.METRICS_DOC.read_text(encoding="utf-8")
     assert check_docs.check_metric_families(text, registered) == []
@@ -66,8 +66,35 @@ def test_stale_and_missing_metric_rows_are_reported_by_name():
         "engine_executor_requests_total is registered"
     ]
     assert check_docs.check_metric_families(
-        text, registered | {"engine_new_total"}
+        text, {**registered, "engine_new_total": ()}
     ) == [
         "docs/observability.md: metric family engine_new_total is registered "
         "but has no row"
+    ]
+
+
+def test_wrong_and_missing_metric_labels_are_reported_by_name():
+    registered = check_docs.registered_families()
+    assert registered["engine_requests_total"] == ()
+    assert registered["engine_cache_lookups_total"] == ("tier", "outcome")
+    text = check_docs.METRICS_DOC.read_text(encoding="utf-8")
+    rows = {
+        "wrong": ("| `engine_requests_total` | counter | — |",
+                  "| `engine_requests_total` | counter | `executor` |"),
+        "missing": ("| `engine_cache_lookups_total` | counter | `tier`, `outcome` |",
+                    "| `engine_cache_lookups_total` | counter | `tier` |"),
+    }
+    for live, stale in rows.values():
+        assert text.count(live) == 1
+    assert check_docs.check_metric_families(
+        text.replace(*rows["wrong"]), registered
+    ) == [
+        "docs/observability.md: metric family engine_requests_total has "
+        "labels `executor` in its row but — in the source"
+    ]
+    assert check_docs.check_metric_families(
+        text.replace(*rows["missing"]), registered
+    ) == [
+        "docs/observability.md: metric family engine_cache_lookups_total has "
+        "labels `tier` in its row but `tier`, `outcome` in the source"
     ]

@@ -27,7 +27,9 @@ Seven checks over README.md and everything under docs/:
    ``docs/observability.md`` must name exactly the families registered by
    ``.counter(`` / ``.gauge(`` / ``.histogram(`` calls under
    ``src/repro/runtime`` (a scan of the source, no server), so a deleted
-   family cannot stay documented nor a new one go undocumented.
+   family cannot stay documented nor a new one go undocumented.  Each
+   row's label column (``—`` or a backticked list) must match the call's
+   label names too, so a dropped label cannot stay documented either.
 
 Exit code 0 when everything passes, 1 otherwise (with one line per
 failure). Run it locally with::
@@ -37,13 +39,14 @@ failure). Run it locally with::
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
-from typing import Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,11 +61,12 @@ PATH_RE = re.compile(r"[\w.*/-]+")
 #: a ``host:port``, not as the tail of a file path.
 ROUTE_RE = re.compile(r"/v1/[\w-]+|(?:(?<![\w./-])|(?<=\d))/(?:healthz|metrics)\b")
 OP_RE = re.compile(r'"op":\s*"([\w-]+)"')
-#: A family registered in the source, and its row in a documentation table.
-METRIC_CALL_RE = re.compile(r'\.(?:counter|gauge|histogram)\(\s*"(\w+)"')
+#: A family's row in a documentation table: its name and its label column.
 METRIC_ROW_RE = re.compile(
-    r"^\|\s*`(\w+)`\s*\|\s*(?:counter|gauge|histogram)\s*\|", re.MULTILINE
+    r"^\|\s*`(\w+)`\s*\|\s*(?:counter|gauge|histogram)\s*\|\s*([^|]*?)\s*\|",
+    re.MULTILINE,
 )
+METRIC_KINDS = ("counter", "gauge", "histogram")
 METRICS_DOC = REPO_ROOT / "docs" / "observability.md"
 
 #: A bare name with one of these suffixes is taken for a file of the repo.
@@ -250,25 +254,51 @@ def check_routes(path: Path, text: str, routes: Set[str], ops: Set[str]) -> List
     return failures
 
 
-def registered_families() -> Set[str]:
-    """Metric families the runtime's source registers (a static scan)."""
-    families: Set[str] = set()
-    for source in (REPO_ROOT / "src" / "repro" / "runtime").rglob("*.py"):
-        families.update(METRIC_CALL_RE.findall(source.read_text(encoding="utf-8")))
+def registered_families() -> Dict[str, Tuple[str, ...]]:
+    """Metric families the runtime's source registers, with their label
+    names: the ``name`` and ``labelnames`` of every ``.counter(`` /
+    ``.gauge(`` / ``.histogram(`` call (a static scan)."""
+    families: Dict[str, Tuple[str, ...]] = {}
+    for source in sorted((REPO_ROOT / "src" / "repro" / "runtime").rglob("*.py")):
+        for call in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if not (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in METRIC_KINDS and call.args
+                    and isinstance(call.args[0], ast.Constant)
+                    and isinstance(call.args[0].value, str)):
+                continue
+            labels = call.args[2] if len(call.args) > 2 else next(
+                (k.value for k in call.keywords if k.arg == "labelnames"), None)
+            families[call.args[0].value] = (
+                tuple(ast.literal_eval(labels)) if labels is not None else ())
     return families
 
 
-def check_metric_families(text: str, registered: Set[str]) -> List[str]:
-    """Family-table rows that name no registered family, and the reverse."""
+def label_cell(labels: Tuple[str, ...]) -> str:
+    """A family-table label column: ``—`` or a backticked list."""
+    return ", ".join(f"`{label}`" for label in labels) or "—"
+
+
+def check_metric_families(
+    text: str, registered: Dict[str, Tuple[str, ...]]
+) -> List[str]:
+    """Family-table rows that name no registered family or the wrong
+    labels, and registered families without a row."""
     where = METRICS_DOC.relative_to(REPO_ROOT)
-    documented = set(METRIC_ROW_RE.findall(text))
+    documented = dict(METRIC_ROW_RE.findall(text))
     failures = [
         f"{where}: no metric family {name} is registered"
-        for name in sorted(documented - registered)
+        for name in sorted(documented.keys() - registered.keys())
     ]
     failures += [
         f"{where}: metric family {name} is registered but has no row"
-        for name in sorted(registered - documented)
+        for name in sorted(registered.keys() - documented.keys())
+    ]
+    failures += [
+        f"{where}: metric family {name} has labels {documented[name]} in its "
+        f"row but {label_cell(registered[name])} in the source"
+        for name in sorted(documented.keys() & registered.keys())
+        if documented[name] != label_cell(registered[name])
     ]
     return failures
 
