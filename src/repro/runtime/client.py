@@ -202,13 +202,6 @@ class RuntimeClient:
             if reply.get("code") != 429:
                 return reply
             self._count("sheds_429")
-            requested = reply.get("requested")
-            limit = reply.get("limit")
-            if requested is not None and limit is not None and requested > limit:
-                # The batch exceeds the whole budget: retrying the same
-                # size can never be admitted, even on an idle pool.  The
-                # caller must chunk it, so surface the envelope directly.
-                return reply
             hint = float(reply.get("retry_after_s") or 0.0)
             pause = min(max(hint, delay), self.max_backoff_s)
             self._count("backoff_sleeps")

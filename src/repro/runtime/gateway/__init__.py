@@ -1,7 +1,7 @@
 """``repro.runtime.gateway`` — what the front door does, and its HTTP framing.
 
 * :mod:`repro.runtime.gateway.admission` — the rate-aware
-  :class:`AdmissionController` (token budget from measured drain rates)
+  :class:`AdmissionController` (token budget from measured pool capacity)
   and :class:`PoolService`: the one pool, lock, counter set and table of
   operations every listener shares.  The table takes decoded arguments
   and an endpoint label and does not know which framing is calling.

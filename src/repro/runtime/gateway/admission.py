@@ -1,11 +1,11 @@
 """Rate-aware admission control and the shared pool front door.
 
-The serving stack measures how fast it drains work (per-worker EWMA service
-rates plus the front door's own flush measurements).
-:class:`AdmissionController` turns that drain rate into a *token budget* —
-the pool may hold at most ``drain_rps × headroom`` requests in flight
-(``headroom`` is literally "seconds of queued work") — and sheds everything
-beyond it with a computed retry hint instead of queueing it.
+The pool measures one number, its capacity: requests per worker-busy-second
+summed over workers.  :class:`AdmissionController` turns it into a *token
+budget* — at most ``capacity × headroom`` requests in flight (``headroom``
+is literally "seconds of queued work"), though an idle server admits any
+call — and sheds everything beyond it with a computed retry hint instead
+of queueing it.
 
 :class:`PoolService` is the front door: one
 :class:`~repro.runtime.pool.WorkerPool`, its short front lock (submit,
@@ -43,12 +43,16 @@ from repro.runtime.telemetry import (
     new_trace_id,
     render_prometheus,
 )
-from repro.sim.policies import ServiceRateEstimator, pool_drain_rps
 
 _LOG = get_logger(__name__)
 
 #: Bumped when a wire-visible field changes meaning; every framing stamps it.
 PROTOCOL_VERSION = 1
+#: The capacity (requests/s) assumed until a worker has served.
+COLD_CAPACITY_RPS = 100.0
+#: Bounds of the retry hint on a shed call, seconds.
+MIN_RETRY_S = 0.05
+MAX_RETRY_S = 10.0
 
 
 class Reply(NamedTuple):
@@ -84,6 +88,7 @@ class AdmissionSnapshot:
 
     inflight: int
     limit: int
+    #: The capacity the budget was sized from, requests/s.
     drain_rps: float
     admitted: int
     rejected: int
@@ -102,122 +107,76 @@ class AdmissionSnapshot:
 
 
 class AdmissionController:
-    """Token-budget admission over the pool's measured drain rate.
+    """Token-budget admission over the pool's measured capacity.
 
     The budget is ``max_inflight`` when set explicitly, otherwise
-    ``ceil(drain_rps × headroom)``: the pool may hold ``headroom`` seconds
-    of work in flight before new arrivals are shed.  The drain estimate
-    prefers the controller's own flush measurements (an EWMA folded via
-    :meth:`observe_drain`, the same :class:`ServiceRateEstimator` the pool
-    workers use), falls back to the sum of the workers' reported EWMA rates
-    (:meth:`update_rates`), and bottoms out at ``default_drain_rps`` for a
-    pool that has never served anything.
+    ``ceil(capacity × headroom)``, where each call passes ``capacity_rps``
+    in (:meth:`~repro.runtime.pool.WorkerPool.capacity_rps`; 0.0, before
+    any worker has served, reads as :data:`COLD_CAPACITY_RPS`).  The
+    derived budget is work-conserving: a call that finds nothing in flight
+    is admitted whatever its size, and runs alone.  An operator-set
+    ``max_inflight`` refuses an oversized call even on an idle server.
 
-    ``retry_after_s`` on a rejection is the time the measured drain rate
-    needs to clear the excess — the ``Retry-After`` the gateway puts on the
-    wire — clamped to ``[min_retry_s, max_retry_s]``.
+    ``retry_after_s`` on a rejection is the time that capacity needs to
+    clear the excess — the ``Retry-After`` the gateway puts on the wire —
+    clamped to ``[MIN_RETRY_S, MAX_RETRY_S]``.
 
     Thread-safe: the handler threads of both listeners share one
     controller.
     """
 
-    def __init__(
-        self,
-        max_inflight: Optional[int] = None,
-        headroom: float = 2.0,
-        *,
-        default_drain_rps: float = 100.0,
-        min_limit: int = 1,
-        min_retry_s: float = 0.05,
-        max_retry_s: float = 10.0,
-        alpha: float = 0.5,
-    ):
+    def __init__(self, max_inflight: Optional[int] = None, headroom: float = 2.0):
         if max_inflight is not None and max_inflight < 0:
             raise ValueError("max_inflight must be >= 0")
         if headroom <= 0.0:
             raise ValueError("headroom must be positive (seconds of work)")
         self.max_inflight = max_inflight
         self.headroom = headroom
-        self.default_drain_rps = default_drain_rps
-        self.min_limit = max(0, min_limit)
-        self.min_retry_s = min_retry_s
-        self.max_retry_s = max_retry_s
         self._lock = threading.Lock()
         self._inflight = 0
-        self._estimator = ServiceRateEstimator(alpha=alpha)
-        self._worker_rates: List[float] = []
         self.admitted = 0
         self.rejected = 0
         self.peak_inflight = 0
 
-    # -- measurement --------------------------------------------------------
-
-    @property
-    def drain_rps(self) -> float:
-        """Best current estimate of pool-level completed requests/second."""
-        if self._estimator.rate > 0.0:
-            return self._estimator.rate
-        return pool_drain_rps(self._worker_rates, default=self.default_drain_rps)
-
-    @property
-    def limit(self) -> int:
-        """The current token budget (maximum admitted in-flight requests)."""
+    def _limit(self, capacity: float) -> int:
+        """The token budget (maximum admitted in-flight requests)."""
         if self.max_inflight is not None:
             return self.max_inflight
-        return max(self.min_limit, math.ceil(self.drain_rps * self.headroom))
-
-    def observe_drain(self, served: int, elapsed_s: float) -> None:
-        """Fold one flush measurement (requests served / wall seconds)."""
-        with self._lock:
-            self._estimator.observe(served, elapsed_s)
-
-    def update_rates(self, rates: Sequence[float]) -> None:
-        """Install the workers' reported EWMA service rates (fallback)."""
-        with self._lock:
-            self._worker_rates = list(rates)
+        return math.ceil(capacity * self.headroom)
 
     # -- token accounting ---------------------------------------------------
 
-    def try_acquire(self, n: int = 1) -> AdmissionDecision:
+    def try_acquire(self, n: int = 1, capacity_rps: float = 0.0) -> AdmissionDecision:
         """Admit ``n`` requests, or reject them with a retry hint."""
+        capacity = capacity_rps if capacity_rps > 0.0 else COLD_CAPACITY_RPS
+        limit = self._limit(capacity)
         with self._lock:
-            limit = self.limit
-            if self._inflight + n <= limit:
+            idle = self._inflight == 0 and self.max_inflight is None
+            admitted = idle or self._inflight + n <= limit
+            retry = 0.0
+            if admitted:
                 self._inflight += n
                 self.admitted += n
                 self.peak_inflight = max(self.peak_inflight, self._inflight)
-                return AdmissionDecision(
-                    admitted=True,
-                    requested=n,
-                    inflight=self._inflight,
-                    limit=limit,
-                )
-            self.rejected += n
-            excess = self._inflight + n - limit
-            retry = min(
-                max(excess / max(self.drain_rps, 1e-9), self.min_retry_s),
-                self.max_retry_s,
-            )
-            return AdmissionDecision(
-                admitted=False,
-                requested=n,
-                inflight=self._inflight,
-                limit=limit,
-                retry_after_s=retry,
-            )
+            else:
+                self.rejected += n
+                excess = self._inflight + n - limit
+                retry = min(max(excess / capacity, MIN_RETRY_S), MAX_RETRY_S)
+            return AdmissionDecision(admitted, n, self._inflight, limit, retry)
 
     def release(self, n: int = 1) -> None:
         """Return ``n`` tokens after their flush completes; never raises."""
         with self._lock:
             self._inflight = max(0, self._inflight - n)
 
-    def snapshot(self) -> AdmissionSnapshot:
+    def snapshot(self, capacity_rps: float = 0.0) -> AdmissionSnapshot:
         """Consistent copy of the counters (taken under the lock)."""
+        capacity = capacity_rps if capacity_rps > 0.0 else COLD_CAPACITY_RPS
         with self._lock:
             return AdmissionSnapshot(
                 inflight=self._inflight,
-                limit=self.limit,
-                drain_rps=self.drain_rps,
+                limit=self._limit(capacity),
+                drain_rps=capacity,
                 admitted=self.admitted,
                 rejected=self.rejected,
                 peak_inflight=self.peak_inflight,
@@ -236,10 +195,9 @@ class ServeResult:
 def overload_envelope(decision: AdmissionDecision) -> Dict[str, Any]:
     """The wire form of a shed request, shared by both front-ends.
 
-    ``requested``/``limit`` let clients distinguish "over budget right now,
-    retry later" from "this batch exceeds the whole budget, retrying the
-    same size can never succeed — chunk it" (the client's backoff loop
-    checks exactly that).
+    ``requested``/``limit`` say how far over the budget the call was.  A
+    call larger than a derived budget is still admitted once the server
+    is idle, so neither is a reason to stop retrying.
     """
     return {
         "ok": False,
@@ -390,7 +348,7 @@ class PoolService:
             return ServeResult(results=[])
         started = time.perf_counter()
         if self.admission is not None:
-            decision = self.admission.try_acquire(n)
+            decision = self.admission.try_acquire(n, self.pool.capacity_rps())
             if not decision.admitted:
                 with self._counter_lock:
                     self.shed += n
@@ -451,11 +409,6 @@ class PoolService:
                 with self.pool_lock:
                     wait += time.perf_counter() - queued_at
                     report = self.pool.dispatch(flush)
-                    if self.admission is not None:
-                        # Only what workers served feeds the drain estimate:
-                        # a replay takes microseconds and would inflate it.
-                        self.admission.observe_drain(report.dispatched, report.flush_s)
-                        self.admission.update_rates(self.pool.measured_rates())
         except PoolError as error:
             # Transient worker loss never lands here — the pool masks it by
             # respawning and replaying.  A PoolError means the circuit
@@ -574,7 +527,8 @@ class PoolService:
             "pool": self.pool.stats_row(),  # lock-free: never behind a flush
         }
         if self.admission is not None:
-            payload["admission"] = self.admission.snapshot().to_dict()
+            capacity = self.pool.capacity_rps()
+            payload["admission"] = self.admission.snapshot(capacity).to_dict()
         return payload
 
     # -- telemetry ----------------------------------------------------------
@@ -583,7 +537,7 @@ class PoolService:
         """Fold admission counters into metric families (at snapshot)."""
         if self.admission is None:
             return
-        snap = self.admission.snapshot()
+        snap = self.admission.snapshot(self.pool.capacity_rps())
         registry.counter(
             "admission_admitted_total", "Requests granted an in-flight token."
         ).set_total(snap.admitted)

@@ -27,7 +27,7 @@ program stays where it was compiled.
 
 The pool is **self-healing**: worker death is a steady-state event, not a
 crash.  A dead worker (EOF or broken pipe) or a hung one (no flush reply
-inside a deadline derived from its measured EWMA service rate) is respawned
+inside a deadline derived from its measured service rate) is respawned
 in place with its same :class:`WorkerConfig`, and the batches it was
 holding are requeued onto the surviving workers *within the same flush* —
 responses are deterministic and the memoized-response tier sees only a
@@ -59,7 +59,6 @@ from repro.runtime.engine import memoize, replay, result_fingerprint
 from repro.runtime.faults import FaultInjector, FaultPlan, InjectedFault
 from repro.runtime.logs import event, get_logger
 from repro.runtime.telemetry import MetricsRegistry
-from repro.sim.policies import ServiceRateEstimator
 
 POOL_MODES = ("inline", "process")
 #: How process workers start: a fresh interpreter, never a fork of a parent
@@ -159,12 +158,15 @@ class WorkerSnapshot:
     resident_keys: List[str] = field(default_factory=list)
     #: Cumulative wall-clock seconds this worker spent executing batches.
     busy_s: float = 0.0
-    #: EWMA of measured requests/second across flushes (0.0 = unmeasured).
-    service_rate_rps: float = 0.0
     #: The worker engine's metrics-registry snapshot (merged pool-side into
     #: `/metrics`; counters restart from zero when the worker respawns).
     #: Excluded from :meth:`to_dict` — label keys are tuples, not JSON.
     metrics: Dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def service_rate_rps(self) -> float:
+        """Requests served per busy second so far (0.0 = unmeasured)."""
+        return self.requests / self.busy_s if self.busy_s > 0.0 else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form (stats endpoints and the CLI report)."""
@@ -209,7 +211,6 @@ class _WorkerState:
         self.batches = 0
         self.requests = 0
         self.busy_s = 0.0
-        self.estimator = ServiceRateEstimator()
 
     def run(self, batches: Sequence[Batch]) -> Tuple[List[Response], WorkerSnapshot]:
         """Execute a batch list, timing its wall clock; returns the reply.
@@ -242,7 +243,6 @@ class _WorkerState:
         self.batches += len(batches)
         self.requests += served
         self.busy_s += elapsed
-        self.estimator.observe(served, elapsed)
         return responses, WorkerSnapshot(
             index=self.index,
             batches=self.batches,
@@ -250,7 +250,6 @@ class _WorkerState:
             program_cache=self.engine.program_cache_stats.snapshot(),
             resident_keys=self.engine.program_cache.resident_keys(),
             busy_s=self.busy_s,
-            service_rate_rps=self.estimator.rate,
             metrics=self.engine.metrics_snapshot(),
         )
 
@@ -312,8 +311,9 @@ class _InlineWorker:
     def respawn(self) -> None:
         """Rebuild the engine in place — the inline analogue of a new child.
 
-        Counters, caches, and the rate estimator restart from zero exactly
-        as a fresh process would; consumed one-shot faults stay consumed.
+        Counters (so the measured service rate) and caches restart from
+        zero exactly as a fresh process would; consumed one-shot faults
+        stay consumed.
         """
         self.config = self.config.respawned(self.index)
         self._reset()
@@ -491,7 +491,7 @@ class WorkerPool:
       many replays instead of looping.
     * ``hang_deadline_factor`` / ``hang_deadline_min_s`` — a process
       worker whose flush reply takes longer than ``factor ×`` its expected
-      service time (from its measured EWMA rate), floored at the minimum,
+      service time (from its measured rate), floored at the minimum,
       is declared hung and recovered.  ``hang_cold_deadline_s`` bounds
       workers with no measured rate yet (fresh or just respawned);
       ``None`` disables hang detection for them.
@@ -839,12 +839,13 @@ class WorkerPool:
     ) -> Optional[float]:
         """Reply deadline for one worker's flush (None = wait forever).
 
-        Derived from the worker's measured EWMA service rate: ``factor ×``
-        the expected service time of its assigned requests, floored at
-        ``hang_deadline_min_s``.  Workers with no measurement yet — fresh,
-        or just respawned (``cold``) and facing recompiles — get the
-        generous ``hang_cold_deadline_s`` instead.  Inline workers finish
-        inside submit(), so only process mode has deadlines at all.
+        Derived from the worker's measured service rate (its snapshot's
+        ``requests / busy_s``): ``factor ×`` the expected service time of
+        its assigned requests, floored at ``hang_deadline_min_s``.  Workers
+        with no measurement yet — fresh, or just respawned (``cold``) and
+        facing recompiles — get the generous ``hang_cold_deadline_s``
+        instead.  Inline workers finish inside submit(), so only process
+        mode has deadlines at all.
         """
         if self.mode != "process":
             return None
@@ -961,14 +962,14 @@ class WorkerPool:
 
     # -- stats --------------------------------------------------------------
 
-    def measured_rates(self) -> List[float]:
-        """Per-worker EWMA service rates from the latest snapshots.
+    def capacity_rps(self) -> float:
+        """Requests per worker-busy-second, summed over workers.
 
-        The admission layer aggregates these (``pool_drain_rps``) into the
-        drain estimate that sizes its in-flight token budget; 0.0 entries
-        mean "never measured".
+        0.0 until a worker has served.  Read lock-free from the latest
+        snapshots, like :meth:`stats_row`; the admission budget and its
+        retry hint are sized from it.
         """
-        return [s.service_rate_rps for s in self.last_snapshots]
+        return sum(s.service_rate_rps for s in self.last_snapshots)
 
     def stats_row(self) -> Dict[str, Any]:
         """Cumulative pool stats from the most recent flush's snapshots."""

@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="fixed in-flight request budget; by default the budget is "
-        "derived from the pool's measured drain rate × --headroom",
+        "derived from the pool's measured capacity × --headroom",
     )
     parser.add_argument(
         "--headroom",

@@ -3,13 +3,10 @@
 from repro.sim.perf_model import ThroughputReport, VRDAPerformanceModel, WorkloadProfile
 from repro.sim.load_balance import LoadBalanceSimulator, RegionLoad
 from repro.sim.policies import (
-    POLICIES,
     AdmissionPolicy,
     AdmissionResult,
     HoistedBufferPolicy,
-    LeastLoadedPolicy,
     RoundRobinPolicy,
-    make_policy,
     run_admission,
 )
 
@@ -19,12 +16,9 @@ __all__ = [
     "WorkloadProfile",
     "LoadBalanceSimulator",
     "RegionLoad",
-    "POLICIES",
     "AdmissionPolicy",
     "AdmissionResult",
     "HoistedBufferPolicy",
-    "LeastLoadedPolicy",
     "RoundRobinPolicy",
-    "make_policy",
     "run_admission",
 ]

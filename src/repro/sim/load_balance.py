@@ -16,14 +16,9 @@ percentages, and makespans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
-from repro.sim.policies import (
-    AdmissionPolicy,
-    HoistedBufferPolicy,
-    RoundRobinPolicy,
-    run_admission,
-)
+from repro.sim.policies import HoistedBufferPolicy, RoundRobinPolicy, run_admission
 
 
 @dataclass
@@ -48,23 +43,18 @@ class LoadBalanceSimulator:
             for r in range(regions)
         ]
 
-    def run(self, total_threads: int, hoisted: bool = True,
-            policy: Optional[Union[str, AdmissionPolicy]] = None
-            ) -> List[RegionLoad]:
+    def run(self, total_threads: int, hoisted: bool = True) -> List[RegionLoad]:
         """Distribute ``total_threads`` and return per-region load shares.
 
         ``hoisted=False`` models Plasticine-style fixed work partitioning,
         where every region is statically assigned an equal share regardless
-        of its throughput.  Pass ``policy`` to override the admission
-        strategy (any :mod:`repro.sim.policies` name or instance).
+        of its throughput.
         """
-        if policy is None:
-            policy = HoistedBufferPolicy() if hoisted else RoundRobinPolicy()
         result = run_admission(
             task_costs=total_threads,  # unit-cost threads, O(regions) memory
             worker_scales=self.service_times,
             buffers=[self.buffers // self.regions] * self.regions,
-            policy=policy,
+            policy=HoistedBufferPolicy() if hoisted else RoundRobinPolicy(),
             collect_assignments=False,
         )
         shares = result.shares_percent()

@@ -8,22 +8,21 @@ import time
 import pytest
 
 from repro.runtime.gateway.admission import (
+    COLD_CAPACITY_RPS,
+    MAX_RETRY_S,
+    MIN_RETRY_S,
     AdmissionController,
     PoolService,
     overload_envelope,
 )
 from repro.runtime.engine import Request
 from repro.runtime.pool import WorkerPool
-from repro.sim.policies import pool_drain_rps
 
 
-class TestPoolDrainRps:
-    def test_sums_measured_rates(self):
-        assert pool_drain_rps([10.0, 5.0, 0.0]) == 15.0
-
-    def test_unmeasured_pool_falls_back_to_default(self):
-        assert pool_drain_rps([0.0, 0.0], default=25.0) == 25.0
-        assert pool_drain_rps([], default=25.0) == 25.0
+def fresh_payloads(seeds, n):
+    """``n`` cheap requests that each reach a worker (no two share a seed)."""
+    return [{"app": "hash-table", "n_threads": 2, "seed": next(seeds)}
+            for _ in range(n)]
 
 
 class TestAdmissionController:
@@ -43,31 +42,61 @@ class TestAdmissionController:
         assert not decision.admitted
         assert controller.snapshot().rejected == 1
 
-    def test_derived_budget_tracks_worker_rates(self):
-        controller = AdmissionController(headroom=2.0, default_drain_rps=100.0)
-        assert controller.limit == 200  # cold: default drain x headroom
-        controller.update_rates([10.0, 5.0])
-        assert controller.drain_rps == 15.0
-        assert controller.limit == 30
+    def test_derived_budget_is_capacity_times_headroom(self):
+        controller = AdmissionController(headroom=2.0)
+        snapshot = controller.snapshot(15.0)
+        assert snapshot.limit == 30 and snapshot.drain_rps == 15.0
 
-    def test_own_drain_measurements_beat_worker_rates(self):
-        controller = AdmissionController(headroom=1.0)
-        controller.update_rates([1000.0])
-        controller.observe_drain(served=10, elapsed_s=1.0)  # measured: 10 rps
-        assert controller.drain_rps == pytest.approx(10.0)
-        assert controller.limit == 10
+    def test_cold_capacity_is_the_module_constant(self):
+        controller = AdmissionController(headroom=2.0)
+        snapshot = controller.snapshot(0.0)  # no worker has served yet
+        assert snapshot.drain_rps == COLD_CAPACITY_RPS == 100.0
+        assert snapshot.limit == 200
+        assert controller.try_acquire(1).limit == 200
 
-    def test_retry_after_scales_with_excess_and_is_clamped(self):
-        controller = AdmissionController(
-            max_inflight=0, min_retry_s=0.05, max_retry_s=3.0
-        )
-        controller.observe_drain(served=10, elapsed_s=1.0)  # 10 rps drain
-        small = controller.try_acquire(1)
-        large = controller.try_acquire(20)
-        assert small.retry_after_s == pytest.approx(0.1)  # 1 / 10 rps
-        assert large.retry_after_s == pytest.approx(2.0)  # 20 / 10 rps
-        huge = controller.try_acquire(1000)
-        assert huge.retry_after_s == 3.0  # clamped
+    @pytest.mark.parametrize("n", [1, 2, 3, 500])
+    def test_an_idle_server_admits_a_call_of_any_size(self, n):
+        controller = AdmissionController(headroom=0.5)  # budget 2 at 4 rps
+        decision = controller.try_acquire(n, capacity_rps=4.0)
+        assert decision.admitted
+        assert decision.limit == 2 and decision.inflight == n
+
+    def test_a_call_over_the_budget_runs_alone(self):
+        controller = AdmissionController(headroom=0.1)
+        assert controller.try_acquire(5, capacity_rps=10.0).admitted
+        shed = controller.try_acquire(1, capacity_rps=10.0)
+        assert not shed.admitted and shed.inflight == 5
+        controller.release(5)
+        assert controller.try_acquire(1, capacity_rps=10.0).admitted
+
+    def test_a_busy_server_sheds_past_the_derived_budget(self):
+        controller = AdmissionController(headroom=2.0)  # budget 20 at 10 rps
+        assert controller.try_acquire(15, capacity_rps=10.0).admitted
+        assert controller.try_acquire(5, capacity_rps=10.0).admitted
+        shed = controller.try_acquire(1, capacity_rps=10.0)
+        assert not shed.admitted
+        assert (shed.inflight, shed.limit) == (20, 20)
+        assert controller.snapshot(10.0).rejected == 1
+
+    def test_a_fixed_budget_refuses_an_oversized_call_on_an_idle_server(self):
+        controller = AdmissionController(max_inflight=4)
+        decision = controller.try_acquire(5, capacity_rps=1000.0)
+        assert not decision.admitted
+        assert (decision.inflight, decision.limit) == (0, 4)
+
+    @pytest.mark.parametrize("n, capacity, retry", [
+        (1, 10.0, 1 / 10.0),
+        (20, 10.0, 20 / 10.0),
+        (20, 0.0, 20 / COLD_CAPACITY_RPS),   # cold
+        (1, 1000.0, MIN_RETRY_S),            # clamped up
+        (1000, 10.0, MAX_RETRY_S),           # clamped down
+    ])
+    def test_retry_after_is_excess_over_capacity_clamped(self, n, capacity, retry):
+        controller = AdmissionController(max_inflight=0)
+        decision = controller.try_acquire(n, capacity_rps=capacity)
+        assert not decision.admitted
+        assert decision.retry_after_s == retry
+        assert (MIN_RETRY_S, MAX_RETRY_S) == (0.05, 10.0)
 
     def test_counters_and_peak(self):
         controller = AdmissionController(max_inflight=5)
@@ -164,22 +193,37 @@ class TestPoolService:
 
     def test_malformed_payloads_do_not_poison_the_drain_estimate(self):
         """Rejected-at-submit payloads must not count as drained work."""
-        controller = AdmissionController()
         with WorkerPool(workers=2, mode="inline") as pool:
-            service = PoolService(pool, controller)
+            service = PoolService(pool, AdmissionController())
             result = service.serve_payloads([{"bogus": 1}] * 32)
+            capacity = pool.capacity_rps()
+            stats = service.stats_payload()
         assert all(not r["ok"] for r in result.results)
-        # An empty flush over 32 garbage payloads would otherwise record a
-        # near-infinite rps sample and blow the admission budget open.
-        assert controller._estimator.rate == 0.0
+        # No worker served anything: the budget is still the cold one.
+        assert capacity == 0.0
+        assert stats["admission"]["drain_rps"] == COLD_CAPACITY_RPS
 
     def test_flushes_feed_the_drain_estimate(self):
-        controller = AdmissionController()
         with WorkerPool(workers=2, mode="inline") as pool:
-            service = PoolService(pool, controller)
+            service = PoolService(pool, AdmissionController())
             service.serve_payloads([{"app": "search", "n_threads": 2}] * 4)
-        assert controller._estimator.rate > 0.0
-        assert controller._worker_rates  # worker EWMA rates installed too
+            capacity = pool.capacity_rps()
+            stats = service.stats_payload()
+        assert capacity > 0.0
+        assert stats["admission"]["drain_rps"] == round(capacity, 2)
+
+    def test_an_idle_server_serves_a_batch_larger_than_the_budget(self):
+        seeds = itertools.count()
+        controller = AdmissionController(headroom=0.05)
+        with WorkerPool(workers=1, mode="inline", service_delays=[0.02]) as pool:
+            service = PoolService(pool, controller)
+            # One slow request: under 50 requests per busy second.
+            assert not service.serve_payloads(fresh_payloads(seeds, 1)).shed
+            assert service.stats_payload()["admission"]["limit"] < 10
+            result = service.serve_payloads(fresh_payloads(seeds, 10))
+        assert not result.shed
+        assert [r["ok"] for r in result.results] == [True] * 10
+        assert controller.snapshot().inflight == 0
 
 
 class TestOpTable:
@@ -201,19 +245,25 @@ class TestOpTable:
         assert 'frontdoor_requests_total{endpoint="door-b",status="error"} 1' in text
 
     def test_a_shed_call_is_one_429_envelope_with_the_unrounded_hint(self):
-        controller = AdmissionController(max_inflight=0, min_retry_s=0.12345678)
-        with WorkerPool(workers=1, mode="inline") as pool:
+        controller = AdmissionController(max_inflight=0)
+        with WorkerPool(workers=1, mode="inline", service_delays=[0.1]) as pool:
+            # About 10 requests per busy second, so each hint is ~0.1 s per
+            # request: above the clamp, and not a round number.
+            pool.process([Request.from_dict(self.REQUEST)])
+            capacity = pool.capacity_rps()
             service = PoolService(pool, controller)
             replies = [
                 service.request(dict(self.REQUEST), "x"),
                 service.batch([dict(self.REQUEST)] * 3, "x"),
             ]
         for reply, requested in zip(replies, (1, 3)):
-            assert reply.status == 429 and reply.retry_after_s == 0.12345678
+            hint = requested / capacity
+            assert reply.status == 429 and reply.retry_after_s == hint
+            assert hint != round(hint, 3)
             assert list(reply.payload) == [
                 "ok", "error", "code", "retry_after_s", "requested", "limit"
             ]
-            assert reply.payload["retry_after_s"] == 0.12345678
+            assert reply.payload["retry_after_s"] == hint
             assert reply.payload["requested"] == requested
         assert service.shed == 4
 
@@ -359,14 +409,15 @@ class TestTwoLockFlush:
         with WorkerPool(workers=1, mode="inline") as pool:
             service = PoolService(pool, controller)
             service.serve_payloads([self.HIT])          # a miss: measured
-            drain = controller.drain_rps
-            assert 0.0 < drain < 10_000
+            capacity = pool.capacity_rps()
+            assert 0.0 < capacity < 10_000
             for _ in range(50):
                 assert service.serve_payloads([self.HIT]).results[0]["ok"]
             stats = service.stats_payload()
             scrape = service.metrics_text()
-        # Fifty replays in ~20 us each would read as tens of thousands of rps.
-        assert controller.drain_rps == drain
+            # Fifty replays in ~20 us each would read as tens of thousands
+            # of rps; no worker served them, so capacity did not move.
+            assert pool.capacity_rps() == capacity
         assert stats["admission"]["admitted"] == 51
         assert stats["admission"]["inflight"] == 0
         assert stats["pool"]["result_cache"]["hits"] == 50
@@ -389,27 +440,19 @@ class TestOverloadIntegration:
         )
         # Every request gets a seed of its own: a repeat would be replayed by
         # the dispatcher, and only work that reaches a (slow) worker
-        # saturates the pool or feeds the drain estimate.  `next` on a
-        # `count` is atomic, so the client threads can share it.
+        # saturates the pool or feeds its capacity.  `next` on a `count` is
+        # atomic, so the client threads can share it.
         seeds = itertools.count()
 
-        def fresh(n):
-            return [{"app": "hash-table", "n_threads": 2, "seed": next(seeds)}
-                    for _ in range(n)]
-
         with pool:
-            # Pay numpy import and the compile before anything is measured:
-            # a drain rate taken over a cold first flush is under 80 rps,
-            # whose budget (x 0.05 s = 3) sheds the warm-up batches.
-            pool.process([Request.from_dict(p) for p in fresh(2)])
             service = PoolService(pool, controller)
-            # Warm up so the budget comes from measured drain, not defaults.
-            # Batches of 4 fit even the cold default budget (100 rps x 0.05s).
+            # Warm up so the budget comes from measured capacity, not the
+            # cold constant; one call at a time finds the server idle.
             for round_ in range(5):
-                warm = service.serve_payloads(fresh(4))
+                warm = service.serve_payloads(fresh_payloads(seeds, 4))
                 assert not warm.shed
                 assert all(r["ok"] for r in warm.results)
-            drain = controller.drain_rps
+            drain = pool.capacity_rps()
             assert drain > 0.0
 
             # Offered load: 6 closed-loop clients x batches of 8 against a
@@ -419,7 +462,7 @@ class TestOverloadIntegration:
 
             def client():
                 for _ in range(6):
-                    result = service.serve_payloads(fresh(8))
+                    result = service.serve_payloads(fresh_payloads(seeds, 8))
                     with results_lock:
                         results.append(result)
 

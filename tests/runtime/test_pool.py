@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.runtime.engine import Engine, EngineError, Request
-from repro.runtime.pool import PoolError, WorkerPool
+from repro.runtime.cache import CacheStats
+from repro.runtime.engine import Batch, Engine, EngineError, Request
+from repro.runtime.pool import PoolError, WorkerPool, WorkerSnapshot
 from repro.runtime.telemetry import render_prometheus
 from repro.runtime.trace import TraceConfig, synthetic_trace
 
@@ -190,8 +191,20 @@ class TestProcessPool:
         json.dumps(report.to_dict())
 
 
+def worker_report(index, requests=0, busy_s=0.0):
+    """A hand-set worker report: only ``requests`` and ``busy_s`` matter."""
+    return WorkerSnapshot(index=index, batches=requests, requests=requests,
+                          program_cache=CacheStats(), busy_s=busy_s)
+
+
+def sized_batches(*sizes):
+    """One batch of ``n`` requests per size."""
+    return [Batch(i, "key", [(j, Request(app="search")) for j in range(n)])
+            for i, n in enumerate(sizes)]
+
+
 class TestMeasuredRateDispatch:
-    """Workers time their flushes; the admission budget reads the rates."""
+    """Workers time their flushes; admission and hang deadlines read it."""
 
     def _trace(self, size=24):
         return synthetic_trace(TraceConfig(
@@ -210,9 +223,48 @@ class TestMeasuredRateDispatch:
             assert row["busy_s"] > 0.0
             assert row["service_rate_rps"] > 0.0
 
+    def test_capacity_sums_requests_per_busy_second(self):
+        with WorkerPool(workers=3, mode="inline") as pool:
+            assert pool.capacity_rps() == 0.0  # nothing served yet
+            pool.last_snapshots = [
+                worker_report(0, requests=10, busy_s=0.5),
+                worker_report(1, requests=3, busy_s=1.0),
+                worker_report(2),
+            ]
+            rates = [s.service_rate_rps for s in pool.last_snapshots]
+            capacity = pool.capacity_rps()
+            rows = pool.stats_row()["workers"]
+        assert rates == [20.0, 3.0, 0.0]
+        assert capacity == 23.0
+        assert [row["service_rate_rps"] for row in rows] == rates
+
     def test_service_delays_validated(self):
         with pytest.raises(PoolError):
             WorkerPool(workers=2, service_delays=[0.1])
+
+
+class TestHangDeadline:
+    """A process worker's reply deadline, from hand-set snapshots."""
+
+    def test_warm_cold_and_unmeasured_workers(self):
+        with WorkerPool(workers=1, mode="process", hang_deadline_factor=8.0,
+                        hang_deadline_min_s=1.0,
+                        hang_cold_deadline_s=120.0) as pool:
+            unmeasured = pool._collect_deadline_s(0, sized_batches(3, 2))
+            pool.last_snapshots[0] = worker_report(0, requests=40, busy_s=2.0)
+            # 8 x 5 requests x 2.0 busy seconds / 40 requests.
+            warm = pool._collect_deadline_s(0, sized_batches(3, 2))
+            floored = pool._collect_deadline_s(0, sized_batches(1))  # 0.4 s
+            cold = pool._collect_deadline_s(0, sized_batches(3, 2), cold=True)
+        assert unmeasured == 120.0
+        assert warm == pytest.approx(2.0)
+        assert floored == 1.0
+        assert cold == 120.0
+
+    def test_inline_workers_have_no_deadline(self):
+        with WorkerPool(workers=1, mode="inline") as pool:
+            pool.last_snapshots[0] = worker_report(0, requests=40, busy_s=2.0)
+            assert pool._collect_deadline_s(0, sized_batches(3, 2)) is None
 
 
 class TestResultTier:

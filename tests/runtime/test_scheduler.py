@@ -1,4 +1,4 @@
-"""Figure 14 admission policies and the measured service-rate estimate."""
+"""Figure 14 admission policies and their discrete-event loop."""
 
 import tracemalloc
 
@@ -6,12 +6,9 @@ import pytest
 
 from repro.sim.load_balance import LoadBalanceSimulator
 from repro.sim.policies import (
-    POLICIES,
     AdmissionPolicy,
     HoistedBufferPolicy,
-    LeastLoadedPolicy,
     RoundRobinPolicy,
-    make_policy,
     run_admission,
 )
 
@@ -26,16 +23,6 @@ class TestPolicyChoice:
         policy.reset()
         assert policy.choose([1, 1, 1], [0.0, 0.0, 0.0]) == 0
 
-    def test_least_loaded_picks_least_pending_worker_with_a_free_buffer(self):
-        policy = LeastLoadedPolicy()
-        # Worker 1 is idle but has no free buffer.
-        assert policy.choose([1, 0, 1], [3.0, 0.0, 2.0]) == 2
-        # Equal pending work goes to the lower index.
-        assert policy.choose([1, 1, 1], [1.0, 0.5, 0.5]) == 1
-
-    def test_least_loaded_waits_when_no_buffer_is_free(self):
-        assert LeastLoadedPolicy().choose([0, 0], [1.0, 1.0]) is None
-
     def test_hoisted_buffer_skips_workers_without_a_free_buffer(self):
         policy = HoistedBufferPolicy()
         picks = [policy.choose([0, 1, 1], [0.0, 0.0, 0.0]) for _ in range(3)]
@@ -44,20 +31,14 @@ class TestPolicyChoice:
     def test_hoisted_buffer_waits_when_no_buffer_is_free(self):
         assert HoistedBufferPolicy().choose([0, 0], [1.0, 1.0]) is None
 
-    def test_make_policy_resets_an_instance_it_is_given(self):
-        policy = RoundRobinPolicy()
-        policy.choose([1, 1], [0.0, 0.0])
-        assert make_policy(policy) is policy
-        assert policy.choose([1, 1], [0.0, 0.0]) == 0
-
 
 class TestAdmissionLoop:
     def test_buffer_and_scale_lists_must_match(self):
         with pytest.raises(ValueError):
-            run_admission([1.0] * 3, [1.0, 1.0], [4], "least-loaded")
+            run_admission([1.0] * 3, [1.0, 1.0], [4], HoistedBufferPolicy())
 
     def test_empty_trace(self):
-        result = run_admission([], [1.0, 1.0], [2, 2], "hoisted-buffer")
+        result = run_admission([], [1.0, 1.0], [2, 2], HoistedBufferPolicy())
         assert result.assignments == []
         assert result.counts == [0, 0]
         assert result.makespan == 0.0
@@ -65,11 +46,17 @@ class TestAdmissionLoop:
 
     def test_each_task_is_charged_cost_times_worker_scale(self):
         result = run_admission([0.5, 0.25, 0.25], [1.0, 2.0], [4, 4],
-                               "round-robin")
+                               RoundRobinPolicy())
         assert result.assignments == [0, 1, 0]
         assert result.busy_time == pytest.approx([0.75, 0.5])
         assert result.makespan == pytest.approx(0.75)
         assert result.shares_percent() == pytest.approx([200 / 3, 100 / 3])
+
+    def test_the_policy_it_is_given_is_reset_first(self):
+        policy = RoundRobinPolicy()
+        policy.choose([1, 1], [0.0, 0.0])
+        result = run_admission([1.0, 1.0], [1.0, 1.0], [2, 2], policy)
+        assert result.assignments == [0, 1]
 
     def test_a_policy_that_never_admits_stalls_loudly(self):
         class Never(AdmissionPolicy):
@@ -78,13 +65,6 @@ class TestAdmissionLoop:
 
         with pytest.raises(RuntimeError, match="stalled"):
             run_admission([1.0], [1.0], [1], Never())
-
-    def test_least_loaded_beats_round_robin_makespan(self):
-        scales, buffers = [2.0, 1.0, 1.0, 1.0], [8] * 4
-        balanced = run_admission(4000, scales, buffers, "least-loaded")
-        static = run_admission(4000, scales, buffers, "round-robin")
-        assert static.makespan == pytest.approx(2000.0)
-        assert balanced.makespan < static.makespan
 
 
 class TestFigure14Simulator:
@@ -95,33 +75,21 @@ class TestFigure14Simulator:
         simulator = LoadBalanceSimulator(regions=8, buffers=64,
                                          slow_factor=1.3)
         expected = run_admission(100_000, [1.3] + [1.0] * 7, [8] * 8,
-                                 "hoisted-buffer")
+                                 HoistedBufferPolicy())
         shares = [load.share_percent for load in simulator.run(100_000)]
         assert shares == expected.shares_percent()
 
-    def test_policy_override_replaces_the_hoisted_default(self):
+    def test_unhoisted_run_partitions_statically(self):
         simulator = LoadBalanceSimulator(regions=4, slow_factor=2.0)
         static = simulator.run(1000, hoisted=False)
-        named = simulator.run(1000, policy="round-robin")
         assert [load.threads for load in static] == [250] * 4
-        assert [load.threads for load in named] == [250] * 4
         assert simulator.completion_time(static) == pytest.approx(500.0)
 
 
 class TestPolicies:
-    def test_registry_names(self):
-        assert set(POLICIES) == {"round-robin", "least-loaded",
-                                 "hoisted-buffer"}
-        for name in POLICIES:
-            assert make_policy(name).name == name
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            make_policy("fifo")
-
     def test_round_robin_ignores_load(self):
         result = run_admission([1.0] * 9, [5.0, 1.0, 1.0], [2, 2, 2],
-                               "round-robin")
+                               RoundRobinPolicy())
         assert result.counts == [3, 3, 3]
         assert result.assignments[:3] == [0, 1, 2]
 
@@ -132,38 +100,16 @@ class TestPolicies:
         tracemalloc.start()
         try:
             result = run_admission(1_000_000, [1.3] + [1.0] * 7, [8] * 8,
-                                   "round-robin", collect_assignments=False)
+                                   RoundRobinPolicy(), collect_assignments=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
         assert result.counts == [125_000] * 8
 
-    def test_least_loaded_prefers_fast_workers(self):
-        result = run_admission([1.0] * 90, [3.0, 1.0, 1.0], [4, 4, 4],
-                               "least-loaded")
-        assert result.counts[0] < result.counts[1]
-        assert result.counts[0] < result.counts[2]
-
     def test_hoisted_buffer_tracks_throughput(self):
         result = run_admission([1.0] * 10_000, [2.0, 1.0], [8, 8],
-                               "hoisted-buffer")
+                               HoistedBufferPolicy())
         share_slow = result.counts[0] / sum(result.counts)
         # Twice-as-slow worker converges to ~1/3 of the work.
         assert share_slow == pytest.approx(1 / 3, abs=0.02)
-
-
-class TestMeasuredRates:
-    """Measured service rates: what the admission budget is sized from."""
-
-    def test_estimator_ewma(self):
-        from repro.sim.policies import ServiceRateEstimator
-
-        est = ServiceRateEstimator(alpha=0.5)
-        assert est.rate == 0.0
-        assert est.observe(10, 1.0) == pytest.approx(10.0)   # first sample
-        assert est.observe(20, 1.0) == pytest.approx(15.0)   # 0.5*20 + 0.5*10
-        # Degenerate measurements leave the estimate untouched.
-        assert est.observe(0, 1.0) == pytest.approx(15.0)
-        assert est.observe(10, 0.0) == pytest.approx(15.0)
-

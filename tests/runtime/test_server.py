@@ -473,26 +473,32 @@ class TestBackpressure:
         assert len(sleeps) == 1  # one shed round-trip, then success
         assert sleeps[0] > 0
 
-    def test_never_admittable_batch_fails_fast_without_retrying(self):
-        """A batch larger than the whole budget is not worth re-sending."""
-        from repro.runtime.client import OverloadedError
+    def test_batch_over_the_derived_budget_is_retried_then_served(self):
+        """Shed while another call holds tokens; admitted once the pool idles."""
         from repro.runtime.gateway.admission import AdmissionController
 
-        controller = AdmissionController(max_inflight=2)
+        controller = AdmissionController(headroom=0.02)  # cold budget: 2
+        assert controller.try_acquire(1).admitted  # another call in flight
         pool, instance, thread = self.make_server(controller)
         sleeps = []
+
+        def fake_sleep(seconds):
+            sleeps.append(seconds)
+            controller.release(1)  # the other call completes
+
         try:
             host, port = instance.server_address[:2]
             with RuntimeClient(
                 host, port, timeout=30.0,
-                max_retries_429=5, sleep=sleeps.append,
+                max_retries_429=5, sleep=fake_sleep,
             ) as client:
-                with pytest.raises(OverloadedError):
-                    client.batch([{"app": "search", "n_threads": 2}] * 5)
+                replies = client.batch([{"app": "search", "n_threads": 2}] * 5)
         finally:
             self.teardown_server(pool, instance, thread)
-        assert sleeps == []  # retrying 5 > 2 can never succeed: no backoff
-        assert controller.snapshot().rejected == 5  # one attempt, not six
+        assert [r["ok"] for r in replies] == [True] * 5
+        assert len(sleeps) == 1  # shed once (5 > limit 2), then served
+        snapshot = controller.snapshot()
+        assert (snapshot.rejected, snapshot.admitted) == (5, 6)
 
     def test_retry_budget_exhaustion_surfaces_the_envelope(self):
         from repro.runtime.gateway.admission import AdmissionController
