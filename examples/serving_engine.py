@@ -60,8 +60,8 @@ def main() -> None:
               + (f"  [{' '.join(tags)}]" if tags else ""))
 
     print("\nraw-source output:", memory.segment_data("out"))
-    print("program cache    :", engine.program_cache_stats.as_dict())
-    print("result cache     :", engine.result_cache_stats.as_dict())
+    print("program cache    :", engine.program_cache_stats.to_dict())
+    print("result cache     :", engine.result_cache_stats.to_dict())
     print("requests served  :", engine.served)
 
 

@@ -23,16 +23,17 @@ serving layer:
 * :mod:`repro.runtime.server` / :mod:`repro.runtime.client` — the
   persistent service: one threaded listener class framing the front
   door's operations as NDJSON-over-TCP (and, on a second port, HTTP/1.1),
-  and its client (plus the CI smoke drivers, ``python -m
-  repro.runtime.client --smoke`` / ``--smoke-http``).  Both are ``python
-  -m`` entry points, so import them by module path, not from this package.
+  and its client (plus the CI smoke driver, ``python -m
+  repro.runtime.client --smoke``).  Both are ``python -m`` entry points,
+  so import them by module path, not from this package.
 * :mod:`repro.runtime.gateway` — the front door itself: rate-aware
   admission control (429 + ``Retry-After`` beyond the measured token
   budget), the :class:`PoolService` table of operations, which does not
   know which framing calls it, and the HTTP framing (a blocking handler
   on the same threaded listener) with chunked streaming and
   slow-reader/idle handling.
-* :mod:`repro.runtime.trace` — synthetic repeated-app request traces.
+* :mod:`repro.runtime.trace` — synthetic repeated-app request traces
+  (tests and the smoke).
 * :mod:`repro.runtime.telemetry` / :mod:`repro.runtime.logs` — the
   observability plane: a snapshot-mergeable metrics registry (counters,
   gauges, log-bucketed latency histograms) rendered as Prometheus text on
@@ -40,10 +41,9 @@ serving layer:
   with a top-K slowest ring (``GET /v1/slow``), and structured (optionally
   JSON) logging for restarts, breaker trips, and sheds.
 
-``python -m repro.runtime`` replays a trace end to end and reports
-throughput, cache hit rates, and the per-worker table;
-``python -m repro.runtime.server`` serves the same engine as a long-lived
-socket process.
+``python -m repro.runtime.server`` serves the engine as a long-lived
+socket process; a shell drives it through ``python -m
+repro.runtime.client``.
 """
 
 from repro.runtime.cache import CacheStats, LRUCache, ProgramCache, program_key

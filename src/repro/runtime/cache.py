@@ -65,10 +65,6 @@ class CacheStats:
             "hit_rate": round(self.hit_rate, 4),
         }
 
-    def as_dict(self) -> Dict[str, float]:
-        """Alias of :meth:`to_dict` (historical name used by benchmarks)."""
-        return self.to_dict()
-
     def snapshot(self) -> "CacheStats":
         """An independent copy, safe to ship across a process boundary."""
         return replace(self)

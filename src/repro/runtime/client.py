@@ -1,33 +1,26 @@
-"""Client for the runtime server's NDJSON protocol, plus the CI smoke drivers.
+"""Client for the runtime server's NDJSON protocol, plus the CI smoke driver.
 
 :class:`RuntimeClient` is the programmatic side of
 :mod:`repro.runtime.server`: one TCP connection, one JSON object per line,
-blocking round-trips — now with a connect timeout (and bounded connect
+blocking round-trips — with a connect timeout (and bounded connect
 retries), a read timeout on every round-trip, and bounded exponential
 backoff that honors the server's ``retry_after_s`` hint when the front
-door sheds load with a 429 envelope.
+door sheds load with a 429 envelope.  The client keeps no counters of its
+own: the server exports every one (``stats`` op, ``GET /metrics``).
 
 ``python -m repro.runtime.client --smoke`` is the end-to-end self-test CI
-runs on every Python version: it spawns a server subprocess on a free
-port, drives a synthetic trace through ``batch`` round-trips, checks every
-response, and asserts the server shuts down cleanly (exit code 0) on the
-``shutdown`` op.  ``--smoke-http`` does the same through the HTTP door:
-plain requests, a chunked ``/v1/stream`` (asserting the first response
-arrives before the last), and a deterministic 429 + ``Retry-After``
-exercise against the admission budget.  ``--smoke-metrics`` is the
-telemetry exercise: traced traffic over an injected worker fault, then a
-``GET /metrics`` scrape cross-checked against ``/v1/stats``.
-
-The client also keeps its own counters — round-trip latency quantiles,
-reconnects, 429 sheds, and backoff time — exposed without a server
-round-trip via :meth:`RuntimeClient.local_stats` (and folded into
-:meth:`RuntimeClient.stats` under the ``"client"`` key).
+runs on every Python version: it spawns a server subprocess with both
+doors open and one injected worker kill, drives traced and untraced
+traffic through NDJSON ``batch`` round-trips and the HTTP routes
+(request, batch, chunked stream), cross-checks ``GET /metrics`` against
+the ``stats`` op, and asserts the server shuts down cleanly (exit code 0)
+on the ``shutdown`` op.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
+import http.client
 import json
 import socket
 import subprocess
@@ -35,13 +28,14 @@ import sys
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.runtime.telemetry import Histogram
 
 LISTENING_PREFIX = "runtime-server listening on "
 HTTP_LISTENING_PREFIX = "runtime-server http listening on "
+#: Longest pause between connect or 429 retries, seconds.
+MAX_BACKOFF_S = 2.0
 
 
 class ClientError(ReproError):
@@ -76,10 +70,11 @@ class RuntimeClient:
     server may not be accepting yet).  ``max_retries_429`` is how many
     times :meth:`request`/:meth:`batch` re-send after an overload envelope,
     sleeping the server's ``retry_after_s`` hint (clamped to
-    ``max_backoff_s``) between attempts; 0 surfaces the envelope directly.
-    ``reconnect_retries`` bounds how many times :meth:`request` reconnects
-    and re-sends after the connection drops mid-round-trip (idempotent
-    single requests only); 0 surfaces :class:`ConnectionLostError`.
+    :data:`MAX_BACKOFF_S`) between attempts; 0 surfaces the envelope
+    directly.  ``reconnect_retries`` bounds how many times :meth:`request`
+    reconnects and re-sends after the connection drops mid-round-trip
+    (idempotent single requests only); 0 surfaces
+    :class:`ConnectionLostError`.
     """
 
     def __init__(
@@ -93,7 +88,6 @@ class RuntimeClient:
         max_retries_429: int = 0,
         reconnect_retries: int = 1,
         backoff_s: float = 0.05,
-        max_backoff_s: float = 2.0,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.host = host
@@ -102,31 +96,10 @@ class RuntimeClient:
         self.max_retries_429 = max_retries_429
         self.reconnect_retries = max(0, reconnect_retries)
         self.backoff_s = backoff_s
-        self.max_backoff_s = max_backoff_s
         self._sleep = sleep
         self._connect_timeout = connect_timeout
         self._connect_retries = max(0, connect_retries)
-        # Client-side observability: load generators (and the future
-        # autoscaler) read these via local_stats()/stats() without any
-        # server round-trip of their own.
-        self._stats_lock = threading.Lock()
-        self._counters: Dict[str, float] = {
-            "roundtrips": 0,
-            "errors": 0,
-            "reconnects": 0,
-            "sheds_429": 0,
-            "backoff_sleeps": 0,
-            "backoff_s_total": 0.0,
-        }
-        self._latency = Histogram(
-            "client_roundtrip_seconds",
-            "Client-observed round-trip wall clock (successful replies).",
-        )
         self._connect()
-
-    def _count(self, name: str, amount: float = 1.0) -> None:
-        with self._stats_lock:
-            self._counters[name] += amount
 
     def _connect(self) -> None:
         """(Re-)establish the connection with bounded, backed-off retries."""
@@ -143,7 +116,7 @@ class RuntimeClient:
                 last_error = error
                 if attempt + 1 < attempts:
                     self._sleep(delay)
-                    delay = min(delay * 2, self.max_backoff_s)
+                    delay = min(delay * 2, MAX_BACKOFF_S)
         else:
             raise ClientError(
                 f"cannot connect to {self.host}:{self.port}: {last_error}"
@@ -167,7 +140,6 @@ class RuntimeClient:
 
     def roundtrip(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Send one JSON line, block for one JSON line back."""
-        started = time.perf_counter()
         try:
             self._file.write(json.dumps(payload).encode("utf-8") + b"\n")
             self._file.flush()
@@ -175,24 +147,17 @@ class RuntimeClient:
         except TimeoutError as error:
             # Timeouts are NOT connection loss: the request may still be
             # executing server-side, so no automatic retry.
-            self._count("errors")
             raise ClientError(
                 f"server round-trip failed after {self.timeout}s: {error}"
             )
         except OSError as error:
-            self._count("errors")
             raise ConnectionLostError(f"connection lost mid-round-trip: {error}")
         if not line:
-            self._count("errors")
             raise ConnectionLostError("server closed the connection")
         try:
-            reply = json.loads(line)
+            return json.loads(line)
         except json.JSONDecodeError as error:
-            self._count("errors")
             raise ClientError(f"unreadable server reply: {error}")
-        self._latency.observe(time.perf_counter() - started)
-        self._count("roundtrips")
-        return reply
 
     def _roundtrip_with_backoff(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Round-trip, retrying overload envelopes per the server's hint."""
@@ -201,16 +166,10 @@ class RuntimeClient:
         for _ in range(self.max_retries_429):
             if reply.get("code") != 429:
                 return reply
-            self._count("sheds_429")
             hint = float(reply.get("retry_after_s") or 0.0)
-            pause = min(max(hint, delay), self.max_backoff_s)
-            self._count("backoff_sleeps")
-            self._count("backoff_s_total", pause)
-            self._sleep(pause)
-            delay = min(delay * 2, self.max_backoff_s)
+            self._sleep(min(max(hint, delay), MAX_BACKOFF_S))
+            delay = min(delay * 2, MAX_BACKOFF_S)
             reply = self.roundtrip(payload)
-        if reply.get("code") == 429:
-            self._count("sheds_429")
         return reply
 
     # -- protocol ops -------------------------------------------------------
@@ -220,43 +179,8 @@ class RuntimeClient:
         return self.roundtrip({"op": "ping"})
 
     def stats(self) -> Dict[str, Any]:
-        """Fetch served/shed counters and per-worker cache stats.
-
-        The server's envelope is augmented with a ``"client"`` section —
-        :meth:`local_stats` — so one call shows both sides of the wire.
-        """
-        reply = self.roundtrip({"op": "stats"})
-        if isinstance(reply, dict):
-            reply["client"] = self.local_stats()
-        return reply
-
-    def local_stats(self) -> Dict[str, Any]:
-        """This client's own counters; no server round-trip involved.
-
-        Round-trip latency quantiles come from the same log-spaced bucket
-        histogram the server uses, so client- and server-side latency are
-        directly comparable.
-        """
-        with self._stats_lock:
-            counters = dict(self._counters)
-        child = self._latency.snapshot_values().get((), None)
-        count = child["count"] if child else 0
-        mean = child["sum"] / count if count else 0.0
-        return {
-            "roundtrips": int(counters["roundtrips"]),
-            "errors": int(counters["errors"]),
-            "reconnects": int(counters["reconnects"]),
-            "sheds_429": int(counters["sheds_429"]),
-            "backoff_sleeps": int(counters["backoff_sleeps"]),
-            "backoff_s_total": round(counters["backoff_s_total"], 6),
-            "latency": {
-                "count": count,
-                "mean_s": round(mean, 6),
-                "p50_s": round(self._latency.quantile(0.5), 6),
-                "p95_s": round(self._latency.quantile(0.95), 6),
-                "p99_s": round(self._latency.quantile(0.99), 6),
-            },
-        }
+        """Fetch the server's ``stats`` envelope: counters and pool view."""
+        return self.roundtrip({"op": "stats"})
 
     def request(self, **fields: Any) -> Dict[str, Any]:
         """Serve one request, e.g. ``client.request(app="strlen", seed=1)``.
@@ -277,9 +201,8 @@ class RuntimeClient:
             except ConnectionLostError:
                 self.close()
                 self._sleep(delay)
-                delay = min(delay * 2, self.max_backoff_s)
+                delay = min(delay * 2, MAX_BACKOFF_S)
                 self._connect()
-                self._count("reconnects")
         return self._roundtrip_with_backoff(payload)
 
     def batch(self, requests: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
@@ -367,173 +290,11 @@ def spawn_server(
     return process, host, port, http_host, http_port
 
 
-@contextlib.contextmanager
-def _smoke_server(
-    args: argparse.Namespace,
-    label: str,
-    seed: int,
-    extra_args: Sequence[str] = (),
-    expect_http: bool = False,
-) -> Iterator[tuple]:
-    """Spawn a server for one smoke; yields ``(payloads, *endpoints)``.
-
-    ``payloads`` is the smoke's synthetic trace and ``endpoints`` what
-    :func:`spawn_server` returned after the process.  Leaving the block
-    drives the ``shutdown`` op and requires exit code 0; a smoke that bails
-    out early leaves behind a server that is killed instead.
-    """
-    from repro.runtime.trace import TraceConfig, synthetic_trace
-
-    trace = TraceConfig(
-        size=args.requests,
-        apps=[name.strip() for name in args.apps.split(",") if name.strip()],
-        distinct_shapes=2,
-        n_threads=2,
-        seed=seed,
-    )
-    payloads = [request.to_dict() for request in synthetic_trace(trace)]
-    server_args = ["--workers", str(args.workers), "--pool-mode", args.pool_mode]
-    server_args += extra_args
-    process, *endpoints = spawn_server(server_args, expect_http=expect_http)
-    try:
-        yield (payloads, *endpoints)
-        with RuntimeClient(endpoints[0], endpoints[1], connect_retries=3) as client:
-            client.shutdown()
-        returncode = process.wait(timeout=60)
-    finally:
-        if process.poll() is None:
-            process.kill()
-    if returncode != 0:
-        # Exit status 1 with the message on stderr.
-        raise SystemExit(f"{label} FAILED: server exited {returncode}")
-
-
-def _smoke(args: argparse.Namespace) -> int:
-    """Spawn a server, drive a trace through it, assert a clean shutdown."""
-    # Chaos smoke: the server's pool must mask the injected faults — every
-    # response below still has to come back ok.
-    fault_args = ["--fault-plan", args.fault_plan] if args.fault_plan else []
-    with _smoke_server(args, "smoke", 11, fault_args) as (payloads, host, port):
-        with RuntimeClient(host, port, connect_retries=3) as client:
-            assert client.ping().get("ok"), "ping failed"
-            served: List[Dict[str, Any]] = []
-            for start in range(0, len(payloads), args.chunk):
-                served += client.batch(payloads[start : start + args.chunk])
-            bad = [r for r in served if not r.get("ok")]
-            if len(served) != len(payloads) or bad:
-                print(
-                    f"smoke FAILED: {len(bad)} bad of {len(served)} responses:"
-                    f" {bad[:3]}",
-                    file=sys.stderr,
-                )
-                return 1
-            stats = client.stats()
-            hit_rate = stats["pool"]["program_cache"]["hit_rate"]
-    print(
-        f"smoke ok: {len(served)} requests over {args.pool_mode} pool "
-        f"({args.workers} workers, "
-        f"program-cache hit rate {100 * hit_rate:.1f}%), clean shutdown"
-    )
-    return 0
-
-
-def _http_json(
-    connection, method: str, path: str, payload: Optional[Any] = None
-) -> Tuple[int, Dict[str, str], Any]:
-    """One stdlib ``http.client`` round-trip with a JSON body/reply."""
-    body = None if payload is None else json.dumps(payload)
-    connection.request(
-        method, path, body=body, headers={"Content-Type": "application/json"}
-    )
-    response = connection.getresponse()
-    headers = {k.lower(): v for k, v in response.getheaders()}
-    raw = response.read()
-    return response.status, headers, json.loads(raw) if raw else None
-
-
-def _smoke_http(args: argparse.Namespace) -> int:
-    """Spawn a server with both doors; mixed request/stream/429 exercise."""
-    import http.client
-
-    budget = 16
-    door_args = ["--http-port", "0", "--max-inflight", str(budget)]
-    with _smoke_server(args, "http smoke", 13, door_args, expect_http=True) as run:
-        payloads, _, _, http_host, http_port = run
-        connection = http.client.HTTPConnection(http_host, http_port, timeout=60)
-        status, _, health = _http_json(connection, "GET", "/healthz")
-        assert status == 200 and health["ok"], f"healthz failed: {health}"
-        # Plain requests and a batch within the admission budget.
-        status, _, reply = _http_json(connection, "POST", "/v1/request", payloads[0])
-        assert status == 200 and reply["ok"], f"/v1/request failed: {reply}"
-        chunk = min(args.chunk, budget)
-        served = 0
-        for start in range(0, len(payloads), chunk):
-            status, _, reply = _http_json(
-                connection,
-                "POST",
-                "/v1/batch",
-                {"requests": payloads[start : start + chunk]},
-            )
-            assert status == 200 and reply["ok"], f"/v1/batch failed: {reply}"
-            bad = [r for r in reply["responses"] if not r.get("ok")]
-            assert not bad, f"batch served bad responses: {bad[:3]}"
-            served += len(reply["responses"])
-        # Streaming: responses must arrive incrementally (first before last).
-        stream_n = min(6, len(payloads))
-        connection.request(
-            "POST",
-            "/v1/stream",
-            body=json.dumps({"requests": payloads[:stream_n], "chunk": 1}),
-            headers={"Content-Type": "application/json"},
-        )
-        response = connection.getresponse()
-        assert response.status == 200, f"/v1/stream status {response.status}"
-        lines: List[Dict[str, Any]] = []
-        while True:
-            line = response.readline()
-            if not line:
-                break
-            lines.append(json.loads(line))
-        assert len(lines) == stream_n, f"streamed {len(lines)}/{stream_n}"
-        assert all(r.get("ok") for r in lines), "streamed a bad response"
-        # A batch beyond the fixed budget must shed with 429 + Retry-After.
-        status, headers, reply = _http_json(
-            connection,
-            "POST",
-            "/v1/batch",
-            {"requests": [payloads[0]] * (budget + 8)},
-        )
-        assert status == 429, f"oversized batch got {status}, wanted 429"
-        assert "retry-after" in headers, "429 without a Retry-After header"
-        assert reply["code"] == 429 and reply["retry_after_s"] > 0
-        status, _, stats = _http_json(connection, "GET", "/v1/stats")
-        assert status == 200 and stats["admission"]["rejected"] >= budget + 8
-        assert stats["gateway"]["streamed_responses"] >= stream_n
-        connection.close()
-    print(
-        f"http smoke ok: {served} batched + {stream_n} streamed requests over "
-        f"{args.pool_mode} pool ({args.workers} workers), 429 shed at "
-        f"budget {budget}, clean shutdown"
-    )
-    return 0
-
-
-def _metric_value(text: str, name: str) -> float:
-    """Sum one family's sample values out of Prometheus text exposition."""
-    total = 0.0
-    found = False
-    for line in text.splitlines():
-        if not line.startswith(name):
-            continue
-        rest = line[len(name) :]
-        if rest[:1] not in (" ", "{"):
-            continue  # a longer family name sharing this prefix
-        found = True
-        total += float(line.rsplit(" ", 1)[1])
-    if not found:
-        raise AssertionError(f"metric family {name} missing from /metrics")
-    return total
-
+#: The smoke's traffic: cheap apps, two shapes each, ten requests a batch.
+SMOKE_APPS = ("hash-table", "search", "murmur3")
+SMOKE_CHUNK = 10
+#: Every smoke kills one worker; the pool must mask it.
+SMOKE_FAULT_PLAN = '[{"kind": "kill", "worker": 0, "after_batches": 1}]'
 
 _REQUIRED_FAMILIES = (
     "admission_admitted_total",
@@ -552,83 +313,160 @@ _REQUIRED_FAMILIES = (
 )
 
 
-def _smoke_metrics(args: argparse.Namespace) -> int:
-    """Telemetry smoke: mixed + faulted traffic, then scrape and cross-check.
+def _require(condition: bool, message: str) -> None:
+    """One smoke check; unlike ``assert`` it still runs under ``python -O``."""
+    if not condition:
+        raise AssertionError(message)
 
-    Spawns a server with both doors and one injected worker kill, drives
-    traced and untraced traffic plus a deliberate shed, then asserts (a)
-    every required metric family is present on ``GET /metrics``, (b) counter
-    values are consistent with ``/v1/stats``, (c) the NDJSON ``metrics``
-    op renders the same families, and (d) ``/v1/slow`` retained spans.
-    """
-    import http.client
 
-    budget = 16
-    fault_plan = args.fault_plan or (
-        '[{"kind": "kill", "worker": 0, "after_batches": 1}]'
+def _http_json(
+    connection, method: str, path: str, payload: Optional[Any] = None
+) -> Tuple[int, Any]:
+    """One stdlib ``http.client`` round-trip with a JSON body/reply."""
+    body = None if payload is None else json.dumps(payload)
+    connection.request(
+        method, path, body=body, headers={"Content-Type": "application/json"}
     )
-    door_args = ["--http-port", "0", "--max-inflight", str(budget)]
-    door_args += ["--fault-plan", fault_plan]
-    with _smoke_server(args, "metrics smoke", 17, door_args, expect_http=True) as run:
-        payloads, host, port, http_host, http_port = run
+    response = connection.getresponse()
+    raw = response.read()
+    return response.status, json.loads(raw) if raw else None
+
+
+def _metric_value(text: str, name: str) -> float:
+    """Sum one family's sample values out of Prometheus text exposition."""
+    total = 0.0
+    found = False
+    for line in text.splitlines():
+        if not line.startswith(name):
+            continue
+        rest = line[len(name) :]
+        if rest[:1] not in (" ", "{"):
+            continue  # a longer family name sharing this prefix
+        found = True
+        total += float(line.rsplit(" ", 1)[1])
+    _require(found, f"metric family {name} missing from the exposition")
+    return total
+
+
+def _check_served(
+    sent: List[Dict[str, Any]], served: List[Dict[str, Any]], where: str
+) -> None:
+    """Each response is ok and has a trace id iff its request asked for one."""
+    _require(len(served) == len(sent), f"{where}: served {len(served)}/{len(sent)}")
+    for request, response in zip(sent, served):
+        _require(response.get("ok"), f"{where} served a bad response: {response}")
+        if request.get("trace"):
+            _require(response.get("trace", {}).get("trace_id"), f"{where}: no trace id")
+        else:
+            _require("trace" not in response, f"{where}: untraced response has a trace")
+
+
+def _drive_ndjson(client: RuntimeClient, payloads: List[Dict[str, Any]]) -> int:
+    """Batches of :data:`SMOKE_CHUNK`, every other request traced."""
+    _require(client.ping().get("ok"), "ping failed")
+    sent = [dict(p, trace=True) if i % 2 else p for i, p in enumerate(payloads)]
+    served: List[Dict[str, Any]] = []
+    for start in range(0, len(sent), SMOKE_CHUNK):
+        served += client.batch(sent[start : start + SMOKE_CHUNK])
+    _check_served(sent, served, "ndjson batch")
+    return len(sent) // 2
+
+
+def _drive_http(connection, payloads: List[Dict[str, Any]]) -> str:
+    """healthz, one request, one batch, one chunked stream; then /metrics."""
+    status, health = _http_json(connection, "GET", "/healthz")
+    _require(status == 200 and health["ok"], f"/healthz failed: {health}")
+    status, reply = _http_json(connection, "POST", "/v1/request", payloads[0])
+    _require(status == 200, f"/v1/request status {status}")
+    _check_served(payloads[:1], [reply], "/v1/request")
+    group = payloads[:SMOKE_CHUNK]
+    status, reply = _http_json(connection, "POST", "/v1/batch", {"requests": group})
+    _require(status == 200 and reply["ok"], f"/v1/batch failed: {reply}")
+    _check_served(group, reply["responses"], "/v1/batch")
+    # Streaming: one response line per one-request flush.
+    stream = payloads[:6]
+    connection.request(
+        "POST",
+        "/v1/stream",
+        body=json.dumps({"requests": stream, "chunk": 1}),
+        headers={"Content-Type": "application/json"},
+    )
+    response = connection.getresponse()
+    _require(response.status == 200, f"/v1/stream status {response.status}")
+    lines = [json.loads(line) for line in iter(response.readline, b"")]
+    _check_served(stream, lines, "/v1/stream")
+    connection.request("GET", "/metrics")
+    response = connection.getresponse()
+    text = response.read().decode("utf-8")
+    _require(response.status == 200, f"/metrics status {response.status}")
+    content_type = response.getheader("Content-Type", "")
+    _require(content_type.startswith("text/plain; version=0.0.4"), content_type)
+    return text
+
+
+def _smoke(args: argparse.Namespace) -> int:
+    """Spawn a two-door server with one injected kill; drive and cross-check.
+
+    Any failed check raises; the server is then killed instead of shut
+    down, and the exit code is non-zero.
+    """
+    from repro.runtime.trace import TraceConfig, synthetic_trace
+
+    trace = TraceConfig(
+        size=args.requests, apps=SMOKE_APPS, distinct_shapes=2, n_threads=2, seed=17
+    )
+    payloads = [request.to_dict() for request in synthetic_trace(trace)]
+    process, host, port, http_host, http_port = spawn_server(
+        ["--workers", str(args.workers), "--pool-mode", args.pool_mode]
+        + ["--http-port", "0", "--fault-plan", SMOKE_FAULT_PLAN],
+        expect_http=True,
+    )
+    try:
         with RuntimeClient(host, port, connect_retries=3) as client:
-            # Mixed traffic: every odd request opts into tracing.  The
-            # injected kill fires mid-run and the pool must mask it.
-            chunk = min(args.chunk, budget)
-            served: List[Dict[str, Any]] = []
-            for start in range(0, len(payloads), chunk):
-                group = [
-                    dict(p, trace=True) if i % 2 else dict(p)
-                    for i, p in enumerate(payloads[start : start + chunk])
-                ]
-                served += client.batch(group)
-            bad = [r for r in served if not r.get("ok")]
-            assert not bad, f"faulted run served bad responses: {bad[:3]}"
-            traced = [r for r in served if "trace" in r]
-            untraced = [r for r in served if "trace" not in r]
-            assert traced and all(r["trace"]["trace_id"] for r in traced)
-            assert untraced, "untraced requests must not grow a trace field"
-            # A batch beyond the budget must shed, so shed counters move.
-            reply = client.roundtrip(
-                {"op": "batch", "requests": [payloads[0]] * (budget + 8)}
-            )
-            assert reply.get("code") == 429, f"expected a shed, got {reply}"
-            metrics_reply = client.roundtrip({"op": "metrics"})
-            assert metrics_reply["ok"], f"metrics op failed: {metrics_reply}"
-            ndjson_text = metrics_reply["text"]
-            slow_reply = client.roundtrip({"op": "slow"})
-            assert slow_reply["ok"] and slow_reply["recorded"] > 0
+            traced = _drive_ndjson(client, payloads)
             connection = http.client.HTTPConnection(http_host, http_port, timeout=60)
-            connection.request("GET", "/metrics")
-            response = connection.getresponse()
-            content_type = response.getheader("Content-Type", "")
-            text = response.read().decode("utf-8")
-            assert response.status == 200, f"/metrics status {response.status}"
-            assert content_type.startswith("text/plain; version=0.0.4")
+            try:
+                text = _drive_http(connection, payloads)
+            finally:
+                connection.close()
+            metrics_reply = client.roundtrip({"op": "metrics"})
+            _require(metrics_reply["ok"], f"metrics op failed: {metrics_reply}")
             for family in _REQUIRED_FAMILIES:
                 _metric_value(text, family)
-                _metric_value(ndjson_text, family)
-            status, _, stats = _http_json(connection, "GET", "/v1/stats")
-            assert status == 200 and stats["ok"]
+                _metric_value(metrics_reply["text"], family)
+            stats = client.stats()
+            _require(stats["ok"], f"stats op failed: {stats}")
             restarts = _metric_value(text, "pool_worker_restarts_total")
-            assert restarts == stats["pool"]["faults"]["worker_restarts"] >= 1
-            assert _metric_value(text, "admission_shed_total") == (
-                stats["admission"]["rejected"]
+            faults = stats["pool"]["faults"]
+            _require(
+                restarts == faults["worker_restarts"] >= 1,
+                f"{restarts} restarts on /metrics, stats say {faults}",
             )
-            assert _metric_value(text, "admission_admitted_total") == (
-                stats["admission"]["admitted"]
+            admission = stats["admission"]
+            scraped = {
+                "admitted": _metric_value(text, "admission_admitted_total"),
+                "rejected": _metric_value(text, "admission_shed_total"),
+            }
+            _require(
+                all(scraped[key] == admission[key] for key in scraped),
+                f"admission on /metrics {scraped}, in stats {admission}",
             )
-            assert _metric_value(text, "frontdoor_requests_total") >= len(served)
-            connection.close()
-            local = client.local_stats()
-            assert local["roundtrips"] >= len(payloads) // chunk
-            assert local["latency"]["count"] == local["roundtrips"]
+            slow = client.roundtrip({"op": "slow"})
+            _require(slow["ok"] and slow["recorded"] > 0, f"slow op: {slow}")
+            client.shutdown()
+        returncode = process.wait(timeout=60)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+    if returncode != 0:
+        print(f"smoke FAILED: server exited {returncode}", file=sys.stderr)
+        return 1
     print(
-        f"metrics smoke ok: {len(served)} requests ({len(traced)} traced) over "
-        f"{args.pool_mode} pool ({args.workers} workers), "
-        f"{int(restarts)} masked restart(s), "
-        f"{len(_REQUIRED_FAMILIES)} metric families scraped and consistent "
-        f"with /v1/stats, clean shutdown"
+        f"smoke ok: {len(payloads)} requests ({traced} traced) over "
+        f"{args.pool_mode} pool ({args.workers} workers) and both doors, "
+        f"{int(restarts)} masked restart(s), {len(_REQUIRED_FAMILIES)} metric "
+        f"families consistent with stats, clean shutdown"
     )
     return 0
 
@@ -644,31 +482,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="spawn a server subprocess and run the end-to-end self-test",
-    )
-    parser.add_argument(
-        "--smoke-http",
-        action="store_true",
-        help="spawn a server with the HTTP door open and run the mixed "
-        "request/stream/429 self-test",
-    )
-    parser.add_argument(
-        "--smoke-metrics",
-        action="store_true",
-        help="spawn a two-door server with one injected worker fault, drive "
-        "traced traffic, scrape /metrics, and cross-check it against "
-        "/v1/stats",
+        help="spawn a two-door server with one injected worker kill, drive "
+        "NDJSON and HTTP traffic through it, cross-check /metrics against "
+        "stats, and require a clean shutdown",
     )
     parser.add_argument("--requests", type=int, default=50)
-    parser.add_argument(
-        "--chunk",
-        type=int,
-        default=10,
-        help="requests per batch round-trip in smoke mode",
-    )
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--pool-mode", type=str, default="inline")
-    parser.add_argument("--apps", type=str, default="hash-table,search,murmur3")
     parser.add_argument(
         "--app",
         type=str,
@@ -684,14 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="times to retry a shed (429) request, honoring the server's "
         "retry_after_s hint with bounded exponential backoff",
     )
-    parser.add_argument(
-        "--fault-plan",
-        type=str,
-        default=None,
-        help="smoke mode only: forward this fault plan to the spawned "
-        "server; the pool must mask every injected fault for the smoke "
-        "to pass",
-    )
     return parser
 
 
@@ -700,15 +512,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.smoke:
         return _smoke(args)
-    if args.smoke_http:
-        return _smoke_http(args)
-    if args.smoke_metrics:
-        return _smoke_metrics(args)
     if args.app is None:
-        print(
-            "nothing to do: pass --smoke, --smoke-http, or --port plus --app",
-            file=sys.stderr,
-        )
+        print("nothing to do: pass --smoke, or --port plus --app", file=sys.stderr)
         return 2
     with RuntimeClient(
         args.host, args.port, max_retries_429=args.retries_429

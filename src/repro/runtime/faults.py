@@ -6,8 +6,9 @@ after its n-th batch, hang it mid-flush, delay or drop one pipe reply, or
 corrupt an on-disk program-cache entry.  The plan travels inside
 :class:`~repro.runtime.pool.WorkerConfig`, so process workers inherit it
 across the spawn boundary exactly like every other config field, and the
-``--fault-plan`` dev flag on ``python -m repro.runtime`` and
-``python -m repro.runtime.server`` threads it in from the command line.
+``--fault-plan`` dev flag on ``python -m repro.runtime.server`` threads it
+in from the command line (``python -m repro.runtime.client --smoke``
+always passes one kill).
 
 Workers arm their share of the plan through a :class:`FaultInjector`
 (built by ``WorkerConfig.build_injector``), which the batch loop consults

@@ -53,6 +53,10 @@ COLD_CAPACITY_RPS = 100.0
 #: Bounds of the retry hint on a shed call, seconds.
 MIN_RETRY_S = 0.05
 MAX_RETRY_S = 10.0
+#: Slowest front-door calls the ``slow`` op retains.
+SLOW_RING_SIZE = 32
+#: Recent pool-lock queue waits the stats quantiles are read from.
+WAIT_SAMPLES = 4096
 
 
 class Reply(NamedTuple):
@@ -245,9 +249,7 @@ class PoolService:
         self,
         pool: WorkerPool,
         admission: Optional[AdmissionController] = None,
-        wait_samples: int = 4096,
         metrics: Optional[MetricsRegistry] = None,
-        slow_ring_size: int = 32,
     ):
         self.pool = pool
         self.admission = admission
@@ -255,13 +257,13 @@ class PoolService:
         self.served = 0
         self.shed = 0
         #: Recent pool-lock queue waits, for the p99 the stats report.
-        self._waits: deque = deque(maxlen=max(1, wait_samples))
+        self._waits: deque = deque(maxlen=WAIT_SAMPLES)
         self._counter_lock = threading.Lock()
         self._failure_callbacks: List[Callable[[], None]] = []
         #: The front-door metric families; worker/pool families merge in at
         #: render time (see :meth:`metrics_text`).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.slow_ring = SlowRing(capacity=slow_ring_size)
+        self.slow_ring = SlowRing(capacity=SLOW_RING_SIZE)
         self._m_requests = self.metrics.counter(
             "frontdoor_requests_total",
             "Requests through the shared front door, by endpoint and status.",

@@ -93,8 +93,7 @@ def configure_logging(
     """Attach a handler to the ``repro`` root logger (CLI entry points).
 
     Idempotent per process: an existing handler installed by a prior call
-    is replaced, not stacked, so tests and the smoke drivers can
-    reconfigure freely.  Returns the configured root logger.
+    is replaced, not stacked, so tests can reconfigure freely.  Returns the configured root logger.
     """
     root = logging.getLogger("repro")
     for handler in list(root.handlers):

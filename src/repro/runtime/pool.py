@@ -169,7 +169,7 @@ class WorkerSnapshot:
         return self.requests / self.busy_s if self.busy_s > 0.0 else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (stats endpoints and the CLI report)."""
+        """JSON-serializable form (a worker row of the stats endpoints)."""
         return {
             "worker": self.index,
             "batches": self.batches,
@@ -441,33 +441,6 @@ class PoolReport:
     dispatched: int = 0
     flush_s: float = 0.0
     result_cache: CacheStats = field(default_factory=CacheStats)
-
-    def aggregate_program_stats(self) -> CacheStats:
-        """Program-cache counters summed across every worker."""
-        return CacheStats.merged(w.program_cache for w in self.workers)
-
-    def aggregate_result_stats(self) -> CacheStats:
-        """Counters of the pool's one result tier (workers keep none)."""
-        return self.result_cache
-
-    def program_hit_rate(self) -> float:
-        """Pool-wide program-cache hit rate (the affinity headline metric)."""
-        return self.aggregate_program_stats().hit_rate
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable flush summary (CLI + stats wire form)."""
-        ok = sum(1 for r in self.responses if r.error is None)
-        return {
-            "mode": self.mode,
-            "responses": len(self.responses),
-            "ok": ok,
-            "errors": len(self.responses) - ok,
-            "worker_restarts": self.worker_restarts,
-            "replayed_batches": self.replayed_batches,
-            "program_cache": self.aggregate_program_stats().to_dict(),
-            "result_cache": self.aggregate_result_stats().to_dict(),
-            "workers": [w.to_dict() for w in self.workers],
-        }
 
 
 class WorkerPool:

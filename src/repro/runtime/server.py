@@ -83,6 +83,8 @@ class RuntimeServer(socketserver.ThreadingTCPServer):
     ):
         if (pool is None) == (service is None):
             raise ValueError("pass exactly one of 'pool' or 'service'")
+        if write_timeout is not None and not write_timeout > 0:  # NaN too
+            raise ValueError("write_timeout must be positive (or None)")
         super().__init__(address, handler or _LineHandler)
         self.service = service if service is not None else PoolService(pool)
         #: Socket timeout of each connection, seconds (None = never): a hung
@@ -220,6 +222,14 @@ OPS = {
 }
 
 
+def _positive_seconds(text: str) -> float:
+    """An argparse type: a duration that must be > 0."""
+    value = float(text)
+    if not value > 0:  # NaN too
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Argument parser for the socket/HTTP server."""
     parser = argparse.ArgumentParser(
@@ -272,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--write-timeout",
-        type=float,
+        type=_positive_seconds,
         default=10.0,
         help="deadline of one HTTP response write (slow readers are "
         "dropped past it; default 10)",
@@ -318,13 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit one JSON object per log line instead of human-readable "
         "text (machine-parseable: ts/level/logger/msg + event fields)",
     )
-    parser.add_argument(
-        "--slow-ring",
-        type=int,
-        default=32,
-        help="retain this many slowest front-door calls for the 'slow' op "
-        "and GET /v1/slow (default 32)",
-    )
     return parser
 
 
@@ -347,7 +350,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # None (from --conn-timeout <= 0) disables idle reaping on both doors.
     conn_timeout = args.conn_timeout if args.conn_timeout > 0 else None
     with pool, contextlib.ExitStack() as listeners:
-        service = PoolService(pool, admission, slow_ring_size=args.slow_ring)
+        service = PoolService(pool, admission)
         server = listeners.enter_context(
             RuntimeServer(
                 (args.host, args.port), service=service, conn_timeout=conn_timeout

@@ -30,8 +30,8 @@ def _serve(app: str):
     responses = engine.process(requests)
     wire = [json.dumps(r.to_dict(), sort_keys=True) for r in responses]
     stats = {
-        "program": engine.program_cache_stats.as_dict(),
-        "result": engine.result_cache_stats.as_dict(),
+        "program": engine.program_cache_stats.to_dict(),
+        "result": engine.result_cache_stats.to_dict(),
         "served": engine.served,
     }
     return wire, stats

@@ -150,9 +150,8 @@ class TestInlineRecoveryMatrix:
                         fault_plan=self._plan(after_batches=1)) as pool:
             report = pool.process(synthetic_trace(TRACE))
             stats = pool.stats_row()
-        wire = report.to_dict()
-        assert wire["worker_restarts"] == 1
-        assert wire["replayed_batches"] >= 1
+        assert report.worker_restarts == 1
+        assert report.replayed_batches >= 1
         assert stats["faults"]["worker_restarts"] == 1
         assert stats["faults"]["recent_restarts"] == 1
         assert stats["faults"]["max_worker_restarts"] == 5

@@ -98,12 +98,12 @@ class TestInlinePool:
         with WorkerPool(workers=2, mode="inline") as pool:
             first = pool.process(synthetic_trace(SMALL_TRACE))
             second = pool.process(synthetic_trace(SMALL_TRACE))
+        misses = [CacheStats.merged(w.program_cache for w in r.workers).misses
+                  for r in (first, second)]
         # Round two is routed by the workers' reported residency: every batch
         # of a program lands on the worker that already compiled it, so the
         # pool performs zero new compiles.
-        new_misses = (second.aggregate_program_stats().misses
-                      - first.aggregate_program_stats().misses)
-        assert new_misses == 0
+        assert misses[1] == misses[0]
         assert all(s.resident_keys for s in second.workers
                    if s.requests > 0)
 
@@ -117,9 +117,8 @@ class TestInlinePool:
         with WorkerPool(workers=2, mode="inline") as pool:
             report = pool.process(synthetic_trace(SMALL_TRACE))
             stats = pool.stats_row()
-        json.dumps(report.to_dict())
         json.dumps(stats)
-        assert report.to_dict()["ok"] == SMALL_TRACE.size
+        assert sum(r.ok for r in report.responses) == SMALL_TRACE.size
         assert len(stats["workers"]) == 2
 
 
@@ -188,7 +187,7 @@ class TestProcessPool:
             report = pool.process(synthetic_trace(trace))
         assert sum(s.requests for s in report.workers) == trace.size
         assert sum(len(s.resident_keys) for s in report.workers) >= 1
-        json.dumps(report.to_dict())
+        json.dumps([s.to_dict() for s in report.workers])
 
 
 def worker_report(index, requests=0, busy_s=0.0):
@@ -312,7 +311,7 @@ class TestResultTier:
         # worker-side replay inside one batch always did.
         assert [r.program_cache_hit for r in report.responses] == [False] * 3
         assert sum(s.requests for s in report.workers) == 1
-        tier = report.aggregate_result_stats()
+        tier = report.result_cache
         assert (tier.hits, tier.misses) == (2, 1)
         assert all("result_cache" not in s.to_dict() for s in report.workers)
 
@@ -329,16 +328,16 @@ class TestResultTier:
         # Nothing was cached: the same request reaches the worker again.
         assert again.workers[0].requests == 2
         assert again.responses[0].error == errors[0]
-        assert again.aggregate_result_stats().hits == 0
+        assert again.result_cache.hits == 0
 
     def test_tier_is_bounded_and_counts_evictions(self):
         keys = [Request(app="hash-table", n_threads=1, seed=s)
                 for s in range(513)]
         with WorkerPool(workers=1, mode="inline") as pool:
             filled = pool.process(list(keys[:512]))
-            assert filled.aggregate_result_stats().evictions == 0
+            assert filled.result_cache.evictions == 0
             over = pool.process([keys[512]])
-            assert over.aggregate_result_stats().evictions == 1
+            assert over.result_cache.evictions == 1
             # The oldest key went: it misses, every younger one still hits.
             oldest = pool.process([keys[0]]).responses[0]
             youngest = pool.process([keys[512]]).responses[0]
@@ -381,5 +380,5 @@ class TestResultTier:
         assert all(r.result_cache_hit for r in again.responses)
         assert [r.outputs for r in again.responses] == \
             [r.outputs for r in report.responses]
-        tier = again.aggregate_result_stats()
+        tier = again.result_cache
         assert (tier.hits, tier.misses, tier.evictions) == (6, 6, 0)

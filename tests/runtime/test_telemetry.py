@@ -298,9 +298,10 @@ class TestSlowRing:
 
     def test_service_records_slow_entries(self):
         with WorkerPool(workers=2, mode="inline") as pool:
-            service = PoolService(pool, slow_ring_size=4)
+            service = PoolService(pool)
             service.serve_payloads(_payloads(size=4))
             payload = service.slow_payload()
+        assert payload["capacity"] == 32
         assert payload["recorded"] >= 1
         assert payload["slowest"][0]["requests"] == 4
 
@@ -372,25 +373,17 @@ class TestClientCounters:
     def test_429_backoff_counters(self, monkeypatch):
         sleeps = []
         replies = [
-            {"ok": False, "code": 429, "retry_after_s": 0.02},
+            {"ok": False, "code": 429, "retry_after_s": 0.3},
             {"ok": True},
         ]
         client = self._client(monkeypatch, replies, sleeps)
         assert client._roundtrip_with_backoff({"op": "x"})["ok"]
-        local = client.local_stats()
-        assert local["sheds_429"] == 1
-        assert local["backoff_sleeps"] == 1
-        assert local["backoff_s_total"] == pytest.approx(sum(sleeps))
+        assert sleeps == [0.3]  # the server's hint, above the client's floor
 
     def test_exhausted_retries_still_counted(self, monkeypatch):
-        shed = {"ok": False, "code": 429, "retry_after_s": 0.01}
-        client = self._client(monkeypatch, [dict(shed) for _ in range(3)], [])
+        sleeps = []
+        shed = {"ok": False, "code": 429, "retry_after_s": 0.3}
+        client = self._client(monkeypatch, [dict(shed) for _ in range(3)], sleeps)
         assert client._roundtrip_with_backoff({"op": "x"})["code"] == 429
-        assert client.local_stats()["sheds_429"] == 3
-
-    def test_local_stats_shape_when_idle(self, monkeypatch):
-        monkeypatch.setattr(RuntimeClient, "_connect", lambda self: None)
-        local = RuntimeClient(port=1).local_stats()
-        assert local["roundtrips"] == 0 and local["reconnects"] == 0
-        assert local["latency"]["count"] == 0
-        assert local["latency"]["p99_s"] == 0.0
+        # Bounded: one sleep per retry, each at least the server's hint.
+        assert len(sleeps) == 2 and min(sleeps) >= 0.3
