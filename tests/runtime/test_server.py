@@ -93,6 +93,15 @@ class TestProtocol:
         assert stats["pool"]["mode"] == "inline" and "policy" not in stats["pool"]
         assert len(stats["pool"]["workers"]) == 2
 
+    def test_stats_reply_is_the_servers_envelope(self, server):
+        with connect(server) as client:
+            stats = client.stats()
+            raw = client.roundtrip({"op": "stats"})
+        # The client adds nothing of its own: same keys as the raw reply.
+        assert "client" not in stats
+        assert set(stats) == set(raw)
+        assert stats["pool"]["mode"] == raw["pool"]["mode"] == "inline"
+
     def test_metrics_op_returns_prometheus_text(self, server):
         with connect(server) as client:
             client.batch([{"app": "search", "n_threads": 2}] * 3)

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from repro.runtime.client import RuntimeClient
+from repro.runtime.client import MAX_BACKOFF_S, RuntimeClient
 from repro.runtime.faults import load_fault_plan
 from repro.runtime.gateway.admission import PoolService
 from repro.runtime.logs import JsonFormatter, configure_logging, event, get_logger
@@ -387,3 +387,13 @@ class TestClientCounters:
         assert client._roundtrip_with_backoff({"op": "x"})["code"] == 429
         # Bounded: one sleep per retry, each at least the server's hint.
         assert len(sleeps) == 2 and min(sleeps) >= 0.3
+
+    def test_a_long_hint_is_capped_at_max_backoff(self, monkeypatch):
+        sleeps = []
+        replies = [
+            {"ok": False, "code": 429, "retry_after_s": 30.0},
+            {"ok": True},
+        ]
+        client = self._client(monkeypatch, replies, sleeps)
+        assert client._roundtrip_with_backoff({"op": "x"})["ok"]
+        assert sleeps == [MAX_BACKOFF_S]
