@@ -1,7 +1,8 @@
 """Core dataflow-threads machine model: SLTF, primitives, graphs, executor."""
 
 from repro.core.sltf import Barrier, Data, Stream, Token, encode, decode, decode_all
-from repro.core.graph import DFGraph, DFNode, DFValue, OPCODES
+from repro.core.graph import DFGraph, DFNode, DFValue
+from repro.core.opcodes import OPCODES
 from repro.core.executor import Executor, ExecutionProfile, run_graph
 from repro.core.columnar import ColumnarExecutor, make_executor
 from repro.core.memory import MemorySystem, MemoryStats

@@ -35,20 +35,22 @@ counters, identical profile counts (``node_firings``, ``loop_iterations``,
 link histograms), and identical exception types/messages on malformed
 input.  Whenever the vectorized path cannot prove it preserves exact
 Python semantics (possible int64 overflow, non-int values, misaligned
-structures, zero divisors), it falls back per node to the token primitive
-— correctness never depends on the fast path firing.
+structures, zero divisors), that firing leaves it — correctness never
+depends on the fast path firing.
 
 Where compiled programs leave the vector path
 ---------------------------------------------
 
-Over the nine Table III apps compiled three ways (default options,
-``CompileOptions.none()``, hierarchy elimination off) and run at 4, 8, 32
-and 128 threads (547,249 node firings), no token fallback fired: only
-:meth:`ColumnarExecutor.run`'s output conversion called :func:`to_stream`.
-The one exit from whole-array ops was ``_op_compute``'s row-wise path,
-2,694 times: ``shl`` 1,137, ``shr`` 792, ``mul`` 509 and ``add`` 52 (failed
-overflow proof) and ``and`` 204 (``object`` columns).  The token fallback
-sites serve hand-built graphs.
+There is one way off it, :meth:`ColumnarExecutor._exit`, and it counts
+every use in ``ExecutionProfile.vector_exits`` as ``"<op>:<reason>"``.  A
+``compute`` whose kernel meets ``object`` values (``compute:object``) or
+cannot prove its result (``compute:overflow``) applies its scalar opcode
+row-wise; every other reason runs the token primitive.  The nine Table III
+apps, compiled three ways (default options, ``CompileOptions.none()``,
+hierarchy elimination off) and run at 4, 8, 32 and 128 threads, record
+``compute:`` keys only, and ``tests/core/test_columnar.py`` asserts so for
+its app runs.  The other reasons serve hand-built graphs, malformed ones
+included.
 """
 
 from __future__ import annotations
@@ -58,22 +60,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import primitives as prim
-from repro.core.executor import (
-    Executor,
-    LinkProfile,
-    _as_stream,
-    _resolve_fn,
-    _resolve_reduce,
-    zip_streams,
-    unzip_stream,
-)
+from repro.core.executor import Executor, LinkProfile, _as_stream, merge_bundles
 from repro.core.graph import DFGraph, DFNode
 from repro.core.memory import MemorySystem
+from repro.core.opcodes import fits_int64
 from repro.core.sltf import MAX_BARRIER_LEVEL, Barrier, Data, Stream
 from repro.errors import GraphError, PrimitiveError
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
 
 
 def make_executor(graph: DFGraph, *, executor: Optional[str] = None, **kwargs):
@@ -132,7 +124,7 @@ def _values_from_list(vals: list) -> Tuple[Any, Optional[int], Optional[int]]:
     if not vals:
         return np.empty(0, dtype=np.int64), 0, 0
     lo, hi = min(vals), max(vals)
-    if _INT64_MIN <= lo and hi <= _INT64_MAX:
+    if fits_int64(lo, hi):
         return np.array(vals, dtype=np.int64), lo, hi
     arr = np.empty(len(vals), dtype=object)
     arr[:] = vals
@@ -157,7 +149,7 @@ def _values_from_ints(vals: list) -> Tuple[Any, Optional[int], Optional[int]]:
     if not vals:
         return np.empty(0, dtype=np.int64), 0, 0
     lo, hi = min(vals), max(vals)
-    if _INT64_MIN <= lo and hi <= _INT64_MAX:
+    if fits_int64(lo, hi):
         return np.array(vals, dtype=np.int64), lo, hi
     arr = np.empty(len(vals), dtype=object)
     arr[:] = vals
@@ -242,201 +234,18 @@ def _misalignment(ins: Sequence["Column"]) -> Tuple[int, PrimitiveError]:
         f"while live streams have mismatched barriers at {tok!r}")
 
 
-# ---------------------------------------------------------------------------
-# Vectorized compute opcodes with exact-overflow bounds checks
-# ---------------------------------------------------------------------------
+def _token_partition(streams: List[Stream]) -> List[Stream]:
+    kept, dropped = prim.partition_streams(streams[1:], streams[0])
+    return kept + dropped
 
 
-def _fits(lo: int, hi: int) -> bool:
-    return _INT64_MIN <= lo and hi <= _INT64_MAX
-
-
-def _bit_bounds(*extremes: int) -> Tuple[int, int]:
-    """Bounds for a two's-complement bitwise result over bounded inputs."""
-    k = min(max(abs(v).bit_length() for v in extremes), 63)
-    if all(v >= 0 for v in extremes):
-        return 0, (1 << k) - 1
-    return -(1 << k), (1 << k) - 1
-
-
-def _vec_add(cols):
-    a, b = cols
-    lo, hi = a.lo + b.lo, a.hi + b.hi
-    if not _fits(lo, hi):
-        return None
-    return a.values + b.values, lo, hi
-
-
-def _vec_sub(cols):
-    a, b = cols
-    lo, hi = a.lo - b.hi, a.hi - b.lo
-    if not _fits(lo, hi):
-        return None
-    return a.values - b.values, lo, hi
-
-
-def _vec_mul(cols):
-    a, b = cols
-    corners = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    lo, hi = min(corners), max(corners)
-    if not _fits(lo, hi):
-        return None
-    return a.values * b.values, lo, hi
-
-
-def _vec_div(cols):
-    a, b = cols
-    if (b.lo <= 0 <= b.hi) and bool((b.values == 0).any()):
-        return None  # exact ZeroDivisionError comes from the fallback
-    if b.lo > 0:
-        # Floor division by a positive: no larger in magnitude, same sign.
-        lo, hi = min(a.lo, 0), max(a.hi, 0)
-    elif b.hi < 0:
-        lo, hi = min(-a.hi, 0), max(-a.lo, 0)
-    else:
-        m = max(abs(a.lo), abs(a.hi))
-        lo, hi = -m, m
-    if not _fits(lo, hi):
-        return None
-    return np.floor_divide(a.values, b.values), lo, hi
-
-
-def _vec_rem(cols):
-    a, b = cols
-    if (b.lo <= 0 <= b.hi) and bool((b.values == 0).any()):
-        return None
-    # Python's remainder takes the divisor's sign and is smaller than it in
-    # magnitude; a non-negative dividend is never exceeded either.
-    lo = b.lo + 1 if b.lo < 0 else 0
-    hi = b.hi - 1 if b.hi > 0 else 0
-    if a.lo >= 0:
-        hi = min(hi, a.hi)
-    return np.remainder(a.values, b.values), lo, hi
-
-
-def _vec_bit(npop):
-    def impl(cols):
-        a, b = cols
-        lo, hi = _bit_bounds(a.lo, a.hi, b.lo, b.hi)
-        return npop(a.values, b.values), lo, hi
-
-    return impl
-
-
-def _vec_shl(cols):
-    a, b = cols
-    if b.lo < 0 or b.hi > 63:
-        return None
-    corners = (a.lo << b.lo, a.lo << b.hi, a.hi << b.lo, a.hi << b.hi)
-    lo, hi = min(corners), max(corners)
-    if not _fits(lo, hi):
-        return None
-    return np.left_shift(a.values, b.values), lo, hi
-
-
-def _vec_shr(cols):
-    a, b = cols
-    if b.lo < 0 or b.hi > 63:
-        return None
-    v = a.values
-    if a.lo < 0:
-        # Logical shift: negative values shift as 32-bit patterns.
-        v = np.where(v < 0, v & 0xFFFFFFFF, v)
-        lo, hi = 0, max(a.hi, 0xFFFFFFFF)
-    else:
-        lo, hi = a.lo >> b.hi, a.hi >> b.lo
-    return np.right_shift(v, b.values), lo, hi
-
-
-def _vec_ashr(cols):
-    a, b = cols
-    if b.lo < 0 or b.hi > 63:
-        return None
-    corners = (a.lo >> b.lo, a.lo >> b.hi, a.hi >> b.lo, a.hi >> b.hi)
-    return np.right_shift(a.values, b.values), min(corners), max(corners)
-
-
-def _vec_cmp(npop):
-    def impl(cols):
-        a, b = cols
-        return npop(a.values, b.values).astype(np.int64), 0, 1
-
-    return impl
-
-
-def _vec_min(cols):
-    a, b = cols
-    return np.minimum(a.values, b.values), min(a.lo, b.lo), min(a.hi, b.hi)
-
-
-def _vec_max(cols):
-    a, b = cols
-    return np.maximum(a.values, b.values), max(a.lo, b.lo), max(a.hi, b.hi)
-
-
-def _vec_not(cols):
-    (a,) = cols
-    return (a.values == 0).astype(np.int64), 0, 1
-
-
-def _vec_neg(cols):
-    (a,) = cols
-    lo, hi = -a.hi, -a.lo
-    if not _fits(lo, hi):
-        return None
-    return -a.values, lo, hi
-
-
-def _vec_copy(cols):
-    (a,) = cols
-    return a.values, a.lo, a.hi
-
-
-def _vec_select(cols):
-    c, a, b = cols
-    return (
-        np.where(c.values != 0, a.values, b.values),
-        min(a.lo, b.lo),
-        max(a.hi, b.hi),
-    )
-
-
-def _vec_land(cols):
-    a, b = cols
-    return ((a.values != 0) & (b.values != 0)).astype(np.int64), 0, 1
-
-
-def _vec_lor(cols):
-    a, b = cols
-    return ((a.values != 0) | (b.values != 0)).astype(np.int64), 0, 1
-
-
-_VEC_OPS: Dict[str, Callable] = {
-    "add": _vec_add,
-    "sub": _vec_sub,
-    "mul": _vec_mul,
-    "div": _vec_div,
-    "rem": _vec_rem,
-    "and": _vec_bit(np.bitwise_and),
-    "or": _vec_bit(np.bitwise_or),
-    "xor": _vec_bit(np.bitwise_xor),
-    "shl": _vec_shl,
-    "shr": _vec_shr,
-    "ashr": _vec_ashr,
-    "eq": _vec_cmp(np.equal),
-    "ne": _vec_cmp(np.not_equal),
-    "lt": _vec_cmp(np.less),
-    "le": _vec_cmp(np.less_equal),
-    "gt": _vec_cmp(np.greater),
-    "ge": _vec_cmp(np.greater_equal),
-    "min": _vec_min,
-    "max": _vec_max,
-    "not": _vec_not,
-    "neg": _vec_neg,
-    "copy": _vec_copy,
-    "select": _vec_select,
-    "land": _vec_land,
-    "lor": _vec_lor,
+#: Token semantics of the steps region ops take on columns, streams in and
+#: streams out, for :meth:`ColumnarExecutor._exit`.
+_TOKEN_STEPS: Dict[str, Callable[[List[Stream]], List[Stream]]] = {
+    "counter": lambda streams: [prim.counter(*streams)],
+    "partition": _token_partition,  # streams = (pred, *bundle)
+    "merge": lambda streams: merge_bundles(
+        streams[:len(streams) // 2], streams[len(streams) // 2:]),
 }
 
 
@@ -500,8 +309,7 @@ class ColumnarExecutor(Executor):
         bound = self._bound_steps.get(id(graph))
         if bound is None or bound[0] is not graph:
             bound = (graph, [
-                (handlers.get(op) or self._handler(op), node, op, in_uids,
-                 outputs)
+                (handlers[op], node, op, in_uids, outputs)
                 for node, op, in_uids, outputs in self._schedule.steps(graph)
             ])
             self._bound_steps[id(graph)] = bound
@@ -532,49 +340,54 @@ class ColumnarExecutor(Executor):
                     lp.elements += len(tags) - barriers
         return env
 
-    # -- exact token fallback for leaf nodes ---------------------------------
+    # -- the one way off the vector path ----------------------------------------
 
-    def _fallback_node(self, node: DFNode, ins: List[Column]) -> List[Column]:
-        """Run one leaf node through the token handler (exact semantics)."""
+    def _exit(self, op: str, ins: Sequence[Column], reason: str,
+              node: Optional[DFNode] = None) -> List[Column]:
+        """Leave the vector path for one firing, counted in
+        ``profile.vector_exits`` under ``"<op>:<reason>"``.
+
+        A ``compute`` that meets ``object`` values or whose kernel cannot
+        prove its result applies its scalar opcode row-wise.  Every other
+        exit runs the token semantics over the bundle as streams — ``node``'s
+        token handler, or the primitive behind a region op's ``counter`` /
+        ``partition`` / ``merge`` step — so a malformed bundle raises exactly
+        what the token executor raises.
+        """
+        exits = self.profile.vector_exits
+        key = f"{op}:{reason}"
+        exits[key] = exits.get(key, 0) + 1
+        if op == "compute" and reason != "misaligned":
+            scalar = self._schedule.opcode(node).scalar
+            rows = zip(*[c.values.tolist() for c in ins])
+            values, lo, hi = _values_from_list([scalar(*row) for row in rows])
+            return [Column(ins[0].tags, values, lo, hi)]
         streams = [to_stream(c) for c in ins]
-        handler = getattr(Executor, f"_op_{node.op}")
-        return [from_stream(s) for s in handler(self, node, streams)]
+        if node is None:
+            out = _TOKEN_STEPS[op](streams)
+        else:
+            out = getattr(Executor, f"_op_{op}")(self, node, streams)
+        return [from_stream(s) for s in out]
 
     # -- element-wise and structural ops --------------------------------------
 
     def _op_compute(self, node: DFNode, ins: List[Column]) -> List[Column]:
-        name = node.params["fn"]
-        impl = _VEC_OPS.get(name) if isinstance(name, str) else None
-        vectorizable = impl is not None and _align(ins)
-        if vectorizable:
-            for c in ins:
-                if c.values.dtype == object:
-                    vectorizable = False
-                    break
-        if vectorizable:
-            res = impl(ins)
-            if res is not None:
-                values, lo, hi = res
-                return [Column(ins[0].tags, values, lo, hi)]
-        if _align(ins):
-            # Exact per-element fallback with the Python opcode.
-            fn = self._schedule.fn(node)
-            if fn is None:
-                fn = _resolve_fn(name)
-            lists = [c.values.tolist() for c in ins]
-            if len(lists) == 1:
-                vals = [fn(v) for v in lists[0]]
-            else:
-                vals = [fn(*t) for t in zip(*lists)]
-            values, lo, hi = _values_from_list(vals)
-            return [Column(ins[0].tags, values, lo, hi)]
-        return self._fallback_node(node, ins)
+        if not _align(ins):
+            return self._exit("compute", ins, "misaligned", node)
+        for c in ins:
+            if c.values.dtype == object:
+                return self._exit("compute", ins, "object", node)
+        res = self._schedule.opcode(node).vector(ins)
+        if res is None:
+            return self._exit("compute", ins, "overflow", node)
+        values, lo, hi = res
+        return [Column(ins[0].tags, values, lo, hi)]
 
     def _op_const(self, node: DFNode, ins: List[Column]) -> List[Column]:
         value = node.params["value"]
         s = ins[0]
         n = s.n_data
-        if type(value) is int and _INT64_MIN <= value <= _INT64_MAX:
+        if type(value) is int and fits_int64(value, value):
             arr = self._const_cache.get(node.uid)
             if arr is None or len(arr) < n:
                 arr = np.full(max(n, 64), value, dtype=np.int64)
@@ -584,46 +397,38 @@ class ColumnarExecutor(Executor):
         arr[:] = [value] * n
         return [Column(s.tags, arr, None, None)]
 
-    def _op_broadcast(self, node: DFNode, ins: List[Column]) -> List[Column]:
-        levels = node.params.get("levels", 1)
-        return [self._broadcast_column(ins[0], ins[1], levels)]
-
-    def _broadcast_column(self, outer: Column, inner: Column, levels: int) -> Column:
-        if levels < 1:
-            raise PrimitiveError("broadcast requires levels >= 1")
+    @staticmethod
+    def _broadcast_column(outer: Column, inner: Column) -> Column:
+        """``prim.broadcast``: each ``outer`` value over its ``inner`` group."""
         tags = inner.tags
-        adv = (tags >= levels).astype(np.int64)
+        adv = (tags > 0).astype(np.int64)
         idx = np.cumsum(adv) - adv
         didx = idx[tags == 0]
         if didx.size and int(didx.max()) >= outer.n_data:
             raise PrimitiveError("broadcast ran out of outer elements")
         return Column(tags, outer.values[didx], outer.lo, outer.hi)
 
-    def _op_counter(self, node: DFNode, ins: List[Column]) -> List[Column]:
-        return [self._counter_columns(ins[0], ins[1], ins[2])]
-
     def _counter_columns(self, lo_c: Column, hi_c: Column, step_c: Column) -> Column:
-        def fallback() -> Column:
-            return from_stream(
-                prim.counter(to_stream(lo_c), to_stream(hi_c), to_stream(step_c))
-            )
-
+        """``prim.counter``: expand each (lo, hi, step) row into a group."""
         cols = [lo_c, hi_c, step_c]
-        if not _align(cols) or any(c.values.dtype == object for c in cols):
-            return fallback()
+        if not _align(cols):
+            return self._exit("counter", cols, "misaligned")[0]
+        if any(c.values.dtype == object for c in cols):
+            return self._exit("counter", cols, "object")[0]
         sv = step_c.values
         if bool((sv == 0).any()):
-            return fallback()
+            return self._exit("counter", cols, "zero_step")[0]
         # Span arithmetic must stay exact in int64.
         if not (
-            _fits(lo_c.lo - hi_c.hi, lo_c.hi - hi_c.lo)
-            and _fits(hi_c.lo - lo_c.hi, hi_c.hi - lo_c.lo)
+            fits_int64(lo_c.lo - hi_c.hi, lo_c.hi - hi_c.lo)
+            and fits_int64(hi_c.lo - lo_c.hi, hi_c.hi - lo_c.lo)
         ):
-            return fallback()
+            return self._exit("counter", cols, "overflow")[0]
         tags = lo_c.tags
         bvals = tags[tags > 0]
         if bvals.size and int(bvals.max()) >= MAX_BARRIER_LEVEL:
-            return fallback()  # raised barrier would exceed the encoding
+            # A raised barrier would exceed the encoding.
+            return self._exit("counter", cols, "level")[0]
         lov, hiv = lo_c.values, hi_c.values
         n = np.where(sv > 0, -((lov - hiv) // sv), -((hiv - lov) // (-sv)))
         n = np.maximum(n, 0)
@@ -646,46 +451,13 @@ class ColumnarExecutor(Executor):
             out_tags, values, min(lo_c.lo, hi_c.lo), max(lo_c.hi, hi_c.hi)
         )
 
-    def _op_reduce(self, node: DFNode, ins: List[Column]) -> List[Column]:
-        op = node.params["op"]
-        init = node.params.get("init", 0)
-        level = node.params.get("level", 1)
-        return [self._reduce_column(node, ins[0], op, init, level)]
-
-    def _reduce_column(
-        self, node: DFNode, col: Column, op_name: Any, init: Any, level: int
-    ) -> Column:
-        """Reduce through the token primitive.
-
-        No Revet source lowers to a reduction (the frontend never sets
-        ``reduce=`` on ``foreach``), so only hand-built graphs get here and
-        a second, vector implementation has nothing to pay for.
-        """
-        op = self._schedule.fn(node)
-        if op is None:
-            op = _resolve_reduce(op_name)
-        return from_stream(
-            prim.reduce_stream(op, init, to_stream(col), level=level)
-        )
-
-    def _op_flatten(self, node: DFNode, ins: List[Column]) -> List[Column]:
-        return [self._flatten_column(ins[0], node.params.get("levels", 1))]
-
-    @staticmethod
-    def _flatten_column(col: Column, levels: int) -> Column:
-        tags = col.tags
-        keep = (tags == 0) | (tags > levels)
-        new_tags = tags[keep]
-        new_tags = np.where(new_tags > 0, new_tags - levels, 0).astype(np.uint8)
-        return Column(new_tags, col.values, col.lo, col.hi)
-
     def _op_filter(self, node: DFNode, ins: List[Column]) -> List[Column]:
         pred = ins[-1]
         data_cols = ins[:-1]
         if not _align(ins):
-            # Token path reproduces exact errors (and exact quirks) for
+            # The token path reproduces exact errors (and exact quirks) for
             # malformed bundles.
-            return self._fallback_node(node, ins)
+            return self._exit("filter", ins, "misaligned", node)
         keep_data = _truthy(pred.values)
         tags = pred.tags
         data_mask = tags == 0
@@ -702,12 +474,8 @@ class ColumnarExecutor(Executor):
         """Boolean-mask split of an aligned bundle (``prim.partition_streams``)."""
         bundle = [pred] + list(cols)
         if not _align(bundle):
-            streams = [to_stream(c) for c in cols]
-            kept, dropped = prim.partition_streams(streams, to_stream(pred))
-            return (
-                [from_stream(s) for s in kept],
-                [from_stream(s) for s in dropped],
-            )
+            out = self._exit("partition", bundle, "misaligned")
+            return out[:len(cols)], out[len(cols):]
         keep_data = _truthy(pred.values)
         tags = pred.tags
         nk = int(np.count_nonzero(keep_data))
@@ -739,22 +507,12 @@ class ColumnarExecutor(Executor):
 
     # -- forward merge ---------------------------------------------------------
 
-    def _op_forward_merge(self, node: DFNode, ins: List[Column]) -> List[Column]:
-        width = node.params.get("width", 1)
-        return self._merge_columns(ins[:width], ins[width:])
-
     def _merge_columns(
         self, a_cols: Sequence[Column], b_cols: Sequence[Column]
     ) -> List[Column]:
-        width = len(a_cols)
+        """Positional forward merge of two bundles (``merge_bundles``)."""
         if not _align(a_cols) or not _align(b_cols):
-            # Token path: bundle-zip, merge, unzip — exact error behaviour.
-            a_s = [to_stream(c) for c in a_cols]
-            b_s = [to_stream(c) for c in b_cols]
-            if width == 1:
-                return [from_stream(prim.forward_merge(a_s[0], b_s[0]))]
-            merged = prim.forward_merge(zip_streams(*a_s), zip_streams(*b_s))
-            return [from_stream(s) for s in unzip_stream(merged, width)]
+            return self._exit("merge", [*a_cols, *b_cols], "misaligned")
         ta, tb = a_cols[0].tags, b_cols[0].tags
         a_b = np.nonzero(ta)[0]
         b_b = np.nonzero(tb)[0]
@@ -823,15 +581,13 @@ class ColumnarExecutor(Executor):
 
     def _op_fork(self, node: DFNode, ins: List[Column]) -> List[Column]:
         counts = ins[0]
-        negative = counts.values.dtype != object and bool(
-            (counts.values < 0).any()
-        )
-        if (
-            not _align(ins)
-            or counts.values.dtype == object
-            or (negative and len(ins) > 1)
-        ):
-            return self._fallback_node(node, ins)
+        if not _align(ins):
+            return self._exit("fork", ins, "misaligned", node)
+        if counts.values.dtype == object:
+            return self._exit("fork", ins, "object", node)
+        if len(ins) > 1 and bool((counts.values < 0).any()):
+            # fork_stream raises on a negative count with a payload.
+            return self._exit("fork", ins, "negative", node)
         n = np.maximum(counts.values, 0)  # range(-k) is empty in the token path
         total_data = int(n.sum())
         offsets = np.cumsum(n) - n
@@ -882,7 +638,7 @@ class ColumnarExecutor(Executor):
 
     def _op_sram_write(self, node: DFNode, ins: List[Column]) -> List[Column]:
         if not _align(ins):
-            return self._fallback_node(node, ins)
+            return self._exit(node.op, ins, "misaligned", node)
         site = node.params.get("site", "default")
         a, v = ins
         self.memory.sram_write_many(site, a.values.tolist(), v.values.tolist())
@@ -896,14 +652,14 @@ class ColumnarExecutor(Executor):
 
     def _op_dram_write(self, node: DFNode, ins: List[Column]) -> List[Column]:
         if not _align(ins):
-            return self._fallback_node(node, ins)
+            return self._exit(node.op, ins, "misaligned", node)
         a, v = ins
         self.memory.dram_write_many(a.values.tolist(), v.values.tolist())
         return [Column(a.tags, np.zeros(a.n_data, np.int64), 0, 0)]
 
     def _op_bulk_load(self, node: DFNode, ins: List[Column]) -> List[Column]:
         if not _align(ins):
-            return self._fallback_node(node, ins)
+            return self._exit(node.op, ins, "misaligned", node)
         site = node.params.get("site", "default")
         size = node.params["size"]
         d, s = ins
@@ -914,7 +670,7 @@ class ColumnarExecutor(Executor):
 
     def _op_bulk_store(self, node: DFNode, ins: List[Column]) -> List[Column]:
         if not _align(ins):
-            return self._fallback_node(node, ins)
+            return self._exit(node.op, ins, "misaligned", node)
         site = node.params.get("site", "default")
         size = node.params["size"]
         d, s = ins[0], ins[1]
@@ -1043,24 +799,12 @@ class ColumnarExecutor(Executor):
         taken, fallthrough = self._partition_bundle(live, cond)
         then_out = self._run_subgraph(then_region, taken)
         else_out = self._run_subgraph(else_region, fallthrough)
-        width = len(node.outputs)
-        if width == 0:
+        if not node.outputs:
             return []
         return self._merge_columns(then_out, else_out)
 
     def _op_foreach(self, node: DFNode, ins: List[Column]) -> List[Column]:
-        lo, hi, step = ins[0], ins[1], ins[2]
-        live = ins[3:]
-        body = node.regions[0]
-        indices = self._counter_columns(lo, hi, step)
-        body_inputs = [indices] + [
-            self._broadcast_column(s, indices, 1) for s in live
-        ]
-        results = self._run_subgraph(body, body_inputs)
-        reduce_op = node.params.get("reduce_op")
-        if reduce_op is not None:
-            init = node.params.get("reduce_init", 0)
-            return [
-                self._reduce_column(node, r, reduce_op, init, 1) for r in results
-            ]
-        return [self._flatten_column(r, 1) for r in results]
+        indices = self._counter_columns(ins[0], ins[1], ins[2])
+        self._run_subgraph(node.regions[0], [indices] + [
+            self._broadcast_column(s, indices) for s in ins[3:]])
+        return []

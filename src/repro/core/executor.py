@@ -21,10 +21,10 @@ re-run once per loop iteration, so naive per-visit work (re-deriving the
 topological order, ``getattr``-resolving the handler for every node firing,
 re-resolving ``compute`` opcodes) dominates the cold path.  A
 :class:`NodeSchedule` precompiles all of that once per program — the topo
-order of every graph in the hierarchy plus per-node handler/opcode
-resolution — and is cached per graph (keyed on the graph's structural
-version), so every executor over the same compiled program shares one
-schedule.  Link statistics are optional per run (``link_stats=False``):
+order of every graph in the hierarchy, the set of ops to bind handlers for,
+and each ``compute`` node's :mod:`repro.core.opcodes` entry — and is cached
+per graph (keyed on the graph's structural version), so every executor over
+the same compiled program shares one schedule.  Link statistics are optional per run (``link_stats=False``):
 the serving tier only consumes loop trip counts, not per-link histograms.
 """
 
@@ -35,21 +35,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core import primitives as prim
-from repro.core.graph import DFGraph, DFNode, OPCODES
+from repro.core.graph import DFGraph, DFNode
 from repro.core.memory import MemorySystem
+from repro.core.opcodes import Opcode, resolve
 from repro.core.sltf import Barrier, Data, Stream, Token, encode
 from repro.errors import GraphError, PrimitiveError
-
-#: Associative reduction operators by name.
-REDUCE_OPS: Dict[str, Callable[[Any, Any], Any]] = {
-    "add": lambda a, b: a + b,
-    "mul": lambda a, b: a * b,
-    "min": min,
-    "max": max,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "void": lambda a, b: 0,
-}
 
 
 @dataclass
@@ -74,41 +64,24 @@ class LinkProfile:
 
 @dataclass
 class ExecutionProfile:
-    """Per-link and per-node statistics gathered by the executor."""
+    """Per-link and per-node statistics gathered by the executor.
+
+    ``vector_exits`` counts the firings in which the columnar executor left
+    its whole-array path, keyed ``"<op>:<reason>"`` (see
+    :meth:`repro.core.columnar.ColumnarExecutor._exit`); the token executor
+    leaves it empty.
+    """
 
     link_stats: Dict[str, LinkProfile] = field(default_factory=dict)
     node_firings: Dict[str, int] = field(default_factory=dict)
     loop_iterations: Dict[str, int] = field(default_factory=dict)
+    vector_exits: Dict[str, int] = field(default_factory=dict)
 
     def record_link(self, name: str, stream: Sequence[Token]) -> None:
         self.link_stats.setdefault(name, LinkProfile()).record(stream)
 
-    def record_firing(self, label: str, count: int = 1) -> None:
-        self.node_firings[label] = self.node_firings.get(label, 0) + count
-
     def record_loop(self, label: str, iterations: int) -> None:
         self.loop_iterations[label] = self.loop_iterations.get(label, 0) + iterations
-
-    def total_elements(self) -> int:
-        return sum(p.elements for p in self.link_stats.values())
-
-
-def _resolve_fn(fn: Any) -> Callable[..., Any]:
-    if callable(fn):
-        return fn
-    if isinstance(fn, str):
-        if fn not in OPCODES:
-            raise GraphError(f"unknown opcode '{fn}'")
-        return OPCODES[fn]
-    raise GraphError(f"compute node 'fn' must be a callable or opcode, got {fn!r}")
-
-
-def _resolve_reduce(op: Any) -> Callable[[Any, Any], Any]:
-    if callable(op):
-        return op
-    if isinstance(op, str) and op in REDUCE_OPS:
-        return REDUCE_OPS[op]
-    raise GraphError(f"unknown reduction op {op!r}")
 
 
 class NodeSchedule:
@@ -118,8 +91,7 @@ class NodeSchedule:
 
     * the memoized topological order of the root graph and every nested
       region graph (``steps``),
-    * per-node opcode/reduction resolution for ``compute``, ``reduce`` and
-      reducing ``foreach`` nodes (``fn``), and
+    * each ``compute`` node's opcode table entry (``opcode``), and
     * the set of ops that appear anywhere in the hierarchy, so an executor
       can resolve its handler table once instead of per node firing.
 
@@ -137,14 +109,14 @@ class NodeSchedule:
     ``_steps`` unambiguous.
     """
 
-    __slots__ = ("version", "ops", "_steps", "_fns", "_regions")
+    __slots__ = ("version", "ops", "_steps", "_opcodes", "_regions")
 
     def __init__(self, graph: DFGraph):
         #: Structural version of the root graph at build time.
         self.version = graph.version
         self.ops: set = set()
         self._steps: Dict[int, List[tuple]] = {}
-        self._fns: Dict[int, Callable[..., Any]] = {}
+        self._opcodes: Dict[int, Opcode] = {}
         #: ``(graph, version at build time)`` for every graph below the
         #: root; strong references, so a dead region's id can never alias
         #: a new graph.
@@ -162,11 +134,7 @@ class NodeSchedule:
         for node in graph.topo_order():
             self.ops.add(node.op)
             if node.op == "compute":
-                self._fns[node.uid] = _resolve_fn(node.params["fn"])
-            elif node.op == "reduce":
-                self._fns[node.uid] = _resolve_reduce(node.params["op"])
-            elif node.op == "foreach" and node.params.get("reduce_op") is not None:
-                self._fns[node.uid] = _resolve_reduce(node.params["reduce_op"])
+                self._opcodes[node.uid] = resolve(node.params.get("fn"))
             for region in node.regions:
                 self._regions.append((region, region.version))
                 self._add_graph(region)
@@ -182,18 +150,11 @@ class NodeSchedule:
 
     def steps(self, graph: DFGraph) -> List[tuple]:
         """Prepared steps for ``graph`` (any graph in the hierarchy)."""
-        steps = self._steps.get(id(graph))
-        if steps is None:
-            # A graph outside the scheduled hierarchy (defensive fallback);
-            # retaining the graph keeps the id() key unambiguous.
-            steps = self._prepare(graph)
-            self._regions.append((graph, graph.version))
-            self._steps[id(graph)] = steps
-        return steps
+        return self._steps[id(graph)]
 
-    def fn(self, node: DFNode) -> Optional[Callable[..., Any]]:
-        """Pre-resolved opcode / reduction callable for ``node`` (or None)."""
-        return self._fns.get(node.uid)
+    def opcode(self, node: DFNode) -> Opcode:
+        """The opcode table entry of ``compute`` node ``node``."""
+        return self._opcodes[node.uid]
 
 
 #: One schedule per live graph; entries die with their graph, and stale
@@ -239,6 +200,18 @@ def unzip_stream(stream: Sequence[Token], width: int) -> List[Stream]:
     return outs
 
 
+def merge_bundles(a: Sequence[Stream], b: Sequence[Stream]) -> List[Stream]:
+    """Forward-merge two parallel bundles (the join after an ``if``).
+
+    Wider bundles merge jointly, zipped, so each thread's live values stay
+    together.
+    """
+    if len(a) == 1:
+        return [prim.forward_merge(a[0], b[0])]
+    merged = prim.forward_merge(zip_streams(*a), zip_streams(*b))
+    return unzip_stream(merged, len(a))
+
+
 class Executor:
     """Runs structured dataflow graphs with functional SLTF semantics."""
 
@@ -258,12 +231,10 @@ class Executor:
         self.collect_link_stats = link_stats
         self._schedule = schedule_for(graph)
         # Handler table resolved once per executor (bound methods), not once
-        # per node firing; ops outside the schedule resolve lazily.
-        self._handlers: Dict[str, Callable[[DFNode, List[Stream]], List[Stream]]] = {}
-        for op in self._schedule.ops:
-            handler = getattr(self, f"_op_{op}", None)
-            if handler is not None:
-                self._handlers[op] = handler
+        # per node firing.
+        self._handlers: Dict[str, Callable[[DFNode, List[Stream]], List[Stream]]] = {
+            op: getattr(self, f"_op_{op}") for op in self._schedule.ops
+        }
 
     # -- public API ---------------------------------------------------------
 
@@ -285,27 +256,15 @@ class Executor:
 
     # -- graph / node evaluation ---------------------------------------------
 
-    def _handler(self, op: str) -> Callable[[DFNode, List[Stream]], List[Stream]]:
-        handler = self._handlers.get(op)
-        if handler is None:
-            handler = getattr(self, f"_op_{op}", None)
-            if handler is None:
-                raise GraphError(f"no executor handler for op '{op}'")
-            self._handlers[op] = handler
-        return handler
-
     def _run_graph(self, graph: DFGraph, env: Dict[int, Stream]) -> Dict[int, Stream]:
         profile = self.profile
         firings = profile.node_firings
         handlers = self._handlers
         collect_links = self.collect_link_stats
         for node, op, in_uids, outputs in self._schedule.steps(graph):
-            handler = handlers.get(op)
-            if handler is None:
-                handler = self._handler(op)
             in_streams = [env[uid] for uid in in_uids]
             firings[op] = firings.get(op, 0) + 1
-            out_streams = handler(node, in_streams)
+            out_streams = handlers[op](node, in_streams)
             if len(out_streams) != len(outputs):
                 raise GraphError(
                     f"node {node!r} produced {len(out_streams)} streams, "
@@ -334,31 +293,10 @@ class Executor:
     # -- element-wise and structural ops --------------------------------------
 
     def _op_compute(self, node: DFNode, ins: List[Stream]) -> List[Stream]:
-        fn = self._schedule.fn(node)
-        if fn is None:
-            fn = _resolve_fn(node.params["fn"])
-        return [prim.elementwise(fn, *ins)]
+        return [prim.elementwise(self._schedule.opcode(node).scalar, *ins)]
 
     def _op_const(self, node: DFNode, ins: List[Stream]) -> List[Stream]:
         return [prim.constant_like(ins[0], node.params["value"])]
-
-    def _op_broadcast(self, node: DFNode, ins: List[Stream]) -> List[Stream]:
-        levels = node.params.get("levels", 1)
-        return [prim.broadcast(ins[0], ins[1], levels=levels)]
-
-    def _op_counter(self, node: DFNode, ins: List[Stream]) -> List[Stream]:
-        return [prim.counter(ins[0], ins[1], ins[2])]
-
-    def _op_reduce(self, node: DFNode, ins: List[Stream]) -> List[Stream]:
-        op = self._schedule.fn(node)
-        if op is None:
-            op = _resolve_reduce(node.params["op"])
-        init = node.params.get("init", 0)
-        level = node.params.get("level", 1)
-        return [prim.reduce_stream(op, init, ins[0], level=level)]
-
-    def _op_flatten(self, node: DFNode, ins: List[Stream]) -> List[Stream]:
-        return [prim.flatten_stream(ins[0], levels=node.params.get("levels", 1))]
 
     def _op_filter(self, node: DFNode, ins: List[Stream]) -> List[Stream]:
         pred = ins[-1]
@@ -367,15 +305,6 @@ class Executor:
         # Thread-exit filters touch every live link with the same predicate;
         # one shared predicate scan instead of one per link.
         return prim.filter_streams(ins[:-1], pred)
-
-    def _op_forward_merge(self, node: DFNode, ins: List[Stream]) -> List[Stream]:
-        width = node.params.get("width", 1)
-        a, b = ins[:width], ins[width:]
-        if width == 1:
-            return [prim.forward_merge(a[0], b[0])]
-        # Merge the bundles jointly so per-thread live values stay together.
-        merged = prim.forward_merge(zip_streams(*a), zip_streams(*b))
-        return unzip_stream(merged, width)
 
     def _op_fork(self, node: DFNode, ins: List[Stream]) -> List[Stream]:
         counts = ins[0]
@@ -467,13 +396,12 @@ class Executor:
     def _op_while(self, node: DFNode, ins: List[Stream]) -> List[Stream]:
         """Forward-backward loop over parallel live-value streams.
 
-        Semantically this is :func:`repro.core.primitives.forward_backward_loop`
-        over the zipped live bundle (paper Figure 4), but executed directly
-        on the parallel streams: no per-token tuple zip/unzip per iteration,
-        and one shared predicate scan partitions every live link at once.
-        Iteration counts recorded in the profile are identical to the
-        zipped formulation (one ``record_loop`` per loop turn, including
-        the turn that discovers an empty group).
+        The paper's Figure 4 forward-backward merge, run directly on the
+        parallel streams: each barrier group is admitted alone and its
+        threads iterate until none recirculates, and one shared predicate
+        scan partitions every live link per turn.  The profile records one
+        ``record_loop`` per loop turn, including the turn that finds the
+        group empty.
         """
         cond_region, body_region = node.regions
         width = len(ins)
@@ -546,29 +474,17 @@ class Executor:
         taken, fallthrough = prim.partition_streams(live, cond)
         then_out = self._run_subgraph(then_region, taken)
         else_out = self._run_subgraph(else_region, fallthrough)
-        width = len(node.outputs)
-        if width == 0:
+        if not node.outputs:
             return []
-        if width == 1:
-            return [prim.forward_merge(then_out[0], else_out[0])]
-        merged = prim.forward_merge(zip_streams(*then_out), zip_streams(*else_out))
-        return unzip_stream(merged, width)
+        return merge_bundles(then_out, else_out)
 
     def _op_foreach(self, node: DFNode, ins: List[Stream]) -> List[Stream]:
-        lo, hi, step = ins[0], ins[1], ins[2]
-        live = ins[3:]
-        body = node.regions[0]
-        indices = prim.counter(lo, hi, step)
-        body_inputs = [indices] + [prim.broadcast(s, indices, levels=1) for s in live]
-        results = self._run_subgraph(body, body_inputs)
-        reduce_op = node.params.get("reduce_op")
-        if reduce_op is not None:
-            op = self._schedule.fn(node)
-            if op is None:
-                op = _resolve_reduce(reduce_op)
-            init = node.params.get("reduce_init", 0)
-            return [prim.reduce_stream(op, init, r, level=1) for r in results]
-        return [prim.flatten_stream(r, levels=1) for r in results]
+        # Expand each parent into its children, broadcast the parent's live
+        # values to them, and run the body; children yield nothing back.
+        indices = prim.counter(ins[0], ins[1], ins[2])
+        self._run_subgraph(node.regions[0], [indices] + [
+            prim.broadcast(s, indices) for s in ins[3:]])
+        return []
 
     def _op_replicate(self, node: DFNode, ins: List[Stream]) -> List[Stream]:
         # Functionally, a replicate region is a single copy of its body: the

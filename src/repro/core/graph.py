@@ -11,16 +11,12 @@ is done by :mod:`repro.core.executor`.
 Node operations
 ---------------
 
-Leaf (element-wise / streaming) operations:
+These are exactly the ops the lowering emits (a test compiles every app to
+hold the two sets equal).  Leaf (element-wise / streaming) operations:
 
-``compute``        apply an opcode or callable across aligned inputs
+``compute``        apply a :mod:`repro.core.opcodes` opcode across aligned inputs
 ``const``          emit a constant aligned with a structural input
-``broadcast``      repeat a parent value across a child dimension
-``counter``        expand (min, max, step) into an iteration dimension
-``reduce``         reduce the lowest dimension with an associative op
-``flatten``        drop one level of hierarchy
 ``filter``         keep elements whose predicate is true
-``forward_merge``  interleave two thread bundles (join after an ``if``)
 ``fork``           duplicate threads in place (no added hierarchy)
 
 Memory operations (element-wise, see :mod:`repro.core.memory`):
@@ -31,7 +27,8 @@ Memory operations (element-wise, see :mod:`repro.core.memory`):
 Region operations:
 
 ``while``      regions = [cond, body]; per-thread iteration
-``foreach``    regions = [body]; counter expansion + reduction/flattening
+``foreach``    regions = [body]; counter expansion, a body run per child, no
+               outputs (children write memory)
 ``replicate``  regions = [body]; outer (non-vector) parallelism
 ``if``         regions = [then, else]; filter into branches, forward-merge out
 """
@@ -43,50 +40,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.machine import LinkKind
+from repro.core.opcodes import resolve
 from repro.errors import GraphError
-
-#: Element-wise opcodes understood by compute nodes, the executor, and the
-#: resource model.  ``select`` is (cond, a, b) -> a if cond else b.
-OPCODES = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a // b if isinstance(a, int) and isinstance(b, int) else a / b,
-    "rem": lambda a, b: a % b,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "shl": lambda a, b: a << b,
-    # Logical right shift: negative values are treated as 32-bit patterns;
-    # non-negative values (which may exceed 32 bits mid-expression, e.g. a
-    # bit-packing accumulator) shift exactly.
-    "shr": lambda a, b: (a if a >= 0 else a & 0xFFFFFFFF) >> b,
-    "ashr": lambda a, b: a >> b,
-    "eq": lambda a, b: int(a == b),
-    "ne": lambda a, b: int(a != b),
-    "lt": lambda a, b: int(a < b),
-    "le": lambda a, b: int(a <= b),
-    "gt": lambda a, b: int(a > b),
-    "ge": lambda a, b: int(a >= b),
-    "min": lambda a, b: min(a, b),
-    "max": lambda a, b: max(a, b),
-    "not": lambda a: int(not a),
-    "neg": lambda a: -a,
-    "copy": lambda a: a,
-    "select": lambda c, a, b: a if c else b,
-    "land": lambda a, b: int(bool(a) and bool(b)),
-    "lor": lambda a, b: int(bool(a) or bool(b)),
-}
 
 LEAF_OPS = {
     "compute",
     "const",
-    "broadcast",
-    "counter",
-    "reduce",
-    "flatten",
     "filter",
-    "forward_merge",
     "fork",
     "sram_alloc",
     "sram_free",
@@ -237,33 +197,39 @@ class DFGraph:
         return self._topo_cache
 
     def _topo_order_uncached(self) -> List[DFNode]:
+        # Explicit loops, not all()/update() over generators: verify() orders
+        # every region of every compile, so this is on the compile path.
         defined: Set[int] = {v.uid for v in self.inputs}
-        remaining = list(self.nodes)
+        remaining = self.nodes
         order: List[DFNode] = []
         while remaining:
-            progressed = False
             still: List[DFNode] = []
             for node in remaining:
-                if all(v.uid in defined for v in node.inputs):
-                    order.append(node)
-                    defined.update(v.uid for v in node.outputs)
-                    progressed = True
+                for v in node.inputs:
+                    if v.uid not in defined:
+                        still.append(node)
+                        break
                 else:
-                    still.append(node)
-            remaining = still
-            if not progressed and remaining:
-                bad = ", ".join(repr(n) for n in remaining[:3])
+                    order.append(node)
+                    for v in node.outputs:
+                        defined.add(v.uid)
+            if len(still) == len(remaining):
+                bad = ", ".join(repr(n) for n in still[:3])
                 raise GraphError(
                     f"dataflow graph '{self.name}' has a cycle or undefined "
                     f"inputs involving: {bad}"
                 )
+            remaining = still
         return order
 
     def verify(self) -> None:
-        """Check structural well-formedness (arity, regions, acyclicity)."""
+        """Check structural well-formedness (arity, opcodes, regions,
+        acyclicity) of this graph and of every region graph under it."""
         self.topo_order()
         for node in self.nodes:
             _verify_node(node)
+            for region in node.regions:
+                region.verify()
         defined = {v.uid for v in self.all_values()}
         for out in self.outputs:
             if out.uid not in defined:
@@ -294,9 +260,7 @@ def _verify_node(node: DFNode) -> None:
     op = node.op
     n_in, n_out = len(node.inputs), len(node.outputs)
     if op == "compute":
-        fn = node.params.get("fn")
-        if isinstance(fn, str) and fn not in OPCODES:
-            raise GraphError(f"unknown opcode '{fn}' in compute node")
+        resolve(node.params.get("fn"))
         if n_out != 1:
             raise GraphError("compute nodes produce exactly one output")
     elif op == "const":
@@ -304,25 +268,9 @@ def _verify_node(node: DFNode) -> None:
             raise GraphError("const nodes take one structural input, one output")
         if "value" not in node.params:
             raise GraphError("const nodes require a 'value' parameter")
-    elif op == "broadcast":
-        if n_in != 2 or n_out != 1:
-            raise GraphError("broadcast takes (outer, inner) inputs, one output")
-    elif op == "counter":
-        if n_in != 3 or n_out != 1:
-            raise GraphError("counter takes (min, max, step), one output")
-    elif op == "reduce":
-        if n_in != 1 or n_out != 1 or "op" not in node.params:
-            raise GraphError("reduce takes one input, one output, and an 'op'")
-    elif op == "flatten":
-        if n_in != 1 or n_out != 1:
-            raise GraphError("flatten takes one input and one output")
     elif op == "filter":
         if n_in < 2 or n_out != n_in - 1:
             raise GraphError("filter takes (*data, pred) and outputs len(data)")
-    elif op == "forward_merge":
-        width = node.params.get("width", 1)
-        if n_in != 2 * width or n_out != width:
-            raise GraphError("forward_merge takes 2*width inputs, width outputs")
     elif op == "fork":
         if n_in < 1 or n_out != n_in:
             raise GraphError("fork takes (count, *data), outputs (index, *data)")
@@ -355,6 +303,8 @@ def _verify_node(node: DFNode) -> None:
             raise GraphError("foreach takes (lo, hi, step, *live)")
         if len(body.inputs) != n_in - 2:
             raise GraphError("foreach body takes (index, *live) inputs")
+        if n_out or body.outputs:
+            raise GraphError("foreach nodes yield no values")
     elif op == "replicate":
         if len(node.regions) != 1:
             raise GraphError("replicate nodes need a [body] region")

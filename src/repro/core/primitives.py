@@ -4,9 +4,11 @@ These are the functional (untimed) semantics of the primitives a Revet
 machine provides on SLTF links:
 
 * element-wise operations,
-* expansion (broadcast and counters), reduction, and flattening,
-* filtering and forward merging (acyclic subgraphs, i.e. ``if``),
-* forward-backward merging (cyclic subgraphs, i.e. ``while``).
+* expansion (broadcast and counters, i.e. ``foreach``) and ``fork``,
+* filtering and forward merging (acyclic subgraphs, i.e. ``if``).
+
+Forward-backward merging (cyclic subgraphs, i.e. ``while``) is the token
+executor's ``_op_while`` drain over these primitives.
 
 Each primitive obeys the SLTF composability constraints:
 
@@ -21,16 +23,10 @@ with per-cycle bandwidth and buffering.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import PrimitiveError
-from repro.core.sltf import (
-    Barrier,
-    Data,
-    Stream,
-    Token,
-    lower_barriers,
-)
+from repro.core.sltf import Barrier, Data, Stream, Token
 
 # ---------------------------------------------------------------------------
 # Element-wise operations
@@ -112,20 +108,18 @@ def constant_like(stream: Sequence[Token], value: Any) -> Stream:
 
 
 # ---------------------------------------------------------------------------
-# Expansion, reduction, and flattening
+# Expansion
 # ---------------------------------------------------------------------------
 
 
-def broadcast(outer: Sequence[Token], inner: Sequence[Token], levels: int = 1) -> Stream:
-    """Repeat each element of ``outer`` across the lowest dim(s) of ``inner``.
+def broadcast(outer: Sequence[Token], inner: Sequence[Token]) -> Stream:
+    """Repeat each element of ``outer`` across one group of ``inner``.
 
-    ``outer`` is a k-D stream and ``inner`` a (k+levels)-D stream; the result
-    has the structure of ``inner`` with data drawn from ``outer``.  This is
-    the scalar-to-vector broadcast used when a parent thread's live value is
+    ``outer`` is a k-D stream and ``inner`` a (k+1)-D stream; the result has
+    the structure of ``inner`` with data drawn from ``outer``.  This is the
+    scalar-to-vector broadcast used when a parent thread's live value is
     shared by all its children (paper Sections III-B(b) and III-C).
     """
-    if levels < 1:
-        raise PrimitiveError("broadcast requires levels >= 1")
     out: Stream = []
     outer_iter = iter(outer)
     current: Optional[Data] = None
@@ -152,10 +146,9 @@ def broadcast(outer: Sequence[Token], inner: Sequence[Token], levels: int = 1) -
                 raise PrimitiveError("broadcast ran out of outer elements")
             out.append(Data(current.value))
         else:
+            # The group of the current outer element ended.
             out.append(Barrier(tok.level))
-            if tok.level >= levels:
-                # The group corresponding to the current outer element ended.
-                advance()
+            advance()
     return out
 
 
@@ -187,47 +180,6 @@ def counter(
         else:
             out.append(Barrier(tok.level + 1))
     return out
-
-
-def reduce_stream(
-    op: Callable[[Any, Any], Any], init: Any, stream: Sequence[Token], level: int = 1
-) -> Stream:
-    """Reduce the lowest ``level`` dimension(s) of a stream with ``op``.
-
-    Every group terminated by a barrier of exactly ``level`` produces one
-    output element (the ``init`` value for empty groups — this is the
-    empty-tensor composability requirement from Section III-A).  Barriers of
-    higher levels are lowered by ``level``.
-    """
-    if level < 1:
-        raise PrimitiveError("reduce level must be >= 1")
-    out: Stream = []
-    acc = init
-    pending = False
-    for tok in stream:
-        if isinstance(tok, Data):
-            acc = op(acc, tok.value)
-            pending = True
-        elif tok.level <= level:
-            # An explicit barrier at (or below) the reduce level always
-            # terminates a group, even an empty one: empty groups must still
-            # yield the initial value (Section III-A composability).
-            out.append(Data(acc))
-            acc = init
-            pending = False
-        else:
-            # A higher barrier implicitly closes a pending non-empty group.
-            if pending:
-                out.append(Data(acc))
-                acc = init
-                pending = False
-            out.append(Barrier(tok.level - level))
-    return out
-
-
-def flatten_stream(stream: Sequence[Token], levels: int = 1) -> Stream:
-    """Remove ``levels`` levels of hierarchy, keeping data untouched."""
-    return lower_barriers(stream, by=levels)
 
 
 def fork_stream(counts: Sequence[Token], payload: Sequence[Token]) -> Stream:
@@ -271,18 +223,6 @@ def filter_stream(data: Sequence[Token], predicate: Sequence[Token]) -> Stream:
             if keep.value:
                 append(tok)
     return out
-
-
-def partition_stream(
-    data: Sequence[Token], predicate: Sequence[Token]
-) -> Tuple[Stream, Stream]:
-    """Split a stream into (true-branch, false-branch) streams.
-
-    Both outputs keep all barriers, so each branch of an ``if`` sees the same
-    control structure (paper Figure 3).
-    """
-    negated = map_stream(lambda p: not p, predicate)
-    return filter_stream(data, predicate), filter_stream(data, negated)
 
 
 def filter_streams(
@@ -385,133 +325,3 @@ def forward_merge(a: Sequence[Token], b: Sequence[Token]) -> Stream:
         ia += 1
         ib += 1
     return out
-
-
-def merge_many(streams: Sequence[Sequence[Token]]) -> Stream:
-    """Merge any number of streams with a tree of forward merges."""
-    if not streams:
-        raise PrimitiveError("merge_many requires at least one stream")
-    result = list(streams[0])
-    for other in streams[1:]:
-        result = forward_merge(result, other)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Cyclic subgraphs: forward-backward merging (while loops)
-# ---------------------------------------------------------------------------
-
-
-def forward_backward_loop(
-    stream: Sequence[Token],
-    body: Callable[[Stream], Tuple[Stream, Stream]],
-    max_iterations: int = 1_000_000,
-) -> Stream:
-    """Run a natural loop over each barrier group of ``stream``.
-
-    ``body`` receives a 1-D stream of live thread states (terminated by a
-    level-1 barrier) and must return ``(recirculate, exit)`` streams, both
-    terminated by a level-1 barrier.  The forward-backward merge at the loop
-    header admits one barrier group at a time, iterates the threads until the
-    loop body is empty (two consecutive level-1 barriers on the backedge),
-    and then emits the exited threads followed by the group's barrier.
-
-    This matches the paper's Figure 4 semantics: barriers inside the loop are
-    raised by one level and restored on exit, so loops compose with other
-    primitives (including nested loops inside ``body``).
-    """
-    out: Stream = []
-    group: List[Data] = []
-    for tok in stream:
-        if isinstance(tok, Data):
-            group.append(tok)
-            continue
-        # A barrier terminates the current group: iterate it to completion.
-        # Data tokens are immutable, so the group is reused as-is.
-        live: Stream = group + [Barrier(1)]
-        group = []
-        exited_all: Stream = []
-        iterations = 0
-        while True:
-            recirc, exited = body(live)
-            exited_all.extend(t for t in exited if isinstance(t, Data))
-            recirc_data = [t for t in recirc if isinstance(t, Data)]
-            if not recirc_data:
-                break
-            live = recirc_data + [Barrier(1)]
-            iterations += 1
-            if iterations > max_iterations:
-                raise PrimitiveError(
-                    "forward-backward loop exceeded max_iterations; "
-                    "possible livelock in loop body"
-                )
-        out.extend(exited_all)
-        out.append(Barrier(tok.level))
-    if group:
-        raise PrimitiveError("forward-backward loop input missing final barrier")
-    return out
-
-
-def while_loop(
-    stream: Sequence[Token],
-    condition: Callable[[Any], bool],
-    step: Callable[[Any], Any],
-    max_iterations: int = 1_000_000,
-) -> Stream:
-    """Convenience wrapper: a while loop over per-thread state values.
-
-    Each thread's state is tested with ``condition``; while true the state is
-    advanced with ``step``.  The final states are emitted in completion order
-    within each barrier group (threads are unordered inside a group).
-    """
-
-    def body(live: Stream) -> Tuple[Stream, Stream]:
-        recirc: Stream = []
-        exited: Stream = []
-        for tok in live:
-            if isinstance(tok, Barrier):
-                recirc.append(Barrier(1))
-                exited.append(Barrier(1))
-                break
-            state = tok.value
-            if condition(state):
-                recirc.append(Data(step(state)))
-            else:
-                exited.append(Data(state))
-        return recirc, exited
-
-    return forward_backward_loop(stream, body, max_iterations=max_iterations)
-
-
-# ---------------------------------------------------------------------------
-# foreach: expansion/reduction pair
-# ---------------------------------------------------------------------------
-
-
-def foreach(
-    stream: Sequence[Token],
-    trip_counts: Callable[[Any], Iterable[Any]],
-    body: Callable[[Stream], Stream],
-    reduce_op: Optional[Callable[[Any, Any], Any]] = None,
-    reduce_init: Any = 0,
-) -> Stream:
-    """A foreach block: expansion, body, and reduction or flattening.
-
-    ``trip_counts(parent_value)`` yields the child iteration values for one
-    parent thread; ``body`` runs element-wise-composable code on the expanded
-    (k+1)-D stream.  If ``reduce_op`` is given the children are reduced back
-    to one value per parent; otherwise the children are flattened into the
-    parent dimension (a ``fork``-like expansion).
-    """
-    expanded: Stream = []
-    for tok in stream:
-        if isinstance(tok, Data):
-            for child in trip_counts(tok.value):
-                expanded.append(Data(child))
-            expanded.append(Barrier(1))
-        else:
-            expanded.append(Barrier(tok.level + 1))
-    result = body(expanded)
-    if reduce_op is not None:
-        return reduce_stream(reduce_op, reduce_init, result, level=1)
-    return flatten_stream(result, levels=1)

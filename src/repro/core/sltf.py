@@ -12,16 +12,13 @@ This module provides:
 
 * :class:`Data` and :class:`Barrier` tokens,
 * :func:`encode` / :func:`decode` between nested Python lists (ragged
-  tensors) and token streams,
-* :func:`validate_stream` which checks the well-formedness rules that
-  Revet's machine model relies on for composability, and
-* small utilities (:func:`stream_depth`, :func:`count_elements`,
-  :func:`split_groups`) used by the streaming primitives.
+  tensors) and token streams, and
+* :func:`data_values`, a stream's data payloads.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Any, Iterable, List, Sequence, Union
 
 from repro.errors import SLTFError
 
@@ -89,26 +86,9 @@ Token = Union[Data, Barrier]
 Stream = List[Token]
 
 
-def is_data(token: Token) -> bool:
-    """Return True if ``token`` carries a data element."""
-    return isinstance(token, Data)
-
-
-def is_barrier(token: Token, level: int = None) -> bool:
-    """Return True if ``token`` is a barrier (optionally of a given level)."""
-    if not isinstance(token, Barrier):
-        return False
-    return level is None or token.level == level
-
-
 def data_values(stream: Iterable[Token]) -> List[Any]:
     """Extract the data payloads of a stream, dropping barriers."""
     return [tok.value for tok in stream if isinstance(tok, Data)]
-
-
-def count_elements(stream: Iterable[Token]) -> int:
-    """Count data elements in a stream."""
-    return sum(1 for tok in stream if isinstance(tok, Data))
 
 
 def _encode_nested(tensor: Sequence, ndim: int) -> Stream:
@@ -246,102 +226,3 @@ def decode_all(stream: Iterable[Token], ndim: int) -> List[list]:
     if any(pending) or any(groups[k] for k in range(ndim)):
         raise SLTFError("stream ended with unterminated dimensions")
     return results
-
-
-def validate_stream(stream: Iterable[Token], ndim: int) -> None:
-    """Check SLTF well-formedness for a rank-``ndim`` link.
-
-    Raises :class:`SLTFError` if the stream contains barriers above ``ndim``
-    or is not decodable (e.g. unterminated dimensions).
-    """
-    decode_all(stream, ndim)
-
-
-def stream_depth(stream: Iterable[Token]) -> int:
-    """Return the maximum barrier level present in a stream (0 if none)."""
-    return max((tok.level for tok in stream if isinstance(tok, Barrier)), default=0)
-
-
-def split_groups(stream: Sequence[Token], level: int) -> Iterator[Stream]:
-    """Split a stream into the groups terminated by barriers of ``level``.
-
-    Each yielded group *includes* its terminating barrier.  Lower barriers
-    remain embedded inside the groups.  A trailing partial group (no final
-    barrier) is yielded as-is.
-    """
-    group: Stream = []
-    for tok in stream:
-        group.append(tok)
-        if isinstance(tok, Barrier) and tok.level >= level:
-            yield group
-            group = []
-    if group:
-        yield group
-
-
-def lower_barriers(stream: Iterable[Token], by: int = 1) -> Stream:
-    """Lower every barrier level by ``by``, dropping those that reach 0.
-
-    This implements the *flatten* edge behaviour: leaving a while-loop body
-    or flattening a foreach removes one level of hierarchy.
-    """
-    out: Stream = []
-    for tok in stream:
-        if isinstance(tok, Barrier):
-            new_level = tok.level - by
-            if new_level >= 1:
-                out.append(Barrier(new_level))
-        else:
-            out.append(tok)
-    return out
-
-
-def raise_barriers(stream: Iterable[Token], by: int = 1) -> Stream:
-    """Raise every barrier level by ``by`` (used when entering loop bodies)."""
-    out: Stream = []
-    for tok in stream:
-        if isinstance(tok, Barrier):
-            out.append(Barrier(tok.level + by))
-        else:
-            out.append(tok)
-    return out
-
-
-def concat_streams(*streams: Sequence[Token]) -> Stream:
-    """Concatenate token streams into a new stream."""
-    out: Stream = []
-    for s in streams:
-        out.extend(s)
-    return out
-
-
-def zip_data(*streams: Sequence[Token]) -> Iterator[Tuple[Any, ...]]:
-    """Iterate tuples of corresponding data values across parallel streams.
-
-    Parallel SLTF streams carry the live variables of the same threads, so
-    their data elements (and barriers) must line up one-to-one.  Raises
-    :class:`SLTFError` on misalignment.
-    """
-    iters = [iter(s) for s in streams]
-    while True:
-        toks = []
-        done = 0
-        for it in iters:
-            try:
-                toks.append(next(it))
-            except StopIteration:
-                done += 1
-                toks.append(None)
-        if done == len(iters):
-            return
-        if done:
-            raise SLTFError("parallel streams have different lengths")
-        kinds = {isinstance(t, Barrier) for t in toks}
-        if len(kinds) != 1:
-            raise SLTFError(f"parallel streams misaligned at {toks}")
-        if isinstance(toks[0], Barrier):
-            levels = {t.level for t in toks}
-            if len(levels) != 1:
-                raise SLTFError(f"parallel streams have mismatched barriers {toks}")
-            continue
-        yield tuple(t.value for t in toks)

@@ -599,20 +599,8 @@ class DataflowLowering:
         body_scope = self._region_scope(body_graph, [body.args[0]], [index_input],
                                         scope, captured, cap_inputs, index_input)
         self._lower_block(body, body_graph, body_scope)
-        terminator = body.terminator
-        yields = (terminator.operands if terminator is not None
-                  and terminator.name == "revet.yield" else [])
-        body_graph.set_outputs([body_scope.lookup(v) for v in yields])
-
-        reduce_op = op.attrs.get("reduce")
-        params = {}
-        if reduce_op:
-            params = {"reduce_op": reduce_op, "reduce_init": 0}
-        node = graph.add_node("foreach", [zero, count, step] + cap_dfs,
-                              num_outputs=len(op.results), regions=[body_graph],
-                              params=params, name=f"foreach{op.uid}")
-        for result, out in zip(op.results, node.outputs):
-            scope.bind(result, out)
+        graph.add_node("foreach", [zero, count, step] + cap_dfs, num_outputs=0,
+                       regions=[body_graph], name=f"foreach{op.uid}")
 
 
 def lower_to_dataflow(module: Module, function: str = "main") -> CompiledProgram:

@@ -6,7 +6,7 @@ it onto physical units under the Table II splitting constraints:
 * element-wise operations are packed into contexts of at most ``stages`` ops
   and at most four vector inputs (extra inputs force a split),
 * every control primitive (forward merge, forward-backward merge, filter,
-  counter/reduce pair, fork) occupies a context's pipeline head or tail,
+  counter, fork) occupies a context's pipeline head or tail,
 * each SRAM allocation site maps to one or more memory units (capacity) plus
   an allocator context; fused allocation groups share one allocator,
 * bulk transfers and demand DRAM accesses map to address generators,
@@ -137,8 +137,6 @@ class ResourceEstimator:
         elif node.op == "fork":
             bucket.cu += 1
             counters["deadlock_mu"] += 1
-        elif node.op == "forward_merge":
-            bucket.cu += 1
         elif node.op == "if":
             bucket.cu += 2  # filter + forward merge contexts
             counters["scalar_links"] += 2 * replicate_factor
@@ -153,7 +151,7 @@ class ResourceEstimator:
                 self._walk_graph(region, usage, counters, inner_zone,
                                  replicate_factor)
         elif node.op == "foreach":
-            bucket.cu += 1  # counter + reduce pair
+            bucket.cu += 1  # counter expansion
             for region in node.regions:
                 self._walk_graph(region, usage, counters, zone, replicate_factor)
         elif node.op == "replicate":

@@ -72,7 +72,8 @@ register(OpInfo("scf.condition", min_operands=1, terminator=True, num_results=0)
 register(OpInfo("revet.dram_global", num_results=0,
                 required_attrs=("sym_name", "element_width")))
 register(OpInfo("revet.dram_ref", num_results=1, required_attrs=("name",)))
-register(OpInfo("revet.foreach", min_operands=2, num_regions=1))
+register(OpInfo("revet.foreach", min_operands=2, max_operands=2, num_results=0,
+                num_regions=1))
 register(OpInfo("revet.replicate", num_regions=1, required_attrs=("factor",)))
 register(OpInfo("revet.fork", min_operands=1, max_operands=1, num_results=1))
 register(OpInfo("revet.exit", terminator=False, num_results=0))

@@ -5,7 +5,7 @@ High-level ops created by the front end:
 * ``revet.dram_global`` / ``revet.dram_ref`` — DRAM tensors declared at file
   scope and referenced inside functions.
 * ``revet.foreach`` — explicitly parallel loop whose body is one thread per
-  iteration; optionally reduces a yielded value.
+  iteration; it has no results (threads write memory).
 * ``revet.replicate`` — distributes threads across multiple scalar pipelines.
 * ``revet.fork`` / ``revet.exit`` — dynamic thread spawning and termination.
 * ``revet.view_new`` / ``view_load`` / ``view_store`` — tile-transfer views.
@@ -66,15 +66,12 @@ def dram_ref(builder: Builder, name: str, element_width: int = 32) -> Value:
 
 
 def foreach(builder: Builder, count: Value, step: Value,
-            result_types: Sequence[Type] = (), reduce: Optional[str] = None,
             index_name: str = "i") -> Operation:
     """Create a ``revet.foreach`` over ``0 .. count`` by ``step``.
 
-    The body region gets one block argument: the iteration index.  A reduced
-    result (if any) is produced by the region's ``revet.yield``.
+    The body region gets one block argument: the iteration index.
     """
-    op = builder.create("revet.foreach", [count, step], list(result_types),
-                        {"reduce": reduce}, num_regions=1)
+    op = builder.create("revet.foreach", [count, step], [], num_regions=1)
     op.region(0).entry.add_arg(I32, name=index_name)
     return op
 

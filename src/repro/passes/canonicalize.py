@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.ir import Module, Operation, walk_ops
 from repro.ir.dialects.arith import BINOP_TO_OPCODE, CMP_TO_OPCODE
 from repro.ir.pass_manager import Pass
-from repro.core.graph import OPCODES
+from repro.core.opcodes import OPCODES
 
 #: Ops with no side effects that may be removed when unused.
 PURE_OPS = set(BINOP_TO_OPCODE) | {
@@ -50,7 +50,7 @@ class CanonicalizePass(Pass):
             else:
                 opcode = BINOP_TO_OPCODE[op.name]
             try:
-                return OPCODES[opcode](*values)
+                return OPCODES[opcode].scalar(*values)
             except ZeroDivisionError:
                 return None
         return None

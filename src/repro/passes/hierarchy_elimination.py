@@ -36,7 +36,7 @@ class HierarchyEliminationPass(Pass):
     def run(self, module: Module) -> bool:
         changed = False
         for foreach in ops_named(module, "revet.foreach"):
-            if foreach.parent is None or foreach.results:
+            if foreach.parent is None:
                 continue
             if not self._is_annotated(foreach):
                 continue

@@ -8,13 +8,11 @@ enforces the same contract on full engine responses.
 """
 
 import random
-from unittest import mock
 
 import pytest
 
 from repro.apps import REGISTRY
 from repro.compiler import CompileOptions
-from repro.core import columnar
 from repro.core.columnar import ColumnarExecutor, make_executor
 from repro.core.executor import Executor
 from repro.core.graph import DFGraph
@@ -66,19 +64,18 @@ def _run_both(program, make_instance):
     fresh node uids, so auto-generated labels/link names would differ and
     mask (or fake) real divergence.
 
-    The columnar run must also stay on the vector path: its only
-    ``to_stream`` calls are ``ColumnarExecutor.run``'s output conversion,
-    one per graph output, so no node fell back to a token primitive.
+    The columnar run must also leave the vector path only row-wise inside
+    ``compute`` (``compute:overflow`` / ``compute:object``), never for a
+    token primitive.
     """
     states = {}
     for executor in ("token", "columnar"):
         instance = make_instance()
-        with mock.patch.object(columnar, "to_stream",
-                               wraps=columnar.to_stream) as to_stream:
-            runner = program.run(instance.memory, profile=True,
-                                 executor=executor, **instance.args)
+        runner = program.run(instance.memory, profile=True,
+                             executor=executor, **instance.args)
         if executor == "columnar":
-            assert to_stream.call_count == len(program.graph.outputs)
+            exits = runner.profile.vector_exits
+            assert all(key.startswith("compute:") for key in exits), exits
         states[executor] = (
             _memory_state(instance.memory),
             _profile_state(runner.profile),
@@ -200,7 +197,7 @@ def _random_straight_line_source(rng: random.Random, n_stmts: int) -> str:
         n_temps += 1
     lines.append(f"    out[i] = t{n_temps - 1};")
     # Division and remainder by whole columns of each sign class (the
-    # sign-aware bounds of _vec_div/_vec_rem), each result kept live.
+    # sign-aware bounds of the div/rem kernels), each result kept live.
     slot = 0
     for divisor in _DIVISOR_COLUMNS:
         for op in ("/", "%"):
@@ -272,7 +269,10 @@ def test_div_rem_bounds_contain_exact_results(seed):
     """The vector kernels equal Python's ``//`` and ``%`` row by row and
     their proven bounds contain every result, for each divisor sign class."""
     import numpy as np
-    from repro.core.columnar import Column, _vec_div, _vec_rem
+    from repro.core.columnar import Column
+    from repro.core.opcodes import OPCODES
+
+    div, rem = OPCODES["div"].vector, OPCODES["rem"].vector
 
     rng = random.Random(seed)
 
@@ -289,13 +289,13 @@ def test_div_rem_bounds_contain_exact_results(seed):
                 "mixed": [rng.choice([-1, 1]) * m for m in magnitudes]}
     for a in dividends.values():
         for b in divisors.values():
-            for kernel, exact in ((_vec_div, lambda x, y: x // y),
-                                  (_vec_rem, lambda x, y: x % y)):
+            for kernel, exact in ((div, lambda x, y: x // y),
+                                  (rem, lambda x, y: x % y)):
                 values, lo, hi = kernel([column(a), column(b)])
                 expected = [exact(x, y) for x, y in zip(a, b)]
                 assert values.tolist() == expected
                 assert lo <= min(expected) and max(expected) <= hi
     # What huff-dec's inner loop needs: word >> (31 - bitpos % 32) is a
     # provably legal shift.
-    _, lo, hi = _vec_rem([column(dividends["non-negative"]), column([32] * 64)])
+    _, lo, hi = rem([column(dividends["non-negative"]), column([32] * 64)])
     assert (lo, hi) == (0, min(31, max(dividends["non-negative"])))

@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.columnar import make_executor
 from repro.core.executor import Executor, run_graph, zip_streams, unzip_stream
-from repro.core.graph import DFGraph, DFNode, OPCODES
+from repro.core.graph import DFGraph, DFNode
 from repro.core.memory import MemorySystem
+from repro.core.opcodes import OPCODES
 from repro.core.sltf import Barrier as B, Data as D, data_values, decode, encode
-from repro.errors import GraphError, PrimitiveError
+from repro.errors import GraphError, PrimitiveError, SLTFError
 
 
 def build_add_one_graph():
@@ -49,16 +50,16 @@ class TestGraphConstruction:
     def test_verify_node_arities(self):
         g = DFGraph()
         x = g.add_input("x")
-        g.add_node("broadcast", [x], name="bad")
+        g.add_node("filter", [x], name="bad")  # needs (*data, pred)
         with pytest.raises(GraphError):
             g.verify()
 
     def test_opcode_table_covers_common_ops(self):
-        assert OPCODES["add"](2, 3) == 5
-        assert OPCODES["select"](1, 10, 20) == 10
-        assert OPCODES["select"](0, 10, 20) == 20
-        assert OPCODES["shr"](-1 & 0xFFFFFFFF, 28) == 0xF
-        assert OPCODES["not"](0) == 1
+        assert OPCODES["add"].scalar(2, 3) == 5
+        assert OPCODES["select"].scalar(1, 10, 20) == 10
+        assert OPCODES["select"].scalar(0, 10, 20) == 20
+        assert OPCODES["shr"].scalar(-1 & 0xFFFFFFFF, 28) == 0xF
+        assert OPCODES["not"].scalar(0) == 1
 
     def test_fresh_names_are_unique(self):
         g = DFGraph()
@@ -72,11 +73,70 @@ class TestGraphConstruction:
         assert counts == {"const": 1, "compute": 1}
         assert len(list(g.walk())) == 2
 
+    def test_compute_fn_must_name_an_opcode(self):
+        g = DFGraph()
+        g.add_node("compute", [g.add_input("x")], params={"fn": lambda v: v})
+        with pytest.raises(GraphError, match="unknown opcode"):
+            g.verify()
+
+    def test_foreach_yields_no_values(self):
+        g = DFGraph()
+        n = g.add_input("n")
+        body = DFGraph("body")
+        body.set_outputs([body.add_input("i")])
+        g.add_node("foreach", [n, n, n], regions=[body])
+        with pytest.raises(GraphError, match="foreach nodes yield no values"):
+            g.verify()
+
+
+def build_graph_around_region(region_op, add_node):
+    """A ``while`` or an ``if`` over one live value ``x`` whose body yields
+    the node ``add_node(body, x)`` adds."""
+    g = DFGraph("outer")
+    x = g.add_input("x")
+    body = DFGraph("body")
+    body.set_outputs([add_node(body, body.add_input("x")).outputs[0]])
+    if region_op == "while":
+        cond = DFGraph("cond")
+        cx = cond.add_input("x")
+        cond.set_outputs([cond.add_node("compute", [cx], params={"fn": "not"})
+                          .outputs[0]])
+        region = g.add_node("while", [x], regions=[cond, body])
+    else:
+        orelse = DFGraph("else")
+        orelse.set_outputs([orelse.add_input("x")])
+        region = g.add_node("if", [g.add_input("p"), x], regions=[body, orelse])
+    g.set_outputs([region.outputs[0]])
+    return g
+
+
+class TestVerifyRecursesIntoRegions:
+    """``DFGraph.verify`` checks every region graph, so the lowering's one
+    call covers nodes nested in ``while``/``if``/``foreach`` bodies."""
+
+    @pytest.mark.parametrize("region_op", ["while", "if"])
+    def test_valid_region_body_passes(self, region_op):
+        build_graph_around_region(region_op, lambda body, x: body.add_node(
+            "compute", [x], params={"fn": "copy"})).verify()
+
+    @pytest.mark.parametrize("region_op", ["while", "if"])
+    @pytest.mark.parametrize("bad_node,message", [
+        (lambda body, x: body.add_node("compute", [x], params={"fn": "nosuch"}),
+         "unknown opcode 'nosuch'"),
+        (lambda body, x: body.add_node("filter", [x]),
+         "filter takes"),
+    ], ids=["unknown-opcode", "bad-arity"])
+    def test_bad_node_in_region_body_fails_at_the_parent(
+            self, region_op, bad_node, message):
+        with pytest.raises(GraphError, match=message):
+            build_graph_around_region(region_op, bad_node).verify()
+
 
 class _HandBuiltGraphs:
-    """Hand-built graphs reach ops no Revet source lowers to (``counter``,
-    ``reduce``, ``forward_merge``, ``fork``, a reducing ``foreach``).  The
-    ``*Columnar`` subclasses below rerun every case under the other executor.
+    """Hand-built graphs reach what no Revet source lowers to (a ``fork``
+    over literal streams, malformed bundles, wide or beyond-int64 values).
+    The ``*Columnar`` subclasses below rerun every case under the other
+    executor.
     """
 
     executor = "token"
@@ -117,34 +177,26 @@ class TestExecutorBasics(_HandBuiltGraphs):
         out = self.run_graph(g, {"x": [1, 2, 3, 4], "p": [1, 0, 1, 0]})
         assert data_values(out["kept"]) == [1, 3]
 
-    def test_counter_reduce_pipeline(self):
+    def test_if_merge_keeps_threads_together(self):
+        # The join after an ``if`` merges its two-value bundle jointly: each
+        # thread's pair survives whichever branch it took.
         g = DFGraph()
-        lo = g.add_input("lo")
-        hi = g.add_input("hi")
-        step = g.add_input("step")
-        cnt = g.add_node("counter", [lo, hi, step], name="i")
-        red = g.add_node(
-            "reduce", [cnt.outputs[0]], params={"op": "add", "init": 0}, name="sum"
-        )
-        g.set_outputs([red.outputs[0]])
-        out = self.run_graph(g, {"lo": [0, 0], "hi": [4, 3], "step": [1, 1]})
-        assert data_values(out["sum"]) == [6, 3]
-
-    def test_forward_merge_node_keeps_threads_together(self):
-        g = DFGraph()
-        a0, a1 = g.add_input("a0"), g.add_input("a1")
-        b0, b1 = g.add_input("b0"), g.add_input("b1")
-        m = g.add_node(
-            "forward_merge", [a0, a1, b0, b1], num_outputs=2, params={"width": 2}
-        )
+        p, a, b = g.add_input("p"), g.add_input("a"), g.add_input("b")
+        arms = []
+        for name, fn in (("then", "neg"), ("else", "copy")):
+            arm = DFGraph(name)
+            x, y = arm.add_input("a"), arm.add_input("b")
+            first = arm.add_node("compute", [x], params={"fn": fn})
+            arm.set_outputs([first.outputs[0], y])
+            arms.append(arm)
+        m = g.add_node("if", [p, a, b], num_outputs=2, regions=arms)
         g.set_outputs(list(m.outputs))
+        g.verify()
         out = self.run_graph(
-            g,
-            {"a0": [1, 2], "a1": [10, 20], "b0": [3], "b1": [30]},
-        )
+            g, {"p": [1, 0, 1], "a": [1, 2, 3], "b": [10, 20, 30]})
         pairs = set(zip(data_values(out[m.outputs[0].name]),
                         data_values(out[m.outputs[1].name])))
-        assert pairs == {(1, 10), (2, 20), (3, 30)}
+        assert pairs == {(-1, 10), (2, 20), (-3, 30)}
 
     def test_fork_node(self):
         g = DFGraph()
@@ -284,52 +336,41 @@ class TestRegionNodes(_HandBuiltGraphs):
             collatz_steps(v) for v in [6, 1, 7]
         )
 
+    def run_foreach(self, graph, n, **live):
+        """Run a :func:`build_foreach_writer` graph over parents ``n``;
+        return each parent's 8-word DRAM row."""
+        memory = MemorySystem()
+        out = memory.dram_alloc("out", size=8 * len(n))
+        rows = [out.base + 8 * k for k in range(len(n))]
+        self.run_graph(graph, {"n": n, "row": rows, **live}, memory=memory)
+        data = memory.segment_data("out")
+        return [data[8 * k:8 * k + 8] for k in range(len(n))]
+
     def test_foreach_region_sum_of_squares(self):
-        g = DFGraph("sumsq")
-        n = g.add_input("n")
-        zero = g.add_node("const", [n], params={"value": 0})
-        one = g.add_node("const", [n], params={"value": 1})
+        def square(body, i, live):
+            return body.add_node("compute", [i, i], params={"fn": "mul"}).outputs[0]
 
-        body = DFGraph("body")
-        idx = body.add_input("i")
-        sq = body.add_node("compute", [idx, idx], params={"fn": "mul"})
-        body.set_outputs([sq.outputs[0]])
-
-        fe = g.add_node(
-            "foreach",
-            [zero.outputs[0], n, one.outputs[0]],
-            params={"reduce_op": "add", "reduce_init": 0},
-            regions=[body],
-            name="total",
-        )
-        g.set_outputs([fe.outputs[0]])
-        g.verify()
-        out = self.run_graph(g, {"n": [3, 5, 0]})
-        assert data_values(out["total"]) == [5, 30, 0]
+        rows = self.run_foreach(build_foreach_writer(square), [3, 5, 0])
+        assert [sum(row) for row in rows] == [5, 30, 0]
+        assert rows[1][:5] == [0, 1, 4, 9, 16]
 
     def test_foreach_broadcasts_parent_values(self):
-        g = DFGraph("scaled")
-        n = g.add_input("n")
-        scale = g.add_input("scale")
-        zero = g.add_node("const", [n], params={"value": 0})
-        one = g.add_node("const", [n], params={"value": 1})
+        def scaled(body, i, live):
+            return body.add_node("compute", [i, live[0]],
+                                 params={"fn": "mul"}).outputs[0]
 
-        body = DFGraph("body")
-        idx = body.add_input("i")
-        s = body.add_input("scale")
-        prod = body.add_node("compute", [idx, s], params={"fn": "mul"})
-        body.set_outputs([prod.outputs[0]])
+        graph = build_foreach_writer(scaled, live=["scale"])
+        rows = self.run_foreach(graph, [3, 2], scale=[10, 100])
+        assert rows == [[0, 10, 20, 0, 0, 0, 0, 0], [0, 100, 0, 0, 0, 0, 0, 0]]
 
-        fe = g.add_node(
-            "foreach",
-            [zero.outputs[0], n, one.outputs[0], scale],
-            params={"reduce_op": "add", "reduce_init": 0},
-            regions=[body],
-            name="total",
-        )
-        g.set_outputs([fe.outputs[0]])
-        out = self.run_graph(g, {"n": [3, 2], "scale": [10, 100]})
-        assert data_values(out["total"]) == [30, 100]
+    def test_foreach_empty_parent_writes_nothing(self):
+        def index_plus_one(body, i, live):
+            one = body.add_node("const", [i], params={"value": 1})
+            return body.add_node("compute", [i, one.outputs[0]],
+                                 params={"fn": "add"}).outputs[0]
+
+        rows = self.run_foreach(build_foreach_writer(index_plus_one), [0, 2, 0])
+        assert rows == [[0] * 8, [1, 2, 0, 0, 0, 0, 0, 0], [0] * 8]
 
     def test_replicate_region_is_functionally_transparent(self):
         g = DFGraph("rep")
@@ -344,47 +385,103 @@ class TestRegionNodes(_HandBuiltGraphs):
         assert data_values(out["y"]) == [2, 4, 6]
 
     def test_nested_while_inside_foreach(self):
-        # For each parent n, count total iterations of an inner countdown
-        # across children 0..n-1: sum over i of i equals n*(n-1)/2.
-        g = DFGraph("nested")
-        n = g.add_input("n")
-        zero = g.add_node("const", [n], params={"value": 0})
-        one = g.add_node("const", [n], params={"value": 1})
+        # Child i counts the turns of an inner countdown from i: it writes
+        # i, so each parent's row sums to n*(n-1)/2.
+        def countdown_turns(body, i, live):
+            zero = body.add_node("const", [i], params={"value": 0})
+            cond = DFGraph("cond")
+            cv = cond.add_input("v")
+            cond.add_input("count")
+            czero = cond.add_node("const", [cv], params={"value": 0})
+            cgt = cond.add_node("compute", [cv, czero.outputs[0]], params={"fn": "gt"})
+            cond.set_outputs([cgt.outputs[0]])
+            wbody = DFGraph("wbody")
+            wv = wbody.add_input("v")
+            wc = wbody.add_input("count")
+            wone = wbody.add_node("const", [wv], params={"value": 1})
+            dec = wbody.add_node("compute", [wv, wone.outputs[0]], params={"fn": "sub"})
+            inc = wbody.add_node("compute", [wc, wone.outputs[0]], params={"fn": "add"})
+            wbody.set_outputs([dec.outputs[0], inc.outputs[0]])
+            loop = body.add_node("while", [i, zero.outputs[0]], num_outputs=2,
+                                 regions=[cond, wbody])
+            return loop.outputs[1]
 
-        body = DFGraph("body")
-        idx = body.add_input("i")
-        zero_b = body.add_node("const", [idx], params={"value": 0})
+        rows = self.run_foreach(build_foreach_writer(countdown_turns), [4, 1, 6])
+        assert [sum(row) for row in rows] == [6, 0, 15]
+        assert rows[2][:6] == [0, 1, 2, 3, 4, 5]
 
-        cond = DFGraph("cond")
-        cv = cond.add_input("v")
-        cond.add_input("count")
-        czero = cond.add_node("const", [cv], params={"value": 0})
-        cgt = cond.add_node("compute", [cv, czero.outputs[0]], params={"fn": "gt"})
-        cond.set_outputs([cgt.outputs[0]])
+    def run_figure4(self, **inputs):
+        """Run :func:`build_figure4_graph`: its (id, k, limit) outputs and
+        the profile."""
+        graph = build_figure4_graph()
+        ex = make_executor(graph, executor=self.executor)
+        out = ex.run(inputs)
+        return [out[v.name] for v in graph.outputs], ex.profile
 
-        wbody = DFGraph("wbody")
-        wv = wbody.add_input("v")
-        wc = wbody.add_input("count")
-        wone = wbody.add_node("const", [wv], params={"value": 1})
-        dec = wbody.add_node("compute", [wv, wone.outputs[0]], params={"fn": "sub"})
-        inc = wbody.add_node("compute", [wc, wone.outputs[0]], params={"fn": "add"})
-        wbody.set_outputs([dec.outputs[0], inc.outputs[0]])
+    def test_while_figure4_iteration_counts(self):
+        # Figure 4: threads 1..4 iterate 2, 3, 1, 3 times; thread 3 exits
+        # first, and the loop takes one turn per iteration plus the last.
+        (ids, ks, _), profile = self.run_figure4(
+            id=[1, 2, 3, 4], k=[0, 0, 0, 0], limit=[2, 3, 1, 3])
+        assert data_values(ids) == [3, 1, 2, 4]
+        assert data_values(ks) == [1, 2, 3, 3]
+        assert profile.loop_iterations == {"figure4": 4}
 
-        loop = body.add_node(
-            "while", [idx, zero_b.outputs[0]], num_outputs=2, regions=[cond, wbody]
-        )
-        body.set_outputs([loop.outputs[1]])
+    def test_while_keeps_threads_in_their_groups(self):
+        (ids, ks, _), profile = self.run_figure4(
+            id=[[1], [2, 3]], k=[[0], [0, 0]], limit=[[2], [1, 3]])
+        assert decode(ids, 2) == [[1], [2, 3]]
+        assert decode(ks, 2) == [[2], [1, 3]]
+        assert profile.loop_iterations == {"figure4": 3 + 4}
 
-        fe = g.add_node(
-            "foreach",
-            [zero.outputs[0], n, one.outputs[0]],
-            params={"reduce_op": "add", "reduce_init": 0},
-            regions=[body],
-            name="total",
-        )
-        g.set_outputs([fe.outputs[0]])
-        out = self.run_graph(g, {"n": [4, 1, 6]})
-        assert data_values(out["total"]) == [6, 0, 15]
+    def test_while_empty_group_passes_through(self):
+        (ids, _, _), profile = self.run_figure4(
+            id=[[], [1]], k=[[], [0]], limit=[[], [0]])
+        assert decode(ids, 2) == [[], [1]]
+        # One turn finds the empty group empty, one drains the other.
+        assert profile.loop_iterations == {"figure4": 2}
+
+
+def build_foreach_writer(body_value, live=()):
+    """``foreach (i < n) dram[row + i] = value`` over parent threads
+    (n, row, *live): ``body_value(body, i, live_inputs)`` adds the nodes
+    computing the value and returns it.  Children yield nothing back, as in
+    every compiled program."""
+    g = DFGraph("foreach_writer")
+    n, row = g.add_input("n"), g.add_input("row")
+    extra = [g.add_input(name) for name in live]
+    zero = g.add_node("const", [n], params={"value": 0})
+    one = g.add_node("const", [n], params={"value": 1})
+    body = DFGraph("body")
+    i, brow = body.add_input("i"), body.add_input("row")
+    body_live = [body.add_input(name) for name in live]
+    addr = body.add_node("compute", [brow, i], params={"fn": "add"})
+    body.add_node("dram_write", [addr.outputs[0], body_value(body, i, body_live)])
+    g.add_node("foreach", [zero.outputs[0], n, one.outputs[0], row, *extra],
+               num_outputs=0, regions=[body])
+    g.verify()
+    return g
+
+
+def build_figure4_graph():
+    """``while (k < limit) k += 1`` over threads (id, k, limit)."""
+    names = ("id", "k", "limit")
+    g = DFGraph("figure4")
+    live = [g.add_input(name) for name in names]
+    cond = DFGraph("cond")
+    _, ck, cl = (cond.add_input(name) for name in names)
+    cond.set_outputs([cond.add_node("compute", [ck, cl], params={"fn": "lt"})
+                      .outputs[0]])
+    body = DFGraph("body")
+    bid, bk, bl = (body.add_input(name) for name in names)
+    one = body.add_node("const", [bk], params={"value": 1})
+    step = body.add_node("compute", [bk, one.outputs[0]], params={"fn": "add"})
+    body.set_outputs([bid, step.outputs[0], bl])
+    loop = g.add_node("while", live, num_outputs=3, regions=[cond, body],
+                      params={"label": "figure4"})
+    g.set_outputs(list(loop.outputs))
+    g.verify()
+    return g
 
 
 def build_countdown_graph(log_base, step=1):
@@ -455,19 +552,6 @@ class TestMalformedGraphs(_HandBuiltGraphs):
             PrimitiveError, "element-wise inputs misaligned at [D(2), B1]",
             {}, {}, 0)
 
-    def test_forward_merge_mismatched_barrier_levels(self):
-        for width in (1, 2):
-            g = DFGraph()
-            ins = [g.add_input(f"{side}{i}") for side in "ab" for i in range(width)]
-            m = g.add_node("forward_merge", ins, num_outputs=width,
-                           params={"width": width})
-            g.set_outputs(list(m.outputs))
-            inputs = {f"a{i}": [D(1), B(1), D(2), B(1)] for i in range(width)}
-            inputs.update({f"b{i}": [D(3), B(1), B(2)] for i in range(width)})
-            assert self.failure(g, inputs) == (
-                PrimitiveError, "forward merge barrier mismatch: B1 vs B2",
-                {}, {}, 0)
-
     def test_while_misaligned_live_streams(self):
         # The first group drains (four turns, three writes) before the scan
         # reaches the misaligned position.
@@ -511,6 +595,115 @@ class TestRegionNodesColumnar(TestRegionNodes):
 
 class TestMalformedGraphsColumnar(TestMalformedGraphs):
     executor = "columnar"
+
+
+# -- the one way off the vector path: one hand-built case per exit reason ----
+
+#: Two streams misaligned at their first token.
+MISALIGNED = {"in0": [D(0), B(1)], "in1": [B(1), D(0)]}
+
+
+def build_leaf_graph(op, n_inputs, params=None, num_outputs=1):
+    """One ``op`` node over graph inputs ``in0``, ``in1``, ..."""
+    g = DFGraph(op)
+    node = g.add_node(op, [g.add_input(f"in{k}") for k in range(n_inputs)],
+                      num_outputs=num_outputs, params=params)
+    g.set_outputs(list(node.outputs))
+    return g
+
+
+def build_foreach_counter_graph():
+    """``foreach`` over literal (lo, hi, step) rows; child ``i`` writes
+    ``i`` to DRAM address ``i``."""
+    g = DFGraph("counter")
+    body = DFGraph("body")
+    i = body.add_input("i")
+    body.add_node("dram_write", [i, i])
+    g.add_node("foreach", [g.add_input(name) for name in ("lo", "hi", "step")],
+               num_outputs=0, regions=[body])
+    return g
+
+
+def build_if_graph(then_outputs):
+    """``if (p)`` over live values (a, b): the then-arm yields
+    ``then_outputs(arm, a, b)``, the else-arm (a, b) unchanged."""
+    g = DFGraph("if")
+    p, a, b = g.add_input("p"), g.add_input("a"), g.add_input("b")
+    then, orelse = DFGraph("then"), DFGraph("else")
+    then.set_outputs(then_outputs(then, then.add_input("a"), then.add_input("b")))
+    orelse.set_outputs([orelse.add_input("a"), orelse.add_input("b")])
+    node = g.add_node("if", [p, a, b], num_outputs=2, regions=[then, orelse])
+    g.set_outputs(list(node.outputs))
+    return g
+
+
+def _filtered_and_whole(arm, a, b):
+    """A misaligned bundle: ``a`` filtered by itself beside ``b``."""
+    return [arm.add_node("filter", [a, a]).outputs[0], b]
+
+
+EXIT_CASES = {
+    "compute:misaligned": (build_leaf_graph("compute", 2, {"fn": "add"}),
+                           {"in0": [D(1), D(2), B(1)], "in1": [D(1), B(1), D(2)]}),
+    "compute:overflow": (build_leaf_graph("compute", 2, {"fn": "add"}),
+                         {"in0": [2**62, 1], "in1": [2**62, 2]}),
+    "compute:object": (build_leaf_graph("compute", 2, {"fn": "and"}),
+                       {"in0": [2**70 + 5, 6], "in1": [3, 2**64]}),
+    "filter:misaligned": (build_leaf_graph("filter", 2),
+                          {"in0": [D(1), D(2), B(1)], "in1": [D(1), B(1), D(0)]}),
+    "fork:misaligned": (build_leaf_graph("fork", 2, num_outputs=2), MISALIGNED),
+    # A bool count is an ``object`` column; range(True) is one child.
+    "fork:object": (build_leaf_graph("fork", 2, num_outputs=2),
+                    {"in0": [True, 2], "in1": [7, 9]}),
+    "fork:negative": (build_leaf_graph("fork", 2, num_outputs=2),
+                      {"in0": [2, -1], "in1": [7, 9]}),
+    "sram_write:misaligned": (build_leaf_graph("sram_write", 2, {"site": "buf"}),
+                              MISALIGNED),
+    "dram_write:misaligned": (build_leaf_graph("dram_write", 2), MISALIGNED),
+    "bulk_load:misaligned": (build_leaf_graph("bulk_load", 2, {"size": 4}),
+                             MISALIGNED),
+    "bulk_store:misaligned": (build_leaf_graph("bulk_store", 2, {"size": 4}),
+                              MISALIGNED),
+    "counter:misaligned": (build_foreach_counter_graph(),
+                           {"lo": [D(0), B(1)], "hi": [B(1), D(3)], "step": [1]}),
+    "counter:object": (build_foreach_counter_graph(),
+                       {"lo": [0], "hi": [3], "step": [True]}),
+    "counter:zero_step": (build_foreach_counter_graph(),
+                          {"lo": [0, 0], "hi": [3, 3], "step": [1, 0]}),
+    # Each row's range is small, but the column bounds' span is 2**63.
+    "counter:overflow": (build_foreach_counter_graph(),
+                         {"lo": [2**62, -2**62, 0], "hi": [2**62, -2**62, 3],
+                          "step": [1, 1, 1]}),
+    # Raising a level-15 barrier would exceed the 4-bit encoding.
+    "counter:level": (build_foreach_counter_graph(),
+                      {"lo": [D(0), B(15)], "hi": [D(2), B(15)],
+                       "step": [D(1), B(15)]}),
+    "partition:misaligned": (build_if_graph(lambda arm, a, b: [a, b]),
+                             {"p": [D(1), B(1), D(0)], "a": [D(1), D(2), B(1)],
+                              "b": [D(1), D(2), B(1)]}),
+    "merge:misaligned": (build_if_graph(_filtered_and_whole),
+                         {"p": [1, 1, 1], "a": [1, 0, 1], "b": [4, 5, 6]}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(EXIT_CASES))
+def test_vector_exit_reason(key):
+    """Each exit records exactly its own ``"<op>:<reason>"`` once, and the
+    firing ends as on the token path: same outputs, memory and error."""
+    graph, inputs = EXIT_CASES[key]
+    outcomes, exits = {}, {}
+    for executor in ("token", "columnar"):
+        memory = MemorySystem()
+        memory.dram_alloc("out", size=8)
+        ex = make_executor(graph, executor=executor, memory=memory)
+        try:
+            result = ex.run(inputs)
+        except (PrimitiveError, SLTFError) as error:
+            result = (type(error), str(error))
+        outcomes[executor] = (result, memory._dram, vars(memory.stats))
+        exits[executor] = ex.profile.vector_exits
+    assert outcomes["columnar"] == outcomes["token"]
+    assert exits == {"token": {}, "columnar": {key: 1}}
 
 
 class TestExecutorFastPath:
@@ -581,7 +774,7 @@ class TestExecutorFastPath:
         g = build_add_one_graph()
         schedule = schedule_for(g)
         compute = next(n for n in g.nodes if n.op == "compute")
-        assert schedule.fn(compute) is OPCODES["add"]
+        assert schedule.opcode(compute) is OPCODES["add"]
         assert {"const", "compute"} <= schedule.ops
 
     def test_link_stats_optional_per_run(self):

@@ -60,18 +60,8 @@ class TestBroadcast:
         with pytest.raises(PrimitiveError):
             prim.broadcast(encode([1], 1), encode([[1], [2]], 2))
 
-    def test_levels_must_be_positive(self):
-        with pytest.raises(PrimitiveError):
-            prim.broadcast([], [], levels=0)
 
-    def test_two_level_broadcast(self):
-        outer = encode([5], 1)
-        inner = encode([[[1, 2], [3]]], 3)
-        out = prim.broadcast(outer, inner, levels=2)
-        assert decode(out, 3) == [[[5, 5], [5]]]
-
-
-class TestCounterReduceFlatten:
+class TestCounterFork:
     def test_counter_expands_ranges(self):
         lo = encode([0, 0], 1)
         hi = encode([3, 1], 1)
@@ -90,27 +80,6 @@ class TestCounterReduceFlatten:
     def test_counter_zero_step_raises(self):
         with pytest.raises(PrimitiveError):
             prim.counter(encode([0], 1), encode([1], 1), encode([0], 1))
-
-    def test_reduce_sums_groups(self):
-        stream = encode([[1, 2, 3], [4]], 2)
-        out = prim.reduce_stream(lambda a, b: a + b, 0, stream)
-        assert decode(out, 1) == [6, 4]
-
-    def test_reduce_empty_tensor_semantics(self):
-        # Paper Section III-A: [[]] -> [0], [[],[]] -> [0,0], [] -> [].
-        def add(a, b):
-            return a + b
-        assert decode(prim.reduce_stream(add, 0, encode([[]], 2)), 1) == [0]
-        assert decode(prim.reduce_stream(add, 0, encode([[], []], 2)), 1) == [0, 0]
-        assert decode(prim.reduce_stream(add, 0, encode([], 2)), 1) == []
-
-    def test_reduce_level_validation(self):
-        with pytest.raises(PrimitiveError):
-            prim.reduce_stream(lambda a, b: a + b, 0, [], level=0)
-
-    def test_flatten_removes_hierarchy(self):
-        stream = encode([[1, 2], [3]], 2)
-        assert decode(prim.flatten_stream(stream), 1) == [1, 2, 3]
 
     def test_fork_duplicates_threads(self):
         counts = encode([2, 0, 3], 1)
@@ -138,7 +107,7 @@ class TestFilterMerge:
     def test_partition_covers_both_branches(self):
         data = encode([1, 2, 3, 4], 1)
         pred = encode([1, 0, 0, 1], 1)
-        taken, fallthrough = prim.partition_stream(data, pred)
+        [taken], [fallthrough] = prim.partition_streams([data], pred)
         assert data_values(taken) == [1, 4]
         assert data_values(fallthrough) == [2, 3]
 
@@ -161,108 +130,21 @@ class TestFilterMerge:
         # forward-merge them back; threads stay within their barrier group.
         data = encode([[1, 2, 3, 4], [5, 6]], 2)
         pred = encode([[1, 0, 1, 0], [0, 1]], 2)
-        taken, other = prim.partition_stream(data, pred)
+        [taken], [other] = prim.partition_streams([data], pred)
         merged = prim.forward_merge(taken, other)
         out = decode(merged, 2)
         assert sorted(out[0]) == [1, 2, 3, 4]
         assert sorted(out[1]) == [5, 6]
 
-    def test_merge_many(self):
-        streams = [encode([i], 1) for i in range(4)]
-        assert sorted(data_values(prim.merge_many(streams))) == [0, 1, 2, 3]
-        with pytest.raises(PrimitiveError):
-            prim.merge_many([])
-
-
-class TestWhileLoops:
-    def test_while_loop_counts_down(self):
-        # Threads carry (value); iterate until value reaches zero.
-        stream = encode([3, 1, 0, 2], 1)
-        out = prim.while_loop(stream, condition=lambda v: v > 0, step=lambda v: v - 1)
-        assert sorted(data_values(out)) == [0, 0, 0, 0]
-
-    def test_while_loop_preserves_group_structure(self):
-        stream = encode([[2], [1, 3]], 2)
-        out = prim.while_loop(stream, condition=lambda v: v > 0, step=lambda v: v - 1)
-        decoded = decode(out, 2)
-        assert len(decoded[0]) == 1 and len(decoded[1]) == 2
-
-    def test_fb_loop_paper_iteration_counts(self):
-        # Figure 4: threads t1..t4 iterate 2, 3, 1, 3 times; t3 exits first.
-        counts = {"t1": 2, "t2": 3, "t3": 1, "t4": 3}
-        stream = encode([("t1", 0), ("t2", 0), ("t3", 0), ("t4", 0)], 1)
-        out = prim.while_loop(
-            stream,
-            condition=lambda s: s[1] < counts[s[0]],
-            step=lambda s: (s[0], s[1] + 1),
-        )
-        values = data_values(out)
-        assert values[0][0] == "t3"  # the thread with the fewest iterations exits first
-        assert {v[0] for v in values} == {"t1", "t2", "t3", "t4"}
-        assert all(v[1] == counts[v[0]] for v in values)
-
-    def test_empty_group_passes_through(self):
-        stream = encode([[], [1]], 2)
-        out = prim.while_loop(stream, condition=lambda v: False, step=lambda v: v)
-        assert decode(out, 2) == [[], [1]]
-
-    def test_livelock_detection(self):
-        stream = encode([1], 1)
-        with pytest.raises(PrimitiveError):
-            prim.while_loop(
-                stream, condition=lambda v: True, step=lambda v: v, max_iterations=10
-            )
-
-    def test_missing_final_barrier_raises(self):
-        with pytest.raises(PrimitiveError):
-            prim.forward_backward_loop([Data(1)], lambda live: (live, live))
-
-
-class TestForeach:
-    def test_foreach_with_reduction(self):
-        stream = encode([3, 4], 1)
-        out = prim.foreach(
-            stream,
-            trip_counts=lambda n: range(n),
-            body=lambda s: s,
-            reduce_op=lambda a, b: a + b,
-            reduce_init=0,
-        )
-        assert data_values(out) == [0 + 1 + 2, 0 + 1 + 2 + 3]
-
-    def test_foreach_flatten_without_reduction(self):
-        stream = encode([2, 1], 1)
-        out = prim.foreach(stream, trip_counts=lambda n: range(n), body=lambda s: s)
-        assert data_values(out) == [0, 1, 0]
-
-    def test_foreach_empty_parent(self):
-        stream = encode([0], 1)
-        out = prim.foreach(
-            stream,
-            trip_counts=lambda n: range(n),
-            body=lambda s: s,
-            reduce_op=lambda a, b: a + b,
-        )
-        assert data_values(out) == [0]
-
-
 class TestCompositionProperties:
-    @given(st.lists(st.lists(st.integers(-50, 50), max_size=5), max_size=4))
-    @settings(max_examples=60)
-    def test_reduce_matches_python_sum(self, tensor):
-        stream = encode(tensor, 2)
-        out = prim.reduce_stream(lambda a, b: a + b, 0, stream)
-        assert decode(out, 1) == [sum(g) for g in tensor]
-
     @given(st.lists(st.integers(0, 6), min_size=1, max_size=8))
     @settings(max_examples=60)
-    def test_counter_then_reduce_is_triangular(self, counts):
+    def test_counter_expands_one_group_per_range(self, counts):
         lo = encode([0] * len(counts), 1)
         hi = encode(counts, 1)
         step = encode([1] * len(counts), 1)
         expanded = prim.counter(lo, hi, step)
-        reduced = prim.reduce_stream(lambda a, b: a + b, 0, expanded)
-        assert decode(reduced, 1) == [n * (n - 1) // 2 for n in counts]
+        assert decode(expanded, 2) == [list(range(n)) for n in counts]
 
     @given(
         st.lists(st.tuples(st.integers(-20, 20), st.booleans()), max_size=10)
@@ -271,16 +153,9 @@ class TestCompositionProperties:
     def test_partition_then_merge_preserves_multiset(self, items):
         data = encode([v for v, _ in items], 1)
         pred = encode([int(p) for _, p in items], 1)
-        taken, other = prim.partition_stream(data, pred)
+        [taken], [other] = prim.partition_streams([data], pred)
         merged = prim.forward_merge(taken, other)
         assert sorted(data_values(merged)) == sorted(v for v, _ in items)
-
-    @given(st.lists(st.integers(0, 5), max_size=8))
-    @settings(max_examples=60)
-    def test_while_loop_terminates_with_zero_values(self, values):
-        stream = encode(values, 1)
-        out = prim.while_loop(stream, condition=lambda v: v > 0, step=lambda v: v - 1)
-        assert data_values(out) == [0] * len(values)
 
     @given(st.lists(st.lists(st.integers(-10, 10), max_size=4), max_size=4))
     @settings(max_examples=60)

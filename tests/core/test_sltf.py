@@ -4,24 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sltf import (
-    Barrier,
-    Data,
-    concat_streams,
-    count_elements,
-    data_values,
-    decode,
-    decode_all,
-    encode,
-    is_barrier,
-    is_data,
-    lower_barriers,
-    raise_barriers,
-    split_groups,
-    stream_depth,
-    validate_stream,
-    zip_data,
-)
+from repro.core.sltf import Barrier, Data, data_values, decode, decode_all, encode
 from repro.errors import SLTFError
 
 
@@ -36,12 +19,6 @@ class TestTokens:
     def test_barrier_level_bounded(self):
         with pytest.raises(SLTFError):
             Barrier(16)
-
-    def test_is_data_and_is_barrier(self):
-        assert is_data(Data(1)) and not is_data(Barrier(1))
-        assert is_barrier(Barrier(2)) and is_barrier(Barrier(2), level=2)
-        assert not is_barrier(Barrier(2), level=1)
-        assert not is_barrier(Data(3))
 
 
 class TestPaperEncodings:
@@ -102,11 +79,6 @@ class TestDecode:
         with pytest.raises(SLTFError):
             decode([Data(1), Barrier(3)], 2)
 
-    def test_validate_stream(self):
-        validate_stream(encode([[1, 2]], 2), 2)
-        with pytest.raises(SLTFError):
-            validate_stream([Data(1)], 1)
-
 
 def ragged(depth: int):
     """Hypothesis strategy for ragged tensors of a given depth."""
@@ -137,65 +109,25 @@ class TestRoundtripProperties:
     @settings(max_examples=100)
     def test_exactly_one_top_level_barrier(self, tensor):
         stream = encode(tensor, 2)
-        assert sum(1 for t in stream if is_barrier(t, 2)) == 1
-        assert is_barrier(stream[-1], 2)
+        assert stream.count(Barrier(2)) == 1
+        assert stream[-1] == Barrier(2)
 
     @given(ragged(2))
     @settings(max_examples=100)
     def test_element_count_preserved(self, tensor):
         stream = encode(tensor, 2)
-        assert count_elements(stream) == sum(len(g) for g in tensor)
+        assert len(data_values(stream)) == sum(len(g) for g in tensor)
 
     @given(ragged(2), ragged(2))
     @settings(max_examples=50)
     def test_concatenated_tensors_decode_all(self, a, b):
-        stream = concat_streams(encode(a, 2), encode(b, 2))
+        stream = encode(a, 2) + encode(b, 2)
         assert decode_all(stream, 2) == [a, b]
 
 
 class TestUtilities:
     def test_data_values(self):
         assert data_values(encode([[1, 2], [3]], 2)) == [1, 2, 3]
-
-    def test_stream_depth(self):
-        assert stream_depth(encode([[1]], 2)) == 2
-        assert stream_depth([Data(1)]) == 0
-
-    def test_split_groups(self):
-        stream = encode([[1, 2], [3]], 2)
-        groups = list(split_groups(stream, level=1))
-        assert len(groups) == 2
-        assert data_values(groups[0]) == [1, 2]
-        assert data_values(groups[1]) == [3]
-
-    def test_split_groups_trailing_partial(self):
-        groups = list(split_groups([Data(1), Barrier(1), Data(2)], level=1))
-        assert len(groups) == 2
-        assert data_values(groups[1]) == [2]
-
-    def test_lower_and_raise_barriers(self):
-        stream = encode([[1], [2]], 2)
-        lowered = lower_barriers(stream)
-        assert stream_depth(lowered) == 1
-        assert data_values(lowered) == [1, 2]
-        raised = raise_barriers(stream)
-        assert stream_depth(raised) == 3
-
-    def test_lower_barriers_drops_level_one(self):
-        assert lower_barriers([Data(1), Barrier(1)]) == [Data(1)]
-
-    def test_zip_data(self):
-        a = encode([1, 2], 1)
-        b = encode([10, 20], 1)
-        assert list(zip_data(a, b)) == [(1, 10), (2, 20)]
-
-    def test_zip_data_misaligned_raises(self):
-        with pytest.raises(SLTFError):
-            list(zip_data([Data(1), Barrier(1)], [Barrier(1), Data(1)]))
-
-    def test_zip_data_length_mismatch_raises(self):
-        with pytest.raises(SLTFError):
-            list(zip_data([Data(1), Barrier(1)], [Barrier(1)]))
 
     def test_encode_rejects_bad_rank(self):
         with pytest.raises(SLTFError):

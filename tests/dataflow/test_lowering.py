@@ -6,11 +6,13 @@ should (each crossing is a partition and a merge per loop turn).  See the
 "Live values" section of ``repro/dataflow/lowering.py``.
 """
 
+import functools
+
 import pytest
 
 from repro.apps import REGISTRY
 from repro.compiler import CompileOptions, compile_source
-from repro.core.graph import DFGraph
+from repro.core.graph import LEAF_OPS, REGION_OPS, DFGraph
 from repro.core.memory import MemorySystem
 from repro.dataflow.lowering import _Scope
 from repro.errors import LoweringError
@@ -266,3 +268,35 @@ def test_value_that_did_not_cross_cannot_be_read():
     assert scope.struct_ref is node.outputs[0]
     with pytest.raises(LoweringError, match="not live across"):
         scope.lookup(dropped)
+
+
+# -- the node vocabulary is exactly what the lowering emits -----------------
+
+VOCABULARY_OPTIONS = {
+    "default": CompileOptions(),
+    "none": CompileOptions.none(),
+    "unflattened": CompileOptions().disabled("hierarchy_elimination"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _emitted_ops(app):
+    """Node ops in ``app``'s graph under each of the three option sets."""
+    source = REGISTRY.get(app).source
+    return frozenset(op for options in VOCABULARY_OPTIONS.values()
+                     for op in compile_source(source, options=options)
+                     .graph.count_ops())
+
+
+@pytest.mark.parametrize("app", sorted(REGISTRY.names()))
+def test_app_lowers_into_the_node_vocabulary(app):
+    """An op the lowering emits but the vocabulary lacks fails here, by app
+    (``DFNode`` refuses it at compile time)."""
+    assert _emitted_ops(app) <= LEAF_OPS | REGION_OPS
+
+
+def test_every_node_op_is_emitted_by_some_app():
+    """An op in the vocabulary that no compiled program contains is dead:
+    no executor handler for it should exist either."""
+    emitted = frozenset().union(*map(_emitted_ops, REGISTRY.names()))
+    assert emitted == LEAF_OPS | REGION_OPS
