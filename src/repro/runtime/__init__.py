@@ -4,8 +4,8 @@ The seed repo's entry points recompile every program from source and serve
 one request at a time.  This package turns the compiler + executor into a
 serving layer:
 
-* :mod:`repro.runtime.cache` — content-addressed program cache (LRU memory
-  tier + optional on-disk pickles) keyed on source hash and
+* :mod:`repro.runtime.cache` — content-addressed in-memory LRU program
+  cache keyed on source hash and
   :meth:`repro.compiler.CompileOptions.cache_key`.
 * :mod:`repro.runtime.engine` — request/response engine that coalesces
   requests into per-program batches, executes them on the functional vRDA
@@ -18,8 +18,8 @@ serving layer:
   workers are respawned in place and their batches replayed (fail-fast
   only once a circuit breaker trips).
 * :mod:`repro.runtime.faults` — injectable fault plans (kill/hang a
-  worker, delay/drop a pipe reply, corrupt a disk-cache entry) for chaos
-  tests and smokes, threaded through ``--fault-plan``.
+  worker, delay/drop a pipe reply) for chaos tests and smokes, threaded
+  through ``--fault-plan``.
 * :mod:`repro.runtime.server` / :mod:`repro.runtime.client` — the
   persistent service: one threaded listener class framing the front
   door's operations as NDJSON-over-TCP (and, on a second port, HTTP/1.1),

@@ -6,25 +6,16 @@ compiled programs are keyed on ``sha256(source) + function +
 CompileOptions.cache_key()`` so two textually identical programs compiled
 with the same knobs share one :class:`~repro.dataflow.lowering.CompiledProgram`.
 
-Two tiers:
-
-* an in-memory LRU (:class:`LRUCache`) bounded by entry count, and
-* an optional on-disk pickle tier that survives process restarts.  Disk
-  writes are best-effort: a program that fails to pickle simply stays
-  memory-only.
-
-:class:`LRUCache` is generic and also backs the engine's memoized-response
-tier (see :mod:`repro.runtime.engine`).
+The one tier is an in-memory LRU (:class:`LRUCache`) bounded by entry
+count; it is generic and also backs the engine's memoized-response tier
+(see :mod:`repro.runtime.engine`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.compiler import CompileOptions, compile_source
@@ -38,8 +29,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    disk_hits: int = 0
-    disk_writes: int = 0
 
     @property
     def lookups(self) -> int:
@@ -48,10 +37,7 @@ class CacheStats:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups served without recomputation (0.0 when idle).
-
-        Disk hits count as hits: the caller skipped the compile pipeline.
-        """
+        """Fraction of lookups served without recomputation (0.0 when idle)."""
         return self.hits / self.lookups if self.lookups else 0.0
 
     def to_dict(self) -> Dict[str, float]:
@@ -60,8 +46,6 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "disk_hits": self.disk_hits,
-            "disk_writes": self.disk_writes,
             "hit_rate": round(self.hit_rate, 4),
         }
 
@@ -77,8 +61,6 @@ class CacheStats:
             total.hits += entry.hits
             total.misses += entry.misses
             total.evictions += entry.evictions
-            total.disk_hits += entry.disk_hits
-            total.disk_writes += entry.disk_writes
         return total
 
 
@@ -120,10 +102,6 @@ class LRUCache:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
 
-    def clear(self) -> None:
-        """Drop every entry (stats are preserved)."""
-        self._entries.clear()
-
     def keys(self):
         """Current keys, LRU order (least recently used first)."""
         return list(self._entries.keys())
@@ -151,23 +129,19 @@ class ProgramCache:
     the compiled program plus whether the request was served from cache.
     """
 
-    def __init__(self, capacity: int = 64,
-                 disk_dir: "Optional[str | Path]" = None):
+    def __init__(self, capacity: int = 64):
         self._memory = LRUCache(capacity)
-        self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        if self.disk_dir is not None:
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
 
     @property
     def stats(self) -> CacheStats:
-        """Counters for the memory tier (disk hits/writes included)."""
+        """Counters for the cache (hits, misses, evictions)."""
         return self._memory.stats
 
     def __len__(self) -> int:
         return len(self._memory)
 
     def resident_keys(self) -> List[str]:
-        """Memory-tier content keys, LRU order (oldest first).
+        """Resident content keys, LRU order (oldest first).
 
         This is the residency report a pool worker sends back to the
         dispatcher, which routes the next round of batches to warm caches.
@@ -188,16 +162,8 @@ class ProgramCache:
         program = self._memory.get(key)
         if program is not None:
             return program, True
-        program = self._load_disk(key)
-        if program is not None:
-            self._memory.stats.hits += 1
-            self._memory.stats.misses -= 1  # the lookup was ultimately served
-            self._memory.stats.disk_hits += 1
-            self._memory.put(key, program)
-            return program, True
         program = compile_source(source, function=function, options=options)
         self._memory.put(key, program)
-        self._store_disk(key, program)
         return program, False
 
     def record_amortized_hits(self, count: int) -> None:
@@ -211,56 +177,3 @@ class ProgramCache:
         """
         if count > 0 and self._memory.capacity > 0:
             self._memory.stats.hits += count
-
-    def clear(self, disk: bool = False) -> None:
-        """Empty the memory tier; ``disk=True`` also unlinks pickle entries."""
-        self._memory.clear()
-        if disk and self.disk_dir is not None:
-            for path in self.disk_dir.glob("*.pkl"):
-                path.unlink()
-            for path in self.disk_dir.glob("*.pkl.tmp-*"):
-                path.unlink()
-
-    # -- disk tier ----------------------------------------------------------
-
-    def _disk_path(self, key: str) -> Optional[Path]:
-        return self.disk_dir / f"{key}.pkl" if self.disk_dir is not None else None
-
-    def _load_disk(self, key: str) -> Optional[CompiledProgram]:
-        path = self._disk_path(key)
-        if path is None or not path.exists():
-            return None
-        try:
-            with path.open("rb") as handle:
-                return pickle.load(handle)
-        except Exception:
-            # Corrupt entry (truncated write, bad bytes, stale format): a
-            # miss, never an error.  Unlink it so the recompiled program can
-            # be stored cleanly instead of hitting the same garbage forever.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def _store_disk(self, key: str, program: CompiledProgram) -> None:
-        path = self._disk_path(key)
-        if path is None:
-            return
-        # Crash-safe write: pickle into a same-directory temp file, then
-        # atomically rename over the final path.  A worker killed mid-write
-        # can leave a stray temp file but never a truncated entry.
-        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-        try:
-            with tmp.open("wb") as handle:
-                pickle.dump(program, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-            self._memory.stats.disk_writes += 1
-        except Exception:
-            # Unpicklable program: memory tier still serves it.
-            try:
-                tmp.unlink()
-            except OSError:
-                pass

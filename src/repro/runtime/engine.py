@@ -545,9 +545,6 @@ class Engine:
                             ("result", self.result_cache_stats)):
             lookups.set_total(stats.hits, tier=tier, outcome="hit")
             lookups.set_total(stats.misses, tier=tier, outcome="miss")
-            if stats.disk_hits:
-                lookups.set_total(stats.disk_hits, tier=tier,
-                                  outcome="disk_hit")
             evictions.set_total(stats.evictions, tier=tier)
 
     def metrics_snapshot(self) -> Dict[str, Any]:

@@ -2,8 +2,8 @@
 
 A :class:`FaultPlan` is a picklable description of the faults a test or
 chaos run wants injected into pool workers: kill a worker
-after its n-th batch, hang it mid-flush, delay or drop one pipe reply, or
-corrupt an on-disk program-cache entry.  The plan travels inside
+after its n-th batch, hang it mid-flush, or delay or drop one pipe
+reply.  The plan travels inside
 :class:`~repro.runtime.pool.WorkerConfig`, so process workers inherit it
 across the spawn boundary exactly like every other config field, and the
 ``--fault-plan`` dev flag on ``python -m repro.runtime.server`` threads it
@@ -34,10 +34,6 @@ Fault kinds
     Process-mode pipe faults: the flush reply is sent ``delay_s`` seconds
     late, or not at all (the parent sees the worker as hung).  Inline
     workers have no pipe; these kinds are ignored there.
-``corrupt-cache``
-    Overwrites one entry of the worker's on-disk program cache with
-    garbage, exercising the crash-safe load path (corruption is a miss,
-    never an error).
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.errors import ReproError
 
 #: Every fault kind a plan may carry, in documentation order.
-FAULT_KINDS = ("kill", "hang", "delay-reply", "drop-reply", "corrupt-cache")
+FAULT_KINDS = ("kill", "hang", "delay-reply", "drop-reply")
 
 #: Sleep used for an unbounded ``hang`` (long enough that the pool's
 #: deadline always fires first; the respawn kills the sleeper).
@@ -225,16 +221,9 @@ class FaultInjector:
     so they trigger exactly once per generation.
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        worker: int,
-        inline: bool,
-        disk_dir: "Optional[str | Path]" = None,
-    ):
+    def __init__(self, plan: FaultPlan, worker: int, inline: bool):
         self.worker = worker
         self.inline = inline
-        self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self._armed = plan.for_worker(worker)
         self._fired: set = set()
         self.batches_done = 0
@@ -270,11 +259,8 @@ class FaultInjector:
         self._crash()
 
     def on_batch_done(self) -> None:
-        """Post-batch hook: advances the batch count, corrupts caches."""
+        """Post-batch hook: advances the batch count."""
         self.batches_done += 1
-        for slot, fault in self._due(("corrupt-cache",)):
-            self._mark(slot, fault)
-            self._corrupt_cache_entry()
 
     def before_reply(self) -> bool:
         """Pre-reply hook; returns False when the reply must be dropped.
@@ -292,11 +278,3 @@ class FaultInjector:
             self._mark(slot, fault)
             time.sleep(fault.delay_s)
         return not dropped
-
-    def _corrupt_cache_entry(self) -> None:
-        """Overwrite the first on-disk cache entry with garbage bytes."""
-        if self.disk_dir is None:
-            return
-        entries = sorted(self.disk_dir.glob("*.pkl"))
-        if entries:
-            entries[0].write_bytes(b"\x00corrupted-by-fault-injection")

@@ -132,8 +132,8 @@ class AdmissionController:
     def __init__(self, max_inflight: Optional[int] = None, headroom: float = 2.0):
         if max_inflight is not None and max_inflight < 0:
             raise ValueError("max_inflight must be >= 0")
-        if headroom <= 0.0:
-            raise ValueError("headroom must be positive (seconds of work)")
+        if not (math.isfinite(headroom) and headroom > 0.0):
+            raise ValueError("headroom must be finite and positive (seconds)")
         self.max_inflight = max_inflight
         self.headroom = headroom
         self._lock = threading.Lock()

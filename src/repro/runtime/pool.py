@@ -33,9 +33,8 @@ holding are requeued onto the surviving workers *within the same flush* —
 responses are deterministic and the memoized-response tier sees only a
 flush's final responses, so replaying a batch reproduces the exact responses
 a fault-free run would have produced.  The lost worker's last snapshot stays
-its residency, so routing stays stable while the respawned child rewarms
-(its disk tier, when configured, survives).  Repeated failure trips a
-circuit breaker — more than ``max_worker_restarts``
+its residency, so routing stays stable while the respawned child rewarms.
+Repeated failure trips a circuit breaker — more than ``max_worker_restarts``
 respawns inside ``restart_window_s`` closes the pool and raises
 :class:`PoolError`, the unrecoverable-death signal the serving layer turns
 into a clean shutdown.  :class:`~repro.runtime.faults.FaultPlan` injection
@@ -45,11 +44,11 @@ into a clean shutdown.  :class:`~repro.runtime.faults.FaultPlan` injection
 from __future__ import annotations
 
 import logging
+import math
 import multiprocessing
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
@@ -68,6 +67,16 @@ MP_CONTEXT = "spawn"
 #: bigger flush) takes no more, so a flush of one hot program spreads
 #: across the pool instead of queueing on its one holder.
 SPILL_BATCHES = 8
+#: A process worker's flush reply is overdue after this many times its
+#: expected service time (from its measured rate), but never before
+#: ``HANG_DEADLINE_MIN_S``; a worker with no measured rate yet (fresh or
+#: just respawned) gets ``HANG_COLD_DEADLINE_S``.  Overdue means hung.
+HANG_DEADLINE_FACTOR = 8.0
+HANG_DEADLINE_MIN_S = 30.0
+HANG_COLD_DEADLINE_S = 120.0
+#: A batch that has killed its worker on this many replays (a poison
+#: batch) is answered with error responses instead of replayed again.
+MAX_BATCH_REPLAYS = 3
 
 _LOG = get_logger(__name__)
 
@@ -95,13 +104,6 @@ class WorkerConfig:
 
     cache_capacity: int = 64
     max_batch_size: int = 16
-    #: Root of the on-disk program-cache tier; each worker pickles into its
-    #: own subdirectory so concurrent processes never race on one file.
-    disk_cache_dir: Optional[str] = None
-    #: Artificial per-request service delay (seconds): the slow-worker
-    #: fixture of the overload and streaming tests (it makes a pool's drain
-    #: rate small and stable); on no command line.
-    service_delay_s: float = 0.0
     #: Injected faults for chaos tests and chaos smokes; picklable
     #: like every other field, so process workers arm their share after the
     #: spawn.  ``None`` (production) injects nothing.
@@ -110,30 +112,20 @@ class WorkerConfig:
     #: the telemetry-off side of the byte-transparency test.
     telemetry: bool = True
 
-    def build_engine(self, index: int = 0) -> Engine:
-        """Construct this worker's private engine (one per worker index)."""
+    def build_engine(self) -> Engine:
+        """Construct one worker's private engine."""
         return Engine(
-            program_cache=ProgramCache(
-                capacity=self.cache_capacity, disk_dir=self.disk_dir(index)
-            ),
+            program_cache=ProgramCache(capacity=self.cache_capacity),
             result_cache_capacity=0,  # the one result tier is the dispatcher's
             max_batch_size=self.max_batch_size,
             metrics=MetricsRegistry(enabled=self.telemetry),
         )
 
-    def disk_dir(self, index: int) -> Optional[Path]:
-        """This worker's private on-disk cache directory (None = memory only)."""
-        if self.disk_cache_dir is None:
-            return None
-        return Path(self.disk_cache_dir) / f"worker-{index}"
-
     def build_injector(self, index: int, inline: bool) -> Optional[FaultInjector]:
         """The fault-injection arm for one worker (None when no faults)."""
         if self.fault_plan is None or not self.fault_plan.for_worker(index):
             return None
-        return FaultInjector(
-            self.fault_plan, index, inline=inline, disk_dir=self.disk_dir(index)
-        )
+        return FaultInjector(self.fault_plan, index, inline=inline)
 
     def respawned(self, index: int) -> "WorkerConfig":
         """The config a respawned worker restarts with.
@@ -206,7 +198,7 @@ class _WorkerState:
     def __init__(self, index: int, config: WorkerConfig, inline: bool):
         self.index = index
         self.config = config
-        self.engine = config.build_engine(index)
+        self.engine = config.build_engine()
         self.injector = config.build_injector(index, inline=inline)
         self.batches = 0
         self.requests = 0
@@ -215,15 +207,12 @@ class _WorkerState:
     def run(self, batches: Sequence[Batch]) -> Tuple[List[Response], WorkerSnapshot]:
         """Execute a batch list, timing its wall clock; returns the reply.
 
-        Unexpected errors become responses.  ``service_delay_s`` sleeps per
-        served request — the slow-worker test fixture, charged inside the
-        measured window on purpose.  The injector is consulted at batch
-        boundaries; an injected crash propagates (it must look like worker
-        death, not an error response).
+        Unexpected errors become responses.  The injector is consulted at
+        batch boundaries; an injected crash propagates (it must look like
+        worker death, not an error response).
         """
         responses: List[Response] = []
         served = 0
-        delay_s = self.config.service_delay_s
         started = time.perf_counter()
         for batch in batches:
             if self.injector is not None:
@@ -237,8 +226,6 @@ class _WorkerState:
                 responses.extend(_crash_responses(batch, error))
             if self.injector is not None:
                 self.injector.on_batch_done()
-            if delay_s > 0.0:
-                time.sleep(delay_s * len(batch))
         elapsed = time.perf_counter() - started
         self.batches += len(batches)
         self.requests += served
@@ -425,22 +412,15 @@ class _Flush(NamedTuple):
     lookup_s: float
 
 
-@dataclass
-class PoolReport:
-    """Everything one flush produced: responses plus dispatch evidence."""
+class PoolReport(NamedTuple):
+    """What one flush produced: its responses and the seconds it took.
 
-    mode: str
+    Dispatch evidence is the pool's own: ``last_snapshots``, the cumulative
+    ``worker_restarts`` / ``replayed_batches`` and :meth:`WorkerPool.stats_row`.
+    """
+
     responses: List[Response]
-    workers: List[WorkerSnapshot]
-    #: Workers respawned during this flush (0 on the fault-free path).
-    worker_restarts: int = 0
-    #: Batches replayed onto survivors after a worker loss, this flush.
-    replayed_batches: int = 0
-    #: Requests sent to workers (the tier's misses), the seconds lookup and
-    #: dispatch took, and the pool's one result tier after it (cumulative).
-    dispatched: int = 0
-    flush_s: float = 0.0
-    result_cache: CacheStats = field(default_factory=CacheStats)
+    flush_s: float
 
 
 class WorkerPool:
@@ -456,20 +436,16 @@ class WorkerPool:
     module docstring for the recovery contract).  The supervision knobs:
 
     * ``max_worker_restarts`` / ``restart_window_s`` — the circuit
-      breaker.  More than this many respawns inside the window closes the
-      pool and raises :class:`PoolError`; ``0`` disables self-healing
-      entirely (any worker loss is immediately fatal).
-    * ``max_batch_replays`` — a batch that keeps killing its worker (a
-      poison batch) is converted to per-request error responses after this
-      many replays instead of looping.
-    * ``hang_deadline_factor`` / ``hang_deadline_min_s`` — a process
-      worker whose flush reply takes longer than ``factor ×`` its expected
-      service time (from its measured rate), floored at the minimum,
-      is declared hung and recovered.  ``hang_cold_deadline_s`` bounds
-      workers with no measured rate yet (fresh or just respawned);
-      ``None`` disables hang detection for them.
+      breaker.  More than this many respawns inside the window (finite
+      seconds, > 0) closes the pool and raises :class:`PoolError`;
+      ``max_worker_restarts=0`` disables self-healing entirely (any worker
+      loss is immediately fatal).
     * ``fault_plan`` — injected faults for chaos testing (see
       :mod:`repro.runtime.faults`).
+
+    Hang deadlines and poison batches follow the module constants
+    :data:`HANG_DEADLINE_FACTOR`, :data:`HANG_DEADLINE_MIN_S`,
+    :data:`HANG_COLD_DEADLINE_S` and :data:`MAX_BATCH_REPLAYS`.
     """
 
     def __init__(
@@ -479,25 +455,21 @@ class WorkerPool:
         cache_capacity: int = 64,
         result_cache_capacity: int = 512,
         max_batch_size: int = 16,
-        service_delays: Optional[Sequence[float]] = None,
-        disk_cache_dir: Optional[str] = None,
         fault_plan: Optional[FaultPlan] = None,
         max_worker_restarts: int = 5,
         restart_window_s: float = 30.0,
-        max_batch_replays: int = 3,
-        hang_deadline_factor: float = 8.0,
-        hang_deadline_min_s: float = 30.0,
-        hang_cold_deadline_s: Optional[float] = 120.0,
         telemetry: bool = True,
     ):
         if workers <= 0:
             raise PoolError("need at least one pool worker")
         if mode not in POOL_MODES:
             raise PoolError(f"unknown pool mode '{mode}'; choose from {POOL_MODES}")
-        if service_delays is not None and len(service_delays) != workers:
-            raise PoolError("service_delays must have one entry per worker")
         if max_worker_restarts < 0:
             raise PoolError("max_worker_restarts must be >= 0")
+        if not (math.isfinite(restart_window_s) and restart_window_s > 0):
+            # A window that holds no restart would leave the breaker unable
+            # to trip.
+            raise PoolError("restart_window_s must be a finite number > 0")
         if fault_plan is not None:
             for fault in fault_plan.faults:
                 if fault.worker >= workers:
@@ -509,10 +481,6 @@ class WorkerPool:
         self.mode = mode
         self.max_worker_restarts = max_worker_restarts
         self.restart_window_s = restart_window_s
-        self.max_batch_replays = max(0, max_batch_replays)
-        self.hang_deadline_factor = hang_deadline_factor
-        self.hang_deadline_min_s = hang_deadline_min_s
-        self.hang_cold_deadline_s = hang_cold_deadline_s
         #: Cumulative fault counters (never reset while the pool lives).
         self.worker_restarts = 0
         self.replayed_batches = 0
@@ -534,17 +502,9 @@ class WorkerPool:
         self.config = WorkerConfig(
             cache_capacity=cache_capacity,
             max_batch_size=max_batch_size,
-            disk_cache_dir=disk_cache_dir,
             fault_plan=fault_plan,
             telemetry=telemetry,
         )
-        if service_delays is None:
-            self._worker_configs = [self.config] * workers
-        else:
-            self._worker_configs = [
-                replace(self.config, service_delay_s=delay)
-                for delay in service_delays
-            ]
         # The front engine queues, coalesces and keeps the pool's one result
         # tier (counted into the pool's registry); it never compiles or runs.
         # ``front_lock`` guards it from a caller's first submit() to its lookup().
@@ -556,9 +516,7 @@ class WorkerPool:
         )
         self.front_lock = threading.Lock()
         worker_class = _ProcessWorker if mode == "process" else _InlineWorker
-        self._workers = [
-            worker_class(i, self._worker_configs[i]) for i in range(workers)
-        ]
+        self._workers = [worker_class(i, self.config) for i in range(workers)]
         # Idle workers are skipped per flush; their last snapshot (initially
         # an empty one) still describes their caches exactly.
         self.last_snapshots: List[WorkerSnapshot] = [
@@ -653,12 +611,10 @@ class WorkerPool:
         docstring describes, so the tier sees only a flush's final responses.
         """
         started = time.perf_counter()
-        if not flush.batches:
-            report = PoolReport(self.mode, [], self.last_snapshots)
-        else:
-            report = self._gather(flush.batches)
-            by_id = {response.request_id: response for response in report.responses}
-            report.dispatched = len(by_id)
+        responses: List[Response] = []
+        if flush.batches:
+            responses = self._gather(flush.batches)
+            by_id = {response.request_id: response for response in responses}
             with self.front_lock:
                 for key, request_id in flush.first.items():
                     memoize(self._front.result_cache, key, by_id[request_id])
@@ -668,15 +624,14 @@ class WorkerPool:
                     self._front.served += was.error is None
                     again = (request_id, request, batch_id, was.program_cache_hit)
                     flush.responses.append(replay(was, *again))
-        report.responses.extend(flush.responses)
-        report.responses.sort(key=lambda r: r.request_id)
-        report.result_cache = self._front.result_cache_stats.snapshot()
-        report.flush_s = flush.lookup_s + time.perf_counter() - started
+        responses.extend(flush.responses)
+        responses.sort(key=lambda r: r.request_id)
+        flush_s = flush.lookup_s + time.perf_counter() - started
         self._m_flushes.inc()
-        self._m_flush_s.observe(report.flush_s)
-        return report
+        self._m_flush_s.observe(flush_s)
+        return PoolReport(responses, flush_s)
 
-    def _gather(self, batches: List[Batch]) -> PoolReport:
+    def _gather(self, batches: List[Batch]) -> List[Response]:
         """One scatter/gather round over the workers, losses masked."""
         if self._closed:
             raise PoolError("pool is closed")
@@ -687,8 +642,6 @@ class WorkerPool:
         pending, loads = self._route(batches, held)
         responses: List[Response] = []
         snapshots = list(self.last_snapshots)
-        flush_restarts = 0
-        flush_replays = 0
         replay_counts: Dict[int, int] = {}
         restarted: Set[int] = set()
         while pending:
@@ -719,12 +672,11 @@ class WorkerPool:
             for index, assigned, failure in lost:
                 reason = str(failure)
                 self._recover_worker(index, reason, failure.cause)
-                flush_restarts += 1
                 restarted.add(index)
                 for batch in assigned:
                     replays = replay_counts.get(batch.batch_id, 0) + 1
                     replay_counts[batch.batch_id] = replays
-                    if replays > self.max_batch_replays:
+                    if replays > MAX_BATCH_REPLAYS:
                         # A poison batch: it has now taken down a worker on
                         # every replay.  Answer it with error responses so
                         # the rest of the flush can complete.
@@ -733,7 +685,7 @@ class WorkerPool:
                             logging.ERROR,
                             "poison batch abandoned",
                             batch=batch.batch_id,
-                            replays=self.max_batch_replays,
+                            replays=MAX_BATCH_REPLAYS,
                             worker=index,
                             cause=failure.cause,
                         )
@@ -742,14 +694,14 @@ class WorkerPool:
                                 batch,
                                 PoolError(
                                     f"batch abandoned after "
-                                    f"{self.max_batch_replays} replays "
+                                    f"{MAX_BATCH_REPLAYS} replays "
                                     f"(last failure: {reason})"
                                 ),
                             )
                         )
                     else:
                         retry.append(batch)
-                        flush_replays += 1
+                        self.replayed_batches += 1
             # Requeue onto the (now fully respawned) pool by the same rule,
             # against the residency the first routing left behind; nothing
             # lost routes nothing and ends the loop.
@@ -757,17 +709,10 @@ class WorkerPool:
         # Snapshots of respawned workers that served no retry batch are
         # deliberately left at their pre-crash value: the next flush keeps
         # routing their programs to the same index while the fresh child
-        # rewarms (its disk tier, if any, survived the crash).
+        # rewarms.
         self.last_snapshots = snapshots
-        self.replayed_batches += flush_replays
         self._m_imbalance.set(max(loads) * self.workers / sum(loads))
-        return PoolReport(
-            mode=self.mode,
-            responses=responses,
-            workers=snapshots,
-            worker_restarts=flush_restarts,
-            replayed_batches=flush_replays,
-        )
+        return responses
 
     def _route(
         self, batches: Sequence[Batch], held: List[Set[str]]
@@ -813,23 +758,20 @@ class WorkerPool:
         """Reply deadline for one worker's flush (None = wait forever).
 
         Derived from the worker's measured service rate (its snapshot's
-        ``requests / busy_s``): ``factor ×`` the expected service time of
-        its assigned requests, floored at ``hang_deadline_min_s``.  Workers
-        with no measurement yet — fresh, or just respawned (``cold``) and
-        facing recompiles — get the generous ``hang_cold_deadline_s``
-        instead.  Inline workers finish inside submit(), so only process
-        mode has deadlines at all.
+        ``requests / busy_s``): :data:`HANG_DEADLINE_FACTOR` times the
+        expected service time of its assigned requests, floored at
+        :data:`HANG_DEADLINE_MIN_S`.  Workers with no measurement yet —
+        fresh, or just respawned (``cold``) and facing recompiles — get the
+        generous :data:`HANG_COLD_DEADLINE_S` instead.  Inline workers
+        finish inside submit(), so only process mode has deadlines at all.
         """
         if self.mode != "process":
             return None
         rate = self.last_snapshots[index].service_rate_rps
         if cold or rate <= 0.0:
-            return self.hang_cold_deadline_s
+            return HANG_COLD_DEADLINE_S
         requests = sum(len(batch) for batch in batches)
-        return max(
-            self.hang_deadline_min_s,
-            self.hang_deadline_factor * requests / rate,
-        )
+        return max(HANG_DEADLINE_MIN_S, HANG_DEADLINE_FACTOR * requests / rate)
 
     def _recover_worker(self, index: int, reason: str, cause: str) -> None:
         """Respawn one lost worker, or trip the breaker and close the pool.

@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import socketserver
 import sys
 import threading
@@ -83,8 +84,10 @@ class RuntimeServer(socketserver.ThreadingTCPServer):
     ):
         if (pool is None) == (service is None):
             raise ValueError("pass exactly one of 'pool' or 'service'")
-        if write_timeout is not None and not write_timeout > 0:  # NaN too
-            raise ValueError("write_timeout must be positive (or None)")
+        if write_timeout is not None and not (
+            math.isfinite(write_timeout) and write_timeout > 0
+        ):
+            raise ValueError("write_timeout must be finite and positive (or None)")
         super().__init__(address, handler or _LineHandler)
         self.service = service if service is not None else PoolService(pool)
         #: Socket timeout of each connection, seconds (None = never): a hung
@@ -222,10 +225,18 @@ OPS = {
 }
 
 
-def _positive_seconds(text: str) -> float:
-    """An argparse type: a duration that must be > 0."""
+def _finite_seconds(text: str) -> float:
+    """An argparse type: a duration that must be finite (not NaN or inf)."""
     value = float(text)
-    if not value > 0:  # NaN too
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    """An argparse type: a finite duration that must be > 0."""
+    value = _finite_seconds(text)
+    if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
 
@@ -267,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--headroom",
-        type=float,
+        type=_positive_seconds,
         default=2.0,
         help="seconds of measured drain the front door may hold in flight "
         "before shedding with 429 (default 2.0; ignored with "
@@ -275,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--conn-timeout",
-        type=float,
+        type=_finite_seconds,
         default=120.0,
         help="per-connection socket read/write timeout in seconds; hung "
         "clients are reaped after this long (default 120; <= 0 disables)",
@@ -288,11 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         "dropped past it; default 10)",
     )
     parser.add_argument(
-        "--disk-cache",
-        default=None,
-        help="root directory for per-worker on-disk program caches",
-    )
-    parser.add_argument(
         "--max-worker-restarts",
         type=int,
         default=5,
@@ -302,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--restart-window",
-        type=float,
+        type=_positive_seconds,
         default=30.0,
         help="sliding window in seconds for --max-worker-restarts "
         "(default 30)",
@@ -313,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="DEV ONLY: inject faults into pool workers — inline JSON or "
         "@path to a JSON file, e.g. "
         "'[{\"kind\": \"kill\", \"worker\": 0, \"after_batches\": 1}]' "
-        "(kinds: kill, hang, delay-reply, drop-reply, corrupt-cache)",
+        "(kinds: kill, hang, delay-reply, drop-reply)",
     )
     parser.add_argument(
         "--log-level",
@@ -339,7 +345,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         workers=args.workers,
         mode=args.pool_mode,
         cache_capacity=args.cache_capacity,
-        disk_cache_dir=args.disk_cache,
         fault_plan=load_fault_plan(args.fault_plan),
         max_worker_restarts=args.max_worker_restarts,
         restart_window_s=args.restart_window,

@@ -18,6 +18,8 @@ from repro.runtime.gateway.admission import (
 from repro.runtime.engine import Request
 from repro.runtime.pool import WorkerPool
 
+from runtime_helpers import slow_workers
+
 
 def fresh_payloads(seeds, n):
     """``n`` cheap requests that each reach a worker (no two share a seed)."""
@@ -131,8 +133,9 @@ class TestAdmissionController:
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError):
             AdmissionController(max_inflight=-1)
-        with pytest.raises(ValueError):
-            AdmissionController(headroom=0.0)
+        for headroom in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="headroom"):
+                AdmissionController(headroom=headroom)
 
 
 class TestOverloadEnvelope:
@@ -212,10 +215,12 @@ class TestPoolService:
         assert capacity > 0.0
         assert stats["admission"]["drain_rps"] == round(capacity, 2)
 
-    def test_an_idle_server_serves_a_batch_larger_than_the_budget(self):
+    def test_an_idle_server_serves_a_batch_larger_than_the_budget(
+            self, monkeypatch):
         seeds = itertools.count()
         controller = AdmissionController(headroom=0.05)
-        with WorkerPool(workers=1, mode="inline", service_delays=[0.02]) as pool:
+        slow_workers(monkeypatch, 0.02)
+        with WorkerPool(workers=1, mode="inline") as pool:
             service = PoolService(pool, controller)
             # One slow request: under 50 requests per busy second.
             assert not service.serve_payloads(fresh_payloads(seeds, 1)).shed
@@ -244,9 +249,11 @@ class TestOpTable:
         assert 'frontdoor_requests_total{endpoint="door-a",status="ok"} 1' in text
         assert 'frontdoor_requests_total{endpoint="door-b",status="error"} 1' in text
 
-    def test_a_shed_call_is_one_429_envelope_with_the_unrounded_hint(self):
+    def test_a_shed_call_is_one_429_envelope_with_the_unrounded_hint(
+            self, monkeypatch):
         controller = AdmissionController(max_inflight=0)
-        with WorkerPool(workers=1, mode="inline", service_delays=[0.1]) as pool:
+        slow_workers(monkeypatch, 0.1)
+        with WorkerPool(workers=1, mode="inline") as pool:
             # About 10 requests per busy second, so each hint is ~0.1 s per
             # request: above the clamp, and not a round number.
             pool.process([Request.from_dict(self.REQUEST)])
@@ -432,12 +439,11 @@ class TestTwoLockFlush:
 class TestOverloadIntegration:
     """Saturate a 2-worker inline pool at ~2x its measured rate."""
 
-    def test_two_x_overload_sheds_and_accepted_requests_complete(self):
-        delay = 0.002
+    def test_two_x_overload_sheds_and_accepted_requests_complete(
+            self, monkeypatch):
         controller = AdmissionController(headroom=0.05)
-        pool = WorkerPool(
-            workers=2, mode="inline", service_delays=[delay, delay]
-        )
+        slow_workers(monkeypatch, 0.002)
+        pool = WorkerPool(workers=2, mode="inline")
         # Every request gets a seed of its own: a repeat would be replayed by
         # the dispatcher, and only work that reaches a (slow) worker
         # saturates the pool or feeds its capacity.  `next` on a `count` is

@@ -67,7 +67,7 @@ class TestRouting:
         # flush; the spill makes worker 1 a holder, and the least-loaded
         # holder takes the rest.
         assert served_by(report) == [0] * split[0] + [1] * split[1]
-        assert [s.program_cache.misses for s in report.workers] == [1, 1]
+        assert [s.program_cache.misses for s in p.last_snapshots] == [1, 1]
 
     def test_a_key_evicted_within_the_flush_still_routes_to_its_worker(self):
         with pool(2, max_batch_size=1, cache_capacity=2) as p:
@@ -77,14 +77,14 @@ class TestRouting:
         # Worker 0 evicted "search" for "ip2int" but is still its holder in
         # this flush, so the second "search" batch recompiles there.
         assert served_by(report) == [0, 1, 0, 1, 0, 0]
-        assert report.workers[0].program_cache.misses == 4
+        assert p.last_snapshots[0].program_cache.misses == 4
 
     def test_a_killed_workers_batch_is_replayed_onto_the_respawned_index(self):
         plan = FaultPlan.from_spec([{"kind": "kill", "worker": 1}])
         with pool(3, fault_plan=plan) as p:
             report = p.process([traced(app) for app in
                                 ("search", "murmur3", "strlen")])
-        assert (report.worker_restarts, report.replayed_batches) == (1, 1)
+        assert (p.worker_restarts, p.replayed_batches) == (1, 1)
         assert all(r.ok for r in report.responses)
         # The retry starts from the first routing's residency, not cold.
         assert served_by(report) == [0, 1, 2]
@@ -107,6 +107,6 @@ class TestEndToEndHitRate:
             report = p.process(synthetic_trace(MIXED_TRACE))
         assert len(report.responses) == MIXED_TRACE.size
         assert all(r.ok for r in report.responses)
-        assert [s.batches for s in report.workers] == [9, 9, 9, 8]
+        assert [s.batches for s in p.last_snapshots] == [9, 9, 9, 8]
         # Seven programs, three of them spilled onto worker 3.
-        assert [s.program_cache.misses for s in report.workers] == [2, 2, 2, 4]
+        assert [s.program_cache.misses for s in p.last_snapshots] == [2, 2, 2, 4]

@@ -1,4 +1,4 @@
-"""ProgramCache: content addressing, LRU eviction, stats, and the disk tier."""
+"""ProgramCache: content addressing, LRU eviction and stats."""
 
 
 import pytest
@@ -102,66 +102,12 @@ class TestProgramCache:
         _, hit = cache.get_or_compile(SQUARE)
         assert not hit
 
-    def test_disk_tier_survives_memory_clear(self, tmp_path):
-        cache = ProgramCache(capacity=4, disk_dir=tmp_path)
-        cache.get_or_compile(SQUARE)
-        assert list(tmp_path.glob("*.pkl"))
-        cache.clear()
-        program, hit = cache.get_or_compile(SQUARE)
-        assert hit
-        assert cache.stats.disk_hits == 1
-        assert isinstance(program, CompiledProgram)
-
-    def test_disk_tier_shared_between_instances(self, tmp_path):
-        ProgramCache(capacity=4, disk_dir=tmp_path).get_or_compile(SQUARE)
-        other = ProgramCache(capacity=4, disk_dir=tmp_path)
-        _, hit = other.get_or_compile(SQUARE)
-        assert hit
-        assert other.stats.disk_hits == 1
-
-    def test_corrupt_disk_entry_falls_back_to_compile(self, tmp_path):
-        cache = ProgramCache(capacity=4, disk_dir=tmp_path)
-        cache.get_or_compile(SQUARE)
-        for path in tmp_path.glob("*.pkl"):
-            path.write_bytes(b"not a pickle")
-        cache.clear()
-        program, hit = cache.get_or_compile(SQUARE)
-        assert not hit
-        assert isinstance(program, CompiledProgram)
-
-    def test_corrupt_disk_entry_is_unlinked_and_rewritten(self, tmp_path):
-        cache = ProgramCache(capacity=4, disk_dir=tmp_path)
-        cache.get_or_compile(SQUARE)
-        entry = next(tmp_path.glob("*.pkl"))
-        entry.write_bytes(b"\x00garbage")
-        cache.clear()
-        cache.get_or_compile(SQUARE)  # miss: garbage unlinked, recompiled
-        # The recompile stored a clean entry over the garbage one, so a
-        # fresh instance hits disk again instead of re-reading bad bytes.
-        other = ProgramCache(capacity=4, disk_dir=tmp_path)
-        _, hit = other.get_or_compile(SQUARE)
-        assert hit
-        assert other.stats.disk_hits == 1
-
-    def test_disk_writes_are_atomic_with_no_temp_leftovers(self, tmp_path):
-        cache = ProgramCache(capacity=4, disk_dir=tmp_path)
-        cache.get_or_compile(SQUARE)
-        cache.get_or_compile(DOUBLE)
-        # Temp-then-replace writes: only final entries remain on disk.
-        assert not list(tmp_path.glob("*.tmp-*"))
-        assert len(list(tmp_path.glob("*.pkl"))) == 2
-        # clear(disk=True) sweeps stray temp files from a crashed writer too.
-        (tmp_path / "dead.pkl.tmp-123").write_bytes(b"partial")
-        cache.clear(disk=True)
-        assert not list(tmp_path.glob("*"))
-
-    def test_cached_program_executes(self, tmp_path):
+    def test_cached_program_executes(self):
         from repro.core.memory import MemorySystem
 
-        cache = ProgramCache(capacity=1, disk_dir=tmp_path)
+        cache = ProgramCache(capacity=1)
         cache.get_or_compile(SQUARE)
-        cache.clear()
-        program, hit = cache.get_or_compile(SQUARE)  # from-disk roundtrip
+        program, hit = cache.get_or_compile(SQUARE)
         assert hit
         memory = MemorySystem()
         memory.dram_alloc("data", data=[1, 2, 3, 4])

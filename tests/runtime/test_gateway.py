@@ -27,6 +27,8 @@ from repro.runtime.pool import WorkerPool
 from repro.runtime.server import RuntimeServer
 from repro.runtime.telemetry import MetricsRegistry
 
+from runtime_helpers import slow_workers
+
 
 @contextlib.contextmanager
 def listening(service, handler=HttpHandler, **options):
@@ -304,15 +306,15 @@ def raw_exchange(address, request):
 
 
 class TestStreaming:
-    def test_responses_arrive_incrementally(self):
+    def test_responses_arrive_incrementally(self, monkeypatch):
         """First streamed response lands before the batch completes."""
         delay = 0.03
         # Distinct seeds: a repeat would be answered by the dispatcher's
         # result tier without reaching a (slow) worker.
         requests = [{"app": "search", "n_threads": 2, "seed": s}
                     for s in range(5)]
-        pool = WorkerPool(workers=2, mode="inline",
-                          service_delays=[delay, delay])
+        slow_workers(monkeypatch, delay)
+        pool = WorkerPool(workers=2, mode="inline")
         with pool:
             with listening(PoolService(pool)) as gw:
                 sock, handle, status, headers = raw_http_post(

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.runtime.cache import CacheStats
+from repro.runtime import pool as pool_module
 from repro.runtime.engine import Batch, Engine, EngineError, Request
 from repro.runtime.pool import PoolError, WorkerPool, WorkerSnapshot
 from repro.runtime.telemetry import render_prometheus
@@ -29,12 +30,21 @@ def payload(response):
     return tuple(getattr(response, name) for name in PAYLOAD_FIELDS)
 
 
+def worker_requests(pool):
+    """Requests the pool's workers have served so far (its tier's misses)."""
+    return sum(s.requests for s in pool.last_snapshots)
+
+
 class TestConstruction:
     def test_rejects_bad_configuration(self):
         with pytest.raises(PoolError):
             WorkerPool(workers=0)
         with pytest.raises(PoolError):
             WorkerPool(mode="threads")
+        # A breaker window that holds no restart could never trip.
+        for window in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(PoolError, match="restart_window_s"):
+                WorkerPool(workers=1, restart_window_s=window)
 
     def test_flush_after_close_rejected(self):
         pool = WorkerPool(workers=1)
@@ -91,21 +101,22 @@ class TestInlinePool:
             ["murmur3"], ["search"]]
         # One shape per app: two reach a worker, eighteen are replayed by the
         # dispatcher, and the one served count holds all twenty.
-        assert report.dispatched == 2
+        assert worker_requests(pool) == 2
         assert "\nengine_requests_total 20\n" in scrape
 
     def test_residency_feedback_keeps_programs_sticky(self):
         with WorkerPool(workers=2, mode="inline") as pool:
-            first = pool.process(synthetic_trace(SMALL_TRACE))
-            second = pool.process(synthetic_trace(SMALL_TRACE))
-        misses = [CacheStats.merged(w.program_cache for w in r.workers).misses
+            pool.process(synthetic_trace(SMALL_TRACE))
+            first = pool.last_snapshots
+            pool.process(synthetic_trace(SMALL_TRACE))
+            second = pool.last_snapshots
+        misses = [CacheStats.merged(w.program_cache for w in r).misses
                   for r in (first, second)]
         # Round two is routed by the workers' reported residency: every batch
         # of a program lands on the worker that already compiled it, so the
         # pool performs zero new compiles.
         assert misses[1] == misses[0]
-        assert all(s.resident_keys for s in second.workers
-                   if s.requests > 0)
+        assert all(s.resident_keys for s in second if s.requests > 0)
 
     def test_request_ids_stay_monotonic_across_flushes(self):
         with WorkerPool(workers=2, mode="inline") as pool:
@@ -154,9 +165,8 @@ class TestProcessPool:
             report = pool.process(synthetic_trace(trace))
             assert [payload(r) for r in report.responses] == \
                 [payload(r) for r in fault_free.responses]
-            assert report.worker_restarts == 1
-            assert report.replayed_batches >= 1
             assert pool.worker_restarts == 1
+            assert pool.replayed_batches >= 1
         finally:
             pool.close()
 
@@ -184,10 +194,11 @@ class TestProcessPool:
         # One shape repeated: without the tier all eight reach a worker.
         with WorkerPool(workers=2, mode="process",
                         result_cache_capacity=0) as pool:
-            report = pool.process(synthetic_trace(trace))
-        assert sum(s.requests for s in report.workers) == trace.size
-        assert sum(len(s.resident_keys) for s in report.workers) >= 1
-        json.dumps([s.to_dict() for s in report.workers])
+            pool.process(synthetic_trace(trace))
+            snapshots = pool.last_snapshots
+        assert sum(s.requests for s in snapshots) == trace.size
+        assert sum(len(s.resident_keys) for s in snapshots) >= 1
+        json.dumps([s.to_dict() for s in snapshots])
 
 
 def worker_report(index, requests=0, busy_s=0.0):
@@ -212,8 +223,8 @@ class TestMeasuredRateDispatch:
 
     def test_snapshots_report_busy_time_and_rate(self):
         with WorkerPool(workers=2, mode="inline") as pool:
-            report = pool.process(self._trace())
-        active = [s for s in report.workers if s.requests]
+            pool.process(self._trace())
+        active = [s for s in pool.last_snapshots if s.requests]
         assert active
         for snapshot in active:
             assert snapshot.busy_s > 0.0
@@ -237,18 +248,15 @@ class TestMeasuredRateDispatch:
         assert capacity == 23.0
         assert [row["service_rate_rps"] for row in rows] == rates
 
-    def test_service_delays_validated(self):
-        with pytest.raises(PoolError):
-            WorkerPool(workers=2, service_delays=[0.1])
-
 
 class TestHangDeadline:
     """A process worker's reply deadline, from hand-set snapshots."""
 
-    def test_warm_cold_and_unmeasured_workers(self):
-        with WorkerPool(workers=1, mode="process", hang_deadline_factor=8.0,
-                        hang_deadline_min_s=1.0,
-                        hang_cold_deadline_s=120.0) as pool:
+    def test_warm_cold_and_unmeasured_workers(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "HANG_DEADLINE_FACTOR", 8.0)
+        monkeypatch.setattr(pool_module, "HANG_DEADLINE_MIN_S", 1.0)
+        monkeypatch.setattr(pool_module, "HANG_COLD_DEADLINE_S", 120.0)
+        with WorkerPool(workers=1, mode="process") as pool:
             unmeasured = pool._collect_deadline_s(0, sized_batches(3, 2))
             pool.last_snapshots[0] = worker_report(0, requests=40, busy_s=2.0)
             # 8 x 5 requests x 2.0 busy seconds / 40 requests.
@@ -285,24 +293,26 @@ class TestResultTier:
                  Request(app="murmur3", n_threads=2),   # hit
                  Request(seed=1, **self.SEARCH),        # repeat of the miss
                  Request(app=["search"])]               # wrong-typed
-        reports = {}
+        reports, dispatched = {}, {}
         for capacity in (512, 0):
             with WorkerPool(workers=2, mode="inline",
                             result_cache_capacity=capacity) as pool:
-                reports[capacity] = [pool.process(list(first)),
-                                     pool.process(list(mixed))]
+                warm = pool.process(list(first))
+                before = worker_requests(pool)
+                reports[capacity] = [warm, pool.process(list(mixed))]
+                dispatched[capacity] = worker_requests(pool) - before
         for with_tier, without in zip(reports[512], reports[0]):
             assert self.wire(with_tier) == self.wire(without)
         hits = [r.result_cache_hit for r in reports[512][1].responses]
         assert hits == [True, False, False, True, True, False]
         assert not any(r.result_cache_hit for r in reports[0][1].responses)
-        assert reports[512][1].dispatched == 1
-        assert reports[0][1].dispatched == 4
+        assert dispatched == {512: 1, 0: 4}
 
     def test_intra_flush_duplicate_executes_once(self):
         with WorkerPool(workers=2, mode="inline") as pool:
             report = pool.process([Request(seed=3, **self.SEARCH)
                                    for _ in range(3)])
+            stats = pool.stats_row()
         assert [r.result_cache_hit for r in report.responses] == \
             [False, True, True]
         assert [r.outputs for r in report.responses] == \
@@ -310,34 +320,37 @@ class TestResultTier:
         # The repeats carry the first one's program-cache verdict, as a
         # worker-side replay inside one batch always did.
         assert [r.program_cache_hit for r in report.responses] == [False] * 3
-        assert sum(s.requests for s in report.workers) == 1
-        tier = report.result_cache
-        assert (tier.hits, tier.misses) == (2, 1)
-        assert all("result_cache" not in s.to_dict() for s in report.workers)
+        assert worker_requests(pool) == 1
+        tier = stats["result_cache"]
+        assert (tier["hits"], tier["misses"]) == (2, 1)
+        assert all("result_cache" not in w for w in stats["workers"])
 
     def test_failed_request_caches_nothing_and_fails_its_duplicate_alike(self):
         failing = dict(app="search", n_threads=0)   # divides by zero
         with WorkerPool(workers=1, mode="inline") as pool:
             report = pool.process([Request(**failing), Request(**failing)])
+            served = worker_requests(pool)
             again = pool.process([Request(**failing)])
+            served_again = worker_requests(pool)
+            tier = pool.stats_row()["result_cache"]
         errors = [r.error for r in report.responses]
         assert errors[0] and errors[0] == errors[1]
         assert [r.request_id for r in report.responses] == [0, 1]
         assert not any(r.result_cache_hit for r in report.responses)
-        assert report.workers[0].requests == 1
+        assert served == 1
         # Nothing was cached: the same request reaches the worker again.
-        assert again.workers[0].requests == 2
+        assert served_again == 2
         assert again.responses[0].error == errors[0]
-        assert again.result_cache.hits == 0
+        assert tier["hits"] == 0
 
     def test_tier_is_bounded_and_counts_evictions(self):
         keys = [Request(app="hash-table", n_threads=1, seed=s)
                 for s in range(513)]
         with WorkerPool(workers=1, mode="inline") as pool:
-            filled = pool.process(list(keys[:512]))
-            assert filled.result_cache.evictions == 0
-            over = pool.process([keys[512]])
-            assert over.result_cache.evictions == 1
+            pool.process(list(keys[:512]))
+            assert pool.stats_row()["result_cache"]["evictions"] == 0
+            pool.process([keys[512]])
+            assert pool.stats_row()["result_cache"]["evictions"] == 1
             # The oldest key went: it misses, every younger one still hits.
             oldest = pool.process([keys[0]]).responses[0]
             youngest = pool.process([keys[512]]).responses[0]
@@ -371,14 +384,14 @@ class TestResultTier:
                     for seed in range(2)]
         with WorkerPool(workers=2, mode=mode, fault_plan=plan) as pool:
             report = pool.process(list(requests))
-            served = sum(s.requests for s in pool.last_snapshots)
+            served = worker_requests(pool)
+            assert pool.worker_restarts == 1 and pool.replayed_batches >= 1
             again = pool.process(list(requests))
-            assert sum(s.requests for s in pool.last_snapshots) == served
-        assert report.worker_restarts == 1 and report.replayed_batches >= 1
+            assert worker_requests(pool) == served
+            tier = pool.stats_row()["result_cache"]
         assert all(r.ok and r.error is None for r in report.responses)
         # Only final responses entered the tier, each once.
         assert all(r.result_cache_hit for r in again.responses)
         assert [r.outputs for r in again.responses] == \
             [r.outputs for r in report.responses]
-        tier = again.result_cache
-        assert (tier.hits, tier.misses, tier.evictions) == (6, 6, 0)
+        assert (tier["hits"], tier["misses"], tier["evictions"]) == (6, 6, 0)

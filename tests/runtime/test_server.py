@@ -319,19 +319,29 @@ class TestSpawn:
 
 
 class TestConnectionTimeouts:
-    @pytest.mark.parametrize("write_timeout", [0.0, -1.0])
+    @pytest.mark.parametrize("write_timeout",
+                             [0.0, -1.0, float("inf"), float("nan")])
     def test_non_positive_write_timeout_is_refused(self, write_timeout):
         with WorkerPool(workers=1, mode="inline") as pool:
             with pytest.raises(ValueError, match="write_timeout"):
                 RuntimeServer(("127.0.0.1", 0), pool, handler=HttpHandler,
                               write_timeout=write_timeout)
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_cli_refuses_non_positive_write_timeout(self, value, capsys):
+    @pytest.mark.parametrize("flag, value", [
+        (flag, value)
+        for flag in ("--restart-window", "--headroom", "--write-timeout")
+        for value in ("0", "-1", "nan", "inf")
+    ] + [("--conn-timeout", "nan"), ("--conn-timeout", "inf")])
+    def test_cli_refuses_a_duration_it_cannot_use(self, flag, value, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["--write-timeout", value])
+            build_parser().parse_args([flag, value])
         assert excinfo.value.code == 2
-        assert "--write-timeout" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_cli_non_positive_conn_timeout_still_disables_reaping(self, value):
+        args = build_parser().parse_args(["--conn-timeout", value])
+        assert args.conn_timeout == float(value)
 
     def test_hung_client_is_reaped_and_leaks_no_handler_thread(self):
         """A client that connects and never writes must not pin a thread."""
