@@ -12,6 +12,7 @@ paper compares against are printed by ``python -m repro.eval table5``.
 
 from repro.core.memory import MemorySystem
 from repro.runtime import Engine, Request
+from repro.runtime.telemetry import family_total
 
 SQUARE = """
 DRAM<int> data;
@@ -60,9 +61,11 @@ def main() -> None:
               + (f"  [{' '.join(tags)}]" if tags else ""))
 
     print("\nraw-source output:", memory.segment_data("out"))
-    print("program cache    :", engine.program_cache_stats.to_dict())
-    print("result cache     :", engine.result_cache_stats.to_dict())
-    print("requests served  :", engine.served)
+    # Every count lives in the engine's metrics registry.
+    served = family_total(engine.metrics.snapshot(), "engine_requests_total")
+    print("program cache    :", engine.program_cache_stats._asdict())
+    print("result cache     :", engine.result_cache_stats._asdict())
+    print("requests served  :", int(served))
 
 
 if __name__ == "__main__":

@@ -238,13 +238,6 @@ def _detached(response: Response, **changes: Any) -> Response:
                    **changes)
 
 
-def memoize(tier: LRUCache, fingerprint, response: Response) -> None:
-    """Keep an error-free response for replay — never its trace: an untraced
-    replay must be byte-identical to an uncached untraced serve."""
-    if fingerprint is not None and response.error is None:
-        tier.put(fingerprint, _detached(response, trace=None))
-
-
 def replay(cached: Response, request_id: int, request: Request, batch_id: int,
            program_hit: Optional[bool], compile_s: float = 0.0) -> Response:
     """An earlier response as this request's own: what a hit looks like, for
@@ -340,10 +333,9 @@ class Engine:
             max_batch_size: cap on requests coalesced into one batch.
             result_cache_capacity: LRU entries in the response memo tier;
                 0 disables result caching.
-            metrics: telemetry registry to instrument into; defaults to a
-                private per-engine registry (each pool worker child ships
-                its own back with every flush reply).  Pass
-                ``MetricsRegistry(enabled=False)`` to null out telemetry.
+            metrics: the registry every count of this engine lives in;
+                defaults to a private one (each pool worker child ships
+                its own back with every flush reply).
 
         Thread-safety: one engine may be driven from one thread.
         """
@@ -355,19 +347,29 @@ class Engine:
         self._failed: List[Response] = []
         self._next_request_id = 0
         self._next_batch_id = 0
-        #: Requests answered without an error (executed or replayed).
-        self.served = 0
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # Hot-path cost discipline: the engine only *times at batch level*
-        # (two perf_counter calls per batch); every per-request counter is
-        # derived at snapshot time from counters the engine already keeps.
+        self._m_requests = self.metrics.counter(
+            "engine_requests_total", "Requests served.")
         self._m_batches = self.metrics.counter(
             "engine_batches_total", "Coalesced batches executed.")
+        self._m_batch_requests = self.metrics.counter(
+            "engine_batch_requests_total",
+            "Requests in executed batches, errors included.")
+        self._m_lookups = self.metrics.counter(
+            "engine_cache_lookups_total",
+            "Cache-tier lookups, by tier and outcome.", ("tier", "outcome"))
+        self._m_evictions = self.metrics.counter(
+            "engine_cache_evictions_total", "Cache-tier evictions.", ("tier",))
         self._m_compile_s = self.metrics.histogram(
             "engine_compile_seconds", "Per-batch program compile time.")
         self._m_batch_s = self.metrics.histogram(
             "engine_batch_execute_seconds", "Per-batch execute wall clock.")
-        self.metrics.add_collector(self._collect_metrics)
+        # Every count a stats reply shows exists at zero from the start.
+        self._m_requests.inc(0)
+        for tier in ("program", "result"):
+            self._m_evictions.inc(0, tier=tier)
+            for outcome in ("hit", "miss"):
+                self._m_lookups.inc(0, tier=tier, outcome=outcome)
 
     # -- submission ---------------------------------------------------------
 
@@ -448,7 +450,9 @@ class Engine:
         """Serve one coalesced batch (compile once, then run every entry).
 
         Public because pool workers execute batches formed by a remote
-        dispatcher; responses come back in batch-entry order.
+        dispatcher; responses come back in batch-entry order.  Every batch
+        is counted and timed, a failed one too: a pool worker's ``batches``,
+        ``requests`` and ``busy_s`` are these counts.
 
         Entries are served one after another in entry order: replay a
         result-cache hit, otherwise execute and cache the result.  A
@@ -457,27 +461,40 @@ class Engine:
         executes for real.  Entries may share one client-staged
         ``MemorySystem``; entry order is what makes that well defined.
         """
-        batch_started = time.perf_counter()
+        started = time.perf_counter()
+        self._m_batches.inc()
+        self._m_batch_requests.inc(len(batch))
+        try:
+            return self._serve_batch(batch)
+        finally:
+            self._m_batch_s.observe(time.perf_counter() - started)
+
+    def _serve_batch(self, batch: Batch) -> List[Response]:
         _, first = batch.entries[0]  # coalesce() forms no empty batch
         _, source = first.resolve()
         try:
             compile_started = time.perf_counter()
-            program, program_hit = self.program_cache.get_or_compile(
+            program, program_hit, evicted = self.program_cache.get_or_compile(
                 source, first.function, first.options)
             compile_s = time.perf_counter() - compile_started
-            self.program_cache.record_amortized_hits(len(batch.entries) - 1)
         except ReproError as error:
+            self._count_lookup("program", False)
             return [_error_response(request_id, request, batch.batch_id,
                                     f"compile failed: {error}")
                     for request_id, request in batch.entries]
+        self._count_lookup("program", program_hit, evicted)
         if program_hit is False:
             self._m_compile_s.observe(compile_s)
+        if len(batch) > 1 and self.program_cache.capacity > 0:
+            # One compile serves the whole batch: every other entry skipped
+            # the pipeline just as a hit would.  A disabled cache counts no
+            # hit, so cold-tier measurements stay honest.
+            self._m_lookups.inc(len(batch) - 1, tier="program", outcome="hit")
         responses: List[Response] = []
         for request_id, request in batch.entries:
             fingerprint = result_fingerprint(self.result_cache, request,
                                              batch.program_key)
-            cached = (self.result_cache.get(fingerprint)
-                      if fingerprint is not None else None)
+            cached = self.recall(fingerprint) if fingerprint is not None else None
             if cached is not None:
                 response = replay(cached, request_id, request, batch.batch_id,
                                   program_hit, compile_s)
@@ -485,12 +502,9 @@ class Engine:
                 response = self._execute_request(
                     request_id, request, batch, program, program_hit,
                     compile_s)
-                memoize(self.result_cache, fingerprint, response)
-            if response.error is None:
-                self.served += 1
+                self.memoize(fingerprint, response)
             responses.append(response)
-        self._m_batches.inc()
-        self._m_batch_s.observe(time.perf_counter() - batch_started)
+        self.count_served(sum(r.error is None for r in responses))
         return responses
 
     def _execute_request(self, request_id: int, request: Request, batch: Batch,
@@ -515,38 +529,46 @@ class Engine:
             **payload,
         )
 
-    # -- stats --------------------------------------------------------------
+    # -- counts -------------------------------------------------------------
+
+    def _count_lookup(self, tier: str, hit: bool, evicted: int = 0) -> None:
+        self._m_lookups.inc(tier=tier, outcome="hit" if hit else "miss")
+        if evicted:
+            self._m_evictions.inc(evicted, tier=tier)
+
+    def recall(self, fingerprint: Any) -> Optional[Response]:
+        """The result tier's response for ``fingerprint`` (None: a miss)."""
+        cached = self.result_cache.get(fingerprint)
+        self._count_lookup("result", cached is not None)
+        return cached
+
+    def memoize(self, fingerprint: Any, response: Response) -> None:
+        """Keep an error-free response for replay — never its trace: an
+        untraced replay must be byte-identical to an uncached untraced
+        serve."""
+        if fingerprint is not None and response.error is None:
+            evicted = self.result_cache.put(
+                fingerprint, _detached(response, trace=None))
+            if evicted:
+                self._m_evictions.inc(evicted, tier="result")
+
+    def count_served(self, n: int) -> None:
+        """Count ``n`` error-free responses (a pool dispatcher's replays)."""
+        if n:
+            self._m_requests.inc(n)
+
+    def _tier_stats(self, tier: str) -> CacheStats:
+        lookups = self._m_lookups.value
+        return CacheStats(int(lookups(tier=tier, outcome="hit")),
+                          int(lookups(tier=tier, outcome="miss")),
+                          int(self._m_evictions.value(tier=tier)))
 
     @property
     def program_cache_stats(self) -> CacheStats:
-        """Counters for the content-addressed compilation tier."""
-        return self.program_cache.stats
+        """Counts of the compiled-program tier, read from the registry."""
+        return self._tier_stats("program")
 
     @property
     def result_cache_stats(self) -> CacheStats:
-        """Counters for the memoized-response tier."""
-        return self.result_cache.stats
-
-    def _collect_metrics(self, registry: MetricsRegistry) -> None:
-        """Fold existing engine counters into metric families (at snapshot).
-
-        Runs only when the registry is scraped or snapshotted, so the warm
-        serve path (tens of microseconds per request) pays nothing for the
-        per-request counters below.
-        """
-        registry.counter("engine_requests_total",
-                         "Requests served.").set_total(self.served)
-        lookups = registry.counter(
-            "engine_cache_lookups_total",
-            "Cache-tier lookups, by tier and outcome.", ("tier", "outcome"))
-        evictions = registry.counter(
-            "engine_cache_evictions_total", "Cache-tier evictions.", ("tier",))
-        for tier, stats in (("program", self.program_cache_stats),
-                            ("result", self.result_cache_stats)):
-            lookups.set_total(stats.hits, tier=tier, outcome="hit")
-            lookups.set_total(stats.misses, tier=tier, outcome="miss")
-            evictions.set_total(stats.evictions, tier=tier)
-
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """This engine's registry snapshot (mergeable across workers)."""
-        return self.metrics.snapshot()
+        """Counts of the memoized-response tier, read from the registry."""
+        return self._tier_stats("result")

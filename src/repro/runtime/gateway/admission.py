@@ -10,9 +10,9 @@ of queueing it.
 :class:`PoolService` is the front door: one
 :class:`~repro.runtime.pool.WorkerPool`, its short front lock (submit,
 coalesce, result-tier lookup) and one ``pool_lock`` serializing only the
-flushes that reach a worker, one admission controller, one set of counters,
-and the one table of what the service can do (``request``, ``batch``,
-``stream``, ``stats``, ``metrics``, ``slow``, ``health``).  The table does
+flushes that reach a worker, one admission controller, and the one table
+of what the service can do (``request``, ``batch``, ``stream``,
+``stats``, ``metrics``, ``slow``, ``health``).  The table does
 not know who calls it: every entry takes already-decoded, already-shaped
 arguments plus the caller's own endpoint label, and answers a door-neutral
 :class:`Reply`.  The listener (:class:`~repro.runtime.server.RuntimeServer`)
@@ -20,7 +20,8 @@ only frames: its NDJSON line handler and its HTTP handler
 (:mod:`repro.runtime.gateway.http`) each own their op/route map, the body
 shapes they accept, their refusal wording and their envelope keys, so both
 doors shed load identically — a 429 envelope on one wire is a 429 status on
-the other, backed by the same token bucket.
+the other, backed by the same token bucket.  Its counts live in the pool's
+registry; ``stats`` and ``metrics`` render from one list of snapshots.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import logging
 import math
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence
 
@@ -40,7 +40,9 @@ from repro.runtime.pool import PoolError, WorkerPool
 from repro.runtime.telemetry import (
     MetricsRegistry,
     SlowRing,
+    family_total,
     new_trace_id,
+    quantile_from_buckets,
     render_prometheus,
 )
 
@@ -55,8 +57,6 @@ MIN_RETRY_S = 0.05
 MAX_RETRY_S = 10.0
 #: Slowest front-door calls the ``slow`` op retains.
 SLOW_RING_SIZE = 32
-#: Recent pool-lock queue waits the stats quantiles are read from.
-WAIT_SAMPLES = 4096
 
 
 class Reply(NamedTuple):
@@ -86,28 +86,10 @@ class AdmissionDecision:
     retry_after_s: float = 0.0
 
 
-@dataclass
-class AdmissionSnapshot:
-    """Controller counters for stats endpoints (JSON-ready)."""
-
-    inflight: int
-    limit: int
-    #: The capacity the budget was sized from, requests/s.
-    drain_rps: float
-    admitted: int
-    rejected: int
-    peak_inflight: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form for stats endpoints."""
-        return {
-            "inflight": self.inflight,
-            "limit": self.limit,
-            "drain_rps": round(self.drain_rps, 2),
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "peak_inflight": self.peak_inflight,
-        }
+def drain_rps(capacity_rps: float) -> float:
+    """The capacity a budget is sized from: the measured one, or
+    :data:`COLD_CAPACITY_RPS` before any worker has served."""
+    return capacity_rps if capacity_rps > 0.0 else COLD_CAPACITY_RPS
 
 
 class AdmissionController:
@@ -126,7 +108,8 @@ class AdmissionController:
     clamped to ``[MIN_RETRY_S, MAX_RETRY_S]``.
 
     Thread-safe: the handler threads of both listeners share one
-    controller.
+    controller.  It keeps only state under its lock (tokens in flight and
+    their peak); :class:`PoolService` counts what it admits and sheds.
     """
 
     def __init__(self, max_inflight: Optional[int] = None, headroom: float = 2.0):
@@ -138,32 +121,33 @@ class AdmissionController:
         self.headroom = headroom
         self._lock = threading.Lock()
         self._inflight = 0
-        self.admitted = 0
-        self.rejected = 0
         self.peak_inflight = 0
 
-    def _limit(self, capacity: float) -> int:
+    @property
+    def inflight(self) -> int:
+        """Requests holding a token now."""
+        return self._inflight
+
+    def limit(self, capacity_rps: float = 0.0) -> int:
         """The token budget (maximum admitted in-flight requests)."""
         if self.max_inflight is not None:
             return self.max_inflight
-        return math.ceil(capacity * self.headroom)
+        return math.ceil(drain_rps(capacity_rps) * self.headroom)
 
     # -- token accounting ---------------------------------------------------
 
     def try_acquire(self, n: int = 1, capacity_rps: float = 0.0) -> AdmissionDecision:
         """Admit ``n`` requests, or reject them with a retry hint."""
-        capacity = capacity_rps if capacity_rps > 0.0 else COLD_CAPACITY_RPS
-        limit = self._limit(capacity)
+        capacity = drain_rps(capacity_rps)
+        limit = self.limit(capacity)
         with self._lock:
             idle = self._inflight == 0 and self.max_inflight is None
             admitted = idle or self._inflight + n <= limit
             retry = 0.0
             if admitted:
                 self._inflight += n
-                self.admitted += n
                 self.peak_inflight = max(self.peak_inflight, self._inflight)
             else:
-                self.rejected += n
                 excess = self._inflight + n - limit
                 retry = min(max(excess / capacity, MIN_RETRY_S), MAX_RETRY_S)
             return AdmissionDecision(admitted, n, self._inflight, limit, retry)
@@ -172,19 +156,6 @@ class AdmissionController:
         """Return ``n`` tokens after their flush completes; never raises."""
         with self._lock:
             self._inflight = max(0, self._inflight - n)
-
-    def snapshot(self, capacity_rps: float = 0.0) -> AdmissionSnapshot:
-        """Consistent copy of the counters (taken under the lock)."""
-        capacity = capacity_rps if capacity_rps > 0.0 else COLD_CAPACITY_RPS
-        with self._lock:
-            return AdmissionSnapshot(
-                inflight=self._inflight,
-                limit=self._limit(capacity),
-                drain_rps=capacity,
-                admitted=self.admitted,
-                rejected=self.rejected,
-                peak_inflight=self.peak_inflight,
-            )
 
 
 @dataclass
@@ -249,36 +220,38 @@ class PoolService:
         self,
         pool: WorkerPool,
         admission: Optional[AdmissionController] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         self.pool = pool
         self.admission = admission
         self.pool_lock = threading.Lock()
-        self.served = 0
-        self.shed = 0
-        #: Recent pool-lock queue waits, for the p99 the stats report.
-        self._waits: deque = deque(maxlen=WAIT_SAMPLES)
-        self._counter_lock = threading.Lock()
         self._failure_callbacks: List[Callable[[], None]] = []
-        #: The front-door metric families; worker/pool families merge in at
-        #: render time (see :meth:`metrics_text`).
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # The front-door families join the pool's registry, the process's one.
+        metrics = pool.metrics
         self.slow_ring = SlowRing(capacity=SLOW_RING_SIZE)
-        self._m_requests = self.metrics.counter(
+        self._m_requests = metrics.counter(
             "frontdoor_requests_total",
             "Requests through the shared front door, by endpoint and status.",
             ("endpoint", "status"),
         )
-        self._m_latency = self.metrics.histogram(
+        self._m_latency = metrics.histogram(
             "frontdoor_request_seconds",
             "Front-door serve-call wall clock, by endpoint.",
             ("endpoint",),
         )
-        self._m_queue_wait = self.metrics.histogram(
+        self._m_queue_wait = metrics.histogram(
             "frontdoor_queue_wait_seconds",
             "Seconds an admitted serve call waited for the pool lock.",
         )
-        self.metrics.add_collector(self._collect_metrics)
+        if admission is not None:
+            self._m_admitted = metrics.counter(
+                "admission_admitted_total", "Requests granted an in-flight token."
+            )
+            self._m_shed = metrics.counter(
+                "admission_shed_total", "Requests shed with a retry hint."
+            )
+            self._m_admitted.inc(0)
+            self._m_shed.inc(0)
+            metrics.add_collector(self._collect_metrics)
 
     def on_failure(self, callback: Callable[[], None]) -> None:
         """Register a listener's stop callback (pool failure, ``shutdown``)."""
@@ -352,9 +325,8 @@ class PoolService:
         if self.admission is not None:
             decision = self.admission.try_acquire(n, self.pool.capacity_rps())
             if not decision.admitted:
-                with self._counter_lock:
-                    self.shed += n
                 self._m_requests.inc(n, endpoint=endpoint, status="shed")
+                self._m_shed.inc(n)
                 event(
                     _LOG,
                     logging.WARNING,
@@ -370,6 +342,7 @@ class PoolService:
                     shed=True,
                     retry_after_s=decision.retry_after_s,
                 )
+            self._m_admitted.inc(n)
         try:
             return self._serve_admitted(payloads, endpoint, started)
         finally:
@@ -425,9 +398,6 @@ class PoolService:
             return ServeResult(
                 results=[{"ok": False, "error": message} for _ in payloads]
             )
-        with self._counter_lock:
-            self.served += n
-            self._waits.append(wait)
         responses = {r.request_id: r for r in report.responses}
         results: List[Dict[str, Any]] = []
         for kind, value in slots:
@@ -503,69 +473,74 @@ class PoolService:
             "ok": True,
             "degraded": recent > 0,
             "recent_restarts": recent,
-            "worker_restarts": self.pool.worker_restarts,
-            "replayed_batches": self.pool.replayed_batches,
+            "worker_restarts": int(self.pool.restarts.value()),
+            "replayed_batches": int(self.pool.replays.value()),
         }
 
-    def queue_wait_quantile(self, q: float) -> float:
-        """The ``q``-quantile of recent pool-lock queue waits, seconds."""
-        with self._counter_lock:  # appends race with stats reads otherwise
-            waits = sorted(self._waits)
-        if not waits:
-            return 0.0
-        index = min(len(waits) - 1, max(0, math.ceil(q * len(waits)) - 1))
-        return waits[index]
-
     def stats_payload(self) -> Dict[str, Any]:
-        """The ``stats`` wire envelope: counters, queue waits, pool view."""
+        """The ``stats`` wire envelope, rendered from one list of snapshots
+        (:meth:`~repro.runtime.pool.WorkerPool.metrics_snapshots`).
+
+        ``served`` counts the requests a serve call answered (errors
+        included) and ``shed`` those refused with a 429.  The queue-wait
+        quantiles are read from the ``frontdoor_queue_wait_seconds``
+        buckets, so they cover every admitted call since the server
+        started.  Lock-free: never behind a flush.
+        """
+        snapshots = self.pool.metrics_snapshots()
+        own = snapshots[0]
+        calls = family_total(own, "frontdoor_requests_total")
+        shed = family_total(own, "frontdoor_requests_total", status="shed")
+        waits = own["frontdoor_queue_wait_seconds"]
+        counts = waits["values"].get((), {}).get("buckets", [])
         payload: Dict[str, Any] = {
             "ok": True,
             "op": "stats",
-            "served": self.served,
-            "shed": self.shed,
-            "queue_wait_p50_s": round(self.queue_wait_quantile(0.50), 6),
-            "queue_wait_p99_s": round(self.queue_wait_quantile(0.99), 6),
-            "health": self.health_payload(),
-            "pool": self.pool.stats_row(),  # lock-free: never behind a flush
+            "served": int(calls - shed),
+            "shed": int(shed),
+            "queue_wait_p50_s": round(
+                quantile_from_buckets(waits["bounds"], counts, 0.50), 6
+            ),
+            "queue_wait_p99_s": round(
+                quantile_from_buckets(waits["bounds"], counts, 0.99), 6
+            ),
+            "pool": self.pool.stats_from(snapshots),
         }
         if self.admission is not None:
-            capacity = self.pool.capacity_rps()
-            payload["admission"] = self.admission.snapshot(capacity).to_dict()
+            payload["admission"] = {
+                "inflight": int(family_total(own, "admission_inflight")),
+                "limit": int(family_total(own, "admission_limit")),
+                "drain_rps": round(family_total(own, "admission_drain_rps"), 2),
+                "admitted": int(family_total(own, "admission_admitted_total")),
+                "rejected": int(family_total(own, "admission_shed_total")),
+                "peak_inflight": self.admission.peak_inflight,
+            }
         return payload
 
     # -- telemetry ----------------------------------------------------------
 
     def _collect_metrics(self, registry: MetricsRegistry) -> None:
-        """Fold admission counters into metric families (at snapshot)."""
-        if self.admission is None:
-            return
-        snap = self.admission.snapshot(self.pool.capacity_rps())
-        registry.counter(
-            "admission_admitted_total", "Requests granted an in-flight token."
-        ).set_total(snap.admitted)
-        registry.counter(
-            "admission_shed_total", "Requests shed with a retry hint."
-        ).set_total(snap.rejected)
+        """Set the admission gauges from the controller's live state."""
+        capacity = drain_rps(self.pool.capacity_rps())
+        inflight, limit = self.admission.inflight, self.admission.limit(capacity)
         registry.gauge(
             "admission_inflight", "Requests currently holding tokens."
-        ).set(snap.inflight)
+        ).set(inflight)
         registry.gauge(
             "admission_limit", "Current in-flight token budget."
-        ).set(snap.limit)
+        ).set(limit)
         registry.gauge(
             "admission_drain_rps", "Estimated pool drain rate, requests/s."
-        ).set(snap.drain_rps)
+        ).set(capacity)
 
     def metrics_text(self) -> str:
         """Prometheus text exposition across every layer of the stack.
 
-        The single renderer both front doors share: merges this front
-        door's registry with the pool's own and the latest per-worker
-        engine snapshots, so one scrape covers admission, engine cache
+        The single renderer both front doors share, over the same list of
+        snapshots ``stats`` reads: one scrape covers admission, engine cache
         tiers, pool flush/restart, and per-endpoint latency.
         """
-        snapshots = [self.metrics.snapshot(), *self.pool.metrics_snapshots()]
-        return render_prometheus(snapshots)
+        return render_prometheus(self.pool.metrics_snapshots())
 
     def slow_payload(self) -> Dict[str, Any]:
         """The ``slow`` wire envelope: the top-K slowest front-door calls."""

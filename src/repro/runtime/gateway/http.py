@@ -153,7 +153,7 @@ class HttpHandler(socketserver.StreamRequestHandler):
         """Register this door's event kinds at zero, so a scrape shows all
         eight before any connection (an NDJSON-only server never grows them).
         """
-        listener.gateway_events = listener.service.metrics.counter(
+        listener.gateway_events = listener.service.pool.metrics.counter(
             "gateway_events_total",
             "HTTP gateway connection/request events, by kind.",
             ("kind",),

@@ -22,8 +22,8 @@ least loaded one in this flush if several do — and a key no worker holds
 goes round-robin.  A worker already sent :data:`SPILL_BATCHES` batches
 (or its even share of a bigger flush) is passed over, so a flush of one
 hot program still runs in parallel.  Residency is what the workers reported
-with their last flush reply (``last_snapshots[i].resident_keys``), so each
-program stays where it was compiled.
+with their last flush reply (``resident_keys[i]``), so each program stays
+where it was compiled.
 
 The pool is **self-healing**: worker death is a steady-state event, not a
 crash.  A dead worker (EOF or broken pipe) or a hung one (no flush reply
@@ -32,13 +32,17 @@ in place with its same :class:`WorkerConfig`, and the batches it was
 holding are requeued onto the surviving workers *within the same flush* —
 responses are deterministic and the memoized-response tier sees only a
 flush's final responses, so replaying a batch reproduces the exact responses
-a fault-free run would have produced.  The lost worker's last snapshot stays
+a fault-free run would have produced.  The lost worker's last reply stays
 its residency, so routing stays stable while the respawned child rewarms.
 Repeated failure trips a circuit breaker — more than ``max_worker_restarts``
 respawns inside ``restart_window_s`` closes the pool and raises
 :class:`PoolError`, the unrecoverable-death signal the serving layer turns
 into a clean shutdown.  :class:`~repro.runtime.faults.FaultPlan` injection
 (``WorkerConfig.fault_plan``) exercises every one of these paths on demand.
+
+Every count lives in one registry per process: the pool's, which the front
+door shares, and each worker engine's, whose snapshot rides every flush
+reply.  :meth:`WorkerPool.metrics_snapshots` lists them.
 """
 
 from __future__ import annotations
@@ -48,16 +52,16 @@ import math
 import multiprocessing
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
-from repro.runtime.cache import CacheStats, ProgramCache
+from repro.runtime.cache import ProgramCache
 from repro.runtime.engine import Batch, Engine, Request, Response
-from repro.runtime.engine import memoize, replay, result_fingerprint
+from repro.runtime.engine import replay, result_fingerprint
 from repro.runtime.faults import FaultInjector, FaultPlan, InjectedFault
 from repro.runtime.logs import event, get_logger
-from repro.runtime.telemetry import MetricsRegistry
+from repro.runtime.telemetry import MetricsRegistry, family_total, merge_snapshots
 
 POOL_MODES = ("inline", "process")
 #: How process workers start: a fresh interpreter, never a fork of a parent
@@ -79,6 +83,10 @@ HANG_COLD_DEADLINE_S = 120.0
 MAX_BATCH_REPLAYS = 3
 
 _LOG = get_logger(__name__)
+
+#: One worker's flush reply: its responses, the program keys resident in its
+#: cache, and its engine's registry snapshot.
+_Reply = Tuple[List[Response], List[str], Dict[str, Any]]
 
 
 class PoolError(ReproError):
@@ -108,9 +116,6 @@ class WorkerConfig:
     #: like every other field, so process workers arm their share after the
     #: spawn.  ``None`` (production) injects nothing.
     fault_plan: Optional[FaultPlan] = None
-    #: ``False`` nulls out the worker engine's metrics registry entirely —
-    #: the telemetry-off side of the byte-transparency test.
-    telemetry: bool = True
 
     def build_engine(self) -> Engine:
         """Construct one worker's private engine."""
@@ -118,7 +123,6 @@ class WorkerConfig:
             program_cache=ProgramCache(capacity=self.cache_capacity),
             result_cache_capacity=0,  # the one result tier is the dispatcher's
             max_batch_size=self.max_batch_size,
-            metrics=MetricsRegistry(enabled=self.telemetry),
         )
 
     def build_injector(self, index: int, inline: bool) -> Optional[FaultInjector]:
@@ -139,38 +143,39 @@ class WorkerConfig:
         return replace(self, fault_plan=self.fault_plan.respawn_plan(index))
 
 
-@dataclass
-class WorkerSnapshot:
-    """One worker's cumulative state, reported back after each flush."""
+def service_rate_rps(snapshot: Dict[str, Any]) -> float:
+    """Requests per busy second in one worker's snapshot (0.0 = unmeasured)."""
+    busy = family_total(snapshot, "engine_batch_execute_seconds")
+    requests = family_total(snapshot, "engine_batch_requests_total")
+    return requests / busy if busy > 0.0 else 0.0
 
-    index: int
-    batches: int
-    requests: int
-    program_cache: CacheStats
-    resident_keys: List[str] = field(default_factory=list)
-    #: Cumulative wall-clock seconds this worker spent executing batches.
-    busy_s: float = 0.0
-    #: The worker engine's metrics-registry snapshot (merged pool-side into
-    #: `/metrics`; counters restart from zero when the worker respawns).
-    #: Excluded from :meth:`to_dict` — label keys are tuples, not JSON.
-    metrics: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def service_rate_rps(self) -> float:
-        """Requests served per busy second so far (0.0 = unmeasured)."""
-        return self.requests / self.busy_s if self.busy_s > 0.0 else 0.0
+def _tier_row(snapshot: Dict[str, Any], tier: str) -> Dict[str, Any]:
+    """One cache tier's counts in a snapshot, as a stats row shows them."""
+    lookups = "engine_cache_lookups_total"
+    hits = int(family_total(snapshot, lookups, tier=tier, outcome="hit"))
+    misses = int(family_total(snapshot, lookups, tier=tier, outcome="miss"))
+    evictions = family_total(snapshot, "engine_cache_evictions_total", tier=tier)
+    return {
+        "hits": hits,
+        "misses": misses,
+        "evictions": int(evictions),
+        "hit_rate": round(hits / (hits + misses), 4) if hits + misses else 0.0,
+    }
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (a worker row of the stats endpoints)."""
-        return {
-            "worker": self.index,
-            "batches": self.batches,
-            "requests": self.requests,
-            "program_cache": self.program_cache.to_dict(),
-            "resident_programs": len(self.resident_keys),
-            "busy_s": round(self.busy_s, 6),
-            "service_rate_rps": round(self.service_rate_rps, 2),
-        }
+
+def _worker_row(index: int, snapshot: Dict[str, Any], resident: int) -> Dict:
+    """A worker row of the stats endpoints, from that worker's snapshot."""
+    busy = family_total(snapshot, "engine_batch_execute_seconds")
+    return {
+        "worker": index,
+        "batches": int(family_total(snapshot, "engine_batches_total")),
+        "requests": int(family_total(snapshot, "engine_batch_requests_total")),
+        "program_cache": _tier_row(snapshot, "program"),
+        "resident_programs": resident,
+        "busy_s": round(busy, 6),
+        "service_rate_rps": round(service_rate_rps(snapshot), 2),
+    }
 
 
 def _crash_responses(batch: Batch, error: Exception) -> List[Response]:
@@ -189,35 +194,27 @@ def _crash_responses(batch: Batch, error: Exception) -> List[Response]:
 
 
 class _WorkerState:
-    """One worker's engine, fault arm and cumulative counters.
+    """One worker's engine (with its registry) and fault arm.
 
     Both execution modes run a worker through this: a process child in
     :func:`_process_worker_main`, an inline worker in the parent.
     """
 
     def __init__(self, index: int, config: WorkerConfig, inline: bool):
-        self.index = index
-        self.config = config
         self.engine = config.build_engine()
         self.injector = config.build_injector(index, inline=inline)
-        self.batches = 0
-        self.requests = 0
-        self.busy_s = 0.0
 
-    def run(self, batches: Sequence[Batch]) -> Tuple[List[Response], WorkerSnapshot]:
-        """Execute a batch list, timing its wall clock; returns the reply.
+    def run(self, batches: Sequence[Batch]) -> _Reply:
+        """Execute a batch list; returns the reply.
 
         Unexpected errors become responses.  The injector is consulted at
         batch boundaries; an injected crash propagates (it must look like
         worker death, not an error response).
         """
         responses: List[Response] = []
-        served = 0
-        started = time.perf_counter()
         for batch in batches:
             if self.injector is not None:
                 self.injector.on_batch_start()
-            served += len(batch)
             try:
                 responses.extend(self.engine.execute_batch(batch))
             except InjectedFault:
@@ -226,19 +223,8 @@ class _WorkerState:
                 responses.extend(_crash_responses(batch, error))
             if self.injector is not None:
                 self.injector.on_batch_done()
-        elapsed = time.perf_counter() - started
-        self.batches += len(batches)
-        self.requests += served
-        self.busy_s += elapsed
-        return responses, WorkerSnapshot(
-            index=self.index,
-            batches=self.batches,
-            requests=self.requests,
-            program_cache=self.engine.program_cache_stats.snapshot(),
-            resident_keys=self.engine.program_cache.resident_keys(),
-            busy_s=self.busy_s,
-            metrics=self.engine.metrics_snapshot(),
-        )
+        resident = self.engine.program_cache.resident_keys()
+        return responses, resident, self.engine.metrics.snapshot()
 
 
 def _process_worker_main(connection, index: int, config: WorkerConfig) -> None:
@@ -267,7 +253,7 @@ class _InlineWorker:
 
     def _reset(self) -> None:
         self.state = _WorkerState(self.index, self.config, inline=True)
-        self._pending: Optional[Tuple[List[Response], WorkerSnapshot]] = None
+        self._pending: Optional[_Reply] = None
 
     def submit(self, batches: Sequence[Batch]) -> None:
         """Execute the batches synchronously; results wait for collect()."""
@@ -283,10 +269,8 @@ class _InlineWorker:
             self._pending = None
             raise _WorkerFailure(str(fault), cause="injected") from fault
 
-    def collect(
-        self, deadline_s: Optional[float] = None
-    ) -> Tuple[List[Response], WorkerSnapshot]:
-        """Return (and clear) the responses/snapshot of the last submit().
+    def collect(self, deadline_s: Optional[float] = None) -> _Reply:
+        """Return (and clear) the reply of the last submit().
 
         ``deadline_s`` is accepted for interface parity with the process
         worker; an inline worker already finished inside submit().
@@ -298,8 +282,8 @@ class _InlineWorker:
     def respawn(self) -> None:
         """Rebuild the engine in place — the inline analogue of a new child.
 
-        Counters (so the measured service rate) and caches restart from
-        zero exactly as a fresh process would; consumed one-shot faults
+        Its registry (so the measured service rate) and caches restart
+        from zero exactly as a fresh process would; consumed one-shot faults
         stay consumed.
         """
         self.config = self.config.respawned(self.index)
@@ -336,9 +320,7 @@ class _ProcessWorker:
         except (BrokenPipeError, OSError) as error:
             raise _WorkerFailure(f"worker {self.index} is gone: {error}", cause="pipe")
 
-    def collect(
-        self, deadline_s: Optional[float] = None
-    ) -> Tuple[List[Response], WorkerSnapshot]:
+    def collect(self, deadline_s: Optional[float] = None) -> _Reply:
         """Block for the child's reply; raises if it died or blew a deadline.
 
         ``deadline_s`` bounds the wait: a child that neither replies nor
@@ -415,8 +397,8 @@ class _Flush(NamedTuple):
 class PoolReport(NamedTuple):
     """What one flush produced: its responses and the seconds it took.
 
-    Dispatch evidence is the pool's own: ``last_snapshots``, the cumulative
-    ``worker_restarts`` / ``replayed_batches`` and :meth:`WorkerPool.stats_row`.
+    Everything else a flush changed is counted in the registries that
+    :meth:`WorkerPool.metrics_snapshots` lists.
     """
 
     responses: List[Response]
@@ -458,7 +440,6 @@ class WorkerPool:
         fault_plan: Optional[FaultPlan] = None,
         max_worker_restarts: int = 5,
         restart_window_s: float = 30.0,
-        telemetry: bool = True,
     ):
         if workers <= 0:
             raise PoolError("need at least one pool worker")
@@ -481,13 +462,21 @@ class WorkerPool:
         self.mode = mode
         self.max_worker_restarts = max_worker_restarts
         self.restart_window_s = restart_window_s
-        #: Cumulative fault counters (never reset while the pool lives).
-        self.worker_restarts = 0
-        self.replayed_batches = 0
         self._restart_times: List[float] = []
-        #: Pool-level metric families (worker engines keep their own
-        #: registries and ship snapshots back with every flush reply).
-        self.metrics = MetricsRegistry(enabled=telemetry)
+        #: This process's registry: the pool's families, the front engine's
+        #: and the front door's.  Worker engines keep their own registries
+        #: and ship snapshots back with every flush reply.
+        self.metrics = MetricsRegistry()
+        #: The fault counts (``.value()`` reads one).
+        self.restarts = self.metrics.counter(
+            "pool_worker_restarts_total", "Workers respawned after a loss."
+        )
+        self.replays = self.metrics.counter(
+            "pool_replayed_batches_total",
+            "Batches requeued onto survivors after a worker loss.",
+        )
+        self.restarts.inc(0)
+        self.replays.inc(0)
         self._m_flushes = self.metrics.counter(
             "pool_flushes_total", "Pool flush rounds completed."
         )
@@ -503,7 +492,6 @@ class WorkerPool:
             cache_capacity=cache_capacity,
             max_batch_size=max_batch_size,
             fault_plan=fault_plan,
-            telemetry=telemetry,
         )
         # The front engine queues, coalesces and keeps the pool's one result
         # tier (counted into the pool's registry); it never compiles or runs.
@@ -517,17 +505,11 @@ class WorkerPool:
         self.front_lock = threading.Lock()
         worker_class = _ProcessWorker if mode == "process" else _InlineWorker
         self._workers = [worker_class(i, self.config) for i in range(workers)]
-        # Idle workers are skipped per flush; their last snapshot (initially
-        # an empty one) still describes their caches exactly.
-        self.last_snapshots: List[WorkerSnapshot] = [
-            WorkerSnapshot(
-                index=i,
-                batches=0,
-                requests=0,
-                program_cache=CacheStats(),
-            )
-            for i in range(workers)
-        ]
+        # What each worker said in its last flush reply (nothing, until it
+        # replies).  Idle workers are skipped per flush; their last reply
+        # still describes their caches exactly.
+        self.resident_keys: List[List[str]] = [[] for _ in range(workers)]
+        self.worker_metrics: List[Dict[str, Any]] = [{} for _ in range(workers)]
         self._closed = False
 
     # -- lifecycle ----------------------------------------------------------
@@ -590,16 +572,16 @@ class WorkerPool:
                 key = result_fingerprint(tier, request, batch.program_key)
                 if key in first:
                     held.append((request_id, request, batch.batch_id, key))
-                elif key is None or (cached := tier.get(key)) is None:
+                elif key is None or (cached := self._front.recall(key)) is None:
                     if key is not None:
                         first[key] = request_id
                     misses.append((request_id, request))
                 else:
-                    self._front.served += 1
                     hit = replay(cached, request_id, request, batch.batch_id, True)
                     responses.append(hit)
             if misses:
                 batches.append(replace(batch, entries=misses))
+        self._front.count_served(len(responses))
         responses.extend(self._front.drain_failed())
         return _Flush(responses, batches, first, held, time.perf_counter() - started)
 
@@ -617,13 +599,15 @@ class WorkerPool:
             by_id = {response.request_id: response for response in responses}
             with self.front_lock:
                 for key, request_id in flush.first.items():
-                    memoize(self._front.result_cache, key, by_id[request_id])
+                    self._front.memoize(key, by_id[request_id])
+                served = 0
                 for request_id, request, batch_id, key in flush.held:
                     # A hit now — unless the first one failed: then its error.
-                    was = self._front.result_cache.get(key) or by_id[flush.first[key]]
-                    self._front.served += was.error is None
+                    was = self._front.recall(key) or by_id[flush.first[key]]
+                    served += was.error is None
                     again = (request_id, request, batch_id, was.program_cache_hit)
                     flush.responses.append(replay(was, *again))
+                self._front.count_served(served)
         responses.extend(flush.responses)
         responses.sort(key=lambda r: r.request_id)
         flush_s = flush.lookup_s + time.perf_counter() - started
@@ -635,13 +619,14 @@ class WorkerPool:
         """One scatter/gather round over the workers, losses masked."""
         if self._closed:
             raise PoolError("pool is closed")
-        held = [set(s.resident_keys) for s in self.last_snapshots]
+        held = [set(keys) for keys in self.resident_keys]
         # Idle workers (no batches this flush) are skipped entirely: their
-        # caches cannot have changed, so their previous snapshot still holds
+        # caches cannot have changed, so their previous reply still holds
         # and the single-request path costs one worker round-trip, not N.
         pending, loads = self._route(batches, held)
         responses: List[Response] = []
-        snapshots = list(self.last_snapshots)
+        resident = list(self.resident_keys)
+        documents = list(self.worker_metrics)
         replay_counts: Dict[int, int] = {}
         restarted: Set[int] = set()
         while pending:
@@ -658,14 +643,12 @@ class WorkerPool:
                     index, assigned, cold=index in restarted
                 )
                 try:
-                    worker_responses, snapshot = self._workers[index].collect(
-                        deadline
-                    )
+                    reply = self._workers[index].collect(deadline)
+                    worker_responses, resident[index], documents[index] = reply
                     for response in worker_responses:
                         if response.trace is not None:
                             response.trace["worker"] = index
                     responses.extend(worker_responses)
-                    snapshots[index] = snapshot
                 except _WorkerFailure as failure:
                     lost.append((index, assigned, failure))
             retry: List[Batch] = []
@@ -701,16 +684,16 @@ class WorkerPool:
                         )
                     else:
                         retry.append(batch)
-                        self.replayed_batches += 1
+                        self.replays.inc()
             # Requeue onto the (now fully respawned) pool by the same rule,
             # against the residency the first routing left behind; nothing
             # lost routes nothing and ends the loop.
             pending, _ = self._route(retry, held)
-        # Snapshots of respawned workers that served no retry batch are
+        # The replies of respawned workers that served no retry batch are
         # deliberately left at their pre-crash value: the next flush keeps
         # routing their programs to the same index while the fresh child
         # rewarms.
-        self.last_snapshots = snapshots
+        self.resident_keys, self.worker_metrics = resident, documents
         self._m_imbalance.set(max(loads) * self.workers / sum(loads))
         return responses
 
@@ -757,17 +740,18 @@ class WorkerPool:
     ) -> Optional[float]:
         """Reply deadline for one worker's flush (None = wait forever).
 
-        Derived from the worker's measured service rate (its snapshot's
-        ``requests / busy_s``): :data:`HANG_DEADLINE_FACTOR` times the
-        expected service time of its assigned requests, floored at
-        :data:`HANG_DEADLINE_MIN_S`.  Workers with no measurement yet —
-        fresh, or just respawned (``cold``) and facing recompiles — get the
-        generous :data:`HANG_COLD_DEADLINE_S` instead.  Inline workers
+        Derived from the worker's measured service rate
+        (:func:`service_rate_rps` of its last snapshot):
+        :data:`HANG_DEADLINE_FACTOR` times the expected service time of its
+        assigned requests, floored at :data:`HANG_DEADLINE_MIN_S`.  Workers
+        with no measurement yet — fresh, or just respawned (``cold``) and
+        facing recompiles — get the generous :data:`HANG_COLD_DEADLINE_S`
+        instead.  Inline workers
         finish inside submit(), so only process mode has deadlines at all.
         """
         if self.mode != "process":
             return None
-        rate = self.last_snapshots[index].service_rate_rps
+        rate = service_rate_rps(self.worker_metrics[index])
         if cold or rate <= 0.0:
             return HANG_COLD_DEADLINE_S
         requests = sum(len(batch) for batch in batches)
@@ -821,7 +805,7 @@ class WorkerPool:
             self.close()
             raise PoolError(f"could not respawn worker {index}: {error}")
         self._restart_times.append(now)
-        self.worker_restarts += 1
+        self.restarts.inc()
         event(
             _LOG,
             logging.WARNING,
@@ -830,7 +814,7 @@ class WorkerPool:
             cause=cause,
             reason=reason,
             restarts_in_window=len(self._restart_times),
-            replayed_batches_total=self.replayed_batches,
+            replayed_batches_total=int(self.replays.value()),
         )
 
     def recent_restarts(self) -> int:
@@ -848,58 +832,53 @@ class WorkerPool:
     # -- telemetry ----------------------------------------------------------
 
     def _collect_metrics(self, registry: MetricsRegistry) -> None:
-        """Fold pool fault counters into metric families (at snapshot)."""
-        restarts = registry.counter(
-            "pool_worker_restarts_total", "Workers respawned after a loss."
-        )
-        restarts.set_total(self.worker_restarts)
-        replays = registry.counter(
-            "pool_replayed_batches_total",
-            "Batches requeued onto survivors after a worker loss.",
-        )
-        replays.set_total(self.replayed_batches)
+        """Set the residency gauge from the workers' last replies."""
         resident = registry.gauge(
             "pool_resident_programs", "Programs resident across worker caches."
         )
-        resident.set(sum(len(s.resident_keys) for s in self.last_snapshots))
+        resident.set(sum(len(keys) for keys in self.resident_keys))
 
     def metrics_snapshots(self) -> List[Dict[str, Any]]:
-        """Every registry snapshot this pool can see (pool + worker engines).
+        """This process's registry snapshot, then one per worker.
 
-        Worker snapshots are the latest each worker shipped with a flush
-        reply; a worker respawned since then reports its fresh (reset)
-        counters on its next flush — the standard Prometheus restart
-        semantics.
+        Element ``1 + i`` is the latest snapshot worker ``i`` shipped with a
+        flush reply (empty until it has replied); a worker respawned since
+        then reports its fresh (reset) counters on its next flush — the
+        standard Prometheus restart semantics.  ``stats`` and ``/metrics``
+        both render from one such list.
         """
-        snapshots = [self.metrics.snapshot()]
-        snapshots.extend(s.metrics for s in self.last_snapshots if s.metrics)
-        return snapshots
+        return [self.metrics.snapshot(), *self.worker_metrics]
 
     # -- stats --------------------------------------------------------------
 
     def capacity_rps(self) -> float:
         """Requests per worker-busy-second, summed over workers.
 
-        0.0 until a worker has served.  Read lock-free from the latest
-        snapshots, like :meth:`stats_row`; the admission budget and its
-        retry hint are sized from it.
+        0.0 until a worker has served.  Read lock-free from the workers'
+        latest snapshots; the admission budget and its retry hint are sized
+        from it.
         """
-        return sum(s.service_rate_rps for s in self.last_snapshots)
+        return sum(service_rate_rps(document) for document in self.worker_metrics)
 
-    def stats_row(self) -> Dict[str, Any]:
-        """Cumulative pool stats from the most recent flush's snapshots."""
+    def stats_from(self, snapshots: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+        """The ``pool`` object of the ``stats`` envelope, read from
+        ``snapshots`` (a list :meth:`metrics_snapshots` returned)."""
+        own, workers = snapshots[0], snapshots[1:]
+        restarts = family_total(own, "pool_worker_restarts_total")
+        replays = family_total(own, "pool_replayed_batches_total")
         return {
             "mode": self.mode,
             "faults": {
-                "worker_restarts": self.worker_restarts,
-                "replayed_batches": self.replayed_batches,
+                "worker_restarts": int(restarts),
+                "replayed_batches": int(replays),
                 "recent_restarts": self.recent_restarts(),
                 "max_worker_restarts": self.max_worker_restarts,
                 "restart_window_s": self.restart_window_s,
             },
-            "workers": [s.to_dict() for s in self.last_snapshots],
-            "program_cache": CacheStats.merged(
-                s.program_cache for s in self.last_snapshots
-            ).to_dict(),
-            "result_cache": self._front.result_cache_stats.to_dict(),
+            "workers": [
+                _worker_row(index, document, len(self.resident_keys[index]))
+                for index, document in enumerate(workers)
+            ],
+            "program_cache": _tier_row(merge_snapshots(workers), "program"),
+            "result_cache": _tier_row(own, "result"),
         }

@@ -382,7 +382,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         except KeyboardInterrupt:
             pass
     print(
-        f"runtime-server stopped after {service.served} requests",
+        f"runtime-server stopped after {service.stats_payload()['served']} requests",
         file=sys.stderr,
         flush=True,
     )

@@ -1,19 +1,17 @@
 """Stack-wide telemetry: metrics registry, request tracing, slow-request ring.
 
-Every remaining ROADMAP item (federated pools, multi-tenant QoS, elastic
-autoscaling) *consumes* live measurements the stack did not expose until
-this module.  Three pillars, all stdlib-only:
+Three pillars, all stdlib-only:
 
 * **Metrics registry** — :class:`MetricsRegistry` holds lock-cheap
   :class:`Counter` / :class:`Gauge` / :class:`Histogram` families with
   optional labels.  Histograms use fixed log-spaced buckets, so p50/p95/p99
   are derivable from the bucket counts without storing samples.  A registry
-  is instantiated per process; :meth:`MetricsRegistry.snapshot` produces a
-  picklable, mergeable document, which is how worker-child metrics flow
-  back to the pool parent with each flush reply (alongside the existing
-  :class:`~repro.runtime.pool.WorkerSnapshot`).  ``MetricsRegistry(
-  enabled=False)`` is a true null registry — every observation is a no-op —
-  the telemetry-off side of the byte-transparency test.
+  is instantiated per process and is the only store of the counts the
+  serving stack reports: each event increments one family where it
+  happens.  :meth:`MetricsRegistry.snapshot` produces a picklable, mergeable
+  document, which is how worker-child metrics flow back to the pool parent
+  with each flush reply, and :func:`family_total` reads a count back out of
+  one.
 
 * **Request tracing** — :func:`new_trace_id` mints ids (clients may mint
   their own); ``trace_id``/``trace`` ride the
@@ -21,8 +19,8 @@ this module.  Three pillars, all stdlib-only:
   :class:`PoolService`, pool dispatch, and worker execution, and the
   accumulated span breakdown (queue-wait → dispatch/flush → compile →
   execute → respond) comes back in the opt-in ``trace`` response field.
-  Tracing is byte-transparent: a request that does not opt in produces a
-  response byte-identical to one served with telemetry absent.
+  Tracing is byte-transparent: a request that does not opt in gets the
+  bytes a bare :class:`~repro.runtime.engine.Engine` answers it with.
 
 * **Slow-request ring** — :class:`SlowRing` retains the top-K slowest
   requests seen by the front door (a min-heap keyed on duration), queryable
@@ -49,6 +47,7 @@ __all__ = [
     "MetricsRegistry",
     "SlowRing",
     "default_buckets",
+    "family_total",
     "merge_snapshots",
     "new_trace_id",
     "quantile_from_buckets",
@@ -102,13 +101,16 @@ def quantile_from_buckets(
 
 
 def _label_key(labelnames: Tuple[str, ...], labels: Dict[str, str]) -> Tuple[str, ...]:
-    if set(labels) != set(labelnames):
+    if labels.keys() != set(labelnames):
         raise ValueError(f"expected labels {list(labelnames)}, got {sorted(labels)}")
-    return tuple(str(labels[name]) for name in labelnames)
+    return tuple([str(labels[name]) for name in labelnames])
 
 
 class _Metric:
-    """Shared family plumbing: name, help, label schema, child table."""
+    """Shared family plumbing: name, help, label schema, child table.
+
+    A child is a one-element list holding the value, except a histogram's.
+    """
 
     kind = "untyped"
 
@@ -120,7 +122,7 @@ class _Metric:
         self._children: Dict[Tuple[str, ...], Any] = {}
 
     def _zero(self) -> Any:
-        raise NotImplementedError
+        return [0.0]
 
     def _child(self, labels: Dict[str, str]) -> Any:
         key = _label_key(self.labelnames, labels)
@@ -131,7 +133,8 @@ class _Metric:
 
     def snapshot_values(self) -> Dict[Tuple[str, ...], Any]:
         """Picklable copy of every child's value, keyed by label values."""
-        raise NotImplementedError
+        with self._lock:
+            return {key: child[0] for key, child in self._children.items()}
 
 
 class Counter(_Metric):
@@ -139,20 +142,10 @@ class Counter(_Metric):
 
     kind = "counter"
 
-    def _zero(self) -> List[float]:
-        return [0.0]
-
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         """Add ``amount`` (default 1) to this counter's labelled child."""
         with self._lock:
             self._child(labels)[0] += amount
-
-    def set_total(self, value: float, **labels: str) -> None:
-        """Overwrite the cumulative total (for counters derived at
-        snapshot time from an existing counter the hot path already
-        maintains, e.g. :class:`~repro.runtime.cache.CacheStats`)."""
-        with self._lock:
-            self._child(labels)[0] = value
 
     def value(self, **labels: str) -> float:
         """Current total for one label set (0.0 if never incremented)."""
@@ -160,11 +153,6 @@ class Counter(_Metric):
             key = _label_key(self.labelnames, labels)
             child = self._children.get(key)
             return child[0] if child else 0.0
-
-    def snapshot_values(self) -> Dict[Tuple[str, ...], float]:
-        """Picklable copy of every child's total."""
-        with self._lock:
-            return {key: child[0] for key, child in self._children.items()}
 
 
 class Gauge(_Metric):
@@ -176,18 +164,10 @@ class Gauge(_Metric):
 
     kind = "gauge"
 
-    def _zero(self) -> List[float]:
-        return [0.0]
-
     def set(self, value: float, **labels: str) -> None:
         """Set the gauge's current value for one label set."""
         with self._lock:
             self._child(labels)[0] = float(value)
-
-    def snapshot_values(self) -> Dict[Tuple[str, ...], float]:
-        """Picklable copy of every child's value."""
-        with self._lock:
-            return {key: child[0] for key, child in self._children.items()}
 
 
 class Histogram(_Metric):
@@ -225,16 +205,6 @@ class Histogram(_Metric):
             child["sum"] += value
             child["count"] += 1
 
-    def quantile(self, q: float, **labels: str) -> float:
-        """Estimated ``q``-quantile for one label set (0.0 when empty)."""
-        with self._lock:
-            key = _label_key(self.labelnames, labels)
-            child = self._children.get(key)
-            if child is None:
-                return 0.0
-            counts = list(child["buckets"])
-        return quantile_from_buckets(self.bounds, counts, q)
-
     def snapshot_values(self) -> Dict[Tuple[str, ...], Dict[str, Any]]:
         """Picklable deep copy of every child's buckets/sum/count."""
         with self._lock:
@@ -248,45 +218,15 @@ class Histogram(_Metric):
             }
 
 
-class _NullMetric:
-    """The disabled registry's metric: every method is a no-op."""
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        """No-op."""
-
-    def set(self, value: float, **labels: str) -> None:
-        """No-op."""
-
-    def set_total(self, value: float, **labels: str) -> None:
-        """No-op."""
-
-    def observe(self, value: float, **labels: str) -> None:
-        """No-op."""
-
-    def value(self, **labels: str) -> float:
-        """Always 0.0."""
-        return 0.0
-
-    def quantile(self, q: float, **labels: str) -> float:
-        """Always 0.0."""
-        return 0.0
-
-
-_NULL_METRIC = _NullMetric()
-
-
 class MetricsRegistry:
     """One process's metric families, snapshot-mergeable across processes.
 
     ``counter``/``gauge``/``histogram`` create-or-return a family by name
     (idempotent, so instrumented modules need no central declaration
-    point).  ``enabled=False`` returns a shared null metric from every
-    factory: the telemetry-off baseline costs one attribute lookup and a
-    no-op call on the hot path.
+    point).
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._lock = threading.Lock()
         self._metrics: "Dict[str, _Metric]" = {}
         self._collectors: List[Callable[["MetricsRegistry"], None]] = []
@@ -306,14 +246,10 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str, labelnames: Sequence[str] = ()):
         """Create or fetch a :class:`Counter` family."""
-        if not self.enabled:
-            return _NULL_METRIC
         return self._register(lambda: Counter(name, help, labelnames), name, "counter")
 
     def gauge(self, name: str, help: str, labelnames: Sequence[str] = ()):
         """Create or fetch a :class:`Gauge` family."""
-        if not self.enabled:
-            return _NULL_METRIC
         return self._register(lambda: Gauge(name, help, labelnames), name, "gauge")
 
     def histogram(
@@ -324,18 +260,16 @@ class MetricsRegistry:
         buckets: Optional[Sequence[float]] = None,
     ):
         """Create or fetch a :class:`Histogram` family."""
-        if not self.enabled:
-            return _NULL_METRIC
         return self._register(
             lambda: Histogram(name, help, labelnames, buckets), name, "histogram"
         )
 
     def add_collector(self, collector: Callable[["MetricsRegistry"], None]) -> None:
-        """Register a callback run at snapshot time to set derived metrics.
+        """Register a callback run at snapshot time to set gauges.
 
-        Collectors keep the hot path free: counters the stack already
-        maintains (cache stats, admission totals) are folded into the
-        registry only when someone actually scrapes or snapshots it.
+        A collector reads live state that is not an event count (tokens in
+        flight, programs resident); counts are incremented where they
+        happen, never copied in here.
         """
         self._collectors.append(collector)
 
@@ -348,8 +282,6 @@ class MetricsRegistry:
                     "bounds": [...]  # histograms only
                     "values": {(label values...): value}}}
         """
-        if not self.enabled:
-            return {}
         for collector in list(self._collectors):
             collector(self)
         document: Dict[str, Any] = {}
@@ -417,6 +349,26 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
                     entry["kind"], target["values"].get(key), value
                 )
     return merged
+
+
+def family_total(snapshot: Dict[str, Any], name: str, **labels: str) -> float:
+    """Sum of one family's children in a snapshot document.
+
+    ``labels`` picks the children whose labels include those values; none
+    sums every child.  A histogram child contributes the sum of its
+    observations.  An absent family reads 0.0 (a worker that has not
+    replied yet has an empty document).
+    """
+    entry = snapshot.get(name)
+    if entry is None:
+        return 0.0
+    names = entry["labelnames"]
+    wanted = {names.index(label): str(value) for label, value in labels.items()}
+    return sum(
+        total["sum"] if entry["kind"] == "histogram" else total
+        for key, total in entry["values"].items()
+        if not wanted or all(key[i] == value for i, value in wanted.items())
+    )
 
 
 def _format_value(value: float) -> str:

@@ -13,6 +13,7 @@ from repro.runtime.gateway.admission import (
     MIN_RETRY_S,
     AdmissionController,
     PoolService,
+    drain_rps,
     overload_envelope,
 )
 from repro.runtime.engine import Request
@@ -40,20 +41,20 @@ class TestAdmissionController:
 
     def test_zero_budget_sheds_everything(self):
         controller = AdmissionController(max_inflight=0)
-        decision = controller.try_acquire(1)
-        assert not decision.admitted
-        assert controller.snapshot().rejected == 1
+        for n in (1, 2, 500):
+            decision = controller.try_acquire(n)
+            assert not decision.admitted and decision.limit == 0
+        assert controller.inflight == 0
 
     def test_derived_budget_is_capacity_times_headroom(self):
         controller = AdmissionController(headroom=2.0)
-        snapshot = controller.snapshot(15.0)
-        assert snapshot.limit == 30 and snapshot.drain_rps == 15.0
+        assert controller.limit(15.0) == 30 and drain_rps(15.0) == 15.0
 
     def test_cold_capacity_is_the_module_constant(self):
         controller = AdmissionController(headroom=2.0)
-        snapshot = controller.snapshot(0.0)  # no worker has served yet
-        assert snapshot.drain_rps == COLD_CAPACITY_RPS == 100.0
-        assert snapshot.limit == 200
+        # No worker has served yet.
+        assert drain_rps(0.0) == COLD_CAPACITY_RPS == 100.0
+        assert controller.limit(0.0) == 200
         assert controller.try_acquire(1).limit == 200
 
     @pytest.mark.parametrize("n", [1, 2, 3, 500])
@@ -78,7 +79,7 @@ class TestAdmissionController:
         shed = controller.try_acquire(1, capacity_rps=10.0)
         assert not shed.admitted
         assert (shed.inflight, shed.limit) == (20, 20)
-        assert controller.snapshot(10.0).rejected == 1
+        assert controller.inflight == 20  # a shed call takes no token
 
     def test_a_fixed_budget_refuses_an_oversized_call_on_an_idle_server(self):
         controller = AdmissionController(max_inflight=4)
@@ -102,22 +103,22 @@ class TestAdmissionController:
 
     def test_counters_and_peak(self):
         controller = AdmissionController(max_inflight=5)
-        controller.try_acquire(4)
-        controller.try_acquire(4)  # rejected
+        assert controller.try_acquire(4).admitted
+        assert not controller.try_acquire(4).admitted
         controller.release(4)
-        snapshot = controller.snapshot()
-        assert snapshot.admitted == 4
-        assert snapshot.rejected == 4
-        assert snapshot.peak_inflight == 4
-        assert snapshot.inflight == 0
+        assert controller.peak_inflight == 4
+        assert controller.inflight == 0
 
     def test_thread_safety_of_token_accounting(self):
         controller = AdmissionController(max_inflight=8)
         iterations = 200
 
+        admitted = []
+
         def hammer():
             for _ in range(iterations):
                 if controller.try_acquire(2).admitted:
+                    admitted.append(2)
                     controller.release(2)
 
         threads = [threading.Thread(target=hammer) for _ in range(8)]
@@ -125,10 +126,9 @@ class TestAdmissionController:
             thread.start()
         for thread in threads:
             thread.join()
-        snapshot = controller.snapshot()
-        assert snapshot.inflight == 0
-        assert snapshot.admitted + snapshot.rejected == 8 * iterations * 2
-        assert snapshot.peak_inflight <= 8
+        assert controller.inflight == 0
+        assert admitted
+        assert controller.peak_inflight <= 8
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError):
@@ -157,7 +157,9 @@ class TestPoolService:
             )
         assert not result.shed
         assert [r["ok"] for r in result.results] == [True] * 3
-        assert service.served == 3 and service.shed == 0
+        stats = service.stats_payload()
+        assert (stats["served"], stats["shed"]) == (3, 0)
+        assert "admission" not in stats
 
     def test_sheds_whole_call_without_touching_the_pool(self):
         with WorkerPool(workers=2, mode="inline") as pool:
@@ -166,7 +168,7 @@ class TestPoolService:
             stats = service.stats_payload()
         assert result.shed and result.retry_after_s > 0
         assert all(r["code"] == 429 for r in result.results)
-        assert service.shed == 2 and service.served == 0
+        assert (stats["shed"], stats["served"]) == (2, 0)
         program = stats["pool"]["program_cache"]
         assert program["hits"] + program["misses"] == 0
         assert stats["admission"]["rejected"] == 2
@@ -187,7 +189,7 @@ class TestPoolService:
         with WorkerPool(workers=2, mode="inline") as pool:
             service = PoolService(pool, controller)
             service.serve_payloads([{"app": "search", "n_threads": 2}] * 4)
-            assert controller.snapshot().inflight == 0
+            assert controller.inflight == 0
             # The budget is free again: the next full batch is admitted.
             result = service.serve_payloads(
                 [{"app": "search", "n_threads": 2}] * 4
@@ -228,7 +230,7 @@ class TestPoolService:
             result = service.serve_payloads(fresh_payloads(seeds, 10))
         assert not result.shed
         assert [r["ok"] for r in result.results] == [True] * 10
-        assert controller.snapshot().inflight == 0
+        assert controller.inflight == 0
 
 
 class TestOpTable:
@@ -272,17 +274,20 @@ class TestOpTable:
             ]
             assert reply.payload["retry_after_s"] == hint
             assert reply.payload["requested"] == requested
-        assert service.shed == 4
+        assert service.stats_payload()["shed"] == 4
 
     def test_stream_flushes_lazily_in_chunks(self):
         with WorkerPool(workers=1, mode="inline") as pool:
             service = PoolService(pool)
             reply = service.stream([dict(self.REQUEST)] * 5, 2, "x")
-            assert reply.status == 200 and service.served == 0  # nothing ran yet
+            def served():
+                return service.stats_payload()["served"]
+
+            assert reply.status == 200 and served() == 0  # nothing ran yet
             sizes = []
             for flush in reply.payload:
                 sizes.append(len(flush.results))
-                assert service.served == sum(sizes)
+                assert served() == sum(sizes)
         assert sizes == [2, 2, 1]
 
     @pytest.mark.parametrize("chunk", [0, -1, 1.5, "2", None, True])
@@ -362,9 +367,10 @@ class TestTwoLockFlush:
                 blocked.join(timeout=0.2)
                 assert blocked.is_alive() and not miss
             blocked.join(timeout=30)
+            stats = service.stats_payload()
         assert [r["ok"] for r in box[0][0].results] == [True, False]
         assert miss[0].results[0]["ok"]
-        assert service.queue_wait_quantile(1.0) >= 0.2
+        assert stats["queue_wait_p99_s"] >= 0.2
 
     def test_concurrent_callers_lose_no_update(self):
         """Eight threads on two locks: ids, tier and counters stay exact."""
@@ -498,8 +504,8 @@ class TestOverloadIntegration:
         # lookups+amortized hits must cover every served request).
         served_n = sum(len(a.results) for a in accepted) + 20
         shed_n = sum(len(s.results) for s in shed)
-        assert service.served == served_n
-        assert service.shed == shed_n
+        assert stats["served"] == served_n
+        assert stats["shed"] == shed_n
         assert served_n + shed_n == 6 * 6 * 8 + 20
         program = stats["pool"]["program_cache"]
         assert program["hit_rate"] == pytest.approx(

@@ -8,6 +8,8 @@ from repro.runtime.pool import WorkerPool
 from repro.runtime.telemetry import render_prometheus
 from repro.runtime.trace import TraceConfig, synthetic_trace
 
+from runtime_helpers import pool_stats
+
 MIXED_TRACE = TraceConfig(
     size=500,
     apps=["hash-table", "search", "huff-enc", "murmur3", "strlen", "ip2int",
@@ -27,6 +29,11 @@ def served_by(report):
     return [r.trace["worker"] for r in report.responses]
 
 
+def compiles(p):
+    """Program-cache misses per worker."""
+    return [row["program_cache"]["misses"] for row in pool_stats(p)["workers"]]
+
+
 def pool(workers, **kwargs):
     """An inline pool whose every request reaches a worker."""
     return WorkerPool(workers=workers, mode="inline", result_cache_capacity=0,
@@ -40,13 +47,13 @@ class TestRouting:
                                         traced("murmur3")])) == [0, 1]
             # A cold key would start the cursor at worker 0.
             assert served_by(p.process([traced("murmur3", 1)])) == [1]
-            assert p.last_snapshots[1].program_cache.misses == 1
+            assert compiles(p)[1] == 1
 
     def test_of_two_holders_the_least_loaded_wins(self):
         with pool(3, max_batch_size=1) as p:
             p.process([traced("search")])
-            key, = p.last_snapshots[0].resident_keys
-            p.last_snapshots[2].resident_keys.append(key)
+            key, = p.resident_keys[0]
+            p.resident_keys[2].append(key)
             report = p.process([traced("search", seed) for seed in (1, 2, 3)])
         # Holders 0 and 2 only; equal load goes to the lower index.
         assert served_by(report) == [0, 2, 0]
@@ -67,7 +74,7 @@ class TestRouting:
         # flush; the spill makes worker 1 a holder, and the least-loaded
         # holder takes the rest.
         assert served_by(report) == [0] * split[0] + [1] * split[1]
-        assert [s.program_cache.misses for s in p.last_snapshots] == [1, 1]
+        assert compiles(p) == [1, 1]
 
     def test_a_key_evicted_within_the_flush_still_routes_to_its_worker(self):
         with pool(2, max_batch_size=1, cache_capacity=2) as p:
@@ -77,14 +84,14 @@ class TestRouting:
         # Worker 0 evicted "search" for "ip2int" but is still its holder in
         # this flush, so the second "search" batch recompiles there.
         assert served_by(report) == [0, 1, 0, 1, 0, 0]
-        assert p.last_snapshots[0].program_cache.misses == 4
+        assert compiles(p)[0] == 4
 
     def test_a_killed_workers_batch_is_replayed_onto_the_respawned_index(self):
         plan = FaultPlan.from_spec([{"kind": "kill", "worker": 1}])
         with pool(3, fault_plan=plan) as p:
             report = p.process([traced(app) for app in
                                 ("search", "murmur3", "strlen")])
-        assert (p.worker_restarts, p.replayed_batches) == (1, 1)
+        assert (p.restarts.value(), p.replays.value()) == (1, 1)
         assert all(r.ok for r in report.responses)
         # The retry starts from the first routing's residency, not cold.
         assert served_by(report) == [0, 1, 2]
@@ -107,6 +114,6 @@ class TestEndToEndHitRate:
             report = p.process(synthetic_trace(MIXED_TRACE))
         assert len(report.responses) == MIXED_TRACE.size
         assert all(r.ok for r in report.responses)
-        assert [s.batches for s in p.last_snapshots] == [9, 9, 9, 8]
+        assert [row["batches"] for row in pool_stats(p)["workers"]] == [9, 9, 9, 8]
         # Seven programs, three of them spilled onto worker 3.
-        assert [s.program_cache.misses for s in p.last_snapshots] == [2, 2, 2, 4]
+        assert compiles(p) == [2, 2, 2, 4]

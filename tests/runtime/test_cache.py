@@ -1,4 +1,4 @@
-"""ProgramCache: content addressing, LRU eviction and stats."""
+"""ProgramCache: content addressing, LRU eviction and what each call reports."""
 
 
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from repro.compiler import CompileOptions
 from repro.dataflow.lowering import CompiledProgram
 from repro.runtime.cache import LRUCache, ProgramCache, program_key
+from repro.runtime.engine import Engine, Request
 
 SQUARE = """
 DRAM<int> data;
@@ -58,38 +59,33 @@ class TestLRUCache:
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1  # refreshes 'a': 'b' is now oldest
-        cache.put("c", 3)
+        assert cache.put("c", 3) == 1  # one eviction
         assert "b" not in cache
         assert cache.get("b") is None
         assert cache.get("a") == 1
         assert cache.get("c") == 3
-        assert cache.stats.evictions == 1
-        assert cache.stats.hits == 3
-        assert cache.stats.misses == 2
 
     def test_zero_capacity_disables_storage(self):
         cache = LRUCache(capacity=0)
-        cache.put("a", 1)
+        assert cache.put("a", 1) == 0
         assert cache.get("a") is None
-        assert cache.stats.hit_rate == 0.0
+        assert len(cache) == 0
 
 
 class TestProgramCache:
     def test_hit_and_miss(self):
         cache = ProgramCache(capacity=4)
-        program, hit = cache.get_or_compile(SQUARE)
+        program, hit, evicted = cache.get_or_compile(SQUARE)
         assert isinstance(program, CompiledProgram)
-        assert not hit
-        again, hit = cache.get_or_compile(SQUARE)
-        assert hit
+        assert (hit, evicted) == (False, 0)
+        again, hit, evicted = cache.get_or_compile(SQUARE)
+        assert (hit, evicted) == (True, 0)
         assert again is program
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
 
     def test_options_partition_the_cache(self):
         cache = ProgramCache(capacity=4)
         cache.get_or_compile(SQUARE)
-        _, hit = cache.get_or_compile(SQUARE, options=CompileOptions.none())
+        _, hit, _ = cache.get_or_compile(SQUARE, options=CompileOptions.none())
         assert not hit
         assert len(cache) == 2
 
@@ -97,9 +93,9 @@ class TestProgramCache:
         cache = ProgramCache(capacity=2)
         cache.get_or_compile(SQUARE)
         cache.get_or_compile(CUBE)
-        cache.get_or_compile(DOUBLE)  # evicts SQUARE
-        assert cache.stats.evictions == 1
-        _, hit = cache.get_or_compile(SQUARE)
+        _, _, evicted = cache.get_or_compile(DOUBLE)  # evicts SQUARE
+        assert evicted == 1
+        _, hit, _ = cache.get_or_compile(SQUARE)
         assert not hit
 
     def test_cached_program_executes(self):
@@ -107,7 +103,7 @@ class TestProgramCache:
 
         cache = ProgramCache(capacity=1)
         cache.get_or_compile(SQUARE)
-        program, hit = cache.get_or_compile(SQUARE)
+        program, hit, _ = cache.get_or_compile(SQUARE)
         assert hit
         memory = MemorySystem()
         memory.dram_alloc("data", data=[1, 2, 3, 4])
@@ -116,17 +112,19 @@ class TestProgramCache:
         assert memory.segment_data("out") == [1, 4, 9, 16]
 
     def test_amortized_hits_accounting(self):
-        cache = ProgramCache(capacity=2)
-        cache.get_or_compile(SQUARE)
-        cache.record_amortized_hits(3)
-        assert cache.stats.hits == 3
-        assert cache.stats.hit_rate == pytest.approx(0.75)
+        """One compile serves a batch of four: the engine counts three hits."""
+        engine = Engine(program_cache=ProgramCache(capacity=2))
+        engine.process([Request(app="hash-table", n_threads=1, seed=s)
+                        for s in range(4)])
+        stats = engine.program_cache_stats
+        assert (stats.hits, stats.misses) == (3, 1)
 
     def test_disabled_cache_reports_zero_hit_rate(self):
-        cache = ProgramCache(capacity=0)
-        cache.get_or_compile(SQUARE)
-        cache.record_amortized_hits(5)  # batch amortization must not count
-        _, hit = cache.get_or_compile(SQUARE)
+        engine = Engine(program_cache=ProgramCache(capacity=0))
+        for _ in range(2):  # batch amortization must not count either
+            engine.process([Request(app="hash-table", n_threads=1, seed=s)
+                            for s in range(3)])
+        stats = engine.program_cache_stats
+        assert (stats.hits, stats.misses) == (0, 2)
+        _, hit, _ = ProgramCache(capacity=0).get_or_compile(SQUARE)
         assert not hit
-        assert cache.stats.hits == 0
-        assert cache.stats.hit_rate == 0.0

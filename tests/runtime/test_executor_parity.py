@@ -16,6 +16,7 @@ import pytest
 from repro.apps import REGISTRY
 from repro.dataflow.lowering import CompiledProgram
 from repro.runtime.engine import Engine, Request
+from repro.runtime.telemetry import family_total
 
 
 def _serve(app: str):
@@ -30,9 +31,9 @@ def _serve(app: str):
     responses = engine.process(requests)
     wire = [json.dumps(r.to_dict(), sort_keys=True) for r in responses]
     stats = {
-        "program": engine.program_cache_stats.to_dict(),
-        "result": engine.result_cache_stats.to_dict(),
-        "served": engine.served,
+        "program": engine.program_cache_stats,
+        "result": engine.result_cache_stats,
+        "served": family_total(engine.metrics.snapshot(), "engine_requests_total"),
     }
     return wire, stats
 
@@ -46,7 +47,7 @@ def test_engine_responses_bit_identical(app, monkeypatch):
     assert columnar_wire == token_wire
     assert columnar_stats == token_stats
     # The trace really exercised both cache tiers and the oracle.
-    assert token_stats["result"]["hits"] >= 1
+    assert token_stats["result"].hits >= 1
     for line in token_wire:
         payload = json.loads(line)
         assert payload["ok"] is True

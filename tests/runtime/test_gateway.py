@@ -17,15 +17,9 @@ from repro.runtime.gateway.admission import (
     PoolService,
     iter_subbatches,
 )
-from repro.runtime.gateway.http import (
-    GATEWAY_EVENTS,
-    HttpHandler,
-    encode_chunk,
-    ndjson_line,
-)
+from repro.runtime.gateway.http import HttpHandler, encode_chunk, ndjson_line
 from repro.runtime.pool import WorkerPool
 from repro.runtime.server import RuntimeServer
-from repro.runtime.telemetry import MetricsRegistry
 
 from runtime_helpers import slow_workers
 
@@ -155,16 +149,6 @@ class TestEndpoints:
         assert len(stats["pool"]["workers"]) == 2
         assert stats["gateway"]["requests"] >= 2
         assert "queue_wait_p99_s" in stats
-
-    def test_gateway_counts_read_zero_under_a_disabled_registry(self):
-        """The registry is the counts' one source (docs/observability.md)."""
-        with WorkerPool(workers=1, mode="inline") as pool:
-            service = PoolService(pool, metrics=MetricsRegistry(enabled=False))
-            with listening(service) as gw:
-                http_json(gw, "POST", "/v1/request", {"app": "search", "n_threads": 2})
-                status, _, stats = http_json(gw, "GET", "/v1/stats")
-        assert status == 200 and stats["served"] == 1
-        assert stats["gateway"] == dict.fromkeys(GATEWAY_EVENTS, 0)
 
     def test_metrics_endpoint_serves_prometheus_text(self, gateway):
         http_json(gateway, "POST", "/v1/batch",
@@ -737,5 +721,5 @@ class TestBackpressureParity:
         assert http_reply["code"] == 429
         assert tcp_reply["code"] == 429
         assert tcp_reply["retry_after_s"] > 0
-        # One shared controller counted both front doors' rejections.
-        assert controller.snapshot().rejected == 2
+        # One shared service counted both front doors' rejections.
+        assert service.stats_payload()["admission"]["rejected"] == 2

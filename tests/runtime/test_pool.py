@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from repro.runtime.cache import CacheStats
 from repro.runtime import pool as pool_module
 from repro.runtime.engine import Batch, Engine, EngineError, Request
-from repro.runtime.pool import PoolError, WorkerPool, WorkerSnapshot
+from repro.runtime.pool import PoolError, WorkerPool
 from repro.runtime.telemetry import render_prometheus
 from repro.runtime.trace import TraceConfig, synthetic_trace
+
+from runtime_helpers import pool_stats, worker_document, worker_requests
 
 SMALL_TRACE = TraceConfig(
     size=24,
@@ -28,11 +29,6 @@ PAYLOAD_FIELDS = ("request_id", "app", "ok", "error", "outputs",
 
 def payload(response):
     return tuple(getattr(response, name) for name in PAYLOAD_FIELDS)
-
-
-def worker_requests(pool):
-    """Requests the pool's workers have served so far (its tier's misses)."""
-    return sum(s.requests for s in pool.last_snapshots)
 
 
 class TestConstruction:
@@ -107,16 +103,16 @@ class TestInlinePool:
     def test_residency_feedback_keeps_programs_sticky(self):
         with WorkerPool(workers=2, mode="inline") as pool:
             pool.process(synthetic_trace(SMALL_TRACE))
-            first = pool.last_snapshots
+            first = pool_stats(pool)
             pool.process(synthetic_trace(SMALL_TRACE))
-            second = pool.last_snapshots
-        misses = [CacheStats.merged(w.program_cache for w in r).misses
-                  for r in (first, second)]
+            second = pool_stats(pool)
+        misses = [stats["program_cache"]["misses"] for stats in (first, second)]
         # Round two is routed by the workers' reported residency: every batch
         # of a program lands on the worker that already compiled it, so the
         # pool performs zero new compiles.
         assert misses[1] == misses[0]
-        assert all(s.resident_keys for s in second if s.requests > 0)
+        assert all(row["resident_programs"] for row in second["workers"]
+                   if row["requests"] > 0)
 
     def test_request_ids_stay_monotonic_across_flushes(self):
         with WorkerPool(workers=2, mode="inline") as pool:
@@ -127,7 +123,7 @@ class TestInlinePool:
     def test_reports_are_json_serializable(self):
         with WorkerPool(workers=2, mode="inline") as pool:
             report = pool.process(synthetic_trace(SMALL_TRACE))
-            stats = pool.stats_row()
+            stats = pool_stats(pool)
         json.dumps(stats)
         assert sum(r.ok for r in report.responses) == SMALL_TRACE.size
         assert len(stats["workers"]) == 2
@@ -165,8 +161,8 @@ class TestProcessPool:
             report = pool.process(synthetic_trace(trace))
             assert [payload(r) for r in report.responses] == \
                 [payload(r) for r in fault_free.responses]
-            assert pool.worker_restarts == 1
-            assert pool.replayed_batches >= 1
+            assert pool.restarts.value() == 1
+            assert pool.replays.value() >= 1
         finally:
             pool.close()
 
@@ -195,16 +191,10 @@ class TestProcessPool:
         with WorkerPool(workers=2, mode="process",
                         result_cache_capacity=0) as pool:
             pool.process(synthetic_trace(trace))
-            snapshots = pool.last_snapshots
-        assert sum(s.requests for s in snapshots) == trace.size
-        assert sum(len(s.resident_keys) for s in snapshots) >= 1
-        json.dumps([s.to_dict() for s in snapshots])
-
-
-def worker_report(index, requests=0, busy_s=0.0):
-    """A hand-set worker report: only ``requests`` and ``busy_s`` matter."""
-    return WorkerSnapshot(index=index, batches=requests, requests=requests,
-                          program_cache=CacheStats(), busy_s=busy_s)
+            rows = pool_stats(pool)["workers"]
+        assert sum(row["requests"] for row in rows) == trace.size
+        assert sum(row["resident_programs"] for row in rows) >= 1
+        json.dumps(rows)
 
 
 def sized_batches(*sizes):
@@ -224,26 +214,24 @@ class TestMeasuredRateDispatch:
     def test_snapshots_report_busy_time_and_rate(self):
         with WorkerPool(workers=2, mode="inline") as pool:
             pool.process(self._trace())
-        active = [s for s in pool.last_snapshots if s.requests]
+            active = [row for row in pool_stats(pool)["workers"] if row["requests"]]
         assert active
-        for snapshot in active:
-            assert snapshot.busy_s > 0.0
-            assert snapshot.service_rate_rps > 0.0
-            row = snapshot.to_dict()
+        for row in active:
             assert row["busy_s"] > 0.0
             assert row["service_rate_rps"] > 0.0
 
     def test_capacity_sums_requests_per_busy_second(self):
         with WorkerPool(workers=3, mode="inline") as pool:
             assert pool.capacity_rps() == 0.0  # nothing served yet
-            pool.last_snapshots = [
-                worker_report(0, requests=10, busy_s=0.5),
-                worker_report(1, requests=3, busy_s=1.0),
-                worker_report(2),
+            pool.worker_metrics = [
+                worker_document(requests=10, busy_s=0.5),
+                worker_document(requests=3, busy_s=1.0),
+                worker_document(),
             ]
-            rates = [s.service_rate_rps for s in pool.last_snapshots]
+            rates = [pool_module.service_rate_rps(document)
+                     for document in pool.worker_metrics]
             capacity = pool.capacity_rps()
-            rows = pool.stats_row()["workers"]
+            rows = pool_stats(pool)["workers"]
         assert rates == [20.0, 3.0, 0.0]
         assert capacity == 23.0
         assert [row["service_rate_rps"] for row in rows] == rates
@@ -258,7 +246,7 @@ class TestHangDeadline:
         monkeypatch.setattr(pool_module, "HANG_COLD_DEADLINE_S", 120.0)
         with WorkerPool(workers=1, mode="process") as pool:
             unmeasured = pool._collect_deadline_s(0, sized_batches(3, 2))
-            pool.last_snapshots[0] = worker_report(0, requests=40, busy_s=2.0)
+            pool.worker_metrics[0] = worker_document(requests=40, busy_s=2.0)
             # 8 x 5 requests x 2.0 busy seconds / 40 requests.
             warm = pool._collect_deadline_s(0, sized_batches(3, 2))
             floored = pool._collect_deadline_s(0, sized_batches(1))  # 0.4 s
@@ -270,7 +258,7 @@ class TestHangDeadline:
 
     def test_inline_workers_have_no_deadline(self):
         with WorkerPool(workers=1, mode="inline") as pool:
-            pool.last_snapshots[0] = worker_report(0, requests=40, busy_s=2.0)
+            pool.worker_metrics[0] = worker_document(requests=40, busy_s=2.0)
             assert pool._collect_deadline_s(0, sized_batches(3, 2)) is None
 
 
@@ -312,7 +300,7 @@ class TestResultTier:
         with WorkerPool(workers=2, mode="inline") as pool:
             report = pool.process([Request(seed=3, **self.SEARCH)
                                    for _ in range(3)])
-            stats = pool.stats_row()
+            stats = pool_stats(pool)
         assert [r.result_cache_hit for r in report.responses] == \
             [False, True, True]
         assert [r.outputs for r in report.responses] == \
@@ -332,7 +320,7 @@ class TestResultTier:
             served = worker_requests(pool)
             again = pool.process([Request(**failing)])
             served_again = worker_requests(pool)
-            tier = pool.stats_row()["result_cache"]
+            tier = pool_stats(pool)["result_cache"]
         errors = [r.error for r in report.responses]
         assert errors[0] and errors[0] == errors[1]
         assert [r.request_id for r in report.responses] == [0, 1]
@@ -348,13 +336,13 @@ class TestResultTier:
                 for s in range(513)]
         with WorkerPool(workers=1, mode="inline") as pool:
             pool.process(list(keys[:512]))
-            assert pool.stats_row()["result_cache"]["evictions"] == 0
+            assert pool_stats(pool)["result_cache"]["evictions"] == 0
             pool.process([keys[512]])
-            assert pool.stats_row()["result_cache"]["evictions"] == 1
+            assert pool_stats(pool)["result_cache"]["evictions"] == 1
             # The oldest key went: it misses, every younger one still hits.
             oldest = pool.process([keys[0]]).responses[0]
             youngest = pool.process([keys[512]]).responses[0]
-            stats = pool.stats_row()
+            stats = pool_stats(pool)
         assert not oldest.result_cache_hit and youngest.result_cache_hit
         assert stats["result_cache"]["evictions"] == 2
         assert all("result_cache" not in w for w in stats["workers"])
@@ -385,10 +373,10 @@ class TestResultTier:
         with WorkerPool(workers=2, mode=mode, fault_plan=plan) as pool:
             report = pool.process(list(requests))
             served = worker_requests(pool)
-            assert pool.worker_restarts == 1 and pool.replayed_batches >= 1
+            assert pool.restarts.value() == 1 and pool.replays.value() >= 1
             again = pool.process(list(requests))
             assert worker_requests(pool) == served
-            tier = pool.stats_row()["result_cache"]
+            tier = pool_stats(pool)["result_cache"]
         assert all(r.ok and r.error is None for r in report.responses)
         # Only final responses entered the tier, each once.
         assert all(r.result_cache_hit for r in again.responses)

@@ -527,8 +527,8 @@ class TestBackpressure:
             self.teardown_server(pool, instance, thread)
         assert [r["ok"] for r in replies] == [True] * 5
         assert len(sleeps) == 1  # shed once (5 > limit 2), then served
-        snapshot = controller.snapshot()
-        assert (snapshot.rejected, snapshot.admitted) == (5, 6)
+        admission = instance.service.stats_payload()["admission"]
+        assert (admission["rejected"], admission["admitted"]) == (5, 5)
 
     def test_retry_budget_exhaustion_surfaces_the_envelope(self):
         from repro.runtime.gateway.admission import AdmissionController
@@ -548,4 +548,4 @@ class TestBackpressure:
             self.teardown_server(pool, instance, thread)
         assert reply["code"] == 429
         assert len(sleeps) == 2  # bounded: exactly the retry budget
-        assert controller.snapshot().rejected == 3
+        assert instance.service.stats_payload()["shed"] == 3

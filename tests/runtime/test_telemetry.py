@@ -9,8 +9,9 @@ import threading
 import pytest
 
 from repro.runtime.client import MAX_BACKOFF_S, RuntimeClient
+from repro.runtime.engine import Engine, Request
 from repro.runtime.faults import load_fault_plan
-from repro.runtime.gateway.admission import PoolService
+from repro.runtime.gateway.admission import AdmissionController, PoolService
 from repro.runtime.logs import JsonFormatter, configure_logging, event, get_logger
 from repro.runtime.pool import WorkerPool
 from repro.runtime.telemetry import (
@@ -18,6 +19,7 @@ from repro.runtime.telemetry import (
     MetricsRegistry,
     SlowRing,
     default_buckets,
+    family_total,
     merge_snapshots,
     new_trace_id,
     quantile_from_buckets,
@@ -61,7 +63,7 @@ class TestHistogramMath:
 
     def test_quantile_empty_histogram_is_zero(self):
         assert quantile_from_buckets([1.0, 2.0], [0, 0, 0], 0.99) == 0.0
-        assert Histogram("h", "t").quantile(0.5) == 0.0
+        assert quantile_from_buckets(Histogram("h", "t").bounds, [], 0.5) == 0.0
 
     def test_quantile_overflow_reports_last_bound(self):
         assert quantile_from_buckets([1.0, 2.0], [0, 0, 5], 0.9) == 2.0
@@ -78,8 +80,9 @@ class TestHistogramMath:
             histogram.observe(0.001)
         for _ in range(5):
             histogram.observe(1.0)
-        assert histogram.quantile(0.5) < 0.01
-        assert histogram.quantile(0.99) > 0.5
+        counts = histogram.snapshot_values()[()]["buckets"]
+        assert quantile_from_buckets(histogram.bounds, counts, 0.5) < 0.01
+        assert quantile_from_buckets(histogram.bounds, counts, 0.99) > 0.5
 
 
 class TestRegistryAndMerge:
@@ -89,13 +92,6 @@ class TestRegistryAndMerge:
         assert registry.counter("a_total", "help") is counter
         with pytest.raises(ValueError):
             registry.gauge("a_total", "help")
-
-    def test_disabled_registry_is_null(self):
-        registry = MetricsRegistry(enabled=False)
-        metric = registry.counter("a_total", "help")
-        metric.inc()
-        metric.observe(1.0)  # every op is a no-op, any method goes
-        assert registry.snapshot() == {}
 
     def test_merge_under_concurrent_increments(self):
         registries = [MetricsRegistry() for _ in range(2)]
@@ -135,10 +131,20 @@ class TestRegistryAndMerge:
 
     def test_collectors_run_at_snapshot_time(self):
         registry = MetricsRegistry()
-        registry.add_collector(
-            lambda r: r.counter("derived_total", "help").set_total(42)
-        )
-        assert registry.snapshot()["derived_total"]["values"][()] == 42.0
+        registry.add_collector(lambda r: r.gauge("live", "help").set(42))
+        assert registry.snapshot()["live"]["values"][()] == 42.0
+
+    def test_family_total_sums_the_matching_children(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("calls_total", "help", ("door", "status"))
+        counter.inc(3, door="a", status="ok")
+        counter.inc(2, door="b", status="ok")
+        counter.inc(1, door="b", status="shed")
+        snapshot = registry.snapshot()
+        assert family_total(snapshot, "calls_total") == 6
+        assert family_total(snapshot, "calls_total", status="ok") == 5
+        assert family_total(snapshot, "calls_total", door="b", status="shed") == 1
+        assert family_total(snapshot, "absent_total") == 0.0
 
 
 class TestTracePropagation:
@@ -164,21 +170,22 @@ class TestTracePropagation:
             baseline, sort_keys=True
         )
 
-    def test_telemetry_off_stack_serves_identical_bytes(self):
-        """Null registries from front door to workers change no response."""
+    def test_stack_serves_the_bytes_of_a_bare_engine(self):
+        """Front door, pool, workers and their counts change no response.
+
+        No field legitimately differs: request and batch ids, cache-hit
+        flags and modeled numbers all match the bare engine's.
+        """
         plain = _payloads(size=12)
-        with WorkerPool(workers=2, mode="inline", telemetry=False) as pool_off:
-            off = PoolService(pool_off, metrics=MetricsRegistry(enabled=False))
-            baseline = off.serve_payloads(plain).results
-            assert "engine_requests_total" not in off.metrics_text()
-        with WorkerPool(workers=2, mode="inline") as pool_on:
-            service = PoolService(pool_on)
-            instrumented = service.serve_payloads(plain).results
+        bare = Engine().process([Request.from_dict(p) for p in plain])
+        with WorkerPool(workers=2, mode="inline") as pool:
+            service = PoolService(pool)
+            served = service.serve_payloads(plain).results
             scrape = service.metrics_text()
-        # The instrumented stack really did measure itself.
+        # The stack really did measure itself.
         assert "\nengine_requests_total 12\n" in scrape
-        assert json.dumps(instrumented, sort_keys=True) == json.dumps(
-            baseline, sort_keys=True
+        assert json.dumps(served, sort_keys=True) == json.dumps(
+            [response.to_dict() for response in bare], sort_keys=True
         )
 
     @pytest.mark.parametrize("mode", ["inline", "process"])
@@ -270,6 +277,68 @@ class TestExposition:
             text = service.metrics_text()
         match = re.search(r"^engine_batches_total (\d+)$", text, re.MULTILINE)
         assert match and int(match.group(1)) >= 1
+
+
+def _scraped(text):
+    """Sample value by series (``name{labels}``) of an exposition."""
+    samples = {}
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            series, value = line.rsplit(" ", 1)
+            samples[series] = float(value)
+    return samples
+
+
+def _scraped_total(samples, name, *label_pairs):
+    """Sum of family ``name``'s series whose labels include every pair."""
+    return sum(
+        value for series, value in samples.items()
+        if series.split("{", 1)[0] == name
+        and all(pair in series for pair in label_pairs)
+    )
+
+
+class TestOneSource:
+    """``stats`` and ``/metrics`` read one registry snapshot per process."""
+
+    def test_stats_and_exposition_agree_on_every_count(self):
+        plan = load_fault_plan('[{"kind": "kill", "worker": 0, "after_batches": 1}]')
+        fresh = _payloads(size=6, seed=5)
+        with WorkerPool(workers=2, mode="inline", fault_plan=plan) as pool:
+            service = PoolService(pool, AdmissionController(max_inflight=8))
+            service.serve_payloads(fresh)  # misses, and worker 0 dies
+            service.serve_payloads(fresh)  # hits
+            assert service.serve_payloads(_payloads(size=9)).shed
+            stats = service.stats_payload()
+            samples = _scraped(service.metrics_text())
+        faults, admission = stats["pool"]["faults"], stats["admission"]
+        assert faults["worker_restarts"] == 1 and faults["replayed_batches"] >= 1
+        assert faults["worker_restarts"] == samples["pool_worker_restarts_total"]
+        assert faults["replayed_batches"] == samples["pool_replayed_batches_total"]
+        assert stats["shed"] == admission["rejected"] == 9
+        assert stats["shed"] == samples["admission_shed_total"] == _scraped_total(
+            samples, "frontdoor_requests_total", 'status="shed"')
+        assert stats["served"] == admission["admitted"] == 12
+        assert admission["admitted"] == samples["admission_admitted_total"]
+        for tier in ("program", "result"):
+            row = stats["pool"][tier + "_cache"]
+            for outcome, field in (("hit", "hits"), ("miss", "misses")):
+                scraped = _scraped_total(
+                    samples, "engine_cache_lookups_total",
+                    f'tier="{tier}"', f'outcome="{outcome}"')
+                assert row[field] == scraped, (tier, outcome)
+        assert stats["pool"]["result_cache"]["hits"] > 0
+        # The stats quantile is the exposition's histogram, not a sample list.
+        bounds, counts, below = [], [], 0.0
+        for series, cumulative in samples.items():
+            if series.startswith("frontdoor_queue_wait_seconds_bucket"):
+                le = series.split('le="', 1)[1].rstrip('"}')
+                if le != "+Inf":
+                    bounds.append(float(le))
+                counts.append(cumulative - below)
+                below = cumulative
+        assert stats["queue_wait_p99_s"] == round(
+            quantile_from_buckets(bounds, counts, 0.99), 6)
 
 
 class TestSlowRing:

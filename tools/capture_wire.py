@@ -136,7 +136,16 @@ SHED_CASES: List[Tuple[str, str, bytes]] = [
 SHUTDOWN = ("ndjson shutdown", "ndjson", _line({"op": "shutdown"}))
 
 #: What bench/ reads off the front door; the telemetry cases must carry it.
-FROZEN_STATS_FIELDS = ("shed", "pool.workers", "pool.faults")
+FROZEN_STATS_FIELDS = (
+    "shed",
+    "pool.workers",
+    "pool.faults.worker_restarts",
+    "pool.faults.replayed_batches",
+    "pool.program_cache.hits",
+    "pool.program_cache.misses",
+    "pool.result_cache.hits",
+    "pool.result_cache.misses",
+)
 FROZEN_FAMILIES = (
     "frontdoor_queue_wait_seconds_sum",
     "frontdoor_queue_wait_seconds_count",
