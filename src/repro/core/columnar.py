@@ -60,7 +60,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import primitives as prim
-from repro.core.executor import Executor, LinkProfile, _as_stream, merge_bundles
+from repro.core.executor import (ComputeRun, Executor, LinkProfile, _as_stream,
+                                 merge_bundles)
 from repro.core.graph import DFGraph, DFNode
 from repro.core.memory import MemorySystem
 from repro.core.opcodes import fits_int64
@@ -274,12 +275,9 @@ class ColumnarExecutor(Executor):
         #: can skip recounting.  Entries hold a strong reference, so a
         #: cached id can never alias a different (dead) array.
         self._tag_counts: Dict[int, tuple] = {}
-        #: node uid -> cached np.full array for `const` nodes (loop bodies
-        #: rebuild the same constant column every turn); columns are
-        #: immutable by convention, so handing out slice views is safe.
-        self._const_cache: Dict[int, Any] = {}
-        #: id(graph) -> (graph, steps with pre-resolved handlers); graphs
-        #: are kept alive by the tuple so ids cannot alias.
+        #: id(graph) -> (graph, grouped steps with pre-resolved handlers,
+        #: firing counts and output uids); graphs are kept alive by the
+        #: tuple so ids cannot alias.
         self._bound_steps: Dict[int, tuple] = {}
 
     # -- public API ---------------------------------------------------------
@@ -308,23 +306,25 @@ class ColumnarExecutor(Executor):
             tag_counts.clear()
         bound = self._bound_steps.get(id(graph))
         if bound is None or bound[0] is not graph:
-            bound = (graph, [
-                (handlers[op], node, op, in_uids, outputs)
-                for node, op, in_uids, outputs in self._schedule.steps(graph)
-            ])
-            self._bound_steps[id(graph)] = bound
-        for handler, node, op, in_uids, outputs in bound[1]:
+            steps = []
+            for node, op, in_uids, outputs in self._schedule.runs(graph):
+                run = type(node) is ComputeRun
+                steps.append((self._op_compute_run if run else handlers[op], node,
+                              op, len(outputs) if run else 1, in_uids, outputs,
+                              [v.uid for v in outputs]))
+            bound = self._bound_steps[id(graph)] = (graph, steps)
+        for handler, node, op, fired, in_uids, outputs, out_uids in bound[1]:
             in_cols = [env[uid] for uid in in_uids]
-            firings[op] = firings.get(op, 0) + 1
+            firings[op] = firings.get(op, 0) + fired
             out_cols = handler(node, in_cols)
-            if len(out_cols) != len(outputs):
+            if len(out_cols) != len(out_uids):
                 raise GraphError(
                     f"node {node!r} produced {len(out_cols)} streams, "
                     f"expected {len(outputs)}"
                 )
-            for value, col in zip(outputs, out_cols):
-                env[value.uid] = col
-                if collect_links:
+            env.update(zip(out_uids, out_cols))
+            if collect_links:
+                for value, col in zip(outputs, out_cols):
                     tags = col.tags
                     hit = tag_counts.get(id(tags))
                     if hit is not None and hit[0] is tags:
@@ -383,16 +383,55 @@ class ColumnarExecutor(Executor):
         values, lo, hi = res
         return [Column(ins[0].tags, values, lo, hi)]
 
+    def _op_compute_run(self, run: ComputeRun, ins: List[Column]) -> List[Column]:
+        """Fire a :class:`ComputeRun`: one alignment and ``object`` check over
+        its external inputs, then each member's kernel called directly.
+
+        Every member's link operands then share one structure and are
+        ``int64`` (a kernel only returns ``int64``), which is all
+        ``_op_compute`` checks per node.  From the first member whose kernel
+        returns ``None``, or from the first member when a check fails, the
+        members run through ``_op_compute``.  ``_run_graph`` counts every
+        member's firing; when a member raises, the ones after it are taken
+        back off, so ``node_firings`` is what node-by-node execution counts.
+        ``ins`` is the step's own list and becomes the run's slot list.
+        """
+        first_output = len(ins) + len(run.constants)
+        fast = _align(ins)
+        for c in ins:
+            if c.values.dtype == object:
+                fast = False
+                break
+        tags = ins[0].tags
+        ins += run.constants
+        members = run.members
+        k = 0
+        try:
+            if fast:
+                for _, vector, args, _ in members:
+                    res = vector([ins[j] for j in args])
+                    if res is None:
+                        break
+                    ins.append(Column(tags, res[0], res[1], res[2]))
+                    k += 1
+            for node, _, _, links in members[k:]:
+                ins.append(self._op_compute(node, [ins[j] for j in links])[0])
+                k += 1
+        except BaseException:
+            # The step counted every member; the ones after member k never
+            # fired.
+            self.profile.node_firings["compute"] -= len(members) - k - 1
+            raise
+        return ins[first_output:]
+
     def _op_const(self, node: DFNode, ins: List[Column]) -> List[Column]:
         value = node.params["value"]
         s = ins[0]
         n = s.n_data
         if type(value) is int and fits_int64(value, value):
-            arr = self._const_cache.get(node.uid)
-            if arr is None or len(arr) < n:
-                arr = np.full(max(n, 64), value, dtype=np.int64)
-                self._const_cache[node.uid] = arr
-            return [Column(s.tags, arr[:n], value, value)]
+            values = np.empty(n, np.int64)
+            values.fill(value)  # half the cost of np.full on short columns
+            return [Column(s.tags, values, value, value)]
         arr = np.empty(n, dtype=object)
         arr[:] = [value] * n
         return [Column(s.tags, arr, None, None)]
@@ -469,9 +508,13 @@ class ColumnarExecutor(Executor):
         ]
 
     def _partition_bundle(
-        self, cols: Sequence[Column], pred: Column
-    ) -> Tuple[List[Column], List[Column]]:
-        """Boolean-mask split of an aligned bundle (``prim.partition_streams``)."""
+        self, cols: Sequence[Column], pred: Column, empty_dropped: bool = True
+    ) -> Tuple[List[Column], Optional[List[Column]]]:
+        """Boolean-mask split of an aligned bundle (``prim.partition_streams``).
+
+        With ``empty_dropped=False`` a dropped side that holds no data is
+        ``None`` instead of its barrier-only columns.
+        """
         bundle = [pred] + list(cols)
         if not _align(bundle):
             out = self._exit("partition", bundle, "misaligned")
@@ -484,6 +527,8 @@ class ColumnarExecutor(Executor):
         # indexing: the full side shares the input columns, the empty side
         # is barriers-only with an empty same-dtype values view.
         if nk == len(keep_data):
+            if not empty_dropped:
+                return list(cols), None
             bar_tags = tags[tags != 0]
             empty = [Column(bar_tags, c.values[:0], c.lo, c.hi) for c in cols]
             return list(cols), empty
@@ -532,10 +577,11 @@ class ColumnarExecutor(Executor):
         # One-sided merges are the norm inside while drains (an `if` whose
         # other branch got no rows this turn): the empty side contributes
         # nothing to any group, so the result *is* the populated side.
+        # The sides are aligned, so each already carries its bundle's tags.
         if nb == 0:
-            return [Column(ta, a.values, a.lo, a.hi) for a in a_cols]
+            return list(a_cols)
         if na == 0:
-            return [Column(tb, b.values, b.lo, b.hi) for b in b_cols]
+            return list(b_cols)
         G = int(a_b.size)
         a_at = (ta == 0).cumsum()[a_b]
         b_at = (tb == 0).cumsum()[b_b]
@@ -731,15 +777,30 @@ class ColumnarExecutor(Executor):
             while True:
                 record_loop(label, 1)
                 cond = self._run_subgraph(cond_region, live)[0]
-                continuing, exiting = self._partition_bundle(live, cond)
-                for i in range(width):
-                    if exiting[i].n_data:
-                        out_chunks[i].append(exiting[i].values)
-                exited += exiting[0].n_data
+                continuing, exiting = self._partition_bundle(
+                    live, cond, empty_dropped=False)
+                if exiting is not None:
+                    for i in range(width):
+                        if len(exiting[i].values):
+                            out_chunks[i].append(exiting[i].values)
+                    exited += len(exiting[0].values)
                 next_live = self._run_subgraph(body_region, continuing)
-                n_re = next_live[0].n_data
+                t0 = next_live[0].tags
+                n_re = len(next_live[0].values)
                 if n_re == 0:
                     break
+                iterations += 1
+                if iterations > max_iterations:
+                    raise PrimitiveError(
+                        "forward-backward loop exceeded max_iterations; "
+                        "possible livelock in loop body"
+                    )
+                # Body outputs that share one group's tags (n_re rows, then
+                # a level-1 barrier) are already the next turn's bundle.
+                if len(t0) == n_re + 1 and t0[n_re] == 1 and all(
+                        s.tags is t0 for s in next_live):
+                    live = next_live
+                    continue
                 gt2 = np.zeros(n_re + 1, np.uint8)
                 gt2[n_re] = 1
                 live = []
@@ -752,12 +813,6 @@ class ColumnarExecutor(Executor):
                         t = np.zeros(s.n_data + 1, np.uint8)
                         t[s.n_data] = 1
                         live.append(Column(t, s.values, s.lo, s.hi))
-                iterations += 1
-                if iterations > max_iterations:
-                    raise PrimitiveError(
-                        "forward-backward loop exceeded max_iterations; "
-                        "possible livelock in loop body"
-                    )
             group_counts.append(exited)
         if error is not None:
             raise error

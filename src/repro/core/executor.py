@@ -22,10 +22,13 @@ topological order, ``getattr``-resolving the handler for every node firing,
 re-resolving ``compute`` opcodes) dominates the cold path.  A
 :class:`NodeSchedule` precompiles all of that once per program — the topo
 order of every graph in the hierarchy, the set of ops to bind handlers for,
-and each ``compute`` node's :mod:`repro.core.opcodes` entry — and is cached
-per graph (keyed on the graph's structural version), so every executor over
-the same compiled program shares one schedule.  Link statistics are optional per run (``link_stats=False``):
-the serving tier only consumes loop trip counts, not per-link histograms.
+each ``compute`` node's :mod:`repro.core.opcodes` entry with its immediates
+bound, and each maximal run of consecutive ``compute`` steps as one
+:class:`ComputeRun` — and is cached per graph (keyed on the graph's
+structural version), so every executor over the same compiled program
+shares one schedule.  Link statistics are optional per run
+(``link_stats=False``): the serving tier only consumes loop trip counts, not
+per-link histograms.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.core import primitives as prim
 from repro.core.graph import DFGraph, DFNode
 from repro.core.memory import MemorySystem
-from repro.core.opcodes import Opcode, resolve
+from repro.core.opcodes import Immediate, Opcode, resolve
 from repro.core.sltf import Barrier, Data, Stream, Token, encode
 from repro.errors import GraphError, PrimitiveError
 
@@ -84,14 +87,67 @@ class ExecutionProfile:
         self.loop_iterations[label] = self.loop_iterations.get(label, 0) + iterations
 
 
+class ComputeRun:
+    """A maximal run of two or more consecutive ``compute`` steps of one
+    graph, which the columnar executor fires as one step.
+
+    Operands are numbered slots: the run's external input links (``inputs``,
+    in first-use order), then its distinct immediates (``constants``, as
+    :class:`~repro.core.opcodes.Immediate` operands), then each member's
+    output.  ``members`` holds one ``(node, vector kernel, operand slots,
+    link operand slots)`` per node, in schedule order: the kernel is the
+    unbound table entry's, called with every operand in place.
+    """
+
+    __slots__ = ("inputs", "constants", "members")
+
+    def __init__(self, steps: Sequence[tuple]):
+        self.inputs: List[int] = []
+        self.constants: List[Immediate] = []
+        external: Dict[int, int] = {}
+        produced: Dict[int, int] = {}
+        links_of = []
+        for k, (node, _, in_uids, outputs) in enumerate(steps):
+            links = []
+            for uid in in_uids:
+                if uid in produced:
+                    # An earlier member's output: its slot is known below.
+                    links.append(~produced[uid])
+                    continue
+                if uid not in external:
+                    external[uid] = len(self.inputs)
+                    self.inputs.append(uid)
+                links.append(external[uid])
+            links_of.append(links)
+            produced[outputs[0].uid] = k
+        imm_slot: Dict[int, int] = {}
+        for node, _, _, _ in steps:
+            for _, value in node.params.get("imm", ()):
+                if value not in imm_slot:
+                    imm_slot[value] = len(self.inputs) + len(self.constants)
+                    self.constants.append(Immediate(value))
+        first_output = len(self.inputs) + len(self.constants)
+        self.members = []
+        for (node, _, _, _), links in zip(steps, links_of):
+            link_slots = tuple(r if r >= 0 else first_output + ~r for r in links)
+            args = list(link_slots)
+            for pos, value in sorted(node.params.get("imm", ())):
+                args.insert(pos, imm_slot[value])
+            self.members.append((node, resolve(node.params["fn"]).vector,
+                                 tuple(args), link_slots))
+
+
 class NodeSchedule:
     """A precompiled execution plan for one structured-graph hierarchy.
 
     Built once per compiled program and shared by every executor over it:
 
     * the memoized topological order of the root graph and every nested
-      region graph (``steps``),
-    * each ``compute`` node's opcode table entry (``opcode``), and
+      region graph (``steps``), and the same order with each maximal run of
+      consecutive ``compute`` steps grouped into one :class:`ComputeRun`
+      (``runs``),
+    * each ``compute`` node's opcode table entry, its immediates bound
+      (``opcode``), and
     * the set of ops that appear anywhere in the hierarchy, so an executor
       can resolve its handler table once instead of per node firing.
 
@@ -109,13 +165,15 @@ class NodeSchedule:
     ``_steps`` unambiguous.
     """
 
-    __slots__ = ("version", "ops", "_steps", "_opcodes", "_regions")
+    __slots__ = ("version", "ops", "_steps", "_runs", "_io", "_opcodes", "_regions")
 
     def __init__(self, graph: DFGraph):
         #: Structural version of the root graph at build time.
         self.version = graph.version
         self.ops: set = set()
         self._steps: Dict[int, List[tuple]] = {}
+        self._runs: Dict[int, List[tuple]] = {}
+        self._io: Dict[int, tuple] = {}
         self._opcodes: Dict[int, Opcode] = {}
         #: ``(graph, version at build time)`` for every graph below the
         #: root; strong references, so a dead region's id can never alias
@@ -130,14 +188,40 @@ class NodeSchedule:
         )
 
     def _add_graph(self, graph: DFGraph) -> None:
-        self._steps[id(graph)] = self._prepare(graph)
+        steps = self._steps[id(graph)] = self._prepare(graph)
+        self._io[id(graph)] = ([v.uid for v in graph.inputs],
+                               [v.uid for v in graph.outputs])
         for node in graph.topo_order():
             self.ops.add(node.op)
             if node.op == "compute":
-                self._opcodes[node.uid] = resolve(node.params.get("fn"))
+                imm = node.params.get("imm", ())
+                self._opcodes[node.uid] = resolve(node.params.get("fn")).bind(
+                    imm, len(node.inputs) + len(imm))
             for region in node.regions:
                 self._regions.append((region, region.version))
                 self._add_graph(region)
+        self._runs[id(graph)] = self._group(steps)
+
+    def _group(self, steps: List[tuple]) -> List[tuple]:
+        """``steps`` with each maximal run of two or more consecutive
+        ``compute`` steps replaced by one ``(run, "compute", in_uids,
+        outputs)`` step over a :class:`ComputeRun`."""
+        grouped: List[tuple] = []
+        run: List[tuple] = []
+        for step in steps + [None]:
+            if step is not None and step[1] == "compute":
+                run.append(step)
+                continue
+            if len(run) > 1:
+                fused = ComputeRun(run)
+                grouped.append((fused, "compute", fused.inputs,
+                                [s[3][0] for s in run]))
+            else:
+                grouped.extend(run)
+            run = []
+            if step is not None:
+                grouped.append(step)
+        return grouped
 
     @staticmethod
     def _prepare(graph: DFGraph) -> List[tuple]:
@@ -152,8 +236,17 @@ class NodeSchedule:
         """Prepared steps for ``graph`` (any graph in the hierarchy)."""
         return self._steps[id(graph)]
 
+    def io(self, graph: DFGraph) -> tuple:
+        """The input uids and the output uids of ``graph``."""
+        return self._io[id(graph)]
+
+    def runs(self, graph: DFGraph) -> List[tuple]:
+        """``steps(graph)`` with its compute runs grouped (see ``_group``)."""
+        return self._runs[id(graph)]
+
     def opcode(self, node: DFNode) -> Opcode:
-        """The opcode table entry of ``compute`` node ``node``."""
+        """The opcode table entry of ``compute`` node ``node``, bound to the
+        node's immediates (:meth:`repro.core.opcodes.Opcode.bind`)."""
         return self._opcodes[node.uid]
 
 
@@ -277,18 +370,16 @@ class Executor:
         return env
 
     def _run_subgraph(self, graph: DFGraph, inputs: Sequence[Stream]) -> List[Stream]:
-        if len(inputs) != len(graph.inputs):
+        in_uids, out_uids = self._schedule.io(graph)
+        if len(inputs) != len(in_uids):
             raise GraphError(
-                f"region '{graph.name}' expects {len(graph.inputs)} inputs, "
+                f"region '{graph.name}' expects {len(in_uids)} inputs, "
                 f"got {len(inputs)}"
             )
         # Streams are immutable by convention (every primitive builds fresh
         # lists), so region inputs are bound without a defensive copy.
-        env: Dict[int, Stream] = {
-            v.uid: s for v, s in zip(graph.inputs, inputs)
-        }
-        env = self._run_graph(graph, env)
-        return [env[v.uid] for v in graph.outputs]
+        env = self._run_graph(graph, dict(zip(in_uids, inputs)))
+        return [env[uid] for uid in out_uids]
 
     # -- element-wise and structural ops --------------------------------------
 

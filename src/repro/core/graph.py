@@ -167,6 +167,11 @@ class DFGraph:
         self._version += 1
         return node
 
+    def remove_nodes(self, uids: Set[int]) -> None:
+        """Delete the nodes whose ``uid`` is in ``uids``."""
+        self.nodes = [node for node in self.nodes if node.uid not in uids]
+        self._version += 1
+
     def set_outputs(self, values: Sequence[DFValue]) -> None:
         """Declare the graph's output streams."""
         self.outputs = list(values)

@@ -14,6 +14,18 @@ Each entry pairs
   out-of-range shift, a zero divisor).
 
 ``select`` is (cond, a, b) -> a if cond else b.
+
+Immediate operands
+------------------
+
+A ``compute`` node may hold some operands as immediates instead of links:
+``params["imm"] = ((position, value), ...)``, positions in the opcode's
+operand order, values ``int64``-range ints (the lowering binds every such
+constant this way, the way a compute unit holds a stage immediate).
+:meth:`Opcode.bind` returns the entry over the remaining link operands
+only: ``scalar`` receives the value itself, ``vector`` an
+:class:`Immediate`, whose ``values`` numpy broadcasts against a column and
+whose bounds are the value.
 """
 
 from __future__ import annotations
@@ -33,17 +45,64 @@ def fits_int64(lo: int, hi: int) -> bool:
     return INT64_MIN <= lo and hi <= INT64_MAX
 
 
+class Immediate:
+    """An immediate operand as a ``vector`` kernel sees it: ``values`` is
+    its value as a 0-d ``int64`` array, and ``lo == hi`` is the value.
+
+    numpy broadcasts a 0-d array against a column as it does a scalar, and
+    on the short columns of a narrow run does so faster than an
+    ``np.int64``.
+    """
+
+    __slots__ = ("values", "lo", "hi")
+
+    def __init__(self, value: int):
+        self.values = np.array(value, dtype=np.int64)
+        self.lo = self.hi = value
+
+
 class Opcode(NamedTuple):
     """One opcode: exact scalar semantics and its whole-column kernel."""
 
     scalar: Callable[..., Any]
     vector: Callable[[Sequence[Any]], Optional[Tuple[Any, int, int]]]
 
+    def bind(self, imm: Sequence[Tuple[int, int]], arity: int) -> "Opcode":
+        """This entry over the link operands only, with the ``(position,
+        value)`` immediates of an ``arity``-operand node fixed in place."""
+        if not imm:
+            return self
+        scalar, vector = self
+        if arity == 2 and len(imm) == 1:
+            ((pos, value),) = imm
+            col = Immediate(value)
+            if pos == 0:
+                return Opcode(lambda b: scalar(value, b),
+                              lambda cols: vector((col, cols[0])))
+            return Opcode(lambda a: scalar(a, value),
+                          lambda cols: vector((cols[0], col)))
+        fixed = sorted(imm)
+        cols_fixed = [(pos, Immediate(value)) for pos, value in fixed]
 
-def _bit_bounds(*extremes: int) -> Tuple[int, int]:
+        def bound_scalar(*links):
+            args = list(links)
+            for pos, value in fixed:
+                args.insert(pos, value)
+            return scalar(*args)
+
+        def bound_vector(cols):
+            args = list(cols)
+            for pos, col in cols_fixed:
+                args.insert(pos, col)
+            return vector(args)
+
+        return Opcode(bound_scalar, bound_vector)
+
+
+def _bit_bounds(a, b) -> Tuple[int, int]:
     """Bounds for a two's-complement bitwise result over bounded inputs."""
-    k = min(max(abs(v).bit_length() for v in extremes), 63)
-    if all(v >= 0 for v in extremes):
+    k = min(max(abs(a.lo), abs(a.hi), abs(b.lo), abs(b.hi)).bit_length(), 63)
+    if a.lo >= 0 and a.hi >= 0 and b.lo >= 0 and b.hi >= 0:
         return 0, (1 << k) - 1
     return -(1 << k), (1 << k) - 1
 
@@ -106,7 +165,7 @@ def _rem(cols):
 def _bitwise(npop):
     def kernel(cols):
         a, b = cols
-        lo, hi = _bit_bounds(a.lo, a.hi, b.lo, b.hi)
+        lo, hi = _bit_bounds(a, b)
         return npop(a.values, b.values), lo, hi
 
     return kernel

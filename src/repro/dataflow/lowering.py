@@ -18,6 +18,27 @@ Values defined outside a region but used inside it are passed explicitly as
 region inputs (the flattening stage later turns them into scalar-network
 broadcasts), so the resulting graph is closed under each region.
 
+Constants
+---------
+
+A compute unit holds its constants as stage immediates, so an
+``arith.constant`` becomes no node: it binds an immediate in the scope.  A
+``compute`` that reads it records it in ``params["imm"]`` as ``(position,
+value)`` and keeps only its link inputs (one operand stays a ``const`` link
+when all of them would be immediates).  Any other reader — a memory op,
+``filter``, ``fork``, ``foreach`` bounds, ``while`` initial values, region
+yields, an ``if`` condition — gets one ``const`` node aligned to the scope's
+current ``struct_ref``, shared by every such reader of that value there.  An
+immediate never crosses a region op: a region that captures one binds it as
+an immediate too.  Only ``int64``-range ints are immediates.
+
+Within a graph, a ``compute`` with the opcode, immediates and input links of
+an earlier one is that node, and once the function is lowered a ``compute``
+or ``const`` whose output nothing reads is dropped (a ``div`` / ``rem``
+stays, since it can raise, unless its divisor is a nonzero immediate).  Only
+a graph in which an ``arith`` result that no op reads was bound can hold such
+a node, so only those graphs are swept.
+
 Live values
 -----------
 
@@ -36,18 +57,22 @@ later lookup is a :class:`LoweringError` at compile time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.columnar import make_executor
-from repro.core.graph import DFGraph, DFValue
+from repro.core.graph import DFGraph, DFNode, DFValue
 from repro.core.machine import LinkKind
 from repro.core.memory import MemorySystem
+from repro.core.opcodes import INT64_MAX, INT64_MIN
 from repro.errors import LoweringError
 from repro.ir import Module, Operation, Value
 from repro.ir.dialects.arith import BINOP_TO_OPCODE, CMP_TO_OPCODE
 
 #: arith cast ops are width annotations only; data lanes are 32-bit.
 CAST_OPS = {"arith.extsi", "arith.extui", "arith.trunci"}
+
+#: A ``compute`` operand: a link, or an immediate value.
+Operand = Union[DFValue, int]
 
 
 @dataclass
@@ -57,6 +82,39 @@ class MemRefInfo:
     site: str
     size: int
     ptr: DFValue
+
+
+#: Leaf ops without side effects, dropped when nothing reads them.
+_PURE_OPS = ("compute", "const")
+
+
+def _can_raise(node: DFNode) -> bool:
+    """A ``div`` / ``rem`` whose divisor is not a nonzero immediate."""
+    if node.params.get("fn") not in ("div", "rem"):
+        return False
+    return not dict(node.params.get("imm", ())).get(1)
+
+
+def _drop_dead_leaves(graph: DFGraph) -> None:
+    """Drop the ``compute`` and ``const`` nodes of ``graph`` whose output
+    nothing reads, in one reverse sweep: nodes are created after their
+    inputs, so when the sweep reaches a node, every node that reads it has
+    already been kept or dropped."""
+    reads: Dict[int, int] = {}
+    for node in graph.nodes:
+        for v in node.inputs:
+            reads[v.uid] = reads.get(v.uid, 0) + 1
+    for v in graph.outputs:
+        reads[v.uid] = reads.get(v.uid, 0) + 1
+    dead: Set[int] = set()
+    for node in reversed(graph.nodes):
+        if (node.op in _PURE_OPS and not reads.get(node.outputs[0].uid)
+                and not (node.op == "compute" and _can_raise(node))):
+            dead.add(node.uid)
+            for v in node.inputs:
+                reads[v.uid] -= 1
+    if dead:
+        graph.remove_nodes(dead)
 
 
 def _distinct(links: Iterable[DFValue]) -> List[DFValue]:
@@ -75,11 +133,16 @@ class _Scope:
 
     Keys are ``id()``s of IR values; a region additionally binds its
     pass-through inputs (the ones it must hand back) under negative keys.
+    Immediates are bound apart from links (``imms``): they align with any
+    link, so no region op drops or carries them.
     """
 
-    def __init__(self, graph: DFGraph, struct_ref: DFValue):
+    def __init__(self, graph: DFGraph, struct_ref: DFValue,
+                 imms: Optional[Dict[int, int]] = None):
         self.graph = graph
         self.values: Dict[int, DFValue] = {}
+        #: The enclosing scope's immediates are this one's too.
+        self.imms: Dict[int, int] = dict(imms) if imms else {}
         self.memrefs: Dict[int, MemRefInfo] = {}
         #: Any link that is current at this nesting level, used to align
         #: constants.
@@ -88,6 +151,10 @@ class _Scope:
         #: index of the op being lowered (see ``_lower_block``).
         self.last_use: Dict[int, int] = {}
         self.position = -1
+        #: (value, struct_ref uid) -> its ``const`` link, and (opcode,
+        #: *operands) -> the ``compute`` link: one node each.
+        self._consts: Dict[Tuple[int, int], DFValue] = {}
+        self._pure: Dict[tuple, DFValue] = {}
 
     def bind(self, ir_value: Value, df_value: DFValue) -> None:
         self.values[id(ir_value)] = df_value
@@ -96,9 +163,70 @@ class _Scope:
         self.memrefs[id(ir_value)] = info
         self.values[id(ir_value)] = info.ptr
 
+    def const(self, value: int, name: str = "c") -> DFValue:
+        """The ``const`` link of immediate ``value`` aligned to
+        ``struct_ref``, added on first use."""
+        key = (value, self.struct_ref.uid)
+        df = self._consts.get(key)
+        if df is None:
+            df = self._consts[key] = self.graph.add_node(
+                "const", [self.struct_ref], params={"value": value},
+                name=name).outputs[0]
+        return df
+
+    def compute(self, opcode: str, operands: Sequence[Operand],
+                name: str = "t") -> DFValue:
+        """The link of ``opcode`` over ``operands``, immediates recorded in
+        ``params["imm"]``; an equal earlier node is reused.
+
+        Links hash by identity and never equal an int, so the operand tuple
+        itself is the key.  An all-immediate node is keyed on ``struct_ref``
+        too, since its one ``const`` link is aligned to it.
+        """
+        key = (opcode, *operands)
+        df = self._pure.get(key)
+        if df is not None:
+            return df
+        if int not in map(type, operands):
+            df = self._pure[key] = self.graph.add_node(
+                "compute", operands, params={"fn": opcode}, name=name).outputs[0]
+            return df
+        links: List[DFValue] = []
+        imm: List[Tuple[int, int]] = []
+        for pos, x in enumerate(operands):
+            if type(x) is int:
+                imm.append((pos, x))
+            else:
+                links.append(x)
+        if not links:
+            key += (self.struct_ref.uid,)
+            df = self._pure.get(key)
+            if df is not None:
+                return df
+            links = [self.const(imm.pop(0)[1])]
+        params: Dict[str, Any] = {"fn": opcode}
+        if imm:
+            params["imm"] = tuple(imm)
+        df = self._pure[key] = self.graph.add_node(
+            "compute", links, params=params, name=name).outputs[0]
+        return df
+
+    def operand(self, ir_value: Value) -> Operand:
+        """``ir_value`` as a ``compute`` operand: its link, or its immediate."""
+        key = id(ir_value)
+        df = self.values.get(key)
+        if df is not None:
+            return df
+        imm = self.imms.get(key)
+        return self.lookup(ir_value) if imm is None else imm
+
     def lookup(self, ir_value: Value) -> DFValue:
+        """The link of ``ir_value``; an immediate gets its ``const`` link."""
         df = self.values.get(id(ir_value))
         if df is None:
+            imm = self.imms.get(id(ir_value))
+            if imm is not None:
+                return self.const(imm, ir_value.name or "c")
             raise LoweringError(
                 f"IR value %{ir_value.name} has no dataflow mapping here "
                 f"(not captured, or not live across an earlier region op)"
@@ -153,6 +281,10 @@ class CompiledProgram:
     arg_names: List[str]
     dram_names: List[str]
     pragmas: List[str] = field(default_factory=list)
+    #: :func:`repro.dataflow.resources.estimate_resources` results, made
+    #: once per program and argument set.
+    resource_estimates: Dict[tuple, Any] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def run(self, memory: MemorySystem, *, profile: bool = False,
             link_stats: bool = True, executor: Optional[str] = None,
@@ -198,6 +330,8 @@ class DataflowLowering:
         self._site_counter = 0
         #: id(region op) -> outside values its regions read (``_scan``).
         self._captured: Dict[int, List[Value]] = {}
+        #: Graphs that may hold a dead pure leaf (see ``_bind_leaf``).
+        self._unread: Dict[int, DFGraph] = {}
 
     # -- public API ---------------------------------------------------------------
 
@@ -230,6 +364,8 @@ class DataflowLowering:
 
         self._lower_block(entry, graph, scope)
         graph.set_outputs([])
+        for region in self._unread.values():
+            _drop_dead_leaves(region)
         graph.verify()
         return CompiledProgram(graph=graph, module=self.module, arg_names=arg_names,
                                dram_names=dram_names, pragmas=pragmas)
@@ -240,15 +376,17 @@ class DataflowLowering:
         self._site_counter += 1
         return f"{hint}_{self._site_counter}"
 
-    def _const(self, graph: DFGraph, scope: _Scope, value: int, name: str = "c") -> DFValue:
-        node = graph.add_node("const", [scope.struct_ref], params={"value": value},
-                              name=name)
-        return node.outputs[0]
+    def _bind_leaf(self, scope: _Scope, ir_value: Value, df_value: DFValue) -> None:
+        """Bind the result of an ``arith`` op, and note its graph for the
+        dead-leaf sweep when no op of the block reads ``ir_value``.
 
-    def _compute(self, graph: DFGraph, opcode: str, inputs: Sequence[DFValue],
-                 name: str = "t") -> DFValue:
-        node = graph.add_node("compute", inputs, params={"fn": opcode}, name=name)
-        return node.outputs[0]
+        Every other ``compute`` / ``const`` link is made for the reader that
+        asks for it, so only a graph noted here can end up with a pure leaf
+        nothing reads (a dead chain ends in such a value).
+        """
+        scope.bind(ir_value, df_value)
+        if id(ir_value) not in scope.last_use:
+            self._unread[id(scope.graph)] = scope.graph
 
     def _scan(self, block, pragmas: List[str]) -> List[Value]:
         """The values ``block`` reads but does not define, in first-use order.
@@ -318,23 +456,27 @@ class DataflowLowering:
     def _lower_op(self, op: Operation, graph: DFGraph, scope: _Scope) -> None:
         name = op.name
         if name == "arith.constant":
-            scope.bind(op.result(), self._const(graph, scope, op.attrs["value"],
-                                                 name=op.result().name))
-        elif name in BINOP_TO_OPCODE:
-            inputs = [scope.lookup(v) for v in op.operands]
-            scope.bind(op.result(), self._compute(graph, BINOP_TO_OPCODE[name], inputs,
-                                                  name=op.result().name))
-        elif name == "arith.cmpi":
-            opcode = CMP_TO_OPCODE[op.attrs["predicate"]]
-            inputs = [scope.lookup(v) for v in op.operands]
-            scope.bind(op.result(), self._compute(graph, opcode, inputs,
-                                                  name=op.result().name))
-        elif name == "arith.select":
-            inputs = [scope.lookup(v) for v in op.operands]
-            scope.bind(op.result(), self._compute(graph, "select", inputs,
-                                                  name=op.result().name))
+            value = op.attrs["value"]
+            if type(value) is int and INT64_MIN <= value <= INT64_MAX:
+                scope.imms[id(op.result())] = value
+            else:
+                self._bind_leaf(scope, op.result(), graph.add_node(
+                    "const", [scope.struct_ref], params={"value": value},
+                    name=op.result().name).outputs[0])
+        elif name in BINOP_TO_OPCODE or name in ("arith.cmpi", "arith.select"):
+            if name == "arith.cmpi":
+                opcode = CMP_TO_OPCODE[op.attrs["predicate"]]
+            else:
+                opcode = BINOP_TO_OPCODE.get(name, "select")
+            self._bind_leaf(scope, op.result(), scope.compute(
+                opcode, [scope.operand(v) for v in op.operands],
+                name=op.result().name))
         elif name in CAST_OPS:
-            scope.bind(op.result(), scope.lookup(op.operand(0)))
+            source = id(op.operand(0))
+            if source in scope.imms:
+                scope.imms[id(op.result())] = scope.imms[source]
+            else:
+                self._bind_leaf(scope, op.result(), scope.lookup(op.operand(0)))
         elif name == "revet.dram_ref":
             scope.bind(op.result(), self._dram_inputs[op.attrs["name"]])
         elif name == "memref.alloc":
@@ -355,13 +497,13 @@ class DataflowLowering:
             graph.add_node("sram_write", [addr, scope.lookup(op.operand(0))],
                            params={"site": info.site}, name=f"st_{info.site}")
         elif name == "revet.dram_load":
-            addr = self._compute(graph, "add", [scope.lookup(op.operand(0)),
-                                                scope.lookup(op.operand(1))], name="daddr")
+            addr = scope.compute("add", [scope.operand(op.operand(0)),
+                                         scope.operand(op.operand(1))], name="daddr")
             node = graph.add_node("dram_read", [addr], name=op.result().name)
             scope.bind(op.result(), node.outputs[0])
         elif name == "revet.dram_store":
-            addr = self._compute(graph, "add", [scope.lookup(op.operand(0)),
-                                                scope.lookup(op.operand(1))], name="daddr")
+            addr = scope.compute("add", [scope.operand(op.operand(0)),
+                                         scope.operand(op.operand(1))], name="daddr")
             graph.add_node("dram_write", [addr, scope.lookup(op.operand(2))], name="dstore")
         elif name == "revet.bulk_load":
             self._lower_bulk(op, graph, scope, store=False)
@@ -382,7 +524,7 @@ class DataflowLowering:
             self._lower_fork(op, graph, scope)
         elif name == "revet.exit":
             # A bare exit terminates every thread reaching this point.
-            false = self._const(graph, scope, 0, name="dead")
+            false = scope.const(0, name="dead")
             self._filter_scope(graph, scope, false)
         elif name in ("revet.pragma", "func.return", "scf.yield", "revet.yield",
                       "scf.condition"):
@@ -409,18 +551,16 @@ class DataflowLowering:
                      scope: _Scope) -> DFValue:
         """addr = ptr * buffer_size + index (the memref-to-integer convention)."""
         info = scope.lookup_memref(buf)
-        size_c = self._const(graph, scope, info.size, name="bufsz")
-        base = self._compute(graph, "mul", [info.ptr, size_c], name="bufbase")
-        return self._compute(graph, "add", [base, scope.lookup(index)], name="addr")
+        base = scope.compute("mul", [info.ptr, info.size], name="bufbase")
+        return scope.compute("add", [base, scope.operand(index)], name="addr")
 
     def _lower_bulk(self, op: Operation, graph: DFGraph, scope: _Scope,
                     store: bool) -> None:
         dram, offset, buf = op.operands[0], op.operands[1], op.operands[2]
         info = scope.lookup_memref(buf)
-        dram_addr = self._compute(graph, "add", [scope.lookup(dram),
-                                                 scope.lookup(offset)], name="dbase")
-        size_c = self._const(graph, scope, info.size, name="bufsz")
-        sram_addr = self._compute(graph, "mul", [info.ptr, size_c], name="sbase")
+        dram_addr = scope.compute("add", [scope.operand(dram), scope.operand(offset)],
+                                  name="dbase")
+        sram_addr = scope.compute("mul", [info.ptr, info.size], name="sbase")
         inputs = [dram_addr, sram_addr]
         if store and len(op.operands) > 3:
             inputs.append(scope.lookup(op.operands[3]))
@@ -438,8 +578,7 @@ class DataflowLowering:
         scope.rebind(keys, live, node.outputs)
 
     def _lower_exit_guard(self, op: Operation, graph: DFGraph, scope: _Scope) -> None:
-        cond = scope.lookup(op.operand(0))
-        keep = self._compute(graph, "not", [cond], name="keep")
+        keep = scope.compute("not", [scope.operand(op.operand(0))], name="keep")
         self._filter_scope(graph, scope, keep)
 
     def _lower_fork(self, op: Operation, graph: DFGraph, scope: _Scope) -> None:
@@ -457,7 +596,9 @@ class DataflowLowering:
                       df_inputs: Sequence[DFValue], parent_scope: _Scope,
                       captured: Sequence[Value], captured_inputs: Sequence[DFValue],
                       struct_ref: DFValue) -> _Scope:
-        scope = _Scope(region_graph, struct_ref)
+        """A foreach body's scope: ``captured`` links on ``captured_inputs``,
+        and the parent's immediates."""
+        scope = _Scope(region_graph, struct_ref, parent_scope.imms)
         for ir_val, df_val in zip(ir_args, df_inputs):
             scope.bind(ir_val, df_val)
         for ir_val, df_val in zip(captured, captured_inputs):
@@ -475,17 +616,18 @@ class DataflowLowering:
         """Outline an IR block into a region graph taking ``node_inputs``.
 
         ``arg_bindings`` maps IR block arguments to node-input positions;
-        ``captured`` IR values are bound to the input holding their current
-        link (the last such input: a ``while`` may also carry that link as a
-        loop variable, which changes).  The inputs at ``passthrough``
-        positions are what the region hands back unchanged; they are tracked
-        under synthetic keys so that forks/filters inside the region keep
-        them aligned.
+        ``captured`` IR values (links, not immediates: the region inherits
+        those) are bound to the input holding their current link (the last
+        such input: a ``while`` may also carry that link as a loop variable,
+        which changes).  The inputs at
+        ``passthrough`` positions are what the region hands back unchanged;
+        they are tracked under synthetic keys so that forks/filters inside
+        the region keep them aligned.
         """
         sub = DFGraph(name)
         inputs = [sub.add_input(df.name or f"live{i}")
                   for i, df in enumerate(node_inputs)]
-        sub_scope = _Scope(sub, inputs[0])
+        sub_scope = _Scope(sub, inputs[0], scope.imms)
         pos_by_uid = {df.uid: i for i, df in enumerate(node_inputs)}
         for ir_val, pos in arg_bindings:
             sub_scope.bind(ir_val, inputs[pos])
@@ -502,6 +644,11 @@ class DataflowLowering:
         return sub, sub_scope
 
     @staticmethod
+    def _captured_links(captured: Sequence[Value], scope: _Scope) -> List[Value]:
+        """The values of ``captured`` that cross as links: not immediates."""
+        return [v for v in captured if id(v) not in scope.imms]
+
+    @staticmethod
     def _passthrough(sub_scope: _Scope, passthrough: range) -> List[DFValue]:
         """Current links of a region's pass-through inputs."""
         return [sub_scope.values[-(i + 1)] for i in passthrough]
@@ -513,7 +660,7 @@ class DataflowLowering:
         """Lower ``scf.if`` / ``revet.replicate``: every region takes what is
         live after ``op`` plus what the regions capture, and yields ``op``'s
         results plus the former."""
-        captured = self._captured[id(op)]
+        captured = self._captured_links(self._captured[id(op)], scope)
         keys, after = scope.live_links()
         live = _distinct(after + [scope.lookup(v) for v in captured])
         passthrough = range(len(after))
@@ -549,7 +696,7 @@ class DataflowLowering:
 
     def _lower_while(self, op: Operation, graph: DFGraph, scope: _Scope) -> None:
         inits = [scope.lookup(v) for v in op.operands]
-        captured = self._captured[id(op)]
+        captured = self._captured_links(self._captured[id(op)], scope)
         # Loop variables first; then, unchanged by the loop, what is live
         # after it and what its regions capture.  A link that is both (an
         # initial value that is also read as itself) gets a port of each kind.
@@ -587,8 +734,8 @@ class DataflowLowering:
     def _lower_foreach(self, op: Operation, graph: DFGraph, scope: _Scope) -> None:
         count = scope.lookup(op.operand(0))
         step = scope.lookup(op.operand(1))
-        zero = self._const(graph, scope, 0, name="zero")
-        captured = self._captured[id(op)]
+        zero = scope.const(0, name="zero")
+        captured = self._captured_links(self._captured[id(op)], scope)
         cap_dfs = [scope.lookup(v) for v in captured]
 
         body = op.region(0).entry

@@ -235,8 +235,15 @@ def estimate_resources(program: CompiledProgram, app_name: str = "",
                        replicate_factor: int = 1,
                        machine: MachineConfig = DEFAULT_MACHINE,
                        max_outer: Optional[int] = None) -> ResourceBreakdown:
-    """Convenience wrapper around :class:`ResourceEstimator`."""
-    estimator = ResourceEstimator(program, machine)
-    return estimator.scaled_breakdown(app_name=app_name,
-                                      replicate_factor=replicate_factor,
-                                      max_outer=max_outer)
+    """:meth:`ResourceEstimator.scaled_breakdown` of ``program``, made once
+    per program and argument set and kept in
+    ``program.resource_estimates`` (the graph does not change after
+    lowering); callers share the result and must not modify it."""
+    key = (app_name, replicate_factor, machine, max_outer)
+    breakdown = program.resource_estimates.get(key)
+    if breakdown is None:
+        breakdown = program.resource_estimates[key] = ResourceEstimator(
+            program, machine).scaled_breakdown(
+                app_name=app_name, replicate_factor=replicate_factor,
+                max_outer=max_outer)
+    return breakdown

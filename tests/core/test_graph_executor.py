@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.columnar import make_executor
-from repro.core.executor import Executor, run_graph, zip_streams, unzip_stream
+from repro.core.executor import (ComputeRun, Executor, NodeSchedule, run_graph,
+                                 schedule_for, unzip_stream, zip_streams)
 from repro.core.graph import DFGraph, DFNode
 from repro.core.memory import MemorySystem
 from repro.core.opcodes import OPCODES
@@ -798,3 +799,119 @@ class TestExecutorFastPath:
         assert g.topo_order() is order
         g.add_node("const", [g.inputs[0]], params={"value": 0})
         assert g.topo_order() is not order
+
+
+# -- immediate operands and fused compute runs -------------------------------
+
+
+def build_compute_chain(*steps, n_inputs=1):
+    """Consecutive ``compute`` nodes over inputs ``in0``, ...: step ``k`` is
+    ``(fn, imm)``, reading the previous step's output (the first step reads
+    every input) with ``imm`` as its ``(position, value)`` immediates."""
+    g = DFGraph("chain")
+    links = [g.add_input(f"in{k}") for k in range(n_inputs)]
+    for k, (fn, imm) in enumerate(steps):
+        params = {"fn": fn, "imm": imm} if imm else {"fn": fn}
+        links = [g.add_node("compute", links, params=params,
+                            name=f"s{k}").outputs[0]]
+    g.set_outputs(links)
+    return g
+
+
+def run_token_and_columnar(graph, inputs):
+    """Per executor: (outputs or the error's type and text, DRAM, stats,
+    firings, vector exits)."""
+    outcomes = {}
+    for executor in ("token", "columnar"):
+        memory = MemorySystem()
+        ex = make_executor(graph, executor=executor, memory=memory)
+        try:
+            result = ex.run(inputs)
+        except (ArithmeticError, PrimitiveError) as error:
+            result = (type(error), str(error))
+        outcomes[executor] = (result, memory._dram, vars(memory.stats),
+                              ex.profile.node_firings, ex.profile.vector_exits)
+    return outcomes
+
+
+def fused_runs(graph):
+    """Member counts of the compute runs the schedule groups in ``graph``."""
+    return [len(node.members) for node, *_ in schedule_for(graph).runs(graph)
+            if isinstance(node, ComputeRun)]
+
+
+class TestImmediates:
+    """``params["imm"]`` operands: same values, errors and exits on both
+    executors, fused into one step or not."""
+
+    @pytest.mark.parametrize("fn", ["div", "rem"])
+    def test_division_by_an_immediate_zero_raises_the_same_error(self, fn):
+        outcomes = run_token_and_columnar(
+            build_leaf_graph("compute", 1, {"fn": fn, "imm": ((1, 0),)}),
+            {"in0": [7, 8]})
+        assert outcomes["columnar"][:4] == outcomes["token"][:4]
+        assert outcomes["token"][0][0] is ZeroDivisionError
+        assert outcomes["columnar"][4] == {"compute:overflow": 1}
+
+    def test_immediate_dividend_and_divisor_positions(self):
+        g = build_compute_chain(("sub", ((0, 100),)), ("div", ((1, 7),)),
+                                ("rem", ((0, 9),)))
+        outcomes = run_token_and_columnar(g, {"in0": [1, 30, 60]})
+        assert outcomes["columnar"][:4] == outcomes["token"][:4]
+        (out,) = outcomes["token"][0].values()
+        assert data_values(out) == [9 % ((100 - x) // 7) for x in (1, 30, 60)]
+        assert outcomes["columnar"][4] == {}
+
+    def test_mul_by_a_large_immediate_leaves_the_vector_path_exactly(self):
+        outcomes = run_token_and_columnar(
+            build_leaf_graph("compute", 1, {"fn": "mul", "imm": ((1, 2**40),)}),
+            {"in0": [3, 2**30, -(2**31)]})
+        assert outcomes["columnar"][:4] == outcomes["token"][:4]
+        (out,) = outcomes["token"][0].values()
+        assert data_values(out) == [3 * 2**40, 2**70, -(2**71)]
+        assert outcomes["columnar"][4] == {"compute:overflow": 1}
+
+    def test_an_object_column_meets_an_immediate(self):
+        outcomes = run_token_and_columnar(
+            build_leaf_graph("compute", 1, {"fn": "and", "imm": ((0, 6),)}),
+            {"in0": [2**70 + 5, 3]})
+        assert outcomes["columnar"][:4] == outcomes["token"][:4]
+        (out,) = outcomes["token"][0].values()
+        assert data_values(out) == [4, 2]
+        assert outcomes["columnar"][4] == {"compute:object": 1}
+
+    def test_a_misaligned_fused_run_fails_as_one_node_does(self):
+        """``TestMalformedGraphs.test_compute_on_misaligned_streams``'s
+        inputs, now feeding a run of three ``compute`` nodes."""
+        g = build_compute_chain(("add", ()), ("mul", ((1, 2),)),
+                                ("sub", ((1, 1),)), n_inputs=2)
+        assert fused_runs(g) == [3]
+        outcomes = run_token_and_columnar(
+            g, {"in0": [D(1), D(2), B(1)], "in1": [D(1), B(1), D(2)]})
+        assert outcomes["columnar"][:4] == outcomes["token"][:4]
+        assert outcomes["token"][0] == (
+            PrimitiveError, "element-wise inputs misaligned at [D(2), B1]")
+        assert outcomes["columnar"][4] == {"compute:misaligned": 1}
+
+    def test_a_run_that_overflows_mid_run_matches_node_by_node(self, monkeypatch):
+        """The ``mul`` cannot prove its result, so it and every later
+        member leave the vector path, each counted as if fired alone."""
+        steps = (("add", ((1, 1),)), ("mul", ((1, 2**40),)),
+                 ("sub", ((1, 1),)), ("add", ((0, 1),)))
+        g = build_compute_chain(*steps)
+        assert fused_runs(g) == [4]
+        inputs = {"in0": [D(2**30), D(5), B(1), D(-7), B(2)]}
+        outcomes = run_token_and_columnar(g, inputs)
+        assert outcomes["columnar"][:4] == outcomes["token"][:4]
+        assert outcomes["columnar"][3] == {"compute": 4}
+        expected_exits = {"compute:overflow": 1, "compute:object": 2}
+        assert outcomes["columnar"][4] == expected_exits
+        # The same nodes scheduled one step each leave the same way.
+        monkeypatch.setattr(NodeSchedule, "_group", lambda self, steps: steps)
+        alone = make_executor(build_compute_chain(*steps), executor="columnar")
+        assert fused_runs(alone.graph) == []
+        assert (list(alone.run(inputs).values())
+                == list(outcomes["columnar"][0].values()))
+        assert alone.profile.node_firings == {"compute": 4}
+        assert alone.profile.vector_exits == expected_exits
+

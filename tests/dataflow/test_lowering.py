@@ -300,3 +300,162 @@ def test_every_node_op_is_emitted_by_some_app():
     no executor handler for it should exist either."""
     emitted = frozenset().union(*map(_emitted_ops, REGISTRY.names()))
     assert emitted == LEAF_OPS | REGION_OPS
+
+
+# -- constants are immediates; one copy of each pure leaf; no dead leaf ------
+
+PURE_OPS = ("compute", "const")
+
+
+def _graphs(graph):
+    """``graph`` and, depth first, every region graph under it."""
+    yield graph
+    for node in graph.nodes:
+        for region in node.regions:
+            yield from _graphs(region)
+
+
+def _readers(graph):
+    """Link uid -> the nodes of ``graph`` that read it."""
+    readers = {}
+    for node in graph.nodes:
+        for v in node.inputs:
+            readers.setdefault(v.uid, []).append(node)
+    return readers
+
+
+@functools.lru_cache(maxsize=None)
+def _compiled(app, options):
+    return REGISTRY.get(app).compile(OPTIONS[options])
+
+
+@pytest.mark.parametrize("options", sorted(OPTIONS))
+@pytest.mark.parametrize("app", sorted(REGISTRY.names()))
+def test_a_constant_read_only_by_computes_is_an_immediate(app, options):
+    """A ``const`` node survives only for a reader that needs a link: a
+    non-``compute`` node, a region output, or the one link operand of a
+    ``compute`` whose other operands are all immediates."""
+    stray = []
+    for graph in _graphs(_compiled(app, options).graph):
+        readers, outputs = _readers(graph), {v.uid for v in graph.outputs}
+        for node in graph.nodes:
+            out = node.outputs[0] if node.op == "const" else None
+            if out is None or out.uid in outputs:
+                continue
+            users = readers.get(out.uid, [])
+            if all(user.op == "compute" and len(user.inputs) > 1 for user in users):
+                stray.append((graph.name, node.params["value"]))
+    assert stray == []
+
+
+@pytest.mark.parametrize("options", sorted(OPTIONS))
+@pytest.mark.parametrize("app", sorted(REGISTRY.names()))
+def test_one_copy_of_each_pure_leaf_per_region(app, options):
+    seen = {}
+    for graph in _graphs(_compiled(app, options).graph):
+        for node in graph.nodes:
+            if node.op not in PURE_OPS:
+                continue
+            key = (id(graph), node.op, tuple(sorted(node.params.items())),
+                   tuple(v.uid for v in node.inputs))
+            assert key not in seen, f"{node!r} repeats {seen[key]!r}"
+            seen[key] = node
+
+
+@pytest.mark.parametrize("options", sorted(OPTIONS))
+@pytest.mark.parametrize("app", sorted(REGISTRY.names()))
+def test_no_dead_pure_leaf(app, options):
+    for graph in _graphs(_compiled(app, options).graph):
+        read = set(_readers(graph)) | {v.uid for v in graph.outputs}
+        dead = [node for node in graph.nodes
+                if node.op in PURE_OPS and node.outputs[0].uid not in read]
+        assert dead == []
+
+
+DEAD_ARITHMETIC = """
+DRAM<int> a;
+DRAM<int> out;
+void main(int n) {
+  foreach (n) { int i =>
+    int x = a[i];
+    int unused = x * 3 + 1;
+    int halved = x / 2;
+    int quotient = x / i;
+    if (x > 2) {
+      int wasted = (x - 1) * 5;
+      out[i] = x;
+    }
+  };
+}
+"""
+
+
+def test_dead_leaves_go_but_a_div_by_a_link_stays():
+    """Unread ``x * 3 + 1``, ``x / 2`` and, inside the ``if``,
+    ``(x - 1) * 5`` are dropped; ``x / i`` may raise (thread 0 divides by
+    zero), so it stays and still raises."""
+    program = compile_source(DEAD_ARITHMETIC, options=CompileOptions.none())
+    body = next(node for _, node in program.graph.walk()
+                if node.op == "foreach").regions[0]
+    assert sorted(node.params.get("fn", node.op) for node in body.nodes) == [
+        "add", "div", "dram_read", "gt", "if"]
+    (div,) = [node for node in body.nodes if node.params.get("fn") == "div"]
+    assert "imm" not in div.params and len(div.inputs) == 2
+    then = next(node for node in body.nodes if node.op == "if").regions[0]
+    assert sorted(node.params.get("fn", node.op) for node in then.nodes) == [
+        "add", "dram_write"]
+    for executor in EXECUTORS:
+        with pytest.raises(ZeroDivisionError):
+            _run(DEAD_ARITHMETIC, "none", executor,
+                 {"a": DATA, "out": [0] * len(DATA)}, n=len(DATA))
+
+
+CAPTURED_CONSTANT = """
+DRAM<int> a;
+DRAM<int> out;
+void main(int n) {
+  foreach (n) { int i =>
+    int step = 3;
+    int x = a[i];
+    int j = 0;
+    while (j < x) {
+      j = j + step;
+    };
+    out[i] = j;
+  };
+}
+"""
+
+
+@pytest.mark.parametrize("options", sorted(OPTIONS))
+def test_a_captured_constant_stays_an_immediate(options):
+    """``step`` is read inside the loop: it is an immediate there, not a
+    port of the ``while`` (only ``j``'s initial 0 enters as a ``const``)."""
+    program = compile_source(CAPTURED_CONSTANT, options=OPTIONS[options])
+    (loop,) = [node for _, node in program.graph.walk() if node.op == "while"]
+    assert [v.producer.params["value"] for v in loop.inputs
+            if v.producer is not None and v.producer.op == "const"] == [0]
+    body = loop.regions[1]
+    (add,) = [node for node in body.nodes if node.op == "compute"]
+    assert add.params["imm"] == ((1, 3),)
+    memory = _run(CAPTURED_CONSTANT, options, "columnar",
+                  {"a": DATA, "out": [0] * len(DATA)}, n=len(DATA))
+    assert memory.segment_data("out") == [-(-x // 3) * 3 for x in DATA]
+
+
+#: ``sum(ExecutionProfile.node_firings.values())`` at 8 threads, seed 1,
+#: default options.
+NODE_FIRINGS = {
+    "hash-table": 77, "huff-dec": 15337, "huff-enc": 1602, "ip2int": 741,
+    "isipv4": 905, "kD-tree": 2380, "murmur3": 839, "search": 3028,
+    "strlen": 938,
+}
+
+
+@pytest.mark.parametrize("app", sorted(REGISTRY.names()))
+def test_node_firings_are_pinned(app):
+    spec = REGISTRY.get(app)
+    instance = spec.make_instance(8, 1)
+    runner = _compiled(app, "default").run(
+        instance.memory, profile=True, link_stats=False, **instance.args)
+    assert sum(runner.profile.node_firings.values()) == NODE_FIRINGS[app]

@@ -45,6 +45,16 @@ class TestResourceEstimator:
         capped = estimate_resources(spec.compile(), max_outer=3)
         assert capped.outer_parallelism <= 3
 
+    def test_estimate_is_made_once_per_program_and_arguments(self):
+        spec = REGISTRY.get("murmur3")
+        program = spec.compile()
+        first = estimate_resources(program, app_name="murmur3")
+        assert estimate_resources(program, app_name="murmur3") is first
+        capped = estimate_resources(program, app_name="murmur3", max_outer=3)
+        assert capped is not first and capped.outer_parallelism <= 3
+        fresh = estimate_resources(spec.compile(), app_name="murmur3")
+        assert fresh is not first and fresh.as_row() == first.as_row()
+
 
 class TestPerformanceModels:
     def _profile(self, random_accesses=0.0, bulk_bytes=64.0, iters=16.0):

@@ -62,3 +62,17 @@ def test_missing_workload_names_each_of_its_counters():
     diff = check_counters.compare(EXPECTED, measured)
     assert len(diff) == len(check_counters.COUNTERS)
     assert all(line.startswith("compile-all: ") for line in diff)
+
+
+def test_a_mismatch_line_states_the_signed_change_and_percent():
+    diff = check_counters.compare({"exec-narrow": {"core.node_firings": 34739}},
+                                  {"exec-narrow": {"core.node_firings": 27012}})
+    assert diff == ["exec-narrow: core.node_firings: expected 34739, "
+                    "measured 27012 (-7727, -22.2%)"]
+
+
+def test_a_change_from_zero_or_absent_has_no_percent():
+    assert check_counters.change(0, 3) == " (+3)"
+    assert check_counters.change(0.5, 0.75) == " (+0.25, +50.0%)"
+    assert check_counters.change("absent", 3) == ""
+    assert check_counters.change(3, "absent") == ""

@@ -4,8 +4,11 @@
 verifier, IR walk and capture analysis were rewritten (``PYTHONPATH=src
 python tests/test_compile_goldens.py > tests/compile_goldens.json``), so a
 match here means the rewrite compiles every application to the same program,
-name for name.  Op and value numbering comes from process-wide counters, which
-each capture restarts so the names do not depend on what ran before.
+name for name.  The graph digests were re-captured once since, when the
+dataflow lowering made constants ``compute`` immediates and dropped duplicate
+and dead pure leaves; token streams and optimized IR kept their digests.
+Op and value numbering comes from process-wide counters, which each capture
+restarts so the names do not depend on what ran before.
 """
 
 import hashlib

@@ -42,6 +42,16 @@ COUNTERS = (
 Counters = Dict[str, Dict[str, float]]
 
 
+def change(old: object, new: object) -> str:
+    """`` (signed change, percent of old)`` between two numbers, the change
+    alone when ``old`` is 0, and nothing when either side is absent."""
+    if not all(isinstance(v, (int, float)) for v in (old, new)):
+        return ""
+    delta = new - old
+    text = f"{delta:+d}" if isinstance(delta, int) else f"{delta:+.6g}"
+    return f" ({text}, {delta / old:+.1%})" if old else f" ({text})"
+
+
 def compare(expected: Counters, measured: Counters) -> List[str]:
     """One line per counter that differs or that only one side has."""
     lines = []
@@ -50,7 +60,8 @@ def compare(expected: Counters, measured: Counters) -> List[str]:
         for name in sorted(set(wanted) | set(got)):
             old, new = wanted.get(name, "absent"), got.get(name, "absent")
             if old != new:
-                lines.append(f"{workload}: {name}: expected {old}, measured {new}")
+                lines.append(f"{workload}: {name}: expected {old}, "
+                             f"measured {new}{change(old, new)}")
     return lines
 
 
