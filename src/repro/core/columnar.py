@@ -63,7 +63,7 @@ from repro.core import primitives as prim
 from repro.core.executor import (ComputeRun, Executor, LinkProfile, _as_stream,
                                  merge_bundles)
 from repro.core.graph import DFGraph, DFNode
-from repro.core.memory import MemorySystem
+from repro.core.memory import MemorySystem, _span
 from repro.core.opcodes import fits_int64
 from repro.core.sltf import MAX_BARRIER_LEVEL, Barrier, Data, Stream
 from repro.errors import GraphError, PrimitiveError
@@ -137,24 +137,15 @@ def _bounds_of(values) -> Tuple[Optional[int], Optional[int]]:
         return None, None
     if values.size == 0:
         return 0, 0
-    return int(values.min()), int(values.max())
+    return _span(values)
 
 
-def _values_from_ints(vals: list) -> Tuple[Any, Optional[int], Optional[int]]:
-    """Pack values known to be Python ints (memory reads) into an array.
-
-    Same contract as :func:`_values_from_list` minus the per-element type
-    scan — every value a :class:`MemorySystem` hands back went through
-    ``int()`` on the way in.
-    """
-    if not vals:
-        return np.empty(0, dtype=np.int64), 0, 0
-    lo, hi = min(vals), max(vals)
-    if fits_int64(lo, hi):
-        return np.array(vals, dtype=np.int64), lo, hi
-    arr = np.empty(len(vals), dtype=object)
-    arr[:] = vals
-    return arr, None, None
+def _read_column(tags, vals) -> "Column":
+    """A memory read's column: the ``int64`` array a ``*_many`` helper
+    gathered, or the ints its scalar loop returned; bounds exact."""
+    if isinstance(vals, list):
+        return Column(tags, *_values_from_list(vals))
+    return Column(tags, vals, *_bounds_of(vals))
 
 
 def from_stream(stream: Sequence) -> "Column":
@@ -672,35 +663,33 @@ class ColumnarExecutor(Executor):
     def _op_sram_free(self, node: DFNode, ins: List[Column]) -> List[Column]:
         site = node.params.get("site", "default")
         col = ins[0]
-        self.memory.sram_free_many(site, col.values.tolist())
+        self.memory.sram_free_many(site, col.values)
         return [Column(col.tags, np.zeros(col.n_data, np.int64), 0, 0)]
 
     def _op_sram_read(self, node: DFNode, ins: List[Column]) -> List[Column]:
         site = node.params.get("site", "default")
         col = ins[0]
-        vals = self.memory.sram_read_many(site, col.values.tolist())
-        values, lo, hi = _values_from_ints(vals)
-        return [Column(col.tags, values, lo, hi)]
+        return [_read_column(col.tags, self.memory.sram_read_many(
+            site, col.values, col.lo, col.hi))]
 
     def _op_sram_write(self, node: DFNode, ins: List[Column]) -> List[Column]:
         if not _align(ins):
             return self._exit(node.op, ins, "misaligned", node)
         site = node.params.get("site", "default")
         a, v = ins
-        self.memory.sram_write_many(site, a.values.tolist(), v.values.tolist())
+        self.memory.sram_write_many(site, a.values, v.values, a.lo, a.hi)
         return [Column(a.tags, np.zeros(a.n_data, np.int64), 0, 0)]
 
     def _op_dram_read(self, node: DFNode, ins: List[Column]) -> List[Column]:
         col = ins[0]
-        vals = self.memory.dram_read_many(col.values.tolist())
-        values, lo, hi = _values_from_ints(vals)
-        return [Column(col.tags, values, lo, hi)]
+        return [_read_column(col.tags, self.memory.dram_read_many(
+            col.values, col.lo, col.hi))]
 
     def _op_dram_write(self, node: DFNode, ins: List[Column]) -> List[Column]:
         if not _align(ins):
             return self._exit(node.op, ins, "misaligned", node)
         a, v = ins
-        self.memory.dram_write_many(a.values.tolist(), v.values.tolist())
+        self.memory.dram_write_many(a.values, v.values, a.lo, a.hi)
         return [Column(a.tags, np.zeros(a.n_data, np.int64), 0, 0)]
 
     def _op_bulk_load(self, node: DFNode, ins: List[Column]) -> List[Column]:
@@ -709,9 +698,7 @@ class ColumnarExecutor(Executor):
         site = node.params.get("site", "default")
         size = node.params["size"]
         d, s = ins
-        self.memory.bulk_load_many(
-            site, d.values.tolist(), s.values.tolist(), size
-        )
+        self.memory.bulk_load_many(site, d.values, s.values, size)
         return [Column(d.tags, np.zeros(d.n_data, np.int64), 0, 0)]
 
     def _op_bulk_store(self, node: DFNode, ins: List[Column]) -> List[Column]:
@@ -721,16 +708,14 @@ class ColumnarExecutor(Executor):
         size = node.params["size"]
         d, s = ins[0], ins[1]
         if len(ins) > 2:
-            counts = [
-                max(0, min(size, c)) for c in ins[2].values.tolist()
-            ]
-            self.memory.bulk_store_counted_many(
-                site, d.values.tolist(), s.values.tolist(), counts
-            )
+            counts = ins[2].values
+            if counts.dtype == object:
+                counts = [max(0, min(size, c)) for c in counts.tolist()]
+            else:
+                counts = np.clip(counts, 0, size)
+            self.memory.bulk_store_counted_many(site, d.values, s.values, counts)
         else:
-            self.memory.bulk_store_many(
-                site, d.values.tolist(), s.values.tolist(), size
-            )
+            self.memory.bulk_store_many(site, d.values, s.values, size)
         return [Column(d.tags, np.zeros(d.n_data, np.int64), 0, 0)]
 
     # -- region ops -------------------------------------------------------------

@@ -8,7 +8,9 @@ The verifier checks:
   an enclosing region (region values are visible to nested regions), or is a
   block argument,
 * region terminators: ``scf.while`` region shapes, ``scf.if`` regions ending
-  in ``scf.yield``, and function bodies ending in ``func.return``.
+  in ``scf.yield``, and function bodies ending in ``func.return``,
+* ``peek`` offsets: a constant offset must lie inside the iterator's tile
+  (``docs/executor.md``, "Iterators").
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from typing import Set
 
 from repro.errors import IRError
-from repro.ir.core import Module, Operation
+from repro.ir.core import Module, Operation, ViewType
 from repro.ir.dialects.registry import OP_INFO
 from repro.ir.dialects.scf import verify_while
 
@@ -84,9 +86,26 @@ def _verify_op(op: Operation) -> None:
             term = region.entry.terminator
             if op.results and (term is None or term.name != "scf.yield"):
                 raise IRError("scf.if with results needs scf.yield terminators")
+    elif name == "revet.it_peek":
+        _verify_peek(op)
     elif name == "func.func":
         body = op.region(0).entry
         if body.terminator is None or body.terminator.name != "func.return":
             raise IRError(
                 f"function '{op.attrs.get('sym_name')}' must end with func.return"
             )
+
+
+def _verify_peek(op: Operation) -> None:
+    """A ``PeekReadIt<N>`` (paper Table I) peeks ahead within its ``N``-element
+    tile, so a constant ``peek`` offset outside ``[0, N)`` is an error."""
+    it, offset = op.operands
+    source = offset.owner
+    if not isinstance(it.type, ViewType) or source is None:
+        return
+    value, tile = source.attrs.get("value"), it.type.size
+    if source.name == "arith.constant" and not 0 <= value < tile:
+        raise IRError(
+            f"peek offset {value} lies outside the "
+            f"{tile}-element tile of {it.type.kind}<{tile}>"
+        )

@@ -32,22 +32,6 @@ class TestExecutorSelection:
                               ColumnarExecutor)
 
 
-def _memory_state(memory):
-    """Everything observable about a memory system after a run."""
-    return {
-        "dram": dict(memory._dram),
-        "stats": vars(memory.stats).copy(),
-        "sites": {
-            name: {
-                "storage": dict(site.storage),
-                "live": set(site.live),
-                "high_water": site.high_water,
-            }
-            for name, site in memory.sites().items()
-        },
-    }
-
-
 def _profile_state(profile):
     return {
         "links": {name: (lp.elements, lp.barriers)
@@ -77,7 +61,7 @@ def _run_both(program, make_instance):
             exits = runner.profile.vector_exits
             assert all(key.startswith("compute:") for key in exits), exits
         states[executor] = (
-            _memory_state(instance.memory),
+            instance.memory.snapshot(),
             _profile_state(runner.profile),
         )
     return states
@@ -109,13 +93,15 @@ _OPTION_SETS = {
 @pytest.mark.parametrize("options,n_threads", [
     (name, width) for name in _OPTION_SETS for width in (8, 32)
     if (name, width) != ("default", 8)  # that one is test_app_bit_identity
-])
+] + [("default", 128)])
 def test_app_bit_identity_by_options_and_width(app, options, n_threads):
     """The same contract wider and without the optional passes.
 
     Without hierarchy elimination a ``while`` under a ``foreach`` arrives
     as one barrier group per outer thread, so these are the cases that
-    drain several non-empty groups in one ``while`` firing.
+    drain several non-empty groups in one ``while`` firing.  At 128
+    threads address bounds are loose and a firing moves many tiles, which
+    is where the memory helpers' whole-array paths do their work.
     """
     _assert_app_bit_identity(app, _OPTION_SETS[options], n_threads)
 

@@ -524,7 +524,7 @@ class TestMalformedGraphs(_HandBuiltGraphs):
         with pytest.raises(PrimitiveError) as info:
             ex.run(inputs)
         return (info.type, str(info.value), ex.profile.loop_iterations,
-                memory._dram, memory.stats.dram_writes)
+                memory.snapshot()["dram"], memory.stats.dram_writes)
 
     def countdown_failure(self, n, s, t, step=1, max_loop_iterations=None):
         memory = MemorySystem()
@@ -701,7 +701,7 @@ def test_vector_exit_reason(key):
             result = ex.run(inputs)
         except (PrimitiveError, SLTFError) as error:
             result = (type(error), str(error))
-        outcomes[executor] = (result, memory._dram, vars(memory.stats))
+        outcomes[executor] = (result, memory.snapshot()["dram"], vars(memory.stats))
         exits[executor] = ex.profile.vector_exits
     assert outcomes["columnar"] == outcomes["token"]
     assert exits == {"token": {}, "columnar": {key: 1}}
@@ -829,7 +829,7 @@ def run_token_and_columnar(graph, inputs):
             result = ex.run(inputs)
         except (ArithmeticError, PrimitiveError) as error:
             result = (type(error), str(error))
-        outcomes[executor] = (result, memory._dram, vars(memory.stats),
+        outcomes[executor] = (result, memory.snapshot()["dram"], vars(memory.stats),
                               ex.profile.node_firings, ex.profile.vector_exits)
     return outcomes
 

@@ -1,5 +1,6 @@
 """Tests for the machine model (Table II) and the memory system."""
 
+import numpy as np
 import pytest
 
 from repro.core.machine import (
@@ -84,6 +85,15 @@ class TestMemorySystem:
         mem.dram_write(other.base, 9)
         assert mem.segment_data("b")[0] == 9
         assert mem.stats.dram_reads == 1 and mem.stats.dram_writes == 1
+
+    def test_data_longer_than_size_rejected(self):
+        mem = MemorySystem()
+        mem.dram_alloc("a", size=3, data=[1, 2])
+        with pytest.raises(MachineError, match="'b' of 2 words given 3"):
+            mem.dram_alloc("b", size=2, data=[7, 8, 9])
+        after = mem.dram_alloc("c", data=[5])
+        assert mem.segment_data("a") == [1, 2, 0]
+        assert after.base == 3 and mem.segment_data("c") == [5]
 
     def test_duplicate_segment_rejected(self):
         mem = MemorySystem()
@@ -171,21 +181,26 @@ def _mixed_memory():
     return mem, addrs
 
 
-def _observed(mem):
-    return {
-        "dram": dict(mem._dram),
-        "stats": dict(vars(mem.stats)),
-        "sites": {name: (dict(site.storage), set(site.live), site.high_water)
-                  for name, site in mem.sites().items()},
-    }
-
-
 def _outcome(call):
-    """The value a call returns, or the exception it raises (by type and text)."""
+    """The value a call returns (an array as a list), or the exception it
+    raises (by type and text)."""
     try:
-        return ("ok", call())
+        value = call()
     except Exception as error:  # noqa: BLE001 - compared, not handled
         return (type(error).__name__, str(error))
+    return ("ok", value.tolist() if isinstance(value, np.ndarray) else value)
+
+
+def _as_arrays(args):
+    """``args`` with every list an array: ``int64`` when each item is an int
+    that fits, ``object`` otherwise."""
+    out = []
+    for arg in args:
+        if isinstance(arg, list):
+            fits = all(type(v) is int and -(2**63) <= v < 2**63 for v in arg)
+            arg = np.array(arg, dtype=np.int64 if fits else object)
+        out.append(arg)
+    return tuple(out)
 
 
 def _each(call, *columns):
@@ -216,7 +231,7 @@ def _scalar_loops(mem):
     }
 
 
-def _script(addrs):
+def _script(mem, addrs):
     """Calls that touch every helper, every kind of address, then fail
     mid-batch in every way a batch can."""
     values = list(range(100, 100 + len(addrs)))
@@ -246,20 +261,113 @@ def _script(addrs):
     ]
 
 
+def _in_range_script(mem, addrs):
+    """Batches inside the word arrays, duplicate addresses and overlapping
+    tiles included, then empty ones."""
+    ints, text, wide, tail = (
+        mem.segment(name).base for name in ("ints", "text", "wide", "tail"))
+    return [
+        ("sram_alloc_many", ("s", 8, 4, 4)),
+        ("sram_alloc_many", ("tile", 8, 4, 4)),
+        ("dram_read_many", ([ints, text + 5, wide + 1, ints + 3],)),
+        ("dram_read_many", ([tail + 2, ints],)),  # the last word
+        ("sram_read_many", ("s", [31, 0])),
+        ("bulk_load_many", ("tile", [tail], [29], 3)),
+        ("dram_write_many", ([ints + 1, text, ints + 1, wide], [7, 8, 9, 10])),
+        ("sram_write_many", ("s", [3, 30, 3], [1, 2, 3])),
+        ("sram_read_many", ("s", [3, 30, 0])),
+        ("bulk_load_many", ("tile", [text, text + 2, ints], [0, 8, 8], 4)),
+        ("bulk_store_many", ("tile", [ints, ints + 1], [8, 0], 2)),
+        ("bulk_store_counted_many", ("tile", [text, wide, ints], [0, 8, 16], [3, 0, 2])),
+        ("dram_read_many", ([],)),
+        ("dram_write_many", ([], [])),
+        ("sram_read_many", ("s", [])),
+        ("sram_write_many", ("new", [], [])),
+        ("bulk_load_many", ("tile", [], [], 4)),
+        ("bulk_store_counted_many", ("other", [], [], [])),
+    ]
+
+
+def _spill_script(mem, addrs):
+    """After the in-range batches: addresses one word past the end, values
+    beyond int64, then gap and negative addresses — words the arrays cannot
+    hold — written and read back."""
+    ints, text, tail = (mem.segment(name).base for name in ("ints", "text", "tail"))
+    return _in_range_script(mem, addrs) + [
+        # One word past the end: read as 0, through the scalar loop.
+        ("dram_read_many", ([ints, tail + 3],)),
+        ("sram_read_many", ("s", [0, 32])),
+        ("bulk_load_many", ("tile", [tail + 1], [24], 3)),
+        ("bulk_store_many", ("tile", [tail], [30], 3)),
+        ("dram_write_many", ([ints + 2], [2**70])),
+        ("dram_read_many", ([ints + 2, ints + 1],)),
+        ("bulk_load_many", ("tile", [ints], [24], 4)),
+        ("bulk_store_many", ("tile", [text], [24], 4)),
+        ("dram_write_many", ([ints + 2, text + 2], [5, 6])),
+        ("dram_read_many", ([ints + 2, text, text + 2],)),
+        ("sram_write_many", ("s", [4], [-(2**64)])),
+        ("sram_read_many", ("s", [4, 3])),
+        ("dram_write_many", ([tail + 40, -1], [1, 2])),
+        ("dram_read_many", ([tail + 40, -1, -17, ints],)),
+        ("sram_write_many", ("s", [-1, 999], [1, 2])),
+        ("sram_read_many", ("s", [-1, 999, 5])),
+        ("bulk_load_many", ("tile", [tail + 40, -1], [0, 8], 2)),
+    ]
+
+
+def _run_against_scalar_loops(script, arrays):
+    batched_mem, addrs = _mixed_memory()
+    scalar_mem, _ = _mixed_memory()
+    scalar = _scalar_loops(scalar_mem)
+    for name, args in script(batched_mem, addrs):
+        if arrays:
+            args = _as_arrays(args)
+        batched = _outcome(lambda: getattr(batched_mem, name)(*args))
+        looped = _outcome(lambda: scalar[name](*args))
+        assert batched == looped, (name, args)
+        assert batched_mem.snapshot() == scalar_mem.snapshot(), (name, args)
+        assert all(type(v) is int for v in vars(batched_mem.stats).values())
+    return batched_mem
+
+
 class TestBatchedAccessors:
-    def test_every_many_helper_equals_its_scalar_loop(self):
-        batched_mem, addrs = _mixed_memory()
-        scalar_mem, _ = _mixed_memory()
-        scalar = _scalar_loops(scalar_mem)
-        assert set(scalar) == {name for name in dir(MemorySystem)
-                               if name.endswith("_many")}
-        for name, args in _script(addrs):
-            batched = _outcome(lambda: getattr(batched_mem, name)(*args))
-            looped = _outcome(lambda: scalar[name](*args))
-            assert batched == looped, (name, args)
-            assert _observed(batched_mem) == _observed(scalar_mem), (name, args)
+    @pytest.mark.parametrize("arrays", [False, True], ids=["lists", "arrays"])
+    def test_every_many_helper_equals_its_scalar_loop(self, arrays):
+        assert set(_scalar_loops(MemorySystem())) == {
+            name for name in dir(MemorySystem) if name.endswith("_many")}
+        batched_mem = _run_against_scalar_loops(_script, arrays)
         # The script did take the failing branches.
         assert _outcome(lambda: batched_mem.dram_read_many([None]))[0] == "TypeError"
+
+    @pytest.mark.parametrize("script", [_in_range_script, _spill_script])
+    @pytest.mark.parametrize("arrays", [False, True], ids=["lists", "arrays"])
+    def test_whole_array_paths_equal_the_scalar_loop(self, script, arrays):
+        mem = _run_against_scalar_loops(script, arrays)
+        spilled = bool(mem._dram.spill) and bool(mem.site("s").spill)
+        assert spilled == (script is _spill_script)
+
+    def test_in_range_arrays_skip_the_scalar_loop(self):
+        mem, _ = _mixed_memory()
+        reference, _ = _mixed_memory()
+
+        def refuse(*args):
+            raise AssertionError("took the scalar loop")
+
+        for name in ("dram_read", "dram_write", "sram_read", "sram_write",
+                     "bulk_load", "bulk_store"):
+            setattr(mem, name, refuse)
+        scalar = _scalar_loops(reference)
+        for name, args in _in_range_script(mem, None):
+            assert (_outcome(lambda: getattr(mem, name)(*_as_arrays(args)))
+                    == _outcome(lambda: scalar[name](*args))), name
+        ints = np.array([mem.segment("ints").base + 3, 0], dtype=np.int64)
+        loose = (-(2**40), 2**40)  # valid bounds, tightened before they refuse
+        assert mem.dram_read_many(ints, *loose).tolist() == [13, 0]
+        mem.dram_write_many(ints, np.array([4, 5], dtype=np.int64), *loose)
+        assert mem.sram_read_many("s", ints[::-1], *loose).tolist() == [0, 3]
+        mem.sram_write_many("s", ints[::-1], np.array([1, 2], dtype=np.int64), *loose)
+        assert (mem.segment_data("ints")[3], mem.site("s").read(3)) == (4, 2)
+        assert not mem._dram.spill and not mem.site("s").spill
 
     def test_widths_by_segment_gap_and_sign(self):
         mem, addrs = _mixed_memory()

@@ -1,7 +1,10 @@
 """End-to-end compiler tests: Revet source -> dataflow graph -> execution."""
 
+import pytest
+
 from repro.compiler import CompileOptions, compile_source
 from repro.core.memory import MemorySystem
+from repro.errors import IRError
 
 
 STRLEN_SOURCE = """
@@ -191,6 +194,65 @@ class TestSmallPrograms:
         program = compile_source(src)
         program.run(memory, n=2)
         assert memory.read_bytes("copy") == text
+
+    PEEK_SOURCE = """
+    DRAM<int> text;
+    DRAM<int> out;
+    void main(int n) {
+      foreach (n) { int i =>
+        PeekReadIt<8> it(text, i * 32);
+        out[i] = peek(it, K);
+      };
+    }
+    """
+
+    @pytest.mark.parametrize("k", [0, 3, 7, 8, 12])
+    @pytest.mark.parametrize("executor", ["token", "columnar"])
+    def test_peek_reads_ahead_within_its_tile(self, k, executor):
+        """``PeekReadIt<8>`` peeks fewer than 8 elements ahead (Table I); a
+        constant offset past the tile is refused, not read from the wrong
+        tile."""
+        source = self.PEEK_SOURCE.replace("K", str(k))
+        if k >= 8:
+            with pytest.raises(IRError, match=f"peek offset {k} lies outside"):
+                compile_source(source)
+            return
+        memory = MemorySystem()
+        memory.dram_alloc("text", data=[100 + j for j in range(4 * 32)])
+        memory.dram_alloc("out", size=4)
+        compile_source(source).run(memory, executor=executor, n=4)
+        assert memory.segment_data("out") == [100 + 32 * i + k for i in range(4)]
+
+    @pytest.mark.parametrize("executor", ["token", "columnar"])
+    def test_deref_after_peek_reads_its_own_position(self, executor):
+        src = """
+        DRAM<int> text;
+        DRAM<int> a;
+        DRAM<int> b;
+        DRAM<int> c;
+        DRAM<int> d;
+        void main(int n) {
+          foreach (n) { int i =>
+            PeekReadIt<8> it(text, i * 32);
+            a[i] = peek(it, 7);
+            b[i] = *it;
+            int j = 0;
+            while (j < 5) {
+              it++;
+              j++;
+            };
+            c[i] = peek(it, 6);
+            d[i] = *it;
+          };
+        }
+        """
+        memory = MemorySystem()
+        memory.dram_alloc("text", data=[100 + j for j in range(4 * 32)])
+        for name in "abcd":
+            memory.dram_alloc(name, size=4)
+        compile_source(src).run(memory, executor=executor, n=4)
+        got = [memory.segment_data(name) for name in "abcd"]
+        assert got == [[100 + 32 * i + k for i in range(4)] for k in (7, 0, 11, 5)]
 
     def test_profile_is_collected(self):
         src, _ = SIMPLE_SOURCES["sum_indices"]
