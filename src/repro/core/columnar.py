@@ -7,11 +7,8 @@ over *columns*: each SLTF link is represented as
 
 * ``tags`` — one ``uint8`` per token position: ``0`` for a data element,
   ``level`` (1..15) for a barrier, and
-* ``values`` — the data elements only, compacted into one numpy array
-  (``int64`` when every element is a Python int that fits, ``object``
-  otherwise), plus
-* ``lo``/``hi`` — exact Python-int bounds on the ``int64`` values, used to
-  prove per-opcode overflow safety before running a whole-array op.
+* ``values`` — the data elements only, compacted into one ``int64``
+  array (a value is a 64-bit word, see :mod:`repro.core.opcodes`).
 
 Parallel live-value streams of one thread bundle share the *same* ``tags``
 array object, so alignment checks are identity comparisons on the happy
@@ -33,24 +30,22 @@ A columnar run must be indistinguishable from a token run: identical
 output streams, identical memory contents and :class:`MemoryStats`
 counters, identical profile counts (``node_firings``, ``loop_iterations``,
 link histograms), and identical exception types/messages on malformed
-input.  Whenever the vectorized path cannot prove it preserves exact
-Python semantics (possible int64 overflow, non-int values, misaligned
-structures, zero divisors), that firing leaves it — correctness never
-depends on the fast path firing.
+input.  Both apply one opcode table (:mod:`repro.core.opcodes`), whose
+kernels wrap exactly as its scalars do; a firing whose kernel traps (a
+zero divisor, a negative shift count) or whose bundle is misaligned leaves
+the vector path — correctness never depends on the fast path firing.
 
 Where compiled programs leave the vector path
 ---------------------------------------------
 
 There is one way off it, :meth:`ColumnarExecutor._exit`, and it counts
-every use in ``ExecutionProfile.vector_exits`` as ``"<op>:<reason>"``.  A
-``compute`` whose kernel meets ``object`` values (``compute:object``) or
-cannot prove its result (``compute:overflow``) applies its scalar opcode
-row-wise; every other reason runs the token primitive.  The nine Table III
-apps, compiled three ways (default options, ``CompileOptions.none()``,
-hierarchy elimination off) and run at 4, 8, 32 and 128 threads, record
-``compute:`` keys only, and ``tests/core/test_columnar.py`` asserts so for
-its app runs.  The other reasons serve hand-built graphs, malformed ones
-included.
+every use in ``ExecutionProfile.vector_exits`` as ``"<op>:<reason>"``, and
+runs the token primitive, so a ``compute`` whose kernel traps
+(``compute:trap``) raises the scalar's error.  The nine Table III apps,
+compiled three ways (default options, ``CompileOptions.none()``, hierarchy
+elimination off) and run at 4, 8, 32 and 128 threads, record none, and
+``tests/core/test_columnar.py`` asserts so for its app runs.  Every reason
+serves hand-built graphs, malformed ones included.
 """
 
 from __future__ import annotations
@@ -64,7 +59,7 @@ from repro.core.executor import (ComputeRun, Executor, LinkProfile, _as_stream,
                                  merge_bundles)
 from repro.core.graph import DFGraph, DFNode
 from repro.core.memory import MemorySystem, _span
-from repro.core.opcodes import fits_int64
+from repro.core.opcodes import INT64_MAX
 from repro.core.sltf import MAX_BARRIER_LEVEL, Barrier, Data, Stream
 from repro.errors import GraphError, PrimitiveError
 
@@ -92,17 +87,13 @@ class Column:
     ``values`` holds the data elements only, in stream order.  Columns are
     immutable by convention (every handler builds fresh arrays or shares
     inputs); aligned columns of one bundle share the same ``tags`` object.
-    ``lo``/``hi`` are valid (not necessarily tight) Python-int bounds for
-    ``int64`` values and ``None`` for ``object`` columns.
     """
 
-    __slots__ = ("tags", "values", "lo", "hi")
+    __slots__ = ("tags", "values")
 
-    def __init__(self, tags, values, lo=None, hi=None):
+    def __init__(self, tags, values):
         self.tags = tags
         self.values = values
-        self.lo = lo
-        self.hi = hi
 
     def __len__(self) -> int:
         return len(self.tags)
@@ -113,39 +104,6 @@ class Column:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Column({len(self.values)}d/{len(self.tags)}t)"
-
-
-def _values_from_list(vals: list) -> Tuple[Any, Optional[int], Optional[int]]:
-    """Pack Python values into an array, choosing int64 when exact."""
-    for v in vals:
-        if type(v) is not int:
-            arr = np.empty(len(vals), dtype=object)
-            arr[:] = vals
-            return arr, None, None
-    if not vals:
-        return np.empty(0, dtype=np.int64), 0, 0
-    lo, hi = min(vals), max(vals)
-    if fits_int64(lo, hi):
-        return np.array(vals, dtype=np.int64), lo, hi
-    arr = np.empty(len(vals), dtype=object)
-    arr[:] = vals
-    return arr, None, None
-
-
-def _bounds_of(values) -> Tuple[Optional[int], Optional[int]]:
-    if values.dtype == object:
-        return None, None
-    if values.size == 0:
-        return 0, 0
-    return _span(values)
-
-
-def _read_column(tags, vals) -> "Column":
-    """A memory read's column: the ``int64`` array a ``*_many`` helper
-    gathered, or the ints its scalar loop returned; bounds exact."""
-    if isinstance(vals, list):
-        return Column(tags, *_values_from_list(vals))
-    return Column(tags, vals, *_bounds_of(vals))
 
 
 def from_stream(stream: Sequence) -> "Column":
@@ -159,8 +117,7 @@ def from_stream(stream: Sequence) -> "Column":
             append(tok.value)
         else:
             tags[j] = tok.level
-    values, lo, hi = _values_from_list(vals)
-    return Column(tags, values, lo, hi)
+    return Column(tags, np.array(vals, dtype=np.int64))
 
 
 def to_stream(col: "Column") -> Stream:
@@ -194,23 +151,12 @@ def _align(cols: Sequence["Column"]) -> bool:
     return True
 
 
-def _truthy(values) -> Any:
-    """Boolean mask over data values matching Python truthiness."""
-    if values.dtype == object:
-        return np.fromiter(
-            (bool(v) for v in values.tolist()), dtype=bool, count=len(values)
-        )
-    return values != 0
-
-
 def _token_at(col: "Column", j: int):
     """Reconstruct the token at stream position ``j`` (error paths only)."""
     tag = int(col.tags[j])
     if tag:
         return Barrier(tag)
-    k = int(np.count_nonzero(col.tags[:j] == 0))
-    v = col.values[k]
-    return Data(v if col.values.dtype == object else int(v))
+    return Data(int(col.values[np.count_nonzero(col.tags[:j] == 0)]))
 
 
 def _misalignment(ins: Sequence["Column"]) -> Tuple[int, PrimitiveError]:
@@ -338,21 +284,14 @@ class ColumnarExecutor(Executor):
         """Leave the vector path for one firing, counted in
         ``profile.vector_exits`` under ``"<op>:<reason>"``.
 
-        A ``compute`` that meets ``object`` values or whose kernel cannot
-        prove its result applies its scalar opcode row-wise.  Every other
-        exit runs the token semantics over the bundle as streams — ``node``'s
-        token handler, or the primitive behind a region op's ``counter`` /
-        ``partition`` / ``merge`` step — so a malformed bundle raises exactly
-        what the token executor raises.
+        The firing runs the token semantics over the bundle as streams —
+        ``node``'s token handler, or the primitive behind a region op's
+        ``counter`` / ``partition`` / ``merge`` step — so a trapping kernel
+        or a malformed bundle raises exactly what the token executor raises.
         """
         exits = self.profile.vector_exits
         key = f"{op}:{reason}"
         exits[key] = exits.get(key, 0) + 1
-        if op == "compute" and reason != "misaligned":
-            scalar = self._schedule.opcode(node).scalar
-            rows = zip(*[c.values.tolist() for c in ins])
-            values, lo, hi = _values_from_list([scalar(*row) for row in rows])
-            return [Column(ins[0].tags, values, lo, hi)]
         streams = [to_stream(c) for c in ins]
         if node is None:
             out = _TOKEN_STEPS[op](streams)
@@ -365,67 +304,56 @@ class ColumnarExecutor(Executor):
     def _op_compute(self, node: DFNode, ins: List[Column]) -> List[Column]:
         if not _align(ins):
             return self._exit("compute", ins, "misaligned", node)
-        for c in ins:
-            if c.values.dtype == object:
-                return self._exit("compute", ins, "object", node)
-        res = self._schedule.opcode(node).vector(ins)
-        if res is None:
-            return self._exit("compute", ins, "overflow", node)
-        values, lo, hi = res
-        return [Column(ins[0].tags, values, lo, hi)]
+        values = self._schedule.opcode(node).vector([c.values for c in ins])
+        if values is None:
+            return self._exit("compute", ins, "trap", node)
+        return [Column(ins[0].tags, values)]
 
     def _op_compute_run(self, run: ComputeRun, ins: List[Column]) -> List[Column]:
-        """Fire a :class:`ComputeRun`: one alignment and ``object`` check over
-        its external inputs, then each member's kernel called directly.
+        """Fire a :class:`ComputeRun`: one alignment check over its external
+        inputs, then each member's kernel called directly on value arrays.
 
-        Every member's link operands then share one structure and are
-        ``int64`` (a kernel only returns ``int64``), which is all
+        Every member's link operands then share one structure, which is all
         ``_op_compute`` checks per node.  From the first member whose kernel
-        returns ``None``, or from the first member when a check fails, the
-        members run through ``_op_compute``.  ``_run_graph`` counts every
-        member's firing; when a member raises, the ones after it are taken
-        back off, so ``node_firings`` is what node-by-node execution counts.
-        ``ins`` is the step's own list and becomes the run's slot list.
+        traps, or from the first member when the check fails, the members
+        run through ``_op_compute``.  ``_run_graph`` counts every member's
+        firing; when a member raises, the ones after it are taken back off,
+        so ``node_firings`` is what node-by-node execution counts.
         """
-        first_output = len(ins) + len(run.constants)
-        fast = _align(ins)
-        for c in ins:
-            if c.values.dtype == object:
-                fast = False
-                break
-        tags = ins[0].tags
-        ins += run.constants
-        members = run.members
+        constants, members = run.constants, run.members
+        first_output = len(ins) + len(constants)
+        outs: List[Column] = []
         k = 0
         try:
-            if fast:
+            if _align(ins):
+                slots = [c.values for c in ins] + constants
                 for _, vector, args, _ in members:
-                    res = vector([ins[j] for j in args])
-                    if res is None:
+                    values = vector([slots[j] for j in args])
+                    if values is None:
                         break
-                    ins.append(Column(tags, res[0], res[1], res[2]))
+                    slots.append(values)
                     k += 1
-            for node, _, _, links in members[k:]:
-                ins.append(self._op_compute(node, [ins[j] for j in links])[0])
-                k += 1
+                tags = ins[0].tags
+                outs = [Column(tags, v) for v in slots[first_output:]]
+            if k < len(members):
+                # Link operands are inputs and outputs, never a constant slot.
+                cols = ins + constants + outs
+                for node, _, _, links in members[k:]:
+                    cols.append(self._op_compute(node, [cols[j] for j in links])[0])
+                    k += 1
+                outs = cols[first_output:]
         except BaseException:
             # The step counted every member; the ones after member k never
             # fired.
             self.profile.node_firings["compute"] -= len(members) - k - 1
             raise
-        return ins[first_output:]
+        return outs
 
     def _op_const(self, node: DFNode, ins: List[Column]) -> List[Column]:
-        value = node.params["value"]
         s = ins[0]
-        n = s.n_data
-        if type(value) is int and fits_int64(value, value):
-            values = np.empty(n, np.int64)
-            values.fill(value)  # half the cost of np.full on short columns
-            return [Column(s.tags, values, value, value)]
-        arr = np.empty(n, dtype=object)
-        arr[:] = [value] * n
-        return [Column(s.tags, arr, None, None)]
+        values = np.empty(s.n_data, np.int64)
+        values.fill(node.params["value"])  # half the cost of np.full when short
+        return [Column(s.tags, values)]
 
     @staticmethod
     def _broadcast_column(outer: Column, inner: Column) -> Column:
@@ -436,32 +364,27 @@ class ColumnarExecutor(Executor):
         didx = idx[tags == 0]
         if didx.size and int(didx.max()) >= outer.n_data:
             raise PrimitiveError("broadcast ran out of outer elements")
-        return Column(tags, outer.values[didx], outer.lo, outer.hi)
+        return Column(tags, outer.values[didx])
 
     def _counter_columns(self, lo_c: Column, hi_c: Column, step_c: Column) -> Column:
         """``prim.counter``: expand each (lo, hi, step) row into a group."""
         cols = [lo_c, hi_c, step_c]
         if not _align(cols):
             return self._exit("counter", cols, "misaligned")[0]
-        if any(c.values.dtype == object for c in cols):
-            return self._exit("counter", cols, "object")[0]
-        sv = step_c.values
+        lov, hiv, sv = lo_c.values, hi_c.values, step_c.values
         if bool((sv == 0).any()):
             return self._exit("counter", cols, "zero_step")[0]
-        # Span arithmetic must stay exact in int64.
-        if not (
-            fits_int64(lo_c.lo - hi_c.hi, lo_c.hi - hi_c.lo)
-            and fits_int64(hi_c.lo - lo_c.hi, hi_c.hi - lo_c.lo)
-        ):
-            return self._exit("counter", cols, "overflow")[0]
+        # Every row's lo - hi (and its negation) must be exact in int64.
+        if len(lov):
+            (lo_min, lo_max), (hi_min, hi_max) = _span(lov), _span(hiv)
+            if max(hi_max - lo_min, lo_max - hi_min) > INT64_MAX:
+                return self._exit("counter", cols, "overflow")[0]
         tags = lo_c.tags
         bvals = tags[tags > 0]
         if bvals.size and int(bvals.max()) >= MAX_BARRIER_LEVEL:
             # A raised barrier would exceed the encoding.
             return self._exit("counter", cols, "level")[0]
-        lov, hiv = lo_c.values, hi_c.values
-        n = np.where(sv > 0, -((lov - hiv) // sv), -((hiv - lov) // (-sv)))
-        n = np.maximum(n, 0)
+        n = np.maximum(-((lov - hiv) // sv), 0)  # len(range(lo, hi, step))
         total_data = int(n.sum())
         data_mask = tags == 0
         reps = np.ones(len(tags), dtype=np.int64)
@@ -477,9 +400,7 @@ class ColumnarExecutor(Executor):
         values = np.repeat(lov, n) + np.repeat(sv, n) * (
             np.arange(total_data, dtype=np.int64) - np.repeat(offsets, n)
         )
-        return Column(
-            out_tags, values, min(lo_c.lo, hi_c.lo), max(lo_c.hi, hi_c.hi)
-        )
+        return Column(out_tags, values)
 
     def _op_filter(self, node: DFNode, ins: List[Column]) -> List[Column]:
         pred = ins[-1]
@@ -488,15 +409,13 @@ class ColumnarExecutor(Executor):
             # The token path reproduces exact errors (and exact quirks) for
             # malformed bundles.
             return self._exit("filter", ins, "misaligned", node)
-        keep_data = _truthy(pred.values)
+        keep_data = pred.values != 0
         tags = pred.tags
         data_mask = tags == 0
         full = ~data_mask
         full[data_mask] = keep_data
         new_tags = tags[full]
-        return [
-            Column(new_tags, c.values[keep_data], c.lo, c.hi) for c in data_cols
-        ]
+        return [Column(new_tags, c.values[keep_data]) for c in data_cols]
 
     def _partition_bundle(
         self, cols: Sequence[Column], pred: Column, empty_dropped: bool = True
@@ -510,22 +429,22 @@ class ColumnarExecutor(Executor):
         if not _align(bundle):
             out = self._exit("partition", bundle, "misaligned")
             return out[:len(cols)], out[len(cols):]
-        keep_data = _truthy(pred.values)
+        keep_data = pred.values != 0
         tags = pred.tags
         nk = int(np.count_nonzero(keep_data))
         # All-or-nothing turns dominate while drains (most turns no thread
         # exits; many `if` partitions are one-sided), so skip the fancy
         # indexing: the full side shares the input columns, the empty side
-        # is barriers-only with an empty same-dtype values view.
+        # is barriers-only with an empty values view.
         if nk == len(keep_data):
             if not empty_dropped:
                 return list(cols), None
             bar_tags = tags[tags != 0]
-            empty = [Column(bar_tags, c.values[:0], c.lo, c.hi) for c in cols]
+            empty = [Column(bar_tags, c.values[:0]) for c in cols]
             return list(cols), empty
         if nk == 0:
             bar_tags = tags[tags != 0]
-            empty = [Column(bar_tags, c.values[:0], c.lo, c.hi) for c in cols]
+            empty = [Column(bar_tags, c.values[:0]) for c in cols]
             return empty, list(cols)
         data_mask = tags == 0
         full_keep = ~data_mask
@@ -535,10 +454,8 @@ class ColumnarExecutor(Executor):
         drop_data = ~keep_data
         full_drop[data_mask] = drop_data
         dropped_tags = tags[full_drop]
-        kept = [Column(kept_tags, c.values[keep_data], c.lo, c.hi) for c in cols]
-        dropped = [
-            Column(dropped_tags, c.values[drop_data], c.lo, c.hi) for c in cols
-        ]
+        kept = [Column(kept_tags, c.values[keep_data]) for c in cols]
+        dropped = [Column(dropped_tags, c.values[drop_data]) for c in cols]
         return kept, dropped
 
     # -- forward merge ---------------------------------------------------------
@@ -602,26 +519,16 @@ class ColumnarExecutor(Executor):
             out_tags[bar_pos] = la
         outs: List[Column] = []
         for a, b in zip(a_cols, b_cols):
-            obj = a.values.dtype == object or b.values.dtype == object
-            if obj:
-                values = np.empty(na + nb, dtype=object)
-                values[idx_a] = a.values.tolist()
-                values[idx_b] = b.values.tolist()
-                lo = hi = None
-            else:
-                values = np.empty(na + nb, dtype=np.int64)
-                values[idx_a] = a.values
-                values[idx_b] = b.values
-                lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
-            outs.append(Column(out_tags, values, lo, hi))
+            values = np.empty(na + nb, dtype=np.int64)
+            values[idx_a] = a.values
+            values[idx_b] = b.values
+            outs.append(Column(out_tags, values))
         return outs
 
     def _op_fork(self, node: DFNode, ins: List[Column]) -> List[Column]:
         counts = ins[0]
         if not _align(ins):
             return self._exit("fork", ins, "misaligned", node)
-        if counts.values.dtype == object:
-            return self._exit("fork", ins, "object", node)
         if len(ins) > 1 and bool((counts.values < 0).any()):
             # fork_stream raises on a negative count with a payload.
             return self._exit("fork", ins, "negative", node)
@@ -639,11 +546,8 @@ class ColumnarExecutor(Executor):
             ends = np.cumsum(reps) - 1
             bmask = ~data_mask
             out_tags[ends[bmask]] = tags[bmask]
-        hi_idx = max(int(n.max()) - 1, 0) if n.size else 0
-        outs = [Column(out_tags, idx_vals, 0, hi_idx)]
-        for c in ins[1:]:
-            outs.append(Column(out_tags, np.repeat(c.values, n), c.lo, c.hi))
-        return outs
+        return [Column(out_tags, idx_vals)] + [
+            Column(out_tags, np.repeat(c.values, n)) for c in ins[1:]]
 
     # -- memory ops -----------------------------------------------------------
 
@@ -656,41 +560,37 @@ class ColumnarExecutor(Executor):
         else:
             tags = np.array([0, 1], dtype=np.uint8)
             n = 1
-        ptrs = self.memory.sram_alloc_many(site, words, max_buffers, n)
-        values, lo, hi = _values_from_list(ptrs)
-        return [Column(tags, values, lo, hi)]
+        return [Column(tags, self.memory.sram_alloc_many(site, words, max_buffers, n))]
 
     def _op_sram_free(self, node: DFNode, ins: List[Column]) -> List[Column]:
         site = node.params.get("site", "default")
         col = ins[0]
         self.memory.sram_free_many(site, col.values)
-        return [Column(col.tags, np.zeros(col.n_data, np.int64), 0, 0)]
+        return [Column(col.tags, np.zeros(col.n_data, np.int64))]
 
     def _op_sram_read(self, node: DFNode, ins: List[Column]) -> List[Column]:
         site = node.params.get("site", "default")
         col = ins[0]
-        return [_read_column(col.tags, self.memory.sram_read_many(
-            site, col.values, col.lo, col.hi))]
+        return [Column(col.tags, self.memory.sram_read_many(site, col.values))]
 
     def _op_sram_write(self, node: DFNode, ins: List[Column]) -> List[Column]:
         if not _align(ins):
             return self._exit(node.op, ins, "misaligned", node)
         site = node.params.get("site", "default")
         a, v = ins
-        self.memory.sram_write_many(site, a.values, v.values, a.lo, a.hi)
-        return [Column(a.tags, np.zeros(a.n_data, np.int64), 0, 0)]
+        self.memory.sram_write_many(site, a.values, v.values)
+        return [Column(a.tags, np.zeros(a.n_data, np.int64))]
 
     def _op_dram_read(self, node: DFNode, ins: List[Column]) -> List[Column]:
         col = ins[0]
-        return [_read_column(col.tags, self.memory.dram_read_many(
-            col.values, col.lo, col.hi))]
+        return [Column(col.tags, self.memory.dram_read_many(col.values))]
 
     def _op_dram_write(self, node: DFNode, ins: List[Column]) -> List[Column]:
         if not _align(ins):
             return self._exit(node.op, ins, "misaligned", node)
         a, v = ins
-        self.memory.dram_write_many(a.values, v.values, a.lo, a.hi)
-        return [Column(a.tags, np.zeros(a.n_data, np.int64), 0, 0)]
+        self.memory.dram_write_many(a.values, v.values)
+        return [Column(a.tags, np.zeros(a.n_data, np.int64))]
 
     def _op_bulk_load(self, node: DFNode, ins: List[Column]) -> List[Column]:
         if not _align(ins):
@@ -699,7 +599,7 @@ class ColumnarExecutor(Executor):
         size = node.params["size"]
         d, s = ins
         self.memory.bulk_load_many(site, d.values, s.values, size)
-        return [Column(d.tags, np.zeros(d.n_data, np.int64), 0, 0)]
+        return [Column(d.tags, np.zeros(d.n_data, np.int64))]
 
     def _op_bulk_store(self, node: DFNode, ins: List[Column]) -> List[Column]:
         if not _align(ins):
@@ -708,15 +608,11 @@ class ColumnarExecutor(Executor):
         size = node.params["size"]
         d, s = ins[0], ins[1]
         if len(ins) > 2:
-            counts = ins[2].values
-            if counts.dtype == object:
-                counts = [max(0, min(size, c)) for c in counts.tolist()]
-            else:
-                counts = np.clip(counts, 0, size)
+            counts = np.clip(ins[2].values, 0, size)
             self.memory.bulk_store_counted_many(site, d.values, s.values, counts)
         else:
             self.memory.bulk_store_many(site, d.values, s.values, size)
-        return [Column(d.tags, np.zeros(d.n_data, np.int64), 0, 0)]
+        return [Column(d.tags, np.zeros(d.n_data, np.int64))]
 
     # -- region ops -------------------------------------------------------------
 
@@ -755,7 +651,7 @@ class ColumnarExecutor(Executor):
             n = end - start
             gt = np.zeros(n + 1, np.uint8)
             gt[n] = 1
-            live = [Column(gt, c.values[start:end], c.lo, c.hi) for c in ins]
+            live = [Column(gt, c.values[start:end]) for c in ins]
             start = end
             exited = 0
             iterations = 0
@@ -791,13 +687,13 @@ class ColumnarExecutor(Executor):
                 live = []
                 for s in next_live:
                     if s.n_data == n_re:
-                        live.append(Column(gt2, s.values, s.lo, s.hi))
+                        live.append(Column(gt2, s.values))
                     else:
                         # Ragged body outputs surface as misalignment on the
                         # next turn, exactly as in the token path.
                         t = np.zeros(s.n_data + 1, np.uint8)
                         t[s.n_data] = 1
-                        live.append(Column(t, s.values, s.lo, s.hi))
+                        live.append(Column(t, s.values))
             group_counts.append(exited)
         if error is not None:
             raise error
@@ -816,21 +712,8 @@ class ColumnarExecutor(Executor):
         outs: List[Column] = []
         for i in range(width):
             chunks = out_chunks[i]
-            if not chunks:
-                outs.append(Column(out_tags, np.empty(0, np.int64), 0, 0))
-                continue
-            if any(c.dtype == object for c in chunks):
-                values = np.empty(sum(len(c) for c in chunks), dtype=object)
-                pos = 0
-                for c in chunks:
-                    items = c.tolist()
-                    values[pos:pos + len(items)] = items
-                    pos += len(items)
-                lo = hi = None
-            else:
-                values = np.concatenate(chunks)
-                lo, hi = _bounds_of(values)
-            outs.append(Column(out_tags, values, lo, hi))
+            values = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
+            outs.append(Column(out_tags, values))
         return outs
 
     def _op_if(self, node: DFNode, ins: List[Column]) -> List[Column]:

@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.core import primitives as prim
 from repro.core.graph import DFGraph, DFNode
 from repro.core.memory import MemorySystem
-from repro.core.opcodes import Immediate, Opcode, resolve
+from repro.core.opcodes import Opcode, immediate, is_word, resolve
 from repro.core.sltf import Barrier, Data, Stream, Token, encode
 from repro.errors import GraphError, PrimitiveError
 
@@ -93,17 +93,17 @@ class ComputeRun:
 
     Operands are numbered slots: the run's external input links (``inputs``,
     in first-use order), then its distinct immediates (``constants``, as
-    :class:`~repro.core.opcodes.Immediate` operands), then each member's
-    output.  ``members`` holds one ``(node, vector kernel, operand slots,
-    link operand slots)`` per node, in schedule order: the kernel is the
-    unbound table entry's, called with every operand in place.
+    0-d ``int64`` arrays), then each member's output.  ``members`` holds one
+    ``(node, vector kernel, operand slots, link operand slots)`` per node,
+    in schedule order: the kernel is the unbound table entry's, called with
+    every operand in place.
     """
 
     __slots__ = ("inputs", "constants", "members")
 
     def __init__(self, steps: Sequence[tuple]):
         self.inputs: List[int] = []
-        self.constants: List[Immediate] = []
+        self.constants: List[Any] = []
         external: Dict[int, int] = {}
         produced: Dict[int, int] = {}
         links_of = []
@@ -125,7 +125,7 @@ class ComputeRun:
             for _, value in node.params.get("imm", ()):
                 if value not in imm_slot:
                     imm_slot[value] = len(self.inputs) + len(self.constants)
-                    self.constants.append(Immediate(value))
+                    self.constants.append(immediate(value))
         first_output = len(self.inputs) + len(self.constants)
         self.members = []
         for (node, _, _, _), links in zip(steps, links_of):
@@ -193,8 +193,11 @@ class NodeSchedule:
                                [v.uid for v in graph.outputs])
         for node in graph.topo_order():
             self.ops.add(node.op)
-            if node.op == "compute":
+            if node.op == "const":
+                _check_words(node, (node.params.get("value"),))
+            elif node.op == "compute":
                 imm = node.params.get("imm", ())
+                _check_words(node, [value for _, value in imm])
                 self._opcodes[node.uid] = resolve(node.params.get("fn")).bind(
                     imm, len(node.inputs) + len(imm))
             for region in node.regions:
@@ -586,22 +589,34 @@ class Executor:
         return self._run_subgraph(body, ins)
 
 
+def _check_words(node: DFNode, values: Sequence[Any]) -> None:
+    """Raise :class:`GraphError` unless every one of ``values`` (a node's
+    constants) is an ``int64`` word."""
+    for value in values:
+        if not is_word(value):
+            raise GraphError(f"node {node!r} holds {value!r}, not an int64 word")
+
+
 def _as_stream(value: Any) -> Stream:
-    """Coerce user-provided input (stream or nested list) into a stream."""
-    if isinstance(value, list) and value and isinstance(value[0], (Data, Barrier)):
-        return list(value)
-    if isinstance(value, list) and not value:
-        return []
-    if isinstance(value, list):
+    """Coerce user-provided input (stream or nested list) into a stream of
+    ``int64`` words; any other value raises :class:`GraphError`."""
+    if not isinstance(value, list):
+        raise GraphError(
+            "graph inputs must be token streams or (nested) lists of values"
+        )
+    if value and isinstance(value[0], (Data, Barrier)):
+        stream = list(value)
+    else:
         rank = 1
         probe = value
         while probe and isinstance(probe[0], list):
             rank += 1
             probe = probe[0]
-        return encode(value, ndim=rank)
-    raise GraphError(
-        "graph inputs must be token streams or (nested) lists of values"
-    )
+        stream = encode(value, ndim=rank) if value else []
+    for tok in stream:
+        if type(tok) is Data and not is_word(tok.value):
+            raise GraphError(f"graph input value {tok.value!r} is not an int64 word")
+    return stream
 
 
 def run_graph(

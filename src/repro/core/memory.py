@@ -8,10 +8,11 @@ each corresponding to one fused allocator in the compiled program
 integer pointers, and reads/writes address ``ptr * buffer_size + offset``
 within the site's address space.
 
-Both hold their words in one ``int64`` array — DRAM over every allocated
-address, a site over the buffers it has handed out — plus a *spill* dict
-for any word the array cannot hold exactly: an address outside it, or a
-value outside ``int64``.  A word never written reads 0, wherever it is.
+A word is an ``int64`` (a Revet value, see :mod:`repro.core.opcodes`);
+writing any other value raises :class:`MachineError`.  Both hold their
+words in one ``int64`` array — DRAM over every allocated address, a site
+over the buffers it has handed out — plus a *spill* dict for the words at
+addresses outside it.  A word never written reads 0, wherever it is.
 
 All traffic is counted so the performance model can derive DRAM bandwidth
 utilization (Table IV's HBM2 columns) and the DRAM-bound throughput limits
@@ -100,7 +101,8 @@ class DRAMSegment:
 
 
 class _Words:
-    """``words`` (``int64``) plus ``spill``, whose entries override it."""
+    """``words`` (``int64``) plus ``spill`` (by address), whose entries
+    override it."""
 
     def __init__(self) -> None:
         self.words = np.zeros(0, np.int64)
@@ -112,23 +114,24 @@ class _Words:
         return int(self.words[addr]) if 0 <= addr < len(self.words) else 0
 
     def write(self, addr: int, value: int) -> None:
-        if 0 <= addr < len(self.words) and INT64_MIN <= value <= INT64_MAX:
+        if not INT64_MIN <= value <= INT64_MAX:
+            raise MachineError(f"{value} is not an int64 word")
+        if 0 <= addr < len(self.words):
             self.words[addr] = value
             if self.spill:
                 self.spill.pop(addr, None)
         else:
             self.spill[addr] = value
 
-    def holds(self, addrs: Any, lo=None, hi=None, width: int = 1) -> bool:
+    def holds(self, addrs: Any, width: int = 1) -> bool:
         """True when nothing is spilled and ``addrs`` is an ``int64`` array
-        whose every ``[addr, addr + width)`` lies in ``words``; ``lo``/``hi``
-        are valid bounds on it if known, tightened only when they refuse."""
+        whose every ``[addr, addr + width)`` lies in ``words``."""
         if self.spill or not _is_int64(addrs):
             return False
-        end = len(self.words) - width
-        if len(addrs) and (lo is None or lo < 0 or hi > end):
-            lo, hi = _span(addrs)
-        return not len(addrs) or 0 <= lo and hi <= end
+        if not len(addrs):
+            return True
+        lo, hi = _span(addrs)
+        return 0 <= lo and hi <= len(self.words) - width
 
     def span_list(self, start: int, stop: int) -> List[int]:
         """The words at ``[start, stop)``, as scalar reads return them."""
@@ -222,6 +225,12 @@ class MemorySystem:
         if name in self._segments:
             raise MachineError(f"DRAM segment '{name}' already exists")
         if data is not None:
+            try:
+                data = np.asarray(data, dtype=np.int64)
+            except (OverflowError, TypeError, ValueError):
+                raise MachineError(
+                    f"DRAM segment '{name}' given a value that is not an int64 word"
+                ) from None
             size = len(data) if size is None else size
             if len(data) > size:
                 raise MachineError(
@@ -244,11 +253,7 @@ class MemorySystem:
         widths = np.full(len(words), seg.element_bytes, np.uint8)
         self._word_bytes = np.concatenate((self._word_bytes, widths))
         if data is not None:
-            try:
-                dram.words[seg.base : seg.base + len(data)] = data
-            except (OverflowError, TypeError, ValueError):
-                for i, v in enumerate(data):
-                    dram.write(seg.base + i, int(v))
+            dram.words[seg.base : seg.base + len(data)] = data
         return seg
 
     def segment(self, name: str) -> DRAMSegment:
@@ -332,28 +337,25 @@ class MemorySystem:
     # -- batched accessors (columnar executor) -------------------------------
     #
     # Each *_many helper is observably identical to calling its scalar
-    # counterpart once per element.  When its addresses (and values) are
-    # int64 arrays inside the word arrays and nothing is spilled, it is one
-    # gather (returning an int64 array), scatter (the last write to an
-    # address wins) or tile copy, with the stats counted in bulk; ``lo`` and
-    # ``hi``, if given, are valid bounds on the addresses.  Otherwise it *is*
-    # the scalar loop, so a mid-batch error leaves the loop's effects.
+    # counterpart once per element, and a read returns an int64 array.  When
+    # its addresses (and values) are int64 arrays inside the word arrays and
+    # nothing is spilled, it is one gather, scatter (the last write to an
+    # address wins) or tile copy, with the stats counted in bulk.  Otherwise
+    # it *is* the scalar loop, so a mid-batch error leaves the loop's effects.
 
-    def dram_read_many(self, addrs: Sequence[int], lo=None, hi=None) -> Sequence[int]:
+    def dram_read_many(self, addrs: Sequence[int]) -> np.ndarray:
         """Batched :meth:`dram_read`."""
-        if not self._dram.holds(addrs, lo, hi):
-            return [self.dram_read(addr) for addr in _items(addrs)]
+        if not self._dram.holds(addrs):
+            return np.array([self.dram_read(a) for a in _items(addrs)], np.int64)
         self.stats.dram_reads += len(addrs)
         self.stats.dram_random_reads += len(addrs)
         self.stats.dram_read_bytes += self._dram_bytes(addrs)
         return self._dram.words[addrs]
 
-    def dram_write_many(
-        self, addrs: Sequence[int], values: Sequence[int], lo=None, hi=None
-    ) -> None:
+    def dram_write_many(self, addrs: Sequence[int], values: Sequence[int]) -> None:
         """Batched :meth:`dram_write`."""
         ok = _is_int64(values) and len(values) == len(addrs)
-        if not (ok and self._dram.holds(addrs, lo, hi)):
+        if not (ok and self._dram.holds(addrs)):
             for addr, value in zip(_items(addrs), _items(values)):
                 self.dram_write(addr, value)
             return
@@ -364,7 +366,7 @@ class MemorySystem:
 
     def sram_alloc_many(
         self, site_name: str, buffer_words: int, max_buffers: int, count: int
-    ) -> List[int]:
+    ) -> np.ndarray:
         """Allocate ``count`` buffers (batched :meth:`sram_alloc`)."""
         site = self.site(site_name, buffer_words, max_buffers)
         stats = self.stats
@@ -372,7 +374,7 @@ class MemorySystem:
         for _ in range(count):
             stats.allocations += 1
             out.append(site.alloc())
-        return out
+        return np.array(out, np.int64)
 
     def sram_free_many(self, site_name: str, ptrs: Sequence[int]) -> None:
         """Free many buffers (batched :meth:`sram_free`)."""
@@ -382,30 +384,25 @@ class MemorySystem:
             stats.frees += 1
             site.free(int(ptr))
 
-    def sram_read_many(
-        self, site_name: str, addrs: Sequence[int], lo=None, hi=None
-    ) -> Sequence[int]:
+    def sram_read_many(self, site_name: str, addrs: Sequence[int]) -> np.ndarray:
         """Batched :meth:`sram_read`."""
         # A scalar loop creates a missing site at its first access.
         site = self.site(site_name) if len(addrs) else None
-        if site is None or not site.holds(addrs, lo, hi):
-            return [self.sram_read(site_name, addr) for addr in _items(addrs)]
+        if site is None or not site.holds(addrs):
+            return np.array(
+                [self.sram_read(site_name, a) for a in _items(addrs)], np.int64
+            )
         self.stats.sram_reads += len(addrs)
         return site.words[addrs]
 
     def sram_write_many(
-        self,
-        site_name: str,
-        addrs: Sequence[int],
-        values: Sequence[int],
-        lo=None,
-        hi=None,
+        self, site_name: str, addrs: Sequence[int], values: Sequence[int]
     ) -> None:
         """Batched :meth:`sram_write`."""
         site = None
         if _is_int64(values) and len(values) == len(addrs) and len(addrs):
             site = self.site(site_name)
-        if site is None or not site.holds(addrs, lo, hi):
+        if site is None or not site.holds(addrs):
             for addr, value in zip(_items(addrs), _items(values)):
                 self.sram_write(site_name, addr, value)
             return

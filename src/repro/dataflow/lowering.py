@@ -30,7 +30,8 @@ when all of them would be immediates).  Any other reader — a memory op,
 yields, an ``if`` condition — gets one ``const`` node aligned to the scope's
 current ``struct_ref``, shared by every such reader of that value there.  An
 immediate never crosses a region op: a region that captures one binds it as
-an immediate too.  Only ``int64``-range ints are immediates.
+an immediate too.  Every constant is an ``int64`` word: the lexer's literal
+rule and ``canonicalize``'s wrapping folds keep it one.
 
 Within a graph, a ``compute`` with the opcode, immediates and input links of
 an earlier one is that node, and once the function is lowered a ``compute``
@@ -63,7 +64,6 @@ from repro.core.columnar import make_executor
 from repro.core.graph import DFGraph, DFNode, DFValue
 from repro.core.machine import LinkKind
 from repro.core.memory import MemorySystem
-from repro.core.opcodes import INT64_MAX, INT64_MIN
 from repro.errors import LoweringError
 from repro.ir import Module, Operation, Value
 from repro.ir.dialects.arith import BINOP_TO_OPCODE, CMP_TO_OPCODE
@@ -456,13 +456,7 @@ class DataflowLowering:
     def _lower_op(self, op: Operation, graph: DFGraph, scope: _Scope) -> None:
         name = op.name
         if name == "arith.constant":
-            value = op.attrs["value"]
-            if type(value) is int and INT64_MIN <= value <= INT64_MAX:
-                scope.imms[id(op.result())] = value
-            else:
-                self._bind_leaf(scope, op.result(), graph.add_node(
-                    "const", [scope.struct_ref], params={"value": value},
-                    name=op.result().name).outputs[0])
+            scope.imms[id(op.result())] = op.attrs["value"]
         elif name in BINOP_TO_OPCODE or name in ("arith.cmpi", "arith.select"):
             if name == "arith.cmpi":
                 opcode = CMP_TO_OPCODE[op.attrs["predicate"]]

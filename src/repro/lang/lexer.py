@@ -3,9 +3,10 @@
 The lexical grammar is ASCII and is stated once, as :data:`_TOKEN`: optional
 trivia (spaces, tabs, CR, LF, ``// ...`` and ``/* ... */``), then a hex or
 decimal literal over ``[0-9]``, an identifier ``[A-Za-z_][A-Za-z0-9_]*``, an
-operator (longest first), a character or a string literal.  Characters outside
-ASCII are legal only inside comments and literals; anywhere else (``²``,
-``٣``, ``é``) they are an ``unexpected character``.
+operator (longest first), a character or a string literal.  An integer
+literal is a 64-bit word (see :func:`_word`).  Characters outside ASCII are
+legal only inside comments and literals; anywhere else (``²``, ``٣``, ``é``)
+they are an ``unexpected character``.
 """
 
 from __future__ import annotations
@@ -128,11 +129,11 @@ def tokenize(source: str) -> List[Token]:
             word_kind = "keyword" if text in keywords else "ident"
             append(Token(word_kind, text, line, column))
         elif kind == "int":
-            append(Token("int", int(text), line, column))
+            append(Token("int", _word(text, 10, line, column), line, column))
         elif kind == "hex":
             if end - start == 2:
                 raise LexError("malformed hex literal", line, column)
-            append(Token("int", int(text, 16), line, column))
+            append(Token("int", _word(text, 16, line, column), line, column))
         elif kind == "eof":
             append(Token("eof", None, line, column))
             break
@@ -154,6 +155,17 @@ def tokenize(source: str) -> List[Token]:
         else:
             raise LexError(f"unexpected character {text!r}", line, column)
     return tokens
+
+
+def _word(text: str, base: int, line: int, column: int) -> int:
+    """An integer literal's 64-bit word: a value in ``[2**63, 2**64)`` is its
+    two's complement (``0xffffffffffffffff`` is -1); a larger one is an error."""
+    digits = text[2:] if base == 16 else text
+    # Twenty digits hold any 64-bit value; ``int`` refuses a very long string.
+    value = int(digits, base) if len(digits.lstrip("0")) <= 20 else 1 << 64
+    if value >> 64:
+        raise LexError(f"integer literal {text} does not fit in 64 bits", line, column)
+    return value - (value >> 63 << 64)
 
 
 def _unescape(match: "re.Match[str]", literal: str, line: int, column: int) -> str:

@@ -51,7 +51,7 @@ class CanonicalizePass(Pass):
                 opcode = BINOP_TO_OPCODE[op.name]
             try:
                 return OPCODES[opcode].scalar(*values)
-            except ZeroDivisionError:
+            except (ZeroDivisionError, ValueError):  # it traps at run time
                 return None
         return None
 

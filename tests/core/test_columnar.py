@@ -17,6 +17,7 @@ from repro.core.columnar import ColumnarExecutor, make_executor
 from repro.core.executor import Executor
 from repro.core.graph import DFGraph
 from repro.core.sltf import data_values
+from repro.errors import GraphError
 
 
 class TestExecutorSelection:
@@ -48,9 +49,9 @@ def _run_both(program, make_instance):
     fresh node uids, so auto-generated labels/link names would differ and
     mask (or fake) real divergence.
 
-    The columnar run must also leave the vector path only row-wise inside
-    ``compute`` (``compute:overflow`` / ``compute:object``), never for a
-    token primitive.
+    The columnar run must also never leave the vector path: a compiled
+    program's values are int64 words, so no kernel traps and no bundle is
+    misaligned.
     """
     states = {}
     for executor in ("token", "columnar"):
@@ -58,8 +59,7 @@ def _run_both(program, make_instance):
         runner = program.run(instance.memory, profile=True,
                              executor=executor, **instance.args)
         if executor == "columnar":
-            exits = runner.profile.vector_exits
-            assert all(key.startswith("compute:") for key in exits), exits
+            assert runner.profile.vector_exits == {}
         states[executor] = (
             instance.memory.snapshot(),
             _profile_state(runner.profile),
@@ -120,9 +120,9 @@ def test_opcodes_no_revet_source_reaches():
     """``ashr``/``min``/``max``/``neg``/``copy``/``land``/``lor`` kernels.
 
     The frontend lowers to none of them, so a hand-built graph is the only
-    way in.  Columns mix small, negative, int64-edge and beyond-int64 values:
-    the vector kernel, its overflow bail-out and the object-dtype fallback
-    must all equal the token executor.
+    way in.  Columns mix small, negative and int64-edge values, and the
+    vector kernels must equal the token executor; a value beyond int64 is
+    no word, and both executors refuse it at the graph input.
     """
     graph = DFGraph("opcodes")
     a, b, shift = (graph.add_input(name) for name in ("a", "b", "shift"))
@@ -136,7 +136,6 @@ def test_opcodes_no_revet_source_reaches():
         "small": ([3, 0, 7, 1], [0, 0, 2, 9]),
         "negative": ([-5, -1, 0, 6], [-7, 2, 0, -6]),
         "int64 edge": ([-2**63, 2**63 - 1, 2**62, -1], [1, -2**63, 0, 2**62]),
-        "beyond int64": ([2**70, -2**65, 1, 0], [0, 2**64, -2**80, 5]),
     }
     for label, (a_values, b_values) in columns.items():
         inputs = {"a": a_values, "b": b_values, "shift": [0, 1, 5, 63]}
@@ -147,6 +146,11 @@ def test_opcodes_no_revet_source_reaches():
         assert runs["columnar"] == runs["token"], label
         for stream in runs["columnar"][0].values():
             assert all(type(v) is int for v in data_values(stream)), label
+    beyond = {"a": [2**70, -2**65, 1, 0], "b": [0, 2**64, -2**80, 5],
+              "shift": [0, 1, 5, 63]}
+    for executor in ("token", "columnar"):
+        with pytest.raises(GraphError, match="1180591620717411303424 is not an int64 word"):
+            make_executor(graph, executor=executor).run(beyond)
 
 
 # -- property-style fuzz over random straight-line bodies -------------------
@@ -205,8 +209,7 @@ def test_fuzz_straight_line_parity(seed):
     """Random straight-line graphs agree bit-for-bit across executors.
 
     Inputs mix small, huge (> int64 after a few multiplies), and negative
-    values so both the vectorized int64 path and the exact-Python overflow
-    fallback get exercised.
+    values, so both executors wrap to int64 in every arithmetic opcode.
     """
     from repro.compiler import compile_source
     from repro.core.memory import MemorySystem
@@ -251,21 +254,13 @@ def test_fuzz_straight_line_parity(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_div_rem_bounds_contain_exact_results(seed):
-    """The vector kernels equal Python's ``//`` and ``%`` row by row and
-    their proven bounds contain every result, for each divisor sign class."""
+def test_div_rem_kernels_by_divisor_sign(seed):
+    """The vector kernels equal the scalar ``//`` and ``%`` row by row, for
+    each divisor sign class."""
     import numpy as np
-    from repro.core.columnar import Column
     from repro.core.opcodes import OPCODES
 
-    div, rem = OPCODES["div"].vector, OPCODES["rem"].vector
-
     rng = random.Random(seed)
-
-    def column(values):
-        tags = np.zeros(len(values), np.uint8)
-        return Column(tags, np.array(values, np.int64), min(values), max(values))
-
     span = rng.choice([5, 40, 2**31, 2**62])
     dividends = {"mixed": [rng.randint(-span, span) for _ in range(64)],
                  "non-negative": [rng.randint(0, span) for _ in range(64)]}
@@ -275,13 +270,7 @@ def test_div_rem_bounds_contain_exact_results(seed):
                 "mixed": [rng.choice([-1, 1]) * m for m in magnitudes]}
     for a in dividends.values():
         for b in divisors.values():
-            for kernel, exact in ((div, lambda x, y: x // y),
-                                  (rem, lambda x, y: x % y)):
-                values, lo, hi = kernel([column(a), column(b)])
-                expected = [exact(x, y) for x, y in zip(a, b)]
-                assert values.tolist() == expected
-                assert lo <= min(expected) and max(expected) <= hi
-    # What huff-dec's inner loop needs: word >> (31 - bitpos % 32) is a
-    # provably legal shift.
-    _, lo, hi = rem([column(dividends["non-negative"]), column([32] * 64)])
-    assert (lo, hi) == (0, min(31, max(dividends["non-negative"])))
+            for fn in ("div", "rem"):
+                scalar, vector = OPCODES[fn]
+                values = vector([np.array(a, np.int64), np.array(b, np.int64)])
+                assert values.tolist() == [scalar(x, y) for x, y in zip(a, b)]

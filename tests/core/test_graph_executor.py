@@ -7,7 +7,7 @@ from repro.core.executor import (ComputeRun, Executor, NodeSchedule, run_graph,
                                  schedule_for, unzip_stream, zip_streams)
 from repro.core.graph import DFGraph, DFNode
 from repro.core.memory import MemorySystem
-from repro.core.opcodes import OPCODES
+from repro.core.opcodes import INT64_MAX, INT64_MIN, OPCODES
 from repro.core.sltf import Barrier as B, Data as D, data_values, decode, encode
 from repro.errors import GraphError, PrimitiveError, SLTFError
 
@@ -135,7 +135,7 @@ class TestVerifyRecursesIntoRegions:
 
 class _HandBuiltGraphs:
     """Hand-built graphs reach what no Revet source lowers to (a ``fork``
-    over literal streams, malformed bundles, wide or beyond-int64 values).
+    over literal streams, malformed bundles, int64-edge values).
     The ``*Columnar`` subclasses below rerun every case under the other
     executor.
     """
@@ -646,16 +646,11 @@ def _filtered_and_whole(arm, a, b):
 EXIT_CASES = {
     "compute:misaligned": (build_leaf_graph("compute", 2, {"fn": "add"}),
                            {"in0": [D(1), D(2), B(1)], "in1": [D(1), B(1), D(2)]}),
-    "compute:overflow": (build_leaf_graph("compute", 2, {"fn": "add"}),
-                         {"in0": [2**62, 1], "in1": [2**62, 2]}),
-    "compute:object": (build_leaf_graph("compute", 2, {"fn": "and"}),
-                       {"in0": [2**70 + 5, 6], "in1": [3, 2**64]}),
+    "compute:trap": (build_leaf_graph("compute", 2, {"fn": "shl"}),
+                     {"in0": [1, 1], "in1": [3, -1]}),
     "filter:misaligned": (build_leaf_graph("filter", 2),
                           {"in0": [D(1), D(2), B(1)], "in1": [D(1), B(1), D(0)]}),
     "fork:misaligned": (build_leaf_graph("fork", 2, num_outputs=2), MISALIGNED),
-    # A bool count is an ``object`` column; range(True) is one child.
-    "fork:object": (build_leaf_graph("fork", 2, num_outputs=2),
-                    {"in0": [True, 2], "in1": [7, 9]}),
     "fork:negative": (build_leaf_graph("fork", 2, num_outputs=2),
                       {"in0": [2, -1], "in1": [7, 9]}),
     "sram_write:misaligned": (build_leaf_graph("sram_write", 2, {"site": "buf"}),
@@ -667,14 +662,13 @@ EXIT_CASES = {
                               MISALIGNED),
     "counter:misaligned": (build_foreach_counter_graph(),
                            {"lo": [D(0), B(1)], "hi": [B(1), D(3)], "step": [1]}),
-    "counter:object": (build_foreach_counter_graph(),
-                       {"lo": [0], "hi": [3], "step": [True]}),
     "counter:zero_step": (build_foreach_counter_graph(),
                           {"lo": [0, 0], "hi": [3, 3], "step": [1, 0]}),
-    # Each row's range is small, but the column bounds' span is 2**63.
+    # hi - lo is 2**64 - 1 in the first row, which int64 cannot hold; its
+    # step makes it four children.
     "counter:overflow": (build_foreach_counter_graph(),
-                         {"lo": [2**62, -2**62, 0], "hi": [2**62, -2**62, 3],
-                          "step": [1, 1, 1]}),
+                         {"lo": [INT64_MIN, 0], "hi": [INT64_MAX, 3],
+                          "step": [2**62, 1]}),
     # Raising a level-15 barrier would exceed the 4-bit encoding.
     "counter:level": (build_foreach_counter_graph(),
                       {"lo": [D(0), B(15)], "hi": [D(2), B(15)],
@@ -699,12 +693,41 @@ def test_vector_exit_reason(key):
         ex = make_executor(graph, executor=executor, memory=memory)
         try:
             result = ex.run(inputs)
-        except (PrimitiveError, SLTFError) as error:
+        except (PrimitiveError, SLTFError, ValueError) as error:
             result = (type(error), str(error))
         outcomes[executor] = (result, memory.snapshot()["dram"], vars(memory.stats))
         exits[executor] = ex.profile.vector_exits
     assert outcomes["columnar"] == outcomes["token"]
     assert exits == {"token": {}, "columnar": {key: 1}}
+
+
+#: The inputs of the exit reasons that served bigints and ``bool`` values:
+#: an int64 sum now wraps on the vector path, and anything that is not an
+#: int64 word is refused at the graph input.
+RETIRED_EXIT_CASES = {
+    "compute:overflow": (build_leaf_graph("compute", 2, {"fn": "add"}),
+                         {"in0": [2**62, 1], "in1": [2**62, 2]}, [INT64_MIN, 3]),
+    "compute:object": (build_leaf_graph("compute", 2, {"fn": "and"}),
+                       {"in0": [2**70 + 5, 6], "in1": [3, 2**64]}, GraphError),
+    "fork:object": (build_leaf_graph("fork", 2, num_outputs=2),
+                    {"in0": [True, 2], "in1": [7, 9]}, GraphError),
+    "counter:object": (build_foreach_counter_graph(),
+                       {"lo": [0], "hi": [3], "step": [True]}, GraphError),
+}
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED_EXIT_CASES))
+@pytest.mark.parametrize("executor", ["token", "columnar"])
+def test_retired_exit_inputs_wrap_or_are_refused(key, executor):
+    graph, inputs, expected = RETIRED_EXIT_CASES[key]
+    ex = make_executor(graph, executor=executor, memory=MemorySystem())
+    if expected is GraphError:
+        with pytest.raises(GraphError, match="is not an int64 word"):
+            ex.run(inputs)
+        return
+    (out,) = ex.run(inputs).values()
+    assert data_values(out) == expected
+    assert ex.profile.vector_exits == {}
 
 
 class TestExecutorFastPath:
@@ -827,7 +850,7 @@ def run_token_and_columnar(graph, inputs):
         ex = make_executor(graph, executor=executor, memory=memory)
         try:
             result = ex.run(inputs)
-        except (ArithmeticError, PrimitiveError) as error:
+        except (ArithmeticError, PrimitiveError, ValueError) as error:
             result = (type(error), str(error))
         outcomes[executor] = (result, memory.snapshot()["dram"], vars(memory.stats),
                               ex.profile.node_firings, ex.profile.vector_exits)
@@ -851,7 +874,7 @@ class TestImmediates:
             {"in0": [7, 8]})
         assert outcomes["columnar"][:4] == outcomes["token"][:4]
         assert outcomes["token"][0][0] is ZeroDivisionError
-        assert outcomes["columnar"][4] == {"compute:overflow": 1}
+        assert outcomes["columnar"][4] == {"compute:trap": 1}
 
     def test_immediate_dividend_and_divisor_positions(self):
         g = build_compute_chain(("sub", ((0, 100),)), ("div", ((1, 7),)),
@@ -862,23 +885,26 @@ class TestImmediates:
         assert data_values(out) == [9 % ((100 - x) // 7) for x in (1, 30, 60)]
         assert outcomes["columnar"][4] == {}
 
-    def test_mul_by_a_large_immediate_leaves_the_vector_path_exactly(self):
+    def test_mul_by_a_large_immediate_wraps_on_the_vector_path(self):
         outcomes = run_token_and_columnar(
             build_leaf_graph("compute", 1, {"fn": "mul", "imm": ((1, 2**40),)}),
-            {"in0": [3, 2**30, -(2**31)]})
+            {"in0": [3, 2**30, -(2**31), 2**30 + 5]})
         assert outcomes["columnar"][:4] == outcomes["token"][:4]
         (out,) = outcomes["token"][0].values()
-        assert data_values(out) == [3 * 2**40, 2**70, -(2**71)]
-        assert outcomes["columnar"][4] == {"compute:overflow": 1}
+        # 2**70 and -(2**71) keep no bit of the low 64.
+        assert data_values(out) == [3 * 2**40, 0, 0, 5 * 2**40]
+        assert outcomes["columnar"][4] == {}
 
-    def test_an_object_column_meets_an_immediate(self):
-        outcomes = run_token_and_columnar(
-            build_leaf_graph("compute", 1, {"fn": "and", "imm": ((0, 6),)}),
-            {"in0": [2**70 + 5, 3]})
+    def test_an_int64_edge_column_meets_an_immediate(self):
+        graph = build_leaf_graph("compute", 1, {"fn": "and", "imm": ((0, 6),)})
+        outcomes = run_token_and_columnar(graph, {"in0": [INT64_MIN + 5, 3, -1]})
         assert outcomes["columnar"][:4] == outcomes["token"][:4]
         (out,) = outcomes["token"][0].values()
-        assert data_values(out) == [4, 2]
-        assert outcomes["columnar"][4] == {"compute:object": 1}
+        assert data_values(out) == [4, 2, 6]
+        assert outcomes["columnar"][4] == {}
+        for executor in ("token", "columnar"):  # 2**70 + 5 is no word
+            with pytest.raises(GraphError, match="is not an int64 word"):
+                make_executor(graph, executor=executor).run({"in0": [2**70 + 5, 3]})
 
     def test_a_misaligned_fused_run_fails_as_one_node_does(self):
         """``TestMalformedGraphs.test_compute_on_misaligned_streams``'s
@@ -893,25 +919,37 @@ class TestImmediates:
             PrimitiveError, "element-wise inputs misaligned at [D(2), B1]")
         assert outcomes["columnar"][4] == {"compute:misaligned": 1}
 
-    def test_a_run_that_overflows_mid_run_matches_node_by_node(self, monkeypatch):
-        """The ``mul`` cannot prove its result, so it and every later
-        member leave the vector path, each counted as if fired alone."""
-        steps = (("add", ((1, 1),)), ("mul", ((1, 2**40),)),
+    def test_a_run_that_wrapped_to_object_values_stays_on_the_vector_path(self):
+        """These steps once left the vector path at the ``mul`` and carried
+        ``object`` values after it; every member now wraps."""
+        g = build_compute_chain(("add", ((1, 1),)), ("mul", ((1, 2**40),)),
+                                ("sub", ((1, 1),)), ("add", ((0, 1),)))
+        assert fused_runs(g) == [4]
+        outcomes = run_token_and_columnar(
+            g, {"in0": [D(2**30), D(5), B(1), D(-7), B(2)]})
+        assert outcomes["columnar"][:4] == outcomes["token"][:4]
+        (out,) = outcomes["token"][0].values()
+        assert data_values(out) == [2**40, 6 * 2**40, -6 * 2**40]
+        assert outcomes["columnar"][3:] == ({"compute": 4}, {})
+
+    def test_a_run_that_traps_mid_run_matches_node_by_node(self, monkeypatch):
+        """The ``shl`` meets a negative count, so it leaves the vector path
+        and raises; the members after it never fire, as if fired alone."""
+        steps = (("add", ((1, 1),)), ("shl", ((0, 1),)),
                  ("sub", ((1, 1),)), ("add", ((0, 1),)))
         g = build_compute_chain(*steps)
         assert fused_runs(g) == [4]
-        inputs = {"in0": [D(2**30), D(5), B(1), D(-7), B(2)]}
+        inputs = {"in0": [D(2), D(5), B(1), D(-7), B(2)]}
         outcomes = run_token_and_columnar(g, inputs)
         assert outcomes["columnar"][:4] == outcomes["token"][:4]
-        assert outcomes["columnar"][3] == {"compute": 4}
-        expected_exits = {"compute:overflow": 1, "compute:object": 2}
-        assert outcomes["columnar"][4] == expected_exits
+        assert outcomes["token"][0] == (ValueError, "negative shift count")
+        assert outcomes["columnar"][3] == {"compute": 2}
+        assert outcomes["columnar"][4] == {"compute:trap": 1}
         # The same nodes scheduled one step each leave the same way.
         monkeypatch.setattr(NodeSchedule, "_group", lambda self, steps: steps)
         alone = make_executor(build_compute_chain(*steps), executor="columnar")
         assert fused_runs(alone.graph) == []
-        assert (list(alone.run(inputs).values())
-                == list(outcomes["columnar"][0].values()))
-        assert alone.profile.node_firings == {"compute": 4}
-        assert alone.profile.vector_exits == expected_exits
-
+        with pytest.raises(ValueError, match="negative shift count"):
+            alone.run(inputs)
+        assert alone.profile.node_firings == {"compute": 2}
+        assert alone.profile.vector_exits == {"compute:trap": 1}

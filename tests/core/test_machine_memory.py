@@ -150,6 +150,26 @@ class TestMemorySystem:
         assert site.high_water == 2
         assert site.words_in_use == 8
 
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2**70])
+    def test_a_value_outside_int64_is_refused(self, value):
+        """A word is an int64: no write spills a wider value any more."""
+        mem = MemorySystem()
+        with pytest.raises(MachineError, match="'a' given a value that is not an"):
+            mem.dram_alloc("a", data=[1, value])
+        with pytest.raises(MachineError, match="'t' given a value that is not an"):
+            mem.load_bytes("t", [104, value])  # a payload that is not bytes
+        with pytest.raises(MachineError, match="unknown DRAM segment 'a'"):
+            mem.segment("a")
+        seg = mem.dram_alloc("b", data=[5, 6])
+        for write in (lambda: mem.dram_write(seg.base, value),
+                      lambda: mem.sram_write("s", 0, value),
+                      lambda: mem.dram_write_many([seg.base + 1, seg.base], [7, value])):
+            with pytest.raises(MachineError, match=f"^{value} is not an int64 word$"):
+                write()
+        assert mem.segment_data("b") == [5, 7]
+        assert mem.site("s").read(0) == 0
+        assert not mem._dram.spill and not mem.site("s").spill
+
     def test_stats_reset(self):
         mem = MemorySystem()
         mem.dram_alloc("a", data=[1])
@@ -290,8 +310,9 @@ def _in_range_script(mem, addrs):
 
 def _spill_script(mem, addrs):
     """After the in-range batches: addresses one word past the end, values
-    beyond int64, then gap and negative addresses — words the arrays cannot
-    hold — written and read back."""
+    beyond int64 (refused with the accesses before them done), then gap and
+    negative addresses — words the arrays cannot hold — written and read
+    back."""
     ints, text, tail = (mem.segment(name).base for name in ("ints", "text", "tail"))
     return _in_range_script(mem, addrs) + [
         # One word past the end: read as 0, through the scalar loop.
@@ -299,13 +320,13 @@ def _spill_script(mem, addrs):
         ("sram_read_many", ("s", [0, 32])),
         ("bulk_load_many", ("tile", [tail + 1], [24], 3)),
         ("bulk_store_many", ("tile", [tail], [30], 3)),
-        ("dram_write_many", ([ints + 2], [2**70])),
+        ("dram_write_many", ([ints + 1, ints + 2], [3, 2**70])),
         ("dram_read_many", ([ints + 2, ints + 1],)),
         ("bulk_load_many", ("tile", [ints], [24], 4)),
         ("bulk_store_many", ("tile", [text], [24], 4)),
         ("dram_write_many", ([ints + 2, text + 2], [5, 6])),
         ("dram_read_many", ([ints + 2, text, text + 2],)),
-        ("sram_write_many", ("s", [4], [-(2**64)])),
+        ("sram_write_many", ("s", [3, 4], [9, -(2**63) - 1])),
         ("sram_read_many", ("s", [4, 3])),
         ("dram_write_many", ([tail + 40, -1], [1, 2])),
         ("dram_read_many", ([tail + 40, -1, -17, ints],)),
@@ -361,11 +382,10 @@ class TestBatchedAccessors:
             assert (_outcome(lambda: getattr(mem, name)(*_as_arrays(args)))
                     == _outcome(lambda: scalar[name](*args))), name
         ints = np.array([mem.segment("ints").base + 3, 0], dtype=np.int64)
-        loose = (-(2**40), 2**40)  # valid bounds, tightened before they refuse
-        assert mem.dram_read_many(ints, *loose).tolist() == [13, 0]
-        mem.dram_write_many(ints, np.array([4, 5], dtype=np.int64), *loose)
-        assert mem.sram_read_many("s", ints[::-1], *loose).tolist() == [0, 3]
-        mem.sram_write_many("s", ints[::-1], np.array([1, 2], dtype=np.int64), *loose)
+        assert mem.dram_read_many(ints).tolist() == [13, 0]
+        mem.dram_write_many(ints, np.array([4, 5], dtype=np.int64))
+        assert mem.sram_read_many("s", ints[::-1]).tolist() == [0, 3]
+        mem.sram_write_many("s", ints[::-1], np.array([1, 2], dtype=np.int64))
         assert (mem.segment_data("ints")[3], mem.site("s").read(3)) == (4, 2)
         assert not mem._dram.spill and not mem.site("s").spill
 

@@ -26,6 +26,24 @@ class TestLexer:
         values = [t.value for t in tokens[:-1]]
         assert values == [255, ord("a"), ord("\n"), 0]
 
+    @pytest.mark.parametrize("text,value", [
+        ("9223372036854775807", 2**63 - 1),
+        ("9223372036854775808", -(2**63)),
+        ("0xffffffffffffffff", -1),
+        ("18446744073709551615", -1),
+        ("0x8000000000000000", -(2**63)),
+        ("000000000000000000000000042", 42),
+    ])
+    def test_an_integer_literal_is_a_64_bit_word(self, text, value):
+        assert tokenize(text)[0].value == value
+
+    @pytest.mark.parametrize("text", [
+        "18446744073709551616", "0x10000000000000000", "9" * 5000,
+    ], ids=["2**64", "hex-2**64", "5000-digits"])
+    def test_an_integer_literal_beyond_64_bits_is_an_error(self, text):
+        with pytest.raises(LexError, match="^1:3: integer literal .* does not fit"):
+            tokenize(f"  {text};")
+
     def test_multichar_operators(self):
         tokens = tokenize("a => b == c != d <= e >= f && g || h << i >> j ++ --")
         ops = [t.value for t in tokens if t.kind == "op"]

@@ -147,6 +147,47 @@ class TestSmallPrograms:
         expected = [v * 10 if v % 2 == 0 else v + 1 for v in data]
         assert memory.segment_data("out") == expected
 
+    @pytest.mark.parametrize("executor", ["token", "columnar"])
+    def test_values_are_64_bit_words(self, executor):
+        """Literals are words and arithmetic wraps, folded or not."""
+        src = """
+        DRAM<int> data;
+        DRAM<int> out;
+        void main(int n) {
+          foreach (n) { int i =>
+            int x = data[i];
+            out[i * 4] = x + 0x7fffffffffffffff;
+            out[i * 4 + 1] = x * 0xcc9e2d51 & 0xffffffff;
+            out[i * 4 + 2] = 0xffffffffffffffff;
+            out[i * 4 + 3] = 9223372036854775807 + 1;
+          };
+        }
+        """
+        data = [1, 0xFFFFFFFF, -1]
+        memory = MemorySystem()
+        memory.dram_alloc("data", data=data)
+        memory.dram_alloc("out", size=4 * len(data))
+        compile_source(src).run(memory, executor=executor, n=len(data))
+        expected = []
+        for x in data:
+            wrapped = (x + 2**63 - 1 + 2**63) % 2**64 - 2**63
+            expected += [wrapped, x * 0xCC9E2D51 & 0xFFFFFFFF, -1, -(2**63)]
+        assert memory.segment_data("out") == expected
+
+    @pytest.mark.parametrize("executor", ["token", "columnar"])
+    def test_a_constant_negative_shift_is_not_folded_but_traps(self, executor):
+        src = """
+        DRAM<int> out;
+        void main(int n) {
+          foreach (n) { int i => out[i] = 1 << -1; };
+        }
+        """
+        program = compile_source(src)
+        memory = MemorySystem()
+        memory.dram_alloc("out", size=2)
+        with pytest.raises(ValueError, match="negative shift count"):
+            program.run(memory, executor=executor, n=2)
+
     def test_fork_based_expansion(self):
         src = """
         DRAM<int> counts;
