@@ -10,8 +10,7 @@ Aurochs (no thread-local SRAM, no nested foreach).
 from repro.apps import REGISTRY
 from repro.baselines.aurochs import AurochsModel
 from repro.baselines.gpu import GPUModel
-from repro.dataflow.resources import estimate_resources
-from repro.sim.perf_model import VRDAPerformanceModel, WorkloadProfile
+from repro.sim.perf_model import VRDAPerformanceModel, model_inputs
 
 
 def main() -> None:
@@ -19,20 +18,20 @@ def main() -> None:
     threads = 12
     instance = spec.generate(threads, seed=7)
     program = spec.compile()
-    program.run(instance.memory, profile=True, **instance.args)
+    run = program.run(instance.memory, profile=True, **instance.args)
 
     expected = spec.reference(instance)
     actual = instance.memory.segment_data("out")[: len(expected)]
     print("query results match brute force:", actual == expected)
     print("counts:", actual)
 
-    resources = estimate_resources(program, app_name="kD-tree", max_outer=5)
+    # The run's traffic and trip counts, and the placed resources (Table
+    # IV's outer-parallelism cap of 5), are what the model reads.
+    profile, resources = model_inputs(
+        spec, program, instance.memory.stats, run.profile.loop_iterations,
+        threads, max_outer=5)
     print("resources:", resources.as_row())
 
-    profile = WorkloadProfile.from_run(
-        instance.memory.stats, threads=threads,
-        app_bytes_per_thread=spec.bytes_per_thread,
-        iterations=spec.avg_iterations_per_thread)
     model = VRDAPerformanceModel()
     report = model.throughput("kD-tree", profile, resources)
     print("vRDA model   : %.1f GB/s" % report.throughput_gbs)

@@ -36,7 +36,7 @@ def main() -> None:
     print("output:", memory.segment_data("out"))
     print("dataflow nodes:", sum(1 for _ in program.graph.walk()))
     print("DRAM traffic  :", memory.stats.dram_total_bytes, "bytes")
-    print("links profiled:", len(executor.profile.link_stats))
+    print("node firings  :", sum(executor.profile.node_firings.values()))
 
 
 if __name__ == "__main__":

@@ -28,12 +28,12 @@ Bit-identity contract
 
 A columnar run must be indistinguishable from a token run: identical
 output streams, identical memory contents and :class:`MemoryStats`
-counters, identical profile counts (``node_firings``, ``loop_iterations``,
-link histograms), and identical exception types/messages on malformed
-input.  Both apply one opcode table (:mod:`repro.core.opcodes`), whose
-kernels wrap exactly as its scalars do; a firing whose kernel traps (a
-zero divisor, a negative shift count) or whose bundle is misaligned leaves
-the vector path — correctness never depends on the fast path firing.
+counters, identical profile counts (``node_firings``, ``loop_iterations``),
+and identical exception types/messages on malformed input.  Both apply one
+opcode table (:mod:`repro.core.opcodes`), whose kernels wrap exactly as its
+scalars do; a firing whose kernel traps (a zero divisor, a negative shift
+count) or whose bundle is misaligned leaves the vector path — correctness
+never depends on the fast path firing.
 
 Where compiled programs leave the vector path
 ---------------------------------------------
@@ -55,8 +55,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import primitives as prim
-from repro.core.executor import (ComputeRun, Executor, LinkProfile, _as_stream,
-                                 merge_bundles)
+from repro.core.executor import ComputeRun, Executor, _as_stream, merge_bundles
 from repro.core.graph import DFGraph, DFNode
 from repro.core.memory import MemorySystem, _span
 from repro.core.opcodes import INT64_MAX
@@ -200,21 +199,11 @@ class ColumnarExecutor(Executor):
     the module docstring for the bit-identity contract).
     """
 
-    def __init__(
-        self,
-        graph: DFGraph,
-        memory: Optional[MemorySystem] = None,
-        link_stats: bool = True,
-    ):
-        super().__init__(graph, memory=memory, link_stats=link_stats)
-        #: id(tags) -> (tags, barrier count): loop turns reuse one shared
-        #: tags object across every column of the bundle, so link stats
-        #: can skip recounting.  Entries hold a strong reference, so a
-        #: cached id can never alias a different (dead) array.
-        self._tag_counts: Dict[int, tuple] = {}
-        #: id(graph) -> (graph, grouped steps with pre-resolved handlers,
-        #: firing counts and output uids); graphs are kept alive by the
-        #: tuple so ids cannot alias.
+    def __init__(self, graph: DFGraph, memory: Optional[MemorySystem] = None):
+        super().__init__(graph, memory=memory)
+        #: id(graph) -> (graph, grouped steps with pre-resolved handlers and
+        #: firing counts); graphs are kept alive by the tuple so ids cannot
+        #: alias.
         self._bound_steps: Dict[int, tuple] = {}
 
     # -- public API ---------------------------------------------------------
@@ -230,51 +219,29 @@ class ColumnarExecutor(Executor):
         outputs = self._run_graph(self.graph, env)
         return {v.name: to_stream(outputs[v.uid]) for v in self.graph.outputs}
 
-    # -- graph walk (column-aware link stats) --------------------------------
+    # -- graph walk -----------------------------------------------------------
 
     def _run_graph(self, graph: DFGraph, env: Dict[int, Any]) -> Dict[int, Any]:
-        profile = self.profile
-        firings = profile.node_firings
-        handlers = self._handlers
-        collect_links = self.collect_link_stats
-        link_stats = profile.link_stats
-        tag_counts = self._tag_counts
-        if len(tag_counts) > 4096:
-            tag_counts.clear()
+        firings = self.profile.node_firings
         bound = self._bound_steps.get(id(graph))
         if bound is None or bound[0] is not graph:
             steps = []
-            for node, op, in_uids, outputs in self._schedule.runs(graph):
+            for node, op, in_uids, out_uids in self._schedule.runs(graph):
                 run = type(node) is ComputeRun
-                steps.append((self._op_compute_run if run else handlers[op], node,
-                              op, len(outputs) if run else 1, in_uids, outputs,
-                              [v.uid for v in outputs]))
+                steps.append((self._op_compute_run if run else self._handlers[op],
+                              node, op, len(out_uids) if run else 1, in_uids,
+                              out_uids))
             bound = self._bound_steps[id(graph)] = (graph, steps)
-        for handler, node, op, fired, in_uids, outputs, out_uids in bound[1]:
+        for handler, node, op, fired, in_uids, out_uids in bound[1]:
             in_cols = [env[uid] for uid in in_uids]
             firings[op] = firings.get(op, 0) + fired
             out_cols = handler(node, in_cols)
             if len(out_cols) != len(out_uids):
                 raise GraphError(
                     f"node {node!r} produced {len(out_cols)} streams, "
-                    f"expected {len(outputs)}"
+                    f"expected {len(out_uids)}"
                 )
             env.update(zip(out_uids, out_cols))
-            if collect_links:
-                for value, col in zip(outputs, out_cols):
-                    tags = col.tags
-                    hit = tag_counts.get(id(tags))
-                    if hit is not None and hit[0] is tags:
-                        barriers = hit[1]
-                    else:
-                        barriers = int(np.count_nonzero(tags))
-                        tag_counts[id(tags)] = (tags, barriers)
-                    name = value.name
-                    lp = link_stats.get(name)
-                    if lp is None:
-                        lp = link_stats[name] = LinkProfile()
-                    lp.barriers += barriers
-                    lp.elements += len(tags) - barriers
         return env
 
     # -- the one way off the vector path ----------------------------------------

@@ -7,10 +7,11 @@ topological order, using the streaming primitives of
 ``replicate``) are executed recursively; memory operations act on a shared
 :class:`repro.core.memory.MemorySystem`.
 
-The executor also gathers per-link statistics (element counts, barrier
-counts, trip counts) in an :class:`ExecutionProfile`.  The cycle-level
-performance model consumes this profile to derive throughput, which is how
-the paper's ``runtime = size / throughput + init`` evaluation model is
+The executor also counts node firings and ``while`` trip counts in an
+:class:`ExecutionProfile`.  The performance model
+(:func:`repro.sim.perf_model.model_inputs`) reads the trip counts, with the
+memory system's traffic counters, to derive throughput, which is how the
+paper's ``runtime = size / throughput + init`` evaluation model is
 reproduced without re-running token-level timing for full-size datasets.
 
 Serving fast path
@@ -26,9 +27,7 @@ each ``compute`` node's :mod:`repro.core.opcodes` entry with its immediates
 bound, and each maximal run of consecutive ``compute`` steps as one
 :class:`ComputeRun` — and is cached per graph (keyed on the graph's
 structural version), so every executor over the same compiled program
-shares one schedule.  Link statistics are optional per run
-(``link_stats=False``): the serving tier only consumes loop trip counts, not
-per-link histograms.
+shares one schedule.
 """
 
 from __future__ import annotations
@@ -46,28 +45,8 @@ from repro.errors import GraphError, PrimitiveError
 
 
 @dataclass
-class LinkProfile:
-    """Dynamic statistics for one SLTF link."""
-
-    elements: int = 0
-    barriers: int = 0
-
-    def record(self, stream: Sequence[Token]) -> None:
-        # One pass computes both counts; tokens are only Data or Barrier.
-        elements = 0
-        barriers = 0
-        for tok in stream:
-            if isinstance(tok, Barrier):
-                barriers += 1
-            else:
-                elements += 1
-        self.elements += elements
-        self.barriers += barriers
-
-
-@dataclass
 class ExecutionProfile:
-    """Per-link and per-node statistics gathered by the executor.
+    """Per-node and per-loop counts gathered by the executor.
 
     ``vector_exits`` counts the firings in which the columnar executor left
     its whole-array path, keyed ``"<op>:<reason>"`` (see
@@ -75,13 +54,9 @@ class ExecutionProfile:
     leaves it empty.
     """
 
-    link_stats: Dict[str, LinkProfile] = field(default_factory=dict)
     node_firings: Dict[str, int] = field(default_factory=dict)
     loop_iterations: Dict[str, int] = field(default_factory=dict)
     vector_exits: Dict[str, int] = field(default_factory=dict)
-
-    def record_link(self, name: str, stream: Sequence[Token]) -> None:
-        self.link_stats.setdefault(name, LinkProfile()).record(stream)
 
     def record_loop(self, label: str, iterations: int) -> None:
         self.loop_iterations[label] = self.loop_iterations.get(label, 0) + iterations
@@ -107,7 +82,7 @@ class ComputeRun:
         external: Dict[int, int] = {}
         produced: Dict[int, int] = {}
         links_of = []
-        for k, (node, _, in_uids, outputs) in enumerate(steps):
+        for k, (node, _, in_uids, out_uids) in enumerate(steps):
             links = []
             for uid in in_uids:
                 if uid in produced:
@@ -119,7 +94,7 @@ class ComputeRun:
                     self.inputs.append(uid)
                 links.append(external[uid])
             links_of.append(links)
-            produced[outputs[0].uid] = k
+            produced[out_uids[0]] = k
         imm_slot: Dict[int, int] = {}
         for node, _, _, _ in steps:
             for _, value in node.params.get("imm", ()):
@@ -208,7 +183,7 @@ class NodeSchedule:
     def _group(self, steps: List[tuple]) -> List[tuple]:
         """``steps`` with each maximal run of two or more consecutive
         ``compute`` steps replaced by one ``(run, "compute", in_uids,
-        outputs)`` step over a :class:`ComputeRun`."""
+        out_uids)`` step over a :class:`ComputeRun`."""
         grouped: List[tuple] = []
         run: List[tuple] = []
         for step in steps + [None]:
@@ -228,10 +203,11 @@ class NodeSchedule:
 
     @staticmethod
     def _prepare(graph: DFGraph) -> List[tuple]:
-        """One ``(node, op, input_uids, outputs)`` step per node in topo
+        """One ``(node, op, input_uids, output_uids)`` step per node in topo
         order, so the run loop chases no attributes per firing."""
         return [
-            (node, node.op, [v.uid for v in node.inputs], node.outputs)
+            (node, node.op, [v.uid for v in node.inputs],
+             [v.uid for v in node.outputs])
             for node in graph.topo_order()
         ]
 
@@ -319,12 +295,10 @@ class Executor:
         self,
         graph: DFGraph,
         memory: Optional[MemorySystem] = None,
-        link_stats: bool = True,
     ):
         self.graph = graph
         self.memory = memory if memory is not None else MemorySystem()
         self.profile = ExecutionProfile()
-        self.collect_link_stats = link_stats
         self._schedule = schedule_for(graph)
         # Handler table resolved once per executor (bound methods), not once
         # per node firing.
@@ -353,23 +327,18 @@ class Executor:
     # -- graph / node evaluation ---------------------------------------------
 
     def _run_graph(self, graph: DFGraph, env: Dict[int, Stream]) -> Dict[int, Stream]:
-        profile = self.profile
-        firings = profile.node_firings
+        firings = self.profile.node_firings
         handlers = self._handlers
-        collect_links = self.collect_link_stats
-        for node, op, in_uids, outputs in self._schedule.steps(graph):
+        for node, op, in_uids, out_uids in self._schedule.steps(graph):
             in_streams = [env[uid] for uid in in_uids]
             firings[op] = firings.get(op, 0) + 1
             out_streams = handlers[op](node, in_streams)
-            if len(out_streams) != len(outputs):
+            if len(out_streams) != len(out_uids):
                 raise GraphError(
                     f"node {node!r} produced {len(out_streams)} streams, "
-                    f"expected {len(outputs)}"
+                    f"expected {len(out_uids)}"
                 )
-            for value, stream in zip(outputs, out_streams):
-                env[value.uid] = stream
-                if collect_links:
-                    profile.record_link(value.name, stream)
+            env.update(zip(out_uids, out_streams))
         return env
 
     def _run_subgraph(self, graph: DFGraph, inputs: Sequence[Stream]) -> List[Stream]:

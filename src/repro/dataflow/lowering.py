@@ -287,7 +287,8 @@ class CompiledProgram:
         default_factory=dict, repr=False, compare=False)
 
     def run(self, memory: MemorySystem, *, profile: bool = False,
-            link_stats: bool = True, executor: Optional[str] = None,
+            executor: Optional[str] = None,
+            link_stats: bool = False,  # ignored; ROADMAP item 1(f) removes it
             **args: int):
         """Execute the program on ``memory`` with scalar arguments ``args``.
 
@@ -300,13 +301,10 @@ class CompiledProgram:
         (the vectorized numpy backend that serves every request) or
         ``"token"`` (the per-token reference interpreter the parity tests
         and ``bench/layers.py`` compare against).  Both are bit-identical —
-        same outputs, memory contents, traffic counters, and profile.
-
-        ``link_stats=False`` skips the per-link element/barrier histograms
-        (node firings and loop trip counts are still collected) — the
-        serving fast path, which only consumes trip counts.  The node
-        schedule itself is precompiled once per program and shared by every
-        run (see :func:`repro.core.executor.schedule_for`).
+        same outputs, memory contents, traffic counters, and profile (node
+        firings and ``while`` trip counts).  The node schedule is
+        precompiled once per program and shared by every run (see
+        :func:`repro.core.executor.schedule_for`).
         """
         inputs: Dict[str, Any] = {}
         for name in self.arg_names:
@@ -315,9 +313,7 @@ class CompiledProgram:
             inputs[name] = [args[name]]
         for name in self.dram_names:
             inputs[f"__dram_{name}"] = [memory.segment(name).base]
-        runner = make_executor(
-            self.graph, executor=executor, memory=memory, link_stats=link_stats
-        )
+        runner = make_executor(self.graph, executor=executor, memory=memory)
         outputs = runner.run(inputs)
         return runner if profile else outputs
 

@@ -16,11 +16,16 @@ from repro.eval import (
     table5_summary,
 )
 
+
+def _table5(rows) -> str:
+    """Table V and its geomean summary, from one run of the rows."""
+    return format_rows(rows) + "\n\n" + str(table5_summary(rows))
+
+
 EXPERIMENTS = {
     "table3": lambda: format_rows(table3_applications()),
     "table4": lambda: format_rows(table4_resources()),
-    "table5": lambda: format_rows(table5_performance()) + "\n\n"
-    + str(table5_summary()),
+    "table5": lambda: _table5(table5_performance()),
     "fig12": lambda: format_rows(fig12_optimization_impact()),
     "fig13": lambda: format_rows(fig13_hierarchy_removal()),
     "fig14": lambda: format_rows(fig14_load_balancing()),

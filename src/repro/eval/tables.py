@@ -17,8 +17,7 @@ from repro.apps.base import AppSpec
 from repro.baselines.cpu import CPUModel
 from repro.baselines.gpu import GPUModel
 from repro.core.machine import DEFAULT_MACHINE, V100_AREA_MM2, MachineConfig
-from repro.dataflow.resources import estimate_resources
-from repro.sim.perf_model import VRDAPerformanceModel, WorkloadProfile
+from repro.sim.perf_model import VRDAPerformanceModel, model_inputs
 
 #: Outer-parallelism caps taken from Table IV (the paper scales each app to
 #: ~70% utilization of its critical resource; we cap at its reported values
@@ -31,22 +30,18 @@ PAPER_OUTER_PARALLELISM = {
 _SMALL_THREADS = 8
 
 
-def _measure(spec: AppSpec, n_threads: int = _SMALL_THREADS, seed: int = 0):
-    """Compile + run a small instance; return (program, executor, instance)."""
-    instance = spec.generate(n_threads, seed)
+def _measure(spec: AppSpec, machine: MachineConfig):
+    """Compile and run a small instance of ``spec``; return the instance's
+    traffic counters and the model's inputs for it (Table IV's outer
+    parallelism cap applied)."""
+    instance = spec.generate(_SMALL_THREADS, 0)
     program = spec.compile()
-    executor = program.run(instance.memory, profile=True, **instance.args)
-    return program, executor, instance
-
-
-def _profile_for(spec: AppSpec, executor, instance, n_threads: int) -> WorkloadProfile:
-    iterations = sum(executor.profile.loop_iterations.values()) or 1
-    return WorkloadProfile.from_run(
-        instance.memory.stats,
-        threads=n_threads,
-        app_bytes_per_thread=spec.bytes_per_thread,
-        iterations=max(1.0, iterations / n_threads),
-    )
+    run = program.run(instance.memory, profile=True, **instance.args)
+    stats = instance.memory.stats
+    profile, breakdown = model_inputs(
+        spec, program, stats, run.profile.loop_iterations, _SMALL_THREADS,
+        max_outer=PAPER_OUTER_PARALLELISM.get(spec.name), machine=machine)
+    return stats, profile, breakdown
 
 
 def table3_applications() -> List[Dict]:
@@ -70,15 +65,9 @@ def table4_resources(apps: Optional[List[str]] = None,
     rows = []
     model = VRDAPerformanceModel(machine)
     for name in apps or TABLE3_APPS:
-        spec = REGISTRY.get(name)
-        program, executor, instance = _measure(spec)
-        breakdown = estimate_resources(
-            program, app_name=name, replicate_factor=spec.replicate_factor,
-            machine=machine, max_outer=PAPER_OUTER_PARALLELISM.get(name))
-        profile = _profile_for(spec, executor, instance, _SMALL_THREADS)
+        stats, profile, breakdown = _measure(REGISTRY.get(name), machine)
         report = model.throughput(name, profile, breakdown)
         row = breakdown.as_row()
-        stats = instance.memory.stats
         total_bytes = max(1, stats.dram_total_bytes)
         row["hbm2_read_%"] = round(100 * report.dram_utilization
                                    * stats.dram_read_bytes / total_bytes, 1)
@@ -98,11 +87,7 @@ def table5_performance(apps: Optional[List[str]] = None,
     rows = []
     for name in apps or TABLE3_APPS:
         spec = REGISTRY.get(name)
-        program, executor, instance = _measure(spec)
-        breakdown = estimate_resources(
-            program, app_name=name, replicate_factor=spec.replicate_factor,
-            machine=machine, max_outer=PAPER_OUTER_PARALLELISM.get(name))
-        profile = _profile_for(spec, executor, instance, _SMALL_THREADS)
+        _, profile, breakdown = _measure(spec, machine)
         revet = model.throughput(name, profile, breakdown)
         ideal = model.ideal_speedups(name, profile, breakdown)
         gpu_gbs = gpu.throughput_gbs(spec)

@@ -31,18 +31,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.apps.base import AppInstance, AppSpec, REGISTRY
 from repro.compiler import CompileOptions
-from repro.core.machine import DEFAULT_MACHINE
 from repro.core.memory import MemorySystem
 from repro.dataflow.lowering import CompiledProgram
-from repro.dataflow.resources import estimate_resources
 from repro.errors import ReproError
 from repro.runtime.cache import CacheStats, LRUCache, ProgramCache
 from repro.runtime.telemetry import MetricsRegistry
-from repro.sim.perf_model import (
-    ThroughputReport,
-    VRDAPerformanceModel,
-    WorkloadProfile,
-)
+from repro.sim.perf_model import ThroughputReport, VRDAPerformanceModel, model_inputs
 
 #: Per-request init term of the modeled latency ``size / throughput + init``.
 INIT_LATENCY_S = 1e-4
@@ -272,10 +266,7 @@ def execute(program: CompiledProgram, request: Request) -> Dict[str, Any]:
     else:
         raise EngineError(
             "raw-source requests must provide a pre-staged 'memory'")
-    # The serving path only consumes loop trip counts from the profile;
-    # per-link histograms are skipped (the executor's cold fast path).
-    run = program.run(instance.memory, profile=True, link_stats=False,
-                      **instance.args)
+    run = program.run(instance.memory, profile=True, **instance.args)
 
     outputs: Optional[List[int]] = None
     correct: Optional[bool] = None
@@ -290,18 +281,10 @@ def execute(program: CompiledProgram, request: Request) -> Dict[str, Any]:
         if spec.reference is not None and request.memory is None:
             expected = spec.reference(instance)
             correct = outputs is not None and outputs[:len(expected)] == expected
-        iterations = sum(run.profile.loop_iterations.values()) or 1
-        profile = WorkloadProfile.from_run(
-            instance.memory.stats,
-            threads=request.n_threads,
-            app_bytes_per_thread=spec.bytes_per_thread,
-            iterations=max(1.0, iterations / max(1, request.n_threads)),
-        )
-        resources = estimate_resources(
-            program, app_name=spec.name,
-            replicate_factor=spec.replicate_factor, machine=DEFAULT_MACHINE)
-        report = VRDAPerformanceModel(DEFAULT_MACHINE).throughput(
-            spec.name, profile, resources)
+        profile, resources = model_inputs(
+            spec, program, instance.memory.stats, run.profile.loop_iterations,
+            request.n_threads)
+        report = VRDAPerformanceModel().throughput(spec.name, profile, resources)
     gbs = report.throughput_gbs if report else 1.0
     if instance.total_bytes:
         size = float(instance.total_bytes)

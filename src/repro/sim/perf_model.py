@@ -14,7 +14,9 @@ bottleneck among:
 
 DRAM traffic and iteration counts are *measured* by running the functional
 executor on a scaled-down instance (the executor profile), then applied to
-the paper-scale dataset per the runtime model above.  The ``ideal_*`` flags
+the paper-scale dataset per the runtime model above.  :func:`model_inputs`
+turns one run into the model's inputs; the serving engine and the
+evaluation tables both price runs through it.  The ``ideal_*`` flags
 reproduce Table V's D / SN / SND ideal-model columns by removing the
 corresponding bottleneck.
 """
@@ -22,11 +24,11 @@ corresponding bottleneck.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional, Tuple
 
 from repro.core.machine import DEFAULT_MACHINE, MachineConfig
 from repro.core.memory import MemoryStats
-from repro.dataflow.resources import ResourceBreakdown
+from repro.dataflow.resources import ResourceBreakdown, estimate_resources
 
 
 @dataclass
@@ -54,6 +56,25 @@ class WorkloadProfile:
             iterations_per_thread=max(iterations, 1.0),
             pipeline_ops_per_iteration=pipeline_ops_per_iteration,
         )
+
+
+def model_inputs(spec, program, stats: MemoryStats,
+                 loop_iterations: Dict[str, int], n_threads: int, *,
+                 max_outer: Optional[int] = None,
+                 machine: MachineConfig = DEFAULT_MACHINE
+                 ) -> Tuple[WorkloadProfile, ResourceBreakdown]:
+    """What the model reads of one run of ``spec``'s compiled ``program``
+    over ``n_threads`` threads: its traffic ``stats`` and ``while`` trip
+    counts as a :class:`WorkloadProfile`, and the program's placed
+    resources (cached per program by ``estimate_resources``)."""
+    iterations = sum(loop_iterations.values()) or 1
+    profile = WorkloadProfile.from_run(
+        stats, threads=n_threads, app_bytes_per_thread=spec.bytes_per_thread,
+        iterations=max(1.0, iterations / max(1, n_threads)))
+    resources = estimate_resources(
+        program, app_name=spec.name, replicate_factor=spec.replicate_factor,
+        machine=machine, max_outer=max_outer)
+    return profile, resources
 
 
 @dataclass

@@ -35,8 +35,6 @@ class TestExecutorSelection:
 
 def _profile_state(profile):
     return {
-        "links": {name: (lp.elements, lp.barriers)
-                  for name, lp in profile.link_stats.items()},
         "firings": dict(profile.node_firings),
         "loops": dict(profile.loop_iterations),
     }

@@ -210,12 +210,11 @@ class TestExecutorBasics(_HandBuiltGraphs):
         assert data_values(out[f.outputs[0].name]) == [0, 1, 0]
         assert data_values(out[f.outputs[1].name]) == [7, 7, 9]
 
-    def test_profile_records_links_and_firings(self):
+    def test_profile_records_firings(self):
         g = build_add_one_graph()
         ex = make_executor(g, executor=self.executor)
         ex.run({"x": [1, 2, 3]})
-        assert ex.profile.node_firings["compute"] == 1
-        assert any(p.elements == 3 for p in ex.profile.link_stats.values())
+        assert ex.profile.node_firings == {"const": 1, "compute": 1}
 
 
 class TestMemoryNodes(_HandBuiltGraphs):
@@ -731,23 +730,7 @@ def test_retired_exit_inputs_wrap_or_are_refused(key, executor):
 
 
 class TestExecutorFastPath:
-    """The serving fast path: node schedules, light profiles, LinkProfile."""
-
-    def test_link_profile_single_pass_counts(self):
-        from repro.core.executor import LinkProfile
-        from repro.core.sltf import Barrier, Data
-
-        profile = LinkProfile()
-        profile.record([Data(1), Data(2), Barrier(1), Data(3), Barrier(2)])
-        assert profile.elements == 3
-        assert profile.barriers == 2
-        # Counts accumulate across records (the executor calls once per link
-        # per node firing).
-        profile.record([Barrier(1)])
-        assert profile.elements == 3
-        assert profile.barriers == 3
-        profile.record([])
-        assert (profile.elements, profile.barriers) == (3, 3)
+    """The serving fast path: node schedules shared by every executor."""
 
     def test_schedule_cached_until_graph_mutates(self):
         from repro.core.executor import schedule_for
@@ -800,14 +783,6 @@ class TestExecutorFastPath:
         compute = next(n for n in g.nodes if n.op == "compute")
         assert schedule.opcode(compute) is OPCODES["add"]
         assert {"const", "compute"} <= schedule.ops
-
-    def test_link_stats_optional_per_run(self):
-        g = build_add_one_graph()
-        ex = Executor(g, link_stats=False)
-        out = ex.run({"x": [1, 2, 3]})
-        assert data_values(out["y"]) == [2, 3, 4]
-        assert ex.profile.link_stats == {}          # skipped
-        assert ex.profile.node_firings["compute"] == 1  # still collected
 
     def test_executors_share_one_schedule(self):
         g = build_add_one_graph()

@@ -301,5 +301,5 @@ class TestSmallPrograms:
         memory.dram_alloc("out", size=4)
         program = compile_source(src)
         executor = program.run(memory, n=4, profile=True)
-        assert any(p.elements for p in executor.profile.link_stats.values())
+        assert executor.profile.node_firings.get("compute")
         assert any(executor.profile.loop_iterations.values())
