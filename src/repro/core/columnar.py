@@ -21,7 +21,20 @@ over the group's still-live rows.  A program compiled without hierarchy
 elimination therefore drains one narrow group per outer thread (``strlen``
 at 128 threads: about 125 ms against 14 ms flattened).  The remedy is the
 compiler pass, which hands the loop every thread in one group; the
-executor does not re-derive that at run time.
+executor does not re-derive that at run time.  Each group is one
+barrier group of ``n`` rows, so the ``if`` partitions and merges inside a
+loop split and join it by row numbers and one concatenation, without the
+tag arithmetic a bundle of several groups takes.
+
+Generated regions
+-----------------
+
+From a program's second columnar run (``GENERATED_FROM_RUN``, counted on
+its :class:`~repro.core.executor.NodeSchedule`) each of its graphs runs as
+one generated Python function: the links live in locals, and each step
+counts its firings and calls its handler, as ``_run_graph`` does.  A first
+run, which is all a cold request makes, interprets: generating costs
+about one compile.
 
 Bit-identity contract
 ---------------------
@@ -55,7 +68,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import primitives as prim
-from repro.core.executor import ComputeRun, Executor, _as_stream, merge_bundles
+from repro.core.executor import (
+    ComputeRun, Executor, NodeSchedule, _as_stream, _wrong_inputs, _wrong_outputs,
+    merge_bundles)
 from repro.core.graph import DFGraph, DFNode
 from repro.core.memory import MemorySystem, _span
 from repro.core.opcodes import INT64_MAX
@@ -150,6 +165,13 @@ def _align(cols: Sequence["Column"]) -> bool:
     return True
 
 
+def _group_tags(n: int) -> np.ndarray:
+    """The tags of one barrier group: ``n`` data rows, then a level-1 barrier."""
+    tags = np.zeros(n + 1, np.uint8)
+    tags[n] = 1
+    return tags
+
+
 def _token_at(col: "Column", j: int):
     """Reconstruct the token at stream position ``j`` (error paths only)."""
     tag = int(col.tags[j])
@@ -187,6 +209,59 @@ _TOKEN_STEPS: Dict[str, Callable[[List[Stream]], List[Stream]]] = {
 
 
 # ---------------------------------------------------------------------------
+# Generated regions
+# ---------------------------------------------------------------------------
+
+#: The columnar run of a program (counted on its :class:`NodeSchedule`)
+#: from which its graphs run generated code.  A first run never does:
+#: generating costs about one compile, and a cold request runs once.
+GENERATED_FROM_RUN = 2
+
+
+def _generate(schedule: NodeSchedule, graph: DFGraph):
+    """One Python function ``region(executor, inputs) -> outputs`` that runs
+    ``schedule.runs(graph)`` as ``_run_graph`` does, with every link in a
+    local: each step counts its firings, then calls its handler.
+
+    Returns ``False`` for a graph whose outputs name a link nothing in it
+    defines, which the interpreter runs (and fails) as before.
+    """
+    in_uids, out_uids = schedule.io(graph)
+    defined = set(in_uids)
+    nodes: Dict[str, Any] = {}
+
+    def links(uids):
+        return "".join(f"v{uid}, " for uid in uids)
+
+    handlers: Dict[str, str] = {}
+    body = []
+    for k, (node, op, ins, outs) in enumerate(schedule.runs(graph)):
+        nodes[f"n{k}"] = node
+        run = type(node) is ComputeRun
+        handler = handlers.setdefault(
+            "ex._op_compute_run" if run else f"ex._handlers[{op!r}]",
+            f"h{len(handlers)}")
+        body += [f"    F[{op!r}] = F.get({op!r}, 0) + {len(outs) if run else 1}",
+                 f"    o = {handler}(n{k}, [{links(ins)}])",
+                 f"    if len(o) != {len(outs)}:",
+                 f"        _wrong_outputs(n{k}, o, {len(outs)})",
+                 f"    [{links(outs)}] = o"]
+        defined.update(outs)
+    if not defined.issuperset(out_uids):
+        return False
+    lines = ["def region(ex, ins):",
+             f"    if len(ins) != {len(in_uids)}:",
+             f"        _wrong_inputs({graph.name!r}, {len(in_uids)}, ins)",
+             f"    [{links(in_uids)}] = ins",
+             "    F = ex.profile.node_firings"]
+    lines += [f"    {name} = {handler}" for handler, name in handlers.items()]
+    lines += body + [f"    return [{links(out_uids)}]"]
+    namespace = dict(nodes, _wrong_inputs=_wrong_inputs, _wrong_outputs=_wrong_outputs)
+    exec(compile("\n".join(lines), f"<region {graph.name}>", "exec"), namespace)
+    return namespace["region"]
+
+
+# ---------------------------------------------------------------------------
 # The executor
 # ---------------------------------------------------------------------------
 
@@ -205,21 +280,40 @@ class ColumnarExecutor(Executor):
         #: firing counts); graphs are kept alive by the tuple so ids cannot
         #: alias.
         self._bound_steps: Dict[int, tuple] = {}
+        #: The schedule's generated region functions once this run is
+        #: warm (see :func:`_generate`); ``None`` interprets every graph.
+        self._generated: Optional[Dict[int, Any]] = None
 
     # -- public API ---------------------------------------------------------
 
     def run(self, inputs: Optional[Dict[str, Any]] = None) -> Dict[str, Stream]:
         """Execute the graph; same contract as :meth:`Executor.run`."""
         inputs = inputs or {}
-        env: Dict[int, Column] = {}
+        cols: List[Column] = []
         for value in self.graph.inputs:
             if value.name not in inputs:
                 raise GraphError(f"missing input stream '{value.name}'")
-            env[value.uid] = from_stream(_as_stream(inputs[value.name]))
-        outputs = self._run_graph(self.graph, env)
-        return {v.name: to_stream(outputs[v.uid]) for v in self.graph.outputs}
+            cols.append(from_stream(_as_stream(inputs[value.name])))
+        schedule = self._schedule
+        # Runs on two threads may race here; a lost count or a function
+        # generated twice only moves when the program starts generated code.
+        schedule.columnar_runs += 1
+        if schedule.columnar_runs >= GENERATED_FROM_RUN:
+            self._generated = schedule.generated
+        outputs = self._run_subgraph(self.graph, cols)
+        return {v.name: to_stream(c) for v, c in zip(self.graph.outputs, outputs)}
 
     # -- graph walk -----------------------------------------------------------
+
+    def _run_subgraph(self, graph: DFGraph, inputs: Sequence[Column]) -> List[Column]:
+        generated = self._generated
+        if generated is not None:
+            region = generated.get(id(graph))
+            if region is None:
+                region = generated[id(graph)] = _generate(self._schedule, graph)
+            if region:
+                return region(self, inputs)
+        return super()._run_subgraph(graph, inputs)
 
     def _run_graph(self, graph: DFGraph, env: Dict[int, Any]) -> Dict[int, Any]:
         firings = self.profile.node_firings
@@ -237,10 +331,7 @@ class ColumnarExecutor(Executor):
             firings[op] = firings.get(op, 0) + fired
             out_cols = handler(node, in_cols)
             if len(out_cols) != len(out_uids):
-                raise GraphError(
-                    f"node {node!r} produced {len(out_cols)} streams, "
-                    f"expected {len(out_uids)}"
-                )
+                _wrong_outputs(node, out_cols, len(out_uids))
             env.update(zip(out_uids, out_cols))
         return env
 
@@ -413,16 +504,23 @@ class ColumnarExecutor(Executor):
             bar_tags = tags[tags != 0]
             empty = [Column(bar_tags, c.values[:0]) for c in cols]
             return empty, list(cols)
-        data_mask = tags == 0
-        full_keep = ~data_mask
-        full_keep[data_mask] = keep_data
-        kept_tags = tags[full_keep]
-        full_drop = ~data_mask
         drop_data = ~keep_data
-        full_drop[data_mask] = drop_data
-        dropped_tags = tags[full_drop]
-        kept = [Column(kept_tags, c.values[keep_data]) for c in cols]
-        dropped = [Column(dropped_tags, c.values[drop_data]) for c in cols]
+        if len(tags) == len(keep_data) + 1 and tags[-1] == 1:
+            # One barrier group, as a `while` drain hands its body.
+            kept_tags = _group_tags(nk)
+            dropped_tags = _group_tags(len(keep_data) - nk)
+        else:
+            data_mask = tags == 0
+            full_keep = ~data_mask
+            full_keep[data_mask] = keep_data
+            kept_tags = tags[full_keep]
+            full_drop = ~data_mask
+            full_drop[data_mask] = drop_data
+            dropped_tags = tags[full_drop]
+        # Row numbers, not masks: one gather per column is 4x cheaper.
+        kept_rows, dropped_rows = keep_data.nonzero()[0], drop_data.nonzero()[0]
+        kept = [Column(kept_tags, c.values[kept_rows]) for c in cols]
+        dropped = [Column(dropped_tags, c.values[dropped_rows]) for c in cols]
         return kept, dropped
 
     # -- forward merge ---------------------------------------------------------
@@ -434,6 +532,17 @@ class ColumnarExecutor(Executor):
         if not _align(a_cols) or not _align(b_cols):
             return self._exit("merge", [*a_cols, *b_cols], "misaligned")
         ta, tb = a_cols[0].tags, b_cols[0].tags
+        na, nb = a_cols[0].n_data, b_cols[0].n_data
+        if (len(ta) == na + 1 and len(tb) == nb + 1 and ta[-1] == 1
+                and tb[-1] == 1):
+            # Two one-group bundles: the then-rows, then the else-rows.
+            if nb == 0:
+                return list(a_cols)
+            if na == 0:
+                return list(b_cols)
+            tags = _group_tags(na + nb)
+            return [Column(tags, np.concatenate((a.values, b.values)))
+                    for a, b in zip(a_cols, b_cols)]
         a_b = np.nonzero(ta)[0]
         b_b = np.nonzero(tb)[0]
         la = ta[a_b]
@@ -447,8 +556,6 @@ class ColumnarExecutor(Executor):
                 f"forward merge barrier mismatch: "
                 f"{Barrier(int(la[j]))} vs {Barrier(int(lb[j]))}"
             )
-        na = len(ta) - a_b.size
-        nb = len(tb) - b_b.size
         # One-sided merges are the norm inside while drains (an `if` whose
         # other branch got no rows this turn): the empty side contributes
         # nothing to any group, so the result *is* the populated side.
@@ -616,8 +723,7 @@ class ColumnarExecutor(Executor):
                 break
             end = int(dcum[p])
             n = end - start
-            gt = np.zeros(n + 1, np.uint8)
-            gt[n] = 1
+            gt = _group_tags(n)
             live = [Column(gt, c.values[start:end]) for c in ins]
             start = end
             exited = 0
@@ -649,18 +755,11 @@ class ColumnarExecutor(Executor):
                         s.tags is t0 for s in next_live):
                     live = next_live
                     continue
-                gt2 = np.zeros(n_re + 1, np.uint8)
-                gt2[n_re] = 1
-                live = []
-                for s in next_live:
-                    if s.n_data == n_re:
-                        live.append(Column(gt2, s.values))
-                    else:
-                        # Ragged body outputs surface as misalignment on the
-                        # next turn, exactly as in the token path.
-                        t = np.zeros(s.n_data + 1, np.uint8)
-                        t[s.n_data] = 1
-                        live.append(Column(t, s.values))
+                gt2 = _group_tags(n_re)
+                # Ragged body outputs surface as misalignment on the next
+                # turn, exactly as in the token path.
+                live = [Column(gt2 if s.n_data == n_re else _group_tags(s.n_data),
+                               s.values) for s in next_live]
             group_counts.append(exited)
         if error is not None:
             raise error

@@ -27,7 +27,11 @@ each ``compute`` node's :mod:`repro.core.opcodes` entry with its immediates
 bound, and each maximal run of consecutive ``compute`` steps as one
 :class:`ComputeRun` — and is cached per graph (keyed on the graph's
 structural version), so every executor over the same compiled program
-shares one schedule.
+shares one schedule.  A warm program goes one step further: from its second
+columnar run each of its graphs runs as a generated function that keeps
+its links in locals (:mod:`repro.core.columnar`, "Generated regions");
+the schedule holds the functions, because every run builds a fresh
+executor.
 """
 
 from __future__ import annotations
@@ -138,9 +142,16 @@ class NodeSchedule:
     that kept its own key alive could never be freed.  Whoever runs a
     schedule holds the root, which is what keeps its ``id()`` key in
     ``_steps`` unambiguous.
+
+    A schedule also counts the columnar runs of its program
+    (``columnar_runs``) and holds the functions
+    :mod:`repro.core.columnar` generates for its graphs once the program
+    is warm (``generated``, by ``id(graph)``); they capture nodes, never a
+    graph, an executor or a memory.
     """
 
-    __slots__ = ("version", "ops", "_steps", "_runs", "_io", "_opcodes", "_regions")
+    __slots__ = ("version", "ops", "_steps", "_runs", "_io", "_opcodes", "_regions",
+                 "columnar_runs", "generated")
 
     def __init__(self, graph: DFGraph):
         #: Structural version of the root graph at build time.
@@ -154,6 +165,8 @@ class NodeSchedule:
         #: root; strong references, so a dead region's id can never alias
         #: a new graph.
         self._regions: List[tuple] = []
+        self.columnar_runs = 0
+        self.generated: Dict[int, Any] = {}
         self._add_graph(graph)
 
     def stale(self, root: DFGraph) -> bool:
@@ -334,20 +347,14 @@ class Executor:
             firings[op] = firings.get(op, 0) + 1
             out_streams = handlers[op](node, in_streams)
             if len(out_streams) != len(out_uids):
-                raise GraphError(
-                    f"node {node!r} produced {len(out_streams)} streams, "
-                    f"expected {len(out_uids)}"
-                )
+                _wrong_outputs(node, out_streams, len(out_uids))
             env.update(zip(out_uids, out_streams))
         return env
 
     def _run_subgraph(self, graph: DFGraph, inputs: Sequence[Stream]) -> List[Stream]:
         in_uids, out_uids = self._schedule.io(graph)
         if len(inputs) != len(in_uids):
-            raise GraphError(
-                f"region '{graph.name}' expects {len(in_uids)} inputs, "
-                f"got {len(inputs)}"
-            )
+            _wrong_inputs(graph.name, len(in_uids), inputs)
         # Streams are immutable by convention (every primitive builds fresh
         # lists), so region inputs are bound without a defensive copy.
         env = self._run_graph(graph, dict(zip(in_uids, inputs)))
@@ -556,6 +563,15 @@ class Executor:
         # group is unordered, so running one copy is semantically equivalent.
         body = node.regions[0]
         return self._run_subgraph(body, ins)
+
+
+def _wrong_outputs(node: DFNode, outs: Sequence[Any], expected: int) -> None:
+    raise GraphError(
+        f"node {node!r} produced {len(outs)} streams, expected {expected}")
+
+
+def _wrong_inputs(name: str, expected: int, ins: Sequence[Any]) -> None:
+    raise GraphError(f"region '{name}' expects {expected} inputs, got {len(ins)}")
 
 
 def _check_words(node: DFNode, values: Sequence[Any]) -> None:

@@ -13,10 +13,12 @@ import pytest
 
 from repro.apps import REGISTRY
 from repro.compiler import CompileOptions
-from repro.core.columnar import ColumnarExecutor, make_executor
-from repro.core.executor import Executor
+from repro.core import primitives as prim
+from repro.core.columnar import (GENERATED_FROM_RUN, ColumnarExecutor, from_stream,
+                                 make_executor, to_stream)
+from repro.core.executor import Executor, merge_bundles, schedule_for
 from repro.core.graph import DFGraph
-from repro.core.sltf import data_values
+from repro.core.sltf import Barrier, Data, data_values
 from repro.errors import GraphError
 
 
@@ -41,27 +43,34 @@ def _profile_state(profile):
 
 
 def _run_both(program, make_instance):
-    """Run one shared compiled program under both executors.
+    """Run one shared compiled program on the token executor, then twice on
+    the columnar one: the first columnar run interprets, the second runs
+    the code generated for its regions (``GENERATED_FROM_RUN``).
 
     The program MUST be compiled once and shared: separate compiles mint
     fresh node uids, so auto-generated labels/link names would differ and
     mask (or fake) real divergence.
 
-    The columnar run must also never leave the vector path: a compiled
+    A columnar run must also never leave the vector path: a compiled
     program's values are int64 words, so no kernel traps and no bundle is
     misaligned.
     """
+    schedule = schedule_for(program.graph)
+    assert schedule.columnar_runs == 0 and not schedule.generated
     states = {}
-    for executor in ("token", "columnar"):
+    for label, executor in (("token", "token"), ("columnar", "columnar"),
+                            ("generated", "columnar")):
         instance = make_instance()
         runner = program.run(instance.memory, profile=True,
                              executor=executor, **instance.args)
         if executor == "columnar":
             assert runner.profile.vector_exits == {}
-        states[executor] = (
+        states[label] = (
             instance.memory.snapshot(),
             _profile_state(runner.profile),
         )
+        assert bool(schedule.generated) == (label == "generated")
+    assert GENERATED_FROM_RUN == schedule.columnar_runs == 2
     return states
 
 
@@ -69,9 +78,9 @@ def _assert_app_bit_identity(app, options, n_threads):
     spec = REGISTRY.get(app)
     program = spec.compile(options)
     states = _run_both(program, lambda: spec.make_instance(n_threads, 0))
-    token_state, columnar_state = states["token"], states["columnar"]
-    assert columnar_state[0] == token_state[0]  # memory + traffic counters
-    assert columnar_state[1] == token_state[1]  # execution profile
+    for executor in ("columnar", "generated"):
+        # memory + traffic counters, and the execution profile
+        assert states[executor] == states["token"], executor
 
 
 @pytest.mark.parametrize("app", sorted(REGISTRY.names()))
@@ -89,11 +98,11 @@ _OPTION_SETS = {
 
 @pytest.mark.parametrize("app", sorted(REGISTRY.names()))
 @pytest.mark.parametrize("options,n_threads", [
-    (name, width) for name in _OPTION_SETS for width in (8, 32)
+    (name, width) for name in ("default", "none") for width in (4, 8, 32, 128)
     if (name, width) != ("default", 8)  # that one is test_app_bit_identity
-] + [("default", 128)])
+] + [("unflattened", 8), ("unflattened", 32)])
 def test_app_bit_identity_by_options_and_width(app, options, n_threads):
-    """The same contract wider and without the optional passes.
+    """The same contract narrower, wider and without the optional passes.
 
     Without hierarchy elimination a ``while`` under a ``foreach`` arrives
     as one barrier group per outer thread, so these are the cases that
@@ -149,6 +158,52 @@ def test_opcodes_no_revet_source_reaches():
     for executor in ("token", "columnar"):
         with pytest.raises(GraphError, match="1180591620717411303424 is not an int64 word"):
             make_executor(graph, executor=executor).run(beyond)
+
+
+# -- the partition and merge of an `if` and a `while` turn -------------------
+
+#: Predicate rows per barrier group, and each group's barrier level.  A
+#: ``while`` drain hands its body one level-1 group, so every partition and
+#: merge in a loop sees the first five; the rest take the general path.
+_BUNDLES = {
+    "one group, 0 rows": ([[]], [1]),
+    "one group, all kept": ([[1, 1, 1]], [1]),
+    "one group, none kept": ([[0, 0]], [1]),
+    "one group, mixed": ([[1, 0, 1, 0, 0]], [1]),
+    "one group, one row": ([[0]], [1]),
+    "one group at level 2": ([[1, 0, 1]], [2]),
+    "groups, mixed": ([[1, 0], [], [0, 1, 1]], [1, 1, 2]),
+    "groups, one side each": ([[1, 1], [0]], [1, 1]),
+    "no groups": ([], []),
+}
+
+
+@pytest.mark.parametrize("empty_dropped", [True, False])
+@pytest.mark.parametrize("case", sorted(_BUNDLES))
+def test_partition_and_merge_match_the_token_primitives(case, empty_dropped):
+    """``_partition_bundle`` is ``prim.partition_streams`` and
+    ``_merge_columns`` of its two sides is ``merge_bundles``, as streams."""
+    groups, levels = _BUNDLES[case]
+    pred, a, b = [], [], []
+    for rows, level in zip(groups, levels):
+        for p in rows:
+            pred.append(Data(p))
+            a.append(Data(10 * len(a) + p))
+            b.append(Data(-len(b)))
+        for stream in (pred, a, b):
+            stream.append(Barrier(level))
+    kept, dropped = prim.partition_streams([a, b], pred)
+    ex = ColumnarExecutor(DFGraph())
+    kept_cols, dropped_cols = ex._partition_bundle(
+        [from_stream(a), from_stream(b)], from_stream(pred), empty_dropped)
+    assert [to_stream(c) for c in kept_cols] == kept
+    if dropped_cols is None:
+        assert not empty_dropped and not any(data_values(s) for s in dropped)
+        return
+    assert [to_stream(c) for c in dropped_cols] == dropped
+    merged = ex._merge_columns(kept_cols, dropped_cols)
+    assert [to_stream(c) for c in merged] == merge_bundles(kept, dropped)
+    assert ex.profile.vector_exits == {}
 
 
 # -- property-style fuzz over random straight-line bodies -------------------

@@ -1,7 +1,10 @@
 """Tests for structured dataflow graphs and the functional executor."""
 
+import copy
+
 import pytest
 
+from repro.core import columnar
 from repro.core.columnar import make_executor
 from repro.core.executor import (ComputeRun, Executor, NodeSchedule, run_graph,
                                  schedule_for, unzip_stream, zip_streams)
@@ -520,8 +523,9 @@ class TestMalformedGraphs(_HandBuiltGraphs):
         ex = make_executor(graph, executor=self.executor, memory=memory)
         if max_loop_iterations is not None:
             ex.max_loop_iterations = max_loop_iterations
-        with pytest.raises(PrimitiveError) as info:
+        with pytest.raises((PrimitiveError, GraphError)) as info:
             ex.run(inputs)
+        self.firings = ex.profile.node_firings
         return (info.type, str(info.value), ex.profile.loop_iterations,
                 memory.snapshot()["dram"], memory.stats.dram_writes)
 
@@ -541,6 +545,29 @@ class TestMalformedGraphs(_HandBuiltGraphs):
             inputs["p"] = [D(1), B(1), D(0)]
             assert self.failure(g, inputs) == (
                 PrimitiveError, "filter predicate misaligned with data", {}, {}, 0)
+
+    def test_if_arms_that_do_not_fit_the_node(self):
+        """Arms that take fewer live values than the ``if`` passes them, or
+        yield more than it has outputs, fail at the region boundary."""
+        def if_graph(arm_inputs, num_outputs):
+            g = DFGraph("if")
+            p, a = g.add_input("p"), g.add_input("a")
+            arms = [DFGraph("then"), DFGraph("else")]
+            for arm in arms:
+                x = [arm.add_input(f"x{i}") for i in range(arm_inputs)]
+                arm.set_outputs([x[0], x[0]])
+            node = g.add_node("if", [p, a, a], num_outputs=num_outputs,
+                              regions=arms)
+            g.set_outputs(list(node.outputs))
+            return g, node
+
+        inputs = {"p": [1, 0], "a": [5, 6]}
+        graph, _ = if_graph(1, 2)
+        assert self.failure(graph, inputs) == (
+            GraphError, "region 'then' expects 1 inputs, got 2", {}, {}, 0)
+        graph, node = if_graph(2, 1)
+        assert self.failure(graph, inputs) == (
+            GraphError, f"node {node!r} produced 2 streams, expected 1", {}, {}, 0)
 
     def test_compute_on_misaligned_streams(self):
         g = DFGraph()
@@ -595,6 +622,32 @@ class TestRegionNodesColumnar(TestRegionNodes):
 
 class TestMalformedGraphsColumnar(TestMalformedGraphs):
     executor = "columnar"
+
+
+@pytest.fixture(params=["interpreted", "generated"])
+def tier(request, monkeypatch):
+    """Every columnar run interprets, or every one runs generated code."""
+    monkeypatch.setattr(columnar, "GENERATED_FROM_RUN",
+                        0 if request.param == "generated" else float("inf"))
+    return request.param
+
+
+class TestMalformedGraphsGenerated(TestMalformedGraphsColumnar):
+    """The same failures from generated code, the root graph's included,
+    after the same firings as the token executor's."""
+
+    @pytest.fixture(autouse=True)
+    def _generated_from_the_first_run(self, monkeypatch):
+        monkeypatch.setattr(columnar, "GENERATED_FROM_RUN", 0)
+
+    def failure(self, graph, inputs, memory=None, max_loop_iterations=None):
+        token, token_memory = TestMalformedGraphs(), copy.deepcopy(memory)
+        outcome = super().failure(graph, inputs, memory, max_loop_iterations)
+        assert callable(schedule_for(graph).generated[id(graph)])
+        assert token.failure(graph, inputs, token_memory,
+                             max_loop_iterations) == outcome
+        assert token.firings == self.firings
+        return outcome
 
 
 # -- the one way off the vector path: one hand-built case per exit reason ----
@@ -681,9 +734,10 @@ EXIT_CASES = {
 
 
 @pytest.mark.parametrize("key", sorted(EXIT_CASES))
-def test_vector_exit_reason(key):
+def test_vector_exit_reason(key, tier):
     """Each exit records exactly its own ``"<op>:<reason>"`` once, and the
-    firing ends as on the token path: same outputs, memory and error."""
+    firing ends as on the token path: same outputs, memory, error, firings
+    and loop turns, interpreted or from generated code."""
     graph, inputs = EXIT_CASES[key]
     outcomes, exits = {}, {}
     for executor in ("token", "columnar"):
@@ -694,10 +748,22 @@ def test_vector_exit_reason(key):
             result = ex.run(inputs)
         except (PrimitiveError, SLTFError, ValueError) as error:
             result = (type(error), str(error))
-        outcomes[executor] = (result, memory.snapshot()["dram"], vars(memory.stats))
+        outcomes[executor] = (result, memory.snapshot()["dram"], vars(memory.stats),
+                              ex.profile.node_firings, ex.profile.loop_iterations)
         exits[executor] = ex.profile.vector_exits
     assert outcomes["columnar"] == outcomes["token"]
     assert exits == {"token": {}, "columnar": {key: 1}}
+    assert (id(graph) in schedule_for(graph).generated) == (tier == "generated")
+
+
+def test_an_output_nothing_defines_fails_as_on_the_token_path(tier):
+    g = DFGraph()
+    g.add_input("x")
+    g.set_outputs([DFGraph().add_input("y")])
+    for executor in ("token", "columnar"):
+        with pytest.raises(KeyError):
+            make_executor(g, executor=executor).run({"x": [1]})
+    assert schedule_for(g).generated == ({id(g): False} if tier == "generated" else {})
 
 
 #: The inputs of the exit reasons that served bigints and ``bool`` values:
@@ -756,9 +822,12 @@ class TestExecutorFastPath:
 
         def live_graphs_after(compiles):
             for _ in range(compiles):
-                graph = spec.compile().graph
-                assert schedule_for(graph).version == graph.version
-            del graph
+                program = spec.compile()
+                for _ in range(2):  # the second run generates its regions
+                    instance = spec.make_instance(4, 0)
+                    program.run(instance.memory, **instance.args)
+                assert schedule_for(program.graph).generated
+            del program
             gc.collect()  # frees the dead roots, whose schedules go with them
             gc.collect()  # frees the regions only those schedules still held
             return sum(isinstance(o, DFGraph) for o in gc.get_objects())
@@ -766,14 +835,32 @@ class TestExecutorFastPath:
         assert live_graphs_after(10) == live_graphs_after(10)
 
     def test_schedule_rebuilt_when_a_region_mutates(self):
+        """Generated code dies with its schedule: after a warm program's
+        region mutates, the next run interprets the mutated graph."""
         from repro.apps import REGISTRY
         from repro.core.executor import schedule_for
 
-        g = REGISTRY.get("strlen").compile().graph
-        region = next(n for _, n in g.walk() if n.regions).regions[0]
+        spec = REGISTRY.get("strlen")
+        program = spec.compile()
+        g = program.graph
+
+        def run():
+            instance = spec.make_instance(4, 0)
+            return program.run(instance.memory, profile=True, **instance.args)
+
+        before = run().profile.node_firings
+        assert run().profile.node_firings == before
         first = schedule_for(g)
+        assert first.columnar_runs == 2 and first.generated
+        region = next(n for _, n in g.walk() if n.regions).regions[0]
         region.add_node("const", [region.inputs[0]], params={"value": 0})
-        assert schedule_for(g) is not first
+        after = run().profile.node_firings
+        rebuilt = schedule_for(g)
+        assert rebuilt is not first
+        assert rebuilt.columnar_runs == 1 and not rebuilt.generated
+        assert after["const"] > before.get("const", 0)  # the new node fired
+        assert run().profile.node_firings == after
+        assert rebuilt.generated
 
     def test_schedule_preresolves_compute_opcodes(self):
         from repro.core.executor import schedule_for
@@ -907,9 +994,10 @@ class TestImmediates:
         assert data_values(out) == [2**40, 6 * 2**40, -6 * 2**40]
         assert outcomes["columnar"][3:] == ({"compute": 4}, {})
 
-    def test_a_run_that_traps_mid_run_matches_node_by_node(self, monkeypatch):
+    def test_a_run_that_traps_mid_run_matches_node_by_node(self, tier, monkeypatch):
         """The ``shl`` meets a negative count, so it leaves the vector path
-        and raises; the members after it never fire, as if fired alone."""
+        and raises; the members after it never fire, as if fired alone,
+        interpreted or from generated code."""
         steps = (("add", ((1, 1),)), ("shl", ((0, 1),)),
                  ("sub", ((1, 1),)), ("add", ((0, 1),)))
         g = build_compute_chain(*steps)
@@ -928,3 +1016,6 @@ class TestImmediates:
             alone.run(inputs)
         assert alone.profile.node_firings == {"compute": 2}
         assert alone.profile.vector_exits == {"compute:trap": 1}
+        for graph in (g, alone.graph):
+            assert (id(graph) in schedule_for(graph).generated) == (
+                tier == "generated")
