@@ -8,8 +8,8 @@ The public API is organized in layers:
   lowering into the IR.
 * :mod:`repro.ir` / :mod:`repro.passes` / :mod:`repro.dataflow` — the
   MLIR-style IR, optimization passes, and control-flow-to-dataflow lowering.
-* :mod:`repro.sim` — the cycle-level vRDA performance model and the
-  Figure 14 work-admission policies.
+* :mod:`repro.sim` — the cycle-level vRDA performance model and
+  Figure 14's admission loop.
 * :mod:`repro.apps`, :mod:`repro.baselines`, :mod:`repro.eval` — the paper's
   applications, baselines, and experiment harness.
 * :mod:`repro.runtime` — the cached, batched, multi-worker serving engine

@@ -8,8 +8,9 @@ of one per region and (b) provides round-robin load balancing, because a
 region only receives new threads after it frees a buffer.
 
 The pass records the hoisting decision on the ``revet.replicate`` op and the
-hoisted allocs; the dataflow resource model and the Figure 14 load-balancing
-model consume these attributes.
+hoisted allocs; the dataflow resource model consumes these attributes.
+Figure 14 models the load balancing itself (:mod:`repro.sim.load_balance`)
+from fixed inputs, not from these attributes.
 """
 
 from __future__ import annotations

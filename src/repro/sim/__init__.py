@@ -1,24 +1,13 @@
-"""Cycle-level performance models for the vRDA (Section VI-A)."""
+"""Cycle-level performance model for the vRDA (Section VI-A).
+
+Only the model is exported: the serving engine imports it, and importing it
+must not load Figure 14's admission loop, :mod:`repro.sim.load_balance`.
+"""
 
 from repro.sim.perf_model import ThroughputReport, VRDAPerformanceModel, WorkloadProfile
-from repro.sim.load_balance import LoadBalanceSimulator, RegionLoad
-from repro.sim.policies import (
-    AdmissionPolicy,
-    AdmissionResult,
-    HoistedBufferPolicy,
-    RoundRobinPolicy,
-    run_admission,
-)
 
 __all__ = [
     "ThroughputReport",
     "VRDAPerformanceModel",
     "WorkloadProfile",
-    "LoadBalanceSimulator",
-    "RegionLoad",
-    "AdmissionPolicy",
-    "AdmissionResult",
-    "HoistedBufferPolicy",
-    "RoundRobinPolicy",
-    "run_admission",
 ]

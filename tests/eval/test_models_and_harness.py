@@ -18,7 +18,6 @@ from repro.eval import (
     table5_performance,
     table5_summary,
 )
-from repro.sim.load_balance import LoadBalanceSimulator
 from repro.sim.perf_model import VRDAPerformanceModel, WorkloadProfile
 
 
@@ -101,26 +100,6 @@ class TestPerformanceModels:
 
     def test_aurochs_model_exceeds_paper_threshold(self):
         assert AurochsModel().speedup_of_revet() > 11.0
-
-
-class TestLoadBalanceSimulator:
-    def test_slow_region_receives_less_work(self):
-        sim = LoadBalanceSimulator(regions=8, slow_region=0, slow_factor=1.3)
-        loads = sim.run(100_000)
-        assert loads[0].share_percent < 100.0 / 8
-        assert max(load.share_percent for load in loads[1:]) > 100.0 / 8
-        assert sum(load.threads for load in loads) == 100_000
-
-    def test_static_partitioning_is_slower(self):
-        sim = LoadBalanceSimulator()
-        hoisted = sim.run(50_000)
-        static = sim.run(50_000, hoisted=False)
-        assert sim.completion_time(hoisted) < sim.completion_time(static)
-
-    def test_sweep_covers_all_sizes(self):
-        sim = LoadBalanceSimulator()
-        sweep = sim.sweep([100, 1000])
-        assert set(sweep) == {100, 1000}
 
 
 class TestHarness:

@@ -98,3 +98,22 @@ def test_wrong_and_missing_metric_labels_are_reported_by_name():
         "docs/observability.md: metric family engine_cache_lookups_total has "
         "labels `tier` in its row but `tier`, `outcome` in the source"
     ]
+
+
+def test_dead_dotted_names_are_reported_by_name():
+    text = (
+        "`repro.sim.policies` and `repro.runtime.pool.ShardScheduler` are "
+        "gone; `repro.runtime.pool.WorkerPool`, `repro.core.OPCODES`, "
+        "`repro.sim.load_balance`, `repro.compiler.compile_source(source)` "
+        "live; `python -m repro.eval` and `repro.eval fig14` are no names."
+    )
+    assert check_docs.check_dotted_names([(README, text)]) == [
+        "README.md: no module or attribute repro.runtime.pool.ShardScheduler",
+        "README.md: no module or attribute repro.sim.policies",
+    ]
+
+
+def test_every_dotted_name_in_the_docs_resolves():
+    files = [(path, path.read_text(encoding="utf-8"))
+             for path in check_docs.doc_files()]
+    assert check_docs.check_dotted_names(files) == []

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checker for CI: links, paths, imports, flags, routes, metrics.
 
-Seven checks over README.md and everything under docs/:
+Eight checks over README.md and everything under docs/:
 
 1. **Intra-repo markdown links** — every relative ``[text](target)``
    must point at a file or directory that exists (external ``http(s)``,
@@ -30,6 +30,10 @@ Seven checks over README.md and everything under docs/:
    family cannot stay documented nor a new one go undocumented.  Each
    row's label column (``—`` or a backticked list) must match the call's
    label names too, so a dropped label cannot stay documented either.
+8. **Dotted names** — every inline code span that is a dotted name under
+   the package (``repro.runtime.pool.WorkerPool``, or a call such as
+   ``repro.compiler.compile_source(...)``) must resolve to a module or an
+   attribute, so a deleted module or class cannot linger in the prose.
 
 Exit code 0 when everything passes, 1 otherwise (with one line per
 failure). Run it locally with::
@@ -61,6 +65,8 @@ PATH_RE = re.compile(r"[\w.*/-]+")
 #: a ``host:port``, not as the tail of a file path.
 ROUTE_RE = re.compile(r"/v1/[\w-]+|(?:(?<![\w./-])|(?<=\d))/(?:healthz|metrics)\b")
 OP_RE = re.compile(r'"op":\s*"([\w-]+)"')
+#: A whole code span naming ``repro.x.y``, with an optional call suffix.
+DOTTED_NAME_RE = re.compile(r"(repro(?:\.\w+)+)(?:\(.*\))?")
 #: A family's row in a documentation table: its name and its label column.
 METRIC_ROW_RE = re.compile(
     r"^\|\s*`(\w+)`\s*\|\s*(?:counter|gauge|histogram)\s*\|\s*([^|]*?)\s*\|",
@@ -254,6 +260,52 @@ def check_routes(path: Path, text: str, routes: Set[str], ops: Set[str]) -> List
     return failures
 
 
+#: Prints the names in ``argv`` that import as no module and no attribute.
+RESOLVE_PROGRAM = """
+import importlib, json, sys
+def resolves(name):
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+print(json.dumps([name for name in sys.argv[1:] if not resolves(name)]))
+"""
+
+
+def check_dotted_names(files: List[Tuple[Path, str]]) -> List[str]:
+    """Backticked ``repro.…`` names that resolve to no module or attribute,
+    looked up in one subprocess."""
+    names = {
+        path: {
+            match.group(1)
+            for match in map(DOTTED_NAME_RE.fullmatch, CODE_SPAN_RE.findall(text))
+            if match
+        }
+        for path, text in files
+    }
+    everything = sorted(set().union(*names.values()))
+    if not everything:
+        return []
+    proc = run_python(["-c", RESOLVE_PROGRAM, *everything])
+    if proc.returncode != 0:
+        tail = proc.stderr.strip().splitlines()[-1] if proc.stderr else "?"
+        return [f"dotted-name lookup failed: {tail}"]
+    unresolved = set(json.loads(proc.stdout))
+    return [
+        f"{path.relative_to(REPO_ROOT)}: no module or attribute {name}"
+        for path, found in names.items()
+        for name in sorted(found & unresolved)
+    ]
+
+
 def registered_families() -> Dict[str, Tuple[str, ...]]:
     """Metric families the runtime's source registers, with their label
     names: the ``name`` and ``labelnames`` of every ``.counter(`` /
@@ -318,6 +370,7 @@ def main() -> int:
     modules = collect_python_m_modules(files)
     failures += run_snippet_imports(imports, modules)
     failures += check_flags(files, modules)
+    failures += check_dotted_names(files)
     for failure in failures:
         print(f"FAIL {failure}")
     print(
