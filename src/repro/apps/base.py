@@ -36,8 +36,6 @@ class AppSpec:
     paper_revet_gbs: float
     paper_gpu_gbs: float
     paper_cpu_gbs: float
-    #: Outer-parallel streams used in Table IV ("Parallelization Outer").
-    outer_parallelism: int
     #: Generate inputs: returns (memory, program kwargs, context dict).
     generate: Callable[[int, int], "AppInstance"] = None
     #: Reference implementation: operates on the same memory, returns the
@@ -47,9 +45,6 @@ class AppSpec:
     output_segment: str = "out"
     #: Bytes processed per "element" when reporting throughput.
     replicate_factor: int = 1
-    #: Whether the serving engine (:mod:`repro.runtime`) may accept requests
-    #: for this app by name.  Servable apps need a deterministic ``generate``.
-    servable: bool = True
 
     def compile(self, options: Optional[CompileOptions] = None) -> CompiledProgram:
         return compile_source(self.source, options=options)
@@ -89,18 +84,14 @@ class AppRegistry:
         if name not in self._apps:
             raise KeyError(
                 f"unknown app '{name}'; servable apps: {self.servable_names()}")
-        spec = self._apps[name]
-        if not spec.servable or spec.generate is None:
-            raise KeyError(f"app '{name}' is not servable")
-        return spec
+        return self._apps[name]
 
     def names(self) -> List[str]:
         return list(self._apps.keys())
 
     def servable_names(self) -> List[str]:
-        """Apps the serving engine accepts by name."""
-        return [name for name, spec in self._apps.items()
-                if spec.servable and spec.generate is not None]
+        """Apps the serving engine accepts by name: every registered one."""
+        return self.names()
 
     def all(self) -> List[AppSpec]:
         return list(self._apps.values())

@@ -99,7 +99,6 @@ SPEC = REGISTRY.register(AppSpec(
     paper_revet_gbs=42.0,
     paper_gpu_gbs=40.0,
     paper_cpu_gbs=7.4,
-    outer_parallelism=16,
     generate=generate,
     reference=reference,
 ))

@@ -243,7 +243,6 @@ ENCODE_SPEC = REGISTRY.register(AppSpec(
     paper_revet_gbs=409.0,
     paper_gpu_gbs=172.0,
     paper_cpu_gbs=35.0,
-    outer_parallelism=9,
     generate=generate_encode,
     reference=reference_encode,
 ))
@@ -258,7 +257,6 @@ DECODE_SPEC = REGISTRY.register(AppSpec(
     paper_revet_gbs=380.0,
     paper_gpu_gbs=97.0,
     paper_cpu_gbs=19.0,
-    outer_parallelism=9,
     generate=generate_decode,
     reference=reference_decode,
 ))

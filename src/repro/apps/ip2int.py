@@ -69,7 +69,6 @@ SPEC = REGISTRY.register(AppSpec(
     paper_revet_gbs=508.0,
     paper_gpu_gbs=381.0,
     paper_cpu_gbs=9.1,
-    outer_parallelism=30,
     generate=generate,
     reference=reference,
     replicate_factor=2,

@@ -106,7 +106,6 @@ SPEC = REGISTRY.register(AppSpec(
     paper_revet_gbs=443.0,
     paper_gpu_gbs=121.0,
     paper_cpu_gbs=7.3,
-    outer_parallelism=27,
     generate=generate,
     reference=reference,
     replicate_factor=2,

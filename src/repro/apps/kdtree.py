@@ -181,7 +181,6 @@ SPEC = REGISTRY.register(AppSpec(
     paper_revet_gbs=52.0,
     paper_gpu_gbs=1.5,
     paper_cpu_gbs=3.4,
-    outer_parallelism=5,
     generate=generate,
     reference=reference,
 ))

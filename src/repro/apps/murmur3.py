@@ -90,7 +90,6 @@ SPEC = REGISTRY.register(AppSpec(
     paper_revet_gbs=628.0,
     paper_gpu_gbs=218.0,
     paper_cpu_gbs=122.2,
-    outer_parallelism=14,
     generate=generate,
     reference=reference,
 ))

@@ -102,7 +102,6 @@ SPEC = REGISTRY.register(AppSpec(
     paper_revet_gbs=481.0,
     paper_gpu_gbs=51.0,
     paper_cpu_gbs=120.6,
-    outer_parallelism=8,
     generate=generate,
     reference=reference,
 ))

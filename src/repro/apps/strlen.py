@@ -78,7 +78,6 @@ SPEC = REGISTRY.register(AppSpec(
     paper_revet_gbs=0.0,
     paper_gpu_gbs=0.0,
     paper_cpu_gbs=0.0,
-    outer_parallelism=8,
     generate=generate,
     reference=reference,
     output_segment="lengths",

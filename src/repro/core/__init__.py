@@ -3,15 +3,14 @@
 from repro.core.sltf import Barrier, Data, Stream, Token, encode, decode, decode_all
 from repro.core.graph import DFGraph, DFNode, DFValue
 from repro.core.opcodes import OPCODES
-from repro.core.executor import Executor, ExecutionProfile, run_graph
-from repro.core.columnar import ColumnarExecutor, make_executor
+from repro.core.columnar import ColumnarExecutor, ExecutionProfile
+from repro.core.executor import Executor, make_executor, run_graph
 from repro.core.memory import MemorySystem, MemoryStats
 from repro.core.machine import (
     DEFAULT_MACHINE,
     ContextLimits,
     LinkKind,
     MachineConfig,
-    ResourceKind,
     ResourceUsage,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "ContextLimits",
     "LinkKind",
     "MachineConfig",
-    "ResourceKind",
     "ResourceUsage",
 ]

@@ -1,9 +1,7 @@
-"""Vectorized columnar executor backend.
+"""Vectorized columnar executor: the backend that serves every request.
 
-The token executor (:class:`repro.core.executor.Executor`) pushes Python
-``Data``/``Barrier`` objects through the graph one token at a time.  This
-module executes the same :class:`~repro.core.executor.NodeSchedule` plan
-over *columns*: each SLTF link is represented as
+It runs a :class:`repro.core.graph.DFGraph` to completion over *columns*:
+each SLTF link is represented as
 
 * ``tags`` — one ``uint8`` per token position: ``0`` for a data element,
   ``level`` (1..15) for a barrier, and
@@ -26,11 +24,17 @@ barrier group of ``n`` rows, so the ``if`` partitions and merges inside a
 loop split and join it by row numbers and one concatenation, without the
 tag arithmetic a bundle of several groups takes.
 
+The plan both executors run is a :class:`NodeSchedule`, built once per
+program by :func:`schedule_for`: each graph's topological order, its
+handler ops, each ``compute`` node's bound opcode and each run of
+consecutive ``compute`` steps as one :class:`ComputeRun`.  Region bodies
+re-run once per loop turn, so no firing re-derives any of it.
+
 Generated regions
 -----------------
 
 From a program's second columnar run (``GENERATED_FROM_RUN``, counted on
-its :class:`~repro.core.executor.NodeSchedule`) each of its graphs runs as
+its :class:`NodeSchedule`) each of its graphs runs as
 one generated Python function: the links live in locals, and each step
 counts its firings and calls its handler, as ``_run_graph`` does.  A first
 run, which is all a cold request makes, interprets: generating costs
@@ -39,54 +43,274 @@ about one compile.
 Bit-identity contract
 ---------------------
 
-A columnar run must be indistinguishable from a token run: identical
+A columnar run must be indistinguishable from a run of the per-token
+reference (:class:`repro.core.executor.Executor`): identical
 output streams, identical memory contents and :class:`MemoryStats`
 counters, identical profile counts (``node_firings``, ``loop_iterations``),
 and identical exception types/messages on malformed input.  Both apply one
 opcode table (:mod:`repro.core.opcodes`), whose kernels wrap exactly as its
-scalars do; a firing whose kernel traps (a zero divisor, a negative shift
-count) or whose bundle is misaligned leaves the vector path — correctness
-never depends on the fast path firing.
-
-Where compiled programs leave the vector path
----------------------------------------------
-
-There is one way off it, :meth:`ColumnarExecutor._exit`, and it counts
-every use in ``ExecutionProfile.vector_exits`` as ``"<op>:<reason>"``, and
-runs the token primitive, so a ``compute`` whose kernel traps
-(``compute:trap``) raises the scalar's error.  The nine Table III apps,
-compiled three ways (default options, ``CompileOptions.none()``, hierarchy
-elimination off) and run at 4, 8, 32 and 128 threads, record none, and
-``tests/core/test_columnar.py`` asserts so for its app runs.  Every reason
-serves hand-built graphs, malformed ones included.
+scalars do.  A kernel that traps (a zero divisor, a negative shift count)
+hands its rows to the scalar, which raises at the first trapping row.  A
+malformed bundle raises where it is found, with the error worked out on
+its columns (``docs/executor.md``, "Malformed bundles").
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+import weakref
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import primitives as prim
-from repro.core.executor import (
-    ComputeRun, Executor, NodeSchedule, _as_stream, _wrong_inputs, _wrong_outputs,
-    merge_bundles)
 from repro.core.graph import DFGraph, DFNode
-from repro.core.memory import MemorySystem, _span
-from repro.core.opcodes import INT64_MAX
-from repro.core.sltf import MAX_BARRIER_LEVEL, Barrier, Data, Stream
+from repro.core.memory import MemorySystem
+from repro.core.opcodes import Opcode, immediate, is_word, resolve
+from repro.core.sltf import MAX_BARRIER_LEVEL, Barrier, Data, Stream, encode
 from repro.errors import GraphError, PrimitiveError
 
 
-def make_executor(graph: DFGraph, *, executor: Optional[str] = None, **kwargs):
-    """Build the columnar executor (``None``/``"columnar"``) or the token
-    reference (``"token"``); any other name raises ``ValueError``."""
-    if executor is None or executor == "columnar":
-        return ColumnarExecutor(graph, **kwargs)
-    if executor == "token":
-        return Executor(graph, **kwargs)
-    raise ValueError(
-        f"unknown executor {executor!r}; choose 'columnar' or 'token'")
+@dataclass
+class ExecutionProfile:
+    """Per-node and per-loop counts gathered by the executor."""
+
+    node_firings: Dict[str, int] = field(default_factory=dict)
+    loop_iterations: Dict[str, int] = field(default_factory=dict)
+
+    def record_loop(self, label: str, iterations: int) -> None:
+        self.loop_iterations[label] = self.loop_iterations.get(label, 0) + iterations
+
+
+class ComputeRun:
+    """A maximal run of two or more consecutive ``compute`` steps of one
+    graph, which the columnar executor fires as one step.
+
+    Operands are numbered slots: the run's external input links (``inputs``,
+    in first-use order), then its distinct immediates (``constants``, as
+    0-d ``int64`` arrays), then each member's output.  ``members`` holds one
+    ``(node, vector kernel, operand slots, link operand slots)`` per node,
+    in schedule order: the kernel is the unbound table entry's, called with
+    every operand in place.
+    """
+
+    __slots__ = ("inputs", "constants", "members")
+
+    def __init__(self, steps: Sequence[tuple]):
+        self.inputs: List[int] = []
+        self.constants: List[Any] = []
+        external: Dict[int, int] = {}
+        produced: Dict[int, int] = {}
+        links_of = []
+        for k, (node, _, in_uids, out_uids) in enumerate(steps):
+            links = []
+            for uid in in_uids:
+                if uid in produced:
+                    # An earlier member's output: its slot is known below.
+                    links.append(~produced[uid])
+                    continue
+                if uid not in external:
+                    external[uid] = len(self.inputs)
+                    self.inputs.append(uid)
+                links.append(external[uid])
+            links_of.append(links)
+            produced[out_uids[0]] = k
+        imm_slot: Dict[int, int] = {}
+        for node, _, _, _ in steps:
+            for _, value in node.params.get("imm", ()):
+                if value not in imm_slot:
+                    imm_slot[value] = len(self.inputs) + len(self.constants)
+                    self.constants.append(immediate(value))
+        first_output = len(self.inputs) + len(self.constants)
+        self.members = []
+        for (node, _, _, _), links in zip(steps, links_of):
+            link_slots = tuple(r if r >= 0 else first_output + ~r for r in links)
+            args = list(link_slots)
+            for pos, value in sorted(node.params.get("imm", ())):
+                args.insert(pos, imm_slot[value])
+            self.members.append((node, resolve(node.params["fn"]).vector,
+                                 tuple(args), link_slots))
+
+
+class NodeSchedule:
+    """A precompiled execution plan for one structured-graph hierarchy.
+
+    Built once per compiled program and shared by every executor over it:
+
+    * the memoized topological order of the root graph and every nested
+      region graph (``steps``), and the same order with each maximal run of
+      consecutive ``compute`` steps grouped into one :class:`ComputeRun`
+      (``runs``),
+    * each ``compute`` node's opcode table entry, its immediates bound
+      (``opcode``), and
+    * the set of ops that appear anywhere in the hierarchy, so an executor
+      can resolve its handler table once instead of per node firing.
+
+    Schedules are immutable snapshots: they record the structural
+    :attr:`~repro.core.graph.DFGraph.version` of every graph in the
+    hierarchy at build time, and :func:`schedule_for` rebuilds
+    automatically when any of them has changed.  In-place *node* mutations
+    (e.g. rewriting ``params['fn']`` on an existing node) are not tracked —
+    graphs are append-only after construction everywhere in this codebase.
+
+    A schedule never references its root graph: it is the *value* under
+    that graph's weak key in the :func:`schedule_for` cache, and a value
+    that kept its own key alive could never be freed.  Whoever runs a
+    schedule holds the root, which is what keeps its ``id()`` key in
+    ``_steps`` unambiguous.
+
+    A schedule also counts the columnar runs of its program
+    (``columnar_runs``) and holds the functions :func:`_generate` makes for
+    its graphs once the program is warm (``generated``, by ``id(graph)``);
+    they capture nodes, never a graph, an executor or a memory.
+    """
+
+    __slots__ = ("version", "ops", "_steps", "_runs", "_io", "_opcodes", "_regions",
+                 "columnar_runs", "generated")
+
+    def __init__(self, graph: DFGraph):
+        #: Structural version of the root graph at build time.
+        self.version = graph.version
+        self.ops: set = set()
+        self._steps: Dict[int, List[tuple]] = {}
+        self._runs: Dict[int, List[tuple]] = {}
+        self._io: Dict[int, tuple] = {}
+        self._opcodes: Dict[int, Opcode] = {}
+        #: ``(graph, version at build time)`` for every graph below the
+        #: root; strong references, so a dead region's id can never alias
+        #: a new graph.
+        self._regions: List[tuple] = []
+        self.columnar_runs = 0
+        self.generated: Dict[int, Any] = {}
+        self._add_graph(graph)
+
+    def stale(self, root: DFGraph) -> bool:
+        """True when ``root`` or any region under it mutated after scheduling."""
+        return root.version != self.version or any(
+            graph.version != version for graph, version in self._regions
+        )
+
+    def _add_graph(self, graph: DFGraph) -> None:
+        steps = self._steps[id(graph)] = self._prepare(graph)
+        self._io[id(graph)] = ([v.uid for v in graph.inputs],
+                               [v.uid for v in graph.outputs])
+        for node in graph.topo_order():
+            self.ops.add(node.op)
+            if node.op == "const":
+                _check_words(node, (node.params.get("value"),))
+            elif node.op == "compute":
+                imm = node.params.get("imm", ())
+                _check_words(node, [value for _, value in imm])
+                self._opcodes[node.uid] = resolve(node.params.get("fn")).bind(
+                    imm, len(node.inputs) + len(imm))
+            for region in node.regions:
+                self._regions.append((region, region.version))
+                self._add_graph(region)
+        self._runs[id(graph)] = self._group(steps)
+
+    def _group(self, steps: List[tuple]) -> List[tuple]:
+        """``steps`` with each maximal run of two or more consecutive
+        ``compute`` steps replaced by one ``(run, "compute", in_uids,
+        out_uids)`` step over a :class:`ComputeRun`."""
+        grouped: List[tuple] = []
+        run: List[tuple] = []
+        for step in steps + [None]:
+            if step is not None and step[1] == "compute":
+                run.append(step)
+                continue
+            if len(run) > 1:
+                fused = ComputeRun(run)
+                grouped.append((fused, "compute", fused.inputs,
+                                [s[3][0] for s in run]))
+            else:
+                grouped.extend(run)
+            run = []
+            if step is not None:
+                grouped.append(step)
+        return grouped
+
+    @staticmethod
+    def _prepare(graph: DFGraph) -> List[tuple]:
+        """One ``(node, op, input_uids, output_uids)`` step per node in topo
+        order, so the run loop chases no attributes per firing."""
+        return [
+            (node, node.op, [v.uid for v in node.inputs],
+             [v.uid for v in node.outputs])
+            for node in graph.topo_order()
+        ]
+
+    def steps(self, graph: DFGraph) -> List[tuple]:
+        """Prepared steps for ``graph`` (any graph in the hierarchy)."""
+        return self._steps[id(graph)]
+
+    def io(self, graph: DFGraph) -> tuple:
+        """The input uids and the output uids of ``graph``."""
+        return self._io[id(graph)]
+
+    def runs(self, graph: DFGraph) -> List[tuple]:
+        """``steps(graph)`` with its compute runs grouped (see ``_group``)."""
+        return self._runs[id(graph)]
+
+    def opcode(self, node: DFNode) -> Opcode:
+        """The opcode table entry of ``compute`` node ``node``, bound to the
+        node's immediates (:meth:`repro.core.opcodes.Opcode.bind`)."""
+        return self._opcodes[node.uid]
+
+
+#: One schedule per live graph; entries die with their graph, and stale
+#: schedules (the graph mutated after scheduling) are rebuilt on demand.
+_SCHEDULES: "weakref.WeakKeyDictionary[DFGraph, NodeSchedule]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def schedule_for(graph: DFGraph) -> NodeSchedule:
+    """Return the cached :class:`NodeSchedule` for ``graph``, building it
+    (or rebuilding it after a structural mutation anywhere in the graph's
+    region hierarchy) if needed."""
+    schedule = _SCHEDULES.get(graph)
+    if schedule is None or schedule.stale(graph):
+        schedule = NodeSchedule(graph)
+        _SCHEDULES[graph] = schedule
+    return schedule
+
+
+def _wrong_outputs(node: DFNode, outs: Sequence[Any], expected: int) -> None:
+    raise GraphError(
+        f"node {node!r} produced {len(outs)} streams, expected {expected}")
+
+
+def _wrong_inputs(name: str, expected: int, ins: Sequence[Any]) -> None:
+    raise GraphError(f"region '{name}' expects {expected} inputs, got {len(ins)}")
+
+
+def _check_words(node: DFNode, values: Sequence[Any]) -> None:
+    """Raise :class:`GraphError` unless every one of ``values`` (a node's
+    constants) is an ``int64`` word."""
+    for value in values:
+        if not is_word(value):
+            raise GraphError(f"node {node!r} holds {value!r}, not an int64 word")
+
+
+def _as_stream(value: Any) -> Stream:
+    """Coerce user-provided input (stream or nested list) into a stream of
+    ``int64`` words; any other value raises :class:`GraphError`."""
+    if not isinstance(value, list):
+        raise GraphError(
+            "graph inputs must be token streams or (nested) lists of values"
+        )
+    if value and isinstance(value[0], (Data, Barrier)):
+        stream = list(value)
+    else:
+        rank = 1
+        probe = value
+        while probe and isinstance(probe[0], list):
+            rank += 1
+            probe = probe[0]
+        stream = encode(value, ndim=rank) if value else []
+    for tok in stream:
+        if type(tok) is Data and not is_word(tok.value):
+            raise GraphError(f"graph input value {tok.value!r} is not an int64 word")
+    return stream
 
 
 # ---------------------------------------------------------------------------
@@ -180,32 +404,56 @@ def _token_at(col: "Column", j: int):
     return Data(int(col.values[np.count_nonzero(col.tags[:j] == 0)]))
 
 
+def _first_mismatch(cols: Sequence["Column"]) -> Tuple[int, int]:
+    """The first position at which equal-length columns' tags differ from
+    the first column's, and the first column that differs there."""
+    tags0 = cols[0].tags
+    diffs = (np.flatnonzero(c.tags != tags0) for c in cols)
+    return min((int(d[0]), i) for i, d in enumerate(diffs) if d.size)
+
+
 def _misalignment(ins: Sequence["Column"]) -> Tuple[int, PrimitiveError]:
     """First position where equal-length ``while`` live columns disagree
     with the first one, and the error the token scan raises there."""
-    tags0 = ins[0].tags
-    diffs = [(np.flatnonzero(c.tags != tags0), i) for i, c in enumerate(ins)]
-    j, i = min((int(d[0]), i) for d, i in diffs if d.size)
+    j, i = _first_mismatch(ins)
     tok = _token_at(ins[i], j)
-    if tags0[j] == 0:
+    if ins[0].tags[j] == 0:
         return j, PrimitiveError(f"while live streams misaligned at {tok!r}")
     return j, PrimitiveError(
         f"while live streams have mismatched barriers at {tok!r}")
 
 
-def _token_partition(streams: List[Stream]) -> List[Stream]:
-    kept, dropped = prim.partition_streams(streams[1:], streams[0])
-    return kept + dropped
+def _elementwise_error(
+        cols: Sequence["Column"]) -> Tuple[List["Column"], PrimitiveError]:
+    """What ``prim.elementwise`` raises on columns that do not share one
+    structure, with the aligned columns of the data rows it takes first
+    (none when the lengths differ, which it checks before any row)."""
+    if any(len(c) != len(cols[0]) for c in cols):
+        return [], PrimitiveError("element-wise inputs have different lengths")
+    j, _ = _first_mismatch(cols)
+    tags = cols[0].tags[:j]
+    rows = int(np.count_nonzero(tags == 0))
+    prefix = [Column(tags, c.values[:rows]) for c in cols] if rows else []
+    toks = [_token_at(c, j) for c in cols]
+    for tok in toks[1:]:
+        if type(tok) is not type(toks[0]):
+            break
+        if type(tok) is Barrier and tok.level != toks[0].level:
+            return prefix, PrimitiveError(
+                f"element-wise inputs have mismatched barrier levels: {toks}")
+    return prefix, PrimitiveError(f"element-wise inputs misaligned at {toks}")
 
 
-#: Token semantics of the steps region ops take on columns, streams in and
-#: streams out, for :meth:`ColumnarExecutor._exit`.
-_TOKEN_STEPS: Dict[str, Callable[[List[Stream]], List[Stream]]] = {
-    "counter": lambda streams: [prim.counter(*streams)],
-    "partition": _token_partition,  # streams = (pred, *bundle)
-    "merge": lambda streams: merge_bundles(
-        streams[:len(streams) // 2], streams[len(streams) // 2:]),
-}
+def _predicate_error(
+        cols: Sequence["Column"], pred: "Column", op: str) -> PrimitiveError:
+    """What ``prim.filter_streams`` or ``prim.partition_streams`` (``op``)
+    raises on data columns that do not share their predicate's structure."""
+    for c in cols:
+        if len(c) != len(pred):
+            return PrimitiveError(f"{op} data and predicate have different lengths")
+        if not np.array_equal(c.tags, pred.tags):
+            break
+    return PrimitiveError("filter predicate misaligned with data")
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +514,22 @@ def _generate(schedule: NodeSchedule, graph: DFGraph):
 # ---------------------------------------------------------------------------
 
 
-class ColumnarExecutor(Executor):
-    """Drop-in vectorized replacement for :class:`Executor`.
+class ColumnarExecutor:
+    """Runs structured dataflow graphs over columns, with the semantics of
+    the per-token reference (see the module docstring for the bit-identity
+    contract)."""
 
-    Same constructor, same ``run()`` signature, same profile and memory
-    side effects — only the internal stream representation differs (see
-    the module docstring for the bit-identity contract).
-    """
+    #: Livelock guard: turns one ``while`` barrier group may take.  A test
+    #: lowers it on one instance.
+    max_loop_iterations = 1_000_000
 
     def __init__(self, graph: DFGraph, memory: Optional[MemorySystem] = None):
-        super().__init__(graph, memory=memory)
+        self.graph = graph
+        self.memory = memory if memory is not None else MemorySystem()
+        self.profile = ExecutionProfile()
+        self._schedule = schedule_for(graph)
+        #: Handler table resolved once per executor, not once per firing.
+        self._handlers = {op: getattr(self, f"_op_{op}") for op in self._schedule.ops}
         #: id(graph) -> (graph, grouped steps with pre-resolved handlers and
         #: firing counts); graphs are kept alive by the tuple so ids cannot
         #: alias.
@@ -287,7 +541,11 @@ class ColumnarExecutor(Executor):
     # -- public API ---------------------------------------------------------
 
     def run(self, inputs: Optional[Dict[str, Any]] = None) -> Dict[str, Stream]:
-        """Execute the graph; same contract as :meth:`Executor.run`."""
+        """Execute the graph and return its output streams keyed by name.
+
+        ``inputs`` maps graph-input names to token streams or nested lists
+        of ``int64`` words (see :func:`_as_stream`).
+        """
         inputs = inputs or {}
         cols: List[Column] = []
         for value in self.graph.inputs:
@@ -313,7 +571,11 @@ class ColumnarExecutor(Executor):
                 region = generated[id(graph)] = _generate(self._schedule, graph)
             if region:
                 return region(self, inputs)
-        return super()._run_subgraph(graph, inputs)
+        in_uids, out_uids = self._schedule.io(graph)
+        if len(inputs) != len(in_uids):
+            _wrong_inputs(graph.name, len(in_uids), inputs)
+        env = self._run_graph(graph, dict(zip(in_uids, inputs)))
+        return [env[uid] for uid in out_uids]
 
     def _run_graph(self, graph: DFGraph, env: Dict[int, Any]) -> Dict[int, Any]:
         firings = self.profile.node_firings
@@ -335,36 +597,26 @@ class ColumnarExecutor(Executor):
             env.update(zip(out_uids, out_cols))
         return env
 
-    # -- the one way off the vector path ----------------------------------------
-
-    def _exit(self, op: str, ins: Sequence[Column], reason: str,
-              node: Optional[DFNode] = None) -> List[Column]:
-        """Leave the vector path for one firing, counted in
-        ``profile.vector_exits`` under ``"<op>:<reason>"``.
-
-        The firing runs the token semantics over the bundle as streams —
-        ``node``'s token handler, or the primitive behind a region op's
-        ``counter`` / ``partition`` / ``merge`` step — so a trapping kernel
-        or a malformed bundle raises exactly what the token executor raises.
-        """
-        exits = self.profile.vector_exits
-        key = f"{op}:{reason}"
-        exits[key] = exits.get(key, 0) + 1
-        streams = [to_stream(c) for c in ins]
-        if node is None:
-            out = _TOKEN_STEPS[op](streams)
-        else:
-            out = getattr(Executor, f"_op_{op}")(self, node, streams)
-        return [from_stream(s) for s in out]
+    def _misaligned(self, node: DFNode, ins: Sequence[Column]) -> None:
+        """Raise what the token scan raises on element-wise inputs that do
+        not share one structure, once ``node``'s handler has taken the rows
+        that scan takes before it (their traps and writes included)."""
+        prefix, error = _elementwise_error(ins)
+        if prefix:
+            self._handlers[node.op](node, prefix)
+        raise error
 
     # -- element-wise and structural ops --------------------------------------
 
     def _op_compute(self, node: DFNode, ins: List[Column]) -> List[Column]:
         if not _align(ins):
-            return self._exit("compute", ins, "misaligned", node)
+            self._misaligned(node, ins)
         values = self._schedule.opcode(node).vector([c.values for c in ins])
         if values is None:
-            return self._exit("compute", ins, "trap", node)
+            # The kernel traps on some row: the scalar raises at the first.
+            scalar = self._schedule.opcode(node).scalar
+            rows = zip(*[c.values.tolist() for c in ins])
+            values = np.array([scalar(*row) for row in rows], np.int64)
         return [Column(ins[0].tags, values)]
 
     def _op_compute_run(self, run: ComputeRun, ins: List[Column]) -> List[Column]:
@@ -428,21 +680,25 @@ class ColumnarExecutor(Executor):
         """``prim.counter``: expand each (lo, hi, step) row into a group."""
         cols = [lo_c, hi_c, step_c]
         if not _align(cols):
-            return self._exit("counter", cols, "misaligned")[0]
+            raise _elementwise_error(cols)[1]
         lov, hiv, sv = lo_c.values, hi_c.values, step_c.values
-        if bool((sv == 0).any()):
-            return self._exit("counter", cols, "zero_step")[0]
-        # Every row's lo - hi (and its negation) must be exact in int64.
-        if len(lov):
-            (lo_min, lo_max), (hi_min, hi_max) = _span(lov), _span(hiv)
-            if max(hi_max - lo_min, lo_max - hi_min) > INT64_MAX:
-                return self._exit("counter", cols, "overflow")[0]
         tags = lo_c.tags
-        bvals = tags[tags > 0]
-        if bvals.size and int(bvals.max()) >= MAX_BARRIER_LEVEL:
-            # A raised barrier would exceed the encoding.
-            return self._exit("counter", cols, "level")[0]
-        n = np.maximum(-((lov - hiv) // sv), 0)  # len(range(lo, hi, step))
+        zero, top = sv == 0, tags >= MAX_BARRIER_LEVEL
+        if zero.any() or top.any():
+            # The token expansion raises at the first zero step or level-15
+            # barrier (which it cannot raise), in stream order.
+            zero_at, top_at = np.flatnonzero(tags == 0)[zero], np.flatnonzero(top)
+            if not top_at.size or (zero_at.size and zero_at[0] < top_at[0]):
+                raise PrimitiveError("counter step must be non-zero")
+            Barrier(int(tags[top_at[0]]) + 1)  # raises, as the token path's does
+        # len(range(lo, hi, step)), exact in uint64: the span from lo to hi
+        # over |step|, rounded up.  The values then wrap exactly, because
+        # every one lies between lo and hi.
+        up = sv > 0
+        live = np.where(up, hiv > lov, lov > hiv)
+        span = np.where(up, hiv - lov, lov - hiv).view(np.uint64)
+        step = np.abs(sv).view(np.uint64)
+        n = np.where(live, (span - 1) // step + 1, 0).astype(np.int64)
         total_data = int(n.sum())
         data_mask = tags == 0
         reps = np.ones(len(tags), dtype=np.int64)
@@ -464,9 +720,7 @@ class ColumnarExecutor(Executor):
         pred = ins[-1]
         data_cols = ins[:-1]
         if not _align(ins):
-            # The token path reproduces exact errors (and exact quirks) for
-            # malformed bundles.
-            return self._exit("filter", ins, "misaligned", node)
+            raise _predicate_error(data_cols, pred, "filter")
         keep_data = pred.values != 0
         tags = pred.tags
         data_mask = tags == 0
@@ -485,8 +739,7 @@ class ColumnarExecutor(Executor):
         """
         bundle = [pred] + list(cols)
         if not _align(bundle):
-            out = self._exit("partition", bundle, "misaligned")
-            return out[:len(cols)], out[len(cols):]
+            raise _predicate_error(cols, pred, "partition")
         keep_data = pred.values != 0
         tags = pred.tags
         nk = int(np.count_nonzero(keep_data))
@@ -528,9 +781,10 @@ class ColumnarExecutor(Executor):
     def _merge_columns(
         self, a_cols: Sequence[Column], b_cols: Sequence[Column]
     ) -> List[Column]:
-        """Positional forward merge of two bundles (``merge_bundles``)."""
+        """Positional forward merge of two bundles (``merge_bundles``, which
+        zips each side element-wise first)."""
         if not _align(a_cols) or not _align(b_cols):
-            return self._exit("merge", [*a_cols, *b_cols], "misaligned")
+            raise _elementwise_error(b_cols if _align(a_cols) else a_cols)[1]
         ta, tb = a_cols[0].tags, b_cols[0].tags
         na, nb = a_cols[0].n_data, b_cols[0].n_data
         if (len(ta) == na + 1 and len(tb) == nb + 1 and ta[-1] == 1
@@ -601,11 +855,16 @@ class ColumnarExecutor(Executor):
 
     def _op_fork(self, node: DFNode, ins: List[Column]) -> List[Column]:
         counts = ins[0]
-        if not _align(ins):
-            return self._exit("fork", ins, "misaligned", node)
-        if len(ins) > 1 and bool((counts.values < 0).any()):
-            # fork_stream raises on a negative count with a payload.
-            return self._exit("fork", ins, "negative", node)
+        negative = len(ins) > 1 and bool((counts.values < 0).any())
+        if negative or not _align(ins):
+            # ``prim.fork_stream`` zips the counts with one payload at a
+            # time, then raises on a negative count.
+            for payload in ins[1:]:
+                if not _align([counts, payload]):
+                    raise _elementwise_error([counts, payload])[1]
+                if negative:
+                    first = int(counts.values[counts.values < 0][0])
+                    raise PrimitiveError(f"fork count must be >= 0, got {first}")
         n = np.maximum(counts.values, 0)  # range(-k) is empty in the token path
         total_data = int(n.sum())
         offsets = np.cumsum(n) - n
@@ -649,7 +908,7 @@ class ColumnarExecutor(Executor):
 
     def _op_sram_write(self, node: DFNode, ins: List[Column]) -> List[Column]:
         if not _align(ins):
-            return self._exit(node.op, ins, "misaligned", node)
+            self._misaligned(node, ins)
         site = node.params.get("site", "default")
         a, v = ins
         self.memory.sram_write_many(site, a.values, v.values)
@@ -661,14 +920,14 @@ class ColumnarExecutor(Executor):
 
     def _op_dram_write(self, node: DFNode, ins: List[Column]) -> List[Column]:
         if not _align(ins):
-            return self._exit(node.op, ins, "misaligned", node)
+            self._misaligned(node, ins)
         a, v = ins
         self.memory.dram_write_many(a.values, v.values)
         return [Column(a.tags, np.zeros(a.n_data, np.int64))]
 
     def _op_bulk_load(self, node: DFNode, ins: List[Column]) -> List[Column]:
         if not _align(ins):
-            return self._exit(node.op, ins, "misaligned", node)
+            self._misaligned(node, ins)
         site = node.params.get("site", "default")
         size = node.params["size"]
         d, s = ins
@@ -677,7 +936,7 @@ class ColumnarExecutor(Executor):
 
     def _op_bulk_store(self, node: DFNode, ins: List[Column]) -> List[Column]:
         if not _align(ins):
-            return self._exit(node.op, ins, "misaligned", node)
+            self._misaligned(node, ins)
         site = node.params.get("site", "default")
         size = node.params["size"]
         d, s = ins[0], ins[1]
@@ -691,7 +950,7 @@ class ColumnarExecutor(Executor):
     # -- region ops -------------------------------------------------------------
 
     def _op_while(self, node: DFNode, ins: List[Column]) -> List[Column]:
-        """Drain a forward-backward loop (see :meth:`Executor._op_while`).
+        """Drain a forward-backward loop (the token executor's ``_op_while``).
 
         One barrier group at a time, turn for turn the token executor's
         drain; each turn's condition and body run columnar over the group's
@@ -797,3 +1056,7 @@ class ColumnarExecutor(Executor):
         self._run_subgraph(node.regions[0], [indices] + [
             self._broadcast_column(s, indices) for s in ins[3:]])
         return []
+
+    def _op_replicate(self, node: DFNode, ins: List[Column]) -> List[Column]:
+        # Functionally one copy of the body: the factor is spatial only.
+        return self._run_subgraph(node.regions[0], ins)

@@ -14,250 +14,33 @@ memory system's traffic counters, to derive throughput, which is how the
 paper's ``runtime = size / throughput + init`` evaluation model is
 reproduced without re-running token-level timing for full-size datasets.
 
-Serving fast path
------------------
-
-A cold serving request executes one graph exactly once, but region bodies
-re-run once per loop iteration, so naive per-visit work (re-deriving the
-topological order, ``getattr``-resolving the handler for every node firing,
-re-resolving ``compute`` opcodes) dominates the cold path.  A
-:class:`NodeSchedule` precompiles all of that once per program — the topo
-order of every graph in the hierarchy, the set of ops to bind handlers for,
-each ``compute`` node's :mod:`repro.core.opcodes` entry with its immediates
-bound, and each maximal run of consecutive ``compute`` steps as one
-:class:`ComputeRun` — and is cached per graph (keyed on the graph's
-structural version), so every executor over the same compiled program
-shares one schedule.  A warm program goes one step further: from its second
-columnar run each of its graphs runs as a generated function that keeps
-its links in locals (:mod:`repro.core.columnar`, "Generated regions");
-the schedule holds the functions, because every run builds a fresh
-executor.
+It walks the same :class:`repro.core.columnar.NodeSchedule` as the
+columnar executor, which serves every request; this one is the reference
+the parity tests hold it to.  :func:`make_executor` builds either.
 """
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core import primitives as prim
+from repro.core.columnar import (ColumnarExecutor, ExecutionProfile, _as_stream,
+                                 _wrong_inputs, _wrong_outputs, schedule_for)
 from repro.core.graph import DFGraph, DFNode
 from repro.core.memory import MemorySystem
-from repro.core.opcodes import Opcode, immediate, is_word, resolve
-from repro.core.sltf import Barrier, Data, Stream, Token, encode
+from repro.core.sltf import Barrier, Data, Stream, Token
 from repro.errors import GraphError, PrimitiveError
 
 
-@dataclass
-class ExecutionProfile:
-    """Per-node and per-loop counts gathered by the executor.
-
-    ``vector_exits`` counts the firings in which the columnar executor left
-    its whole-array path, keyed ``"<op>:<reason>"`` (see
-    :meth:`repro.core.columnar.ColumnarExecutor._exit`); the token executor
-    leaves it empty.
-    """
-
-    node_firings: Dict[str, int] = field(default_factory=dict)
-    loop_iterations: Dict[str, int] = field(default_factory=dict)
-    vector_exits: Dict[str, int] = field(default_factory=dict)
-
-    def record_loop(self, label: str, iterations: int) -> None:
-        self.loop_iterations[label] = self.loop_iterations.get(label, 0) + iterations
-
-
-class ComputeRun:
-    """A maximal run of two or more consecutive ``compute`` steps of one
-    graph, which the columnar executor fires as one step.
-
-    Operands are numbered slots: the run's external input links (``inputs``,
-    in first-use order), then its distinct immediates (``constants``, as
-    0-d ``int64`` arrays), then each member's output.  ``members`` holds one
-    ``(node, vector kernel, operand slots, link operand slots)`` per node,
-    in schedule order: the kernel is the unbound table entry's, called with
-    every operand in place.
-    """
-
-    __slots__ = ("inputs", "constants", "members")
-
-    def __init__(self, steps: Sequence[tuple]):
-        self.inputs: List[int] = []
-        self.constants: List[Any] = []
-        external: Dict[int, int] = {}
-        produced: Dict[int, int] = {}
-        links_of = []
-        for k, (node, _, in_uids, out_uids) in enumerate(steps):
-            links = []
-            for uid in in_uids:
-                if uid in produced:
-                    # An earlier member's output: its slot is known below.
-                    links.append(~produced[uid])
-                    continue
-                if uid not in external:
-                    external[uid] = len(self.inputs)
-                    self.inputs.append(uid)
-                links.append(external[uid])
-            links_of.append(links)
-            produced[out_uids[0]] = k
-        imm_slot: Dict[int, int] = {}
-        for node, _, _, _ in steps:
-            for _, value in node.params.get("imm", ()):
-                if value not in imm_slot:
-                    imm_slot[value] = len(self.inputs) + len(self.constants)
-                    self.constants.append(immediate(value))
-        first_output = len(self.inputs) + len(self.constants)
-        self.members = []
-        for (node, _, _, _), links in zip(steps, links_of):
-            link_slots = tuple(r if r >= 0 else first_output + ~r for r in links)
-            args = list(link_slots)
-            for pos, value in sorted(node.params.get("imm", ())):
-                args.insert(pos, imm_slot[value])
-            self.members.append((node, resolve(node.params["fn"]).vector,
-                                 tuple(args), link_slots))
-
-
-class NodeSchedule:
-    """A precompiled execution plan for one structured-graph hierarchy.
-
-    Built once per compiled program and shared by every executor over it:
-
-    * the memoized topological order of the root graph and every nested
-      region graph (``steps``), and the same order with each maximal run of
-      consecutive ``compute`` steps grouped into one :class:`ComputeRun`
-      (``runs``),
-    * each ``compute`` node's opcode table entry, its immediates bound
-      (``opcode``), and
-    * the set of ops that appear anywhere in the hierarchy, so an executor
-      can resolve its handler table once instead of per node firing.
-
-    Schedules are immutable snapshots: they record the structural
-    :attr:`~repro.core.graph.DFGraph.version` of every graph in the
-    hierarchy at build time, and :func:`schedule_for` rebuilds
-    automatically when any of them has changed.  In-place *node* mutations
-    (e.g. rewriting ``params['fn']`` on an existing node) are not tracked —
-    graphs are append-only after construction everywhere in this codebase.
-
-    A schedule never references its root graph: it is the *value* under
-    that graph's weak key in the :func:`schedule_for` cache, and a value
-    that kept its own key alive could never be freed.  Whoever runs a
-    schedule holds the root, which is what keeps its ``id()`` key in
-    ``_steps`` unambiguous.
-
-    A schedule also counts the columnar runs of its program
-    (``columnar_runs``) and holds the functions
-    :mod:`repro.core.columnar` generates for its graphs once the program
-    is warm (``generated``, by ``id(graph)``); they capture nodes, never a
-    graph, an executor or a memory.
-    """
-
-    __slots__ = ("version", "ops", "_steps", "_runs", "_io", "_opcodes", "_regions",
-                 "columnar_runs", "generated")
-
-    def __init__(self, graph: DFGraph):
-        #: Structural version of the root graph at build time.
-        self.version = graph.version
-        self.ops: set = set()
-        self._steps: Dict[int, List[tuple]] = {}
-        self._runs: Dict[int, List[tuple]] = {}
-        self._io: Dict[int, tuple] = {}
-        self._opcodes: Dict[int, Opcode] = {}
-        #: ``(graph, version at build time)`` for every graph below the
-        #: root; strong references, so a dead region's id can never alias
-        #: a new graph.
-        self._regions: List[tuple] = []
-        self.columnar_runs = 0
-        self.generated: Dict[int, Any] = {}
-        self._add_graph(graph)
-
-    def stale(self, root: DFGraph) -> bool:
-        """True when ``root`` or any region under it mutated after scheduling."""
-        return root.version != self.version or any(
-            graph.version != version for graph, version in self._regions
-        )
-
-    def _add_graph(self, graph: DFGraph) -> None:
-        steps = self._steps[id(graph)] = self._prepare(graph)
-        self._io[id(graph)] = ([v.uid for v in graph.inputs],
-                               [v.uid for v in graph.outputs])
-        for node in graph.topo_order():
-            self.ops.add(node.op)
-            if node.op == "const":
-                _check_words(node, (node.params.get("value"),))
-            elif node.op == "compute":
-                imm = node.params.get("imm", ())
-                _check_words(node, [value for _, value in imm])
-                self._opcodes[node.uid] = resolve(node.params.get("fn")).bind(
-                    imm, len(node.inputs) + len(imm))
-            for region in node.regions:
-                self._regions.append((region, region.version))
-                self._add_graph(region)
-        self._runs[id(graph)] = self._group(steps)
-
-    def _group(self, steps: List[tuple]) -> List[tuple]:
-        """``steps`` with each maximal run of two or more consecutive
-        ``compute`` steps replaced by one ``(run, "compute", in_uids,
-        out_uids)`` step over a :class:`ComputeRun`."""
-        grouped: List[tuple] = []
-        run: List[tuple] = []
-        for step in steps + [None]:
-            if step is not None and step[1] == "compute":
-                run.append(step)
-                continue
-            if len(run) > 1:
-                fused = ComputeRun(run)
-                grouped.append((fused, "compute", fused.inputs,
-                                [s[3][0] for s in run]))
-            else:
-                grouped.extend(run)
-            run = []
-            if step is not None:
-                grouped.append(step)
-        return grouped
-
-    @staticmethod
-    def _prepare(graph: DFGraph) -> List[tuple]:
-        """One ``(node, op, input_uids, output_uids)`` step per node in topo
-        order, so the run loop chases no attributes per firing."""
-        return [
-            (node, node.op, [v.uid for v in node.inputs],
-             [v.uid for v in node.outputs])
-            for node in graph.topo_order()
-        ]
-
-    def steps(self, graph: DFGraph) -> List[tuple]:
-        """Prepared steps for ``graph`` (any graph in the hierarchy)."""
-        return self._steps[id(graph)]
-
-    def io(self, graph: DFGraph) -> tuple:
-        """The input uids and the output uids of ``graph``."""
-        return self._io[id(graph)]
-
-    def runs(self, graph: DFGraph) -> List[tuple]:
-        """``steps(graph)`` with its compute runs grouped (see ``_group``)."""
-        return self._runs[id(graph)]
-
-    def opcode(self, node: DFNode) -> Opcode:
-        """The opcode table entry of ``compute`` node ``node``, bound to the
-        node's immediates (:meth:`repro.core.opcodes.Opcode.bind`)."""
-        return self._opcodes[node.uid]
-
-
-#: One schedule per live graph; entries die with their graph, and stale
-#: schedules (the graph mutated after scheduling) are rebuilt on demand.
-_SCHEDULES: "weakref.WeakKeyDictionary[DFGraph, NodeSchedule]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def schedule_for(graph: DFGraph) -> NodeSchedule:
-    """Return the cached :class:`NodeSchedule` for ``graph``, building it
-    (or rebuilding it after a structural mutation anywhere in the graph's
-    region hierarchy) if needed."""
-    schedule = _SCHEDULES.get(graph)
-    if schedule is None or schedule.stale(graph):
-        schedule = NodeSchedule(graph)
-        _SCHEDULES[graph] = schedule
-    return schedule
+def make_executor(graph: DFGraph, *, executor: Optional[str] = None, **kwargs):
+    """Build the columnar executor (``None``/``"columnar"``) or the token
+    reference (``"token"``); any other name raises ``ValueError``."""
+    if executor is None or executor == "columnar":
+        return ColumnarExecutor(graph, **kwargs)
+    if executor == "token":
+        return Executor(graph, **kwargs)
+    raise ValueError(
+        f"unknown executor {executor!r}; choose 'columnar' or 'token'")
 
 
 def zip_streams(*streams: Sequence[Token]) -> Stream:
@@ -564,44 +347,6 @@ class Executor:
         body = node.regions[0]
         return self._run_subgraph(body, ins)
 
-
-def _wrong_outputs(node: DFNode, outs: Sequence[Any], expected: int) -> None:
-    raise GraphError(
-        f"node {node!r} produced {len(outs)} streams, expected {expected}")
-
-
-def _wrong_inputs(name: str, expected: int, ins: Sequence[Any]) -> None:
-    raise GraphError(f"region '{name}' expects {expected} inputs, got {len(ins)}")
-
-
-def _check_words(node: DFNode, values: Sequence[Any]) -> None:
-    """Raise :class:`GraphError` unless every one of ``values`` (a node's
-    constants) is an ``int64`` word."""
-    for value in values:
-        if not is_word(value):
-            raise GraphError(f"node {node!r} holds {value!r}, not an int64 word")
-
-
-def _as_stream(value: Any) -> Stream:
-    """Coerce user-provided input (stream or nested list) into a stream of
-    ``int64`` words; any other value raises :class:`GraphError`."""
-    if not isinstance(value, list):
-        raise GraphError(
-            "graph inputs must be token streams or (nested) lists of values"
-        )
-    if value and isinstance(value[0], (Data, Barrier)):
-        stream = list(value)
-    else:
-        rank = 1
-        probe = value
-        while probe and isinstance(probe[0], list):
-            rank += 1
-            probe = probe[0]
-        stream = encode(value, ndim=rank) if value else []
-    for tok in stream:
-        if type(tok) is Data and not is_word(tok.value):
-            raise GraphError(f"graph input value {tok.value!r} is not an int64 word")
-    return stream
 
 
 def run_graph(

@@ -11,17 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict
 
 from repro.errors import MachineError
-
-
-class ResourceKind(str, Enum):
-    """Physical unit classes on the vRDA."""
-
-    CU = "CU"
-    MU = "MU"
-    AG = "AG"
 
 
 class LinkKind(str, Enum):
@@ -91,37 +82,9 @@ class MachineConfig:
             raise MachineError("clock and DRAM bandwidth must be positive")
 
     @property
-    def vector_bytes(self) -> int:
-        """Width of a vector link payload in bytes (16 x 32-bit lanes)."""
-        return self.lanes * self.word_bytes
-
-    @property
-    def peak_vector_words_per_cycle(self) -> int:
-        """Data elements one vector link can move per cycle."""
-        return self.lanes
-
-    @property
-    def peak_scalar_words_per_cycle(self) -> int:
-        """Data elements one scalar link can move per cycle."""
-        return 1
-
-    @property
-    def dram_bytes_per_cycle(self) -> float:
-        """HBM2 bandwidth expressed per fabric cycle."""
-        return self.dram_bandwidth_gbs / self.clock_ghz
-
-    @property
     def mu_words(self) -> int:
         """Words of storage per memory unit."""
         return self.mu_capacity_bytes // self.word_bytes
-
-    def resource_total(self, kind: ResourceKind) -> int:
-        """Total number of physical units of ``kind``."""
-        return {
-            ResourceKind.CU: self.num_cus,
-            ResourceKind.MU: self.num_mus,
-            ResourceKind.AG: self.num_ags,
-        }[kind]
 
 
 #: The paper's evaluated configuration (Table II).
@@ -173,9 +136,6 @@ class ResourceUsage:
     def scaled(self, factor: int) -> "ResourceUsage":
         return ResourceUsage(self.cu * factor, self.mu * factor, self.ag * factor)
 
-    def as_dict(self) -> Dict[str, int]:
-        return {"CU": self.cu, "MU": self.mu, "AG": self.ag}
-
     def fits(self, machine: MachineConfig) -> bool:
         """True if this usage fits within the machine's unit counts."""
         return (
@@ -183,16 +143,3 @@ class ResourceUsage:
             and self.mu <= machine.num_mus
             and self.ag <= machine.num_ags
         )
-
-    def utilization(self, machine: MachineConfig) -> Dict[str, float]:
-        """Fraction of each resource class consumed."""
-        return {
-            "CU": self.cu / machine.num_cus,
-            "MU": self.mu / machine.num_mus,
-            "AG": self.ag / machine.num_ags,
-        }
-
-    def critical_resource(self, machine: MachineConfig) -> str:
-        """The resource class with the highest utilization."""
-        util = self.utilization(machine)
-        return max(util, key=util.get)

@@ -192,10 +192,6 @@ class AllocationSite(_Words):
         self.live.discard(ptr)
         self._returned.append(ptr)
 
-    @property
-    def words_in_use(self) -> int:
-        return self.high_water * self.buffer_words
-
 
 class MemorySystem:
     """Shared DRAM + SRAM state for functional execution."""
@@ -520,11 +516,3 @@ class MemorySystem:
     def load_bytes(self, name: str, payload: bytes) -> DRAMSegment:
         """Store a byte string as a char segment (one byte per word)."""
         return self.dram_alloc(name, data=list(payload), element_bytes=1)
-
-    def read_bytes(
-        self, name: str, start: int = 0, length: Optional[int] = None
-    ) -> bytes:
-        seg = self.segment(name)
-        length = seg.size - start if length is None else length
-        base = seg.base + start
-        return bytes(v & 0xFF for v in self._dram.span_list(base, base + length))

@@ -225,35 +225,34 @@ def filter_stream(data: Sequence[Token], predicate: Sequence[Token]) -> Stream:
     return out
 
 
+def _tags(stream: Sequence[Token]) -> List[int]:
+    """A stream's structure: 0 per data element, each barrier's level."""
+    return [tok.level if isinstance(tok, Barrier) else 0 for tok in stream]
+
+
+def _check_structure(stream: Sequence[Token], tags: List[int], op: str) -> None:
+    """Raise unless ``stream`` has the structure ``tags`` of ``op``'s predicate."""
+    if len(stream) != len(tags):
+        raise PrimitiveError(f"{op} data and predicate have different lengths")
+    if _tags(stream) != tags:
+        raise PrimitiveError("filter predicate misaligned with data")
+
+
 def filter_streams(
     streams: Sequence[Sequence[Token]], predicate: Sequence[Token]
 ) -> List[Stream]:
     """Filter parallel streams by one predicate with a single predicate scan.
 
-    Equivalent to ``[filter_stream(s, predicate) for s in streams]`` for
-    *aligned* inputs (same length, barriers in the same positions): the
-    predicate is scanned once for surviving positions, then each stream is
-    gathered by index.  Alignment of data positions is a precondition, not
-    re-validated per stream — this is the executor's bundle fast path, where
-    streams are aligned by construction.
+    Equivalent to ``[filter_stream(s, predicate) for s in streams]``: the
+    predicate is scanned once for surviving positions, then each stream,
+    checked against the predicate's structure, is gathered by index.
     """
-    length = len(predicate)
-    positions: List[int] = []
-    barrier_positions: List[int] = []
-    for j, tok in enumerate(predicate):
-        if isinstance(tok, Barrier):
-            positions.append(j)
-            barrier_positions.append(j)
-        elif tok.value:
-            positions.append(j)
+    tags = _tags(predicate)
+    positions = [j for j, tok in enumerate(predicate)
+                 if isinstance(tok, Barrier) or tok.value]
     outs: List[Stream] = []
     for s in streams:
-        if len(s) != length:
-            raise PrimitiveError("filter data and predicate have different lengths")
-        for j in barrier_positions:
-            tok = s[j]
-            if not isinstance(tok, Barrier) or tok.level != predicate[j].level:
-                raise PrimitiveError("filter predicate misaligned with data")
+        _check_structure(s, tags, "filter")
         outs.append([s[j] for j in positions])
     return outs
 
@@ -265,30 +264,21 @@ def partition_streams(
 
     One predicate scan decides every stream's kept/dropped positions;
     barriers appear in both outputs (each branch of an ``if`` sees the same
-    control structure).  Same alignment precondition as
-    :func:`filter_streams`.
+    control structure).  Every stream must share the predicate's structure.
     """
-    length = len(predicate)
+    tags = _tags(predicate)
     kept_positions: List[int] = []
     dropped_positions: List[int] = []
-    barrier_positions: List[int] = []
     for j, tok in enumerate(predicate):
         if isinstance(tok, Barrier):
             kept_positions.append(j)
             dropped_positions.append(j)
-            barrier_positions.append(j)
         elif tok.value:
             kept_positions.append(j)
         else:
             dropped_positions.append(j)
     for s in streams:
-        if len(s) != length:
-            raise PrimitiveError(
-                "partition data and predicate have different lengths")
-        for j in barrier_positions:
-            tok = s[j]
-            if not isinstance(tok, Barrier) or tok.level != predicate[j].level:
-                raise PrimitiveError("filter predicate misaligned with data")
+        _check_structure(s, tags, "partition")
     kept = [[s[j] for j in kept_positions] for s in streams]
     dropped = [[s[j] for j in dropped_positions] for s in streams]
     return kept, dropped

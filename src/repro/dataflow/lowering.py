@@ -60,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.core.columnar import make_executor
+from repro.core.executor import make_executor
 from repro.core.graph import DFGraph, DFNode, DFValue
 from repro.core.machine import LinkKind
 from repro.core.memory import MemorySystem
@@ -304,7 +304,7 @@ class CompiledProgram:
         same outputs, memory contents, traffic counters, and profile (node
         firings and ``while`` trip counts).  The node schedule is
         precompiled once per program and shared by every run (see
-        :func:`repro.core.executor.schedule_for`).
+        :func:`repro.core.columnar.schedule_for`).
         """
         inputs: Dict[str, Any] = {}
         for name in self.arg_names:

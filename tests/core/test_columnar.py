@@ -7,16 +7,18 @@ traffic counters, same profile, same errors.  These tests enforce it at the
 enforces the same contract on full engine responses.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.apps import REGISTRY
 from repro.compiler import CompileOptions
-from repro.core import primitives as prim
+from repro.core import columnar, primitives as prim
 from repro.core.columnar import (GENERATED_FROM_RUN, ColumnarExecutor, from_stream,
-                                 make_executor, to_stream)
-from repro.core.executor import Executor, merge_bundles, schedule_for
+                                 schedule_for, to_stream)
+from repro.core.executor import Executor, make_executor, merge_bundles
 from repro.core.graph import DFGraph
 from repro.core.sltf import Barrier, Data, data_values
 from repro.errors import GraphError
@@ -35,6 +37,19 @@ class TestExecutorSelection:
                               ColumnarExecutor)
 
 
+def test_columnar_imports_no_token_module():
+    """The columnar executor stands alone: it imports neither the token
+    executor nor the token primitives, in any form."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(columnar.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert not imported & {"repro.core.executor", "repro.core.primitives"}
+
+
 def _profile_state(profile):
     return {
         "firings": dict(profile.node_firings),
@@ -50,10 +65,6 @@ def _run_both(program, make_instance):
     The program MUST be compiled once and shared: separate compiles mint
     fresh node uids, so auto-generated labels/link names would differ and
     mask (or fake) real divergence.
-
-    A columnar run must also never leave the vector path: a compiled
-    program's values are int64 words, so no kernel traps and no bundle is
-    misaligned.
     """
     schedule = schedule_for(program.graph)
     assert schedule.columnar_runs == 0 and not schedule.generated
@@ -63,8 +74,6 @@ def _run_both(program, make_instance):
         instance = make_instance()
         runner = program.run(instance.memory, profile=True,
                              executor=executor, **instance.args)
-        if executor == "columnar":
-            assert runner.profile.vector_exits == {}
         states[label] = (
             instance.memory.snapshot(),
             _profile_state(runner.profile),
@@ -203,7 +212,6 @@ def test_partition_and_merge_match_the_token_primitives(case, empty_dropped):
     assert [to_stream(c) for c in dropped_cols] == dropped
     merged = ex._merge_columns(kept_cols, dropped_cols)
     assert [to_stream(c) for c in merged] == merge_bundles(kept, dropped)
-    assert ex.profile.vector_exits == {}
 
 
 # -- property-style fuzz over random straight-line bodies -------------------

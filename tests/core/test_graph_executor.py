@@ -5,9 +5,9 @@ import copy
 import pytest
 
 from repro.core import columnar
-from repro.core.columnar import make_executor
-from repro.core.executor import (ComputeRun, Executor, NodeSchedule, run_graph,
-                                 schedule_for, unzip_stream, zip_streams)
+from repro.core.columnar import ComputeRun, NodeSchedule, schedule_for
+from repro.core.executor import (Executor, make_executor, run_graph, unzip_stream,
+                                 zip_streams)
 from repro.core.graph import DFGraph, DFNode
 from repro.core.memory import MemorySystem
 from repro.core.opcodes import INT64_MAX, INT64_MIN, OPCODES
@@ -650,7 +650,7 @@ class TestMalformedGraphsGenerated(TestMalformedGraphsColumnar):
         return outcome
 
 
-# -- the one way off the vector path: one hand-built case per exit reason ----
+# -- inputs a compiled program never makes: error and edge parity -----------
 
 #: Two streams misaligned at their first token.
 MISALIGNED = {"in0": [D(0), B(1)], "in1": [B(1), D(0)]}
@@ -695,19 +695,46 @@ def _filtered_and_whole(arm, a, b):
     return [arm.add_node("filter", [a, a]).outputs[0], b]
 
 
-EXIT_CASES = {
+#: Hand-built inputs no compiled program makes, keyed ``"<op>:<what>"``:
+#: malformed bundles, trapping kernels and ``foreach`` rows at the int64
+#: edges (``docs/executor.md``, "Malformed bundles").
+PARITY_CASES = {
     "compute:misaligned": (build_leaf_graph("compute", 2, {"fn": "add"}),
                            {"in0": [D(1), D(2), B(1)], "in1": [D(1), B(1), D(2)]}),
+    # Row 0 divides by zero before the scan reaches the misaligned position.
+    "compute:trap_before_misaligned": (
+        build_leaf_graph("compute", 2, {"fn": "div"}),
+        {"in0": [D(1), D(2), B(1)], "in1": [D(0), B(1), D(2)]}),
+    "compute:mismatched_levels": (
+        build_leaf_graph("compute", 3, {"fn": "select"}),
+        {"in0": [D(1), B(1)], "in1": [D(2), B(1)], "in2": [D(3), B(2)]}),
+    "compute:lengths": (build_leaf_graph("compute", 2, {"fn": "add"}),
+                        {"in0": [1, 2], "in1": [1]}),
     "compute:trap": (build_leaf_graph("compute", 2, {"fn": "shl"}),
                      {"in0": [1, 1], "in1": [3, -1]}),
     "filter:misaligned": (build_leaf_graph("filter", 2),
                           {"in0": [D(1), D(2), B(1)], "in1": [D(1), B(1), D(0)]}),
+    "filter:lengths": (build_leaf_graph("filter", 2), {"in0": [1, 2], "in1": [1]}),
+    "filter:barrier_in_a_data_slot": (
+        build_leaf_graph("filter", 3, num_outputs=2),
+        {"in0": [D(1), B(1), B(1)], "in1": [D(1), D(2), B(1)],
+         "in2": [D(1), D(1), B(1)]}),
     "fork:misaligned": (build_leaf_graph("fork", 2, num_outputs=2), MISALIGNED),
     "fork:negative": (build_leaf_graph("fork", 2, num_outputs=2),
                       {"in0": [2, -1], "in1": [7, 9]}),
+    # The first payload fits, so the negative count raises before the
+    # second payload is zipped.
+    "fork:negative_before_misaligned": (
+        build_leaf_graph("fork", 3, num_outputs=3),
+        {"in0": [D(2), D(-1), B(1)], "in1": [D(7), D(9), B(1)],
+         "in2": [D(7), B(1), D(9)]}),
     "sram_write:misaligned": (build_leaf_graph("sram_write", 2, {"site": "buf"}),
                               MISALIGNED),
     "dram_write:misaligned": (build_leaf_graph("dram_write", 2), MISALIGNED),
+    # Two words land before the scan reaches the misaligned position.
+    "dram_write:misaligned_after_two_rows": (
+        build_leaf_graph("dram_write", 2),
+        {"in0": [D(1), D(2), B(1), D(3)], "in1": [D(5), D(6), D(7), B(1)]}),
     "bulk_load:misaligned": (build_leaf_graph("bulk_load", 2, {"size": 4}),
                              MISALIGNED),
     "bulk_store:misaligned": (build_leaf_graph("bulk_store", 2, {"size": 4}),
@@ -725,35 +752,73 @@ EXIT_CASES = {
     "counter:level": (build_foreach_counter_graph(),
                       {"lo": [D(0), B(15)], "hi": [D(2), B(15)],
                        "step": [D(1), B(15)]}),
+    "counter:zero_step_before_level": (
+        build_foreach_counter_graph(),
+        {"lo": [D(0), B(15)], "hi": [D(2), B(15)], "step": [D(0), B(15)]}),
+    "counter:level_before_zero_step": (
+        build_foreach_counter_graph(),
+        {"lo": [D(0), B(15), D(0), B(15)], "hi": [D(2), B(15), D(2), B(15)],
+         "step": [D(1), B(15), D(0), B(15)]}),
     "partition:misaligned": (build_if_graph(lambda arm, a, b: [a, b]),
                              {"p": [D(1), B(1), D(0)], "a": [D(1), D(2), B(1)],
                               "b": [D(1), D(2), B(1)]}),
+    "partition:lengths": (build_if_graph(lambda arm, a, b: [a, b]),
+                          {"p": [1], "a": [1, 2], "b": [1, 2]}),
+    "partition:barrier_in_a_data_slot": (
+        build_if_graph(lambda arm, a, b: [a, b]),
+        {"p": [D(1), D(1), B(1)], "a": [D(1), B(1), B(1)],
+         "b": [D(1), D(2), B(1)]}),
     "merge:misaligned": (build_if_graph(_filtered_and_whole),
                          {"p": [1, 1, 1], "a": [1, 0, 1], "b": [4, 5, 6]}),
 }
 
 
-@pytest.mark.parametrize("key", sorted(EXIT_CASES))
-def test_vector_exit_reason(key, tier):
-    """Each exit records exactly its own ``"<op>:<reason>"`` once, and the
-    firing ends as on the token path: same outputs, memory, error, firings
-    and loop turns, interpreted or from generated code."""
-    graph, inputs = EXIT_CASES[key]
-    outcomes, exits = {}, {}
-    for executor in ("token", "columnar"):
-        memory = MemorySystem()
-        memory.dram_alloc("out", size=8)
-        ex = make_executor(graph, executor=executor, memory=memory)
-        try:
-            result = ex.run(inputs)
-        except (PrimitiveError, SLTFError, ValueError) as error:
-            result = (type(error), str(error))
-        outcomes[executor] = (result, memory.snapshot()["dram"], vars(memory.stats),
-                              ex.profile.node_firings, ex.profile.loop_iterations)
-        exits[executor] = ex.profile.vector_exits
-    assert outcomes["columnar"] == outcomes["token"]
-    assert exits == {"token": {}, "columnar": {key: 1}}
+def run_case(graph, inputs, executor):
+    """(outputs or the error's type and text, DRAM, stats, firings, loop
+    turns) of one run over a fresh memory with an 8-word segment."""
+    memory = MemorySystem()
+    memory.dram_alloc("out", size=8)
+    ex = make_executor(graph, executor=executor, memory=memory)
+    try:
+        result = ex.run(inputs)
+    except (ArithmeticError, PrimitiveError, SLTFError, ValueError) as error:
+        result = (type(error), str(error))
+    return (result, memory.snapshot()["dram"], vars(memory.stats),
+            ex.profile.node_firings, ex.profile.loop_iterations)
+
+
+@pytest.mark.parametrize("key", sorted(PARITY_CASES))
+def test_columnar_matches_the_token_path(key, tier):
+    """Same outputs or error, memory, firings and loop turns as the token
+    executor, interpreted or from generated code."""
+    graph, inputs = PARITY_CASES[key]
+    assert run_case(graph, inputs, "columnar") == run_case(graph, inputs, "token")
     assert (id(graph) in schedule_for(graph).generated) == (tier == "generated")
+
+
+@pytest.mark.parametrize("key", ["filter:barrier_in_a_data_slot",
+                                 "partition:barrier_in_a_data_slot"])
+@pytest.mark.parametrize("executor", ["token", "columnar"])
+def test_a_barrier_in_a_data_slot_is_misaligned(key, executor):
+    """The predicate has data where a link has a barrier: no filter or
+    partition may pass that barrier on as a thread."""
+    graph, inputs = PARITY_CASES[key]
+    result = run_case(graph, inputs, executor)[0]
+    assert result == (PrimitiveError, "filter predicate misaligned with data")
+
+
+@pytest.mark.parametrize("executor", ["token", "columnar"])
+def test_foreach_counts_int64_spans_exactly(executor):
+    """Rows whose span fills int64, stepping up and down (by 2**62, and by
+    INT64_MIN, whose magnitude int64 cannot hold): 4, 4 and 2 children."""
+    lo, hi = [INT64_MIN, INT64_MAX, INT64_MAX], [INT64_MAX, INT64_MIN, INT64_MIN]
+    step = [2**62, -(2**62), INT64_MIN]
+    graph = build_foreach_counter_graph()
+    result, dram, *_ = run_case(graph, {"lo": lo, "hi": hi, "step": step}, executor)
+    children = [lo[0] + k * 2**62 for k in range(4)] + [
+        lo[1] - k * 2**62 for k in range(4)] + [INT64_MAX, -1]
+    assert all(INT64_MIN <= i <= INT64_MAX for i in children)
+    assert result == {} and dram == {i: i for i in children if i}
 
 
 def test_an_output_nothing_defines_fails_as_on_the_token_path(tier):
@@ -766,8 +831,8 @@ def test_an_output_nothing_defines_fails_as_on_the_token_path(tier):
     assert schedule_for(g).generated == ({id(g): False} if tier == "generated" else {})
 
 
-#: The inputs of the exit reasons that served bigints and ``bool`` values:
-#: an int64 sum now wraps on the vector path, and anything that is not an
+#: The inputs that once served bigints and ``bool`` values:
+#: an int64 sum now wraps in the kernel, and anything that is not an
 #: int64 word is refused at the graph input.
 RETIRED_EXIT_CASES = {
     "compute:overflow": (build_leaf_graph("compute", 2, {"fn": "add"}),
@@ -792,15 +857,12 @@ def test_retired_exit_inputs_wrap_or_are_refused(key, executor):
         return
     (out,) = ex.run(inputs).values()
     assert data_values(out) == expected
-    assert ex.profile.vector_exits == {}
 
 
 class TestExecutorFastPath:
     """The serving fast path: node schedules shared by every executor."""
 
     def test_schedule_cached_until_graph_mutates(self):
-        from repro.core.executor import schedule_for
-
         g = build_add_one_graph()
         first = schedule_for(g)
         assert schedule_for(g) is first  # memoized per structural version
@@ -816,8 +878,6 @@ class TestExecutorFastPath:
         import gc
 
         from repro.apps import REGISTRY
-        from repro.core.executor import schedule_for
-
         spec = REGISTRY.get("strlen")
 
         def live_graphs_after(compiles):
@@ -838,8 +898,6 @@ class TestExecutorFastPath:
         """Generated code dies with its schedule: after a warm program's
         region mutates, the next run interprets the mutated graph."""
         from repro.apps import REGISTRY
-        from repro.core.executor import schedule_for
-
         spec = REGISTRY.get("strlen")
         program = spec.compile()
         g = program.graph
@@ -863,8 +921,6 @@ class TestExecutorFastPath:
         assert rebuilt.generated
 
     def test_schedule_preresolves_compute_opcodes(self):
-        from repro.core.executor import schedule_for
-
         g = build_add_one_graph()
         schedule = schedule_for(g)
         compute = next(n for n in g.nodes if n.op == "compute")
@@ -905,7 +961,7 @@ def build_compute_chain(*steps, n_inputs=1):
 
 def run_token_and_columnar(graph, inputs):
     """Per executor: (outputs or the error's type and text, DRAM, stats,
-    firings, vector exits)."""
+    firings)."""
     outcomes = {}
     for executor in ("token", "columnar"):
         memory = MemorySystem()
@@ -915,7 +971,7 @@ def run_token_and_columnar(graph, inputs):
         except (ArithmeticError, PrimitiveError, ValueError) as error:
             result = (type(error), str(error))
         outcomes[executor] = (result, memory.snapshot()["dram"], vars(memory.stats),
-                              ex.profile.node_firings, ex.profile.vector_exits)
+                              ex.profile.node_firings)
     return outcomes
 
 
@@ -926,7 +982,7 @@ def fused_runs(graph):
 
 
 class TestImmediates:
-    """``params["imm"]`` operands: same values, errors and exits on both
+    """``params["imm"]`` operands: same values and errors on both
     executors, fused into one step or not."""
 
     @pytest.mark.parametrize("fn", ["div", "rem"])
@@ -934,36 +990,32 @@ class TestImmediates:
         outcomes = run_token_and_columnar(
             build_leaf_graph("compute", 1, {"fn": fn, "imm": ((1, 0),)}),
             {"in0": [7, 8]})
-        assert outcomes["columnar"][:4] == outcomes["token"][:4]
+        assert outcomes["columnar"] == outcomes["token"]
         assert outcomes["token"][0][0] is ZeroDivisionError
-        assert outcomes["columnar"][4] == {"compute:trap": 1}
 
     def test_immediate_dividend_and_divisor_positions(self):
         g = build_compute_chain(("sub", ((0, 100),)), ("div", ((1, 7),)),
                                 ("rem", ((0, 9),)))
         outcomes = run_token_and_columnar(g, {"in0": [1, 30, 60]})
-        assert outcomes["columnar"][:4] == outcomes["token"][:4]
+        assert outcomes["columnar"] == outcomes["token"]
         (out,) = outcomes["token"][0].values()
         assert data_values(out) == [9 % ((100 - x) // 7) for x in (1, 30, 60)]
-        assert outcomes["columnar"][4] == {}
 
     def test_mul_by_a_large_immediate_wraps_on_the_vector_path(self):
         outcomes = run_token_and_columnar(
             build_leaf_graph("compute", 1, {"fn": "mul", "imm": ((1, 2**40),)}),
             {"in0": [3, 2**30, -(2**31), 2**30 + 5]})
-        assert outcomes["columnar"][:4] == outcomes["token"][:4]
+        assert outcomes["columnar"] == outcomes["token"]
         (out,) = outcomes["token"][0].values()
         # 2**70 and -(2**71) keep no bit of the low 64.
         assert data_values(out) == [3 * 2**40, 0, 0, 5 * 2**40]
-        assert outcomes["columnar"][4] == {}
 
     def test_an_int64_edge_column_meets_an_immediate(self):
         graph = build_leaf_graph("compute", 1, {"fn": "and", "imm": ((0, 6),)})
         outcomes = run_token_and_columnar(graph, {"in0": [INT64_MIN + 5, 3, -1]})
-        assert outcomes["columnar"][:4] == outcomes["token"][:4]
+        assert outcomes["columnar"] == outcomes["token"]
         (out,) = outcomes["token"][0].values()
         assert data_values(out) == [4, 2, 6]
-        assert outcomes["columnar"][4] == {}
         for executor in ("token", "columnar"):  # 2**70 + 5 is no word
             with pytest.raises(GraphError, match="is not an int64 word"):
                 make_executor(graph, executor=executor).run({"in0": [2**70 + 5, 3]})
@@ -976,10 +1028,9 @@ class TestImmediates:
         assert fused_runs(g) == [3]
         outcomes = run_token_and_columnar(
             g, {"in0": [D(1), D(2), B(1)], "in1": [D(1), B(1), D(2)]})
-        assert outcomes["columnar"][:4] == outcomes["token"][:4]
+        assert outcomes["columnar"] == outcomes["token"]
         assert outcomes["token"][0] == (
             PrimitiveError, "element-wise inputs misaligned at [D(2), B1]")
-        assert outcomes["columnar"][4] == {"compute:misaligned": 1}
 
     def test_a_run_that_wrapped_to_object_values_stays_on_the_vector_path(self):
         """These steps once left the vector path at the ``mul`` and carried
@@ -989,14 +1040,14 @@ class TestImmediates:
         assert fused_runs(g) == [4]
         outcomes = run_token_and_columnar(
             g, {"in0": [D(2**30), D(5), B(1), D(-7), B(2)]})
-        assert outcomes["columnar"][:4] == outcomes["token"][:4]
+        assert outcomes["columnar"] == outcomes["token"]
         (out,) = outcomes["token"][0].values()
         assert data_values(out) == [2**40, 6 * 2**40, -6 * 2**40]
-        assert outcomes["columnar"][3:] == ({"compute": 4}, {})
+        assert outcomes["columnar"][3] == {"compute": 4}
 
     def test_a_run_that_traps_mid_run_matches_node_by_node(self, tier, monkeypatch):
-        """The ``shl`` meets a negative count, so it leaves the vector path
-        and raises; the members after it never fire, as if fired alone,
+        """The ``shl`` meets a negative count, so its kernel traps and its
+        scalar raises; the members after it never fire, as if fired alone,
         interpreted or from generated code."""
         steps = (("add", ((1, 1),)), ("shl", ((0, 1),)),
                  ("sub", ((1, 1),)), ("add", ((0, 1),)))
@@ -1004,18 +1055,16 @@ class TestImmediates:
         assert fused_runs(g) == [4]
         inputs = {"in0": [D(2), D(5), B(1), D(-7), B(2)]}
         outcomes = run_token_and_columnar(g, inputs)
-        assert outcomes["columnar"][:4] == outcomes["token"][:4]
+        assert outcomes["columnar"] == outcomes["token"]
         assert outcomes["token"][0] == (ValueError, "negative shift count")
         assert outcomes["columnar"][3] == {"compute": 2}
-        assert outcomes["columnar"][4] == {"compute:trap": 1}
-        # The same nodes scheduled one step each leave the same way.
+        # The same nodes scheduled one step each raise the same way.
         monkeypatch.setattr(NodeSchedule, "_group", lambda self, steps: steps)
         alone = make_executor(build_compute_chain(*steps), executor="columnar")
         assert fused_runs(alone.graph) == []
         with pytest.raises(ValueError, match="negative shift count"):
             alone.run(inputs)
         assert alone.profile.node_firings == {"compute": 2}
-        assert alone.profile.vector_exits == {"compute:trap": 1}
         for graph in (g, alone.graph):
             assert (id(graph) in schedule_for(graph).generated) == (
                 tier == "generated")

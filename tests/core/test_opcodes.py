@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.columnar import make_executor
+from repro.core.executor import make_executor
 from repro.core.graph import DFGraph
 from repro.core.opcodes import INT64_MAX, INT64_MIN, OPCODES, immediate, is_word
 from repro.errors import GraphError

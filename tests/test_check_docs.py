@@ -117,3 +117,23 @@ def test_every_dotted_name_in_the_docs_resolves():
     files = [(path, path.read_text(encoding="utf-8"))
              for path in check_docs.doc_files()]
     assert check_docs.check_dotted_names(files) == []
+
+
+def test_dead_class_attributes_are_reported_by_name():
+    text = (
+        "`ColumnarExecutor._exit` and `ExecutionProfile.vector_exits` are "
+        "gone; `ExecutionProfile.node_firings`, `NodeSchedule.runs(graph)`, "
+        "`PoolService.pool_lock`, `WorkerPool.metrics()` and "
+        "`CompileOptions.none()` live; `Unknown.attr` and `REGISTRY.get` "
+        "name no class of the package."
+    )
+    assert check_docs.check_class_attributes([(README, text)]) == [
+        "README.md: class ColumnarExecutor has no attribute _exit",
+        "README.md: class ExecutionProfile has no attribute vector_exits",
+    ]
+
+
+def test_every_class_attribute_in_the_docs_resolves():
+    files = [(path, path.read_text(encoding="utf-8"))
+             for path in check_docs.doc_files()]
+    assert check_docs.check_class_attributes(files) == []

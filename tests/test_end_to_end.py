@@ -234,7 +234,7 @@ class TestSmallPrograms:
         memory.dram_alloc("copy", size=len(text), element_bytes=1)
         program = compile_source(src)
         program.run(memory, n=2)
-        assert memory.read_bytes("copy") == text
+        assert bytes(memory.segment_data("copy")) == text
 
     PEEK_SOURCE = """
     DRAM<int> text;

@@ -34,6 +34,11 @@ Eight checks over README.md and everything under docs/:
    the package (``repro.runtime.pool.WorkerPool``, or a call such as
    ``repro.compiler.compile_source(...)``) must resolve to a module or an
    attribute, so a deleted module or class cannot linger in the prose.
+   So must every span ``Class.attr`` (a call suffix allowed) whose class
+   is defined under ``src/repro``: the attribute must be one of the
+   class's, or of a base class's defined there, found by a scan of the
+   source — a method or other class attribute, a dataclass field, a
+   ``__slots__`` entry or a ``self.<attr> =`` assignment.
 
 Exit code 0 when everything passes, 1 otherwise (with one line per
 failure). Run it locally with::
@@ -67,6 +72,8 @@ ROUTE_RE = re.compile(r"/v1/[\w-]+|(?:(?<![\w./-])|(?<=\d))/(?:healthz|metrics)\
 OP_RE = re.compile(r'"op":\s*"([\w-]+)"')
 #: A whole code span naming ``repro.x.y``, with an optional call suffix.
 DOTTED_NAME_RE = re.compile(r"(repro(?:\.\w+)+)(?:\(.*\))?")
+#: A whole code span naming ``Class.attr``, with an optional call suffix.
+CLASS_ATTR_RE = re.compile(r"([A-Z]\w*)\.(\w+)(?:\(.*\))?")
 #: A family's row in a documentation table: its name and its label column.
 METRIC_ROW_RE = re.compile(
     r"^\|\s*`(\w+)`\s*\|\s*(?:counter|gauge|histogram)\s*\|\s*([^|]*?)\s*\|",
@@ -306,6 +313,63 @@ def check_dotted_names(files: List[Tuple[Path, str]]) -> List[str]:
     ]
 
 
+def class_attributes() -> Dict[str, Set[str]]:
+    """The attributes of every class defined under ``src/repro``, by class
+    name (a static scan), each with those of its bases defined there."""
+    own: Dict[str, Set[str]] = {}
+    bases: Dict[str, Set[str]] = {}
+    for source in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for cls in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            attrs = own.setdefault(cls.name, set())
+            bases.setdefault(cls.name, set()).update(
+                getattr(base, "id", getattr(base, "attr", "")) for base in cls.bases)
+            for stmt in cls.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    attrs.add(stmt.name)
+                targets = (stmt.targets if isinstance(stmt, ast.Assign) else
+                           [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        attrs.add(target.id)
+                        if target.id == "__slots__":
+                            attrs.update(ast.literal_eval(stmt.value))
+            attrs.update(
+                node.attr for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+    def lineage(name: str, seen: Set[str]) -> Set[str]:
+        seen.add(name)
+        found = set(own.get(name, ()))
+        for base in bases.get(name, ()):
+            if base in own and base not in seen:
+                found |= lineage(base, seen)
+        return found
+
+    return {name: lineage(name, set()) for name in own}
+
+
+def check_class_attributes(files: List[Tuple[Path, str]]) -> List[str]:
+    """Backticked ``Class.attr`` spans whose class is defined under
+    ``src/repro`` but has no such attribute."""
+    classes = class_attributes()
+    failures = []
+    for path, text in files:
+        for span in sorted(set(CODE_SPAN_RE.findall(text))):
+            match = CLASS_ATTR_RE.fullmatch(span)
+            if not match or match.group(1) not in classes:
+                continue
+            name, attr = match.groups()
+            if attr not in classes[name]:
+                failures.append(f"{path.relative_to(REPO_ROOT)}: class {name} "
+                                f"has no attribute {attr}")
+    return failures
+
+
 def registered_families() -> Dict[str, Tuple[str, ...]]:
     """Metric families the runtime's source registers, with their label
     names: the ``name`` and ``labelnames`` of every ``.counter(`` /
@@ -371,6 +435,7 @@ def main() -> int:
     failures += run_snippet_imports(imports, modules)
     failures += check_flags(files, modules)
     failures += check_dotted_names(files)
+    failures += check_class_attributes(files)
     for failure in failures:
         print(f"FAIL {failure}")
     print(
