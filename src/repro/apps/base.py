@@ -37,10 +37,10 @@ class AppSpec:
     paper_gpu_gbs: float
     paper_cpu_gbs: float
     #: Generate inputs: returns (memory, program kwargs, context dict).
-    generate: Callable[[int, int], "AppInstance"] = None
+    generate: Callable[[int, int], "AppInstance"]
     #: Reference implementation: operates on the same memory, returns the
     #: expected contents of the output segment.
-    reference: Callable[["AppInstance"], List[int]] = None
+    reference: Callable[["AppInstance"], List[int]]
     #: Name of the DRAM segment holding the program's output.
     output_segment: str = "out"
     #: Bytes processed per "element" when reporting throughput.
@@ -51,8 +51,6 @@ class AppSpec:
 
     def make_instance(self, n_threads: int, seed: int = 0) -> "AppInstance":
         """Generate one deterministic problem instance (serving entry point)."""
-        if self.generate is None:
-            raise KeyError(f"app '{self.name}' has no input generator")
         return self.generate(n_threads, seed)
 
 
@@ -77,21 +75,17 @@ class AppRegistry:
         return spec
 
     def get(self, name: str) -> AppSpec:
-        return self._apps[name]
-
-    def get_servable(self, name: str) -> AppSpec:
-        """Resolve a serving-engine request target by app name."""
+        """The app registered as ``name``; every one of them is servable."""
         if name not in self._apps:
             raise KeyError(
-                f"unknown app '{name}'; servable apps: {self.servable_names()}")
+                f"unknown app '{name}'; servable apps: {self.names()}")
         return self._apps[name]
 
     def names(self) -> List[str]:
         return list(self._apps.keys())
 
-    def servable_names(self) -> List[str]:
-        """Apps the serving engine accepts by name: every registered one."""
-        return self.names()
+    #: The benchmark harness (``bench/workloads.py``) lists apps by this name.
+    servable_names = names
 
     def all(self) -> List[AppSpec]:
         return list(self._apps.values())

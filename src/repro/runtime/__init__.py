@@ -50,7 +50,7 @@ from repro.runtime.cache import CacheStats, LRUCache, ProgramCache, program_key
 from repro.runtime.engine import Batch, Engine, EngineError, Request, Response
 from repro.runtime.faults import Fault, FaultInjector, FaultPlan, load_fault_plan
 from repro.runtime.gateway.admission import AdmissionController, PoolService
-from repro.runtime.pool import PoolError, PoolReport, WorkerConfig, WorkerPool
+from repro.runtime.pool import PoolError, PoolReport, WorkerPool
 from repro.runtime.logs import JsonFormatter, configure_logging
 from repro.runtime.telemetry import (
     Counter,
@@ -88,7 +88,6 @@ __all__ = [
     "Response",
     "SlowRing",
     "TraceConfig",
-    "WorkerConfig",
     "WorkerPool",
     "configure_logging",
     "load_fault_plan",

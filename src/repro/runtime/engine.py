@@ -84,7 +84,7 @@ class Request:
         self.validate()
         if self.app is not None:
             try:
-                spec = REGISTRY.get_servable(self.app)
+                spec = REGISTRY.get(self.app)
             except KeyError as error:
                 raise EngineError(str(error)) from error
             return spec, spec.source
@@ -259,10 +259,7 @@ def execute(program: CompiledProgram, request: Request) -> Dict[str, Any]:
     if request.memory is not None:
         instance = AppInstance(memory=request.memory, args=dict(request.args))
     elif spec is not None:
-        try:
-            instance = spec.make_instance(request.n_threads, request.seed)
-        except KeyError as error:
-            raise EngineError(str(error)) from error
+        instance = spec.make_instance(request.n_threads, request.seed)
     else:
         raise EngineError(
             "raw-source requests must provide a pre-staged 'memory'")
@@ -278,7 +275,7 @@ def execute(program: CompiledProgram, request: Request) -> Dict[str, Any]:
             pass  # program declared no such output segment
         # Only an engine-generated instance carries the context the
         # reference oracle needs.
-        if spec.reference is not None and request.memory is None:
+        if request.memory is None:
             expected = spec.reference(instance)
             correct = outputs is not None and outputs[:len(expected)] == expected
         profile, resources = model_inputs(

@@ -3,15 +3,14 @@
 A :class:`FaultPlan` is a picklable description of the faults a test or
 chaos run wants injected into pool workers: kill a worker
 after its n-th batch, hang it mid-flush, or delay or drop one pipe
-reply.  The plan travels inside
-:class:`~repro.runtime.pool.WorkerConfig`, so process workers inherit it
-across the spawn boundary exactly like every other config field, and the
+reply.  :class:`~repro.runtime.pool.WorkerPool` hands the plan to each
+worker, so process workers receive it across the spawn boundary, and the
 ``--fault-plan`` dev flag on ``python -m repro.runtime.server`` threads it
 in from the command line (``python -m repro.runtime.client --smoke``
 always passes one kill).
 
-Workers arm their share of the plan through a :class:`FaultInjector`
-(built by ``WorkerConfig.build_injector``), which the batch loop consults
+Workers arm their share of the plan through a :class:`FaultInjector`,
+which the batch loop consults
 at batch boundaries and just before each flush reply.  Faults are one-shot
 by default: a respawned worker comes back with the already-fired faults
 stripped (``FaultPlan.respawn_plan``), so a single injected kill exercises
@@ -42,7 +41,6 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ReproError
@@ -197,17 +195,10 @@ class FaultPlan:
 
 
 def load_fault_plan(spec: Optional[str]) -> Optional[FaultPlan]:
-    """Parse a ``--fault-plan`` argument: inline JSON or ``@path`` to a file."""
+    """Parse a ``--fault-plan`` argument (JSON); None when it is empty."""
     if spec is None or not spec.strip():
         return None
-    text = spec
-    if spec.startswith("@"):
-        path = Path(spec[1:])
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as error:
-            raise FaultPlanError(f"cannot read fault plan {path}: {error}")
-    plan = FaultPlan.from_json(text)
+    plan = FaultPlan.from_json(spec)
     return plan if plan else None
 
 

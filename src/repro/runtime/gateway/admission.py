@@ -2,7 +2,7 @@
 
 The pool measures one number, its capacity: requests per worker-busy-second
 summed over workers.  :class:`AdmissionController` turns it into a *token
-budget* — at most ``capacity × headroom`` requests in flight (``headroom``
+budget* — at most ``capacity × HEADROOM_S`` requests in flight (the headroom
 is literally "seconds of queued work"), though an idle server admits any
 call — and sheds everything beyond it with a computed retry hint instead
 of queueing it.
@@ -52,6 +52,8 @@ _LOG = get_logger(__name__)
 PROTOCOL_VERSION = 1
 #: The capacity (requests/s) assumed until a worker has served.
 COLD_CAPACITY_RPS = 100.0
+#: Seconds of measured drain the derived budget holds in flight.
+HEADROOM_S = 2.0
 #: Bounds of the retry hint on a shed call, seconds.
 MIN_RETRY_S = 0.05
 MAX_RETRY_S = 10.0
@@ -96,7 +98,7 @@ class AdmissionController:
     """Token-budget admission over the pool's measured capacity.
 
     The budget is ``max_inflight`` when set explicitly, otherwise
-    ``ceil(capacity × headroom)``, where each call passes ``capacity_rps``
+    ``ceil(capacity × HEADROOM_S)``, where each call passes ``capacity_rps``
     in (:meth:`~repro.runtime.pool.WorkerPool.capacity_rps`; 0.0, before
     any worker has served, reads as :data:`COLD_CAPACITY_RPS`).  The
     derived budget is work-conserving: a call that finds nothing in flight
@@ -112,13 +114,10 @@ class AdmissionController:
     their peak); :class:`PoolService` counts what it admits and sheds.
     """
 
-    def __init__(self, max_inflight: Optional[int] = None, headroom: float = 2.0):
+    def __init__(self, max_inflight: Optional[int] = None):
         if max_inflight is not None and max_inflight < 0:
             raise ValueError("max_inflight must be >= 0")
-        if not (math.isfinite(headroom) and headroom > 0.0):
-            raise ValueError("headroom must be finite and positive (seconds)")
         self.max_inflight = max_inflight
-        self.headroom = headroom
         self._lock = threading.Lock()
         self._inflight = 0
         self.peak_inflight = 0
@@ -132,7 +131,7 @@ class AdmissionController:
         """The token budget (maximum admitted in-flight requests)."""
         if self.max_inflight is not None:
             return self.max_inflight
-        return math.ceil(drain_rps(capacity_rps) * self.headroom)
+        return math.ceil(drain_rps(capacity_rps) * HEADROOM_S)
 
     # -- token accounting ---------------------------------------------------
 
@@ -207,12 +206,11 @@ def _shed_reply(result: ServeResult) -> Reply:
 class PoolService:
     """The shared front door: one pool, its locks, one admission controller.
 
-    ``admission=None`` disables shedding entirely (kept for tests).  What
-    the service can do is the table below — :meth:`request`, :meth:`batch`
-    and :meth:`stream` answer a :class:`Reply` (they can be shed or
-    refused); :meth:`stats_payload`, :meth:`metrics_text`,
-    :meth:`slow_payload` and :meth:`health_payload` always succeed and
-    return their payload directly.  Everything that serves requests goes
+    ``admission`` defaults to a controller with a derived budget.  What the
+    service can do is the table below — :meth:`request`, :meth:`batch` and
+    :meth:`stream` answer a :class:`Reply` (they can be shed or refused);
+    :meth:`stats_payload`, :meth:`metrics_text`, :meth:`slow_payload` and
+    :meth:`health_payload` always succeed and return their payload directly.  Everything that serves requests goes
     through :meth:`serve_payloads`.
     """
 
@@ -222,7 +220,7 @@ class PoolService:
         admission: Optional[AdmissionController] = None,
     ):
         self.pool = pool
-        self.admission = admission
+        self.admission = admission or AdmissionController()
         self.pool_lock = threading.Lock()
         self._failure_callbacks: List[Callable[[], None]] = []
         # The front-door families join the pool's registry, the process's one.
@@ -242,16 +240,15 @@ class PoolService:
             "frontdoor_queue_wait_seconds",
             "Seconds an admitted serve call waited for the pool lock.",
         )
-        if admission is not None:
-            self._m_admitted = metrics.counter(
-                "admission_admitted_total", "Requests granted an in-flight token."
-            )
-            self._m_shed = metrics.counter(
-                "admission_shed_total", "Requests shed with a retry hint."
-            )
-            self._m_admitted.inc(0)
-            self._m_shed.inc(0)
-            metrics.add_collector(self._collect_metrics)
+        self._m_admitted = metrics.counter(
+            "admission_admitted_total", "Requests granted an in-flight token."
+        )
+        self._m_shed = metrics.counter(
+            "admission_shed_total", "Requests shed with a retry hint."
+        )
+        self._m_admitted.inc(0)
+        self._m_shed.inc(0)
+        metrics.add_collector(self._collect_metrics)
 
     def on_failure(self, callback: Callable[[], None]) -> None:
         """Register a listener's stop callback (pool failure, ``shutdown``)."""
@@ -322,32 +319,30 @@ class PoolService:
         if n == 0:
             return ServeResult(results=[])
         started = time.perf_counter()
-        if self.admission is not None:
-            decision = self.admission.try_acquire(n, self.pool.capacity_rps())
-            if not decision.admitted:
-                self._m_requests.inc(n, endpoint=endpoint, status="shed")
-                self._m_shed.inc(n)
-                event(
-                    _LOG,
-                    logging.WARNING,
-                    "admission shed",
-                    endpoint=endpoint,
-                    requested=n,
-                    inflight=decision.inflight,
-                    limit=decision.limit,
-                    retry_after_s=round(decision.retry_after_s, 3),
-                )
-                return ServeResult(
-                    results=[overload_envelope(decision) for _ in payloads],
-                    shed=True,
-                    retry_after_s=decision.retry_after_s,
-                )
-            self._m_admitted.inc(n)
+        decision = self.admission.try_acquire(n, self.pool.capacity_rps())
+        if not decision.admitted:
+            self._m_requests.inc(n, endpoint=endpoint, status="shed")
+            self._m_shed.inc(n)
+            event(
+                _LOG,
+                logging.WARNING,
+                "admission shed",
+                endpoint=endpoint,
+                requested=n,
+                inflight=decision.inflight,
+                limit=decision.limit,
+                retry_after_s=round(decision.retry_after_s, 3),
+            )
+            return ServeResult(
+                results=[overload_envelope(decision) for _ in payloads],
+                shed=True,
+                retry_after_s=decision.retry_after_s,
+            )
+        self._m_admitted.inc(n)
         try:
             return self._serve_admitted(payloads, endpoint, started)
         finally:
-            if self.admission is not None:
-                self.admission.release(n)
+            self.admission.release(n)
 
     def _serve_admitted(
         self, payloads: Sequence[Any], endpoint: str, started: float
@@ -493,7 +488,7 @@ class PoolService:
         shed = family_total(own, "frontdoor_requests_total", status="shed")
         waits = own["frontdoor_queue_wait_seconds"]
         counts = waits["values"].get((), {}).get("buckets", [])
-        payload: Dict[str, Any] = {
+        return {
             "ok": True,
             "op": "stats",
             "served": int(calls - shed),
@@ -505,17 +500,15 @@ class PoolService:
                 quantile_from_buckets(waits["bounds"], counts, 0.99), 6
             ),
             "pool": self.pool.stats_from(snapshots),
-        }
-        if self.admission is not None:
-            payload["admission"] = {
+            "admission": {
                 "inflight": int(family_total(own, "admission_inflight")),
                 "limit": int(family_total(own, "admission_limit")),
                 "drain_rps": round(family_total(own, "admission_drain_rps"), 2),
                 "admitted": int(family_total(own, "admission_admitted_total")),
                 "rejected": int(family_total(own, "admission_shed_total")),
                 "peak_inflight": self.admission.peak_inflight,
-            }
-        return payload
+            },
+        }
 
     # -- telemetry ----------------------------------------------------------
 

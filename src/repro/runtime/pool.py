@@ -28,17 +28,18 @@ where it was compiled.
 The pool is **self-healing**: worker death is a steady-state event, not a
 crash.  A dead worker (EOF or broken pipe) or a hung one (no flush reply
 inside a deadline derived from its measured service rate) is respawned
-in place with its same :class:`WorkerConfig`, and the batches it was
+in place with its same fault plan, and the batches it was
 holding are requeued onto the surviving workers *within the same flush* —
 responses are deterministic and the memoized-response tier sees only a
 flush's final responses, so replaying a batch reproduces the exact responses
 a fault-free run would have produced.  The lost worker's last reply stays
 its residency, so routing stays stable while the respawned child rewarms.
-Repeated failure trips a circuit breaker — more than ``max_worker_restarts``
-respawns inside ``restart_window_s`` closes the pool and raises
-:class:`PoolError`, the unrecoverable-death signal the serving layer turns
-into a clean shutdown.  :class:`~repro.runtime.faults.FaultPlan` injection
-(``WorkerConfig.fault_plan``) exercises every one of these paths on demand.
+Repeated failure trips a circuit breaker — more than
+:data:`MAX_WORKER_RESTARTS` respawns inside :data:`RESTART_WINDOW_S` closes
+the pool and raises :class:`PoolError`, the unrecoverable-death signal the
+serving layer turns into a clean shutdown.
+:class:`~repro.runtime.faults.FaultPlan` injection exercises every one of
+these paths on demand.
 
 Every count lives in one registry per process: the pool's, which the front
 door shares, and each worker engine's, whose snapshot rides every flush
@@ -48,11 +49,10 @@ reply.  :meth:`WorkerPool.metrics_snapshots` lists them.
 from __future__ import annotations
 
 import logging
-import math
 import multiprocessing
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
@@ -78,6 +78,12 @@ SPILL_BATCHES = 8
 HANG_DEADLINE_FACTOR = 8.0
 HANG_DEADLINE_MIN_S = 30.0
 HANG_COLD_DEADLINE_S = 120.0
+#: The circuit breaker: a loss that would make more than this many respawns
+#: inside the window closes the pool instead (0: any loss is fatal).
+MAX_WORKER_RESTARTS = 5
+RESTART_WINDOW_S = 30.0
+#: Programs each worker's cache holds.
+WORKER_CACHE_CAPACITY = 64
 #: A batch that has killed its worker on this many replays (a poison
 #: batch) is answered with error responses instead of replayed again.
 MAX_BATCH_REPLAYS = 3
@@ -104,43 +110,6 @@ class _WorkerFailure(Exception):
     def __init__(self, message: str, cause: str = "unknown"):
         super().__init__(message)
         self.cause = cause
-
-
-@dataclass
-class WorkerConfig:
-    """Everything one pool worker needs to build its private engine."""
-
-    cache_capacity: int = 64
-    max_batch_size: int = 16
-    #: Injected faults for chaos tests and chaos smokes; picklable
-    #: like every other field, so process workers arm their share after the
-    #: spawn.  ``None`` (production) injects nothing.
-    fault_plan: Optional[FaultPlan] = None
-
-    def build_engine(self) -> Engine:
-        """Construct one worker's private engine."""
-        return Engine(
-            program_cache=ProgramCache(capacity=self.cache_capacity),
-            result_cache_capacity=0,  # the one result tier is the dispatcher's
-            max_batch_size=self.max_batch_size,
-        )
-
-    def build_injector(self, index: int, inline: bool) -> Optional[FaultInjector]:
-        """The fault-injection arm for one worker (None when no faults)."""
-        if self.fault_plan is None or not self.fault_plan.for_worker(index):
-            return None
-        return FaultInjector(self.fault_plan, index, inline=inline)
-
-    def respawned(self, index: int) -> "WorkerConfig":
-        """The config a respawned worker restarts with.
-
-        Identical except that already-consumed one-shot faults for this
-        worker are stripped (see :meth:`FaultPlan.respawn_plan`), so one
-        injected kill exercises exactly one recovery.
-        """
-        if self.fault_plan is None:
-            return self
-        return replace(self, fault_plan=self.fault_plan.respawn_plan(index))
 
 
 def service_rate_rps(snapshot: Dict[str, Any]) -> float:
@@ -197,12 +166,19 @@ class _WorkerState:
     """One worker's engine (with its registry) and fault arm.
 
     Both execution modes run a worker through this: a process child in
-    :func:`_process_worker_main`, an inline worker in the parent.
+    :func:`_process_worker_main`, an inline worker in the parent.  The
+    engine has no result tier (the one tier is the dispatcher's) and never
+    coalesces.
     """
 
-    def __init__(self, index: int, config: WorkerConfig, inline: bool):
-        self.engine = config.build_engine()
-        self.injector = config.build_injector(index, inline=inline)
+    def __init__(self, index: int, plan: Optional[FaultPlan], inline: bool):
+        self.engine = Engine(
+            program_cache=ProgramCache(capacity=WORKER_CACHE_CAPACITY),
+            result_cache_capacity=0,
+        )
+        self.injector = None
+        if plan is not None and plan.for_worker(index):
+            self.injector = FaultInjector(plan, index, inline=inline)
 
     def run(self, batches: Sequence[Batch]) -> _Reply:
         """Execute a batch list; returns the reply.
@@ -227,9 +203,9 @@ class _WorkerState:
         return responses, resident, self.engine.metrics.snapshot()
 
 
-def _process_worker_main(connection, index: int, config: WorkerConfig) -> None:
+def _process_worker_main(connection, index: int, plan: Optional[FaultPlan]) -> None:
     """Entry point of one pool child: serve ``run`` messages until ``stop``."""
-    worker = _WorkerState(index, config, inline=False)
+    worker = _WorkerState(index, plan, inline=False)
     while True:
         try:
             message = connection.recv()
@@ -246,13 +222,13 @@ def _process_worker_main(connection, index: int, config: WorkerConfig) -> None:
 class _InlineWorker:
     """Deterministic in-process worker: same engine, no child process."""
 
-    def __init__(self, index: int, config: WorkerConfig):
+    def __init__(self, index: int, plan: Optional[FaultPlan]):
         self.index = index
-        self.config = config
+        self.plan = plan
         self._reset()
 
     def _reset(self) -> None:
-        self.state = _WorkerState(self.index, self.config, inline=True)
+        self.state = _WorkerState(self.index, self.plan, inline=True)
         self._pending: Optional[_Reply] = None
 
     def submit(self, batches: Sequence[Batch]) -> None:
@@ -286,7 +262,7 @@ class _InlineWorker:
         from zero exactly as a fresh process would; consumed one-shot faults
         stay consumed.
         """
-        self.config = self.config.respawned(self.index)
+        self.plan = self.plan and self.plan.respawn_plan(self.index)
         self._reset()
 
     def stop(self) -> None:
@@ -297,9 +273,9 @@ class _InlineWorker:
 class _ProcessWorker:
     """One multiprocessing child plus the parent-side pipe to drive it."""
 
-    def __init__(self, index: int, config: WorkerConfig):
+    def __init__(self, index: int, plan: Optional[FaultPlan]):
         self.index = index
-        self.config = config
+        self.plan = plan
         self._spawn()
 
     def _spawn(self) -> None:
@@ -307,7 +283,7 @@ class _ProcessWorker:
         self.connection, child = context.Pipe()
         self.process = context.Process(
             target=_process_worker_main,
-            args=(child, self.index, self.config),
+            args=(child, self.index, self.plan),
             daemon=True,
         )
         self.process.start()
@@ -350,7 +326,7 @@ class _ProcessWorker:
 
         The old child is killed outright (it is dead, hung, or poisoned —
         never worth a graceful stop), its pipe is closed so no stale reply
-        can ever be read, and the new child starts from the same config
+        can ever be read, and the new child starts from the same fault plan
         with consumed one-shot faults stripped.
         """
         try:
@@ -360,7 +336,7 @@ class _ProcessWorker:
         if self.process.is_alive():
             self.process.kill()
         self.process.join(timeout=10)
-        self.config = self.config.respawned(self.index)
+        self.plan = self.plan and self.plan.respawn_plan(self.index)
         self._spawn()
 
     def stop(self) -> None:
@@ -415,42 +391,29 @@ class WorkerPool:
 
     Worker loss is masked, not fatal: a dead or hung worker is respawned
     in place and its batches are requeued within the same flush (see the
-    module docstring for the recovery contract).  The supervision knobs:
+    module docstring for the recovery contract).  ``fault_plan`` injects
+    faults for chaos testing (see :mod:`repro.runtime.faults`).
 
-    * ``max_worker_restarts`` / ``restart_window_s`` — the circuit
-      breaker.  More than this many respawns inside the window (finite
-      seconds, > 0) closes the pool and raises :class:`PoolError`;
-      ``max_worker_restarts=0`` disables self-healing entirely (any worker
-      loss is immediately fatal).
-    * ``fault_plan`` — injected faults for chaos testing (see
-      :mod:`repro.runtime.faults`).
-
-    Hang deadlines and poison batches follow the module constants
-    :data:`HANG_DEADLINE_FACTOR`, :data:`HANG_DEADLINE_MIN_S`,
-    :data:`HANG_COLD_DEADLINE_S` and :data:`MAX_BATCH_REPLAYS`.
+    The breaker, hang deadlines, poison batches and worker cache size follow
+    the module constants :data:`MAX_WORKER_RESTARTS`,
+    :data:`RESTART_WINDOW_S`, :data:`HANG_DEADLINE_FACTOR`,
+    :data:`HANG_DEADLINE_MIN_S`, :data:`HANG_COLD_DEADLINE_S`,
+    :data:`MAX_BATCH_REPLAYS` and :data:`WORKER_CACHE_CAPACITY`; a test
+    patches the constant.
     """
 
     def __init__(
         self,
         workers: int = 4,
         mode: str = "inline",
-        cache_capacity: int = 64,
         result_cache_capacity: int = 512,
         max_batch_size: int = 16,
         fault_plan: Optional[FaultPlan] = None,
-        max_worker_restarts: int = 5,
-        restart_window_s: float = 30.0,
     ):
         if workers <= 0:
             raise PoolError("need at least one pool worker")
         if mode not in POOL_MODES:
             raise PoolError(f"unknown pool mode '{mode}'; choose from {POOL_MODES}")
-        if max_worker_restarts < 0:
-            raise PoolError("max_worker_restarts must be >= 0")
-        if not (math.isfinite(restart_window_s) and restart_window_s > 0):
-            # A window that holds no restart would leave the breaker unable
-            # to trip.
-            raise PoolError("restart_window_s must be a finite number > 0")
         if fault_plan is not None:
             for fault in fault_plan.faults:
                 if fault.worker >= workers:
@@ -460,8 +423,6 @@ class WorkerPool:
                     )
         self.workers = workers
         self.mode = mode
-        self.max_worker_restarts = max_worker_restarts
-        self.restart_window_s = restart_window_s
         self._restart_times: List[float] = []
         #: This process's registry: the pool's families, the front engine's
         #: and the front door's.  Worker engines keep their own registries
@@ -488,11 +449,6 @@ class WorkerPool:
             "Last flush's max/mean worker-load ratio (1.0 = even).",
         )
         self.metrics.add_collector(self._collect_metrics)
-        self.config = WorkerConfig(
-            cache_capacity=cache_capacity,
-            max_batch_size=max_batch_size,
-            fault_plan=fault_plan,
-        )
         # The front engine queues, coalesces and keeps the pool's one result
         # tier (counted into the pool's registry); it never compiles or runs.
         # ``front_lock`` guards it from a caller's first submit() to its lookup().
@@ -504,7 +460,7 @@ class WorkerPool:
         )
         self.front_lock = threading.Lock()
         worker_class = _ProcessWorker if mode == "process" else _InlineWorker
-        self._workers = [worker_class(i, self.config) for i in range(workers)]
+        self._workers = [worker_class(i, fault_plan) for i in range(workers)]
         # What each worker said in its last flush reply (nothing, until it
         # replies).  Idle workers are skipped per flush; their last reply
         # still describes their caches exactly.
@@ -761,7 +717,7 @@ class WorkerPool:
         """Respawn one lost worker, or trip the breaker and close the pool.
 
         The breaker opens when this loss would exceed
-        ``max_worker_restarts`` respawns inside ``restart_window_s`` — the
+        :data:`MAX_WORKER_RESTARTS` respawns inside :data:`RESTART_WINDOW_S` — the
         pool is then closed and :class:`PoolError` raised, which the
         serving layer treats as unrecoverable (clean shutdown for an
         external supervisor).  A respawn that itself fails is equally
@@ -771,9 +727,9 @@ class WorkerPool:
         """
         now = time.monotonic()
         self._restart_times = [
-            t for t in self._restart_times if now - t < self.restart_window_s
+            t for t in self._restart_times if now - t < RESTART_WINDOW_S
         ]
-        if len(self._restart_times) >= self.max_worker_restarts:
+        if len(self._restart_times) >= MAX_WORKER_RESTARTS:
             event(
                 _LOG,
                 logging.ERROR,
@@ -781,14 +737,14 @@ class WorkerPool:
                 worker=index,
                 cause=cause,
                 restarts_in_window=len(self._restart_times),
-                window_s=self.restart_window_s,
+                window_s=RESTART_WINDOW_S,
                 reason=reason,
             )
             self.close()
             raise PoolError(
                 f"worker {index} lost ({reason}) after "
                 f"{len(self._restart_times)} respawns within "
-                f"{self.restart_window_s:.0f}s: circuit breaker open, "
+                f"{RESTART_WINDOW_S:.0f}s: circuit breaker open, "
                 f"pool closed"
             )
         try:
@@ -825,9 +781,7 @@ class WorkerPool:
         exactly this.
         """
         now = time.monotonic()
-        return sum(
-            1 for t in self._restart_times if now - t < self.restart_window_s
-        )
+        return sum(1 for t in self._restart_times if now - t < RESTART_WINDOW_S)
 
     # -- telemetry ----------------------------------------------------------
 
@@ -872,8 +826,8 @@ class WorkerPool:
                 "worker_restarts": int(restarts),
                 "replayed_batches": int(replays),
                 "recent_restarts": self.recent_restarts(),
-                "max_worker_restarts": self.max_worker_restarts,
-                "restart_window_s": self.restart_window_s,
+                "max_worker_restarts": MAX_WORKER_RESTARTS,
+                "restart_window_s": RESTART_WINDOW_S,
             },
             "workers": [
                 _worker_row(index, document, len(self.resident_keys[index]))

@@ -31,9 +31,10 @@ class, opened once per port with a framing: this module's NDJSON line
 handler, or (``--http-port``) :mod:`repro.runtime.gateway.http` on the same
 service.  A framing owns what is specific to its wire: its op map
 (:data:`OPS` here), the shapes it accepts, its refusal wording, its envelope
-keys.  ``--conn-timeout`` reaps hung clients, and a line longer than the
-HTTP body limit is refused rather than buffered.  ``shutdown`` stops every
-accept loop, closes the pool's workers and lets the process exit 0.
+keys.  A connection idle for :data:`CONN_TIMEOUT_S` is reaped, and a line
+longer than the HTTP body limit is refused rather than buffered.
+``shutdown`` stops every accept loop, closes the pool's workers and lets
+the process exit 0.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import socketserver
 import sys
 import threading
@@ -57,6 +57,12 @@ from repro.runtime.gateway.http import HttpHandler
 from repro.runtime.logs import configure_logging
 from repro.runtime.pool import POOL_MODES, WorkerPool
 
+#: Socket timeout of each connection, seconds: a hung client is reaped
+#: instead of pinning its handler thread.
+CONN_TIMEOUT_S = 120.0
+#: Deadline of one HTTP response write; a slower reader is dropped.
+WRITE_TIMEOUT_S = 10.0
+
 
 class RuntimeServer(socketserver.ThreadingTCPServer):
     """The threaded listener: one port, one framing, a shared service.
@@ -65,6 +71,8 @@ class RuntimeServer(socketserver.ThreadingTCPServer):
     :class:`~repro.runtime.gateway.http.HttpHandler`.  Listeners built on
     the same ``service`` share its pool, admission budget and counters, and
     a ``shutdown`` op or a tripped circuit breaker stops all of them.
+    Connections time out after :data:`CONN_TIMEOUT_S` and HTTP writes after
+    :data:`WRITE_TIMEOUT_S`, read when the listener opens.
     """
 
     allow_reuse_address = True
@@ -75,26 +83,14 @@ class RuntimeServer(socketserver.ThreadingTCPServer):
     def __init__(
         self,
         address,
-        pool: Optional[WorkerPool] = None,
         *,
-        service: Optional[PoolService] = None,
+        service: PoolService,
         handler: Optional[Type[socketserver.BaseRequestHandler]] = None,
-        conn_timeout: Optional[float] = None,
-        write_timeout: Optional[float] = 10.0,
     ):
-        if (pool is None) == (service is None):
-            raise ValueError("pass exactly one of 'pool' or 'service'")
-        if write_timeout is not None and not (
-            math.isfinite(write_timeout) and write_timeout > 0
-        ):
-            raise ValueError("write_timeout must be finite and positive (or None)")
         super().__init__(address, handler or _LineHandler)
-        self.service = service if service is not None else PoolService(pool)
-        #: Socket timeout of each connection, seconds (None = never): a hung
-        #: client is reaped instead of pinning its handler thread.
-        self.conn_timeout = conn_timeout
-        #: Deadline of one HTTP response write (NDJSON writes under the above).
-        self.write_timeout = write_timeout
+        self.service = service
+        self.conn_timeout = CONN_TIMEOUT_S
+        self.write_timeout = WRITE_TIMEOUT_S
         # A framing with per-listener state (the HTTP door's event
         # counters) sets it up here, before the first connection.
         opened = getattr(self.RequestHandlerClass, "listener_opened", None)
@@ -225,22 +221,6 @@ OPS = {
 }
 
 
-def _finite_seconds(text: str) -> float:
-    """An argparse type: a duration that must be finite (not NaN or inf)."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
-
-
-def _positive_seconds(text: str) -> float:
-    """An argparse type: a finite duration that must be > 0."""
-    value = _finite_seconds(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Argument parser for the socket/HTTP server."""
     parser = argparse.ArgumentParser(
@@ -268,56 +248,17 @@ def build_parser() -> argparse.ArgumentParser:
         choices=POOL_MODES,
         help="inline (deterministic, in-process) or process (parallel)",
     )
-    parser.add_argument("--cache-capacity", type=int, default=64)
     parser.add_argument(
         "--max-inflight",
         type=int,
         default=None,
         help="fixed in-flight request budget; by default the budget is "
-        "derived from the pool's measured capacity × --headroom",
-    )
-    parser.add_argument(
-        "--headroom",
-        type=_positive_seconds,
-        default=2.0,
-        help="seconds of measured drain the front door may hold in flight "
-        "before shedding with 429 (default 2.0; ignored with "
-        "--max-inflight)",
-    )
-    parser.add_argument(
-        "--conn-timeout",
-        type=_finite_seconds,
-        default=120.0,
-        help="per-connection socket read/write timeout in seconds; hung "
-        "clients are reaped after this long (default 120; <= 0 disables)",
-    )
-    parser.add_argument(
-        "--write-timeout",
-        type=_positive_seconds,
-        default=10.0,
-        help="deadline of one HTTP response write (slow readers are "
-        "dropped past it; default 10)",
-    )
-    parser.add_argument(
-        "--max-worker-restarts",
-        type=int,
-        default=5,
-        help="worker respawns tolerated within --restart-window before the "
-        "pool's circuit breaker trips and the server shuts down (default "
-        "5; 0 makes any worker loss immediately fatal)",
-    )
-    parser.add_argument(
-        "--restart-window",
-        type=_positive_seconds,
-        default=30.0,
-        help="sliding window in seconds for --max-worker-restarts "
-        "(default 30)",
+        "derived from the pool's measured capacity (2 s of drain)",
     )
     parser.add_argument(
         "--fault-plan",
         default=None,
-        help="DEV ONLY: inject faults into pool workers — inline JSON or "
-        "@path to a JSON file, e.g. "
+        help="DEV ONLY: inject faults into pool workers — a JSON list, e.g. "
         "'[{\"kind\": \"kill\", \"worker\": 0, \"after_batches\": 1}]' "
         "(kinds: kill, hang, delay-reply, drop-reply)",
     )
@@ -344,33 +285,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     pool = WorkerPool(
         workers=args.workers,
         mode=args.pool_mode,
-        cache_capacity=args.cache_capacity,
         fault_plan=load_fault_plan(args.fault_plan),
-        max_worker_restarts=args.max_worker_restarts,
-        restart_window_s=args.restart_window,
     )
-    admission = AdmissionController(
-        max_inflight=args.max_inflight, headroom=args.headroom
-    )
-    # None (from --conn-timeout <= 0) disables idle reaping on both doors.
-    conn_timeout = args.conn_timeout if args.conn_timeout > 0 else None
+    admission = AdmissionController(max_inflight=args.max_inflight)
     with pool, contextlib.ExitStack() as listeners:
         service = PoolService(pool, admission)
         server = listeners.enter_context(
-            RuntimeServer(
-                (args.host, args.port), service=service, conn_timeout=conn_timeout
-            )
+            RuntimeServer((args.host, args.port), service=service)
         )
         # The lines launchers parse: host:port on stdout, flushed.
         print(f"runtime-server listening on {server.endpoint}", flush=True)
         if args.http_port is not None:
             http = listeners.enter_context(
                 RuntimeServer(
-                    (args.host, args.http_port),
-                    service=service,
-                    handler=HttpHandler,
-                    conn_timeout=conn_timeout,
-                    write_timeout=args.write_timeout,
+                    (args.host, args.http_port), service=service, handler=HttpHandler
                 )
             )
             print(f"runtime-server http listening on {http.endpoint}", flush=True)

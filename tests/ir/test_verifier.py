@@ -25,7 +25,7 @@ from repro.ir import (
 )
 from repro.ir.dialects import arith, func, scf
 
-APPS = sorted(REGISTRY.servable_names())
+APPS = sorted(REGISTRY.names())
 OPTIONS = {"default": CompileOptions(), "none": CompileOptions.none()}
 
 

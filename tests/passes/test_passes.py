@@ -198,7 +198,7 @@ class TestChangedIsTruthful:
 
     @pytest.mark.parametrize("options", [CompileOptions(), CompileOptions.none()],
                              ids=["default", "none"])
-    @pytest.mark.parametrize("app", sorted(REGISTRY.servable_names()))
+    @pytest.mark.parametrize("app", sorted(REGISTRY.names()))
     def test_every_pass_of_the_pipeline_on_every_app(self, app, options):
         module = compile_source_to_ir(REGISTRY.get(app).source)
         for each in build_pass_pipeline(options).passes:

@@ -1,9 +1,40 @@
 """Helpers shared by the runtime tests (imported, not collected)."""
 
+import contextlib
+import threading
 import time
 
 from repro.runtime import engine as engine_module
+from repro.runtime.server import RuntimeServer
 from repro.runtime.telemetry import MetricsRegistry
+
+#: How often a test listener's accept loop checks for shutdown, seconds.
+POLL_INTERVAL_S = 0.01
+
+
+@contextlib.contextmanager
+def listening(service, handler=None):
+    """A listener over ``service`` (NDJSON unless ``handler``), accepting on
+    a daemon thread.
+
+    The accept loop polls for shutdown every 10 ms instead of
+    ``serve_forever``'s default 0.5 s: closing the listener waits out one
+    poll, and the runtime suite closes about fifty.
+    """
+    server = RuntimeServer(("127.0.0.1", 0), service=service, handler=handler)
+    thread = threading.Thread(
+        target=server.serve_forever,
+        kwargs={"poll_interval": POLL_INTERVAL_S},
+        daemon=True,
+    )
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 def slow_workers(monkeypatch, delay):

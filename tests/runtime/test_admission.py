@@ -7,8 +7,10 @@ import time
 
 import pytest
 
+from repro.runtime.gateway import admission as admission_module
 from repro.runtime.gateway.admission import (
     COLD_CAPACITY_RPS,
+    HEADROOM_S,
     MAX_RETRY_S,
     MIN_RETRY_S,
     AdmissionController,
@@ -47,11 +49,12 @@ class TestAdmissionController:
         assert controller.inflight == 0
 
     def test_derived_budget_is_capacity_times_headroom(self):
-        controller = AdmissionController(headroom=2.0)
+        controller = AdmissionController()
+        assert HEADROOM_S == 2.0
         assert controller.limit(15.0) == 30 and drain_rps(15.0) == 15.0
 
     def test_cold_capacity_is_the_module_constant(self):
-        controller = AdmissionController(headroom=2.0)
+        controller = AdmissionController()
         # No worker has served yet.
         assert drain_rps(0.0) == COLD_CAPACITY_RPS == 100.0
         assert controller.limit(0.0) == 200
@@ -59,21 +62,21 @@ class TestAdmissionController:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 500])
     def test_an_idle_server_admits_a_call_of_any_size(self, n):
-        controller = AdmissionController(headroom=0.5)  # budget 2 at 4 rps
-        decision = controller.try_acquire(n, capacity_rps=4.0)
+        controller = AdmissionController()  # budget 2 at 1 rps
+        decision = controller.try_acquire(n, capacity_rps=1.0)
         assert decision.admitted
         assert decision.limit == 2 and decision.inflight == n
 
     def test_a_call_over_the_budget_runs_alone(self):
-        controller = AdmissionController(headroom=0.1)
-        assert controller.try_acquire(5, capacity_rps=10.0).admitted
-        shed = controller.try_acquire(1, capacity_rps=10.0)
-        assert not shed.admitted and shed.inflight == 5
+        controller = AdmissionController()  # budget 1 at 0.5 rps
+        assert controller.try_acquire(5, capacity_rps=0.5).admitted
+        shed = controller.try_acquire(1, capacity_rps=0.5)
+        assert not shed.admitted and (shed.inflight, shed.limit) == (5, 1)
         controller.release(5)
-        assert controller.try_acquire(1, capacity_rps=10.0).admitted
+        assert controller.try_acquire(1, capacity_rps=0.5).admitted
 
     def test_a_busy_server_sheds_past_the_derived_budget(self):
-        controller = AdmissionController(headroom=2.0)  # budget 20 at 10 rps
+        controller = AdmissionController()  # budget 20 at 10 rps
         assert controller.try_acquire(15, capacity_rps=10.0).admitted
         assert controller.try_acquire(5, capacity_rps=10.0).admitted
         shed = controller.try_acquire(1, capacity_rps=10.0)
@@ -133,9 +136,6 @@ class TestAdmissionController:
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError):
             AdmissionController(max_inflight=-1)
-        for headroom in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="headroom"):
-                AdmissionController(headroom=headroom)
 
 
 class TestOverloadEnvelope:
@@ -149,7 +149,7 @@ class TestOverloadEnvelope:
 
 
 class TestPoolService:
-    def test_serves_without_admission(self):
+    def test_a_service_always_has_a_derived_budget_controller(self):
         with WorkerPool(workers=2, mode="inline") as pool:
             service = PoolService(pool)
             result = service.serve_payloads(
@@ -157,9 +157,10 @@ class TestPoolService:
             )
         assert not result.shed
         assert [r["ok"] for r in result.results] == [True] * 3
+        assert service.admission.max_inflight is None
         stats = service.stats_payload()
         assert (stats["served"], stats["shed"]) == (3, 0)
-        assert "admission" not in stats
+        assert stats["admission"]["admitted"] == 3
 
     def test_sheds_whole_call_without_touching_the_pool(self):
         with WorkerPool(workers=2, mode="inline") as pool:
@@ -220,7 +221,8 @@ class TestPoolService:
     def test_an_idle_server_serves_a_batch_larger_than_the_budget(
             self, monkeypatch):
         seeds = itertools.count()
-        controller = AdmissionController(headroom=0.05)
+        monkeypatch.setattr(admission_module, "HEADROOM_S", 0.05)
+        controller = AdmissionController()
         slow_workers(monkeypatch, 0.02)
         with WorkerPool(workers=1, mode="inline") as pool:
             service = PoolService(pool, controller)
@@ -417,8 +419,10 @@ class TestTwoLockFlush:
         assert sum(w["requests"] for w in stats["pool"]["workers"]) == \
             tier["misses"]
 
-    def test_replays_hold_tokens_but_do_not_feed_the_drain_estimate(self):
-        controller = AdmissionController(headroom=0.05)
+    def test_replays_hold_tokens_but_do_not_feed_the_drain_estimate(
+            self, monkeypatch):
+        monkeypatch.setattr(admission_module, "HEADROOM_S", 0.05)
+        controller = AdmissionController()
         with WorkerPool(workers=1, mode="inline") as pool:
             service = PoolService(pool, controller)
             service.serve_payloads([self.HIT])          # a miss: measured
@@ -447,7 +451,8 @@ class TestOverloadIntegration:
 
     def test_two_x_overload_sheds_and_accepted_requests_complete(
             self, monkeypatch):
-        controller = AdmissionController(headroom=0.05)
+        monkeypatch.setattr(admission_module, "HEADROOM_S", 0.05)
+        controller = AdmissionController()
         slow_workers(monkeypatch, 0.002)
         pool = WorkerPool(workers=2, mode="inline")
         # Every request gets a seed of its own: a repeat would be replayed by

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.runtime import pool as pool_module
 from repro.runtime.engine import Request
 from repro.runtime.faults import FaultPlan
 from repro.runtime.pool import WorkerPool
@@ -76,8 +77,11 @@ class TestRouting:
         assert served_by(report) == [0] * split[0] + [1] * split[1]
         assert compiles(p) == [1, 1]
 
-    def test_a_key_evicted_within_the_flush_still_routes_to_its_worker(self):
-        with pool(2, max_batch_size=1, cache_capacity=2) as p:
+    def test_a_key_evicted_within_the_flush_still_routes_to_its_worker(
+            self, monkeypatch):
+        # Inline workers build their caches in this process, so they see it.
+        monkeypatch.setattr(pool_module, "WORKER_CACHE_CAPACITY", 2)
+        with pool(2, max_batch_size=1) as p:
             report = p.process([traced(app) for app in
                                 ("search", "murmur3", "strlen", "hash-table",
                                  "ip2int")] + [traced("search", 1)])
@@ -106,11 +110,13 @@ class TestRouting:
 
 
 class TestEndToEndHitRate:
-    def test_mixed_trace_spreads_evenly_and_compiles_each_spill_once(self):
+    def test_mixed_trace_spreads_evenly_and_compiles_each_spill_once(
+            self, monkeypatch):
         """500-request mixed-app trace: 35 batches, at most 9 per worker."""
         # No result tier, or only the 14 distinct requests would reach a
         # worker; a capacity of 2 leaves no room for a misrouted program.
-        with pool(4, cache_capacity=2) as p:
+        monkeypatch.setattr(pool_module, "WORKER_CACHE_CAPACITY", 2)
+        with pool(4) as p:
             report = p.process(synthetic_trace(MIXED_TRACE))
         assert len(report.responses) == MIXED_TRACE.size
         assert all(r.ok for r in report.responses)

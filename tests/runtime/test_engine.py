@@ -282,13 +282,13 @@ class TestServableRegistry:
     def test_all_table3_apps_are_servable(self):
         from repro.apps import TABLE3_APPS
 
-        servable = REGISTRY.servable_names()
+        servable = REGISTRY.names()
         for name in TABLE3_APPS + ["strlen"]:
             assert name in servable
 
-    def test_get_servable_rejects_unknown(self):
-        with pytest.raises(KeyError):
-            REGISTRY.get_servable("nope")
+    def test_get_rejects_unknown_naming_the_servable_apps(self):
+        with pytest.raises(KeyError, match="unknown app 'nope'; servable apps: "):
+            REGISTRY.get("nope")
 
 
 class TestIntraBatchFanOut:

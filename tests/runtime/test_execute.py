@@ -34,7 +34,7 @@ def program_of(spec):
 
 class TestExecute:
     def test_app_request_is_run_checked_and_modeled(self):
-        spec = REGISTRY.get_servable("hash-table")
+        spec = REGISTRY.get("hash-table")
         payload = execute(program_of(spec),
                           Request(app="hash-table", n_threads=2, seed=3))
         twin = spec.make_instance(2, 3)
@@ -49,7 +49,7 @@ class TestExecute:
 
     @pytest.mark.parametrize("app", ["hash-table", "search", "murmur3"])
     def test_token_and_columnar_give_equal_payloads(self, app, monkeypatch):
-        program = program_of(REGISTRY.get_servable(app))
+        program = program_of(REGISTRY.get(app))
         request = Request(app=app, n_threads=4, seed=1)
         columnar = execute(program, request)
         monkeypatch.setattr(CompiledProgram, "run", partialmethod(
@@ -58,7 +58,7 @@ class TestExecute:
 
     def test_staged_memory_is_run_but_not_checked(self):
         """Only an engine-generated instance carries the oracle's context."""
-        spec = REGISTRY.get_servable("hash-table")
+        spec = REGISTRY.get("hash-table")
         instance = spec.make_instance(2, seed=3)
         payload = execute(program_of(spec),
                           Request(app="hash-table", memory=instance.memory,
@@ -80,7 +80,7 @@ class TestThroughTheEngine:
     def test_response_carries_the_payload(self):
         request = Request(app="search", n_threads=2, seed=5)
         [response] = Engine().process([request])
-        payload = execute(program_of(REGISTRY.get_servable("search")),
+        payload = execute(program_of(REGISTRY.get("search")),
                           request)
         assert response.ok and response.error is None
         assert {name: getattr(response, name) for name in payload} == payload

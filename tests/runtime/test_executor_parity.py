@@ -38,7 +38,7 @@ def _serve(app: str):
     return wire, stats
 
 
-@pytest.mark.parametrize("app", sorted(REGISTRY.servable_names()))
+@pytest.mark.parametrize("app", sorted(REGISTRY.names()))
 def test_engine_responses_bit_identical(app, monkeypatch):
     columnar_wire, columnar_stats = _serve(app)
     monkeypatch.setattr(CompiledProgram, "run",

@@ -78,18 +78,33 @@ class TestFaultPlanParsing:
         with pytest.raises(FaultPlanError):
             FaultPlan.from_json("{not json")
 
-    def test_load_fault_plan_inline_file_and_empty(self, tmp_path):
+    def test_load_fault_plan_json_and_empty(self):
         assert load_fault_plan(None) is None
         assert load_fault_plan("  ") is None
         assert load_fault_plan("[]") is None
         inline = load_fault_plan('[{"kind": "kill", "worker": 0}]')
         assert inline.faults[0].worker == 0
+        envelope = load_fault_plan('{"faults": [{"kind": "hang", "worker": 1}]}')
+        assert envelope.faults[0].kind == "hang"
+
+    def test_an_at_path_is_not_read_as_a_file(self, tmp_path):
         path = tmp_path / "plan.json"
-        path.write_text('{"faults": [{"kind": "hang", "worker": 1}]}')
-        from_file = load_fault_plan(f"@{path}")
-        assert from_file.faults[0].kind == "hang"
+        path.write_text('[{"kind": "kill", "worker": 0}]')
+        with pytest.raises(FaultPlanError, match="not valid JSON"):
+            load_fault_plan(f"@{path}")
+
+    @pytest.mark.parametrize("spec", [
+        "{not json",
+        '{"faults": 1}',
+        "[1]",
+        '[{"kind": "explode", "worker": 0}]',
+        '[{"kind": "kill", "worker": 0, "after_batches": -1}]',
+        '[{"kind": "hang", "worker": 0, "delay_s": -0.5}]',
+        '[{"kind": "kill", "worker": "first"}]',
+    ])
+    def test_load_fault_plan_refuses_a_malformed_plan(self, spec):
         with pytest.raises(FaultPlanError):
-            load_fault_plan(f"@{tmp_path / 'missing.json'}")
+            load_fault_plan(spec)
 
     def test_respawn_plan_strips_consumed_one_shots(self):
         plan = FaultPlan.from_spec([
@@ -157,36 +172,39 @@ class TestInlineRecoveryMatrix:
         assert stats["faults"]["worker_restarts"] == 1
         assert stats["faults"]["recent_restarts"] == 1
         assert stats["faults"]["max_worker_restarts"] == 5
+        assert stats["faults"]["restart_window_s"] == 30.0
 
-    def test_circuit_breaker_trips_on_repeated_loss(self):
+    def test_circuit_breaker_trips_on_repeated_loss(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "MAX_WORKER_RESTARTS", 2)
         plan = FaultPlan.from_spec(
             [{"kind": "kill", "worker": 0, "repeat": True}]
         )
-        pool = WorkerPool(workers=1, mode="inline", fault_plan=plan,
-                          max_worker_restarts=2)
-        with pytest.raises(PoolError, match="circuit breaker"):
+        pool = WorkerPool(workers=1, mode="inline", fault_plan=plan)
+        with pytest.raises(PoolError, match="after 2 respawns within 30s: circuit"):
             pool.process(synthetic_trace(TRACE))
+        assert pool.restarts.value() == 2
         # The breaker closed the pool: no zombie serving afterwards.
         with pytest.raises(PoolError):
             pool.flush()
 
-    def test_self_healing_disabled_means_first_loss_is_fatal(self):
+    def test_self_healing_disabled_means_first_loss_is_fatal(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "MAX_WORKER_RESTARTS", 0)
         pool = WorkerPool(workers=2, mode="inline",
-                          fault_plan=self._plan(after_batches=0),
-                          max_worker_restarts=0)
-        with pytest.raises(PoolError):
+                          fault_plan=self._plan(after_batches=0))
+        with pytest.raises(PoolError, match="circuit breaker open"):
             pool.process(synthetic_trace(TRACE))
+        assert pool.restarts.value() == 0
 
     def test_poison_batch_is_abandoned_not_looped(self, monkeypatch):
         # Every worker dies on its very first batch, forever: each batch
         # gets MAX_BATCH_REPLAYS chances, then turns into error responses
         # instead of replaying until the breaker kills the whole pool.
         monkeypatch.setattr(pool_module, "MAX_BATCH_REPLAYS", 2)
+        monkeypatch.setattr(pool_module, "MAX_WORKER_RESTARTS", 100)
         plan = FaultPlan.from_spec([
             {"kind": "kill", "worker": 0, "repeat": True},
         ])
-        with WorkerPool(workers=1, mode="inline", fault_plan=plan,
-                        max_worker_restarts=100) as pool:
+        with WorkerPool(workers=1, mode="inline", fault_plan=plan) as pool:
             report = pool.process(synthetic_trace(TRACE))
         assert len(report.responses) == TRACE.size
         assert all("worker failure" in (r.error or "") for r in
@@ -267,12 +285,12 @@ class TestServiceDegradation:
                           "recent_restarts": 0, "worker_restarts": 0,
                           "replayed_batches": 0}
 
-    def test_breaker_trip_fires_failure_callbacks(self):
+    def test_breaker_trip_fires_failure_callbacks(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "MAX_WORKER_RESTARTS", 1)
         plan = FaultPlan.from_spec(
             [{"kind": "kill", "worker": 0, "repeat": True}]
         )
-        pool = WorkerPool(workers=1, mode="inline", fault_plan=plan,
-                          max_worker_restarts=1)
+        pool = WorkerPool(workers=1, mode="inline", fault_plan=plan)
         service = PoolService(pool)
         fired = threading.Event()
         service.on_failure(fired.set)
@@ -353,8 +371,9 @@ class TestClientReconnect:
 
 
 class TestRestartWindow:
-    def test_old_restarts_age_out_of_the_breaker_window(self):
-        pool = WorkerPool(workers=1, mode="inline", restart_window_s=0.05)
+    def test_old_restarts_age_out_of_the_breaker_window(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "RESTART_WINDOW_S", 0.05)
+        pool = WorkerPool(workers=1, mode="inline")
         # Simulate a respawn long enough ago to have aged out.
         pool._restart_times = [time.monotonic() - 1.0]
         pool.restarts.inc()

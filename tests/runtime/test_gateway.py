@@ -1,6 +1,5 @@
 """HTTP framing: protocol, streaming incrementality, backpressure parity."""
 
-import contextlib
 import http.client
 import json
 import socket
@@ -19,28 +18,10 @@ from repro.runtime.gateway.admission import (
 )
 from repro.runtime.gateway.http import HttpHandler, encode_chunk, ndjson_line
 from repro.runtime.pool import WorkerPool
+from repro.runtime import server as server_module
 from repro.runtime.server import RuntimeServer
 
-from runtime_helpers import slow_workers
-
-
-@contextlib.contextmanager
-def listening(service, handler=HttpHandler, **options):
-    """A listener over ``service``, accepting on a daemon thread."""
-    server = RuntimeServer(
-        ("127.0.0.1", 0), service=service, handler=handler, **options
-    )
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
-    )
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
+from runtime_helpers import POLL_INTERVAL_S, listening, slow_workers
 
 
 def gateway_count(server, kind):
@@ -57,9 +38,9 @@ def wait_for(condition, timeout=5.0):
 
 @pytest.fixture()
 def gateway():
-    """An HTTP listener over a fresh 2-worker inline pool, no admission."""
+    """An HTTP listener over a fresh 2-worker inline pool."""
     with WorkerPool(workers=2, mode="inline") as pool:
-        with listening(PoolService(pool), conn_timeout=30.0) as instance:
+        with listening(PoolService(pool), HttpHandler) as instance:
             yield instance
 
 
@@ -214,7 +195,7 @@ class TestEndpoints:
 
     def test_oversized_body_is_413(self):
         with WorkerPool(workers=1, mode="inline") as pool:
-            with listening(PoolService(pool)) as gw:
+            with listening(PoolService(pool), HttpHandler) as gw:
                 gw.max_body_bytes = 1024
                 status, _, payload = http_json(
                     gw, "POST", "/v1/batch",
@@ -300,7 +281,7 @@ class TestStreaming:
         slow_workers(monkeypatch, delay)
         pool = WorkerPool(workers=2, mode="inline")
         with pool:
-            with listening(PoolService(pool)) as gw:
+            with listening(PoolService(pool), HttpHandler) as gw:
                 sock, handle, status, headers = raw_http_post(
                     *gw.server_address[:2], "/v1/stream",
                     {"requests": requests, "chunk": 1},
@@ -325,7 +306,7 @@ class TestStreaming:
         requests = [{"app": "search", "n_threads": 2} for _ in range(4)]
         with WorkerPool(workers=2, mode="inline") as pool:
             service = PoolService(pool, AdmissionController(max_inflight=1))
-            with listening(service) as gw:
+            with listening(service, HttpHandler) as gw:
                 sock, handle, status, _ = raw_http_post(
                     *gw.server_address[:2], "/v1/stream",
                     {"requests": requests, "chunk": 2},
@@ -342,11 +323,12 @@ class TestStreaming:
         assert all(r["code"] == 429 for r in replies)
         assert all(r["retry_after_s"] > 0 for r in replies)
 
-    def test_slow_reader_is_dropped_at_the_write_deadline(self):
+    def test_slow_reader_is_dropped_at_the_write_deadline(self, monkeypatch):
         """A client that never reads must not pin its handler thread."""
+        monkeypatch.setattr(server_module, "WRITE_TIMEOUT_S", 0.3)
         requests = [{"app": "search", "n_threads": 2}] * 600
         with WorkerPool(workers=1, mode="inline") as pool:
-            with listening(PoolService(pool), write_timeout=0.3) as gw:
+            with listening(PoolService(pool), HttpHandler) as gw:
                 # Accepted sockets inherit this, so a few dozen rows fill
                 # the kernel's buffers instead of a few thousand.
                 gw.socket.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
@@ -397,7 +379,7 @@ class TestStreaming:
                 return serve(payloads, endpoint)
 
             service.serve_payloads = fail_on_second_flush
-            with listening(service) as gw:
+            with listening(service, HttpHandler) as gw:
                 sock, handle, status, _ = raw_http_post(
                     *gw.server_address[:2], "/v1/stream",
                     {"requests": [{"app": "search", "n_threads": 2}] * 3},
@@ -430,9 +412,10 @@ class TestStreaming:
 
 
 class TestConnectionHygiene:
-    def test_idle_connections_are_reaped(self):
+    def test_idle_connections_are_reaped(self, monkeypatch):
+        monkeypatch.setattr(server_module, "CONN_TIMEOUT_S", 0.3)
         with WorkerPool(workers=1, mode="inline") as pool:
-            with listening(PoolService(pool), conn_timeout=0.3) as gw:
+            with listening(PoolService(pool), HttpHandler) as gw:
                 sock = socket.create_connection(
                     gw.server_address[:2], timeout=10.0
                 )
@@ -446,7 +429,7 @@ class TestConnectionHygiene:
 
     def test_http10_defaults_to_connection_close(self):
         with WorkerPool(workers=1, mode="inline") as pool:
-            with listening(PoolService(pool)) as gw:
+            with listening(PoolService(pool), HttpHandler) as gw:
                 sock = socket.create_connection(
                     gw.server_address[:2], timeout=10.0
                 )
@@ -463,7 +446,7 @@ class TestConnectionHygiene:
     def test_internal_errors_answer_500_instead_of_dropping(self):
         with WorkerPool(workers=1, mode="inline") as pool:
             service = PoolService(pool)
-            with listening(service) as gw:
+            with listening(service, HttpHandler) as gw:
                 def explode():
                     raise RuntimeError("stats blew up")
 
@@ -538,7 +521,7 @@ class TestConnectionHygiene:
 
     def test_malformed_request_line_is_400_and_closes(self):
         with WorkerPool(workers=1, mode="inline") as pool:
-            with listening(PoolService(pool)) as gw:
+            with listening(PoolService(pool), HttpHandler) as gw:
                 sock = socket.create_connection(
                     gw.server_address[:2], timeout=10.0
                 )
@@ -572,7 +555,7 @@ class TestFraming:
     def test_429_header_block(self):
         with WorkerPool(workers=1, mode="inline") as pool:
             service = PoolService(pool, AdmissionController(max_inflight=0))
-            with listening(service) as gw:
+            with listening(service, HttpHandler) as gw:
                 response = raw_exchange(
                     gw.server_address[:2],
                     b"POST /v1/request HTTP/1.1\r\nContent-Length: 17\r\n\r\n"
@@ -693,8 +676,14 @@ class TestBackpressureParity:
                 RuntimeServer(("127.0.0.1", 0), service=service, handler=handler)
                 for handler in (None, HttpHandler)
             ]
+            # The `shutdown` op must stop both accept loops by itself, so
+            # this test keeps their threads (polling as `listening` does).
             threads = [
-                threading.Thread(target=door.serve_forever, daemon=True)
+                threading.Thread(
+                    target=door.serve_forever,
+                    kwargs={"poll_interval": POLL_INTERVAL_S},
+                    daemon=True,
+                )
                 for door in doors
             ]
             for thread in threads:

@@ -1,5 +1,6 @@
 """Socket server + client: protocol round-trips over a real TCP connection."""
 
+import contextlib
 import json
 import socket
 import threading
@@ -8,27 +9,28 @@ from http.client import HTTPConnection
 
 import pytest
 
-from repro.runtime.client import ClientError, RuntimeClient
+from repro.runtime import pool as pool_module
+from repro.runtime import server as server_module
+from repro.runtime.client import ClientError, OverloadedError, RuntimeClient
 from repro.runtime.engine import EngineError, Request
-from repro.runtime.gateway.admission import PROTOCOL_VERSION, PoolService
+from repro.runtime.gateway import admission as admission_module
+from repro.runtime.gateway.admission import (
+    PROTOCOL_VERSION,
+    AdmissionController,
+    PoolService,
+)
 from repro.runtime.gateway.http import HttpHandler
 from repro.runtime.pool import WorkerPool
 from repro.runtime.server import RuntimeServer, build_parser
 
+from runtime_helpers import POLL_INTERVAL_S, listening
+
 
 @pytest.fixture()
 def server():
-    pool = WorkerPool(workers=2, mode="inline")
-    with pool:
-        instance = RuntimeServer(("127.0.0.1", 0), pool)
-        thread = threading.Thread(target=instance.serve_forever, daemon=True)
-        thread.start()
-        try:
+    with WorkerPool(workers=2, mode="inline") as pool:
+        with listening(PoolService(pool)) as instance:
             yield instance
-        finally:
-            instance.shutdown()
-            instance.server_close()
-            thread.join(timeout=10)
 
 
 def connect(server):
@@ -160,18 +162,27 @@ class TestProtocol:
             stats = second.stats()
         assert stats["served"] == 4
 
-    def test_pool_failure_gets_error_envelope_and_stops_server(self):
-        # max_worker_restarts=0 turns off self-healing, so one killed worker
-        # is an unrecoverable pool death — the shutdown path under test.
-        pool = WorkerPool(workers=2, mode="process", max_worker_restarts=0)
-        with pool:
+    def test_pool_failure_gets_error_envelope_and_stops_server(
+        self, monkeypatch
+    ):
+        # With no respawn allowed, self-healing is off and one killed worker
+        # is an unrecoverable pool death — the shutdown path under test.  The
+        # breaker runs in this (the parent) process, so the patch reaches it.
+        monkeypatch.setattr(pool_module, "MAX_WORKER_RESTARTS", 0)
+        with WorkerPool(workers=2, mode="process") as pool:
             service = PoolService(pool)
             instance = RuntimeServer(("127.0.0.1", 0), service=service)
             http = RuntimeServer(
                 ("127.0.0.1", 0), service=service, handler=HttpHandler
             )
+            # The accept loops must stop by themselves, so this test keeps
+            # their threads (polling as `listening` does).
             threads = [
-                threading.Thread(target=door.serve_forever, daemon=True)
+                threading.Thread(
+                    target=door.serve_forever,
+                    kwargs={"poll_interval": POLL_INTERVAL_S},
+                    daemon=True,
+                )
                 for door in (instance, http)
             ]
             for thread in threads:
@@ -226,23 +237,8 @@ class TestPoisonPayloads:
     def doors(self):
         with WorkerPool(workers=2, mode="inline") as pool:
             service = PoolService(pool)
-            ndjson = RuntimeServer(("127.0.0.1", 0), service=service)
-            http = RuntimeServer(
-                ("127.0.0.1", 0), service=service, handler=HttpHandler
-            )
-            threads = [
-                threading.Thread(target=door.serve_forever, daemon=True)
-                for door in (ndjson, http)
-            ]
-            for thread in threads:
-                thread.start()
-            try:
+            with listening(service) as ndjson, listening(service, HttpHandler) as http:
                 yield ndjson, http
-            finally:
-                for door, thread in zip((ndjson, http), threads):
-                    door.shutdown()
-                    door.server_close()
-                    thread.join(timeout=10)
 
     @staticmethod
     def post(http, path, body):
@@ -318,89 +314,77 @@ class TestSpawn:
         assert client.main(argv) == 0
 
 
-class TestConnectionTimeouts:
-    @pytest.mark.parametrize("write_timeout",
-                             [0.0, -1.0, float("inf"), float("nan")])
-    def test_non_positive_write_timeout_is_refused(self, write_timeout):
-        with WorkerPool(workers=1, mode="inline") as pool:
-            with pytest.raises(ValueError, match="write_timeout"):
-                RuntimeServer(("127.0.0.1", 0), pool, handler=HttpHandler,
-                              write_timeout=write_timeout)
+class TestServerFlags:
+    #: What the server lets a caller set; everything else is a constant.
+    KEPT = ("--host", "--port", "--http-port", "--workers", "--pool-mode",
+            "--max-inflight", "--fault-plan", "--log-level", "--log-json")
 
-    @pytest.mark.parametrize("flag, value", [
-        (flag, value)
-        for flag in ("--restart-window", "--headroom", "--write-timeout")
-        for value in ("0", "-1", "nan", "inf")
-    ] + [("--conn-timeout", "nan"), ("--conn-timeout", "inf")])
-    def test_cli_refuses_a_duration_it_cannot_use(self, flag, value, capsys):
+    def test_cli_has_exactly_the_kept_flags(self):
+        flags = {
+            option
+            for action in build_parser()._actions
+            for option in action.option_strings
+        }
+        assert flags - {"-h", "--help"} == set(self.KEPT)
+
+    def test_cli_defaults(self):
+        args = build_parser().parse_args([])
+        assert (args.host, args.port, args.http_port) == ("127.0.0.1", 0, None)
+        assert (args.workers, args.pool_mode) == (4, "inline")
+        assert (args.max_inflight, args.fault_plan) == (None, None)
+
+    @pytest.mark.parametrize("flag", [
+        "--cache-capacity", "--headroom", "--conn-timeout",
+        "--write-timeout", "--max-worker-restarts", "--restart-window",
+    ])
+    def test_cli_refuses_a_removed_flag(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args([flag, value])
+            build_parser().parse_args([flag, "1"])
         assert excinfo.value.code == 2
-        assert flag in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_cli_non_positive_conn_timeout_still_disables_reaping(self, value):
-        args = build_parser().parse_args(["--conn-timeout", value])
-        assert args.conn_timeout == float(value)
 
-    def test_hung_client_is_reaped_and_leaks_no_handler_thread(self):
+class TestConnectionTimeouts:
+    @pytest.fixture()
+    def reaping(self, monkeypatch):
+        """A one-worker NDJSON listener that reaps a connection idle 0.3 s."""
+        monkeypatch.setattr(server_module, "CONN_TIMEOUT_S", 0.3)
+        with WorkerPool(workers=1, mode="inline") as pool:
+            with listening(PoolService(pool)) as instance:
+                yield instance
+
+    def test_hung_client_is_reaped_and_leaks_no_handler_thread(self, reaping):
         """A client that connects and never writes must not pin a thread."""
-        pool = WorkerPool(workers=1, mode="inline")
-        with pool:
-            instance = RuntimeServer(("127.0.0.1", 0), pool, conn_timeout=0.3)
-            thread = threading.Thread(target=instance.serve_forever, daemon=True)
-            thread.start()
-            try:
-                host, port = instance.server_address[:2]
-                baseline = threading.active_count()
-                hung = socket.create_connection((host, port), timeout=10.0)
-                try:
-                    hung.settimeout(5.0)
-                    # The server reaps us after conn_timeout: EOF, no reply.
-                    assert hung.recv(1) == b""
-                finally:
-                    hung.close()
-                deadline = time.time() + 5.0
-                while threading.active_count() > baseline and time.time() < deadline:
-                    time.sleep(0.02)
-                assert threading.active_count() <= baseline
-                # The server still serves fresh connections afterwards.
-                with RuntimeClient(host, port, timeout=30.0) as client:
-                    assert client.ping()["ok"]
-            finally:
-                instance.shutdown()
-                instance.server_close()
-                thread.join(timeout=10)
+        host, port = reaping.server_address[:2]
+        baseline = threading.active_count()
+        hung = socket.create_connection((host, port), timeout=10.0)
+        try:
+            hung.settimeout(5.0)
+            # The server reaps us after CONN_TIMEOUT_S: EOF, no reply.
+            assert hung.recv(1) == b""
+        finally:
+            hung.close()
+        deadline = time.time() + 5.0
+        while threading.active_count() > baseline and time.time() < deadline:
+            time.sleep(0.02)
+        assert threading.active_count() <= baseline
+        # The server still serves fresh connections afterwards.
+        with RuntimeClient(host, port, timeout=30.0) as client:
+            assert client.ping()["ok"]
 
-    def test_half_written_line_is_also_reaped(self):
-        pool = WorkerPool(workers=1, mode="inline")
-        with pool:
-            instance = RuntimeServer(("127.0.0.1", 0), pool, conn_timeout=0.3)
-            thread = threading.Thread(target=instance.serve_forever, daemon=True)
-            thread.start()
-            try:
-                host, port = instance.server_address[:2]
-                hung = socket.create_connection((host, port), timeout=10.0)
-                try:
-                    hung.sendall(b'{"op": "ping"')  # no newline, ever
-                    hung.settimeout(5.0)
-                    assert hung.recv(1) == b""
-                finally:
-                    hung.close()
-            finally:
-                instance.shutdown()
-                instance.server_close()
-                thread.join(timeout=10)
-
+    def test_half_written_line_is_also_reaped(self, reaping):
+        hung = socket.create_connection(reaping.server_address[:2], timeout=10.0)
+        try:
+            hung.sendall(b'{"op": "ping"')  # no newline, ever
+            hung.settimeout(5.0)
+            assert hung.recv(1) == b""
+        finally:
+            hung.close()
 
     def test_oversized_line_is_refused_not_buffered(self):
         """A newline-less line past the body limit: one envelope, then close."""
-        pool = WorkerPool(workers=1, mode="inline")
-        with pool:
-            instance = RuntimeServer(("127.0.0.1", 0), pool, conn_timeout=10.0)
-            thread = threading.Thread(target=instance.serve_forever, daemon=True)
-            thread.start()
-            try:
+        with WorkerPool(workers=1, mode="inline") as pool:
+            with listening(PoolService(pool)) as instance:
                 host, port = instance.server_address[:2]
                 baseline = threading.active_count()
                 flood = socket.create_connection((host, port), timeout=10.0)
@@ -428,124 +412,86 @@ class TestConnectionTimeouts:
                 assert threading.active_count() <= baseline
                 with RuntimeClient(host, port, timeout=30.0) as client:
                     assert client.ping()["ok"]
-            finally:
-                instance.shutdown()
-                instance.server_close()
-                thread.join(timeout=10)
 
 
 class TestBackpressure:
-    def make_server(self, controller):
-        pool = WorkerPool(workers=2, mode="inline")
-        service = PoolService(pool, controller)
-        instance = RuntimeServer(("127.0.0.1", 0), service=service)
-        thread = threading.Thread(target=instance.serve_forever, daemon=True)
-        thread.start()
-        return pool, instance, thread
-
-    def teardown_server(self, pool, instance, thread):
-        instance.shutdown()
-        instance.server_close()
-        thread.join(timeout=10)
-        pool.close()
+    @staticmethod
+    @contextlib.contextmanager
+    def serving(controller):
+        """An NDJSON listener over a 2-worker inline pool and ``controller``."""
+        with WorkerPool(workers=2, mode="inline") as pool:
+            with listening(PoolService(pool, controller)) as instance:
+                yield instance
 
     def test_shed_single_request_gets_429_envelope(self):
-        from repro.runtime.gateway.admission import AdmissionController
-
-        controller = AdmissionController(max_inflight=0)
-        pool, instance, thread = self.make_server(controller)
-        try:
+        with self.serving(AdmissionController(max_inflight=0)) as instance:
             with connect(instance) as client:
                 reply = client.request(app="search", n_threads=2)
-        finally:
-            self.teardown_server(pool, instance, thread)
         assert not reply["ok"]
         assert reply["code"] == 429
         assert reply["retry_after_s"] > 0
 
     def test_shed_batch_gets_top_level_429_and_client_raises(self):
-        from repro.runtime.client import OverloadedError
-        from repro.runtime.gateway.admission import AdmissionController
-
-        controller = AdmissionController(max_inflight=0)
-        pool, instance, thread = self.make_server(controller)
-        try:
+        with self.serving(AdmissionController(max_inflight=0)) as instance:
             with connect(instance) as client:
                 with pytest.raises(OverloadedError) as excinfo:
                     client.batch([{"app": "search", "n_threads": 2}] * 3)
-        finally:
-            self.teardown_server(pool, instance, thread)
         assert excinfo.value.retry_after_s > 0
 
     def test_client_backoff_honors_retry_after_and_recovers(self):
         """Retries sleep the server's hint; succeed once capacity frees."""
-        from repro.runtime.gateway.admission import AdmissionController
-
         controller = AdmissionController(max_inflight=1)
         assert controller.try_acquire(1).admitted  # budget fully occupied
-        pool, instance, thread = self.make_server(controller)
         sleeps = []
 
         def fake_sleep(seconds):
             sleeps.append(seconds)
             controller.release(1)  # capacity opens up before the retry
 
-        try:
-            host, port = instance.server_address[:2]
+        with self.serving(controller) as instance:
             with RuntimeClient(
-                host, port, timeout=30.0,
+                *instance.server_address[:2], timeout=30.0,
                 max_retries_429=3, sleep=fake_sleep,
             ) as client:
                 reply = client.request(app="search", n_threads=2)
-        finally:
-            self.teardown_server(pool, instance, thread)
         assert reply["ok"]
         assert len(sleeps) == 1  # one shed round-trip, then success
         assert sleeps[0] > 0
 
-    def test_batch_over_the_derived_budget_is_retried_then_served(self):
+    def test_batch_over_the_derived_budget_is_retried_then_served(
+        self, monkeypatch
+    ):
         """Shed while another call holds tokens; admitted once the pool idles."""
-        from repro.runtime.gateway.admission import AdmissionController
-
-        controller = AdmissionController(headroom=0.02)  # cold budget: 2
+        monkeypatch.setattr(admission_module, "HEADROOM_S", 0.02)
+        controller = AdmissionController()  # cold budget: 100 rps x 0.02 s = 2
         assert controller.try_acquire(1).admitted  # another call in flight
-        pool, instance, thread = self.make_server(controller)
         sleeps = []
 
         def fake_sleep(seconds):
             sleeps.append(seconds)
             controller.release(1)  # the other call completes
 
-        try:
-            host, port = instance.server_address[:2]
+        with self.serving(controller) as instance:
             with RuntimeClient(
-                host, port, timeout=30.0,
+                *instance.server_address[:2], timeout=30.0,
                 max_retries_429=5, sleep=fake_sleep,
             ) as client:
                 replies = client.batch([{"app": "search", "n_threads": 2}] * 5)
-        finally:
-            self.teardown_server(pool, instance, thread)
         assert [r["ok"] for r in replies] == [True] * 5
         assert len(sleeps) == 1  # shed once (5 > limit 2), then served
         admission = instance.service.stats_payload()["admission"]
         assert (admission["rejected"], admission["admitted"]) == (5, 5)
 
     def test_retry_budget_exhaustion_surfaces_the_envelope(self):
-        from repro.runtime.gateway.admission import AdmissionController
-
         controller = AdmissionController(max_inflight=1)
         assert controller.try_acquire(1).admitted  # held for the whole test
-        pool, instance, thread = self.make_server(controller)
         sleeps = []
-        try:
-            host, port = instance.server_address[:2]
+        with self.serving(controller) as instance:
             with RuntimeClient(
-                host, port, timeout=30.0,
+                *instance.server_address[:2], timeout=30.0,
                 max_retries_429=2, sleep=sleeps.append,
             ) as client:
                 reply = client.request(app="search", n_threads=2)
-        finally:
-            self.teardown_server(pool, instance, thread)
         assert reply["code"] == 429
         assert len(sleeps) == 2  # bounded: exactly the retry budget
         assert instance.service.stats_payload()["shed"] == 3

@@ -113,6 +113,17 @@ def test_dead_dotted_names_are_reported_by_name():
     ]
 
 
+def test_a_code_span_wrapped_across_a_line_is_checked_whole():
+    text = (
+        "Workers took `repro.runtime.pool.WorkerConfig(cache_capacity=64,\n"
+        "fault_plan=None)`; now `repro.runtime.pool.WorkerPool(workers=2,\n"
+        "mode=\"inline\")` hands each its `FaultPlan`."
+    )
+    assert check_docs.check_dotted_names([(README, text)]) == [
+        "README.md: no module or attribute repro.runtime.pool.WorkerConfig",
+    ]
+
+
 def test_every_dotted_name_in_the_docs_resolves():
     files = [(path, path.read_text(encoding="utf-8"))
              for path in check_docs.doc_files()]

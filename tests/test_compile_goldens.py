@@ -24,7 +24,7 @@ from repro.ir import core, print_module
 from repro.lang import tokenize
 
 GOLDENS = Path(__file__).with_name("compile_goldens.json")
-APPS = sorted(REGISTRY.servable_names())
+APPS = sorted(REGISTRY.names())
 OPTIONS = {"default": CompileOptions(), "none": CompileOptions.none()}
 
 

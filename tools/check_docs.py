@@ -64,7 +64,8 @@ FENCE_RE = re.compile(r"^```")
 IMPORT_RE = re.compile(r"^\s*(?:import\s+[\w.]+|from\s+[\w.]+\s+import\s+\S)")
 PYTHON_M_RE = re.compile(r"python(?:3)?\s+(?:-u\s+)?-m\s+([\w.]+)")
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]+")
-CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+#: An inline code span, which may wrap across one line break.
+CODE_SPAN_RE = re.compile(r"`([^`\n]+(?:\n[^`\n]+)?)`")
 PATH_RE = re.compile(r"[\w.*/-]+")
 #: ``/v1/name`` anywhere; ``/healthz`` and ``/metrics`` on their own or after
 #: a ``host:port``, not as the tail of a file path.
@@ -87,6 +88,12 @@ FILE_SUFFIXES = (".py", ".json", ".md", ".yml", ".toml")
 
 #: Scripts outside ``src/`` whose flags the docs may name.
 FLAG_SCRIPTS = ("bench/run.py",)
+
+
+def code_spans(text: str) -> Set[str]:
+    """The inline code spans of ``text``, each with its whitespace collapsed
+    to single spaces as Markdown renders it (a wrapped span reads whole)."""
+    return {" ".join(span.split()) for span in CODE_SPAN_RE.findall(text)}
 
 
 def doc_files() -> List[Path]:
@@ -141,7 +148,7 @@ def check_paths(path: Path, text: str) -> List[str]:
     names are not paths and are skipped.
     """
     failures = []
-    for span in sorted(set(CODE_SPAN_RE.findall(text))):
+    for span in sorted(code_spans(text)):
         target = span.split("::", 1)[0].rstrip("/")
         if not PATH_RE.fullmatch(target):
             continue
@@ -293,7 +300,7 @@ def check_dotted_names(files: List[Tuple[Path, str]]) -> List[str]:
     names = {
         path: {
             match.group(1)
-            for match in map(DOTTED_NAME_RE.fullmatch, CODE_SPAN_RE.findall(text))
+            for match in map(DOTTED_NAME_RE.fullmatch, code_spans(text))
             if match
         }
         for path, text in files
@@ -359,7 +366,7 @@ def check_class_attributes(files: List[Tuple[Path, str]]) -> List[str]:
     classes = class_attributes()
     failures = []
     for path, text in files:
-        for span in sorted(set(CODE_SPAN_RE.findall(text))):
+        for span in sorted(code_spans(text)):
             match = CLASS_ATTR_RE.fullmatch(span)
             if not match or match.group(1) not in classes:
                 continue
